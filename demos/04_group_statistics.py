@@ -12,7 +12,7 @@ Run:  python3 demos/04_group_statistics.py
 
 import numpy as np
 
-from shoulderkin import cohens_d, pooled_t, significance_flag, welch_t
+from shoulderkin import cohens_d, significance_flag, welch_t
 
 CLEAR_X = [4.1, 5.3, 3.8, 4.9, 5.6, 4.4, 5.1, 3.9]
 CLEAR_Y = [3.6, 4.2, 3.1, 3.9, 4.4, 3.3, 4.0, 3.5]
@@ -43,14 +43,6 @@ def main():
 
     # four subjects a side cannot certify even a whole-sd shift
     describe("big shift, tiny cohort", [5.2, 6.0, 4.6, 5.5], [4.3, 5.1, 3.4, 4.9])
-
-    # with equal group sizes the pooled test agrees on t and differs on dof
-    t, dof, p = welch_t(CLEAR_X, CLEAR_Y)
-    tp, dofp, pp = pooled_t(CLEAR_X, CLEAR_Y)
-    print(f"pooled-variance check: t = {tp:.3f} (Welch {t:.3f}), "
-          f"dof = {dofp:.1f} (Welch {dof:.2f}), p = {pp:.4f}")
-    print("Welch gives up a little dof when variances differ and loses")
-    print("nothing when they do not, which is why it is the default here.")
 
 
 if __name__ == "__main__":

@@ -91,7 +91,6 @@ from .stats import (
     cell_keys,
     cohens_d,
     compare_cohort,
-    pooled_t,
     regularized_incomplete_beta,
     significance_flag,
     t_survival_two_sided,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import ingest, report, synth
@@ -35,37 +35,19 @@ EXIT_DEGENERATE = 5
 
 DUMP_FILENAME = "comparison.csv"
 
-_PARAM_FIELDS = {
-    "peak_prominence_frac": float,
-    "sparc_amp_threshold": float,
-    "sparc_max_cutoff_hz": float,
-    "sparc_pad_level": int,
-    "min_segment_s": float,
-}
-
 
 def _load_feature_params(path) -> FeatureParams:
     """Read key = value overrides on top of the defaults."""
-    try:
-        lines = open(path, "r", encoding="utf-8").read().splitlines()
-    except FileNotFoundError:
-        raise ParseError("file not found", path=path) from None
+    casts = {f.name: type(f.default) for f in fields(FeatureParams)}
+    pairs = ingest.parse_key_values(ingest.read_lines(path), casts, path)
     overrides = {}
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", path=path, line=line_no)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _PARAM_FIELDS:
-            raise ParseError(f"unknown parameter {key!r}", path=path, line=line_no)
-        if key in overrides:
-            raise ParseError(f"duplicate parameter {key!r}", path=path, line=line_no)
+    for key, (value, line_no) in pairs.items():
         try:
-            overrides[key] = _PARAM_FIELDS[key](value.strip())
+            overrides[key] = casts[key](value)
         except ValueError:
-            raise ParseError(f"cannot parse value for {key!r}: {value.strip()!r}", path=path, line=line_no) from None
+            raise ParseError(
+                f"cannot parse value for {key!r}: {value!r}", path=path, line=line_no
+            ) from None
     return replace(FeatureParams(), **overrides)
 
 

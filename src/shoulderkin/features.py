@@ -23,6 +23,7 @@ from .errors import (
     TooShortError,
     ValidationError,
 )
+from .ingest import read_lines
 from .model import (
     FeatureVector,
     Group,
@@ -32,6 +33,12 @@ from .model import (
     TaskKind,
     slice_segment,
 )
+
+
+# Highest SPARC zero-padding level: an FFT 2**8 = 256 times the shortest
+# power of two that holds the segment. The reference SPARC of Balasubramanian
+# et al. (JNER 2015) pads by 4 levels; each level doubles FFT time and memory.
+SPARC_MAX_PAD_LEVEL = 8
 
 
 @dataclass(frozen=True)
@@ -66,9 +73,10 @@ class FeatureParams:
             raise ValidationError(
                 f"sparc_max_cutoff_hz must be positive, got {self.sparc_max_cutoff_hz}"
             )
-        if self.sparc_pad_level < 0 or self.sparc_pad_level != int(self.sparc_pad_level):
+        if self.sparc_pad_level not in range(SPARC_MAX_PAD_LEVEL + 1):
             raise ValidationError(
-                f"sparc_pad_level must be a non-negative integer, got {self.sparc_pad_level}"
+                f"sparc_pad_level must be an integer in [0, {SPARC_MAX_PAD_LEVEL}], "
+                f"got {self.sparc_pad_level}"
             )
         if not self.min_segment_s > 0:
             raise ValidationError(f"min_segment_s must be positive, got {self.min_segment_s}")
@@ -358,19 +366,7 @@ def _parse_enum(enum_cls, cell: str, what: str, path, line_no: int):
 
 def read_matrix(path) -> list[FeatureRow]:
     """Parse a feature-matrix CSV written by `write_matrix`."""
-    try:
-        text = open(path, "r", encoding="utf-8", newline="").read()
-    except FileNotFoundError:
-        raise ParseError("file not found", path=path) from None
-    lines = text.replace("\r\n", "\n").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise ParseError("empty matrix file", path=path)
-    if lines[0] != MATRIX_HEADER:
-        raise ParseError(
-            f"bad header: expected {MATRIX_HEADER!r}, got {lines[0]!r}", path=path, line=1
-        )
+    lines = read_lines(path, MATRIX_HEADER)
     rows: list[FeatureRow] = []
     for line_no, line in enumerate(lines[1:], start=2):
         cells = line.split(",")

@@ -4,6 +4,10 @@ Parsing is strict: anything off-grammar is rejected with a path and line
 number rather than coerced. Writers emit LF line endings; parsers accept
 CRLF as well. The recording time column is informative only; sample
 positions are defined by row index and the manifest's sample rate.
+
+`read_lines` is the one place the package opens and decodes an input
+file, and `parse_key_values` the one `key = value` parser; every reader,
+here and in the other modules, goes through them.
 """
 from __future__ import annotations
 
@@ -33,17 +37,63 @@ COHORT_MANIFEST_NAME = "cohort.txt"
 _FLOAT_FORMAT = "%.9g"
 
 
-def _read_lines(path) -> list[str]:
+def read_lines(path, header: str | None = None, missing: Exception | None = None) -> list[str]:
+    """Read a UTF-8 text file as lines, accepting LF or CRLF endings.
+
+    The final newline does not yield an empty last line. When `header` is
+    given, the first line must equal it. A missing file raises `missing`,
+    by default a "file not found" parse error; any other unreadable,
+    undecodable or non-file path is a parse error.
+    """
     try:
-        text = open(path, "r", encoding="utf-8", newline="").read()
-    except FileNotFoundError:
-        raise ValidationError(f"referenced file does not exist: {path}") from None
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        raise missing or ParseError("file not found", path=path) from None
     except UnicodeDecodeError as err:
         raise ParseError(f"not valid UTF-8: {err}", path=path) from None
+    except (OSError, ValueError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise ParseError(f"cannot read: {reason}", path=path) from None
     lines = text.replace("\r\n", "\n").split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()
+    if header is not None:
+        if not lines:
+            raise ParseError("empty file", path=path)
+        if lines[0] != header:
+            raise ParseError(
+                f"bad header: expected {header!r}, got {lines[0]!r}", path=path, line=1
+            )
     return lines
+
+
+def parse_key_values(lines: list[str], keys, path) -> dict[str, tuple[str, int]]:
+    """Map each `key = value` line to ``{key: (value, line_no)}``.
+
+    Blank lines and lines whose first non-blank character is ``#`` are
+    skipped. Keys outside `keys`, repeated keys and lines without ``=``
+    are parse errors naming the line; which keys are required is up to
+    the caller.
+    """
+    pairs: dict[str, tuple[str, int]] = {}
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"expected 'key = value', got {line!r}", path=path, line=line_no)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise ParseError(f"unknown key {key!r}", path=path, line=line_no)
+        if key in pairs:
+            raise ParseError(f"duplicate key {key!r}", path=path, line=line_no)
+        pairs[key] = (value.strip(), line_no)
+    return pairs
+
+
+def _referenced(path) -> ValidationError:
+    return ValidationError(f"referenced file does not exist: {path}")
 
 
 def parse_recording(path, sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> SensorStream:
@@ -53,13 +103,7 @@ def parse_recording(path, sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Sen
     Non-numeric cells are parse errors with a line number; numeric but
     non-finite cells (NaN, inf) are validation errors naming the channel.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError("empty file", path=path)
-    if lines[0] != RECORDING_HEADER:
-        raise ParseError(
-            f"bad header: expected {RECORDING_HEADER!r}, got {lines[0]!r}", path=path, line=1
-        )
+    lines = read_lines(path, RECORDING_HEADER, _referenced(path))
     if len(lines) == 1:
         raise ParseError("no sample rows after the header", path=path)
     cells: list[list[str]] = []
@@ -116,13 +160,7 @@ def write_recording(stream: SensorStream) -> bytes:
 
 def parse_labels(path) -> dict[TaskKind, SegmentLabel]:
     """Parse the per-task boundary file into a task-keyed label map."""
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError("empty file", path=path)
-    if lines[0] != LABELS_HEADER:
-        raise ParseError(
-            f"bad header: expected {LABELS_HEADER!r}, got {lines[0]!r}", path=path, line=1
-        )
+    lines = read_lines(path, LABELS_HEADER, _referenced(path))
     labels: dict[TaskKind, SegmentLabel] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
@@ -190,40 +228,29 @@ _MANIFEST_KEYS = ("subject_id", "group", "side", "sample_rate_hz", "wrist", "arm
 
 def parse_session_manifest(path) -> SessionManifest:
     """Parse the key = value session manifest."""
-    lines = _read_lines(path)
-    pairs: dict[str, str] = {}
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", path=path, line=line_no)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _MANIFEST_KEYS:
-            raise ParseError(f"unknown key {key!r}", path=path, line=line_no)
-        if key in pairs:
-            raise ParseError(f"duplicate key {key!r}", path=path, line=line_no)
-        pairs[key] = value
+    pairs = parse_key_values(read_lines(path, missing=_referenced(path)), _MANIFEST_KEYS, path)
     missing = [k for k in _MANIFEST_KEYS if k not in pairs]
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}", path=path)
+    values = {key: value for key, (value, _) in pairs.items()}
+    group_s, group_line = pairs["group"]
     try:
-        group = Group(pairs["group"])
+        group = Group(group_s)
     except ValueError:
-        raise ParseError(f"unknown group {pairs['group']!r}", path=path) from None
+        raise ParseError(f"unknown group {group_s!r}", path=path, line=group_line) from None
+    rate_s, rate_line = pairs["sample_rate_hz"]
     try:
-        rate = float(np.float64(pairs["sample_rate_hz"]))
+        rate = float(np.float64(rate_s))
     except ValueError:
         raise ParseError(
-            f"sample_rate_hz is not a number: {pairs['sample_rate_hz']!r}", path=path
+            f"sample_rate_hz is not a number: {rate_s!r}", path=path, line=rate_line
         ) from None
     return SessionManifest(
-        subject_id=pairs["subject_id"],
+        subject_id=values["subject_id"],
         group=group,
-        side=pairs["side"],
-        recordings={Placement.WRIST: pairs["wrist"], Placement.ARM: pairs["arm"]},
-        labels_path=pairs["labels"],
+        side=values["side"],
+        recordings={Placement.WRIST: values["wrist"], Placement.ARM: values["arm"]},
+        labels_path=values["labels"],
         sample_rate_hz=rate,
     )
 
@@ -265,9 +292,8 @@ def load_cohort(cohort_dir) -> list[Session]:
     """
     cohort_dir = Path(cohort_dir)
     manifest = cohort_dir / COHORT_MANIFEST_NAME
-    if not manifest.is_file():
-        raise ParseError("cohort manifest not found", path=manifest)
-    entries = [line.strip() for line in _read_lines(manifest) if line.strip()]
+    lines = read_lines(manifest, missing=ParseError("cohort manifest not found", path=manifest))
+    entries = [line.strip() for line in lines if line.strip()]
     if not entries:
         raise CohortError(f"{manifest}: cohort manifest lists no sessions")
     sessions: list[Session] = []

@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .ingest import read_lines
 from .model import Placement, SegmentKind, TaskKind
 from .stats import (
     FEATURE_GRID,
@@ -164,13 +165,7 @@ _VALID_FEATURES = {feature for feature, _ in FEATURE_GRID}
 
 def read_dump(path) -> ComparisonTable:
     """Parse a dump written by `write_dump` back into a ComparisonTable."""
-    try:
-        text = open(path, "r", encoding="utf-8", newline="").read()
-    except FileNotFoundError:
-        raise ParseError("file not found", path=path) from None
-    lines = text.replace("\r\n", "\n").split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path)
     rule, n1, n2 = _parse_preamble(lines, path)
     cells = {}
     for line_no, line in enumerate(lines[4:], start=5):

@@ -127,25 +127,6 @@ def welch_t(x, y) -> tuple[float, float, float]:
     return t, dof, t_survival_two_sided(t, dof)
 
 
-def pooled_t(x, y) -> tuple[float, float, float]:
-    """Classic equal-variance (Student's) two-sample t-test.
-
-    Kept alongside `welch_t` for replication against tools whose default
-    pools the variances; the pipeline itself always uses Welch.
-    """
-    xa = _as_sample(x, "x")
-    ya = _as_sample(y, "y")
-    n1, n2 = xa.size, ya.size
-    v1 = float(np.var(xa, ddof=1))
-    v2 = float(np.var(ya, ddof=1))
-    dof = n1 + n2 - 2
-    pooled_var = ((n1 - 1) * v1 + (n2 - 1) * v2) / dof
-    if pooled_var == 0.0:
-        raise DegenerateStatisticsError("both samples have zero variance; t is undefined")
-    t = (float(np.mean(xa)) - float(np.mean(ya))) / math.sqrt(pooled_var * (1.0 / n1 + 1.0 / n2))
-    return t, float(dof), t_survival_two_sided(t, float(dof))
-
-
 def cohens_d(x, y) -> tuple[float, float, float]:
     """Cohen's d with a normal-approximation 95% confidence interval.
 

@@ -90,8 +90,10 @@ class GroupProfile:
             raise ValidationError(f"submovements range must satisfy 1 <= lo <= hi, got {self.submovements}")
         for name in ("subtask_duration_s", "hold_duration_s"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ValidationError(f"{name} range must satisfy 0 < lo <= hi, got {(lo, hi)}")
+            if not (0 < lo <= hi < math.inf):
+                raise ValidationError(
+                    f"{name} range must satisfy 0 < lo <= hi < inf, got {(lo, hi)}"
+                )
         if not 0.0 <= self.pause_probability <= 1.0:
             raise ValidationError(f"pause_probability must be in [0,1], got {self.pause_probability}")
         if self.accel_noise_sigma < 0 or self.gyro_noise_sigma < 0:
@@ -213,13 +215,10 @@ def _profile_group(cp: configparser.ConfigParser, section: str, path) -> GroupPr
 
 def parse_profile(path) -> CohortProfile:
     """Parse a cohort profile file (INI with cohort/patient/healthy sections)."""
-    try:
-        text = open(path, "r", encoding="utf-8").read()
-    except FileNotFoundError:
-        raise ParseError("file not found", path=path) from None
+    lines = ingest.read_lines(path)
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        cp.read_string(text)
+        cp.read_file(lines, source=str(path))
     except configparser.Error as err:
         raise ParseError(f"bad profile syntax: {err}", path=path) from None
     sections = set(cp.sections())

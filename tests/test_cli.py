@@ -28,6 +28,7 @@ from shoulderkin.cli import (
     EXIT_FORMAT,
     EXIT_INVALID,
     EXIT_OK,
+    _load_feature_params,
 )
 from shoulderkin.features import FeatureRow
 
@@ -145,6 +146,15 @@ class TestExitCodes:
         assert code == EXIT_FORMAT
         assert "error:" in capsys.readouterr().err
 
+    def test_simulate_infinite_duration(self, tmp_path, capsys):
+        ini = tmp_path / "profile.ini"
+        write_small_profile(ini, n_per_group=2)
+        text = ini.read_text()
+        ini.write_text(text.replace("hold_duration_s = 1.6 3", "hold_duration_s = 1.6 inf", 1))
+        code = main(["simulate", "--out", str(tmp_path / "c"), "--params", str(ini)])
+        assert code == EXIT_INVALID
+        assert "hold_duration_s range" in capsys.readouterr().err
+
     def test_simulate_seed_out_of_range(self, tmp_path):
         ini = tmp_path / "profile.ini"
         write_small_profile(ini, n_per_group=2)
@@ -227,6 +237,89 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--out", "x", "--bogus"])
         assert info.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def small_cohort(tmp_path_factory):
+    work = tmp_path_factory.mktemp("cli")
+    write_small_profile(work / "profile.ini", n_per_group=2)
+    cohort = work / "cohort"
+    argv = ["simulate", "--out", str(cohort), "--params", str(work / "profile.ini")]
+    assert main(argv) == EXIT_OK
+    return cohort
+
+
+class TestFeatureParamsFile:
+    def extract(self, cohort, out, params=None):
+        argv = ["extract", "--cohort", str(cohort), "--out", str(out)]
+        return main(argv + (["--params", str(params)] if params else []))
+
+    def test_overrides_change_the_matrix(self, small_cohort, tmp_path):
+        params = tmp_path / "params.txt"
+        params.write_text("# coarser SPARC spectrum\n\nsparc_pad_level = 2\n")
+        assert self.extract(small_cohort, tmp_path / "default.csv") == EXIT_OK
+        assert self.extract(small_cohort, tmp_path / "pad2.csv", params) == EXIT_OK
+        default = read_matrix(tmp_path / "default.csv")
+        pad2 = read_matrix(tmp_path / "pad2.csv")
+        assert len(pad2) == len(default)
+        assert [r.features.sparc for r in pad2] != [r.features.sparc for r in default]
+        assert [r.features.ldlj_a for r in pad2] == [r.features.ldlj_a for r in default]
+
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("sparc_padding = 2\n", EXIT_FORMAT, ":1: unknown key 'sparc_padding'"),
+            ("# ok\nsparc_pad_level = two\n", EXIT_FORMAT, ":2: cannot parse value"),
+            ("sparc_pad_level = 2.0\n", EXIT_FORMAT, ":1: cannot parse value"),
+            ("sparc_pad_level = 60\n", EXIT_INVALID, "sparc_pad_level must be an integer in"),
+            ("peak_prominence_frac = 1.5\n", EXIT_INVALID, "peak_prominence_frac must be in (0,1)"),
+        ],
+    )
+    def test_bad_file_exit_codes(self, tmp_path, capsys, text, code, message):
+        params = tmp_path / "params.txt"
+        params.write_text(text)
+        # the params are read before the cohort, so no cohort is needed
+        assert self.extract(tmp_path / "no-cohort", tmp_path / "m.csv", params) == code
+        assert message in capsys.readouterr().err
+
+    def test_crlf_file_parses_like_lf(self, tmp_path):
+        text = "# tuned\nsparc_pad_level = 2\nmin_segment_s = 0.5\n"
+        (tmp_path / "lf.txt").write_bytes(text.encode())
+        (tmp_path / "crlf.txt").write_bytes(text.replace("\n", "\r\n").encode())
+        lf = _load_feature_params(tmp_path / "lf.txt")
+        assert lf == _load_feature_params(tmp_path / "crlf.txt")
+        assert (lf.sparc_pad_level, lf.min_segment_s) == (2, 0.5)
+
+
+class TestUnreadableInputs:
+    COMMANDS = {
+        "compare": lambda path, out: ["compare", path, "--out", out],
+        "report": lambda path, out: ["report", path],
+        "extract": lambda path, out: ["extract", "--cohort", out, "--out", out, "--params", path],
+        "simulate": lambda path, out: ["simulate", "--out", out, "--params", path],
+    }
+
+    def run(self, capsys, command, path, out):
+        code = main(self.COMMANDS[command](str(path), str(out)))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: {path}")
+        return code, err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_non_utf8_file_exits_format(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"rule,strict\n\xff\n")
+        code, err = self.run(capsys, command, bad, tmp_path / "out")
+        assert code == EXIT_FORMAT
+        assert "not valid UTF-8" in err
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_directory_exits_format(self, tmp_path, capsys, command):
+        code, err = self.run(capsys, command, tmp_path, tmp_path / "out")
+        assert code == EXIT_FORMAT
+        assert "cannot read" in err
 
 
 class TestConsoleScript:

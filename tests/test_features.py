@@ -36,6 +36,7 @@ from shoulderkin import (
     spectral_arc_length,
     write_matrix,
 )
+from shoulderkin.features import SPARC_MAX_PAD_LEVEL
 
 RATE = 128.0
 
@@ -106,6 +107,30 @@ def sparc_direct(values, rate, params):
 def min_jerk_pulse(n, amp=1.0):
     tau = np.linspace(0.0, 1.0, n, endpoint=False)
     return amp * (30 * tau**2 - 60 * tau**3 + 30 * tau**4) / 1.875
+
+
+class TestFeatureParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("peak_prominence_frac", 0.0),
+            ("peak_prominence_frac", 1.0),
+            ("sparc_amp_threshold", 0.0),
+            ("sparc_max_cutoff_hz", 0.0),
+            ("sparc_pad_level", -1),
+            ("sparc_pad_level", 2.5),
+            ("sparc_pad_level", SPARC_MAX_PAD_LEVEL + 1),
+            ("min_segment_s", 0.0),
+        ],
+    )
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            FeatureParams(**{field: value})
+
+    def test_pad_level_bounds_accepted(self):
+        # constructing the params runs no FFT, so the top level is cheap here
+        assert FeatureParams(sparc_pad_level=0).sparc_pad_level == 0
+        assert FeatureParams(sparc_pad_level=SPARC_MAX_PAD_LEVEL).sparc_pad_level == SPARC_MAX_PAD_LEVEL
 
 
 class TestMeanCrossingCount:

@@ -24,6 +24,7 @@ from shoulderkin import (
     write_recording,
     write_session_manifest,
 )
+from shoulderkin.ingest import parse_key_values, read_lines
 
 RATE = 128.0
 
@@ -243,6 +244,76 @@ class TestSessionManifest:
         path.write_text(text.replace("group = patient", "group = sick"))
         with pytest.raises(ParseError, match="unknown group"):
             parse_session_manifest(path)
+
+    def test_value_error_names_its_line(self, tmp_path):
+        path = tmp_path / "session.txt"
+        text = write_session_manifest(self.manifest()).decode("utf-8")
+        path.write_text(text.replace("sample_rate_hz = 128", "sample_rate_hz = fast"))
+        with pytest.raises(ParseError, match=r"session\.txt:4: sample_rate_hz is not a number"):
+            parse_session_manifest(path)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "session.txt"
+        text = write_session_manifest(self.manifest()).decode("utf-8")
+        path.write_text("# exported by hand\n\n" + text.replace("side", "  # note\nside"))
+        assert parse_session_manifest(path) == self.manifest()
+
+
+class TestReadLines:
+    def test_lf_crlf_and_missing_final_newline_agree(self, tmp_path):
+        for name, data in (("lf", b"a\nb\n"), ("crlf", b"a\r\nb\r\n"), ("bare", b"a\nb")):
+            (tmp_path / name).write_bytes(data)
+            assert read_lines(tmp_path / name) == ["a", "b"]
+
+    def test_lone_carriage_return_stays_in_line(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"a\rb\n")
+        assert read_lines(tmp_path / "f") == ["a\rb"]
+
+    def test_empty_file_has_no_lines(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"")
+        assert read_lines(tmp_path / "f") == []
+        with pytest.raises(ParseError, match="empty file"):
+            read_lines(tmp_path / "f", header="h")
+
+    def test_header_mismatch_names_line_one(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"x\n")
+        with pytest.raises(ParseError, match=r"f:1: bad header"):
+            read_lines(tmp_path / "f", header="h")
+
+    def test_missing_file_raises_the_callers_error(self, tmp_path):
+        with pytest.raises(ParseError, match="file not found"):
+            read_lines(tmp_path / "absent")
+        with pytest.raises(ValidationError, match="gone"):
+            read_lines(tmp_path / "absent", missing=ValidationError("gone"))
+
+    def test_undecodable_and_unopenable_are_parse_errors(self, tmp_path):
+        (tmp_path / "f").write_bytes(b"ok\n\xff\n")
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            read_lines(tmp_path / "f")
+        with pytest.raises(ParseError, match="cannot read: Is a directory"):
+            read_lines(tmp_path)
+        # a manifest value can carry a NUL byte into a referenced path
+        with pytest.raises(ParseError, match="cannot read: embedded null byte"):
+            read_lines(str(tmp_path / "a\x00b"))
+
+
+class TestParseKeyValues:
+    def test_values_carry_line_numbers(self):
+        lines = ["# c", "", "a = 1", "  b=two words  "]
+        pairs = parse_key_values(lines, ("a", "b", "c"), "f")
+        assert pairs == {"a": ("1", 3), "b": ("two words", 4)}
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("a 1", "expected 'key = value'"),
+            ("z = 1", "unknown key 'z'"),
+            ("a = 2", "duplicate key 'a'"),
+        ],
+    )
+    def test_bad_line_names_its_number(self, line, message):
+        with pytest.raises(ParseError, match=f"f:2: {message}"):
+            parse_key_values(["a = 1", line], ("a",), "f")
 
 
 def write_full_session(dirpath, sid="S01", n=400, group=Group.PATIENT, rate=RATE):

@@ -27,7 +27,6 @@ from shoulderkin import (
     cell_keys,
     cohens_d,
     compare_cohort,
-    pooled_t,
     regularized_incomplete_beta,
     significance_flag,
     t_survival_two_sided,
@@ -175,19 +174,6 @@ class TestWelchProperties:
             assert d1 == pytest.approx(d0, rel=1e-9)
             assert lo1 == pytest.approx(lo0, rel=1e-9)
             assert hi1 == pytest.approx(hi0, rel=1e-9)
-
-    def test_pooled_equals_welch_t_for_equal_sizes(self):
-        # With n1 == n2 the pooled and Welch statistics coincide (the dofs
-        # do not); a convenient cross-check between the two routes.
-        rng = np.random.default_rng(89)
-        for _ in range(30):
-            n = int(rng.integers(3, 15))
-            x = rng.normal(0.0, 1.0, n)
-            y = rng.normal(1.0, 3.0, n)
-            t_w, _, _ = welch_t(x, y)
-            t_p, dof_p, _ = pooled_t(x, y)
-            assert t_p == pytest.approx(t_w, rel=1e-12)
-            assert dof_p == 2 * n - 2
 
     def test_p_tracks_permutation_truth(self):
         # Across 20 random two-sample problems, the analytic p-value should
