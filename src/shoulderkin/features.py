@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .dsp import ScalarSeries, euclidean_norm, magnitude_spectrum
 from .dsp import derivative as _derivative
@@ -118,6 +117,9 @@ def peak_count(a_norm: ScalarSeries, params: FeatureParams | None = None) -> int
     spread = float(np.max(v) - np.min(v))
     if spread == 0.0:
         return 0
+    # imported here so that only feature extraction pays scipy.signal's ~1 s import
+    from scipy.signal import find_peaks
+
     peaks, _ = find_peaks(v, prominence=params.peak_prominence_frac * spread)
     return int(len(peaks))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -35,6 +36,7 @@ COHORT_MANIFEST_NAME = "cohort.txt"
 
 # 9 significant digits: enough for 1e-9 relative round-trip, small files
 _FLOAT_FORMAT = "%.9g"
+_ROW_FORMAT = ",".join([_FLOAT_FORMAT] * len(RECORDING_COLUMNS))
 
 
 def read_lines(path, header: str | None = None, missing: Exception | None = None) -> list[str]:
@@ -99,62 +101,80 @@ def _referenced(path) -> ValidationError:
 def parse_recording(path, sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> SensorStream:
     """Parse one placement's CSV recording into a SensorStream.
 
-    Every row must carry exactly 7 numeric cells (time, 3 accel, 3 gyro).
-    Non-numeric cells are parse errors with a line number; numeric but
-    non-finite cells (NaN, inf) are validation errors naming the channel.
+    Every row must carry exactly 7 numeric cells (time, 3 accel, 3 gyro),
+    each a plain decimal (see `_cell_value`). Non-numeric cells are parse
+    errors with a line number and column; numeric but non-finite cells
+    (NaN, inf) are validation errors naming the channel.
     """
     lines = read_lines(path, RECORDING_HEADER, _referenced(path))
-    if len(lines) == 1:
+    body = lines[1:]
+    if not body:
         raise ParseError("no sample rows after the header", path=path)
-    cells: list[list[str]] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        row = line.split(",")
-        if len(row) != 7:
-            raise ParseError(f"expected 7 columns, got {len(row)}", path=path, line=line_no)
-        cells.append(row)
-    try:
-        values = np.array(cells, dtype=np.float64)
-    except ValueError:
-        # locate the first offending cell for the diagnostic
-        for i, row in enumerate(cells):
-            for j, cell in enumerate(row):
-                try:
-                    np.float64(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"column {RECORDING_COLUMNS[j]!r}: not a number: {cell!r}",
-                        path=path,
-                        line=i + 2,
-                    ) from None
-        raise ParseError("non-numeric cell", path=path) from None
+    values = _parse_rows(body)
+    if values is None:
+        _raise_first_bad_row(body, path)
     finite = np.isfinite(values)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
+        cell = body[i].split(",")[j]
         raise ValidationError(
-            f"{path}:{i + 2}: column {RECORDING_COLUMNS[j]!r} is not finite: {cells[i][j]!r}"
+            f"{path}:{i + 2}: column {RECORDING_COLUMNS[j]!r} is not finite: {cell!r}"
         )
     return SensorStream(
         accel=values[:, 1:4], gyro=values[:, 4:7], sample_rate_hz=sample_rate_hz
     )
 
 
+def _parse_rows(body: list[str]) -> np.ndarray | None:
+    """All sample rows as one N x 7 array, or None if any row is off-grammar."""
+    # loadtxt would skip an empty row and end a row at a carriage return
+    if "" in body or "\r" in "".join(body):
+        return None
+    try:
+        values = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape[1] == len(RECORDING_COLUMNS) else None
+
+
+def _cell_value(cell: str) -> float:
+    """One recording cell under the grammar `np.loadtxt` applies.
+
+    That is a C-style decimal (sign, digits, point, exponent, or
+    nan/inf/infinity) in ASCII, with surrounding whitespace other than a
+    carriage return. Python's `float` alone would also take digit
+    separators (``1_0``) and non-ASCII digits.
+    """
+    text = cell.strip()
+    if not text.isascii() or "_" in text or "\r" in cell:
+        raise ValueError(cell)
+    return float(text)
+
+
+def _raise_first_bad_row(body: list[str], path) -> NoReturn:
+    """Raise the error for the first ragged row, else the first bad cell."""
+    for line_no, line in enumerate(body, start=2):
+        n_cells = line.count(",") + 1
+        if n_cells != len(RECORDING_COLUMNS):
+            raise ParseError(
+                f"expected {len(RECORDING_COLUMNS)} columns, got {n_cells}", path=path, line=line_no
+            )
+    for line_no, line in enumerate(body, start=2):
+        for column, cell in zip(RECORDING_COLUMNS, line.split(",")):
+            try:
+                _cell_value(cell)
+            except ValueError:
+                raise ParseError(
+                    f"column {column!r}: not a number: {cell!r}", path=path, line=line_no
+                ) from None
+    raise ParseError("non-numeric cell", path=path)
+
+
 def write_recording(stream: SensorStream) -> bytes:
     """Render a stream as the documented CSV, 9 significant digits."""
-    times = stream.times_s()
+    rows = np.column_stack((stream.times_s(), stream.accel, stream.gyro)).tolist()
     lines = [RECORDING_HEADER]
-    accel = stream.accel
-    gyro = stream.gyro
-    for i in range(stream.n_samples):
-        row = (
-            times[i],
-            accel[i, 0],
-            accel[i, 1],
-            accel[i, 2],
-            gyro[i, 0],
-            gyro[i, 1],
-            gyro[i, 2],
-        )
-        lines.append(",".join(_FLOAT_FORMAT % v for v in row))
+    lines += [_ROW_FORMAT % tuple(row) for row in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

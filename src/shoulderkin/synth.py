@@ -50,6 +50,16 @@ _SUBTASK_EXCURSION_DEG = (130.0, 60.0, 130.0)
 _REST_RANGE_S = (0.4, 1.0)
 _PAUSE_RANGE_S = (0.25, 0.7)
 
+# Upper bounds on the profile values that size what `simulate` allocates
+# and writes. One session is built and written at a time, so its length
+# bounds memory: at the limits below a session lasts at most about 29 min
+# (220k samples per placement), and building and writing one took under
+# 200 MB peak RSS. `n_per_group` bounds only the cohort's disk size and run
+# time; the default profile writes about 1.2 MB of CSV per session.
+MAX_N_PER_GROUP = 1000
+MAX_SUBMOVEMENTS = 50
+MAX_PHASE_DURATION_S = 60.0
+
 
 @dataclass(frozen=True)
 class SubmovementSpec:
@@ -86,13 +96,17 @@ class GroupProfile:
 
     def __post_init__(self):
         lo, hi = self.submovements
-        if not (1 <= lo <= hi):
-            raise ValidationError(f"submovements range must satisfy 1 <= lo <= hi, got {self.submovements}")
+        if not (1 <= lo <= hi <= MAX_SUBMOVEMENTS):
+            raise ValidationError(
+                f"submovements range must satisfy 1 <= lo <= hi <= {MAX_SUBMOVEMENTS}, "
+                f"got {self.submovements}"
+            )
         for name in ("subtask_duration_s", "hold_duration_s"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi < math.inf):
+            if not (0 < lo <= hi <= MAX_PHASE_DURATION_S):
                 raise ValidationError(
-                    f"{name} range must satisfy 0 < lo <= hi < inf, got {(lo, hi)}"
+                    f"{name} range must satisfy 0 < lo <= hi <= {MAX_PHASE_DURATION_S:g}, "
+                    f"got {(lo, hi)}"
                 )
         if not 0.0 <= self.pause_probability <= 1.0:
             raise ValidationError(f"pause_probability must be in [0,1], got {self.pause_probability}")
@@ -110,8 +124,10 @@ class CohortProfile:
     seed: int
 
     def __post_init__(self):
-        if self.n_per_group < 2:
-            raise ValidationError(f"n_per_group must be >= 2, got {self.n_per_group}")
+        if not 2 <= self.n_per_group <= MAX_N_PER_GROUP:
+            raise ValidationError(
+                f"n_per_group must be in [2, {MAX_N_PER_GROUP}], got {self.n_per_group}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must fit in u64, got {self.seed}")
 

@@ -1,11 +1,16 @@
 """Command-line pipeline: simulate -> extract -> compare -> report."""
 
+import dataclasses
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shoulderkin
 from shoulderkin import (
     COHORT_MANIFEST_NAME,
     FeatureVector,
@@ -154,6 +159,26 @@ class TestExitCodes:
         code = main(["simulate", "--out", str(tmp_path / "c"), "--params", str(ini)])
         assert code == EXIT_INVALID
         assert "hold_duration_s range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("n_per_group = 2", "n_per_group = 1001"),
+            ("submovements = 4 7", "submovements = 4 51"),
+            ("subtask_duration_s = 2.6 4", "subtask_duration_s = 2.6 60.5"),
+            ("hold_duration_s = 1.6 3", "hold_duration_s = 1.6 61"),
+        ],
+    )
+    def test_simulate_size_bounds(self, tmp_path, capsys, old, new):
+        ini = tmp_path / "profile.ini"
+        write_small_profile(ini, n_per_group=2)
+        text = ini.read_text()
+        assert old in text
+        ini.write_text(text.replace(old, new, 1))
+        code = main(["simulate", "--out", str(tmp_path / "c"), "--params", str(ini)])
+        assert code == EXIT_INVALID
+        assert old.split()[0] in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_simulate_seed_out_of_range(self, tmp_path):
         ini = tmp_path / "profile.ini"
@@ -331,3 +356,73 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
         assert "report" in proc.stdout
+
+
+SRC_DIR = str(Path(shoulderkin.__file__).resolve().parents[1])
+
+
+def run_python(*args, cwd=None):
+    """Run a fresh interpreter that imports this checkout's package."""
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+    )
+
+
+class TestFreshProcess:
+    # runs one subcommand, then reports whether any scipy module was loaded
+    PROBE = (
+        "import sys\n"
+        "import shoulderkin\n"
+        "code = shoulderkin.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(any(m.partition('.')[0] == 'scipy' for m in sys.modules))\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.fixture(scope="class")
+    def inputs(self, small_cohort, tmp_path_factory):
+        work = tmp_path_factory.mktemp("fresh")
+        write_small_profile(work / "profile.ini", n_per_group=2)
+        (work / "out").mkdir()
+        rng = np.random.default_rng(3)
+        # one random vector per subject, so every comparison cell is testable
+        per_subject = {}
+        rows = []
+        for r in constant_matrix_rows():
+            if r.subject_id not in per_subject:
+                counts = rng.integers(0, 9, 2).tolist()
+                reals = (rng.uniform(0.5, 4.0, 5) * (-1, -1, 1, 1, 1)).tolist()
+                per_subject[r.subject_id] = FeatureVector(*counts, *reals)
+            rows.append(dataclasses.replace(r, features=per_subject[r.subject_id]))
+        (work / "m.csv").write_bytes(write_matrix(rows))
+        assert main(["compare", str(work / "m.csv"), "--out", str(work / "cmp")]) == EXIT_OK
+        return {
+            "profile": str(work / "profile.ini"),
+            "cohort": str(small_cohort),
+            "matrix": str(work / "m.csv"),
+            "dump": str(work / "cmp" / DUMP_FILENAME),
+            "out": str(work / "out"),
+        }
+
+    @pytest.mark.parametrize(
+        "argv, loads_scipy",
+        [
+            ([], False),
+            (["simulate", "--out", "{out}/cohort", "--params", "{profile}"], False),
+            (["extract", "--cohort", "{cohort}", "--out", "{out}/m.csv"], True),
+            (["compare", "{matrix}", "--out", "{out}/cmp"], False),
+            (["report", "{dump}", "--out", "{out}/report.txt"], False),
+        ],
+        ids=["import", "simulate", "extract", "compare", "report"],
+    )
+    def test_only_extraction_loads_scipy(self, inputs, argv, loads_scipy):
+        proc = run_python("-c", self.PROBE, *[arg.format(**inputs) for arg in argv])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+
+    def test_python_m_runs_the_cli_without_warnings(self, tmp_path):
+        proc = run_python("-m", "shoulderkin", "--help", cwd=tmp_path)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "simulate" in proc.stdout

@@ -128,6 +128,47 @@ class TestRecordingDiagnostics:
         with pytest.raises(ValidationError, match="'gx'"):
             parse_recording(path)
 
+    # Cells are plain C-style decimals: what Python's float() takes beyond
+    # that is rejected, and every rejection names its line and column.
+    @pytest.mark.parametrize(
+        "row, column",
+        [
+            ("0.01,1_0,2,3,4,5,6", "ax"),
+            ("0.01,1,\u0661,3,4,5,6", "ay"),
+            ("0.01,1,2,,4,5,6", "az"),
+            ("0.01,1,2,3\r,4,5,6", "az"),
+            ("0.01,1,2,3,4\r5,5,6", "gx"),
+            ("0.01,1,2,3,4,5,6\r\r", "gz"),  # CR CR LF: one CR left at the row's end
+            ("0.01,1,2,3,4,5,0x1p3", "gz"),
+        ],
+    )
+    def test_off_grammar_cell_names_line_and_column(self, tmp_path, row, column):
+        path = tmp_path / "rec.csv"
+        path.write_bytes(
+            (RECORDING_HEADER + "\n0,1,2,3,4,5,6\n" + row + "\n0.02,1,2,3,4,5,6\n").encode()
+        )
+        with pytest.raises(ParseError, match=rf"rec\.csv:3: column '{column}': not a number"):
+            parse_recording(path)
+
+    def test_blank_body_line_names_its_line(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text(RECORDING_HEADER + "\n0,1,2,3,4,5,6\n\n0.02,1,2,3,4,5,6\n")
+        with pytest.raises(ParseError, match=r"rec\.csv:3: expected 7 columns, got 1"):
+            parse_recording(path)
+
+    def test_ragged_row_reported_before_an_earlier_bad_cell(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text(RECORDING_HEADER + "\n0,1,oops,3,4,5,6\n0,1,2\n")
+        with pytest.raises(ParseError, match=r"rec\.csv:3: expected 7 columns"):
+            parse_recording(path)
+
+    def test_whitespace_around_a_cell_is_accepted(self, tmp_path):
+        path = tmp_path / "rec.csv"
+        path.write_text(RECORDING_HEADER + "\n 0 ,\t1,2 ,+3,-4.5e0,.5,6.\n")
+        stream = parse_recording(path, RATE)
+        assert stream.accel.tolist() == [[1.0, 2.0, 3.0]]
+        assert stream.gyro.tolist() == [[-4.5, 0.5, 6.0]]
+
 
 def sample_labels():
     return {

@@ -3,6 +3,8 @@
 Every reader, fed arbitrary bytes or a one-byte mutation of a valid file,
 either returns a value or raises a ShoulderKinError; and the CLI maps a
 malformed input to a documented exit code, never to 1 or a traceback.
+The recording writer is pinned byte for byte, and the recording parser's
+fast and diagnostic paths are held to one cell grammar.
 """
 
 import contextlib
@@ -19,6 +21,8 @@ from shoulderkin import (  # noqa: E402
     FeatureRow,
     FeatureVector,
     Group,
+    ParseError,
+    RECORDING_HEADER,
     Placement,
     SegmentKind,
     SegmentLabel,
@@ -26,6 +30,7 @@ from shoulderkin import (  # noqa: E402
     SessionManifest,
     ShoulderKinError,
     TaskKind,
+    ValidationError,
     compare_cohort,
     default_profile,
     load_cohort,
@@ -226,3 +231,58 @@ def test_cli_extract_exit_codes(work, cohort, data):
         assert_documented_exit(argv, malformed_input=False)
     finally:
         target.write_bytes(original)
+
+
+# Values that stress "%.9g": signed zeros, subnormals, extremes, and
+# integers too long for nine digits.
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e9, 123456789012.0, -(2.0**53))
+stream_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def reference_recording(stream) -> bytes:
+    times = np.arange(stream.n_samples) / stream.sample_rate_hz
+    lines = [RECORDING_HEADER]
+    for i in range(stream.n_samples):
+        row = (times[i], *stream.accel[i], *stream.gyro[i])
+        lines.append(",".join("%.9g" % v for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+@given(
+    st.integers(1, 12).flatmap(lambda n: st.lists(stream_values, min_size=6 * n, max_size=6 * n)),
+    st.sampled_from((1.0, 32.0, 100.0, 128.0, 1000.0 / 3.0)),
+)
+def test_write_recording_matches_reference_formatter(work, values, rate):
+    samples = np.array(values).reshape(-1, 6)
+    stream = SensorStream(accel=samples[:, :3], gyro=samples[:, 3:], sample_rate_hz=rate)
+    data = write_recording(stream)
+    assert data == reference_recording(stream)
+    path = work / "written.csv"
+    path.write_bytes(data)
+    back = parse_recording(path, rate)
+    printed = [line.split(",")[1:] for line in data.decode().splitlines()[1:]]
+    expected = np.array([[np.float64(cell) for cell in row] for row in printed])
+    assert np.hstack((back.accel, back.gyro)).tobytes() == expected.tobytes()
+
+
+# Characters around the cell grammar's edges: separators, non-ASCII digits
+# and spaces, carriage returns, quotes and the comment mark.
+CELL_CHARS = "0123456789+-.eEnaifty_ \t\r\x0b\x1c\xa0\u2003\u0661\uff11\"#'x"
+
+
+@given(st.text(CELL_CHARS, max_size=8))
+def test_any_cell_parses_as_float_or_names_its_line_and_column(work, cell):
+    path = work / "cell.csv"
+    path.write_bytes(f"{RECORDING_HEADER}\n0,1,2,3,4,5,6\n0,1,{cell},3,4,5,6\n".encode())
+    try:
+        stream = parse_recording(path)
+    except ParseError as err:
+        assert str(err).startswith(f"{path}:3: column 'ay': not a number")
+        return
+    except ValidationError as err:
+        assert f"{path}:3: column 'ay' is not finite" in str(err)
+        return
+    assert stream.accel[1, 1] == float(cell.strip())

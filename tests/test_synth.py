@@ -30,6 +30,7 @@ from shoulderkin import (
     synth_segment,
     write_profile,
 )
+from shoulderkin.synth import MAX_N_PER_GROUP, MAX_PHASE_DURATION_S, MAX_SUBMOVEMENTS
 
 RATE = 128.0
 
@@ -293,3 +294,33 @@ class TestProfileValidation:
         gp = default_profile().healthy
         with pytest.raises(ValidationError):
             CohortProfile(patient=gp, healthy=gp, n_per_group=2, seed=2**64)
+
+    # Each bound is tried at its limit (accepted) and just above it (rejected);
+    # validation happens before any cohort is generated.
+    @pytest.mark.parametrize(
+        "field, at_limit, above",
+        [
+            ("submovements", (1, MAX_SUBMOVEMENTS), (1, MAX_SUBMOVEMENTS + 1)),
+            (
+                "subtask_duration_s",
+                (1.0, MAX_PHASE_DURATION_S),
+                (1.0, np.nextafter(MAX_PHASE_DURATION_S, np.inf)),
+            ),
+            (
+                "hold_duration_s",
+                (1.0, MAX_PHASE_DURATION_S),
+                (1.0, np.nextafter(MAX_PHASE_DURATION_S, np.inf)),
+            ),
+        ],
+    )
+    def test_group_bounds(self, field, at_limit, above):
+        gp = default_profile().patient
+        assert getattr(dataclasses.replace(gp, **{field: at_limit}), field) == at_limit
+        with pytest.raises(ValidationError, match=field):
+            dataclasses.replace(gp, **{field: above})
+
+    def test_cohort_size_bound(self):
+        gp = default_profile().healthy
+        CohortProfile(patient=gp, healthy=gp, n_per_group=MAX_N_PER_GROUP, seed=0)
+        with pytest.raises(ValidationError, match="n_per_group"):
+            CohortProfile(patient=gp, healthy=gp, n_per_group=MAX_N_PER_GROUP + 1, seed=0)
