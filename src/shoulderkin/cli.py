@@ -40,14 +40,10 @@ def _load_feature_params(path) -> FeatureParams:
     """Read key = value overrides on top of the defaults."""
     casts = {f.name: type(f.default) for f in fields(FeatureParams)}
     pairs = ingest.parse_key_values(ingest.read_lines(path), casts, path)
-    overrides = {}
-    for key, (value, line_no) in pairs.items():
-        try:
-            overrides[key] = casts[key](value)
-        except ValueError:
-            raise ParseError(
-                f"cannot parse value for {key!r}: {value!r}", path=path, line=line_no
-            ) from None
+    overrides = {
+        key: ingest.parse_cell(casts[key], value, key, path, line_no)
+        for key, (value, line_no) in pairs.items()
+    }
     return replace(FeatureParams(), **overrides)
 
 

@@ -15,14 +15,8 @@ import numpy as np
 
 from .dsp import ScalarSeries, euclidean_norm, magnitude_spectrum
 from .dsp import derivative as _derivative
-from .errors import (
-    DegenerateSignalError,
-    FeatureError,
-    ParseError,
-    TooShortError,
-    ValidationError,
-)
-from .ingest import read_lines
+from .errors import DegenerateSignalError, FeatureError, TooShortError, ValidationError
+from .ingest import format_float, parse_cell, read_lines, split_rows
 from .model import (
     FeatureVector,
     Group,
@@ -334,7 +328,7 @@ def extract_cohort(
 
 
 def write_matrix(rows) -> bytes:
-    """Serialize feature rows as the documented CSV, floats via repr."""
+    """Serialize feature rows as the documented CSV, floats via `format_float`."""
     lines = [MATRIX_HEADER]
     for row in rows:
         fv = row.features
@@ -348,49 +342,33 @@ def write_matrix(rows) -> bytes:
                     row.placement.value,
                     str(fv.nmcp_a),
                     str(fv.np_a),
-                    repr(fv.sparc),
-                    repr(fv.ldlj_a),
-                    repr(fv.rav),
-                    repr(fv.pi),
-                    repr(fv.duration_s),
+                    format_float(fv.sparc),
+                    format_float(fv.ldlj_a),
+                    format_float(fv.rav),
+                    format_float(fv.pi),
+                    format_float(fv.duration_s),
                 )
             )
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _parse_enum(enum_cls, cell: str, what: str, path, line_no: int):
-    try:
-        return enum_cls(cell)
-    except ValueError:
-        raise ParseError(f"unknown {what} {cell!r}", path=path, line=line_no) from None
+# how read_matrix converts each cell after the subject id
+_MATRIX_CONVERTERS = (Group, TaskKind, SegmentKind, Placement, int, int) + (float,) * 5
 
 
 def read_matrix(path) -> list[FeatureRow]:
     """Parse a feature-matrix CSV written by `write_matrix`."""
     lines = read_lines(path, MATRIX_HEADER)
     rows: list[FeatureRow] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(MATRIX_COLUMNS):
-            raise ParseError(
-                f"expected {len(MATRIX_COLUMNS)} columns, got {len(cells)}",
-                path=path,
-                line=line_no,
-            )
-        sid, group_s, task_s, segment_s, placement_s = cells[:5]
-        group = _parse_enum(Group, group_s, "group", path, line_no)
-        task = _parse_enum(TaskKind, task_s, "task", path, line_no)
-        segment = _parse_enum(SegmentKind, segment_s, "segment", path, line_no)
-        placement = _parse_enum(Placement, placement_s, "placement", path, line_no)
+    for line_no, cells in split_rows(lines[1:], len(MATRIX_COLUMNS), path):
+        group, task, segment, placement, *values = [
+            parse_cell(convert, cell, column, path, line_no)
+            for convert, cell, column in zip(_MATRIX_CONVERTERS, cells[1:], MATRIX_COLUMNS[1:])
+        ]
         try:
-            counts = [int(c) for c in cells[5:7]]
-            reals = [float(np.float64(c)) for c in cells[7:]]
-        except ValueError:
-            raise ParseError(f"non-numeric feature value in {line!r}", path=path, line=line_no) from None
-        try:
-            vector = FeatureVector(counts[0], counts[1], *reals)
+            vector = FeatureVector(*values)
         except ValidationError as err:
             raise ValidationError(f"{path}:{line_no}: {err}") from None
-        rows.append(FeatureRow(sid, group, task, segment, placement, vector))
+        rows.append(FeatureRow(cells[0], group, task, segment, placement, vector))
     return rows

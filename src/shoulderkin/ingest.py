@@ -6,8 +6,10 @@ CRLF as well. The recording time column is informative only; sample
 positions are defined by row index and the manifest's sample rate.
 
 `read_lines` is the one place the package opens and decodes an input
-file, and `parse_key_values` the one `key = value` parser; every reader,
-here and in the other modules, goes through them.
+file, `parse_key_values` the one `key = value` parser, `split_rows` the
+one comma-separated row splitter, and `parse_number` the one grammar for
+a number cell (through `parse_cell`, which names the bad cell); every
+reader, here and in the other modules, goes through them.
 """
 from __future__ import annotations
 
@@ -98,11 +100,64 @@ def _referenced(path) -> ValidationError:
     return ValidationError(f"referenced file does not exist: {path}")
 
 
+def parse_number(cell: str, kind=float):
+    """One number cell of any input file, as `kind` (float or int).
+
+    The grammar is the one `np.loadtxt` applies to recordings: a C-style
+    decimal (sign, digits, point, exponent, or nan/inf/infinity for
+    floats) in ASCII, with surrounding whitespace other than a carriage
+    return. Python's `float` and `int` alone would also take digit
+    separators (``1_0``) and non-ASCII digits (``١``, ``２``).
+    """
+    text = cell.strip()
+    if not text.isascii() or "_" in text or "\r" in cell:
+        raise ValueError(cell)
+    return kind(text)
+
+
+_NUMBER_KINDS = {float: "a number", int: "an integer"}
+
+
+def parse_cell(convert, cell: str, column: str, path, line_no: int | None):
+    """`cell` converted by `convert`, or a parse error naming path, line and column.
+
+    `convert` is `float` or `int`, both read by `parse_number`, or an
+    Enum class, whose values must match the cell exactly.
+    """
+    try:
+        if convert in _NUMBER_KINDS:
+            return parse_number(cell, convert)
+        return convert(cell)
+    except ValueError:
+        expected = _NUMBER_KINDS.get(convert) or "one of " + ", ".join(m.value for m in convert)
+        message = f"cannot parse value for {column!r}: {cell!r} is not {expected}"
+        raise ParseError(message, path=path, line=line_no) from None
+
+
+def split_rows(lines: list[str], n_columns: int, path, first_line: int = 2):
+    """Yield ``(line_no, cells)`` for comma-separated `lines`.
+
+    A row with other than `n_columns` cells is a parse error naming its
+    line; `first_line` is the line number of ``lines[0]``.
+    """
+    for line_no, line in enumerate(lines, start=first_line):
+        cells = line.split(",")
+        if len(cells) != n_columns:
+            message = f"expected {n_columns} columns, got {len(cells)}"
+            raise ParseError(message, path=path, line=line_no)
+        yield line_no, cells
+
+
+def format_float(value) -> str:
+    """Shortest text that reads back as the same double, numpy scalars included."""
+    return repr(float(value))
+
+
 def parse_recording(path, sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> SensorStream:
     """Parse one placement's CSV recording into a SensorStream.
 
     Every row must carry exactly 7 numeric cells (time, 3 accel, 3 gyro),
-    each a plain decimal (see `_cell_value`). Non-numeric cells are parse
+    each under the `parse_number` grammar. Non-numeric cells are parse
     errors with a line number and column; numeric but non-finite cells
     (NaN, inf) are validation errors naming the channel.
     """
@@ -137,36 +192,12 @@ def _parse_rows(body: list[str]) -> np.ndarray | None:
     return values if values.shape[1] == len(RECORDING_COLUMNS) else None
 
 
-def _cell_value(cell: str) -> float:
-    """One recording cell under the grammar `np.loadtxt` applies.
-
-    That is a C-style decimal (sign, digits, point, exponent, or
-    nan/inf/infinity) in ASCII, with surrounding whitespace other than a
-    carriage return. Python's `float` alone would also take digit
-    separators (``1_0``) and non-ASCII digits.
-    """
-    text = cell.strip()
-    if not text.isascii() or "_" in text or "\r" in cell:
-        raise ValueError(cell)
-    return float(text)
-
-
 def _raise_first_bad_row(body: list[str], path) -> NoReturn:
     """Raise the error for the first ragged row, else the first bad cell."""
-    for line_no, line in enumerate(body, start=2):
-        n_cells = line.count(",") + 1
-        if n_cells != len(RECORDING_COLUMNS):
-            raise ParseError(
-                f"expected {len(RECORDING_COLUMNS)} columns, got {n_cells}", path=path, line=line_no
-            )
-    for line_no, line in enumerate(body, start=2):
-        for column, cell in zip(RECORDING_COLUMNS, line.split(",")):
-            try:
-                _cell_value(cell)
-            except ValueError:
-                raise ParseError(
-                    f"column {column!r}: not a number: {cell!r}", path=path, line=line_no
-                ) from None
+    rows = list(split_rows(body, len(RECORDING_COLUMNS), path))
+    for line_no, cells in rows:
+        for column, cell in zip(RECORDING_COLUMNS, cells):
+            parse_cell(float, cell, column, path, line_no)
     raise ParseError("non-numeric cell", path=path)
 
 
@@ -181,19 +212,14 @@ def write_recording(stream: SensorStream) -> bytes:
 def parse_labels(path) -> dict[TaskKind, SegmentLabel]:
     """Parse the per-task boundary file into a task-keyed label map."""
     lines = read_lines(path, LABELS_HEADER, _referenced(path))
+    columns = LABELS_HEADER.split(",")
     labels: dict[TaskKind, SegmentLabel] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != 7:
-            raise ParseError(f"expected 7 columns, got {len(cells)}", path=path, line=line_no)
-        try:
-            task = TaskKind(cells[0])
-        except ValueError:
-            raise ParseError(f"unknown task {cells[0]!r}", path=path, line=line_no) from None
-        try:
-            bounds = [int(c) for c in cells[1:]]
-        except ValueError:
-            raise ParseError(f"non-integer boundary in {line!r}", path=path, line=line_no) from None
+    for line_no, cells in split_rows(lines[1:], len(columns), path):
+        task = parse_cell(TaskKind, cells[0], columns[0], path, line_no)
+        bounds = [
+            parse_cell(int, cell, column, path, line_no)
+            for cell, column in zip(cells[1:], columns[1:])
+        ]
         if task in labels:
             raise ValidationError(f"{path}:{line_no}: duplicate label for task {task.value}")
         try:
@@ -254,24 +280,14 @@ def parse_session_manifest(path) -> SessionManifest:
         raise ParseError(f"missing keys: {', '.join(missing)}", path=path)
     values = {key: value for key, (value, _) in pairs.items()}
     group_s, group_line = pairs["group"]
-    try:
-        group = Group(group_s)
-    except ValueError:
-        raise ParseError(f"unknown group {group_s!r}", path=path, line=group_line) from None
     rate_s, rate_line = pairs["sample_rate_hz"]
-    try:
-        rate = float(np.float64(rate_s))
-    except ValueError:
-        raise ParseError(
-            f"sample_rate_hz is not a number: {rate_s!r}", path=path, line=rate_line
-        ) from None
     return SessionManifest(
         subject_id=values["subject_id"],
-        group=group,
+        group=parse_cell(Group, group_s, "group", path, group_line),
         side=values["side"],
         recordings={Placement.WRIST: values["wrist"], Placement.ARM: values["arm"]},
         labels_path=values["labels"],
-        sample_rate_hz=rate,
+        sample_rate_hz=parse_cell(float, rate_s, "sample_rate_hz", path, rate_line),
     )
 
 

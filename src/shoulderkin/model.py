@@ -6,6 +6,7 @@ frozen and hold read-only arrays, so instances can be shared freely.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,8 +76,16 @@ class SensorStream:
             )
         if self.accel.shape[0] < 1:
             raise ValidationError("stream must contain at least one sample")
-        if not self.sample_rate_hz > 0:
-            raise ValidationError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValidationError(
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
+            )
+        # the last sample time must be a finite double, or times_s() overflows
+        if not math.isfinite((self.n_samples - 1) / float(self.sample_rate_hz)):
+            raise ValidationError(
+                f"sample_rate_hz {self.sample_rate_hz} is too small for "
+                f"{self.n_samples} samples: the last sample time overflows"
+            )
         if not np.isfinite(self.accel).all():
             raise ValidationError("accel contains non-finite values")
         if not np.isfinite(self.gyro).all():

@@ -7,12 +7,8 @@ statistics, which round-trips losslessly back into a ComparisonTable.
 """
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from .errors import ParseError, ValidationError
-from .ingest import read_lines
+from .ingest import format_float, parse_cell, read_lines, split_rows
 from .model import Placement, SegmentKind, TaskKind
 from .stats import (
     FEATURE_GRID,
@@ -117,76 +113,43 @@ def write_dump(table: ComparisonTable) -> bytes:
         if cell is None:
             stats = ["untestable", "", "", "", "", "", "", ""]
         else:
-            stats = [
-                "ok",
-                repr(cell.t_stat),
-                repr(cell.dof),
-                repr(cell.p_value),
-                repr(cell.d),
-                repr(cell.d_ci_low),
-                repr(cell.d_ci_high),
-                "true" if cell.significant else "false",
-            ]
+            numbers = (cell.t_stat, cell.dof, cell.p_value, cell.d, cell.d_ci_low, cell.d_ci_high)
+            stats = ["ok", *map(format_float, numbers), "true" if cell.significant else "false"]
         lines.append(",".join([task.value, feature, place, kind.value] + stats))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _parse_preamble(lines: list[str], path) -> tuple[SignificanceRule, int, int]:
-    if len(lines) < 4:
-        raise ParseError("truncated dump: missing preamble or header", path=path)
-    values = {}
-    for line_no, expected_key in enumerate(("rule", "n1", "n2"), start=1):
-        cells = lines[line_no - 1].split(",")
-        if len(cells) != 2 or cells[0] != expected_key:
-            raise ParseError(
-                f"expected '{expected_key},<value>', got {lines[line_no - 1]!r}",
-                path=path,
-                line=line_no,
-            )
-        values[expected_key] = cells[1]
-    try:
-        rule = SignificanceRule(values["rule"])
-    except ValueError:
-        raise ParseError(f"unknown rule {values['rule']!r}", path=path, line=1) from None
-    try:
-        n1 = int(values["n1"])
-        n2 = int(values["n2"])
-    except ValueError:
-        raise ParseError("group sizes must be integers", path=path) from None
-    if lines[3] != DUMP_HEADER:
-        raise ParseError(
-            f"bad header: expected {DUMP_HEADER!r}, got {lines[3]!r}", path=path, line=4
-        )
-    return rule, n1, n2
-
-
+_DUMP_COLUMNS = DUMP_HEADER.split(",")
+_PREAMBLE = (("rule", SignificanceRule), ("n1", int), ("n2", int))
 _VALID_FEATURES = {feature for feature, _ in FEATURE_GRID}
 
 
 def read_dump(path) -> ComparisonTable:
     """Parse a dump written by `write_dump` back into a ComparisonTable."""
     lines = read_lines(path)
-    rule, n1, n2 = _parse_preamble(lines, path)
+    if len(lines) < 4:
+        raise ParseError("truncated dump: missing preamble or header", path=path)
+    preamble = []
+    for line_no, (line, (key, convert)) in enumerate(zip(lines, _PREAMBLE), start=1):
+        cells = line.split(",")
+        if len(cells) != 2 or cells[0] != key:
+            raise ParseError(f"expected '{key},<value>', got {line!r}", path=path, line=line_no)
+        preamble.append(parse_cell(convert, cells[1], key, path, line_no))
+    rule, n1, n2 = preamble
+    if lines[3] != DUMP_HEADER:
+        raise ParseError(
+            f"bad header: expected {DUMP_HEADER!r}, got {lines[3]!r}", path=path, line=4
+        )
     cells = {}
-    for line_no, line in enumerate(lines[4:], start=5):
-        parts = line.split(",")
-        if len(parts) != 12:
-            raise ParseError(f"expected 12 columns, got {len(parts)}", path=path, line=line_no)
+    for line_no, parts in split_rows(lines[4:], len(_DUMP_COLUMNS), path, first_line=5):
         task_s, feature, place_s, kind_s, status = parts[:5]
-        try:
-            task = TaskKind(task_s)
-            kind = SegmentKind(kind_s)
-        except ValueError:
-            raise ParseError(f"unknown task or segment in {line!r}", path=path, line=line_no) from None
+        task = parse_cell(TaskKind, task_s, "task", path, line_no)
+        kind = parse_cell(SegmentKind, kind_s, "segment", path, line_no)
         if feature not in _VALID_FEATURES:
             raise ParseError(f"unknown feature {feature!r}", path=path, line=line_no)
-        if place_s == "NA":
-            placement = None
-        else:
-            try:
-                placement = Placement(place_s)
-            except ValueError:
-                raise ParseError(f"unknown placement {place_s!r}", path=path, line=line_no) from None
+        placement = (
+            None if place_s == "NA" else parse_cell(Placement, place_s, "placement", path, line_no)
+        )
         key = (task, feature, placement, kind)
         if key in cells:
             raise ParseError(f"duplicate cell {task_s}/{feature}/{place_s}/{kind_s}", path=path, line=line_no)
@@ -199,12 +162,10 @@ def read_dump(path) -> ComparisonTable:
             raise ParseError(f"unknown status {status!r}", path=path, line=line_no)
         if parts[11] not in ("true", "false"):
             raise ParseError(f"significant must be true/false, got {parts[11]!r}", path=path, line=line_no)
-        try:
-            numbers = [float(np.float64(c)) for c in parts[5:11]]
-        except ValueError:
-            raise ParseError(f"non-numeric statistic in {line!r}", path=path, line=line_no) from None
-        if not all(math.isfinite(v) for v in numbers):
-            raise ValidationError(f"{path}:{line_no}: non-finite statistic")
+        numbers = [
+            parse_cell(float, cell, column, path, line_no)
+            for cell, column in zip(parts[5:11], _DUMP_COLUMNS[5:11])
+        ]
         try:
             cells[key] = ComparisonCell(*numbers, significant=parts[11] == "true")
         except ValidationError as err:

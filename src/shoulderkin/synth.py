@@ -191,14 +191,16 @@ def write_profile(profile: CohortProfile) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _profile_pair(raw: str, key: str, path, cast):
+def _profile_number(cp: configparser.ConfigParser, section: str, key: str, path, kind=float):
+    return ingest.parse_cell(kind, cp.get(section, key), f"[{section}] {key}", path, None)
+
+
+def _profile_pair(cp: configparser.ConfigParser, section: str, key: str, path, kind=float):
+    raw = cp.get(section, key)
     parts = raw.split()
     if len(parts) != 2:
         raise ParseError(f"{key} must be two values 'lo hi', got {raw!r}", path=path)
-    try:
-        return cast(parts[0]), cast(parts[1])
-    except ValueError:
-        raise ParseError(f"{key}: cannot parse {raw!r}", path=path) from None
+    return tuple(ingest.parse_cell(kind, part, f"[{section}] {key}", path, None) for part in parts)
 
 
 def _profile_group(cp: configparser.ConfigParser, section: str, path) -> GroupProfile:
@@ -209,23 +211,13 @@ def _profile_group(cp: configparser.ConfigParser, section: str, path) -> GroupPr
     missing = set(_PROFILE_GROUP_KEYS) - keys
     if missing:
         raise ParseError(f"[{section}] is missing keys: {', '.join(sorted(missing))}", path=path)
-    try:
-        pause = float(cp.get(section, "pause_probability"))
-        accel_sigma = float(cp.get(section, "accel_noise_sigma"))
-        gyro_sigma = float(cp.get(section, "gyro_noise_sigma"))
-    except ValueError as err:
-        raise ParseError(f"[{section}]: {err}", path=path) from None
     return GroupProfile(
-        submovements=_profile_pair(cp.get(section, "submovements"), "submovements", path, int),
-        subtask_duration_s=_profile_pair(
-            cp.get(section, "subtask_duration_s"), "subtask_duration_s", path, float
-        ),
-        hold_duration_s=_profile_pair(
-            cp.get(section, "hold_duration_s"), "hold_duration_s", path, float
-        ),
-        pause_probability=pause,
-        accel_noise_sigma=accel_sigma,
-        gyro_noise_sigma=gyro_sigma,
+        submovements=_profile_pair(cp, section, "submovements", path, int),
+        subtask_duration_s=_profile_pair(cp, section, "subtask_duration_s", path),
+        hold_duration_s=_profile_pair(cp, section, "hold_duration_s", path),
+        pause_probability=_profile_number(cp, section, "pause_probability", path),
+        accel_noise_sigma=_profile_number(cp, section, "accel_noise_sigma", path),
+        gyro_noise_sigma=_profile_number(cp, section, "gyro_noise_sigma", path),
     )
 
 
@@ -250,16 +242,11 @@ def parse_profile(path) -> CohortProfile:
             f"[cohort] must have exactly n_per_group and seed, got {sorted(cohort_keys)}",
             path=path,
         )
-    try:
-        n_per_group = int(cp.get("cohort", "n_per_group"))
-        seed = int(cp.get("cohort", "seed"))
-    except ValueError as err:
-        raise ParseError(f"[cohort]: {err}", path=path) from None
     return CohortProfile(
+        n_per_group=_profile_number(cp, "cohort", "n_per_group", path, int),
+        seed=_profile_number(cp, "cohort", "seed", path, int),
         patient=_profile_group(cp, "patient", path),
         healthy=_profile_group(cp, "healthy", path),
-        n_per_group=n_per_group,
-        seed=seed,
     )
 
 

@@ -221,6 +221,18 @@ class TestExitCodes:
             r.subject_id == "P01" and r.placement is Placement.WRIST for r in rows
         )
 
+    @pytest.mark.parametrize("rate", ["1e-310", "inf"])
+    def test_extract_unusable_sample_rate(self, small_cohort, tmp_path, capsys, rate):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        session = cohort / (cohort / COHORT_MANIFEST_NAME).read_text().split()[0]
+        lines = session.read_text().splitlines()
+        lines = [f"sample_rate_hz = {rate}" if l.startswith("sample_rate_hz") else l for l in lines]
+        session.write_text("\n".join(lines) + "\n")
+        code = main(["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_INVALID
+        assert "sample_rate_hz" in capsys.readouterr().err
+
     def test_compare_missing_matrix(self, tmp_path):
         code = main(["compare", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code == EXIT_FORMAT

@@ -462,6 +462,19 @@ class TestCohortMatrix:
             for name in FeatureVector.FIELD_NAMES:
                 assert getattr(a.features, name) == getattr(b.features, name)
 
+    def test_matrix_round_trip_of_numpy_scalars(self, tmp_path):
+        fv = FeatureVector(
+            np.int64(3), np.int64(0), np.float64(-2.5), np.float64(-7.125),
+            np.float64(0.1), np.float64(1e-300), np.float64(1.5),
+        )
+        rows = [FeatureRow("S01", Group.PATIENT, TaskKind.WH, SegmentKind.SUB1, Placement.ARM, fv)]
+        path = tmp_path / "matrix.csv"
+        path.write_bytes(write_matrix(rows))
+        assert path.read_text().splitlines()[1] == (
+            "S01,patient,WH,sub1,arm,3,0,-2.5,-7.125,0.1,1e-300,1.5"
+        )
+        assert read_matrix(path) == rows
+
     def test_matrix_header_is_pinned(self):
         assert MATRIX_HEADER == (
             "subject_id,group,task,segment,placement,"

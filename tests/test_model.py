@@ -69,6 +69,18 @@ class TestSensorStream:
         with pytest.raises(ValidationError):
             make_stream(4, rate=0.0)
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            make_stream(4, rate=rate)
+
+    def test_rejects_rate_whose_last_sample_time_overflows(self):
+        with pytest.raises(ValidationError, match="overflows"):
+            make_stream(3, rate=1e-310)
+        # one sample sits at t = 0 whatever the rate
+        assert make_stream(1, rate=1e-310).times_s().tolist() == [0.0]
+        assert np.isfinite(make_stream(3, rate=1e-300).times_s()).all()
+
 
 class TestSegmentLabel:
     def test_windows_are_half_open_and_contiguous(self):

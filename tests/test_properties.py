@@ -3,12 +3,14 @@
 Every reader, fed arbitrary bytes or a one-byte mutation of a valid file,
 either returns a value or raises a ShoulderKinError; and the CLI maps a
 malformed input to a documented exit code, never to 1 or a traceback.
-The recording writer is pinned byte for byte, and the recording parser's
-fast and diagnostic paths are held to one cell grammar.
+The recording writer is pinned byte for byte, the recording parser's
+fast and diagnostic paths are held to one cell grammar, and every reader
+is held to the same number grammar.
 """
 
 import contextlib
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -161,6 +163,15 @@ def returns_or_raises_own_error(reader, path):
 
 
 @pytest.mark.parametrize("name", sorted(VALID))
+def test_valid_fixture_is_accepted(work, name):
+    # otherwise the mutation property below never starts from an accepted file
+    reader, valid = VALID[name]
+    path = work / name
+    path.write_bytes(valid)
+    reader(path)
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
 @given(st.data())
 def test_reader_survives_malformed_input(work, name, data):
     reader, valid = VALID[name]
@@ -204,16 +215,32 @@ def test_cli_compare_and_report_exit_codes(work, command, data):
     assert_documented_exit(argv, malformed_input=False)
 
 
+def digit_edits(data: bytes):
+    """`data` with one ASCII digit replaced by another: mostly still valid."""
+    positions = [i for i, byte in enumerate(data) if chr(byte).isdigit()]
+    return st.builds(
+        lambda i, digit: data[:i] + digit.encode() + data[i + 1 :],
+        st.sampled_from(positions),
+        st.sampled_from("0123456789"),
+    )
+
+
 @given(st.data())
 def test_cli_simulate_exit_codes(work, data):
     path = work / "cli-profile.ini"
-    path.write_bytes(data.draw(malformed(VALID["profile"][1])))
+    valid = VALID["profile"][1]
+    path.write_bytes(data.draw(st.one_of(malformed(valid), digit_edits(valid))))
+    out = str(work / "cli-sim")
     try:
-        parse_profile(path)
+        profile = parse_profile(path)
     except ShoulderKinError:
-        assert_documented_exit(["simulate", "--out", str(work / "cli-sim"), "--params", str(path)])
-    # a profile that still parses is not malformed; simulating it could
-    # ask for an arbitrarily large cohort, so it is not run
+        assert_documented_exit(["simulate", "--out", out, "--params", str(path)])
+        return
+    # a profile that still parses is valid; capped at 2 sessions per group
+    # so that a mutated n_per_group cannot ask for a large cohort
+    path.write_bytes(write_profile(replace(profile, n_per_group=min(profile.n_per_group, 2))))
+    code, err = run_cli(["simulate", "--out", out, "--params", str(path)])
+    assert code == 0, err
 
 
 @given(st.data())
@@ -231,6 +258,70 @@ def test_cli_extract_exit_codes(work, cohort, data):
         assert_documented_exit(argv, malformed_input=False)
     finally:
         target.write_bytes(original)
+
+
+# One number cell of each reader: where it is (line index and column index,
+# or the key), how its errors name it, and how to read it back.
+NUMBER_CELLS = {
+    "recording": ((1, 2), "ay", lambda stream: stream.accel[0, 1]),
+    "labels": ((1, 1), "s1", lambda labels: labels[TaskKind.WH].s1),
+    "session": ("sample_rate_hz", "sample_rate_hz", lambda manifest: manifest.sample_rate_hz),
+    "matrix": ((1, 9), "rav", lambda rows: rows[0].features.rav),
+    "dump": ((4, 5), "t", lambda table: next(iter(table.cells.values())).t_stat),
+    "profile": ("seed", "[cohort] seed", lambda profile: profile.seed),
+    "params": ("sparc_pad_level", "sparc_pad_level", lambda params: params.sparc_pad_level),
+}
+COHORT_FILES = {"recording": "P01_wrist.csv", "labels": "P01_labels.csv", "session": "P01_session.txt"}
+
+
+def with_cell(data: bytes, where, value: str) -> tuple[bytes, int]:
+    """`data` with one cell or key's value set to `value`, and that line's number."""
+    lines = data.decode().split("\n")
+    if isinstance(where, str):
+        i = next(i for i, line in enumerate(lines) if line.startswith(f"{where} ="))
+        lines[i] = f"{where} = {value}"
+    else:
+        i, j = where
+        cells = lines[i].split(",")
+        cells[j] = value
+        lines[i] = ",".join(cells)
+    return "\n".join(lines).encode(), i + 1
+
+
+@pytest.mark.parametrize("name", sorted(NUMBER_CELLS))
+@pytest.mark.parametrize("value", ["7", " 7 ", "1_0", "\u0661", "\uff12", "0x10"])
+def test_every_reader_shares_one_number_grammar(work, cohort, name, value):
+    where, column, read_back = NUMBER_CELLS[name]
+    reader, valid = VALID[name]
+    path = work / f"grammar-{name}"
+    data, line_no = with_cell(valid, where, value)
+    path.write_bytes(data)
+    if value.strip() == "7":
+        assert read_back(reader(path)) == 7
+        return
+    with pytest.raises(ParseError) as err:
+        reader(path)
+    where_text = str(path) if name == "profile" else f"{path}:{line_no}"
+    assert str(err.value).startswith(f"{where_text}: cannot parse value for '{column}': ")
+
+    # through the CLI: cohort files are read by `extract`, the rest named on its command line
+    cohort_dir, files = cohort
+    extract = ["extract", "--cohort", str(cohort_dir), "--out", str(work / "grammar-m.csv")]
+    argv = {
+        "matrix": ["compare", str(path), "--out", str(work / "grammar-out")],
+        "dump": ["report", str(path)],
+        "profile": ["simulate", "--out", str(work / "grammar-sim"), "--params", str(path)],
+        "params": extract + ["--params", str(path)],
+    }.get(name, extract)
+    target = cohort_dir / COHORT_FILES.get(name, "")
+    if name in COHORT_FILES:
+        target.write_bytes(with_cell(files[target.name], where, value)[0])
+    try:
+        code, stderr = run_cli(argv)
+    finally:
+        if name in COHORT_FILES:
+            target.write_bytes(files[target.name])
+    assert code == 3, stderr
 
 
 # Values that stress "%.9g": signed zeros, subnormals, extremes, and
@@ -280,7 +371,8 @@ def test_any_cell_parses_as_float_or_names_its_line_and_column(work, cell):
     try:
         stream = parse_recording(path)
     except ParseError as err:
-        assert str(err).startswith(f"{path}:3: column 'ay': not a number")
+        assert str(err).startswith(f"{path}:3: cannot parse value for 'ay': ")
+        assert str(err).endswith("is not a number")
         return
     except ValidationError as err:
         assert f"{path}:3: column 'ay' is not finite" in str(err)

@@ -2,11 +2,14 @@
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reference_table import build_reference_table
 from shoulderkin import (
     DUMP_HEADER,
+    ComparisonCell,
+    ComparisonTable,
     ParseError,
     Placement,
     SegmentKind,
@@ -25,6 +28,7 @@ from shoulderkin import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.txt"
+NUMBER_FIELDS = ("t_stat", "dof", "p_value", "d", "d_ci_low", "d_ci_high")
 
 
 class TestFormatP:
@@ -116,6 +120,21 @@ class TestDumpRoundTrip:
                 continue
             assert a == b
 
+    def test_numpy_scalars_round_trip(self, tmp_path):
+        table = build_reference_table()
+        cells = {
+            key: None if cell is None else ComparisonCell(
+                *(np.float64(getattr(cell, name)) for name in NUMBER_FIELDS),
+                significant=cell.significant,
+            )
+            for key, cell in table.cells.items()
+        }
+        numpy_table = ComparisonTable(n1=np.int64(20), n2=np.int64(20), rule=table.rule, cells=cells)
+        path = tmp_path / "comparison.csv"
+        path.write_bytes(write_dump(numpy_table))
+        assert write_dump(numpy_table) == write_dump(table)
+        assert read_dump(path).cells == table.cells
+
     def test_rendering_survives_round_trip(self, tmp_path):
         table = build_reference_table()
         path = tmp_path / "comparison.csv"
@@ -158,7 +177,7 @@ class TestDumpDiagnostics:
 
     def test_unknown_rule(self, tmp_path):
         path = self.write(tmp_path, lambda ls: ["rule,fuzzy"] + ls[1:])
-        with pytest.raises(ParseError, match="unknown rule"):
+        with pytest.raises(ParseError, match=r"comparison\.csv:1: cannot parse value for 'rule': 'fuzzy' is not one of"):
             read_dump(path)
 
     def test_missing_cell_rejected(self, tmp_path):
@@ -198,7 +217,7 @@ class TestDumpDiagnostics:
             return ls
 
         path = self.write(tmp_path, mutate)
-        with pytest.raises(ParseError, match="non-numeric"):
+        with pytest.raises(ParseError, match=r"comparison\.csv:5: cannot parse value for 't': 'abc' is not a number"):
             read_dump(path)
 
     def test_missing_file(self, tmp_path):
