@@ -11,17 +11,15 @@ Run:  python3 demos/01_minimum_jerk_movements.py
 
 import numpy as np
 
-from shoulderkin import (
-    FeatureParams,
-    SubmovementSpec,
-    euclidean_norm,
+from shoulderkin import FeatureParams
+from shoulderkin.dsp import euclidean_norm
+from shoulderkin.features import (
     log_dimensionless_jerk,
     mean_crossing_count,
-    min_jerk_speed,
     peak_count,
     spectral_arc_length,
-    synth_segment,
 )
+from shoulderkin.synth import SubmovementSpec, min_jerk_speed, synth_segment
 
 RATE = 128.0
 

@@ -12,18 +12,17 @@ Run:  python3 demos/02_smoothness_invariances.py
 
 import numpy as np
 
-from shoulderkin import (
-    FeatureParams,
-    SensorStream,
-    SubmovementSpec,
+from shoulderkin import FeatureParams
+from shoulderkin.dsp import euclidean_norm
+from shoulderkin.features import (
     angular_velocity_range,
-    euclidean_norm,
     log_dimensionless_jerk,
     mean_crossing_count,
     peak_count,
     spectral_arc_length,
-    synth_segment,
 )
+from shoulderkin.model import SensorStream
+from shoulderkin.synth import SubmovementSpec, synth_segment
 
 RATE = 128.0
 

@@ -14,14 +14,14 @@ import tempfile
 from dataclasses import replace
 
 from shoulderkin import (
-    TaskKind,
     compare_cohort,
     default_profile,
     extract_cohort,
     generate_cohort,
     load_cohort,
-    render_task_table,
 )
+from shoulderkin.model import TaskKind
+from shoulderkin.report import render_task_table
 
 
 def main():

@@ -12,7 +12,7 @@ Run:  python3 demos/04_group_statistics.py
 
 import numpy as np
 
-from shoulderkin import cohens_d, significance_flag, welch_t
+from shoulderkin.stats import cohens_d, significance_flag, welch_t
 
 CLEAR_X = [4.1, 5.3, 3.8, 4.9, 5.6, 4.4, 5.1, 3.9]
 CLEAR_Y = [3.6, 4.2, 3.1, 3.9, 4.4, 3.3, 4.0, 3.5]

@@ -14,16 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from shoulderkin import (
-    ParseError,
-    SegmentLabel,
-    SensorStream,
-    TaskKind,
-    parse_labels,
-    parse_recording,
-    write_labels,
-    write_recording,
-)
+from shoulderkin import ParseError
+from shoulderkin.ingest import parse_labels, parse_recording, write_labels, write_recording
+from shoulderkin.model import SegmentLabel, SensorStream, TaskKind
 
 
 def main():

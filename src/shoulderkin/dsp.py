@@ -48,16 +48,6 @@ class Spectrum:
     freqs_hz: np.ndarray
     magnitudes: np.ndarray
 
-    def __post_init__(self):
-        f = np.asarray(self.freqs_hz, dtype=float)
-        m = np.asarray(self.magnitudes, dtype=float)
-        if f.shape != m.shape or f.ndim != 1:
-            raise ValidationError("freqs and magnitudes must be 1-D and same length")
-        if f.size == 0 or f[0] != 0.0:
-            raise ValidationError("spectrum must start at 0 Hz")
-        object.__setattr__(self, "freqs_hz", f)
-        object.__setattr__(self, "magnitudes", m)
-
 
 def euclidean_norm(triax: np.ndarray, sample_rate_hz: float) -> ScalarSeries:
     """Row-wise Euclidean norm of an N x 3 signal.
@@ -65,7 +55,8 @@ def euclidean_norm(triax: np.ndarray, sample_rate_hz: float) -> ScalarSeries:
     Parameters
     ----------
     triax : ndarray, shape (N, 3)
-        Tri-axial samples (acceleration or angular velocity).
+        Tri-axial samples (acceleration or angular velocity), as held by a
+        `SensorStream`, which has already checked the shape and finiteness.
     sample_rate_hz : float
         Sampling rate carried over to the scalar series.
 
@@ -75,10 +66,7 @@ def euclidean_norm(triax: np.ndarray, sample_rate_hz: float) -> ScalarSeries:
         sqrt(x^2 + y^2 + z^2) per row; non-negative by construction, and
         invariant under any common rotation of the three axes.
     """
-    arr = np.asarray(triax, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise ValidationError(f"expected an N x 3 array, got shape {arr.shape}")
-    return ScalarSeries(np.sqrt(np.sum(arr * arr, axis=1)), sample_rate_hz)
+    return ScalarSeries(np.sqrt(np.sum(triax * triax, axis=1)), sample_rate_hz)
 
 
 def derivative(series: ScalarSeries) -> ScalarSeries:
@@ -127,8 +115,6 @@ def magnitude_spectrum(series: ScalarSeries, pad_level: int = 4) -> Spectrum:
     n = len(series)
     if n < 2:
         raise TooShortError(f"spectrum needs >= 2 samples, got {n}")
-    if pad_level < 0:
-        raise ValidationError(f"pad_level must be >= 0, got {pad_level}")
     n_fft = fft_length(n, pad_level)
     mags = np.abs(np.fft.rfft(series.values, n=n_fft))
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / series.sample_rate_hz)

@@ -188,27 +188,17 @@ def log_dimensionless_jerk(a_norm: ScalarSeries) -> float:
 
 def angular_velocity_range(gyro: np.ndarray) -> float:
     """Mean over the three axes of each axis's max-minus-min, in deg/s."""
-    arr = np.asarray(gyro, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
-        raise ValidationError(f"expected a non-empty N x 3 array, got shape {arr.shape}")
-    return float(np.mean(np.max(arr, axis=0) - np.min(arr, axis=0)))
+    return float(np.mean(np.max(gyro, axis=0) - np.min(gyro, axis=0)))
 
 
 def power_index(accel: np.ndarray, gyro: np.ndarray) -> float:
     """Mean per-axis acceleration range times the angular-velocity range."""
-    arr = np.asarray(accel, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 3 or arr.shape[0] < 1:
-        raise ValidationError(f"expected a non-empty N x 3 array, got shape {arr.shape}")
-    accel_range = float(np.mean(np.max(arr, axis=0) - np.min(arr, axis=0)))
+    accel_range = float(np.mean(np.max(accel, axis=0) - np.min(accel, axis=0)))
     return accel_range * angular_velocity_range(gyro)
 
 
 def segment_duration(start: int, end: int, sample_rate_hz: float) -> float:
     """Window length in seconds: (end - start) / rate, exactly."""
-    if end <= start:
-        raise ValidationError(f"window [{start},{end}) is empty")
-    if not sample_rate_hz > 0:
-        raise ValidationError(f"sample_rate_hz must be positive, got {sample_rate_hz}")
     return (end - start) / sample_rate_hz
 
 
@@ -225,6 +215,10 @@ def extract_all(
     failures (too short, degenerate) come back wrapped with the cell
     coordinates so batch callers can report precisely. Duration depends
     only on the label window, never on the placement.
+
+    Finite samples can still overflow: one above about 1e154 squares to
+    inf. numpy's overflow warning is silenced, and the inf is rejected by
+    `ScalarSeries` or `FeatureVector` as a validation error naming the cell.
     """
     params = params or FeatureParams()
     label = session.labels.get(task)
@@ -236,20 +230,24 @@ def extract_all(
     segment = slice_segment(stream, label, kind)
     rate = segment.sample_rate_hz
     try:
-        a_norm = euclidean_norm(segment.accel, rate)
-        w_norm = euclidean_norm(segment.gyro, rate)
-        start, end = label.window(kind)
-        return FeatureVector(
-            nmcp_a=mean_crossing_count(a_norm),
-            np_a=peak_count(a_norm, params),
-            sparc=spectral_arc_length(w_norm, params),
-            ldlj_a=log_dimensionless_jerk(a_norm),
-            rav=angular_velocity_range(segment.gyro),
-            pi=power_index(segment.accel, segment.gyro),
-            duration_s=segment_duration(start, end, rate),
-        )
+        with np.errstate(over="ignore"):
+            a_norm = euclidean_norm(segment.accel, rate)
+            w_norm = euclidean_norm(segment.gyro, rate)
+            start, end = label.window(kind)
+            return FeatureVector(
+                nmcp_a=mean_crossing_count(a_norm),
+                np_a=peak_count(a_norm, params),
+                sparc=spectral_arc_length(w_norm, params),
+                ldlj_a=log_dimensionless_jerk(a_norm),
+                rav=angular_velocity_range(segment.gyro),
+                pi=power_index(segment.accel, segment.gyro),
+                duration_s=segment_duration(start, end, rate),
+            )
     except (TooShortError, DegenerateSignalError) as err:
         raise FeatureError(session.subject_id, task, kind, placement, err) from err
+    except ValidationError as err:
+        cell = f"{task.value}/{kind.value}/{placement.value}"
+        raise ValidationError(f"{session.subject_id} {cell}: {err}") from err
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ reader, here and in the other modules, goes through them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -265,8 +266,10 @@ class SessionManifest:
             raise ValidationError("side must be non-empty")
         if set(self.recordings) != set(Placement):
             raise ValidationError("manifest must reference one recording per placement")
-        if not self.sample_rate_hz > 0:
-            raise ValidationError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValidationError(
+                f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
+            )
 
 
 _MANIFEST_KEYS = ("subject_id", "group", "side", "sample_rate_hz", "wrist", "arm", "labels")

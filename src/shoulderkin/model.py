@@ -185,8 +185,9 @@ class Session:
 class FeatureVector:
     """The seven per-segment features.
 
-    Construction requires every field finite; degenerate signals must be
-    rejected with an error before this point, never smuggled through as NaN.
+    Construction requires integer counts and every field finite; degenerate
+    signals must be rejected with an error before this point, never smuggled
+    through as NaN.
     """
 
     nmcp_a: int
@@ -198,6 +199,9 @@ class FeatureVector:
     duration_s: float
 
     def __post_init__(self):
+        counts = (self.nmcp_a, self.np_a)
+        if any(not isinstance(c, (int, np.integer)) for c in counts):
+            raise ValidationError(f"counts must be integers, got {counts}")
         if self.nmcp_a < 0 or self.np_a < 0:
             raise ValidationError("counts must be non-negative")
         if not self.duration_s > 0:

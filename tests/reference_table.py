@@ -7,7 +7,7 @@ sub-0.0005 p-values, starred and unstarred cells, negative effects,
 and untestable cells.
 """
 
-from shoulderkin import (
+from shoulderkin.stats import (
     ComparisonCell,
     ComparisonTable,
     SignificanceRule,

@@ -18,36 +18,25 @@ from reference_table import build_reference_table
 from test_stats import EXPECTED, PAIRS
 from shoulderkin import (
     FeatureParams,
-    Placement,
-    ScalarSeries,
-    SegmentKind,
-    SegmentLabel,
-    SensorStream,
-    SubmovementSpec,
-    TaskKind,
-    angular_velocity_range,
-    cell_keys,
-    cohens_d,
     compare_cohort,
     default_profile,
-    euclidean_norm,
     extract_cohort,
-    fft_length,
     generate_cohort,
     load_cohort,
-    log_dimensionless_jerk,
-    magnitude_spectrum,
-    mean_crossing_count,
-    parse_labels,
-    parse_recording,
-    peak_count,
     render_report,
-    spectral_arc_length,
-    synth_segment,
-    welch_t,
-    write_labels,
-    write_recording,
 )
+from shoulderkin.dsp import ScalarSeries, euclidean_norm, fft_length, magnitude_spectrum
+from shoulderkin.features import (
+    angular_velocity_range,
+    log_dimensionless_jerk,
+    mean_crossing_count,
+    peak_count,
+    spectral_arc_length,
+)
+from shoulderkin.ingest import parse_labels, parse_recording, write_labels, write_recording
+from shoulderkin.model import Placement, SegmentKind, SegmentLabel, SensorStream, TaskKind
+from shoulderkin.stats import cell_keys, cohens_d, welch_t
+from shoulderkin.synth import SubmovementSpec, synth_segment
 
 RATE = 128.0
 PARAMS = FeatureParams()

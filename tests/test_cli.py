@@ -5,28 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import shoulderkin
-from shoulderkin import (
-    COHORT_MANIFEST_NAME,
-    FeatureVector,
-    Group,
-    Placement,
-    SegmentKind,
-    SensorStream,
-    TaskKind,
-    default_profile,
-    main,
-    parse_recording,
-    read_matrix,
-    write_matrix,
-    write_profile,
-    write_recording,
-)
+from shoulderkin import default_profile, main, read_matrix, write_matrix, write_profile
 from shoulderkin.cli import (
     DUMP_FILENAME,
     EXIT_DEGENERATE,
@@ -36,6 +22,14 @@ from shoulderkin.cli import (
     _load_feature_params,
 )
 from shoulderkin.features import FeatureRow
+from shoulderkin.ingest import (
+    COHORT_MANIFEST_NAME,
+    RECORDING_HEADER,
+    parse_labels,
+    parse_recording,
+    write_recording,
+)
+from shoulderkin.model import FeatureVector, Group, Placement, SegmentKind, SensorStream, TaskKind
 
 TABLE_NAMES = ("wh.txt", "wub.txt", "wlb.txt", "poh.txt", "rop.txt")
 
@@ -232,6 +226,26 @@ class TestExitCodes:
         code = main(["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_INVALID
         assert "sample_rate_hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column", ["ax", "gx"])
+    def test_extract_overflowing_norm_names_the_cell(self, small_cohort, tmp_path, capsys, column):
+        # 1e200 is a finite sample, so the recording loads, but its squared norm is inf
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        start = parse_labels(cohort / "P01_labels.csv")[TaskKind.WH].s1
+        victim = cohort / "P01_wrist.csv"
+        lines = victim.read_text().splitlines()
+        cells = lines[start + 1].split(",")
+        cells[RECORDING_HEADER.split(",").index(column)] = "1e200"
+        lines[start + 1] = ",".join(cells)
+        victim.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert "error: P01 WH/complete/wrist: " in err
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_compare_missing_matrix(self, tmp_path):
         code = main(["compare", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])

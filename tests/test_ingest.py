@@ -1,30 +1,26 @@
 """On-disk format round-trips and strict-parser diagnostics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from shoulderkin import (
-    CohortError,
-    Group,
+from shoulderkin import CohortError, ParseError, ValidationError, load_cohort
+from shoulderkin.ingest import (
     LABELS_HEADER,
-    ParseError,
-    Placement,
     RECORDING_HEADER,
-    SegmentLabel,
-    SensorStream,
     SessionManifest,
-    TaskKind,
-    ValidationError,
-    load_cohort,
     load_session,
+    parse_key_values,
     parse_labels,
     parse_recording,
     parse_session_manifest,
+    read_lines,
     write_labels,
     write_recording,
     write_session_manifest,
 )
-from shoulderkin.ingest import parse_key_values, read_lines
+from shoulderkin.model import Group, Placement, SegmentLabel, SensorStream, TaskKind
 
 RATE = 128.0
 
@@ -258,6 +254,12 @@ class TestSessionManifest:
         path.write_bytes(write_session_manifest(self.manifest()))
         back = parse_session_manifest(path)
         assert back == self.manifest()
+
+    @pytest.mark.parametrize("rate", [0.0, float("inf"), float("nan")])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        # an infinite rate would be written as `inf`, which load_session refuses
+        with pytest.raises(ValidationError, match="sample_rate_hz must be positive and finite"):
+            replace(self.manifest(), sample_rate_hz=rate)
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "session.txt"

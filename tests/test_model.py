@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from shoulderkin import (
-    BoundaryError,
+from shoulderkin import BoundaryError, ValidationError
+from shoulderkin.model import (
     FeatureVector,
     Group,
     Placement,
@@ -13,7 +13,6 @@ from shoulderkin import (
     SensorStream,
     Session,
     TaskKind,
-    ValidationError,
     assemble_session,
     slice_segment,
 )
@@ -188,6 +187,12 @@ class TestFeatureVector:
         with pytest.raises(ValidationError):
             FeatureVector(nmcp_a=-1, np_a=0, sparc=-1.0, ldlj_a=-5.0,
                           rav=1.0, pi=1.0, duration_s=1.0)
+
+    @pytest.mark.parametrize("counts", [(3.0, 0), (0, np.float64(2.0)), ("3", 0)])
+    def test_rejects_non_integer_counts(self, counts):
+        # a float count would be written as `3.0`, which read_matrix rejects
+        with pytest.raises(ValidationError, match="counts must be integers"):
+            FeatureVector(*counts, sparc=-1.0, ldlj_a=-5.0, rav=1.0, pi=1.0, duration_s=1.0)
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValidationError):

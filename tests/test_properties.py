@@ -20,37 +20,41 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from shoulderkin import (  # noqa: E402
-    FeatureRow,
-    FeatureVector,
-    Group,
     ParseError,
-    RECORDING_HEADER,
-    Placement,
-    SegmentKind,
-    SegmentLabel,
-    SensorStream,
-    SessionManifest,
     ShoulderKinError,
-    TaskKind,
     ValidationError,
     compare_cohort,
     default_profile,
     load_cohort,
     main,
-    parse_labels,
-    parse_profile,
-    parse_recording,
-    parse_session_manifest,
     read_dump,
     read_matrix,
     write_dump,
-    write_labels,
     write_matrix,
     write_profile,
+)
+from shoulderkin.cli import _load_feature_params  # noqa: E402
+from shoulderkin.features import FeatureRow  # noqa: E402
+from shoulderkin.ingest import (  # noqa: E402
+    RECORDING_HEADER,
+    SessionManifest,
+    parse_labels,
+    parse_recording,
+    parse_session_manifest,
+    write_labels,
     write_recording,
     write_session_manifest,
 )
-from shoulderkin.cli import _load_feature_params  # noqa: E402
+from shoulderkin.model import (  # noqa: E402
+    FeatureVector,
+    Group,
+    Placement,
+    SegmentKind,
+    SegmentLabel,
+    SensorStream,
+    TaskKind,
+)
+from shoulderkin.synth import parse_profile  # noqa: E402
 
 # Derandomized and bounded so the suite runs the same examples every time
 # and stays quick; raise max_examples locally to search harder.

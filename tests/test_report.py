@@ -6,26 +6,17 @@ import numpy as np
 import pytest
 
 from reference_table import build_reference_table
-from shoulderkin import (
+from shoulderkin import ParseError, read_dump, render_report, write_dump
+from shoulderkin.model import TaskKind
+from shoulderkin.report import (
     DUMP_HEADER,
-    ComparisonCell,
-    ComparisonTable,
-    ParseError,
-    Placement,
-    SegmentKind,
-    SignificanceRule,
     TASK_TITLES,
-    TaskKind,
     UNTESTABLE_MARK,
-    ValidationError,
-    cell_keys,
     footnote,
     format_p,
-    read_dump,
-    render_report,
     render_task_table,
-    write_dump,
 )
+from shoulderkin.stats import ComparisonCell, ComparisonTable, SignificanceRule, cell_keys
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.txt"
 NUMBER_FIELDS = ("t_stat", "dof", "p_value", "d", "d_ci_low", "d_ci_high")

@@ -11,22 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from shoulderkin import (
-    CohortError,
+from shoulderkin import CohortError, DegenerateStatisticsError, ValidationError, compare_cohort
+from shoulderkin.features import FeatureRow
+from shoulderkin.model import FeatureVector, Group, Placement, SegmentKind, TaskKind
+from shoulderkin.stats import (
     ComparisonCell,
     ComparisonTable,
-    DegenerateStatisticsError,
-    FeatureRow,
-    FeatureVector,
-    Group,
-    Placement,
-    SegmentKind,
     SignificanceRule,
-    TaskKind,
-    ValidationError,
     cell_keys,
     cohens_d,
-    compare_cohort,
     regularized_incomplete_beta,
     significance_flag,
     t_survival_two_sided,

@@ -6,31 +6,29 @@ import numpy as np
 import pytest
 
 from shoulderkin import (
-    CohortProfile,
     FeatureParams,
-    GRAVITY_MS2,
-    Group,
-    GroupProfile,
     ParseError,
-    Placement,
-    SegmentKind,
-    SubmovementSpec,
-    TaskKind,
     ValidationError,
     default_profile,
-    euclidean_norm,
     generate_cohort,
-    generate_session,
     load_cohort,
-    min_jerk_speed,
-    parse_profile,
-    peak_count,
-    slice_segment,
-    spectral_arc_length,
-    synth_segment,
     write_profile,
 )
-from shoulderkin.synth import MAX_N_PER_GROUP, MAX_PHASE_DURATION_S, MAX_SUBMOVEMENTS
+from shoulderkin.dsp import euclidean_norm
+from shoulderkin.features import peak_count, spectral_arc_length
+from shoulderkin.model import GRAVITY_MS2, Group, Placement, SegmentKind, TaskKind, slice_segment
+from shoulderkin.synth import (
+    MAX_N_PER_GROUP,
+    MAX_PHASE_DURATION_S,
+    MAX_SUBMOVEMENTS,
+    CohortProfile,
+    GroupProfile,
+    SubmovementSpec,
+    generate_session,
+    min_jerk_speed,
+    parse_profile,
+    synth_segment,
+)
 
 RATE = 128.0
 
