@@ -86,7 +86,7 @@ def mean_crossing_count(a_norm: ScalarSeries) -> int:
     n = len(a_norm)
     if n < 2:
         raise TooShortError(f"mean crossings need >= 2 samples, got {n}")
-    dev = a_norm.values - np.mean(a_norm.values)
+    dev = a_norm.values - a_norm.values.sum() / n
     signs = np.sign(dev).astype(np.int64)
     # forward-fill zeros with the last nonzero sign; leading zeros stay 0
     nz = np.where(signs != 0, np.arange(n), -1)
@@ -96,26 +96,70 @@ def mean_crossing_count(a_norm: ScalarSeries) -> int:
 
 
 def peak_count(a_norm: ScalarSeries, params: FeatureParams | None = None) -> int:
-    """Number of prominent strict local maxima.
+    """Number of peaks whose prominence is at least h.
 
-    A run of equal values flanked by smaller ones counts as a single peak.
-    Peaks must have prominence >= peak_prominence_frac times the segment's
-    value range, which keeps sensor-noise ripples out of the count. A
-    constant segment has no peaks.
+    h is peak_prominence_frac times the segment's value range, which keeps
+    sensor-noise ripples out of the count. A constant segment has no peaks.
+
+    - A peak is an interior run of equal samples that is higher than both
+      neighbouring runs, so a plateau counts once and a run touching the
+      first or last sample never counts.
+    - On each side of a peak, its base is the minimum of the samples up to
+      the nearest strictly higher sample, or up to the edge of the series.
+      An equal peak does not stop this walk.
+    - The peak counts if ``peak - max(left_base, right_base) >= h``, in
+      floating point as written.
     """
     params = params or FeatureParams()
     n = len(a_norm)
     if n < 3:
         raise TooShortError(f"peak count needs >= 3 samples, got {n}")
     v = a_norm.values
-    spread = float(np.max(v) - np.min(v))
+    spread = float(v.max() - v.min())
     if spread == 0.0:
         return 0
-    # imported here so that only feature extraction pays scipy.signal's ~1 s import
-    from scipy.signal import find_peaks
+    return _prominent_peak_count(v, params.peak_prominence_frac * spread)
 
-    peaks, _ = find_peaks(v, prominence=params.peak_prominence_frac * spread)
-    return int(len(peaks))
+
+def _prominent_peak_count(v: np.ndarray, h: float) -> int:
+    """`peak_count` after its checks, in O(n) memory and no Python loop per peak."""
+    runs = v[np.concatenate(([True], v[1:] != v[:-1]))]
+    rising = runs[1:] > runs[:-1]
+    peaks = np.flatnonzero(rising[:-1] > rising[1:]) + 1
+    k = len(peaks)
+    if k == 0:
+        return 0
+    # gaps[i] is the lowest run between peaks i-1 and i; gaps[0] and gaps[k]
+    # are the lowest runs between the outer peaks and the edges
+    gaps = np.minimum.reduceat(runs, np.concatenate(([0], peaks + 1)))
+    heights = runs[peaks]
+    # One walk per peak and side: slots [0, k) walk left over the peaks in
+    # order, slots [k, 2k) walk right as left walks over the mirrored peaks.
+    # Slot 2k is the edge, higher than any peak. Slot s has walked over the
+    # peaks strictly between s and reach[s], none higher than top[s], and
+    # low[s] is the lowest gap it has passed. Each walk starts with the one
+    # gap before slot s, reaching peak s-1, or the edge for the first slot
+    # of each half.
+    top = np.concatenate((heights, heights[::-1], [np.inf]))
+    low = np.concatenate((gaps[:-1], gaps[:0:-1]))
+    reach = np.arange(-1, 2 * k)
+    reach[0] = reach[k] = 2 * k
+    # fl(p - x) is monotone in x, so p - max(left, right) >= h holds exactly
+    # when p - left >= h and p - right >= h. Each side is decided on its own,
+    # and a walk stops as soon as p - low >= h, or at a higher peak. Otherwise
+    # it crosses the peak it reached and takes over that peak's reach and low,
+    # so a long walk needs few rounds.
+    walking = np.flatnonzero(top[:-1] - low < h)
+    while len(walking):
+        nxt = reach[walking]
+        crosses = top[nxt] <= top[walking]
+        walking, nxt = walking[crosses], nxt[crosses]
+        low[walking] = np.minimum(low[walking], low[nxt])
+        reach[walking] = reach[nxt]
+        walking = walking[top[walking] - low[walking] < h]
+    deep = top[:-1] - low >= h
+    # the right walk of peak i is slot 2k-1-i
+    return int(np.count_nonzero(deep[:k] & deep[: k - 1 : -1]))
 
 
 def spectral_arc_length(w_norm: ScalarSeries, params: FeatureParams | None = None) -> float:
@@ -186,15 +230,22 @@ def log_dimensionless_jerk(a_norm: ScalarSeries) -> float:
     return -math.log(duration / (peak * peak) * jerk_integral)
 
 
+def _mean_axis_range(samples: np.ndarray) -> float:
+    """Mean over the columns of each column's max-minus-min."""
+    # Reducing along the rows of the transposed copy is about ten times
+    # faster than reducing down the strided columns of an N x 3 window.
+    axes = samples.T.copy()
+    return float((axes.max(axis=1) - axes.min(axis=1)).sum()) / len(axes)
+
+
 def angular_velocity_range(gyro: np.ndarray) -> float:
     """Mean over the three axes of each axis's max-minus-min, in deg/s."""
-    return float(np.mean(np.max(gyro, axis=0) - np.min(gyro, axis=0)))
+    return _mean_axis_range(gyro)
 
 
-def power_index(accel: np.ndarray, gyro: np.ndarray) -> float:
-    """Mean per-axis acceleration range times the angular-velocity range."""
-    accel_range = float(np.mean(np.max(accel, axis=0) - np.min(accel, axis=0)))
-    return accel_range * angular_velocity_range(gyro)
+def power_index(accel: np.ndarray, rav: float) -> float:
+    """Mean per-axis acceleration range times the angular-velocity range `rav`."""
+    return _mean_axis_range(accel) * rav
 
 
 def segment_duration(start: int, end: int, sample_rate_hz: float) -> float:
@@ -234,13 +285,14 @@ def extract_all(
             a_norm = euclidean_norm(segment.accel, rate)
             w_norm = euclidean_norm(segment.gyro, rate)
             start, end = label.window(kind)
+            rav = angular_velocity_range(segment.gyro)
             return FeatureVector(
                 nmcp_a=mean_crossing_count(a_norm),
                 np_a=peak_count(a_norm, params),
                 sparc=spectral_arc_length(w_norm, params),
                 ldlj_a=log_dimensionless_jerk(a_norm),
-                rav=angular_velocity_range(segment.gyro),
-                pi=power_index(segment.accel, segment.gyro),
+                rav=rav,
+                pi=power_index(segment.accel, rav),
                 duration_s=segment_duration(start, end, rate),
             )
     except (TooShortError, DegenerateSignalError) as err:

@@ -99,6 +99,11 @@ class SensorStream:
         return np.arange(self.n_samples) / self.sample_rate_hz
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool: writers would print `True`."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SegmentLabel:
     """Manually labelled subtask boundaries for one task.
@@ -119,7 +124,7 @@ class SegmentLabel:
 
     def __post_init__(self):
         bounds = (self.s1, self.e1, self.s2, self.e2, self.s3, self.e3)
-        if any(not isinstance(b, (int, np.integer)) for b in bounds):
+        if not all(map(_is_integer, bounds)):
             raise ValidationError(f"{self.task.value}: boundaries must be integers, got {bounds}")
         if self.s1 < 0:
             raise BoundaryError(f"{self.task.value}: s1 must be >= 0, got {self.s1}")
@@ -200,7 +205,7 @@ class FeatureVector:
 
     def __post_init__(self):
         counts = (self.nmcp_a, self.np_a)
-        if any(not isinstance(c, (int, np.integer)) for c in counts):
+        if not all(map(_is_integer, counts)):
             raise ValidationError(f"counts must be integers, got {counts}")
         if self.nmcp_a < 0 or self.np_a < 0:
             raise ValidationError("counts must be non-negative")

@@ -56,3 +56,11 @@ def test_readme_library_example_imports_only_exported_names():
     names = set(re.findall(r"\w+", block.group(1)))
     assert names
     assert names <= PUBLIC
+
+
+def test_package_source_never_mentions_scipy():
+    # numpy is the only runtime dependency; scipy is the tests' oracle
+    sources = sorted(Path(shoulderkin.__file__).parent.glob("*.py"))
+    assert sources
+    mentions = [p.name for p in sources if "scipy" in p.read_text(encoding="utf-8").lower()]
+    assert mentions == []

@@ -322,12 +322,12 @@ class TestRangesAndDuration:
     def test_power_index_is_product(self):
         accel = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
         gyro = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-        assert power_index(accel, gyro) == pytest.approx(1.0 * 2.0)
+        assert power_index(accel, angular_velocity_range(gyro)) == pytest.approx(1.0 * 2.0)
 
     def test_single_sample_ranges_are_zero(self):
         one = np.array([[1.0, 2.0, 3.0]])
         assert angular_velocity_range(one) == 0.0
-        assert power_index(one, one) == 0.0
+        assert power_index(one, angular_velocity_range(one)) == 0.0
 
     def test_segment_duration(self):
         assert segment_duration(0, 128, 128.0) == 1.0

@@ -105,6 +105,14 @@ class TestSegmentLabel:
         with pytest.raises(ValidationError):
             SegmentLabel(task=TaskKind.WH, s1=0.0, e1=10, s2=10, e2=20, s3=20, e3=30)
 
+    @pytest.mark.parametrize(
+        "bounds", [dict(s1=False), dict(s1=0, e1=True), dict(e3=np.bool_(True))]
+    )
+    def test_rejects_bool_indices(self, bounds):
+        # True is an int, but write_labels would print `True`, which parse_labels rejects
+        with pytest.raises(ValidationError, match="boundaries must be integers"):
+            make_label(**bounds)
+
 
 class TestSliceSegment:
     def test_slice_is_bit_exact_copy(self):
@@ -191,6 +199,12 @@ class TestFeatureVector:
     @pytest.mark.parametrize("counts", [(3.0, 0), (0, np.float64(2.0)), ("3", 0)])
     def test_rejects_non_integer_counts(self, counts):
         # a float count would be written as `3.0`, which read_matrix rejects
+        with pytest.raises(ValidationError, match="counts must be integers"):
+            FeatureVector(*counts, sparc=-1.0, ldlj_a=-5.0, rav=1.0, pi=1.0, duration_s=1.0)
+
+    @pytest.mark.parametrize("counts", [(True, 0), (0, False), (np.bool_(True), 0)])
+    def test_rejects_bool_counts(self, counts):
+        # True is an int, but write_matrix would print `True`, which read_matrix rejects
         with pytest.raises(ValidationError, match="counts must be integers"):
             FeatureVector(*counts, sparc=-1.0, ldlj_a=-5.0, rav=1.0, pi=1.0, duration_s=1.0)
 
