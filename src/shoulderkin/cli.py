@@ -67,8 +67,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_extract(args) -> int:
     params = _load_feature_params(args.params) if args.params is not None else FeatureParams()
-    sessions = ingest.load_cohort(args.cohort)
-    rows, failures = extract_cohort(sessions, params)
+    rows, failures = extract_cohort(ingest.iter_cohort(args.cohort), params)
     Path(args.out).write_bytes(write_matrix(rows))
     print(f"wrote {len(rows)} feature rows to {args.out}")
     if failures:

@@ -342,10 +342,12 @@ def extract_cohort(
 ) -> tuple[list[FeatureRow], list[FeatureError]]:
     """Evaluate the full (session x task x segment x placement) grid.
 
-    Failing cells are collected, not fatal: the returned failures list
-    carries one FeatureError per cell that could not be computed. Row
-    order is fixed by sorting on (subject_id, task, segment, placement)
-    regardless of evaluation order.
+    `sessions` is any iterable and is consumed once, so a generator such
+    as `ingest.iter_cohort` is walked one session at a time and an error
+    it raises ends the extraction. Failing cells are collected, not
+    fatal: the returned failures list carries one FeatureError per cell
+    that could not be computed. Row order is fixed by sorting on
+    (subject_id, task, segment, placement) regardless of evaluation order.
     """
     params = params or FeatureParams()
     rows: list[FeatureRow] = []

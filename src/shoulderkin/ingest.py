@@ -9,14 +9,15 @@ positions are defined by row index and the manifest's sample rate.
 file, `parse_key_values` the one `key = value` parser, `split_rows` the
 one comma-separated row splitter, and `parse_number` the one grammar for
 a number cell (through `parse_cell`, which names the bad cell); every
-reader, here and in the other modules, goes through them.
+reader, here and in the other modules, goes through them. `iter_cohort`
+is the one cohort walker: `load_cohort` is its list.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterator, NoReturn
 
 import numpy as np
 
@@ -322,12 +323,15 @@ def load_session(manifest_path) -> Session:
     )
 
 
-def load_cohort(cohort_dir) -> list[Session]:
-    """Load every session listed in the directory's cohort manifest.
+def iter_cohort(cohort_dir) -> Iterator[Session]:
+    """Yield the sessions listed in the directory's cohort manifest, one at a time.
 
-    Order follows the manifest. The first failing session aborts the load
-    with its subject id (or manifest path when the failure precedes the
-    id) and the underlying cause chained.
+    Order follows the manifest, and each session is read only when the
+    previous one has been consumed, so a caller that keeps no session
+    holds one at a time. The manifest itself is read and checked at the
+    first ``next``. A failing session raises `CohortError` with its entry
+    (the manifest line) and the underlying cause chained, after the
+    sessions before it have been yielded.
     """
     cohort_dir = Path(cohort_dir)
     manifest = cohort_dir / COHORT_MANIFEST_NAME
@@ -335,11 +339,18 @@ def load_cohort(cohort_dir) -> list[Session]:
     entries = [line.strip() for line in lines if line.strip()]
     if not entries:
         raise CohortError(f"{manifest}: cohort manifest lists no sessions")
-    sessions: list[Session] = []
     for entry in entries:
-        session_path = cohort_dir / entry
         try:
-            sessions.append(load_session(session_path))
+            session = load_session(cohort_dir / entry)
         except (ParseError, ValidationError) as err:
             raise CohortError(f"session {entry}: {err}") from err
-    return sessions
+        yield session
+
+
+def load_cohort(cohort_dir) -> list[Session]:
+    """Load every session listed in the directory's cohort manifest at once.
+
+    The whole cohort is in memory; `iter_cohort` is the walker, and the
+    first failing session aborts the load with its `CohortError`.
+    """
+    return list(iter_cohort(cohort_dir))

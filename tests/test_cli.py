@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from shoulderkin.ingest import (
     RECORDING_HEADER,
     parse_labels,
     parse_recording,
+    parse_session_manifest,
     write_recording,
 )
 from shoulderkin.model import FeatureVector, Group, Placement, SegmentKind, SensorStream, TaskKind
@@ -233,12 +235,7 @@ class TestExitCodes:
         cohort = tmp_path / "cohort"
         shutil.copytree(small_cohort, cohort)
         start = parse_labels(cohort / "P01_labels.csv")[TaskKind.WH].s1
-        victim = cohort / "P01_wrist.csv"
-        lines = victim.read_text().splitlines()
-        cells = lines[start + 1].split(",")
-        cells[RECORDING_HEADER.split(",").index(column)] = "1e200"
-        lines[start + 1] = ",".join(cells)
-        victim.write_text("\n".join(lines) + "\n")
+        corrupt_cell(cohort / "P01_wrist.csv", start + 1, column, "1e200")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")])
@@ -246,6 +243,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: P01 WH/complete/wrist: " in err
         assert "Traceback" not in err and "Warning" not in err
+
+    def test_extract_bad_last_session_writes_nothing(self, small_cohort, tmp_path, capsys):
+        # sessions are extracted as they load, so every cell before the
+        # bad session has been computed when its parse error ends the run
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        last = manifest_entries(cohort)[-1]
+        corrupt_cell(cohort / recording_of(cohort / last), 2, "ax", "abc")
+        out = tmp_path / "m.csv"
+        code = main(["extract", "--cohort", str(cohort), "--out", str(out)])
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert f"error: session {last}: " in err
+        assert "failed cell:" not in err
+        assert not out.exists()
+
+    def test_extract_first_fault_in_manifest_order_decides(self, small_cohort, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        entries = manifest_entries(cohort)
+        first = parse_session_manifest(cohort / entries[0])
+        start = parse_labels(cohort / first.labels_path)[TaskKind.WH].s1
+        corrupt_cell(cohort / first.recordings[Placement.WRIST], start + 1, "ax", "1e200")
+        corrupt_cell(cohort / recording_of(cohort / entries[-1]), 2, "ax", "abc")
+        out = tmp_path / "m.csv"
+        code = main(["extract", "--cohort", str(cohort), "--out", str(out)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"error: {first.subject_id} WH/complete/wrist: " in err
+        assert entries[-1] not in err
+        assert not out.exists()
 
     def test_compare_missing_matrix(self, tmp_path):
         code = main(["compare", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
@@ -298,6 +326,46 @@ def small_cohort(tmp_path_factory):
     argv = ["simulate", "--out", str(cohort), "--params", str(work / "profile.ini")]
     assert main(argv) == EXIT_OK
     return cohort
+
+
+def manifest_entries(cohort):
+    return (cohort / COHORT_MANIFEST_NAME).read_text().split()
+
+
+def recording_of(session_path):
+    return parse_session_manifest(session_path).recordings[Placement.WRIST]
+
+
+def corrupt_cell(recording, line_index, column, text):
+    """Replace one cell of a recording; `line_index` counts the header as 0."""
+    lines = recording.read_text().splitlines()
+    cells = lines[line_index].split(",")
+    cells[RECORDING_HEADER.split(",").index(column)] = text
+    lines[line_index] = ",".join(cells)
+    recording.write_text("\n".join(lines) + "\n")
+
+
+class TestExtractMemory:
+    def extract_peak(self, cohort, out):
+        """Peak bytes the Python allocator held during one `extract`."""
+        tracemalloc.start()
+        try:
+            assert main(["extract", "--cohort", str(cohort), "--out", str(out)]) == EXIT_OK
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_the_cohort(self, small_cohort, tmp_path):
+        write_small_profile(tmp_path / "profile.ini", n_per_group=6)
+        large = tmp_path / "cohort"
+        argv = ["simulate", "--out", str(large), "--params", str(tmp_path / "profile.ini")]
+        assert main(argv) == EXIT_OK
+        # a first run pays the one-time allocations (lazy imports, caches)
+        warm_up = ["extract", "--cohort", str(small_cohort), "--out", str(tmp_path / "w.csv")]
+        assert main(warm_up) == EXIT_OK
+        small_peak = self.extract_peak(small_cohort, tmp_path / "small.csv")
+        large_peak = self.extract_peak(large, tmp_path / "large.csv")
+        assert large_peak < 1.25 * small_peak, (small_peak, large_peak)
 
 
 class TestFeatureParamsFile:

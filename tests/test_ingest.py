@@ -10,6 +10,7 @@ from shoulderkin.ingest import (
     LABELS_HEADER,
     RECORDING_HEADER,
     SessionManifest,
+    iter_cohort,
     load_session,
     parse_key_values,
     parse_labels,
@@ -437,3 +438,11 @@ class TestLoadCohort:
         with pytest.raises(CohortError, match="P02_session.txt") as exc_info:
             load_cohort(tmp_path)
         assert isinstance(exc_info.value.__cause__, ParseError)
+
+    def test_iter_cohort_loads_each_session_when_asked(self, tmp_path):
+        self.build_cohort(tmp_path)
+        (tmp_path / "H01_wrist.csv").write_text(RECORDING_HEADER + "\n0,1,2,x,4,5,6\n")
+        sessions = iter_cohort(tmp_path)
+        assert [next(sessions).subject_id for _ in range(2)] == ["P01", "P02"]
+        with pytest.raises(CohortError, match="H01_session.txt"):
+            next(sessions)
