@@ -410,10 +410,18 @@ _MATRIX_CONVERTERS = (Group, TaskKind, SegmentKind, Placement, int, int) + (floa
 
 
 def read_matrix(path) -> list[FeatureRow]:
-    """Parse a feature-matrix CSV written by `write_matrix`."""
+    """Parse a feature-matrix CSV written by `write_matrix`.
+
+    Each subject is in one group and each of its cells on one row; a
+    repeated cell or a subject in both groups is a validation error
+    naming the line.
+    """
     lines = read_lines(path, MATRIX_HEADER)
     rows: list[FeatureRow] = []
+    group_of: dict[str, Group] = {}
+    rows_seen: set[tuple] = set()
     for line_no, cells in split_rows(lines[1:], len(MATRIX_COLUMNS), path):
+        subject = cells[0]
         group, task, segment, placement, *values = [
             parse_cell(convert, cell, column, path, line_no)
             for convert, cell, column in zip(_MATRIX_CONVERTERS, cells[1:], MATRIX_COLUMNS[1:])
@@ -422,5 +430,17 @@ def read_matrix(path) -> list[FeatureRow]:
             vector = FeatureVector(*values)
         except ValidationError as err:
             raise ValidationError(f"{path}:{line_no}: {err}") from None
-        rows.append(FeatureRow(cells[0], group, task, segment, placement, vector))
+        if group_of.setdefault(subject, group) is not group:
+            raise ValidationError(
+                f"{path}:{line_no}: subject {subject!r} is in both the "
+                f"{group_of[subject].value} and the {group.value} group"
+            )
+        key = (subject, task, segment, placement)
+        if key in rows_seen:
+            raise ValidationError(
+                f"{path}:{line_no}: repeated row for {subject} "
+                f"{task.value}/{segment.value}/{placement.value}"
+            )
+        rows_seen.add(key)
+        rows.append(FeatureRow(subject, group, task, segment, placement, vector))
     return rows

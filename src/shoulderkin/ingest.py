@@ -10,14 +10,16 @@ file, `parse_key_values` the one `key = value` parser, `split_rows` the
 one comma-separated row splitter, and `parse_number` the one grammar for
 a number cell (through `parse_cell`, which names the bad cell); every
 reader, here and in the other modules, goes through them. `iter_cohort`
-is the one cohort walker: `load_cohort` is its list.
+is the one cohort walker: `load_cohort` is its list. `write_recording`
+prints every value as "%.9g" does, with numpy, a block of rows at a time.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NoReturn
+from typing import Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -37,10 +39,6 @@ RECORDING_HEADER = "time_s,ax,ay,az,gx,gy,gz"
 RECORDING_COLUMNS = RECORDING_HEADER.split(",")
 LABELS_HEADER = "TASK,s1,e1,s2,e2,s3,e3"
 COHORT_MANIFEST_NAME = "cohort.txt"
-
-# 9 significant digits: enough for 1e-9 relative round-trip, small files
-_FLOAT_FORMAT = "%.9g"
-_ROW_FORMAT = ",".join([_FLOAT_FORMAT] * len(RECORDING_COLUMNS))
 
 
 def read_lines(path, header: str | None = None, missing: Exception | None = None) -> list[str]:
@@ -203,12 +201,141 @@ def _raise_first_bad_row(body: list[str], path) -> NoReturn:
     raise ParseError("non-numeric cell", path=path)
 
 
+# Recording cells are printed as "%.9g" would print them: 9 significant
+# digits, enough for a 1e-9 relative round-trip, in small files.
+# `_format_rows` renders a block of rows at once. Each cell gets 32 bytes,
+# filled as four little-endian words, and a mask picked by the cell's
+# layout, sign and number of digits kept selects the bytes the text shows:
+#
+#   bytes  0-7   "-0.000" d0 "."  sign, "0." and the zeros of 1e-4 <= |x| < 0.1
+#   bytes  8-23  d1 "." ... d8 "." the other digits, each followed by a point
+#   bytes 24-31  "e" sign x x x   exponent, then the separator and two spare bytes
+_BLOCK_ROWS = 2048
+_CELL_BYTES = 32
+_SEPARATOR_BYTE = 29
+_MIN_EXPONENT, _MAX_EXPONENT = -324, 308
+# 10**k is an exact double for |k| <= 22, so |x| * 10**(8 - e) is one
+# correctly rounded multiply or divide for e from -14 to 30
+_EXACT_POWER = 22
+
+
+class _Tables(NamedTuple):
+    groups: np.ndarray  # four digits as a word, each digit followed by a point
+    group_kept: np.ndarray  # digits of a group up to its last nonzero one
+    heads: np.ndarray  # the first word, by first digit
+    exponents: np.ndarray  # the last word without its separator, by exponent
+    separators: np.ndarray  # the separator after each cell of a row
+    layout_codes: np.ndarray  # by exponent: 20 * `_layout`
+    masks: np.ndarray  # by 20 * layout + 10 * negative + digits kept
+    multipliers: np.ndarray  # by 8 - e + _EXACT_POWER: 10**(8 - e) or 1
+    divisors: np.ndarray  # the same: 1 or 10**(e - 8)
+
+
+def _words(texts) -> np.ndarray:
+    """Each 8-byte text as one little-endian word."""
+    return np.frombuffer(b"".join(texts), "<u8")
+
+
+def _layout(exponent: int) -> int:
+    """0-12: fixed notation, exponent -4..8; 13: ``e±XX``; 14: ``e±XXX``."""
+    if -4 <= exponent <= 8:
+        return exponent + 4
+    return 13 if abs(exponent) < 100 else 14
+
+
+def _cell_masks() -> np.ndarray:
+    """Bytes of a cell that "%.9g" shows, by layout, sign and digits kept."""
+    masks = np.zeros((15, 2, 10, _CELL_BYTES), bool)
+    masks[:, 1, :, 0] = True  # the minus sign
+    masks[..., _SEPARATOR_BYTE] = True
+    for layout in range(15):
+        # digits before the point; 1 in e-notation
+        before = layout - 3 if layout < 13 else 1
+        for kept in range(1, 10):
+            row = masks[layout, :, kept]
+            digits = max(kept, before)
+            row[:, 6 : 6 + 2 * digits : 2] = True
+            if before <= 0:
+                row[:, 1 : 3 - before] = True  # "0." and the zeros after it
+            elif digits > before:
+                row[:, 5 + 2 * before] = True  # the point after the last digit before it
+            if layout >= 13:
+                row[:, 24:_SEPARATOR_BYTE] = True
+                row[:, 26] = layout == 14  # the exponent's hundreds digit
+    return masks.reshape(-1, _CELL_BYTES).view("<u8")
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """Built by the first recording written: a process that writes none,
+    such as every CLI command but `simulate`, does not pay for them."""
+    group = np.arange(10_000)
+    text = np.full((10_000, 8), ord("."), np.uint8)
+    text[:, ::2] = group[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    exponents = range(_MIN_EXPONENT, _MAX_EXPONENT + 1)
+    separators = b"," * (len(RECORDING_COLUMNS) - 1) + b"\n"
+    powers = range(-_EXACT_POWER, _EXACT_POWER + 1)
+    return _Tables(
+        groups=text.view("<u8").ravel(),
+        group_kept=4 - sum(group % 10**j == 0 for j in range(1, 5)),
+        heads=_words(b"-0.000%d." % d for d in range(10)),
+        exponents=_words(b"e%c%03d\0\0\0" % (b"-+"[e >= 0], abs(e)) for e in exponents),
+        separators=_words(b"\0\0\0\0\0%c\0\0" % c for c in separators),
+        layout_codes=np.array([20 * _layout(e) for e in exponents]),
+        masks=_cell_masks(),
+        multipliers=np.array([float(10 ** max(k, 0)) for k in powers]),
+        divisors=np.array([float(10 ** max(-k, 0)) for k in powers]),
+    )
+
+
+def _format_rows(rows: np.ndarray) -> bytes:
+    """Rows of finite doubles as CSV lines, every cell as "%.9g" prints it."""
+    t = _tables()
+    values = rows.ravel()
+    negative = np.signbit(values)
+    zero = values == 0
+    magnitudes = np.where(zero, 1.0, np.abs(values))
+    # "%.8e" splits |x| into a 9-digit mantissa and an exponent e, and
+    # |x| * 10**(8 - e) rounds to the mantissa. log10 estimates e, kept
+    # where 10**(8 - e) is exact.
+    exponents = np.floor(np.log10(magnitudes)).clip(8 - _EXACT_POWER, 8 + _EXACT_POWER)
+    exponents = exponents.astype(np.int64)
+    power = 8 + _EXACT_POWER - exponents
+    scaled = magnitudes * t.multipliers[power] / t.divisors[power]
+    # Rounding is monotone and every half-integer below 1e9 is a double, so
+    # the scaled value lies on the same side of each tie as the exact one,
+    # or on the tie itself: it rounds as "%.8e" does unless it is a tie.
+    # It leaves [1e8, 1e9] where log10 was one off, next to a power of
+    # ten, or where 10**(8 - e) is not exact (|x| < 1e-14 or >= 1e31).
+    # Ties and those values ask "%.8e".
+    exact = (scaled - np.floor(scaled) != 0.5) & (scaled >= 1e8) & (scaled <= 1e9)
+    mantissas = np.rint(np.where(exact & ~zero, scaled, 0)).astype(np.int64)
+    carry = mantissas == 1_000_000_000
+    mantissas[carry] = 100_000_000
+    exponents += carry
+    inexact = np.flatnonzero(~exact)
+    texts = ["%.8e" % x for x in magnitudes[inexact].tolist()]
+    mantissas[inexact] = [int(text[0] + text[2:10]) for text in texts]
+    exponents[inexact] = [int(text[11:]) for text in texts]
+
+    high, rest = np.divmod(mantissas, 100_000_000)
+    middle, low = np.divmod(rest, 10_000)
+    kept = np.where(low > 0, 5 + t.group_kept[low], 1 + t.group_kept[middle])
+    exponent_index = exponents - _MIN_EXPONENT
+    cells = np.empty((values.size, 4), "<u8")
+    cells[:, 0] = t.heads[high]
+    cells[:, 1] = t.groups[middle]
+    cells[:, 2] = t.groups[low]
+    cells[:, 3] = (t.exponents[exponent_index].reshape(rows.shape) + t.separators).ravel()
+    shown = t.masks[t.layout_codes[exponent_index] + 10 * negative + kept]
+    return cells.view(np.uint8).ravel().take(np.flatnonzero(shown.view(bool))).tobytes()
+
+
 def write_recording(stream: SensorStream) -> bytes:
-    """Render a stream as the documented CSV, 9 significant digits."""
-    rows = np.column_stack((stream.times_s(), stream.accel, stream.gyro)).tolist()
-    lines = [RECORDING_HEADER]
-    lines += [_ROW_FORMAT % tuple(row) for row in rows]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """Render a stream as the documented CSV, each value as "%.9g" prints it."""
+    values = np.column_stack((stream.times_s(), stream.accel, stream.gyro))
+    blocks = [_format_rows(values[i : i + _BLOCK_ROWS]) for i in range(0, len(values), _BLOCK_ROWS)]
+    return b"".join([RECORDING_HEADER.encode() + b"\n", *blocks])
 
 
 def parse_labels(path) -> dict[TaskKind, SegmentLabel]:
@@ -263,6 +390,11 @@ class SessionManifest:
         object.__setattr__(self, "recordings", dict(self.recordings))
         if not self.subject_id:
             raise ValidationError("subject_id must be non-empty")
+        # the subject id is the first cell of every feature-matrix row
+        if any(c in self.subject_id for c in ",\r\n"):
+            raise ValidationError(
+                f"subject_id must not contain a comma or line break, got {self.subject_id!r}"
+            )
         if not self.side:
             raise ValidationError("side must be non-empty")
         if set(self.recordings) != set(Placement):
@@ -300,7 +432,8 @@ def write_session_manifest(manifest: SessionManifest) -> bytes:
         f"subject_id = {manifest.subject_id}",
         f"group = {manifest.group.value}",
         f"side = {manifest.side}",
-        f"sample_rate_hz = {_FLOAT_FORMAT % manifest.sample_rate_hz}",
+        # 17 significant digits read back as the same double; 128.0 is "128"
+        f"sample_rate_hz = {manifest.sample_rate_hz:.17g}",
         f"wrist = {manifest.recordings[Placement.WRIST]}",
         f"arm = {manifest.recordings[Placement.ARM]}",
         f"labels = {manifest.labels_path}",
@@ -331,7 +464,8 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
     holds one at a time. The manifest itself is read and checked at the
     first ``next``. A failing session raises `CohortError` with its entry
     (the manifest line) and the underlying cause chained, after the
-    sessions before it have been yielded.
+    sessions before it have been yielded. A session whose subject an
+    earlier entry already had raises `CohortError` too.
     """
     cohort_dir = Path(cohort_dir)
     manifest = cohort_dir / COHORT_MANIFEST_NAME
@@ -339,11 +473,17 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
     entries = [line.strip() for line in lines if line.strip()]
     if not entries:
         raise CohortError(f"{manifest}: cohort manifest lists no sessions")
+    entry_of: dict[str, str] = {}
     for entry in entries:
         try:
             session = load_session(cohort_dir / entry)
         except (ParseError, ValidationError) as err:
             raise CohortError(f"session {entry}: {err}") from err
+        subject = session.subject_id
+        if subject in entry_of:
+            first = entry_of[subject]
+            raise CohortError(f"session {entry}: subject {subject!r} is already in {first}")
+        entry_of[subject] = entry
         yield session
 
 

@@ -170,8 +170,14 @@ _PROFILE_GROUP_KEYS = (
 )
 
 
+def _profile_floats(*values) -> str:
+    """`ingest.format_float` texts, which read back as the same doubles,
+    with an integral value's ".0" dropped: 4.0 is written "4"."""
+    return " ".join(ingest.format_float(value).removesuffix(".0") for value in values)
+
+
 def write_profile(profile: CohortProfile) -> bytes:
-    """Render a profile as INI text that `parse_profile` accepts."""
+    """Render a profile as INI text that `parse_profile` reads back as `profile`."""
     lines = [
         "[cohort]",
         f"n_per_group = {profile.n_per_group}",
@@ -182,11 +188,11 @@ def write_profile(profile: CohortProfile) -> bytes:
             "",
             f"[{section}]",
             f"submovements = {gp.submovements[0]} {gp.submovements[1]}",
-            f"subtask_duration_s = {gp.subtask_duration_s[0]:.9g} {gp.subtask_duration_s[1]:.9g}",
-            f"hold_duration_s = {gp.hold_duration_s[0]:.9g} {gp.hold_duration_s[1]:.9g}",
-            f"pause_probability = {gp.pause_probability:.9g}",
-            f"accel_noise_sigma = {gp.accel_noise_sigma:.9g}",
-            f"gyro_noise_sigma = {gp.gyro_noise_sigma:.9g}",
+            f"subtask_duration_s = {_profile_floats(*gp.subtask_duration_s)}",
+            f"hold_duration_s = {_profile_floats(*gp.hold_duration_s)}",
+            f"pause_probability = {_profile_floats(gp.pause_probability)}",
+            f"accel_noise_sigma = {_profile_floats(gp.accel_noise_sigma)}",
+            f"gyro_noise_sigma = {_profile_floats(gp.gyro_noise_sigma)}",
         ]
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -1,6 +1,7 @@
 """Command-line pipeline: simulate -> extract -> compare -> report."""
 
 import dataclasses
+import hashlib
 import os
 import shutil
 import subprocess
@@ -110,6 +111,19 @@ class TestPipeline:
         assert main(["simulate", "--out", str(b), "--params", str(ini)]) == EXIT_OK
         for name in ("P01_wrist.csv", "H02_arm.csv", "P02_labels.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_simulate_writes_the_pinned_cohort_bytes(self, tmp_path):
+        # seed 42, 2 per group: every file name and byte of the cohort
+        ini = tmp_path / "profile.ini"
+        write_small_profile(ini, n_per_group=2, seed=42)
+        cohort = tmp_path / "cohort"
+        assert main(["simulate", "--out", str(cohort), "--params", str(ini)]) == EXIT_OK
+        digest = hashlib.sha256()
+        for path in sorted(cohort.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        assert digest.hexdigest() == (
+            "e93c73a00b4be3be787dd822b1d53ccddf5bcaf83cfe17e1e9b4bd49b3b9b011"
+        )
 
     def test_seed_override_changes_data(self, tmp_path):
         ini = tmp_path / "profile.ini"
@@ -274,6 +288,52 @@ class TestExitCodes:
         assert f"error: {first.subject_id} WH/complete/wrist: " in err
         assert entries[-1] not in err
         assert not out.exists()
+
+    def test_extract_repeated_subject(self, small_cohort, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        entries = manifest_entries(cohort)
+        (cohort / COHORT_MANIFEST_NAME).write_text("\n".join(entries + entries[:1]) + "\n")
+        out = tmp_path / "m.csv"
+        code = main(["extract", "--cohort", str(cohort), "--out", str(out)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"error: session {entries[0]}: subject 'P01' is already in {entries[0]}" in err
+        assert not out.exists()
+
+    def test_extract_subject_id_with_a_comma(self, small_cohort, tmp_path, capsys):
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        session = cohort / manifest_entries(cohort)[0]
+        session.write_text(session.read_text().replace("subject_id = P01", "subject_id = P,01"))
+        out = tmp_path / "m.csv"
+        code = main(["extract", "--cohort", str(cohort), "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert "subject_id must not contain a comma or line break, got 'P,01'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_compare_repeated_matrix_row(self, tmp_path, capsys):
+        rows = constant_matrix_rows()
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_bytes(write_matrix(rows + rows[:1]))
+        code = main(["compare", str(matrix), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INVALID
+        line = len(rows) + 2
+        assert f"error: {matrix}:{line}: repeated row for P00 WH/complete/wrist" in (
+            capsys.readouterr().err
+        )
+
+    def test_compare_subject_in_both_groups(self, tmp_path, capsys):
+        rows = constant_matrix_rows()
+        rows[-1] = dataclasses.replace(rows[-1], subject_id="P00")
+        matrix = tmp_path / "matrix.csv"
+        matrix.write_bytes(write_matrix(rows))
+        code = main(["compare", str(matrix), "--out", str(tmp_path / "o")])
+        assert code == EXIT_INVALID
+        message = f"error: {matrix}:{len(rows) + 1}: subject 'P00' is in both the patient"
+        assert message in capsys.readouterr().err
 
     def test_compare_missing_matrix(self, tmp_path):
         code = main(["compare", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])

@@ -10,6 +10,7 @@ is held to the same number grammar.
 
 import contextlib
 import io
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from shoulderkin import (  # noqa: E402
 from shoulderkin.cli import _load_feature_params  # noqa: E402
 from shoulderkin.features import FeatureRow  # noqa: E402
 from shoulderkin.ingest import (  # noqa: E402
+    _BLOCK_ROWS,
     RECORDING_HEADER,
     SessionManifest,
     parse_labels,
@@ -328,9 +330,17 @@ def test_every_reader_shares_one_number_grammar(work, cohort, name, value):
     assert code == 3, stderr
 
 
-# Values that stress "%.9g": signed zeros, subnormals, extremes, and
-# integers too long for nine digits.
-EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e9, 123456789012.0, -(2.0**53))
+# Values that stress "%.9g": signed zeros, subnormals, extremes, integers
+# too long for nine digits, and, with both neighbours of each, the values
+# where the writer rounds up to a new power of ten or changes notation
+# (9.9999999995, 999999999.5, 1e-4, 9.99999999949e-05) or leaves its
+# exact powers of ten for "%.8e" (1e-14, 1e31).
+_BOUNDARIES = (9.9999999995, 999999999.5, 0.0001, 9.99999999949e-05, 1e-14, 1e31)
+EDGE_VALUES = (
+    (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e9, 123456789012.0, -(2.0**53))
+    + (2.0**-1074,)
+    + tuple(n for x in _BOUNDARIES for n in (math.nextafter(x, 0), x, math.nextafter(x, math.inf)))
+)
 stream_values = st.one_of(
     st.sampled_from(EDGE_VALUES),
     st.floats(allow_nan=False, allow_infinity=False),
@@ -338,11 +348,11 @@ stream_values = st.one_of(
 
 
 def reference_recording(stream) -> bytes:
+    """The recording as Python's "%.9g" prints each value, one row at a time."""
     times = np.arange(stream.n_samples) / stream.sample_rate_hz
-    lines = [RECORDING_HEADER]
-    for i in range(stream.n_samples):
-        row = (times[i], *stream.accel[i], *stream.gyro[i])
-        lines.append(",".join("%.9g" % v for v in row))
+    rows = np.column_stack((times, stream.accel, stream.gyro)).tolist()
+    row_format = ",".join(["%.9g"] * len(RECORDING_HEADER.split(",")))
+    lines = [RECORDING_HEADER] + [row_format % tuple(row) for row in rows]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -361,6 +371,38 @@ def test_write_recording_matches_reference_formatter(work, values, rate):
     printed = [line.split(",")[1:] for line in data.decode().splitlines()[1:]]
     expected = np.array([[np.float64(cell) for cell in row] for row in printed])
     assert np.hstack((back.accel, back.gyro)).tobytes() == expected.tobytes()
+
+
+def test_write_recording_matches_reference_across_blocks():
+    """Two blocks and a part of one, with each value's magnitude drawn from
+    1e-20 to 1e35, a third of them a 10-digit decimal that ends in 5: a
+    tie for "%.9g" that binary only comes near."""
+    rng = np.random.default_rng(8)
+    n = 6 * (2 * _BLOCK_ROWS + 7)
+    values = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-20, 35, n)
+    ties = rng.random(n) < 1 / 3
+    digits = rng.integers(10**8, 10**9, n) * 10 + 5
+    values[ties] = (digits * 10.0 ** rng.integers(-30, 30, n))[ties]
+    values[rng.integers(0, n, 64)] = rng.choice(EDGE_VALUES, 64)
+    samples = values.reshape(-1, 6)
+    stream = SensorStream(accel=samples[:, :3], gyro=samples[:, 3:], sample_rate_hz=1000 / 3)
+    assert write_recording(stream) == reference_recording(stream)
+
+
+def test_write_recording_matches_percent_on_a_million_random_doubles():
+    """Random bit patterns, finite ones kept. In 19 of 20 the exponent
+    field is redrawn from 2**-56 to 2**112, about ten binades either side of the
+    range the writer scales exactly, so most values are formatted by
+    numpy; the rest span the whole range and mostly ask "%.8e"."""
+    rng = np.random.default_rng(2026)
+    bits = rng.integers(0, 2**64, 1_030_000, dtype=np.uint64)
+    near = rng.random(bits.size) < 0.95
+    exponent_field = rng.integers(1023 - 56, 1023 + 113, bits.size, dtype=np.uint64)
+    bits[near] = (bits & ~np.uint64(0x7FF << 52) | exponent_field << np.uint64(52))[near]
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)][: 6 * 170_000].reshape(-1, 6)
+    stream = SensorStream(accel=values[:, :3], gyro=values[:, 3:], sample_rate_hz=128.0)
+    assert write_recording(stream) == reference_recording(stream)
 
 
 # Characters around the cell grammar's edges: separators, non-ASCII digits
@@ -382,3 +424,12 @@ def test_any_cell_parses_as_float_or_names_its_line_and_column(work, cell):
         assert f"{path}:3: column 'ay' is not finite" in str(err)
         return
     assert stream.accel[1, 1] == float(cell.strip())
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_session_manifest_rate_reads_back_as_the_same_double(work, rate):
+    path = work / "rate_session.txt"
+    path.write_bytes(SESSION["S01_session.txt"])
+    manifest = replace(parse_session_manifest(path), sample_rate_hz=rate)
+    path.write_bytes(write_session_manifest(manifest))
+    assert parse_session_manifest(path).sample_rate_hz == rate

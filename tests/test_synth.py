@@ -129,6 +129,19 @@ class TestProfileFile:
         path = tmp_path / "profile.ini"
         path.write_bytes(write_profile(profile))
         assert parse_profile(path) == profile
+        # more significant digits than "%.9g" keeps, and integral values
+        long = dataclasses.replace(
+            profile.patient,
+            subtask_duration_s=(1.0000000001, 2.718281828459045),
+            hold_duration_s=(3.0, 1e1),
+            pause_probability=0.1234567891234,
+            accel_noise_sigma=1e-17 / 3,
+            gyro_noise_sigma=2.0 / 3,
+        )
+        profile = dataclasses.replace(profile, patient=long)
+        path.write_bytes(write_profile(profile))
+        assert parse_profile(path) == profile
+        assert "hold_duration_s = 3 10\n" in path.read_text()
 
     def test_missing_section_rejected(self, tmp_path):
         path = tmp_path / "profile.ini"
