@@ -86,13 +86,13 @@ def mean_crossing_count(a_norm: ScalarSeries) -> int:
     n = len(a_norm)
     if n < 2:
         raise TooShortError(f"mean crossings need >= 2 samples, got {n}")
-    dev = a_norm.values - a_norm.values.sum() / n
-    signs = np.sign(dev).astype(np.int64)
-    # forward-fill zeros with the last nonzero sign; leading zeros stay 0
-    nz = np.where(signs != 0, np.arange(n), -1)
-    last = np.maximum.accumulate(nz)
-    filled = np.where(last >= 0, signs[np.maximum(last, 0)], 0)
-    return int(np.count_nonzero(filled[:-1] * filled[1:] < 0))
+    v = a_norm.values
+    mean = v.sum() / n
+    # A crossing is a nonzero sign of v - mean that differs from the last
+    # nonzero one. fl(v - mean) is zero exactly when v == mean and otherwise
+    # has the sign of v - mean, so comparing with the mean gives the same signs.
+    above = v[v != mean] > mean
+    return int(np.count_nonzero(above[1:] != above[:-1]))
 
 
 def peak_count(a_norm: ScalarSeries, params: FeatureParams | None = None) -> int:
@@ -187,21 +187,20 @@ def spectral_arc_length(w_norm: ScalarSeries, params: FeatureParams | None = Non
     dc = spectrum.magnitudes[0]
     if dc == 0.0:
         raise DegenerateSignalError("sparc is undefined: zero DC component (all-zero signal)")
-    vhat = spectrum.magnitudes / dc
-    freqs = spectrum.freqs_hz
-    below_cutoff = freqs <= params.sparc_max_cutoff_hz
-    vhat = vhat[below_cutoff]
-    freqs = freqs[below_cutoff]
-    above = np.nonzero(vhat >= params.sparc_amp_threshold)[0]
+    # the frequencies ascend, so the bins up to the cutoff are a prefix
+    n_below = np.searchsorted(spectrum.freqs_hz, params.sparc_max_cutoff_hz, side="right")
+    vhat = spectrum.magnitudes[:n_below] / dc
+    above = np.flatnonzero(vhat >= params.sparc_amp_threshold)
     # vhat[0] is 1.0 by construction, so the selection is never empty
-    sel = slice(above[0], above[-1] + 1)
-    f_sel = freqs[sel]
-    v_sel = vhat[sel]
-    if len(f_sel) < 2:
+    first, last = above[0], above[-1] + 1
+    if last - first < 2:
         return 0.0
+    f_sel = spectrum.freqs_hz[first:last]
+    v_sel = vhat[first:last]
     span = f_sel[-1] - f_sel[0]
-    arc = np.sum(np.sqrt((np.diff(f_sel) / span) ** 2 + np.diff(v_sel) ** 2))
-    return -float(arc)
+    df = (f_sel[1:] - f_sel[:-1]) / span
+    dv = v_sel[1:] - v_sel[:-1]
+    return -float(np.sqrt(df * df + dv * dv).sum())
 
 
 def log_dimensionless_jerk(a_norm: ScalarSeries) -> float:

@@ -376,7 +376,9 @@ class SessionManifest:
     """Pointers and metadata for one session's files.
 
     Recording and label paths are stored as written in the manifest,
-    relative to the manifest's own directory.
+    relative to the manifest's own directory. No text value holds a line
+    break or starts or ends with whitespace, so `write_session_manifest`
+    output parses back to an equal manifest.
     """
 
     subject_id: str
@@ -399,6 +401,15 @@ class SessionManifest:
             raise ValidationError("side must be non-empty")
         if set(self.recordings) != set(Placement):
             raise ValidationError("manifest must reference one recording per placement")
+        # each value is one `key = value` line, read back stripped
+        texts = {"subject_id": self.subject_id, "side": self.side, "labels_path": self.labels_path}
+        for placement, path in self.recordings.items():
+            texts[f"{placement.value} recording path"] = path
+        for key, text in texts.items():
+            if "\r" in text or "\n" in text:
+                raise ValidationError(f"{key} must not contain a line break, got {text!r}")
+            if text != text.strip():
+                raise ValidationError(f"{key} must not start or end with whitespace, got {text!r}")
         if not 0 < self.sample_rate_hz < math.inf:
             raise ValidationError(
                 f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"

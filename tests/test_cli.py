@@ -125,6 +125,26 @@ class TestPipeline:
             "e93c73a00b4be3be787dd822b1d53ccddf5bcaf83cfe17e1e9b4bd49b3b9b011"
         )
 
+    @pytest.mark.parametrize(
+        "pad_level, sha256",
+        [
+            (0, "61174cb2d953a65d3691fd6ae0ddf7246c90a5f0cefcedeedcfeccabe3c2d681"),
+            (2, "e7492797ee1d3ac6f14c765609ee4577b497e0e5af124b55b420dc840f114b48"),
+            (4, "21c77c144ca81b1763134ac104ed08e2bf2d38ca802eb1cd3b56dccf756dab7e"),
+        ],
+    )
+    def test_extract_writes_the_pinned_matrix_bytes(
+        self, seed42_cohort, tmp_path, pad_level, sha256
+    ):
+        # the feature matrix of the seed-42, 2v2 cohort at three SPARC pad levels
+        params, matrix = tmp_path / "params.txt", tmp_path / "matrix.csv"
+        params.write_text(f"sparc_pad_level = {pad_level}\n")
+        argv = [
+            "extract", "--cohort", str(seed42_cohort), "--out", str(matrix), "--params", str(params)
+        ]
+        assert main(argv) == EXIT_OK
+        assert hashlib.sha256(matrix.read_bytes()).hexdigest() == sha256
+
     def test_seed_override_changes_data(self, tmp_path):
         ini = tmp_path / "profile.ini"
         write_small_profile(ini, n_per_group=2, seed=31)
@@ -314,6 +334,18 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    def test_extract_side_with_a_carriage_return(self, small_cohort, tmp_path, capsys):
+        # lines end only at \n or \r\n, so a lone \r stays inside the value
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        session = cohort / manifest_entries(cohort)[0]
+        session.write_bytes(session.read_bytes().replace(b"side = ", b"side = dominant\r"))
+        out = tmp_path / "m.csv"
+        code = main(["extract", "--cohort", str(cohort), "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert "side must not contain a line break, got 'dominant\\r" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_compare_repeated_matrix_row(self, tmp_path, capsys):
         rows = constant_matrix_rows()
         matrix = tmp_path / "matrix.csv"
@@ -382,6 +414,16 @@ class TestExitCodes:
 def small_cohort(tmp_path_factory):
     work = tmp_path_factory.mktemp("cli")
     write_small_profile(work / "profile.ini", n_per_group=2)
+    cohort = work / "cohort"
+    argv = ["simulate", "--out", str(cohort), "--params", str(work / "profile.ini")]
+    assert main(argv) == EXIT_OK
+    return cohort
+
+
+@pytest.fixture(scope="module")
+def seed42_cohort(tmp_path_factory):
+    work = tmp_path_factory.mktemp("seed42")
+    write_small_profile(work / "profile.ini", n_per_group=2, seed=42)
     cohort = work / "cohort"
     argv = ["simulate", "--out", str(cohort), "--params", str(work / "profile.ini")]
     assert main(argv) == EXIT_OK

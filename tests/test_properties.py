@@ -1,11 +1,14 @@
-"""Property tests for the input layer.
+"""Property tests for the input layer and the per-cell feature kernels.
 
 Every reader, fed arbitrary bytes or a one-byte mutation of a valid file,
 either returns a value or raises a ShoulderKinError; and the CLI maps a
 malformed input to a documented exit code, never to 1 or a traceback.
 The recording writer is pinned byte for byte, the recording parser's
 fast and diagnostic paths are held to one cell grammar, and every reader
-is held to the same number grammar.
+is held to the same number grammar. A session manifest reads back as
+written or is rejected when built. The norm, derivative, mean-crossing
+and SPARC kernels are pinned bit for bit against the plainer formulas
+they replaced, which are kept here as references.
 """
 
 import contextlib
@@ -17,7 +20,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from shoulderkin import (  # noqa: E402
@@ -35,7 +38,18 @@ from shoulderkin import (  # noqa: E402
     write_profile,
 )
 from shoulderkin.cli import _load_feature_params  # noqa: E402
-from shoulderkin.features import FeatureRow  # noqa: E402
+from shoulderkin.dsp import (  # noqa: E402
+    ScalarSeries,
+    derivative,
+    euclidean_norm,
+    magnitude_spectrum,
+)
+from shoulderkin.features import (  # noqa: E402
+    FeatureParams,
+    FeatureRow,
+    mean_crossing_count,
+    spectral_arc_length,
+)
 from shoulderkin.ingest import (  # noqa: E402
     _BLOCK_ROWS,
     RECORDING_HEADER,
@@ -57,13 +71,6 @@ from shoulderkin.model import (  # noqa: E402
     TaskKind,
 )
 from shoulderkin.synth import parse_profile  # noqa: E402
-
-# Derandomized and bounded so the suite runs the same examples every time
-# and stays quick; raise max_examples locally to search harder.
-settings.register_profile(
-    "tier1", derandomize=True, max_examples=40, deadline=None, database=None
-)
-settings.load_profile("tier1")
 
 N_SAMPLES = 64
 
@@ -433,3 +440,186 @@ def test_session_manifest_rate_reads_back_as_the_same_double(work, rate):
     manifest = replace(parse_session_manifest(path), sample_rate_hz=rate)
     path.write_bytes(write_session_manifest(manifest))
     assert parse_session_manifest(path).sample_rate_hz == rate
+
+
+# Characters that `key = value` lines treat specially: separators, the
+# comment mark, line breaks and whitespace that `str.strip` removes.
+MANIFEST_CHARS = "ab_./,=#\u00e9 \t\r\n\x0b\x85\u2028"
+clean_texts = (
+    st.text(MANIFEST_CHARS.translate({ord(c): None for c in ",\r\n"}))
+    .map(str.strip)
+    .filter(bool)
+)
+
+
+@given(st.data())
+def test_session_manifest_reads_back_as_written_or_is_rejected(work, data):
+    # at most one of the five text fields is drawn from every character
+    texts = data.draw(st.lists(clean_texts, min_size=5, max_size=5))
+    dirty = data.draw(st.integers(0, 5))
+    if dirty < 5:
+        texts[dirty] = data.draw(st.text(MANIFEST_CHARS, min_size=1, max_size=8))
+    subject_id, side, wrist, arm, labels = texts
+    fits_one_line = all(
+        "\r" not in text and "\n" not in text and text == text.strip() for text in texts
+    )
+    try:
+        manifest = SessionManifest(
+            subject_id=subject_id,
+            group=Group.HEALTHY,
+            side=side,
+            recordings={Placement.WRIST: wrist, Placement.ARM: arm},
+            labels_path=labels,
+            sample_rate_hz=128.0,
+        )
+    except ValidationError:
+        assert not fits_one_line or "," in subject_id
+        return
+    assert fits_one_line and "," not in subject_id
+    path = work / "round_trip_session.txt"
+    path.write_bytes(write_session_manifest(manifest))
+    assert parse_session_manifest(path) == manifest
+
+
+def bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def reference_norm(triax: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(triax * triax, axis=1))
+
+
+@given(
+    st.integers(1, 300),
+    st.sampled_from(("C", "F", "strided")),
+    st.integers(-160, 160),
+    st.integers(-160, 160),
+    st.integers(0, 2**32 - 1),
+)
+def test_euclidean_norm_matches_sum_along_axis_bit_for_bit(n, layout, lo, hi, seed):
+    """Each row's three values lie within two decades of each other, so the
+    order in which their squares are added changes the last bit often."""
+    rng = np.random.default_rng(seed)
+    lo, hi = sorted((lo, hi))
+    scale = 10.0 ** rng.uniform(lo, hi, (n, 1))
+    values = rng.choice((-1.0, 1.0), (n, 3)) * rng.uniform(0.1, 10.0, (n, 3)) * scale
+    if layout == "F":
+        values = np.asfortranarray(values)
+    elif layout == "strided":
+        wide = np.zeros((2 * n, 5))
+        wide[::2, 1:4] = values
+        values = wide[::2, 1:4]
+    with np.errstate(over="ignore"):
+        expected = reference_norm(values)
+        if not np.isfinite(expected).all():
+            with pytest.raises(ValidationError):
+                euclidean_norm(values, 128.0)
+            return
+        assert euclidean_norm(values, 128.0).values.tobytes() == expected.tobytes()
+
+
+@given(
+    st.integers(3, 300),
+    st.sampled_from((1e-300, 100.0 / 3.0, 128.0, 7e5)),
+    st.integers(0, 100),
+    st.integers(0, 2**32 - 1),
+)
+def test_derivative_matches_np_gradient_bit_for_bit(n, rate, decades, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-decades, decades, n)
+    expected = np.gradient(values, 1.0 / rate)
+    got = derivative(ScalarSeries(values, rate)).values
+    assert got.tobytes() == expected.tobytes()
+
+
+def reference_mean_crossings(values: np.ndarray) -> int:
+    """Zeros of the deviation take the last nonzero sign; count sign flips."""
+    n = len(values)
+    signs = np.sign(values - values.sum() / n).astype(np.int64)
+    nz = np.where(signs != 0, np.arange(n), -1)
+    last = np.maximum.accumulate(nz)
+    filled = np.where(last >= 0, signs[np.maximum(last, 0)], 0)
+    return int(np.count_nonzero(filled[:-1] * filled[1:] < 0))
+
+
+@given(st.data())
+def test_mean_crossing_count_matches_forward_fill_bit_for_bit(data):
+    # each value v comes with 4 - v, so the mean is exactly 2.0 and every 2
+    # (about a fifth of the samples) sits on it
+    half = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=80))
+    values = np.array(data.draw(st.permutations(half + [4 - v for v in half])), dtype=float)
+    values += data.draw(st.sampled_from((0.0, 1e6, 2.0**40)))
+    assert mean_crossing_count(ScalarSeries(values, 32.0)) == reference_mean_crossings(values)
+
+
+def reference_sparc(w_norm: ScalarSeries, params: FeatureParams, normaliser) -> float:
+    """SPARC as first written: boolean masks over the whole spectrum, which
+    is divided by `normaliser(magnitudes)`."""
+    spectrum = magnitude_spectrum(w_norm, params.sparc_pad_level)
+    vhat = spectrum.magnitudes / normaliser(spectrum.magnitudes)
+    freqs = spectrum.freqs_hz
+    below_cutoff = freqs <= params.sparc_max_cutoff_hz
+    vhat = vhat[below_cutoff]
+    freqs = freqs[below_cutoff]
+    above = np.nonzero(vhat >= params.sparc_amp_threshold)[0]
+    sel = slice(above[0], above[-1] + 1)
+    f_sel = freqs[sel]
+    v_sel = vhat[sel]
+    if len(f_sel) < 2:
+        return 0.0
+    span = f_sel[-1] - f_sel[0]
+    arc = np.sum(np.sqrt((np.diff(f_sel) / span) ** 2 + np.diff(v_sel) ** 2))
+    return -float(arc)
+
+
+def non_negative_series(rng, n: int, shape: str) -> np.ndarray:
+    """A w_norm-like series: a positive random walk, an integer staircase,
+    or one pulse on zeros, whose spectrum is flat at the DC magnitude."""
+    if shape == "walk":
+        return np.abs(np.cumsum(rng.normal(0.0, 1.0, n))) + rng.uniform(0.0, 3.0)
+    if shape == "steps":
+        steps = rng.integers(0, 5, n // 4 + 1)
+        steps[0] = 5
+        return np.repeat(steps, 4)[:n].astype(float)
+    pulse = np.zeros(n)
+    pulse[rng.integers(0, n)] = rng.uniform(0.5, 2.0)
+    return pulse
+
+
+sparc_cases = st.tuples(
+    st.integers(4, 700),
+    st.sampled_from(("walk", "steps", "pulse")),
+    st.sampled_from((32.0, 100.0 / 3.0, 128.0, 7e5)),
+    st.builds(
+        FeatureParams,
+        sparc_amp_threshold=st.sampled_from((0.01, 0.05, 0.5, 0.999)),
+        sparc_max_cutoff_hz=st.sampled_from((0.5, 10.0, 64.0, 1e9)),
+        sparc_pad_level=st.integers(0, 4),
+        min_segment_s=st.just(1e-9),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@given(sparc_cases)
+def test_sparc_matches_boolean_mask_version_bit_for_bit(case):
+    # rate 128 puts a bin exactly on the 10 and 64 Hz cutoffs, which counts
+    n, shape, rate, params, seed = case
+    values = non_negative_series(np.random.default_rng(seed), n, shape)
+    w_norm = ScalarSeries(values, rate)
+    expected = reference_sparc(w_norm, params, lambda mags: mags[0])
+    assert bits(spectral_arc_length(w_norm, params)) == bits(expected)
+
+
+@given(sparc_cases)
+def test_sparc_dc_normalisation_agrees_with_max_normalisation(case):
+    """Balasubramanian et al. (J NeuroEng Rehabil 2015) divide the spectrum
+    by its largest magnitude; this package divides by the DC bin. For x >= 0,
+    |X(f)| <= sum(x) = X(0), so the two agree up to the FFT's rounding,
+    which can lift a bin above DC by a relative O(eps * log2 n_fft). With
+    n_fft <= 2**14, the SPARC values then agree to a relative 1e-12."""
+    n, shape, rate, params, seed = case
+    values = non_negative_series(np.random.default_rng(seed), n, shape)
+    w_norm = ScalarSeries(values, rate)
+    by_max = reference_sparc(w_norm, params, np.max)
+    assert spectral_arc_length(w_norm, params) == pytest.approx(by_max, rel=1e-12, abs=0.0)
