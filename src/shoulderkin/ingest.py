@@ -377,8 +377,8 @@ class SessionManifest:
 
     Recording and label paths are stored as written in the manifest,
     relative to the manifest's own directory. No text value holds a line
-    break or starts or ends with whitespace, so `write_session_manifest`
-    output parses back to an equal manifest.
+    break, starts or ends with whitespace, or fails to encode as UTF-8, so
+    `write_session_manifest` output parses back to an equal manifest.
     """
 
     subject_id: str
@@ -410,6 +410,10 @@ class SessionManifest:
                 raise ValidationError(f"{key} must not contain a line break, got {text!r}")
             if text != text.strip():
                 raise ValidationError(f"{key} must not start or end with whitespace, got {text!r}")
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValidationError(f"{key} is not encodable as UTF-8, got {text!r}") from None
         if not 0 < self.sample_rate_hz < math.inf:
             raise ValidationError(
                 f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"

@@ -1,5 +1,7 @@
 """Two-group statistics: Welch's t-test, Cohen's d, and the comparison grid.
 
+`compare_samples` computes one cell (t, dof, p, d and its interval) from
+two samples; `compare_cohort` runs it over every cell of a feature matrix.
 The p-value path is self-contained: a Lentz-style continued fraction for
 the regularized incomplete beta function, good to better than 1e-12 over
 the parameter range a t-test can produce. Nothing here depends on the
@@ -66,10 +68,6 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
-        raise ValidationError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValidationError(f"x must be in [0,1], got {x}")
     if x == 0.0:
         return 0.0
     if x == 1.0:
@@ -89,61 +87,9 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 
 def t_survival_two_sided(t: float, dof: float) -> float:
-    """P(|T| >= |t|) for Student's T with `dof` degrees of freedom."""
-    if not dof > 0:
-        raise ValidationError(f"degrees of freedom must be positive, got {dof}")
+    """P(|T| >= |t|) for Student's T with `dof` > 0 degrees of freedom."""
     x = dof / (dof + t * t)
     return regularized_incomplete_beta(dof / 2.0, 0.5, x)
-
-
-def _as_sample(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size < 2:
-        raise DegenerateStatisticsError(f"{name} needs >= 2 observations, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite values")
-    return arr
-
-
-def welch_t(x, y) -> tuple[float, float, float]:
-    """Welch's unequal-variance t-test.
-
-    Returns (t, dof, p) with Welch-Satterthwaite degrees of freedom and a
-    two-sided p-value. Requires at least 2 observations per sample and a
-    nonzero variance in at least one of them.
-    """
-    xa = _as_sample(x, "x")
-    ya = _as_sample(y, "y")
-    n1, n2 = xa.size, ya.size
-    v1 = float(np.var(xa, ddof=1))
-    v2 = float(np.var(ya, ddof=1))
-    se1, se2 = v1 / n1, v2 / n2
-    if se1 + se2 == 0.0:
-        raise DegenerateStatisticsError("both samples have zero variance; t is undefined")
-    t = (float(np.mean(xa)) - float(np.mean(ya))) / math.sqrt(se1 + se2)
-    dof = (se1 + se2) ** 2 / (se1 * se1 / (n1 - 1) + se2 * se2 / (n2 - 1))
-    return t, dof, t_survival_two_sided(t, dof)
-
-
-def cohens_d(x, y) -> tuple[float, float, float]:
-    """Cohen's d with a normal-approximation 95% confidence interval.
-
-    d divides the mean difference by the pooled standard deviation; the
-    interval is d +/- 1.96 * SE with the standard large-sample SE.
-    """
-    xa = _as_sample(x, "x")
-    ya = _as_sample(y, "y")
-    n1, n2 = xa.size, ya.size
-    v1 = float(np.var(xa, ddof=1))
-    v2 = float(np.var(ya, ddof=1))
-    pooled_var = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
-    if pooled_var == 0.0:
-        raise DegenerateStatisticsError("pooled standard deviation is zero; d is undefined")
-    d = (float(np.mean(xa)) - float(np.mean(ya))) / math.sqrt(pooled_var)
-    se = math.sqrt((n1 + n2) / (n1 * n2) + d * d / (2.0 * (n1 + n2 - 2)))
-    return d, d - 1.96 * se, d + 1.96 * se
 
 
 class SignificanceRule(Enum):
@@ -158,8 +104,6 @@ def significance_flag(p: float, d: float, rule: SignificanceRule = SignificanceR
 
     The strict rule requires |d| > 0.8; the inclusive rule admits |d| = 0.8.
     """
-    if not (math.isfinite(p) and math.isfinite(d)):
-        raise ValidationError("p and d must be finite")
     if rule is SignificanceRule.STRICT:
         return p < 0.05 and abs(d) > 0.8
     return p < 0.05 and abs(d) >= 0.8
@@ -185,6 +129,41 @@ class ComparisonCell:
             raise ValidationError(f"p_value must be in [0,1], got {self.p_value}")
         if not self.d_ci_low <= self.d <= self.d_ci_high:
             raise ValidationError("confidence interval must bracket d")
+
+
+def compare_samples(x, y, rule: SignificanceRule = SignificanceRule.STRICT) -> ComparisonCell:
+    """Welch's t-test and Cohen's d for sample x against sample y.
+
+    Each sample needs at least 2 finite observations. t has Welch-Satterthwaite
+    degrees of freedom and a two-sided p-value. d divides the mean difference
+    by the pooled standard deviation, with a normal-approximation 95% interval
+    d +/- 1.96 * SE. Raises DegenerateStatisticsError when t, dof, d or either
+    interval bound is not a finite double, for example when both samples are
+    constant or a variance overflows.
+    """
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    n1, n2 = xa.size, ya.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = float(np.mean(xa)) - float(np.mean(ya))
+        v1 = float(np.var(xa, ddof=1))
+        v2 = float(np.var(ya, ddof=1))
+    se1, se2 = v1 / n1, v2 / n2
+    try:
+        t = diff / math.sqrt(se1 + se2)
+        dof = (se1 + se2) ** 2 / (se1 * se1 / (n1 - 1) + se2 * se2 / (n2 - 1))
+        d = diff / math.sqrt(((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2))
+    except (ZeroDivisionError, OverflowError):
+        raise DegenerateStatisticsError("t, dof or d is undefined") from None
+    se = math.sqrt((n1 + n2) / (n1 * n2) + d * d / (2.0 * (n1 + n2 - 2)))
+    ci_low, ci_high = d - 1.96 * se, d + 1.96 * se
+    if not all(map(math.isfinite, (t, dof, d, ci_low, ci_high))):
+        raise DegenerateStatisticsError("t, dof, d or an interval bound is not finite")
+    p = t_survival_two_sided(t, dof)
+    return ComparisonCell(
+        t_stat=t, dof=dof, p_value=p, d=d, d_ci_low=ci_low, d_ci_high=ci_high,
+        significant=significance_flag(p, d, rule),
+    )
 
 
 # grid row order used everywhere a table is walked: the six per-placement
@@ -286,20 +265,9 @@ def compare_cohort(rows, rule: SignificanceRule = SignificanceRule.STRICT) -> Co
             cells[key] = None
             continue
         try:
-            t, dof, p = welch_t(xs, ys)
-            d, ci_low, ci_high = cohens_d(xs, ys)
+            cells[key] = compare_samples(xs, ys, rule)
         except DegenerateStatisticsError:
             cells[key] = None
-            continue
-        cells[key] = ComparisonCell(
-            t_stat=t,
-            dof=dof,
-            p_value=p,
-            d=d,
-            d_ci_low=ci_low,
-            d_ci_high=ci_high,
-            significant=significance_flag(p, d, rule),
-        )
     return ComparisonTable(
         n1=len(subjects[Group.PATIENT]), n2=len(subjects[Group.HEALTHY]), rule=rule, cells=cells
     )

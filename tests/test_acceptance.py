@@ -35,7 +35,7 @@ from shoulderkin.features import (
 )
 from shoulderkin.ingest import parse_labels, parse_recording, write_labels, write_recording
 from shoulderkin.model import Placement, SegmentKind, SegmentLabel, SensorStream, TaskKind
-from shoulderkin.stats import cell_keys, cohens_d, welch_t
+from shoulderkin.stats import cell_keys, compare_samples
 from shoulderkin.synth import SubmovementSpec, synth_segment
 
 RATE = 128.0
@@ -204,13 +204,12 @@ def test_smoothness_monotonicity():
 @verdict("5 statistics oracle")
 def test_statistics_oracle():
     for (x, y), (t_ref, _dof_ref, p_ref, d_ref, lo_ref, hi_ref) in zip(PAIRS, EXPECTED):
-        t, _dof, p = welch_t(x, y)
-        d, lo, hi = cohens_d(x, y)
-        assert abs(t - t_ref) <= 1e-9
-        assert abs(p - p_ref) <= 1e-9
-        assert abs(d - d_ref) <= 1e-9
-        assert abs(lo - lo_ref) <= 1e-9
-        assert abs(hi - hi_ref) <= 1e-9
+        cell = compare_samples(x, y)
+        assert abs(cell.t_stat - t_ref) <= 1e-9
+        assert abs(cell.p_value - p_ref) <= 1e-9
+        assert abs(cell.d - d_ref) <= 1e-9
+        assert abs(cell.d_ci_low - lo_ref) <= 1e-9
+        assert abs(cell.d_ci_high - hi_ref) <= 1e-9
 
 
 @verdict("6 spectrum oracle")

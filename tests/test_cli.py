@@ -73,6 +73,22 @@ def constant_matrix_rows(groups=(Group.PATIENT, Group.HEALTHY)):
     return rows
 
 
+def varied_matrix_rows():
+    """2v2 rows where each subject's features differ, so every cell is testable."""
+    rows = []
+    for group, prefix in ((Group.PATIENT, "P"), (Group.HEALTHY, "H")):
+        for i in range(2):
+            fv = FeatureVector(
+                nmcp_a=1 + i, np_a=2 + i, sparc=-1.5 - i, ldlj_a=-4.0 - i, rav=2.0 + i,
+                pi=1.0 + i, duration_s=2.0 + i,
+            )
+            for task in TaskKind:
+                for segment in SegmentKind:
+                    for placement in Placement:
+                        rows.append(FeatureRow(f"{prefix}{i}", group, task, segment, placement, fv))
+    return rows
+
+
 class TestPipeline:
     def test_full_run_produces_all_outputs(self, tmp_path, capsys):
         cohort, matrix, out_dir = run_pipeline(tmp_path)
@@ -144,6 +160,29 @@ class TestPipeline:
         ]
         assert main(argv) == EXIT_OK
         assert hashlib.sha256(matrix.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize(
+        "rule, sha256",
+        [
+            pytest.param(
+                "strict",
+                "190da9d57fc0e8aef39c609f7a8a6bc378130cf2097feef99d23e16a64ba7413",
+                id="strict",
+            ),
+            pytest.param(
+                "inclusive",
+                "05ff29b722b45fc7088837a8528471f2270eb9931709ab2fea968802b1b94f0b",
+                id="inclusive",
+            ),
+        ],
+    )
+    def test_compare_writes_the_pinned_dump_bytes(self, seed42_cohort, tmp_path, rule, sha256):
+        # the comparison dump of the seed-42, 2v2 cohort under each rule
+        matrix, out_dir = tmp_path / "matrix.csv", tmp_path / "out"
+        assert main(["extract", "--cohort", str(seed42_cohort), "--out", str(matrix)]) == EXIT_OK
+        argv = ["compare", str(matrix), "--out", str(out_dir), "--rule", rule, "--format", "dump"]
+        assert main(argv) == EXIT_OK
+        assert hashlib.sha256((out_dir / DUMP_FILENAME).read_bytes()).hexdigest() == sha256
 
     def test_seed_override_changes_data(self, tmp_path):
         ini = tmp_path / "profile.ini"
@@ -393,6 +432,35 @@ class TestExitCodes:
         assert "260 cells were untestable" in capsys.readouterr().err
         assert (out_dir / DUMP_FILENAME).exists()
         assert (out_dir / "wh.txt").exists()
+
+    @pytest.mark.parametrize(
+        "patients, healthy",
+        [
+            pytest.param((0.0, 1.4e-85), (5.0, 5.0), id="dof-underflows"),
+            pytest.param((0.0, 1e100), (0.0, 1.0), id="dof-overflows"),
+            pytest.param((0.0, 1e200), (0.0, 1.0), id="variance-overflows"),
+        ],
+    )
+    def test_compare_unrepresentable_statistics_are_untestable(
+        self, tmp_path, capsys, patients, healthy
+    ):
+        # one rav cell of a 2v2 matrix whose other cells are all testable
+        rav = dict(zip(("P0", "P1", "H0", "H1"), patients + healthy))
+        rows = varied_matrix_rows()
+        for i, row in enumerate(rows):
+            if (row.task, row.segment, row.placement) == (
+                TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST
+            ):
+                features = dataclasses.replace(row.features, rav=rav[row.subject_id])
+                rows[i] = dataclasses.replace(row, features=features)
+        matrix, out_dir = tmp_path / "matrix.csv", tmp_path / "o"
+        matrix.write_bytes(write_matrix(rows))
+        code = main(["compare", str(matrix), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DEGENERATE, err
+        assert "1 cells were untestable" in err
+        table = shoulderkin.read_dump(out_dir / DUMP_FILENAME)
+        assert table.cell(TaskKind.WH, "rav", Placement.WRIST, SegmentKind.COMPLETE) is None
 
     def test_report_truncated_dump(self, tmp_path):
         dump = tmp_path / "comparison.csv"

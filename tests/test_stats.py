@@ -3,6 +3,8 @@
 PAIRS/EXPECTED and BETAINC_CASES were computed once, before this package
 existed, with an independent high-precision route; the literals here are
 frozen and must never be regenerated from the code under test.
+`compare_samples` is also held bit for bit to the separate Welch's t and
+Cohen's d formulas it replaced, kept here as the reference.
 """
 
 import itertools
@@ -19,11 +21,10 @@ from shoulderkin.stats import (
     ComparisonTable,
     SignificanceRule,
     cell_keys,
-    cohens_d,
+    compare_samples,
     regularized_incomplete_beta,
     significance_flag,
     t_survival_two_sided,
-    welch_t,
 )
 
 PAIRS = [
@@ -127,17 +128,88 @@ class TestTSurvival:
 class TestWelchOracle:
     def test_t_dof_p_match_pinned_values(self):
         for (x, y), (t_ref, dof_ref, p_ref, _, _, _) in zip(PAIRS, EXPECTED):
-            t, dof, p = welch_t(x, y)
-            assert abs(t - t_ref) < 1e-9
-            assert abs(dof - dof_ref) < 1e-9
-            assert abs(p - p_ref) < 1e-9
+            cell = compare_samples(x, y)
+            assert abs(cell.t_stat - t_ref) < 1e-9
+            assert abs(cell.dof - dof_ref) < 1e-9
+            assert abs(cell.p_value - p_ref) < 1e-9
 
     def test_d_and_ci_match_pinned_values(self):
         for (x, y), (_, _, _, d_ref, lo_ref, hi_ref) in zip(PAIRS, EXPECTED):
-            d, lo, hi = cohens_d(x, y)
-            assert abs(d - d_ref) < 1e-9
-            assert abs(lo - lo_ref) < 1e-9
-            assert abs(hi - hi_ref) < 1e-9
+            cell = compare_samples(x, y)
+            assert abs(cell.d - d_ref) < 1e-9
+            assert abs(cell.d_ci_low - lo_ref) < 1e-9
+            assert abs(cell.d_ci_high - hi_ref) < 1e-9
+
+
+def statistics(cell: ComparisonCell) -> tuple[float, ...]:
+    return (cell.t_stat, cell.dof, cell.p_value, cell.d, cell.d_ci_low, cell.d_ci_high)
+
+
+def reference_welch_t(xa, ya):
+    """Welch's t and dof as a separate two-sample function computed them."""
+    n1, n2 = xa.size, ya.size
+    v1 = float(np.var(xa, ddof=1))
+    v2 = float(np.var(ya, ddof=1))
+    se1, se2 = v1 / n1, v2 / n2
+    t = (float(np.mean(xa)) - float(np.mean(ya))) / math.sqrt(se1 + se2)
+    dof = (se1 + se2) ** 2 / (se1 * se1 / (n1 - 1) + se2 * se2 / (n2 - 1))
+    return t, dof
+
+
+def reference_cohens_d(xa, ya):
+    """Cohen's d and its interval, recomputing the moments on its own."""
+    n1, n2 = xa.size, ya.size
+    v1 = float(np.var(xa, ddof=1))
+    v2 = float(np.var(ya, ddof=1))
+    pooled_var = ((n1 - 1) * v1 + (n2 - 1) * v2) / (n1 + n2 - 2)
+    d = (float(np.mean(xa)) - float(np.mean(ya))) / math.sqrt(pooled_var)
+    se = math.sqrt((n1 + n2) / (n1 * n2) + d * d / (2.0 * (n1 + n2 - 2)))
+    return d, d - 1.96 * se, d + 1.96 * se
+
+
+def reference_statistics(x, y):
+    """The six statistics from the two reference functions, or None where
+    t, dof, d or an interval bound cannot be formed as a finite double."""
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            t, dof = reference_welch_t(xa, ya)
+            d, lo, hi = reference_cohens_d(xa, ya)
+    except (ZeroDivisionError, OverflowError):
+        return None
+    if not all(map(math.isfinite, (t, dof, d, lo, hi))):
+        return None
+    return t, dof, t_survival_two_sided(t, dof), d, lo, hi
+
+
+def random_sample(rng, scale):
+    n = int(rng.integers(2, 31))
+    if rng.random() < 0.3:
+        # integer ties
+        return scale * rng.integers(-3, 4, n).astype(float)
+    return scale * rng.normal(rng.normal(), 1.0, n)
+
+
+class TestCompareSamplesMatchesReference:
+    def test_bit_for_bit_or_untestable(self):
+        rng = np.random.default_rng(107)
+        untestable = 0
+        for case in range(2000):
+            scale = 10.0 ** rng.uniform(-100.0, 100.0)
+            x = random_sample(rng, scale)
+            y = random_sample(rng, scale * 10.0 ** rng.uniform(-2.0, 2.0))
+            if case % 5 == 0:
+                y[:] = y[0]
+            want = reference_statistics(x, y)
+            if want is None:
+                untestable += 1
+                with pytest.raises(DegenerateStatisticsError):
+                    compare_samples(x, y)
+                continue
+            got = statistics(compare_samples(x, y))
+            assert [v.hex() for v in got] == [v.hex() for v in want], (x, y)
+        # both outcomes are exercised, mostly the finite one
+        assert 100 < untestable < 1000
 
 
 class TestWelchProperties:
@@ -146,27 +218,19 @@ class TestWelchProperties:
         for _ in range(50):
             x = rng.normal(0.0, 1.0, int(rng.integers(3, 20)))
             y = rng.normal(0.5, 2.0, int(rng.integers(3, 20)))
-            t_xy, dof_xy, p_xy = welch_t(x, y)
-            t_yx, dof_yx, p_yx = welch_t(y, x)
-            assert t_xy == pytest.approx(-t_yx, rel=1e-12)
-            assert dof_xy == pytest.approx(dof_yx, rel=1e-12)
-            assert p_xy == pytest.approx(p_yx, rel=1e-12)
+            xy, yx = compare_samples(x, y), compare_samples(y, x)
+            assert xy.t_stat == pytest.approx(-yx.t_stat, rel=1e-12)
+            assert xy.dof == pytest.approx(yx.dof, rel=1e-12)
+            assert xy.p_value == pytest.approx(yx.p_value, rel=1e-12)
 
     def test_invariant_under_common_affine_map(self):
         rng = np.random.default_rng(83)
         x = rng.normal(10.0, 2.0, 12)
         y = rng.normal(11.0, 3.0, 9)
-        t0, dof0, p0 = welch_t(x, y)
-        d0, lo0, hi0 = cohens_d(x, y)
+        before = statistics(compare_samples(x, y))
         for scale, shift in ((2.5, 0.0), (0.001, -4.0), (1000.0, 37.0)):
-            t1, dof1, p1 = welch_t(scale * x + shift, scale * y + shift)
-            d1, lo1, hi1 = cohens_d(scale * x + shift, scale * y + shift)
-            assert t1 == pytest.approx(t0, rel=1e-9)
-            assert dof1 == pytest.approx(dof0, rel=1e-9)
-            assert p1 == pytest.approx(p0, rel=1e-9)
-            assert d1 == pytest.approx(d0, rel=1e-9)
-            assert lo1 == pytest.approx(lo0, rel=1e-9)
-            assert hi1 == pytest.approx(hi0, rel=1e-9)
+            after = statistics(compare_samples(scale * x + shift, scale * y + shift))
+            assert after == pytest.approx(before, rel=1e-9)
 
     def test_p_tracks_permutation_truth(self):
         # Across 20 random two-sample problems, the analytic p-value should
@@ -179,38 +243,34 @@ class TestWelchProperties:
             shift = float(rng.uniform(0.0, 3.0))
             x = rng.normal(0.0, 1.0, 5)
             y = rng.normal(shift, 1.0, 5)
-            t_obs, _, p = welch_t(x, y)
+            observed = compare_samples(x, y)
             pooled = np.concatenate([x, y])
             hits = 0
             total = 0
             for idx in itertools.combinations(range(10), 5):
                 mask = np.zeros(10, dtype=bool)
                 mask[list(idx)] = True
-                t_perm, _, _ = welch_t(pooled[mask], pooled[~mask])
-                hits += abs(t_perm) >= abs(t_obs) - 1e-12
+                t_perm = compare_samples(pooled[mask], pooled[~mask]).t_stat
+                hits += abs(t_perm) >= abs(observed.t_stat) - 1e-12
                 total += 1
-            analytic.append(p)
+            analytic.append(observed.p_value)
             exact.append(hits / total)
         rank_a = np.argsort(np.argsort(analytic))
         rank_e = np.argsort(np.argsort(exact))
         corr = np.corrcoef(rank_a, rank_e)[0, 1]
         assert corr > 0.9
 
-    def test_rejects_single_observation(self):
-        with pytest.raises(DegenerateStatisticsError):
-            welch_t([1.0], [2.0, 3.0])
-
     def test_rejects_double_zero_variance(self):
         with pytest.raises(DegenerateStatisticsError):
-            welch_t([2.0, 2.0, 2.0], [5.0, 5.0])
+            compare_samples([2.0, 2.0, 2.0], [5.0, 5.0])
 
     def test_one_sided_zero_variance_is_fine(self):
-        t, dof, p = welch_t([2.0, 2.0, 2.0], [5.0, 6.0])
-        assert math.isfinite(t) and math.isfinite(p)
+        cell = compare_samples([2.0, 2.0, 2.0], [5.0, 6.0])
+        assert math.isfinite(cell.t_stat) and math.isfinite(cell.p_value)
 
     def test_cohens_d_zero_pooled_sd_degenerate(self):
         with pytest.raises(DegenerateStatisticsError):
-            cohens_d([1.0, 1.0], [1.0, 1.0])
+            compare_samples([1.0, 1.0], [1.0, 1.0])
 
 
 class TestSignificanceRule:
@@ -275,10 +335,8 @@ class TestCompareCohort:
         ys = [r.features.rav for r in rows
               if r.group is Group.HEALTHY and r.task is key_task
               and r.segment is key_seg and r.placement is key_pl]
-        t, dof, p = welch_t(xs, ys)
         cell = table.cell(key_task, "rav", key_pl, key_seg)
-        assert cell.t_stat == pytest.approx(t, rel=1e-12)
-        assert cell.p_value == pytest.approx(p, rel=1e-12)
+        assert cell == compare_samples(xs, ys)
 
     def test_duration_observations_come_from_wrist_rows(self):
         rows = full_matrix()
@@ -290,8 +348,7 @@ class TestCompareCohort:
               if r.group is Group.HEALTHY and r.task is TaskKind.WH
               and r.segment is SegmentKind.COMPLETE and r.placement is Placement.WRIST]
         cell = table.cell(TaskKind.WH, "duration_s", None, SegmentKind.COMPLETE)
-        t, _, _ = welch_t(xs, ys)
-        assert cell.t_stat == pytest.approx(t, rel=1e-12)
+        assert cell == compare_samples(xs, ys)
 
     def test_missing_group_is_cohort_error(self):
         rows = [r for r in full_matrix() if r.group is Group.PATIENT]
