@@ -57,12 +57,12 @@ def main():
         ]
         total = 0.6 + k * pulse + (k - 1) * gap + 0.3
         stream = synth_segment(specs, total, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
-        a_norm = euclidean_norm(stream.accel, RATE)
-        w_norm = euclidean_norm(stream.gyro, RATE)
+        a_norm = euclidean_norm(stream.accel)
+        w_norm = euclidean_norm(stream.gyro)
         print(
             f" {k}   {mean_crossing_count(a_norm):5d}   {peak_count(a_norm, params):4d}"
-            f"   {spectral_arc_length(w_norm, params):7.3f}"
-            f"  {log_dimensionless_jerk(a_norm):8.3f}"
+            f"   {spectral_arc_length(w_norm, RATE, params):7.3f}"
+            f"  {log_dimensionless_jerk(a_norm, RATE):8.3f}"
         )
     print()
     print("more fragmentation, lower SPARC (longer spectral arc), more peaks.")

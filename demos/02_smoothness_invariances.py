@@ -28,13 +28,13 @@ RATE = 128.0
 
 
 def feature_line(stream, params):
-    a_norm = euclidean_norm(stream.accel, RATE)
-    w_norm = euclidean_norm(stream.gyro, RATE)
+    a_norm = euclidean_norm(stream.accel)
+    w_norm = euclidean_norm(stream.gyro)
     return (
         mean_crossing_count(a_norm),
         peak_count(a_norm, params),
-        spectral_arc_length(w_norm, params),
-        log_dimensionless_jerk(a_norm),
+        spectral_arc_length(w_norm, RATE, params),
+        log_dimensionless_jerk(a_norm, RATE),
         angular_velocity_range(stream.gyro),
     )
 
@@ -82,8 +82,8 @@ def main():
         scaled = SensorStream(
             accel=c * stream.accel, gyro=c * stream.gyro, sample_rate_hz=RATE
         )
-        s = spectral_arc_length(euclidean_norm(scaled.gyro, RATE), params)
-        l = log_dimensionless_jerk(euclidean_norm(scaled.accel, RATE))
+        s = spectral_arc_length(euclidean_norm(scaled.gyro), RATE, params)
+        l = log_dimensionless_jerk(euclidean_norm(scaled.accel), RATE)
         v = angular_velocity_range(scaled.gyro)
         print(f"{c:6.1f}   {s:7.3f}   {l:8.3f}   {v:8.2f}")
     print()

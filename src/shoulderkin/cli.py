@@ -13,16 +13,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import ingest, report, synth
-from .errors import (
-    CohortError,
-    DegenerateSignalError,
-    DegenerateStatisticsError,
-    FeatureError,
-    ParseError,
-    ShoulderKinError,
-    TooShortError,
-    ValidationError,
-)
+from .errors import CohortError, ParseError, ShoulderKinError, ValidationError
 from .features import FeatureParams, extract_cohort, read_matrix, write_matrix
 from .model import TaskKind
 from .stats import SignificanceRule, compare_cohort
@@ -166,9 +157,6 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    except (DegenerateSignalError, DegenerateStatisticsError, TooShortError, FeatureError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except ShoulderKinError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR

@@ -5,6 +5,10 @@ spectral arc length, log dimensionless jerk), two intensity measures
 (angular-velocity range and its product with the acceleration range), and
 the segment duration. Each is a deterministic map from one labelled window
 to a scalar; `extract_all` evaluates the whole set for one grid cell.
+
+The four smoothness kernels take a plain 1-D float array (a norm from
+`dsp.euclidean_norm`) that the caller has checked to be finite; they check
+only the lengths and durations that a short label window can break.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import ScalarSeries, euclidean_norm, magnitude_spectrum
+from .dsp import euclidean_norm, magnitude_spectrum
 from .dsp import derivative as _derivative
 from .errors import DegenerateSignalError, FeatureError, TooShortError, ValidationError
 from .ingest import format_float, parse_cell, read_lines, split_rows
@@ -75,18 +79,17 @@ class FeatureParams:
             raise ValidationError(f"min_segment_s must be positive, got {self.min_segment_s}")
 
 
-def mean_crossing_count(a_norm: ScalarSeries) -> int:
-    """Number of times the signal crosses its own mean.
+def mean_crossing_count(v: np.ndarray) -> int:
+    """Number of times the 1-D signal `v` crosses its own mean.
 
     A crossing is a consecutive pair whose deviations from the mean have
     strictly opposite signs. Samples sitting exactly on the mean inherit
     the sign of the last strictly-signed sample, so touching the mean and
-    returning to the same side counts nothing.
+    returning to the same side counts nothing. Needs at least 2 samples.
     """
-    n = len(a_norm)
+    n = len(v)
     if n < 2:
         raise TooShortError(f"mean crossings need >= 2 samples, got {n}")
-    v = a_norm.values
     mean = v.sum() / n
     # A crossing is a nonzero sign of v - mean that differs from the last
     # nonzero one. fl(v - mean) is zero exactly when v == mean and otherwise
@@ -95,8 +98,8 @@ def mean_crossing_count(a_norm: ScalarSeries) -> int:
     return int(np.count_nonzero(above[1:] != above[:-1]))
 
 
-def peak_count(a_norm: ScalarSeries, params: FeatureParams | None = None) -> int:
-    """Number of peaks whose prominence is at least h.
+def peak_count(v: np.ndarray, params: FeatureParams | None = None) -> int:
+    """Number of peaks of the 1-D signal `v` whose prominence is at least h.
 
     h is peak_prominence_frac times the segment's value range, which keeps
     sensor-noise ripples out of the count. A constant segment has no peaks.
@@ -109,12 +112,13 @@ def peak_count(a_norm: ScalarSeries, params: FeatureParams | None = None) -> int
       An equal peak does not stop this walk.
     - The peak counts if ``peak - max(left_base, right_base) >= h``, in
       floating point as written.
+
+    Needs at least 3 samples.
     """
     params = params or FeatureParams()
-    n = len(a_norm)
+    n = len(v)
     if n < 3:
         raise TooShortError(f"peak count needs >= 3 samples, got {n}")
-    v = a_norm.values
     spread = float(v.max() - v.min())
     if spread == 0.0:
         return 0
@@ -162,7 +166,9 @@ def _prominent_peak_count(v: np.ndarray, h: float) -> int:
     return int(np.count_nonzero(deep[:k] & deep[: k - 1 : -1]))
 
 
-def spectral_arc_length(w_norm: ScalarSeries, params: FeatureParams | None = None) -> float:
+def spectral_arc_length(
+    w_norm: np.ndarray, sample_rate_hz: float, params: FeatureParams | None = None
+) -> float:
     """Negative arc length of the normalized magnitude spectrum (SPARC).
 
     The spectrum is normalized by its DC value, restricted to frequencies
@@ -172,18 +178,21 @@ def spectral_arc_length(w_norm: ScalarSeries, params: FeatureParams | None = Non
     curve, with the frequency axis rescaled to unit length, is returned
     negated: smoother movement gives a value closer to 0.
 
-    Raises a degenerate-signal error when the DC component is zero, since
-    the normalization is then undefined.
+    `w_norm` is a 1-D signal sampled at `sample_rate_hz`, with at least 2
+    samples and at least min_segment_s seconds (N / rate) of signal. Raises
+    a degenerate-signal error when the DC component is zero, since the
+    normalization is then undefined.
     """
     params = params or FeatureParams()
     n = len(w_norm)
     if n < 2:
         raise TooShortError(f"sparc needs >= 2 samples, got {n}")
-    if w_norm.duration_s < params.min_segment_s:
+    duration_s = n / sample_rate_hz
+    if duration_s < params.min_segment_s:
         raise TooShortError(
-            f"sparc needs >= {params.min_segment_s} s of signal, got {w_norm.duration_s:.4f} s"
+            f"sparc needs >= {params.min_segment_s} s of signal, got {duration_s:.4f} s"
         )
-    spectrum = magnitude_spectrum(w_norm, params.sparc_pad_level)
+    spectrum = magnitude_spectrum(w_norm, sample_rate_hz, params.sparc_pad_level)
     dc = spectrum.magnitudes[0]
     if dc == 0.0:
         raise DegenerateSignalError("sparc is undefined: zero DC component (all-zero signal)")
@@ -203,30 +212,36 @@ def spectral_arc_length(w_norm: ScalarSeries, params: FeatureParams | None = Non
     return -float(np.sqrt(df * df + dv * dv).sum())
 
 
-def log_dimensionless_jerk(a_norm: ScalarSeries) -> float:
+def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
     """Negated natural log of the dimensionless squared-jerk integral.
 
-    With T the segment duration, j the numerical derivative of the signal
-    and dt the sample period:
+    `a_norm` is a 1-D signal sampled at `sample_rate_hz`, with at least 3
+    samples. With T the segment duration, j the numerical derivative of the
+    signal and dt the sample period:
 
         -ln( T / max(signal)^2 * sum(j^2) * dt )
 
-    Larger (less negative) means smoother. Constant signals (zero jerk)
-    and signals with zero peak are degenerate: the log has no value.
+    Larger (less negative) means smoother. Constant signals (zero jerk),
+    signals with zero peak and signals whose ratio underflows to 0.0 are
+    degenerate: the log has no value. A jerk that overflows gives -inf,
+    which the caller rejects as not finite.
     """
     n = len(a_norm)
     if n < 3:
         raise TooShortError(f"dimensionless jerk needs >= 3 samples, got {n}")
-    peak = float(np.max(a_norm.values))
+    peak = float(np.max(a_norm))
     if peak == 0.0:
         raise DegenerateSignalError("dimensionless jerk is undefined: zero peak value")
-    jerk = _derivative(a_norm).values
-    dt = 1.0 / a_norm.sample_rate_hz
+    jerk = _derivative(a_norm, sample_rate_hz)
+    dt = 1.0 / sample_rate_hz
     jerk_integral = float(np.sum(jerk * jerk)) * dt
     if jerk_integral == 0.0:
         raise DegenerateSignalError("dimensionless jerk is undefined: constant signal")
     duration = n * dt
-    return -math.log(duration / (peak * peak) * jerk_integral)
+    ratio = duration / (peak * peak) * jerk_integral
+    if ratio == 0.0:
+        raise DegenerateSignalError("dimensionless jerk is undefined: the ratio underflows to 0")
+    return -math.log(ratio)
 
 
 def _mean_axis_range(samples: np.ndarray) -> float:
@@ -247,11 +262,6 @@ def power_index(accel: np.ndarray, rav: float) -> float:
     return _mean_axis_range(accel) * rav
 
 
-def segment_duration(start: int, end: int, sample_rate_hz: float) -> float:
-    """Window length in seconds: (end - start) / rate, exactly."""
-    return (end - start) / sample_rate_hz
-
-
 def extract_all(
     session: Session,
     task: TaskKind,
@@ -267,8 +277,9 @@ def extract_all(
     only on the label window, never on the placement.
 
     Finite samples can still overflow: one above about 1e154 squares to
-    inf. numpy's overflow warning is silenced, and the inf is rejected by
-    `ScalarSeries` or `FeatureVector` as a validation error naming the cell.
+    inf. numpy's overflow warning is silenced, and an inf norm, or a feature
+    that `FeatureVector` finds not finite, is a validation error naming the
+    cell.
     """
     params = params or FeatureParams()
     label = session.labels.get(task)
@@ -281,18 +292,20 @@ def extract_all(
     rate = segment.sample_rate_hz
     try:
         with np.errstate(over="ignore"):
-            a_norm = euclidean_norm(segment.accel, rate)
-            w_norm = euclidean_norm(segment.gyro, rate)
+            a_norm = euclidean_norm(segment.accel)
+            w_norm = euclidean_norm(segment.gyro)
+            if not (np.isfinite(a_norm).all() and np.isfinite(w_norm).all()):
+                raise ValidationError("series contains non-finite values")
             start, end = label.window(kind)
             rav = angular_velocity_range(segment.gyro)
             return FeatureVector(
                 nmcp_a=mean_crossing_count(a_norm),
                 np_a=peak_count(a_norm, params),
-                sparc=spectral_arc_length(w_norm, params),
-                ldlj_a=log_dimensionless_jerk(a_norm),
+                sparc=spectral_arc_length(w_norm, rate, params),
+                ldlj_a=log_dimensionless_jerk(a_norm, rate),
                 rav=rav,
                 pi=power_index(segment.accel, rav),
-                duration_s=segment_duration(start, end, rate),
+                duration_s=(end - start) / rate,
             )
     except (TooShortError, DegenerateSignalError) as err:
         raise FeatureError(session.subject_id, task, kind, placement, err) from err

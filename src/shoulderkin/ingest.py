@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, NamedTuple, NoReturn
@@ -41,16 +43,25 @@ LABELS_HEADER = "TASK,s1,e1,s2,e2,s3,e3"
 COHORT_MANIFEST_NAME = "cohort.txt"
 
 
+def _open_nonblocking(path, flags: int) -> int:
+    # without O_NONBLOCK, opening a FIFO waits for a writer
+    return os.open(path, flags | os.O_NONBLOCK)
+
+
 def read_lines(path, header: str | None = None, missing: Exception | None = None) -> list[str]:
     """Read a UTF-8 text file as lines, accepting LF or CRLF endings.
 
     The final newline does not yield an empty last line. When `header` is
     given, the first line must equal it. A missing file raises `missing`,
     by default a "file not found" parse error; any other unreadable,
-    undecodable or non-file path is a parse error.
+    undecodable or non-file path is a parse error. Only a regular file is
+    read: a directory, FIFO or device (``/dev/zero``) is refused before
+    any read, so none can block or fill memory.
     """
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", opener=_open_nonblocking) as fh:
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                raise ParseError("not a regular file", path=path)
             text = fh.read().decode("utf-8")
     except (FileNotFoundError, NotADirectoryError):
         raise missing or ParseError("file not found", path=path) from None

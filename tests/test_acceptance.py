@@ -25,7 +25,7 @@ from shoulderkin import (
     load_cohort,
     render_report,
 )
-from shoulderkin.dsp import ScalarSeries, euclidean_norm, fft_length, magnitude_spectrum
+from shoulderkin.dsp import euclidean_norm, fft_length, magnitude_spectrum
 from shoulderkin.features import (
     angular_velocity_range,
     log_dimensionless_jerk,
@@ -102,13 +102,13 @@ def random_rotation(rng):
 
 
 def norm_features(stream):
-    a_norm = euclidean_norm(stream.accel, RATE)
-    w_norm = euclidean_norm(stream.gyro, RATE)
+    a_norm = euclidean_norm(stream.accel)
+    w_norm = euclidean_norm(stream.gyro)
     return (
         mean_crossing_count(a_norm),
         peak_count(a_norm, PARAMS),
-        spectral_arc_length(w_norm, PARAMS),
-        log_dimensionless_jerk(a_norm),
+        spectral_arc_length(w_norm, RATE, PARAMS),
+        log_dimensionless_jerk(a_norm, RATE),
     )
 
 
@@ -159,17 +159,17 @@ def test_scale_invariance():
     rng = np.random.default_rng(77)
     for _ in range(3):
         stream = random_segment(rng)
-        a_norm = euclidean_norm(stream.accel, RATE)
-        w_norm = euclidean_norm(stream.gyro, RATE)
-        sparc = spectral_arc_length(w_norm, PARAMS)
-        ldlj = log_dimensionless_jerk(a_norm)
+        a_norm = euclidean_norm(stream.accel)
+        w_norm = euclidean_norm(stream.gyro)
+        sparc = spectral_arc_length(w_norm, RATE, PARAMS)
+        ldlj = log_dimensionless_jerk(a_norm, RATE)
         rav = angular_velocity_range(stream.gyro)
         for c in (0.1, 2.0, 100.0):
             scaled = SensorStream(
                 accel=c * stream.accel, gyro=c * stream.gyro, sample_rate_hz=RATE
             )
-            sparc_c = spectral_arc_length(euclidean_norm(scaled.gyro, RATE), PARAMS)
-            ldlj_c = log_dimensionless_jerk(euclidean_norm(scaled.accel, RATE))
+            sparc_c = spectral_arc_length(euclidean_norm(scaled.gyro), RATE, PARAMS)
+            ldlj_c = log_dimensionless_jerk(euclidean_norm(scaled.accel), RATE)
             rav_c = angular_velocity_range(scaled.gyro)
             assert abs(sparc_c - sparc) <= 1e-9 * abs(sparc)
             assert abs(ldlj_c - ldlj) <= 1e-9 * abs(ldlj)
@@ -195,8 +195,8 @@ def test_smoothness_monotonicity():
             ]
             total = 0.6 + k * pulse + (k - 1) * gap + 0.3
             stream = synth_segment(specs, total, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
-            sparcs.append(spectral_arc_length(euclidean_norm(stream.gyro, RATE), PARAMS))
-            peaks.append(peak_count(euclidean_norm(stream.accel, RATE), PARAMS))
+            sparcs.append(spectral_arc_length(euclidean_norm(stream.gyro), RATE, PARAMS))
+            peaks.append(peak_count(euclidean_norm(stream.accel), PARAMS))
         assert all(b < a for a, b in zip(sparcs, sparcs[1:])), (seed, sparcs)
         assert all(b > a for a, b in zip(peaks, peaks[1:])), (seed, peaks)
 
@@ -222,7 +222,7 @@ def test_spectrum_oracle():
         basis = np.exp(-2j * np.pi * np.outer(bins, np.arange(pow2)) / n_fft)
         for n in range(max(2, pow2 // 2 + 1), pow2 + 1):
             x = rng.normal(size=n)
-            spec = magnitude_spectrum(ScalarSeries(values=x, sample_rate_hz=RATE))
+            spec = magnitude_spectrum(x, RATE)
             direct = np.abs(basis[:, :n] @ x)
             assert spec.magnitudes.shape == direct.shape
             assert np.max(np.abs(spec.magnitudes - direct)) <= 1e-7 * np.max(direct)

@@ -1,5 +1,7 @@
 """The package's top-level names are exactly the documented API."""
 
+import importlib
+import importlib.util
 import re
 from inspect import ismodule
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import shoulderkin
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 PUBLIC = {
     # the README's library example
@@ -64,3 +67,19 @@ def test_package_source_never_mentions_scipy():
     assert sources
     mentions = [p.name for p in sources if "scipy" in p.read_text(encoding="utf-8").lower()]
     assert mentions == []
+
+
+def test_every_traced_function_exists():
+    # the benchmark's tracer wraps these by name; a rename or deletion here
+    # would otherwise surface only in its own, much slower, self-tests
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{module}.{name}"
+        for module, name, _span in spans.WRAPPED
+        if not callable(getattr(importlib.import_module(f"shoulderkin.{module}"), name, None))
+    ]
+    assert spans.WRAPPED
+    assert missing == []
+    assert set(spans.COUNTERS) <= {name for _module, name, _span in spans.WRAPPED}

@@ -26,11 +26,13 @@ from shoulderkin.cli import (
 from shoulderkin.features import FeatureRow
 from shoulderkin.ingest import (
     COHORT_MANIFEST_NAME,
+    LABELS_HEADER,
     RECORDING_HEADER,
     parse_labels,
     parse_recording,
     parse_session_manifest,
     write_recording,
+    write_session_manifest,
 )
 from shoulderkin.model import FeatureVector, Group, Placement, SegmentKind, SensorStream, TaskKind
 
@@ -317,6 +319,48 @@ class TestExitCodes:
         assert "error: P01 WH/complete/wrist: " in err
         assert "Traceback" not in err and "Warning" not in err
 
+    def test_extract_ldlj_underflow_fails_the_cell(self, small_cohort, tmp_path, capsys):
+        # a 3-sample window at 7.5e15 Hz whose jerk is one ulp of a 1.34e154
+        # norm: T / peak^2 * integral underflows to 0.0, whose log is undefined
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        accel = np.zeros((80, 3))
+        accel[:, 0] = np.nextafter(1.34e154, 0.0)
+        accel[0, 0] = 1.34e154
+        gyro = np.random.default_rng(5).normal(0.0, 1.0, (80, 3))
+        subject = replace_first_session(cohort, 7.5e15, accel, gyro)
+        params = tmp_path / "params.txt"
+        params.write_text("min_segment_s = 1e-17\n")
+        out = tmp_path / "m.csv"
+        argv = ["extract", "--cohort", str(cohort), "--out", str(out), "--params", str(params)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_DEGENERATE, err
+        underflow = "dimensionless jerk is undefined: the ratio underflows to 0"
+        assert f"failed cell: {subject} WH/sub1/wrist: {underflow}" in err
+        assert "6 cells failed" in err
+        rows = read_matrix(out)
+        assert len(rows) == 3 * 5 * 4 * 2 + 2
+        assert {r.segment for r in rows if r.subject_id == subject} == {SegmentKind.COMPLETE}
+
+    def test_extract_overflowing_jerk_names_the_cell(self, small_cohort, tmp_path, capsys):
+        # the norms are finite, but at 1e300 Hz their derivative is not
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        rng = np.random.default_rng(6)
+        accel, gyro = rng.normal(0.0, 1e10, (80, 3)), rng.normal(0.0, 1.0, (80, 3))
+        subject = replace_first_session(cohort, 1e300, accel, gyro)
+        params = tmp_path / "params.txt"
+        params.write_text("min_segment_s = 1e-300\n")
+        argv = ["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv + ["--params", str(params)])
+        assert code == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"error: {subject} WH/complete/wrist: ldlj_a is not finite" in err
+        assert "Traceback" not in err and "Warning" not in err
+
     def test_extract_bad_last_session_writes_nothing(self, small_cohort, tmp_path, capsys):
         # sessions are extracted as they load, so every cell before the
         # bad session has been computed when its parse error ends the run
@@ -506,6 +550,23 @@ def recording_of(session_path):
     return parse_session_manifest(session_path).recordings[Placement.WRIST]
 
 
+def replace_first_session(cohort, rate, accel, gyro):
+    """Give the first session `accel` and `gyro` at `rate` on both placements
+    and one WH label of three 3-sample subtasks; returns its subject id.
+
+    Values are written with `repr`, so they read back bit for bit."""
+    manifest_path = cohort / manifest_entries(cohort)[0]
+    manifest = parse_session_manifest(manifest_path)
+    body = np.column_stack((np.arange(len(accel)) / rate, accel, gyro)).tolist()
+    text = RECORDING_HEADER + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in body)
+    for rel in manifest.recordings.values():
+        (cohort / rel).write_text(text)
+    (cohort / manifest.labels_path).write_text(LABELS_HEADER + "\nWH,0,3,3,6,6,9\n")
+    rated = dataclasses.replace(manifest, sample_rate_hz=rate)
+    manifest_path.write_bytes(write_session_manifest(rated))
+    return manifest.subject_id
+
+
 def corrupt_cell(recording, line_index, column, text):
     """Replace one cell of a recording; `line_index` counts the header as 0."""
     lines = recording.read_text().splitlines()
@@ -625,12 +686,13 @@ class TestConsoleScript:
 SRC_DIR = str(Path(shoulderkin.__file__).resolve().parents[1])
 
 
-def run_python(*args, cwd=None):
+def run_python(*args, cwd=None, timeout=None):
     """Run a fresh interpreter that imports this checkout's package."""
     path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    # one BLAS thread keeps numpy's own address-space reservations small
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout
     )
 
 
@@ -690,3 +752,42 @@ class TestFreshProcess:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "simulate" in proc.stdout
+
+
+class TestSpecialFiles:
+    """A recording that is a FIFO or a device is refused before any read.
+
+    Each run is a child process under an address-space limit and a timeout,
+    so code that blocks on the FIFO or reads /dev/zero to the end fails the
+    test instead of hanging or filling the machine's memory."""
+
+    PROBE = (
+        "import resource, sys\n"
+        "limit = 512 << 20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "import shoulderkin\n"
+        "sys.exit(shoulderkin.main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.parametrize("kind", ["fifo", "/dev/zero", "/dev/null"])
+    def test_special_recording_exits_format(self, small_cohort, tmp_path, kind):
+        if kind == "fifo":
+            special = tmp_path / "wrist.fifo"
+            os.mkfifo(special)
+        else:
+            special = Path(kind)
+            if not special.exists():
+                pytest.skip(f"{kind} does not exist here")
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        session = cohort / manifest_entries(cohort)[0]
+        manifest = parse_session_manifest(session)
+        recordings = {**manifest.recordings, Placement.WRIST: str(special)}
+        session.write_bytes(
+            write_session_manifest(dataclasses.replace(manifest, recordings=recordings))
+        )
+        argv = ["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")]
+        proc = run_python("-c", self.PROBE, *argv, timeout=60)
+        assert proc.returncode == EXIT_FORMAT, proc.stderr
+        assert f"{special}: not a regular file" in proc.stderr
+        assert "Traceback" not in proc.stderr

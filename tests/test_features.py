@@ -16,7 +16,7 @@ from shoulderkin import (
     read_matrix,
     write_matrix,
 )
-from shoulderkin.dsp import ScalarSeries, fft_length
+from shoulderkin.dsp import fft_length
 from shoulderkin.features import (
     MATRIX_HEADER,
     SPARC_MAX_PAD_LEVEL,
@@ -27,7 +27,6 @@ from shoulderkin.features import (
     mean_crossing_count,
     peak_count,
     power_index,
-    segment_duration,
     spectral_arc_length,
 )
 from shoulderkin.model import (
@@ -44,8 +43,8 @@ from shoulderkin.model import (
 RATE = 128.0
 
 
-def series(values, rate=RATE):
-    return ScalarSeries(np.asarray(values, dtype=float), rate)
+def series(values):
+    return np.asarray(values, dtype=float)
 
 
 def crossing_oracle(values):
@@ -216,23 +215,23 @@ class TestSpectralArcLength:
         for _ in range(25):
             n = int(rng.integers(64, 257))
             values = np.abs(rng.normal(2.0, 1.0, size=n))
-            got = spectral_arc_length(series(values), params)
+            got = spectral_arc_length(series(values), RATE, params)
             want = sparc_direct(values, RATE, params)
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_amplitude_scale_invariant(self):
         rng = np.random.default_rng(41)
         values = np.abs(rng.normal(2.0, 1.0, size=200))
-        base = spectral_arc_length(series(values))
+        base = spectral_arc_length(series(values), RATE)
         for c in (0.1, 2.0, 100.0):
-            scaled = spectral_arc_length(series(c * values))
+            scaled = spectral_arc_length(series(c * values), RATE)
             assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_two_submovements_rougher_than_one(self):
         one = min_jerk_pulse(256)
         two = np.concatenate([min_jerk_pulse(96), np.zeros(64), min_jerk_pulse(96)])
-        s_one = spectral_arc_length(series(one))
-        s_two = spectral_arc_length(series(two))
+        s_one = spectral_arc_length(series(one), RATE)
+        s_two = spectral_arc_length(series(two), RATE)
         assert s_two < s_one < 0.0
 
     def test_selection_spans_across_an_interior_dip(self):
@@ -244,14 +243,14 @@ class TestSpectralArcLength:
         params = FeatureParams()
         from shoulderkin.dsp import magnitude_spectrum
 
-        spec = magnitude_spectrum(series(values), params.sparc_pad_level)
+        spec = magnitude_spectrum(series(values), RATE, params.sparc_pad_level)
         vhat = spec.magnitudes / spec.magnitudes[0]
         keep = spec.freqs_hz <= params.sparc_max_cutoff_hz
         vhat = vhat[keep]
         above = np.nonzero(vhat >= params.sparc_amp_threshold)[0]
         interior = vhat[above[0] : above[-1] + 1]
         assert interior.min() < params.sparc_amp_threshold  # a genuine dip
-        got = spectral_arc_length(series(values), params)
+        got = spectral_arc_length(series(values), RATE, params)
         want = sparc_direct(values, RATE, params)
         assert got == pytest.approx(want, abs=1e-9)
         # crossing the dip twice costs at least the two vertical excursions
@@ -261,19 +260,19 @@ class TestSpectralArcLength:
         # power-of-two length and no padding keep the constant's transform
         # on a single bin, so the selection collapses to one point.
         params = FeatureParams(sparc_pad_level=0)
-        assert spectral_arc_length(series(np.full(256, 3.0)), params) == 0.0
+        assert spectral_arc_length(series(np.full(256, 3.0)), RATE, params) == 0.0
 
     def test_all_zero_signal_is_degenerate(self):
         with pytest.raises(DegenerateSignalError, match="zero DC"):
-            spectral_arc_length(series(np.zeros(128)))
+            spectral_arc_length(series(np.zeros(128)), RATE)
 
     def test_min_duration_gate(self):
         with pytest.raises(TooShortError):
-            spectral_arc_length(series(np.ones(16)))  # 0.125 s < 0.25 s
+            spectral_arc_length(series(np.ones(16)), RATE)  # 0.125 s < 0.25 s
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
-            spectral_arc_length(series([1.0]))
+            spectral_arc_length(series([1.0]), RATE)
 
 
 class TestLogDimensionlessJerk:
@@ -284,33 +283,43 @@ class TestLogDimensionlessJerk:
         t = np.arange(256) / RATE
         values = 5.0 + 2.0 * np.sin(2.0 * np.pi * t)
         want = -math.log(2.0 / 49.0 * 16.0 * math.pi**2)
-        got = log_dimensionless_jerk(series(values))
+        got = log_dimensionless_jerk(series(values), RATE)
         assert got == pytest.approx(want, abs=0.01)
 
     def test_amplitude_scale_invariant(self):
         rng = np.random.default_rng(43)
         values = np.abs(rng.normal(3.0, 1.0, size=300))
-        base = log_dimensionless_jerk(series(values))
+        base = log_dimensionless_jerk(series(values), RATE)
         for c in (0.1, 2.0, 100.0):
-            assert log_dimensionless_jerk(series(c * values)) == pytest.approx(base, rel=1e-9)
+            scaled = log_dimensionless_jerk(series(c * values), RATE)
+            assert scaled == pytest.approx(base, rel=1e-9)
 
     def test_smoother_signal_scores_higher(self):
         t = np.arange(512) / RATE
         slow = 10.0 + np.sin(2.0 * np.pi * 1.0 * t)
         fast = 10.0 + np.sin(2.0 * np.pi * 6.0 * t)
-        assert log_dimensionless_jerk(series(slow)) > log_dimensionless_jerk(series(fast))
+        assert log_dimensionless_jerk(series(slow), RATE) > log_dimensionless_jerk(
+            series(fast), RATE
+        )
 
     def test_zero_signal_degenerate(self):
         with pytest.raises(DegenerateSignalError):
-            log_dimensionless_jerk(series(np.zeros(64)))
+            log_dimensionless_jerk(series(np.zeros(64)), RATE)
 
     def test_constant_signal_degenerate(self):
         with pytest.raises(DegenerateSignalError, match="constant"):
-            log_dimensionless_jerk(series(np.full(64, 2.0)))
+            log_dimensionless_jerk(series(np.full(64, 2.0)), RATE)
+
+    def test_ratio_underflow_degenerate(self):
+        # the jerk is one ulp of a 1.34e154 peak, so T / peak^2 * integral
+        # is below the smallest subnormal and its log has no value
+        values = series([1.34e154, np.nextafter(1.34e154, 0.0), np.nextafter(1.34e154, 0.0)])
+        with pytest.raises(DegenerateSignalError, match="underflows"):
+            log_dimensionless_jerk(values, 7.5e15)
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
-            log_dimensionless_jerk(series([1.0, 2.0]))
+            log_dimensionless_jerk(series([1.0, 2.0]), RATE)
 
 
 class TestRangesAndDuration:
@@ -329,18 +338,14 @@ class TestRangesAndDuration:
         assert angular_velocity_range(one) == 0.0
         assert power_index(one, angular_velocity_range(one)) == 0.0
 
-    def test_segment_duration(self):
-        assert segment_duration(0, 128, 128.0) == 1.0
-        assert segment_duration(64, 96, 128.0) == 0.25
 
-
-def build_session(rng, n=640, subject_id="S01", group=Group.PATIENT):
+def build_session(rng, n=640, subject_id="S01", group=Group.PATIENT, rate=RATE):
     accel = rng.normal(0.0, 2.0, (n, 3)) + np.array([0.0, 0.0, 9.81])
     gyro = rng.normal(0.0, 30.0, (n, 3))
     streams = {
-        Placement.WRIST: SensorStream(accel=accel, gyro=gyro, sample_rate_hz=RATE),
+        Placement.WRIST: SensorStream(accel=accel, gyro=gyro, sample_rate_hz=rate),
         Placement.ARM: SensorStream(
-            accel=0.5 * accel, gyro=0.5 * gyro, sample_rate_hz=RATE
+            accel=0.5 * accel, gyro=0.5 * gyro, sample_rate_hz=rate
         ),
     }
     labels = [
@@ -372,6 +377,21 @@ class TestExtractAll:
             wrist = extract_all(session, TaskKind.WH, kind, Placement.WRIST)
             arm = extract_all(session, TaskKind.WH, kind, Placement.ARM)
             assert wrist.duration_s == arm.duration_s
+
+    def test_duration_is_window_length_over_rate(self):
+        # (end - start) / rate exactly, at a rate where that is inexact
+        rng = np.random.default_rng(47)
+        session = build_session(rng, rate=100.0)
+        label = session.labels[TaskKind.WH]
+        got = {
+            kind: extract_all(session, TaskKind.WH, kind, Placement.WRIST).duration_s
+            for kind in SegmentKind
+        }
+        assert got[SegmentKind.COMPLETE] == 6.4
+        assert got[SegmentKind.SUB1] == got[SegmentKind.SUB2] == 1.6
+        for kind, duration in got.items():
+            start, end = label.window(kind)
+            assert duration == (end - start) / 100.0
 
     def test_rotation_leaves_norm_features_and_moves_rav(self):
         rng = np.random.default_rng(53)

@@ -14,14 +14,10 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from shoulderkin import FeatureParams
-from shoulderkin.dsp import ScalarSeries
 from shoulderkin.features import peak_count
 
-RATE = 128.0
-
-
 def count(values, frac):
-    return peak_count(ScalarSeries(values, RATE), FeatureParams(peak_prominence_frac=frac))
+    return peak_count(np.asarray(values, dtype=float), FeatureParams(peak_prominence_frac=frac))
 
 
 def scipy_count(values, frac):

@@ -39,12 +39,7 @@ from shoulderkin import (  # noqa: E402
     write_profile,
 )
 from shoulderkin.cli import _load_feature_params  # noqa: E402
-from shoulderkin.dsp import (  # noqa: E402
-    ScalarSeries,
-    derivative,
-    euclidean_norm,
-    magnitude_spectrum,
-)
+from shoulderkin.dsp import derivative, euclidean_norm, magnitude_spectrum  # noqa: E402
 from shoulderkin.features import (  # noqa: E402
     FeatureParams,
     FeatureRow,
@@ -552,12 +547,8 @@ def test_euclidean_norm_matches_sum_along_axis_bit_for_bit(n, layout, lo, hi, se
         wide[::2, 1:4] = values
         values = wide[::2, 1:4]
     with np.errstate(over="ignore"):
-        expected = reference_norm(values)
-        if not np.isfinite(expected).all():
-            with pytest.raises(ValidationError):
-                euclidean_norm(values, 128.0)
-            return
-        assert euclidean_norm(values, 128.0).values.tobytes() == expected.tobytes()
+        # a square that overflows gives inf on both sides
+        assert euclidean_norm(values).tobytes() == reference_norm(values).tobytes()
 
 
 @given(
@@ -570,7 +561,7 @@ def test_derivative_matches_np_gradient_bit_for_bit(n, rate, decades, seed):
     rng = np.random.default_rng(seed)
     values = rng.choice((-1.0, 1.0), n) * 10.0 ** rng.uniform(-decades, decades, n)
     expected = np.gradient(values, 1.0 / rate)
-    got = derivative(ScalarSeries(values, rate)).values
+    got = derivative(values, rate)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -591,13 +582,13 @@ def test_mean_crossing_count_matches_forward_fill_bit_for_bit(data):
     half = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=80))
     values = np.array(data.draw(st.permutations(half + [4 - v for v in half])), dtype=float)
     values += data.draw(st.sampled_from((0.0, 1e6, 2.0**40)))
-    assert mean_crossing_count(ScalarSeries(values, 32.0)) == reference_mean_crossings(values)
+    assert mean_crossing_count(values) == reference_mean_crossings(values)
 
 
-def reference_sparc(w_norm: ScalarSeries, params: FeatureParams, normaliser) -> float:
+def reference_sparc(w_norm: np.ndarray, rate: float, params: FeatureParams, normaliser) -> float:
     """SPARC as first written: boolean masks over the whole spectrum, which
     is divided by `normaliser(magnitudes)`."""
-    spectrum = magnitude_spectrum(w_norm, params.sparc_pad_level)
+    spectrum = magnitude_spectrum(w_norm, rate, params.sparc_pad_level)
     vhat = spectrum.magnitudes / normaliser(spectrum.magnitudes)
     freqs = spectrum.freqs_hz
     below_cutoff = freqs <= params.sparc_max_cutoff_hz
@@ -648,9 +639,8 @@ def test_sparc_matches_boolean_mask_version_bit_for_bit(case):
     # rate 128 puts a bin exactly on the 10 and 64 Hz cutoffs, which counts
     n, shape, rate, params, seed = case
     values = non_negative_series(np.random.default_rng(seed), n, shape)
-    w_norm = ScalarSeries(values, rate)
-    expected = reference_sparc(w_norm, params, lambda mags: mags[0])
-    assert bits(spectral_arc_length(w_norm, params)) == bits(expected)
+    expected = reference_sparc(values, rate, params, lambda mags: mags[0])
+    assert bits(spectral_arc_length(values, rate, params)) == bits(expected)
 
 
 @given(sparc_cases)
@@ -662,6 +652,5 @@ def test_sparc_dc_normalisation_agrees_with_max_normalisation(case):
     n_fft <= 2**14, the SPARC values then agree to a relative 1e-12."""
     n, shape, rate, params, seed = case
     values = non_negative_series(np.random.default_rng(seed), n, shape)
-    w_norm = ScalarSeries(values, rate)
-    by_max = reference_sparc(w_norm, params, np.max)
-    assert spectral_arc_length(w_norm, params) == pytest.approx(by_max, rel=1e-12, abs=0.0)
+    by_max = reference_sparc(values, rate, params, np.max)
+    assert spectral_arc_length(values, rate, params) == pytest.approx(by_max, rel=1e-12, abs=0.0)

@@ -114,7 +114,7 @@ class TestSynthSegment:
         # decelerate bump pair to the gravity-dominated norm
         spec = planar_spec(onset=0.4, duration=1.2, amplitude=150.0)
         stream = synth_segment([spec], 2.0, RATE, 0.0, 0.0, self.rng(), lever_arm_m=0.55)
-        a_norm = euclidean_norm(stream.accel, RATE)
+        a_norm = euclidean_norm(stream.accel)
         assert peak_count(a_norm, FeatureParams()) == 2
 
     def test_spec_outside_window_rejected(self):
@@ -247,9 +247,9 @@ class TestSmoothnessTrends:
                     )
                 total = 0.6 + k * pulse + (k - 1) * gap + 0.3
                 stream = synth_segment(specs, total, RATE, 0.0, 0.0, rng, lever_arm_m=0.55)
-                w_norm = euclidean_norm(stream.gyro, RATE)
-                a_norm = euclidean_norm(stream.accel, RATE)
-                sparcs.append(spectral_arc_length(w_norm, FeatureParams()))
+                w_norm = euclidean_norm(stream.gyro)
+                a_norm = euclidean_norm(stream.accel)
+                sparcs.append(spectral_arc_length(w_norm, RATE, FeatureParams()))
                 peaks.append(peak_count(a_norm, FeatureParams()))
             assert all(b < a for a, b in zip(sparcs, sparcs[1:])), sparcs
             assert all(b > a for a, b in zip(peaks, peaks[1:])), peaks
@@ -280,7 +280,7 @@ class TestGenerateCohort:
         label = session.labels[TaskKind.WH]
         segment = slice_segment(session.streams[Placement.WRIST], label, SegmentKind.SUB1)
         assert segment.n_samples == label.e1 - label.s1
-        a_norm = euclidean_norm(segment.accel, session.sample_rate_hz)
+        a_norm = euclidean_norm(segment.accel)
         assert peak_count(a_norm, FeatureParams()) >= 1
 
 
