@@ -38,19 +38,13 @@ def _load_feature_params(path) -> FeatureParams:
     return replace(FeatureParams(), **overrides)
 
 
-def _check_seed(seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"--seed must fit in u64, got {seed}")
-    return seed
-
-
 def cmd_simulate(args) -> int:
     if args.params is not None:
         profile = synth.parse_profile(args.params)
     else:
         profile = synth.default_profile()
     if args.seed is not None:
-        profile = replace(profile, seed=_check_seed(args.seed))
+        profile = replace(profile, seed=args.seed)
     synth.generate_cohort(profile, args.out)
     print(f"wrote {2 * profile.n_per_group} sessions to {args.out}")
     return EXIT_OK
@@ -108,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="generate a synthetic cohort directory")
     p_sim.add_argument("--out", required=True, help="cohort directory to create")
-    p_sim.add_argument("--params", default=None, help="cohort profile file (INI)")
+    p_sim.add_argument("--params", default=None, help="cohort profile file")
     p_sim.add_argument("--seed", type=int, default=None, help="override the profile seed")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -13,6 +13,7 @@ only the lengths and durations that a short label window can break.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,8 @@ def spectral_arc_length(
     `w_norm` is a 1-D signal sampled at `sample_rate_hz`, with at least 2
     samples and at least min_segment_s seconds (N / rate) of signal. Raises
     a degenerate-signal error when the DC component is zero, since the
-    normalization is then undefined.
+    normalization is then undefined, and when the selected bins span no
+    frequency, since the frequency axis cannot then be rescaled.
     """
     params = params or FeatureParams()
     n = len(w_norm)
@@ -207,6 +209,9 @@ def spectral_arc_length(
     f_sel = spectrum.freqs_hz[first:last]
     v_sel = vhat[first:last]
     span = f_sel[-1] - f_sel[0]
+    if not span > 0:
+        # below about 1e-303 Hz the bin spacing underflows to 0
+        raise DegenerateSignalError("sparc is undefined: the spectrum spans no frequency")
     df = (f_sel[1:] - f_sel[:-1]) / span
     dv = v_sel[1:] - v_sel[:-1]
     return -float(np.sqrt(df * df + dv * dv).sum())
@@ -221,10 +226,12 @@ def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
 
         -ln( T / max(signal)^2 * sum(j^2) * dt )
 
-    Larger (less negative) means smoother. Constant signals (zero jerk),
-    signals with zero peak and signals whose ratio underflows to 0.0 are
-    degenerate: the log has no value. A jerk that overflows gives -inf,
-    which the caller rejects as not finite.
+    Larger (less negative) means smoother. The value does not depend on
+    the signal's amplitude; a signal whose peak squared underflows (a peak
+    below about 1.5e-154) is scaled to a peak of 1 first. Constant signals
+    (zero jerk), signals with zero peak and signals whose ratio underflows
+    to 0.0 are degenerate: the log has no value. A jerk that overflows gives
+    -inf, which the caller rejects as not finite.
     """
     n = len(a_norm)
     if n < 3:
@@ -232,6 +239,9 @@ def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
     peak = float(np.max(a_norm))
     if peak == 0.0:
         raise DegenerateSignalError("dimensionless jerk is undefined: zero peak value")
+    if peak * peak < sys.float_info.min:
+        a_norm = a_norm / peak
+        peak = 1.0
     jerk = _derivative(a_norm, sample_rate_hz)
     dt = 1.0 / sample_rate_hz
     jerk_integral = float(np.sum(jerk * jerk)) * dt

@@ -5,13 +5,14 @@ number rather than coerced. Writers emit LF line endings; parsers accept
 CRLF as well. The recording time column is informative only; sample
 positions are defined by row index and the manifest's sample rate.
 
-`read_lines` is the one place the package opens and decodes an input
-file, `parse_key_values` the one `key = value` parser, `split_rows` the
-one comma-separated row splitter, and `parse_number` the one grammar for
-a number cell (through `parse_cell`, which names the bad cell); every
-reader, here and in the other modules, goes through them. `iter_cohort`
-is the one cohort walker: `load_cohort` is its list. `write_recording`
-prints every value as "%.9g" does, with numpy, a block of rows at a time.
+`read_lines` opens and decodes every input file, `parse_key_values`
+parses every `key = value` line (session manifests, params files and the
+sections of a cohort profile), `split_rows` splits every comma-separated
+row, and `parse_number` is the one grammar for a number cell (through
+`parse_cell`, which names the bad cell); every reader, here and in the
+other modules, goes through them. `iter_cohort` is the one cohort
+walker: `load_cohort` is its list. `write_recording` prints every value
+as "%.9g" does, with numpy, a block of rows at a time.
 """
 from __future__ import annotations
 
@@ -83,16 +84,18 @@ def read_lines(path, header: str | None = None, missing: Exception | None = None
     return lines
 
 
-def parse_key_values(lines: list[str], keys, path) -> dict[str, tuple[str, int]]:
+def parse_key_values(
+    lines: list[str], keys, path, first_line: int = 1
+) -> dict[str, tuple[str, int]]:
     """Map each `key = value` line to ``{key: (value, line_no)}``.
 
     Blank lines and lines whose first non-blank character is ``#`` are
     skipped. Keys outside `keys`, repeated keys and lines without ``=``
     are parse errors naming the line; which keys are required is up to
-    the caller.
+    the caller. `first_line` is the line number of ``lines[0]``.
     """
     pairs: dict[str, tuple[str, int]] = {}
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(lines, start=first_line):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "=" not in line:

@@ -14,7 +14,6 @@ produce identical movement draws subject for subject.
 """
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -160,99 +159,87 @@ def default_profile(n_per_group: int = 20, seed: int = 42) -> CohortProfile:
     )
 
 
-_PROFILE_GROUP_KEYS = (
-    "submovements",
-    "subtask_duration_s",
-    "hold_duration_s",
-    "pause_probability",
-    "accel_noise_sigma",
-    "gyro_noise_sigma",
-)
+# Every profile key, by section, with the kind of its numbers and how many
+# it takes: one, or two for a `lo hi` range. `write_profile` writes the keys
+# in this order and `parse_profile` reads them back.
+_GROUP_KEYS = {
+    "submovements": (int, 2),
+    "subtask_duration_s": (float, 2),
+    "hold_duration_s": (float, 2),
+    "pause_probability": (float, 1),
+    "accel_noise_sigma": (float, 1),
+    "gyro_noise_sigma": (float, 1),
+}
+_PROFILE_KEYS = {
+    "cohort": {"n_per_group": (int, 1), "seed": (int, 1)},
+    "patient": _GROUP_KEYS,
+    "healthy": _GROUP_KEYS,
+}
 
 
-def _profile_floats(*values) -> str:
-    """`ingest.format_float` texts, which read back as the same doubles,
-    with an integral value's ".0" dropped: 4.0 is written "4"."""
-    return " ".join(ingest.format_float(value).removesuffix(".0") for value in values)
+def _format_number(kind, value) -> str:
+    """An int as digits; a float as `ingest.format_float` text, which reads
+    back as the same double, with an integral value's ".0" dropped."""
+    return str(value) if kind is int else ingest.format_float(value).removesuffix(".0")
 
 
 def write_profile(profile: CohortProfile) -> bytes:
-    """Render a profile as INI text that `parse_profile` reads back as `profile`."""
-    lines = [
-        "[cohort]",
-        f"n_per_group = {profile.n_per_group}",
-        f"seed = {profile.seed}",
-    ]
-    for section, gp in (("patient", profile.patient), ("healthy", profile.healthy)):
-        lines += [
-            "",
-            f"[{section}]",
-            f"submovements = {gp.submovements[0]} {gp.submovements[1]}",
-            f"subtask_duration_s = {_profile_floats(*gp.subtask_duration_s)}",
-            f"hold_duration_s = {_profile_floats(*gp.hold_duration_s)}",
-            f"pause_probability = {_profile_floats(gp.pause_probability)}",
-            f"accel_noise_sigma = {_profile_floats(gp.accel_noise_sigma)}",
-            f"gyro_noise_sigma = {_profile_floats(gp.gyro_noise_sigma)}",
-        ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    """Render a profile as the text `parse_profile` reads back as `profile`."""
+    lines = []
+    for section, keys in _PROFILE_KEYS.items():
+        owner = profile if section == "cohort" else getattr(profile, section)
+        lines += ["", f"[{section}]"]
+        for key, (kind, count) in keys.items():
+            values = getattr(owner, key) if count == 2 else [getattr(owner, key)]
+            lines.append(f"{key} = " + " ".join(_format_number(kind, v) for v in values))
+    return ("\n".join(lines[1:]) + "\n").encode("utf-8")
 
 
-def _profile_number(cp: configparser.ConfigParser, section: str, key: str, path, kind=float):
-    return ingest.parse_cell(kind, cp.get(section, key), f"[{section}] {key}", path, None)
-
-
-def _profile_pair(cp: configparser.ConfigParser, section: str, key: str, path, kind=float):
-    raw = cp.get(section, key)
-    parts = raw.split()
-    if len(parts) != 2:
-        raise ParseError(f"{key} must be two values 'lo hi', got {raw!r}", path=path)
-    return tuple(ingest.parse_cell(kind, part, f"[{section}] {key}", path, None) for part in parts)
-
-
-def _profile_group(cp: configparser.ConfigParser, section: str, path) -> GroupProfile:
-    keys = set(cp.options(section))
-    unknown = keys - set(_PROFILE_GROUP_KEYS)
-    if unknown:
-        raise ParseError(f"[{section}] has unknown keys: {', '.join(sorted(unknown))}", path=path)
-    missing = set(_PROFILE_GROUP_KEYS) - keys
-    if missing:
-        raise ParseError(f"[{section}] is missing keys: {', '.join(sorted(missing))}", path=path)
-    return GroupProfile(
-        submovements=_profile_pair(cp, section, "submovements", path, int),
-        subtask_duration_s=_profile_pair(cp, section, "subtask_duration_s", path),
-        hold_duration_s=_profile_pair(cp, section, "hold_duration_s", path),
-        pause_probability=_profile_number(cp, section, "pause_probability", path),
-        accel_noise_sigma=_profile_number(cp, section, "accel_noise_sigma", path),
-        gyro_noise_sigma=_profile_number(cp, section, "gyro_noise_sigma", path),
-    )
+def _section_values(section: str, pairs, path, header_line: int) -> dict:
+    """The numbers of one section's `{key: (text, line_no)}` pairs, by key."""
+    values = {}
+    for key, (kind, count) in _PROFILE_KEYS[section].items():
+        if key not in pairs:
+            raise ParseError(f"[{section}] is missing key {key!r}", path=path, line=header_line)
+        text, line_no = pairs[key]
+        cells = text.split() if count == 2 else [text]
+        if len(cells) != count:
+            message = f"{key} must be two values 'lo hi', got {text!r}"
+            raise ParseError(message, path=path, line=line_no)
+        column = f"[{section}] {key}"
+        numbers = tuple(ingest.parse_cell(kind, cell, column, path, line_no) for cell in cells)
+        values[key] = numbers if count == 2 else numbers[0]
+    return values
 
 
 def parse_profile(path) -> CohortProfile:
-    """Parse a cohort profile file (INI with cohort/patient/healthy sections)."""
+    """Parse a cohort profile: the headers ``[cohort]``, ``[patient]`` and
+    ``[healthy]``, once each in any order, each followed by that section's
+    keys in the `ingest.parse_key_values` format. A parse error names the
+    line at fault; a missing section, the last line."""
     lines = ingest.read_lines(path)
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        cp.read_file(lines, source=str(path))
-    except configparser.Error as err:
-        raise ParseError(f"bad profile syntax: {err}", path=path) from None
-    sections = set(cp.sections())
-    if sections != {"cohort", "patient", "healthy"}:
-        raise ParseError(
-            "profile must have exactly the sections [cohort], [patient], [healthy]; "
-            f"got {sorted(sections)}",
-            path=path,
-        )
-    cohort_keys = set(cp.options("cohort"))
-    if cohort_keys != {"n_per_group", "seed"}:
-        raise ParseError(
-            f"[cohort] must have exactly n_per_group and seed, got {sorted(cohort_keys)}",
-            path=path,
-        )
+    starts = [i for i, line in enumerate(lines) if line.lstrip().startswith("[")]
+    # before the first header, only blank lines and comments
+    ingest.parse_key_values(lines[: starts[0] if starts else len(lines)], (), path)
+    values: dict[str, dict] = {}
+    for start, end in zip(starts, [*starts[1:], len(lines)]):
+        header = lines[start].strip()
+        section = header[1:-1]
+        if header != f"[{section}]" or section not in _PROFILE_KEYS or section in values:
+            names = ", ".join(f"[{name}]" for name in _PROFILE_KEYS)
+            message = f"unknown or repeated section {header!r}; the sections are {names}, once each"
+            raise ParseError(message, path=path, line=start + 1)
+        body = lines[start + 1 : end]
+        pairs = ingest.parse_key_values(body, _PROFILE_KEYS[section], path, first_line=start + 2)
+        values[section] = _section_values(section, pairs, path, start + 1)
+    missing = ", ".join(f"[{name}]" for name in _PROFILE_KEYS if name not in values)
+    if missing:
+        # named at the last line, where the file ends without them
+        raise ParseError(f"missing sections {missing}", path=path, line=len(lines) or None)
     return CohortProfile(
-        n_per_group=_profile_number(cp, "cohort", "n_per_group", path, int),
-        seed=_profile_number(cp, "cohort", "seed", path, int),
-        patient=_profile_group(cp, "patient", path),
-        healthy=_profile_group(cp, "healthy", path),
+        patient=GroupProfile(**values["patient"]),
+        healthy=GroupProfile(**values["healthy"]),
+        **values["cohort"],
     )
 
 

@@ -274,6 +274,13 @@ class TestSpectralArcLength:
         with pytest.raises(TooShortError):
             spectral_arc_length(series([1.0]), RATE)
 
+    def test_spectrum_spanning_no_frequency_is_degenerate(self):
+        # at 1e-306 Hz the bin spacing underflows and every bin sits at 0 Hz
+        values = np.abs(np.random.default_rng(47).normal(2.0, 1.0, size=40))
+        params = FeatureParams(min_segment_s=1e-300)
+        with pytest.raises(DegenerateSignalError, match="no frequency"):
+            spectral_arc_length(series(values), 1e-306, params)
+
 
 class TestLogDimensionlessJerk:
     def test_matches_analytic_quadrature(self):
@@ -290,7 +297,8 @@ class TestLogDimensionlessJerk:
         rng = np.random.default_rng(43)
         values = np.abs(rng.normal(3.0, 1.0, size=300))
         base = log_dimensionless_jerk(series(values), RATE)
-        for c in (0.1, 2.0, 100.0):
+        # below 1.5e-154 the peak squared underflows
+        for c in (0.1, 2.0, 100.0, 1e-155, 1e-160):
             scaled = log_dimensionless_jerk(series(c * values), RATE)
             assert scaled == pytest.approx(base, rel=1e-9)
 

@@ -6,7 +6,8 @@ malformed input to a documented exit code, never to 1 or a traceback.
 The recording writer is pinned byte for byte, the recording parser's
 fast and diagnostic paths are held to one cell grammar, and every reader
 is held to the same number grammar. A session manifest reads back as
-written or is rejected when built. `compare_cohort` turns any finite
+written or is rejected when built, and any cohort profile within the
+bounds reads back as written. `compare_cohort` turns any finite
 features into cells that are finite or untestable. The norm, derivative,
 mean-crossing and SPARC kernels are pinned bit for bit against the
 plainer formulas they replaced, which are kept here as references.
@@ -66,7 +67,14 @@ from shoulderkin.model import (  # noqa: E402
     SensorStream,
     TaskKind,
 )
-from shoulderkin.synth import parse_profile  # noqa: E402
+from shoulderkin.synth import (  # noqa: E402
+    MAX_N_PER_GROUP,
+    MAX_PHASE_DURATION_S,
+    MAX_SUBMOVEMENTS,
+    CohortProfile,
+    GroupProfile,
+    parse_profile,
+)
 
 N_SAMPLES = 64
 
@@ -311,8 +319,7 @@ def test_every_reader_shares_one_number_grammar(work, cohort, name, value):
         return
     with pytest.raises(ParseError) as err:
         reader(path)
-    where_text = str(path) if name == "profile" else f"{path}:{line_no}"
-    assert str(err.value).startswith(f"{where_text}: cannot parse value for '{column}': ")
+    assert str(err.value).startswith(f"{path}:{line_no}: cannot parse value for '{column}': ")
 
     # through the CLI: cohort files are read by `extract`, the rest named on its command line
     cohort_dir, files = cohort
@@ -478,6 +485,38 @@ def test_session_manifest_reads_back_as_written_or_is_rejected(work, data):
     path = work / "round_trip_session.txt"
     path.write_bytes(write_session_manifest(manifest))
     assert parse_session_manifest(path) == manifest
+
+
+def ranges(values):
+    return st.tuples(values, values).map(sorted).map(tuple)
+
+
+# every group profile the bounds allow, floats from the least subnormal to inf
+durations = st.floats(min_value=0.0, max_value=MAX_PHASE_DURATION_S, exclude_min=True)
+group_profiles = st.builds(
+    GroupProfile,
+    submovements=ranges(st.integers(1, MAX_SUBMOVEMENTS)),
+    subtask_duration_s=ranges(durations),
+    hold_duration_s=ranges(durations),
+    pause_probability=st.floats(0.0, 1.0),
+    accel_noise_sigma=st.floats(min_value=0.0),
+    gyro_noise_sigma=st.floats(min_value=0.0),
+)
+
+
+@given(
+    st.builds(
+        CohortProfile,
+        patient=group_profiles,
+        healthy=group_profiles,
+        n_per_group=st.integers(2, MAX_N_PER_GROUP),
+        seed=st.integers(0, 2**64 - 1),
+    )
+)
+def test_profile_reads_back_as_written(work, profile):
+    path = work / "round_trip_profile.ini"
+    path.write_bytes(write_profile(profile))
+    assert parse_profile(path) == profile
 
 
 magnitudes = st.floats(min_value=1e-300, max_value=1e300)

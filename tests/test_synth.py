@@ -154,8 +154,27 @@ class TestProfileFile:
         path = tmp_path / "profile.ini"
         text = write_profile(default_profile()).decode("utf-8")
         path.write_text(text + "\nwobble = 3\n")
-        with pytest.raises(ParseError, match="unknown keys"):
+        with pytest.raises(ParseError, match="unknown key"):
             parse_profile(path)
+
+    # spellings another INI reader would take: each is an error at its line
+    @pytest.mark.parametrize(
+        "old, new, line_no",
+        [
+            ("seed = 42", "seed: 42", 3),
+            ("seed = 42", "SEED = 42", 3),
+            ("[cohort]", "; note\n[cohort]", 1),
+            ("[cohort]", "[DEFAULT]\n[cohort]", 1),
+        ],
+    )
+    def test_other_ini_spellings_rejected_at_their_line(self, tmp_path, old, new, line_no):
+        path = tmp_path / "profile.ini"
+        text = write_profile(default_profile()).decode("utf-8")
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(ParseError) as err:
+            parse_profile(path)
+        assert str(err.value).startswith(f"{path}:{line_no}: ")
 
     def test_pair_needs_two_values(self, tmp_path):
         path = tmp_path / "profile.ini"
