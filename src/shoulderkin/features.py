@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import euclidean_norm, magnitude_spectrum
+from .dsp import euclidean_norm, fft_length, magnitude_spectrum
 from .dsp import derivative as _derivative
 from .errors import DegenerateSignalError, FeatureError, TooShortError, ValidationError
 from .ingest import format_float, parse_cell, read_lines, split_rows
@@ -37,6 +37,9 @@ from .model import (
 # power of two that holds the segment. The reference SPARC of Balasubramanian
 # et al. (JNER 2015) pads by 4 levels; each level doubles FFT time and memory.
 SPARC_MAX_PAD_LEVEL = 8
+# Longest SPARC transform, in points (about 6 KB per input sample at pad 8).
+# A task within the profile bounds has under 2**16 samples: pad 4 fits.
+SPARC_MAX_FFT_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -182,8 +185,9 @@ def spectral_arc_length(
     `w_norm` is a 1-D signal sampled at `sample_rate_hz`, with at least 2
     samples and at least min_segment_s seconds (N / rate) of signal. Raises
     a degenerate-signal error when the DC component is zero, since the
-    normalization is then undefined, and when the selected bins span no
-    frequency, since the frequency axis cannot then be rescaled.
+    normalization is then undefined, when the selected bins span no
+    frequency, since the frequency axis cannot then be rescaled, and when
+    the padded transform would exceed SPARC_MAX_FFT_POINTS.
     """
     params = params or FeatureParams()
     n = len(w_norm)
@@ -193,6 +197,12 @@ def spectral_arc_length(
     if duration_s < params.min_segment_s:
         raise TooShortError(
             f"sparc needs >= {params.min_segment_s} s of signal, got {duration_s:.4f} s"
+        )
+    n_fft = fft_length(n, params.sparc_pad_level)
+    if n_fft > SPARC_MAX_FFT_POINTS:
+        raise DegenerateSignalError(
+            f"sparc transform of {n_fft} points at pad level {params.sparc_pad_level} "
+            f"exceeds the cap of {SPARC_MAX_FFT_POINTS} points"
         )
     spectrum = magnitude_spectrum(w_norm, sample_rate_hz, params.sparc_pad_level)
     dc = spectrum.magnitudes[0]
@@ -228,10 +238,12 @@ def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
 
     Larger (less negative) means smoother. The value does not depend on
     the signal's amplitude; a signal whose peak squared underflows (a peak
-    below about 1.5e-154) is scaled to a peak of 1 first. Constant signals
-    (zero jerk), signals with zero peak and signals whose ratio underflows
-    to 0.0 are degenerate: the log has no value. A jerk that overflows gives
-    -inf, which the caller rejects as not finite.
+    below about 1.5e-154) is scaled to a peak of 1 first. Nor does it depend
+    on the rate: where the rate makes sum(j^2) 0, subnormal or inf (such as
+    1e-160 or 1e300 Hz), it is computed at 1 Hz. Constant signals, signals
+    with zero peak and signals whose ratio underflows to 0.0 are
+    degenerate: the log has no value. A jerk that overflows even at 1 Hz
+    gives -inf, which the caller rejects as not finite.
     """
     n = len(a_norm)
     if n < 3:
@@ -242,13 +254,16 @@ def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
     if peak * peak < sys.float_info.min:
         a_norm = a_norm / peak
         peak = 1.0
-    jerk = _derivative(a_norm, sample_rate_hz)
+    with np.errstate(over="ignore"):
+        squares = float(np.sum(np.square(_derivative(a_norm, sample_rate_hz))))
+    if not sys.float_info.min <= squares < math.inf:
+        if a_norm.min() == peak:
+            raise DegenerateSignalError("dimensionless jerk is undefined: constant signal")
+        # the rate scaled the squared jerk to 0, a subnormal or inf
+        sample_rate_hz = 1.0
+        squares = float(np.sum(np.square(_derivative(a_norm, sample_rate_hz))))
     dt = 1.0 / sample_rate_hz
-    jerk_integral = float(np.sum(jerk * jerk)) * dt
-    if jerk_integral == 0.0:
-        raise DegenerateSignalError("dimensionless jerk is undefined: constant signal")
-    duration = n * dt
-    ratio = duration / (peak * peak) * jerk_integral
+    ratio = n * dt / (peak * peak) * (squares * dt)
     if ratio == 0.0:
         raise DegenerateSignalError("dimensionless jerk is undefined: the ratio underflows to 0")
     return -math.log(ratio)
@@ -281,10 +296,10 @@ def extract_all(
 ) -> FeatureVector:
     """Evaluate all seven features for one (task, segment, placement) cell.
 
-    The segment is sliced once and both norms computed once; feature
-    failures (too short, degenerate) come back wrapped with the cell
-    coordinates so batch callers can report precisely. Duration depends
-    only on the label window, never on the placement.
+    The window is taken once as views of the stream's checked arrays and
+    both norms computed once; feature failures (too short, degenerate) come
+    back wrapped with the cell coordinates so batch callers can report
+    precisely. Duration is the window's sample count over the stream's rate.
 
     Finite samples can still overflow: one above about 1e154 squares to
     inf. numpy's overflow warning is silenced, and an inf norm, or a feature
@@ -298,24 +313,23 @@ def extract_all(
     stream = session.streams.get(placement)
     if stream is None:
         raise ValidationError(f"{session.subject_id} has no {placement.value} stream")
-    segment = slice_segment(stream, label, kind)
-    rate = segment.sample_rate_hz
+    accel, gyro = slice_segment(stream, label, kind)
+    rate = stream.sample_rate_hz
     try:
         with np.errstate(over="ignore"):
-            a_norm = euclidean_norm(segment.accel)
-            w_norm = euclidean_norm(segment.gyro)
+            a_norm = euclidean_norm(accel)
+            w_norm = euclidean_norm(gyro)
             if not (np.isfinite(a_norm).all() and np.isfinite(w_norm).all()):
                 raise ValidationError("series contains non-finite values")
-            start, end = label.window(kind)
-            rav = angular_velocity_range(segment.gyro)
+            rav = angular_velocity_range(gyro)
             return FeatureVector(
                 nmcp_a=mean_crossing_count(a_norm),
                 np_a=peak_count(a_norm, params),
                 sparc=spectral_arc_length(w_norm, rate, params),
                 ldlj_a=log_dimensionless_jerk(a_norm, rate),
                 rav=rav,
-                pi=power_index(segment.accel, rav),
-                duration_s=(end - start) / rate,
+                pi=power_index(accel, rav),
+                duration_s=len(accel) / rate,
             )
     except (TooShortError, DegenerateSignalError) as err:
         raise FeatureError(session.subject_id, task, kind, placement, err) from err
@@ -345,20 +359,6 @@ MATRIX_COLUMNS = (
 ) + FeatureVector.FIELD_NAMES
 MATRIX_HEADER = ",".join(MATRIX_COLUMNS)
 
-_TASK_ORDER = {task: i for i, task in enumerate(TaskKind)}
-_SEGMENT_ORDER = {kind: i for i, kind in enumerate(SegmentKind)}
-_PLACEMENT_ORDER = {placement: i for i, placement in enumerate(Placement)}
-
-
-def _row_sort_key(row: FeatureRow):
-    return (
-        row.subject_id,
-        _TASK_ORDER[row.task],
-        _SEGMENT_ORDER[row.segment],
-        _PLACEMENT_ORDER[row.placement],
-    )
-
-
 def extract_cohort(
     sessions, params: FeatureParams | None = None
 ) -> tuple[list[FeatureRow], list[FeatureError]]:
@@ -368,8 +368,8 @@ def extract_cohort(
     as `ingest.iter_cohort` is walked one session at a time and an error
     it raises ends the extraction. Failing cells are collected, not
     fatal: the returned failures list carries one FeatureError per cell
-    that could not be computed. Row order is fixed by sorting on
-    (subject_id, task, segment, placement) regardless of evaluation order.
+    that could not be computed. Rows are sorted stably by subject_id, so
+    each session's rows stay in grid order (task, segment, placement).
     """
     params = params or FeatureParams()
     rows: list[FeatureRow] = []
@@ -397,7 +397,7 @@ def extract_cohort(
                             features=vector,
                         )
                     )
-    rows.sort(key=_row_sort_key)
+    rows.sort(key=lambda row: row.subject_id)
     return rows, failures
 
 

@@ -2,7 +2,8 @@
 
 Sample positions are always integer indices into a stream; seconds only
 appear as derived quantities (index / sample_rate_hz). All containers are
-frozen and hold read-only arrays, so instances can be shared freely.
+frozen and hold read-only arrays, so instances can be shared freely, and
+a labelled window is a pair of views of a stream's arrays (`slice_segment`).
 """
 from __future__ import annotations
 
@@ -218,11 +219,13 @@ class FeatureVector:
     FIELD_NAMES = ("nmcp_a", "np_a", "sparc", "ldlj_a", "rav", "pi", "duration_s")
 
 
-def slice_segment(stream: SensorStream, label: SegmentLabel, kind: SegmentKind) -> SensorStream:
-    """Cut one labelled window out of a stream.
+def slice_segment(
+    stream: SensorStream, label: SegmentLabel, kind: SegmentKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cut one labelled window out of a stream as ``(accel, gyro)``.
 
-    The result shares the parent's sample rate and its values bit for bit;
-    nothing is rescaled or re-zeroed.
+    Both are read-only views of the stream's checked arrays, at its sample
+    rate; nothing is copied or checked again.
     """
     start, end = label.window(kind)
     if end > stream.n_samples:
@@ -230,11 +233,7 @@ def slice_segment(stream: SensorStream, label: SegmentLabel, kind: SegmentKind) 
             f"{label.task.value}/{kind.value}: window [{start},{end}) exceeds "
             f"stream length {stream.n_samples}"
         )
-    return SensorStream(
-        accel=stream.accel[start:end],
-        gyro=stream.gyro[start:end],
-        sample_rate_hz=stream.sample_rate_hz,
-    )
+    return stream.accel[start:end], stream.gyro[start:end]
 
 
 def assemble_session(

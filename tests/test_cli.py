@@ -344,11 +344,14 @@ class TestExitCodes:
         assert {r.segment for r in rows if r.subject_id == subject} == {SegmentKind.COMPLETE}
 
     def test_extract_overflowing_jerk_names_the_cell(self, small_cohort, tmp_path, capsys):
-        # the norms are finite, but at 1e300 Hz their derivative is not
+        # the norms step between 0 and 1.3e154 every two samples: they are
+        # finite, but the squared jerk overflows at 1e300 Hz and still does
+        # at the 1 Hz that LDLJ-A falls back to
         cohort = tmp_path / "cohort"
         shutil.copytree(small_cohort, cohort)
-        rng = np.random.default_rng(6)
-        accel, gyro = rng.normal(0.0, 1e10, (80, 3)), rng.normal(0.0, 1.0, (80, 3))
+        accel = np.zeros((80, 3))
+        accel[2::4, 0] = accel[3::4, 0] = 1.3e154
+        gyro = np.random.default_rng(6).normal(0.0, 1.0, (80, 3))
         subject = replace_first_session(cohort, 1e300, accel, gyro)
         params = tmp_path / "params.txt"
         params.write_text("min_segment_s = 1e-300\n")

@@ -1,6 +1,7 @@
 """The seven features against brute-force, analytic, and dual-route oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from shoulderkin import (
     read_matrix,
     write_matrix,
 )
+from shoulderkin import features
 from shoulderkin.dsp import fft_length
 from shoulderkin.features import (
     MATRIX_HEADER,
+    SPARC_MAX_FFT_POINTS,
     SPARC_MAX_PAD_LEVEL,
     FeatureRow,
     angular_velocity_range,
@@ -281,6 +284,36 @@ class TestSpectralArcLength:
         with pytest.raises(DegenerateSignalError, match="no frequency"):
             spectral_arc_length(series(values), 1e-306, params)
 
+    def test_transform_over_the_cap_fails_before_allocating(self):
+        # 65,537 samples need 2**17 points, times 2**4 at pad level 4
+        values = np.abs(np.random.default_rng(71).normal(2.0, 1.0, size=65537))
+        assert fft_length(len(values), 4) == 2 * SPARC_MAX_FFT_POINTS
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegenerateSignalError) as exc_info:
+                spectral_arc_length(values, RATE, FeatureParams(sparc_pad_level=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the transform alone would be 2**20 complex bins, 16 MB
+        assert peak < 1_000_000
+        assert str(exc_info.value) == (
+            "sparc transform of 2097152 points at pad level 4 "
+            "exceeds the cap of 1048576 points"
+        )
+
+    def test_transform_at_the_cap_is_computed(self):
+        values = np.abs(np.random.default_rng(71).normal(2.0, 1.0, size=65536))
+        assert fft_length(len(values), 4) == SPARC_MAX_FFT_POINTS
+        assert spectral_arc_length(values, RATE, FeatureParams(sparc_pad_level=4)) < 0.0
+
+    def test_transform_over_the_cap_fails_the_cell(self):
+        rng = np.random.default_rng(73)
+        session = build_session(rng, n=65537)
+        with pytest.raises(FeatureError, match="S01 WH/complete/arm") as exc_info:
+            extract_all(session, TaskKind.WH, SegmentKind.COMPLETE, Placement.ARM)
+        assert "exceeds the cap" in str(exc_info.value.__cause__)
+
 
 class TestLogDimensionlessJerk:
     def test_matches_analytic_quadrature(self):
@@ -314,9 +347,18 @@ class TestLogDimensionlessJerk:
         with pytest.raises(DegenerateSignalError):
             log_dimensionless_jerk(series(np.zeros(64)), RATE)
 
+    def test_rate_invariant_at_extreme_rates(self):
+        # at 1e-160 Hz the squared jerk is subnormal, at 1e-300 Hz it is 0,
+        # and at 1e300 Hz it overflows: each is computed at 1 Hz instead
+        values = np.abs(np.random.default_rng(79).normal(3.0, 1.0, size=40))
+        base = log_dimensionless_jerk(series(values), RATE)
+        for rate in (1e-300, 1e-160, 1e300):
+            assert log_dimensionless_jerk(series(values), rate) == pytest.approx(base, rel=1e-9)
+
     def test_constant_signal_degenerate(self):
-        with pytest.raises(DegenerateSignalError, match="constant"):
-            log_dimensionless_jerk(series(np.full(64, 2.0)), RATE)
+        for rate in (RATE, 1e-300, 1e-160, 1e300):
+            with pytest.raises(DegenerateSignalError, match="constant signal"):
+                log_dimensionless_jerk(series(np.full(64, 2.0)), rate)
 
     def test_ratio_underflow_degenerate(self):
         # the jerk is one ulp of a 1.34e154 peak, so T / peak^2 * integral
@@ -471,6 +513,31 @@ class TestCohortMatrix:
             ),
         )
         assert rows[0].subject_id == "A01"
+
+    def test_each_cell_is_sliced_and_extracted_once(self, monkeypatch):
+        # the benchmark counts both calls per cell, failed cells included
+        calls = {"slice_segment": 0, "extract_all": 0}
+
+        def counting(name):
+            original = getattr(features, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(features, name, wrapper)
+
+        counting("slice_segment")
+        counting("extract_all")
+        rng = np.random.default_rng(83)
+        whole = build_session(rng)
+        # WH's sub1 and sub2 windows hold 2 samples, too few for any feature
+        labels = dict(whole.labels)
+        labels[TaskKind.WH] = SegmentLabel(TaskKind.WH, s1=0, e1=2, s2=2, e2=4, s3=4, e3=640)
+        short = assemble_session("S02", Group.HEALTHY, "left", whole.streams, labels.values())
+        rows, failures = extract_cohort([whole, short])
+        assert len(failures) == 2 * len(Placement)
+        assert calls["slice_segment"] == calls["extract_all"] == len(rows) + len(failures)
 
     def test_matrix_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(67)

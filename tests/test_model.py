@@ -119,11 +119,13 @@ class TestSliceSegment:
         rng = np.random.default_rng(7)
         stream = make_stream(50, rng=rng)
         label = make_label(s1=5, e1=12, e2=30, e3=44)
-        sub2 = slice_segment(stream, label, SegmentKind.SUB2)
-        assert sub2.n_samples == 18
-        assert np.array_equal(sub2.accel, stream.accel[12:30])
-        assert np.array_equal(sub2.gyro, stream.gyro[12:30])
-        assert sub2.sample_rate_hz == stream.sample_rate_hz
+        accel, gyro = slice_segment(stream, label, SegmentKind.SUB2)
+        # read-only views of the checked stream, not copies
+        for window, whole in ((accel, stream.accel), (gyro, stream.gyro)):
+            assert window.shape == (18, 3)
+            assert np.array_equal(window, whole[12:30])
+            assert np.shares_memory(window, whole)
+            assert not window.flags.writeable
 
     def test_out_of_range_label_raises_boundary(self):
         stream = make_stream(20)

@@ -297,9 +297,13 @@ class TestGenerateCohort:
         generate_cohort(profile, tmp_path)
         session = load_cohort(tmp_path)[0]
         label = session.labels[TaskKind.WH]
-        segment = slice_segment(session.streams[Placement.WRIST], label, SegmentKind.SUB1)
-        assert segment.n_samples == label.e1 - label.s1
-        a_norm = euclidean_norm(segment.accel)
+        stream = session.streams[Placement.WRIST]
+        accel, gyro = slice_segment(stream, label, SegmentKind.SUB1)
+        for window, whole in ((accel, stream.accel), (gyro, stream.gyro)):
+            assert np.array_equal(window, whole[label.s1 : label.e1])
+            assert np.shares_memory(window, whole)
+            assert not window.flags.writeable
+        a_norm = euclidean_norm(accel)
         assert peak_count(a_norm, FeatureParams()) >= 1
 
 
