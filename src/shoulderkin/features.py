@@ -4,7 +4,10 @@ Four smoothness measures (mean-crossing count, prominent-peak count,
 spectral arc length, log dimensionless jerk), two intensity measures
 (angular-velocity range and its product with the acceleration range), and
 the segment duration. Each is a deterministic map from one labelled window
-to a scalar; `extract_all` evaluates the whole set for one grid cell.
+to a scalar. A session is extracted at a time: `session_windows` computes
+each stream's norms once, cuts every cell's window as views of them and
+counts the prominent peaks of each placement's windows in one walk, and
+`extract_all` evaluates the whole set for one grid cell from that batch.
 
 The four smoothness kernels take a plain 1-D float array (a norm from
 `dsp.euclidean_norm`) that the caller has checked to be finite; they check
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,26 +121,40 @@ def peak_count(v: np.ndarray, params: FeatureParams | None = None) -> int:
     - The peak counts if ``peak - max(left_base, right_base) >= h``, in
       floating point as written.
 
-    Needs at least 3 samples.
+    Needs at least 3 samples. This is the one-window case of the walk that
+    `session_windows` runs over all of a placement's windows at once.
     """
     params = params or FeatureParams()
     n = len(v)
     if n < 3:
         raise TooShortError(f"peak count needs >= 3 samples, got {n}")
-    spread = float(v.max() - v.min())
-    if spread == 0.0:
-        return 0
-    return _prominent_peak_count(v, params.peak_prominence_frac * spread)
+    h = params.peak_prominence_frac * float(v.max() - v.min())
+    return int(_prominent_peak_counts([v], np.array([h]))[0])
 
 
-def _prominent_peak_count(v: np.ndarray, h: float) -> int:
-    """`peak_count` after its checks, in O(n) memory and no Python loop per peak."""
+def _prominent_peak_counts(windows: list[np.ndarray], h: np.ndarray) -> np.ndarray:
+    """`peak_count` of each window after its checks, with window i's threshold h[i].
+
+    Every window holds at least 3 finite samples. All are counted in one
+    walk, in O(total length) memory and no Python loop per peak or window.
+    """
+    # Join the windows with an +inf sample before, between and after them. A
+    # run next to +inf is never a peak, and an +inf run is higher than any
+    # peak, so every walk stops at the separator and each window is counted
+    # as if alone. The separators between windows are themselves peaks, and
+    # stay in the peak list as those stoppers; they are never counted.
+    sep = np.array([np.inf])
+    v = np.concatenate([sep, *(part for window in windows for part in (window, sep))])
     runs = v[np.concatenate(([True], v[1:] != v[:-1]))]
     rising = runs[1:] > runs[:-1]
     peaks = np.flatnonzero(rising[:-1] > rising[1:]) + 1
     k = len(peaks)
     if k == 0:
-        return 0
+        return np.zeros(len(windows), dtype=np.intp)
+    # separator j opens window j, so a peak's window is the number of
+    # separators before it, less one
+    window_of = np.searchsorted(np.flatnonzero(runs == np.inf), peaks) - 1
+    limit = h[window_of]
     # gaps[i] is the lowest run between peaks i-1 and i; gaps[0] and gaps[k]
     # are the lowest runs between the outer peaks and the edges
     gaps = np.minimum.reduceat(runs, np.concatenate(([0], peaks + 1)))
@@ -147,9 +165,10 @@ def _prominent_peak_count(v: np.ndarray, h: float) -> int:
     # peaks strictly between s and reach[s], none higher than top[s], and
     # low[s] is the lowest gap it has passed. Each walk starts with the one
     # gap before slot s, reaching peak s-1, or the edge for the first slot
-    # of each half.
+    # of each half. Slot s stops once top[s] - low[s] >= limit[s].
     top = np.concatenate((heights, heights[::-1], [np.inf]))
     low = np.concatenate((gaps[:-1], gaps[:0:-1]))
+    limit = np.concatenate((limit, limit[::-1]))
     reach = np.arange(-1, 2 * k)
     reach[0] = reach[k] = 2 * k
     # fl(p - x) is monotone in x, so p - max(left, right) >= h holds exactly
@@ -157,17 +176,18 @@ def _prominent_peak_count(v: np.ndarray, h: float) -> int:
     # and a walk stops as soon as p - low >= h, or at a higher peak. Otherwise
     # it crosses the peak it reached and takes over that peak's reach and low,
     # so a long walk needs few rounds.
-    walking = np.flatnonzero(top[:-1] - low < h)
+    walking = np.flatnonzero(top[:-1] - low < limit)
     while len(walking):
         nxt = reach[walking]
         crosses = top[nxt] <= top[walking]
         walking, nxt = walking[crosses], nxt[crosses]
         low[walking] = np.minimum(low[walking], low[nxt])
         reach[walking] = reach[nxt]
-        walking = walking[top[walking] - low[walking] < h]
-    deep = top[:-1] - low >= h
-    # the right walk of peak i is slot 2k-1-i
-    return int(np.count_nonzero(deep[:k] & deep[: k - 1 : -1]))
+        walking = walking[top[walking] - low[walking] < limit[walking]]
+    deep = top[:-1] - low >= limit
+    # the right walk of peak i is slot 2k-1-i; separators never count
+    counted = deep[:k] & deep[: k - 1 : -1] & (heights < np.inf)
+    return np.bincount(window_of[counted], minlength=len(windows))
 
 
 def spectral_arc_length(
@@ -236,14 +256,15 @@ def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
 
         -ln( T / max(signal)^2 * sum(j^2) * dt )
 
-    Larger (less negative) means smoother. The value does not depend on
-    the signal's amplitude; a signal whose peak squared underflows (a peak
-    below about 1.5e-154) is scaled to a peak of 1 first. Nor does it depend
-    on the rate: where the rate makes sum(j^2) 0, subnormal or inf (such as
-    1e-160 or 1e300 Hz), it is computed at 1 Hz. Constant signals, signals
-    with zero peak and signals whose ratio underflows to 0.0 are
-    degenerate: the log has no value. A jerk that overflows even at 1 Hz
-    gives -inf, which the caller rejects as not finite.
+    Larger (less negative) means smoother. The value depends on neither
+    the signal's amplitude nor the rate. Where they push peak^2, sum(j^2) or
+    the ratio out of the normal, finite, positive doubles (a peak below
+    about 1.5e-154 or a jerk near 1e154, or a rate such as 1e-160, 1e300 or
+    7.5e15 Hz), it is computed from signal / peak at 1 Hz instead, where
+    the ratio is a normal double for any signal that is not constant. That
+    peak is rounded down to a power of two, so the scaling is exact.
+    Constant signals and signals with zero peak are degenerate: the log
+    has no value.
     """
     n = len(a_norm)
     if n < 3:
@@ -251,22 +272,28 @@ def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
     peak = float(np.max(a_norm))
     if peak == 0.0:
         raise DegenerateSignalError("dimensionless jerk is undefined: zero peak value")
-    if peak * peak < sys.float_info.min:
-        a_norm = a_norm / peak
-        peak = 1.0
+    scale = peak * peak
     with np.errstate(over="ignore"):
         squares = float(np.sum(np.square(_derivative(a_norm, sample_rate_hz))))
-    if not sys.float_info.min <= squares < math.inf:
-        if a_norm.min() == peak:
-            raise DegenerateSignalError("dimensionless jerk is undefined: constant signal")
-        # the rate scaled the squared jerk to 0, a subnormal or inf
-        sample_rate_hz = 1.0
-        squares = float(np.sum(np.square(_derivative(a_norm, sample_rate_hz))))
-    dt = 1.0 / sample_rate_hz
-    ratio = n * dt / (peak * peak) * (squares * dt)
-    if ratio == 0.0:
-        raise DegenerateSignalError("dimensionless jerk is undefined: the ratio underflows to 0")
-    return -math.log(ratio)
+    if _is_normal(scale) and _is_normal(squares):
+        dt = 1.0 / sample_rate_hz
+        ratio = n * dt / scale * (squares * dt)
+        if _is_normal(ratio):
+            return -math.log(ratio)
+    if a_norm.min() == peak:
+        raise DegenerateSignalError("dimensionless jerk is undefined: constant signal")
+    # Scale by 2**-e, which is exact, so differences of an ulp of the peak
+    # survive. The scaled peak m is in [0.5, 1), and a signal that is not
+    # constant has a jerk of at least about 5e-17 at 1 Hz, so the ratio is
+    # a normal double.
+    m, e = math.frexp(peak)
+    squares = float(np.sum(np.square(_derivative(np.ldexp(a_norm, -e), 1.0))))
+    return -math.log(n / (m * m) * squares)
+
+
+def _is_normal(x: float) -> bool:
+    """True for a normal, finite, positive double; False for nan too."""
+    return sys.float_info.min <= x < math.inf
 
 
 def _mean_axis_range(samples: np.ndarray) -> float:
@@ -287,44 +314,115 @@ def power_index(accel: np.ndarray, rav: float) -> float:
     return _mean_axis_range(accel) * rav
 
 
+class _Window(NamedTuple):
+    """One cell's window: views of the stream's samples and norms."""
+
+    accel: np.ndarray
+    gyro: np.ndarray
+    a_norm: np.ndarray
+    w_norm: np.ndarray
+    finite: bool  # both norms are finite over the window
+    np_a: int | None  # its peak count, or None if not finite or under 3 samples
+
+
+@dataclass(frozen=True)
+class SessionWindows:
+    """Every present cell of one session, cut and counted by `session_windows`.
+
+    `cells` maps (task, segment, placement) to the cell's window, in grid
+    order. It holds views, not copies, and lives while one session is
+    extracted.
+    """
+
+    session: Session
+    params: FeatureParams
+    cells: dict[tuple[TaskKind, SegmentKind, Placement], _Window]
+
+
+def session_windows(session: Session, params: FeatureParams | None = None) -> SessionWindows:
+    """Cut every present cell of `session` and count its prominent peaks.
+
+    Each placement's two norms are computed once over the whole stream, and
+    their finiteness checked once there; each window takes views of them.
+    `slice_segment` is called once per present cell, in grid order. The peak
+    count (`peak_count`) of every window whose acceleration norm is finite
+    and has at least 3 samples comes from one walk over all such windows
+    of its placement. Nothing is raised here for a cell: `extract_all`
+    reports its faults.
+    """
+    params = params or FeatureParams()
+    norms = {}
+    # a finite sample above about 1e154 squares to inf; extract_all reports it
+    with np.errstate(over="ignore"):
+        for placement, stream in session.streams.items():
+            a_norm, w_norm = euclidean_norm(stream.accel), euclidean_norm(stream.gyro)
+            finite = bool(np.isfinite(a_norm).all() and np.isfinite(w_norm).all())
+            norms[placement] = a_norm, w_norm, finite
+    cells = {}
+    for task in TaskKind:
+        label = session.labels.get(task)
+        if label is None:
+            continue
+        for kind in SegmentKind:
+            start, end = label.window(kind)
+            for placement in Placement:
+                if placement not in session.streams:
+                    continue
+                accel, gyro = slice_segment(session.streams[placement], label, kind)
+                a_norm, w_norm, finite = norms[placement]
+                a_norm, w_norm = a_norm[start:end], w_norm[start:end]
+                # a non-finite norm outside this window does not fail it
+                finite = finite or bool(np.isfinite(a_norm).all() and np.isfinite(w_norm).all())
+                cells[task, kind, placement] = _Window(accel, gyro, a_norm, w_norm, finite, None)
+    # One walk per placement, not per session: the walk's working memory,
+    # about 50 bytes a sample, is the largest transient of an extraction.
+    for placement in session.streams:
+        counted = [
+            key
+            for key, cell in cells.items()
+            if key[2] is placement and cell.finite and len(cell.a_norm) >= 3
+        ]
+        windows = [cells[key].a_norm for key in counted]
+        h = np.array([params.peak_prominence_frac * float(v.max() - v.min()) for v in windows])
+        for key, count in zip(counted, _prominent_peak_counts(windows, h).tolist()):
+            cells[key] = cells[key]._replace(np_a=count)
+    return SessionWindows(session, params, cells)
+
+
 def extract_all(
-    session: Session,
-    task: TaskKind,
-    kind: SegmentKind,
-    placement: Placement,
-    params: FeatureParams | None = None,
+    windows: SessionWindows, task: TaskKind, kind: SegmentKind, placement: Placement
 ) -> FeatureVector:
     """Evaluate all seven features for one (task, segment, placement) cell.
 
-    The window is taken once as views of the stream's checked arrays and
-    both norms computed once; feature failures (too short, degenerate) come
-    back wrapped with the cell coordinates so batch callers can report
+    `windows` is the session's batch from `session_windows`, which also
+    carries the `FeatureParams`; for example
+    ``extract_all(session_windows(session, params), task, kind, placement)``.
+    The peak count comes from the batch; a window too short for it goes to
+    `peak_count`, which raises. The other features are computed here from
+    the window's views. Feature failures (too short, degenerate) come back
+    wrapped with the cell coordinates so batch callers can report
     precisely. Duration is the window's sample count over the stream's rate.
 
     Finite samples can still overflow: one above about 1e154 squares to
-    inf. numpy's overflow warning is silenced, and an inf norm, or a feature
-    that `FeatureVector` finds not finite, is a validation error naming the
-    cell.
+    inf. numpy's overflow warning is silenced, and an inf norm in the
+    window, or a feature that `FeatureVector` finds not finite, is a
+    validation error naming the cell.
     """
-    params = params or FeatureParams()
-    label = session.labels.get(task)
-    if label is None:
+    session, params = windows.session, windows.params
+    if task not in session.labels:
         raise ValidationError(f"{session.subject_id} has no label for task {task.value}")
-    stream = session.streams.get(placement)
-    if stream is None:
+    if placement not in session.streams:
         raise ValidationError(f"{session.subject_id} has no {placement.value} stream")
-    accel, gyro = slice_segment(stream, label, kind)
-    rate = stream.sample_rate_hz
+    accel, gyro, a_norm, w_norm, finite, np_a = windows.cells[task, kind, placement]
+    rate = session.sample_rate_hz
     try:
+        if not finite:
+            raise ValidationError("series contains non-finite values")
         with np.errstate(over="ignore"):
-            a_norm = euclidean_norm(accel)
-            w_norm = euclidean_norm(gyro)
-            if not (np.isfinite(a_norm).all() and np.isfinite(w_norm).all()):
-                raise ValidationError("series contains non-finite values")
             rav = angular_velocity_range(gyro)
             return FeatureVector(
                 nmcp_a=mean_crossing_count(a_norm),
-                np_a=peak_count(a_norm, params),
+                np_a=peak_count(a_norm, params) if np_a is None else np_a,
                 sparc=spectral_arc_length(w_norm, rate, params),
                 ldlj_a=log_dimensionless_jerk(a_norm, rate),
                 rav=rav,
@@ -366,37 +464,28 @@ def extract_cohort(
 
     `sessions` is any iterable and is consumed once, so a generator such
     as `ingest.iter_cohort` is walked one session at a time and an error
-    it raises ends the extraction. Failing cells are collected, not
+    it raises ends the extraction. Each session is cut and peak-counted
+    once by `session_windows`, then each of its present cells evaluated
+    by `extract_all`, in grid order. Failing cells are collected, not
     fatal: the returned failures list carries one FeatureError per cell
-    that could not be computed. Rows are sorted stably by subject_id, so
-    each session's rows stay in grid order (task, segment, placement).
+    that could not be computed, in that order; an invalid value (exit 4)
+    ends the extraction at its cell. Rows are sorted stably by subject_id,
+    so each session's rows stay in grid order (task, segment, placement).
     """
     params = params or FeatureParams()
     rows: list[FeatureRow] = []
     failures: list[FeatureError] = []
     for session in sessions:
-        for task in TaskKind:
-            if task not in session.labels:
+        windows = session_windows(session, params)
+        for task, kind, placement in windows.cells:
+            try:
+                vector = extract_all(windows, task, kind, placement)
+            except FeatureError as err:
+                failures.append(err)
                 continue
-            for kind in SegmentKind:
-                for placement in Placement:
-                    if placement not in session.streams:
-                        continue
-                    try:
-                        vector = extract_all(session, task, kind, placement, params)
-                    except FeatureError as err:
-                        failures.append(err)
-                        continue
-                    rows.append(
-                        FeatureRow(
-                            subject_id=session.subject_id,
-                            group=session.group,
-                            task=task,
-                            segment=kind,
-                            placement=placement,
-                            features=vector,
-                        )
-                    )
+            rows.append(
+                FeatureRow(session.subject_id, session.group, task, kind, placement, vector)
+            )
     rows.sort(key=lambda row: row.subject_id)
     return rows, failures
 

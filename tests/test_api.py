@@ -3,6 +3,7 @@
 import importlib
 import importlib.util
 import re
+import sys
 from inspect import ismodule
 from pathlib import Path
 
@@ -82,4 +83,7 @@ def test_every_traced_function_exists():
     ]
     assert spans.WRAPPED
     assert missing == []
+    # it loads by path here because it imports only the standard library
+    imported = {value.__name__.split(".")[0] for value in vars(spans).values() if ismodule(value)}
+    assert imported and imported <= sys.stdlib_module_names
     assert set(spans.COUNTERS) <= {name for _module, name, _span in spans.WRAPPED}

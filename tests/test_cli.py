@@ -23,7 +23,7 @@ from shoulderkin.cli import (
     EXIT_OK,
     _load_feature_params,
 )
-from shoulderkin.features import FeatureRow
+from shoulderkin.features import FeatureRow, log_dimensionless_jerk
 from shoulderkin.ingest import (
     COHORT_MANIFEST_NAME,
     LABELS_HEADER,
@@ -321,7 +321,9 @@ class TestExitCodes:
 
     def test_extract_ldlj_underflow_fails_the_cell(self, small_cohort, tmp_path, capsys):
         # a 3-sample window at 7.5e15 Hz whose jerk is one ulp of a 1.34e154
-        # norm: T / peak^2 * integral underflows to 0.0, whose log is undefined
+        # norm: T / peak^2 * integral underflows to 0.0, so LDLJ-A is computed
+        # at 1 Hz and gets the value 128 Hz gives; only the two constant
+        # subtasks of each placement fail
         cohort = tmp_path / "cohort"
         shutil.copytree(small_cohort, cohort)
         accel = np.zeros((80, 3))
@@ -333,20 +335,29 @@ class TestExitCodes:
         params.write_text("min_segment_s = 1e-17\n")
         out = tmp_path / "m.csv"
         argv = ["extract", "--cohort", str(cohort), "--out", str(out), "--params", str(params)]
-        code = main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
         err = capsys.readouterr().err
         assert code == EXIT_DEGENERATE, err
-        underflow = "dimensionless jerk is undefined: the ratio underflows to 0"
-        assert f"failed cell: {subject} WH/sub1/wrist: {underflow}" in err
-        assert "6 cells failed" in err
+        constant = "dimensionless jerk is undefined: constant signal"
+        assert f"failed cell: {subject} WH/sub2/wrist: {constant}" in err
+        assert "4 cells failed" in err
+        assert "underflows" not in err and "Warning" not in err
         rows = read_matrix(out)
-        assert len(rows) == 3 * 5 * 4 * 2 + 2
-        assert {r.segment for r in rows if r.subject_id == subject} == {SegmentKind.COMPLETE}
+        assert len(rows) == 3 * 5 * 4 * 2 + 4
+        ours = {(r.segment, r.placement): r.features for r in rows if r.subject_id == subject}
+        assert {segment for segment, _ in ours} == {SegmentKind.COMPLETE, SegmentKind.SUB1}
+        at_128 = log_dimensionless_jerk(np.linalg.norm(accel[:3], axis=1), 128.0)
+        for placement in Placement:
+            assert ours[SegmentKind.SUB1, placement].ldlj_a == pytest.approx(at_128, rel=1e-14)
+            assert ours[SegmentKind.SUB1, placement].ldlj_a == pytest.approx(72.1507, abs=1e-4)
 
     def test_extract_overflowing_jerk_names_the_cell(self, small_cohort, tmp_path, capsys):
         # the norms step between 0 and 1.3e154 every two samples: they are
         # finite, but the squared jerk overflows at 1e300 Hz and still does
-        # at the 1 Hz that LDLJ-A falls back to
+        # at 1 Hz, so LDLJ-A is computed at 1 Hz from the norm scaled to a
+        # peak near 1, and every cell has a value
         cohort = tmp_path / "cohort"
         shutil.copytree(small_cohort, cohort)
         accel = np.zeros((80, 3))
@@ -355,14 +366,22 @@ class TestExitCodes:
         subject = replace_first_session(cohort, 1e300, accel, gyro)
         params = tmp_path / "params.txt"
         params.write_text("min_segment_s = 1e-300\n")
-        argv = ["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")]
+        out = tmp_path / "m.csv"
+        argv = ["extract", "--cohort", str(cohort), "--out", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(argv + ["--params", str(params)])
-        assert code == EXIT_INVALID
         err = capsys.readouterr().err
-        assert f"error: {subject} WH/complete/wrist: ldlj_a is not finite" in err
+        assert code == EXIT_OK, err
         assert "Traceback" not in err and "Warning" not in err
+        complete = next(
+            r.features
+            for r in read_matrix(out)
+            if (r.subject_id, r.task, r.segment, r.placement)
+            == (subject, TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST)
+        )
+        want = log_dimensionless_jerk(accel[:9, 0] / 1.3e154, 128.0)
+        assert complete.ldlj_a == pytest.approx(want, rel=1e-12)
 
     def test_extract_bad_last_session_writes_nothing(self, small_cohort, tmp_path, capsys):
         # sessions are extracted as they load, so every cell before the

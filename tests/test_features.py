@@ -30,6 +30,7 @@ from shoulderkin.features import (
     mean_crossing_count,
     peak_count,
     power_index,
+    session_windows,
     spectral_arc_length,
 )
 from shoulderkin.model import (
@@ -311,7 +312,9 @@ class TestSpectralArcLength:
         rng = np.random.default_rng(73)
         session = build_session(rng, n=65537)
         with pytest.raises(FeatureError, match="S01 WH/complete/arm") as exc_info:
-            extract_all(session, TaskKind.WH, SegmentKind.COMPLETE, Placement.ARM)
+            extract_all(
+                session_windows(session), TaskKind.WH, SegmentKind.COMPLETE, Placement.ARM
+            )
         assert "exceeds the cap" in str(exc_info.value.__cause__)
 
 
@@ -355,17 +358,28 @@ class TestLogDimensionlessJerk:
         for rate in (1e-300, 1e-160, 1e300):
             assert log_dimensionless_jerk(series(values), rate) == pytest.approx(base, rel=1e-9)
 
+    def test_jerk_overflowing_at_one_hertz_is_scaled(self):
+        # steps between 0 and 1.3e154: the squared jerk overflows at 1 Hz too,
+        # so the fallback also scales the peak, and no warning is printed
+        values = np.zeros(9)
+        values[2::4] = values[3::4] = 1.3e154
+        want = log_dimensionless_jerk(values / 1.3e154, RATE)
+        for rate in (1.0, RATE, 1e300):
+            assert log_dimensionless_jerk(values, rate) == pytest.approx(want, rel=1e-12)
+
     def test_constant_signal_degenerate(self):
         for rate in (RATE, 1e-300, 1e-160, 1e300):
             with pytest.raises(DegenerateSignalError, match="constant signal"):
                 log_dimensionless_jerk(series(np.full(64, 2.0)), rate)
 
     def test_ratio_underflow_degenerate(self):
-        # the jerk is one ulp of a 1.34e154 peak, so T / peak^2 * integral
-        # is below the smallest subnormal and its log has no value
+        # the jerk is one ulp of a 1.34e154 peak, so at 7.5e15 Hz the ratio
+        # T / peak^2 * integral underflows to 0; it is computed at 1 Hz with
+        # the peak scaled exactly, and gets the value 128 Hz gives
         values = series([1.34e154, np.nextafter(1.34e154, 0.0), np.nextafter(1.34e154, 0.0)])
-        with pytest.raises(DegenerateSignalError, match="underflows"):
-            log_dimensionless_jerk(values, 7.5e15)
+        at_128 = log_dimensionless_jerk(values, RATE)
+        assert at_128 == pytest.approx(72.1507, abs=1e-4)
+        assert log_dimensionless_jerk(values, 7.5e15) == pytest.approx(at_128, rel=1e-14)
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
@@ -422,10 +436,10 @@ def rotate_session(session, rot):
 class TestExtractAll:
     def test_duration_is_placement_independent(self):
         rng = np.random.default_rng(47)
-        session = build_session(rng)
+        windows = session_windows(build_session(rng))
         for kind in SegmentKind:
-            wrist = extract_all(session, TaskKind.WH, kind, Placement.WRIST)
-            arm = extract_all(session, TaskKind.WH, kind, Placement.ARM)
+            wrist = extract_all(windows, TaskKind.WH, kind, Placement.WRIST)
+            arm = extract_all(windows, TaskKind.WH, kind, Placement.ARM)
             assert wrist.duration_s == arm.duration_s
 
     def test_duration_is_window_length_over_rate(self):
@@ -433,8 +447,9 @@ class TestExtractAll:
         rng = np.random.default_rng(47)
         session = build_session(rng, rate=100.0)
         label = session.labels[TaskKind.WH]
+        windows = session_windows(session)
         got = {
-            kind: extract_all(session, TaskKind.WH, kind, Placement.WRIST).duration_s
+            kind: extract_all(windows, TaskKind.WH, kind, Placement.WRIST).duration_s
             for kind in SegmentKind
         }
         assert got[SegmentKind.COMPLETE] == 6.4
@@ -451,8 +466,9 @@ class TestExtractAll:
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         turned = rotate_session(session, q)
-        base = extract_all(session, TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST)
-        moved = extract_all(turned, TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST)
+        cell = (TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST)
+        base = extract_all(session_windows(session), *cell)
+        moved = extract_all(session_windows(turned), *cell)
         assert moved.nmcp_a == base.nmcp_a
         assert moved.np_a == base.np_a
         assert moved.sparc == pytest.approx(base.sparc, rel=1e-9)
@@ -472,7 +488,7 @@ class TestExtractAll:
         labels = [SegmentLabel(task=TaskKind.WH, s1=0, e1=160, s2=160, e2=320, s3=320, e3=640)]
         session = assemble_session("Z01", Group.HEALTHY, "right", streams, labels)
         with pytest.raises(FeatureError) as exc_info:
-            extract_all(session, TaskKind.WH, SegmentKind.SUB1, Placement.WRIST)
+            extract_all(session_windows(session), TaskKind.WH, SegmentKind.SUB1, Placement.WRIST)
         err = exc_info.value
         assert "Z01" in str(err) and "WH" in str(err) and "sub1" in str(err)
         assert isinstance(err.__cause__, DegenerateSignalError)
@@ -489,7 +505,7 @@ class TestExtractAll:
             [session.labels[TaskKind.WH]],
         )
         with pytest.raises(ValidationError):
-            extract_all(stripped, TaskKind.POH, SegmentKind.SUB1, Placement.WRIST)
+            extract_all(session_windows(stripped), TaskKind.POH, SegmentKind.SUB1, Placement.WRIST)
 
 
 class TestCohortMatrix:
@@ -538,6 +554,21 @@ class TestCohortMatrix:
         rows, failures = extract_cohort([whole, short])
         assert len(failures) == 2 * len(Placement)
         assert calls["slice_segment"] == calls["extract_all"] == len(rows) + len(failures)
+
+    def test_non_finite_norm_outside_every_window_fails_nothing(self):
+        # norms are computed over the whole stream, but only a window's own
+        # samples decide whether it is finite
+        rng = np.random.default_rng(89)
+        clean = build_session(rng)
+        streams = {}
+        for placement, stream in clean.streams.items():
+            accel = np.vstack((stream.accel, np.full((4, 3), 1e200)))
+            gyro = np.vstack((stream.gyro, np.zeros((4, 3))))
+            streams[placement] = SensorStream(accel=accel, gyro=gyro, sample_rate_hz=RATE)
+        padded = assemble_session("S01", Group.PATIENT, "left", streams, clean.labels.values())
+        rows, failures = extract_cohort([padded])
+        assert failures == []
+        assert rows == extract_cohort([clean])[0]
 
     def test_matrix_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(67)

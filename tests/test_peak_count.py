@@ -1,4 +1,5 @@
-"""`peak_count` against scipy's `find_peaks`, its conventions, and its worst cases.
+"""`peak_count` and the batched walk behind it against scipy's `find_peaks`,
+its conventions, and its worst cases.
 
 scipy is a test dependency only: it is the oracle here, and the package
 never imports it.
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from shoulderkin import FeatureParams
-from shoulderkin.features import peak_count
+from shoulderkin.features import _prominent_peak_counts, peak_count
 
 def count(values, frac):
     return peak_count(np.asarray(values, dtype=float), FeatureParams(peak_prominence_frac=frac))
@@ -43,6 +44,35 @@ def series(draw):
 @given(series(), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
 def test_matches_find_peaks(values, frac):
     assert count(values, frac) == scipy_count(values, frac)
+
+
+@st.composite
+def window(draw):
+    """One window of a batch: a plateau at either edge or none, exactly 3
+    samples or more, constant or not, at a magnitude from 1e-300 to 1e150."""
+    kind = draw(st.sampled_from(["plateaus", "noise", "constant"]))
+    size = draw(st.one_of(st.just(3), st.integers(3, 40)))
+    if kind == "constant":
+        values = np.full(size, float(draw(st.integers(1, 9))))
+    elif kind == "plateaus":
+        levels = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+        values = np.array(levels, dtype=float) + 1.0
+    else:
+        values = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=size, max_size=size)))
+    # repeat the first and last samples to put plateaus on the edges
+    repeats = [draw(st.integers(1, 3))] + [1] * (size - 2) + [draw(st.integers(1, 3))]
+    values = np.repeat(values, repeats)
+    return values * 10.0 ** draw(st.integers(-300, 150))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.tuples(window(), st.floats(0.0, 1.0)), min_size=1, max_size=8))
+def test_batched_walk_counts_each_window_alone(batch):
+    # each window has its own threshold h, a fraction of its own range
+    windows = [values for values, _ in batch]
+    h = np.array([frac * float(values.max() - values.min()) for values, frac in batch])
+    expected = [len(find_peaks(w, prominence=t)[0]) for w, t in zip(windows, h)]
+    assert _prominent_peak_counts(windows, h).tolist() == expected
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ written or is rejected when built, and any cohort profile within the
 bounds reads back as written. `compare_cohort` turns any finite
 features into cells that are finite or untestable. The norm, derivative,
 mean-crossing and SPARC kernels are pinned bit for bit against the
-plainer formulas they replaced, which are kept here as references.
+plainer formulas they replaced, which are kept here as references, and
+`extract_cohort`, which cuts and counts a whole session at once, against
+the seven kernels applied to each window alone.
 """
 
 import contextlib
@@ -26,11 +28,15 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from shoulderkin import (  # noqa: E402
+    DegenerateSignalError,
+    FeatureError,
     ParseError,
     ShoulderKinError,
+    TooShortError,
     ValidationError,
     compare_cohort,
     default_profile,
+    extract_cohort,
     load_cohort,
     main,
     read_dump,
@@ -44,7 +50,11 @@ from shoulderkin.dsp import derivative, euclidean_norm, magnitude_spectrum  # no
 from shoulderkin.features import (  # noqa: E402
     FeatureParams,
     FeatureRow,
+    angular_velocity_range,
+    log_dimensionless_jerk,
     mean_crossing_count,
+    peak_count,
+    power_index,
     spectral_arc_length,
 )
 from shoulderkin.ingest import (  # noqa: E402
@@ -66,6 +76,7 @@ from shoulderkin.model import (  # noqa: E402
     SegmentLabel,
     SensorStream,
     TaskKind,
+    assemble_session,
 )
 from shoulderkin.synth import (  # noqa: E402
     MAX_N_PER_GROUP,
@@ -693,3 +704,93 @@ def test_sparc_dc_normalisation_agrees_with_max_normalisation(case):
     values = non_negative_series(np.random.default_rng(seed), n, shape)
     by_max = reference_sparc(values, rate, params, np.max)
     assert spectral_arc_length(values, rate, params) == pytest.approx(by_max, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def window_sessions(draw):
+    """One session on one or both placements whose subtask windows are
+    often 1 to 3 samples long, sometimes constant, and plateau-edged when
+    the samples are small integers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tasks = draw(st.lists(st.sampled_from(list(TaskKind)), min_size=1, max_size=5, unique=True))
+    lengths = st.one_of(st.integers(1, 3), st.integers(4, 40))
+    labels, constant, end = [], [], 0
+    for task in tasks:
+        s1 = end + draw(st.integers(0, 3))
+        e1 = s1 + draw(lengths)
+        e2 = e1 + draw(lengths)
+        end = e2 + draw(lengths)
+        labels.append(SegmentLabel(task, s1, e1, e1, e2, e2, end))
+        if draw(st.booleans()):
+            constant.append((e1, e2))
+    n = end + draw(st.integers(0, 3))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    rate = draw(st.sampled_from((32.0, 100.0 / 3.0, 128.0)))
+    streams = {}
+    for placement in draw(st.sampled_from(([Placement.WRIST], list(Placement)))):
+        if draw(st.booleans()):
+            accel = rng.integers(0, 3, (n, 3)).astype(float)
+        else:
+            accel = rng.normal(0.0, 2.0, (n, 3)) + np.array([0.0, 0.0, 9.81])
+        gyro = rng.normal(0.0, 30.0, (n, 3))
+        for start, stop in constant:
+            accel[start:stop] = accel[start]
+        streams[placement] = SensorStream(accel=scale * accel, gyro=gyro, sample_rate_hz=rate)
+    return assemble_session("S01", Group.PATIENT, "left", streams, labels)
+
+
+def reference_extract(session, params):
+    """Each present cell in grid order, from copies of its own window and
+    the seven per-window kernels, the way a cell was extracted alone."""
+    rows, failures = [], []
+    rate = session.sample_rate_hz
+    for task in TaskKind:
+        if task not in session.labels:
+            continue
+        for kind in SegmentKind:
+            start, end = session.labels[task].window(kind)
+            for placement in Placement:
+                if placement not in session.streams:
+                    continue
+                stream = session.streams[placement]
+                accel = stream.accel[start:end].copy()
+                gyro = stream.gyro[start:end].copy()
+                a_norm, w_norm = euclidean_norm(accel), euclidean_norm(gyro)
+                try:
+                    rav = angular_velocity_range(gyro)
+                    values = (
+                        mean_crossing_count(a_norm),
+                        peak_count(a_norm, params),
+                        spectral_arc_length(w_norm, rate, params),
+                        log_dimensionless_jerk(a_norm, rate),
+                        rav,
+                        power_index(accel, rav),
+                        len(accel) / rate,
+                    )
+                except (TooShortError, DegenerateSignalError) as err:
+                    failure = FeatureError(session.subject_id, task, kind, placement, err)
+                    failures.append(str(failure))
+                    continue
+                rows.append(((task, kind, placement), [bits(v) for v in values]))
+    return rows, failures
+
+
+@given(
+    window_sessions(),
+    st.builds(
+        FeatureParams,
+        peak_prominence_frac=st.sampled_from((0.01, 0.05, 0.3)),
+        sparc_pad_level=st.integers(0, 2),
+        min_segment_s=st.just(1e-3),
+    ),
+)
+def test_extract_cohort_matches_each_window_alone_bit_for_bit(session, params):
+    rows, failures = extract_cohort([session], params)
+    got = [
+        (
+            (row.task, row.segment, row.placement),
+            [bits(getattr(row.features, name)) for name in FeatureVector.FIELD_NAMES],
+        )
+        for row in rows
+    ]
+    assert (got, [str(err) for err in failures]) == reference_extract(session, params)
