@@ -141,23 +141,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
+    except (ShoulderKinError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_FORMAT
-    except CohortError as err:
-        print(f"error: {err}", file=sys.stderr)
-        cause = err.__cause__
-        return EXIT_FORMAT if isinstance(cause, ParseError) else EXIT_INVALID
-    except ValidationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except ShoulderKinError as err:
-        print(f"error: {err}", file=sys.stderr)
+        if isinstance(err, CohortError):
+            return EXIT_FORMAT if isinstance(err.__cause__, ParseError) else EXIT_INVALID
+        if isinstance(err, ParseError):
+            return EXIT_FORMAT
+        if isinstance(err, ValidationError):
+            return EXIT_INVALID
         return EXIT_ERROR
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

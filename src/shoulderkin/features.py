@@ -16,6 +16,7 @@ only the lengths and durations that a short label window can break.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -256,15 +257,22 @@ def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
 
         -ln( T / max(signal)^2 * sum(j^2) * dt )
 
-    Larger (less negative) means smoother. The value depends on neither
-    the signal's amplitude nor the rate. Where they push peak^2, sum(j^2) or
-    the ratio out of the normal, finite, positive doubles (a peak below
-    about 1.5e-154 or a jerk near 1e154, or a rate such as 1e-160, 1e300 or
-    7.5e15 Hz), it is computed from signal / peak at 1 Hz instead, where
-    the ratio is a normal double for any signal that is not constant. That
-    peak is rounded down to a power of two, so the scaling is exact.
-    Constant signals and signals with zero peak are degenerate: the log
-    has no value.
+    Larger (less negative) means smoother. Three conventions follow from
+    taking the signal to be the acceleration norm ||a||: the jerk is
+    d||a||/dt, not ||da/dt||, so an acceleration that turns at a constant
+    magnitude has no jerk; the peak is max ||a||, gravity included; and T
+    is n / rate, not (n - 1) / rate. A minimum-jerk speed pulse sampled on
+    T * rate + 1 points scores just below its continuous value
+    -ln(120 / (7 * 1.875^2)), about -1.5844, and closer as the rate rises.
+
+    The value depends on neither the signal's amplitude nor the rate.
+    Where they push peak^2, sum(j^2) or the ratio out of the normal,
+    finite, positive doubles (a peak below about 1.5e-154 or a jerk near
+    1e154, or a rate such as 1e-160, 1e300 or 7.5e15 Hz), it is computed
+    from signal / peak at 1 Hz instead, where the ratio is a normal double
+    for any signal that is not constant. That peak is rounded down to a
+    power of two, so the scaling is exact. Constant signals and signals
+    with zero peak are degenerate: the log has no value.
     """
     n = len(a_norm)
     if n < 3:
@@ -409,11 +417,11 @@ def extract_all(
     validation error naming the cell.
     """
     session, params = windows.session, windows.params
-    if task not in session.labels:
-        raise ValidationError(f"{session.subject_id} has no label for task {task.value}")
-    if placement not in session.streams:
-        raise ValidationError(f"{session.subject_id} has no {placement.value} stream")
-    accel, gyro, a_norm, w_norm, finite, np_a = windows.cells[task, kind, placement]
+    cell = f"{task.value}/{kind.value}/{placement.value}"
+    try:
+        accel, gyro, a_norm, w_norm, finite, np_a = windows.cells[task, kind, placement]
+    except KeyError:
+        raise ValidationError(f"{session.subject_id} has no label or stream for {cell}") from None
     rate = session.sample_rate_hz
     try:
         if not finite:
@@ -432,7 +440,6 @@ def extract_all(
     except (TooShortError, DegenerateSignalError) as err:
         raise FeatureError(session.subject_id, task, kind, placement, err) from err
     except ValidationError as err:
-        cell = f"{task.value}/{kind.value}/{placement.value}"
         raise ValidationError(f"{session.subject_id} {cell}: {err}") from err
 
 
@@ -456,6 +463,8 @@ MATRIX_COLUMNS = (
     "placement",
 ) + FeatureVector.FIELD_NAMES
 MATRIX_HEADER = ",".join(MATRIX_COLUMNS)
+_feature_values = operator.attrgetter(*FeatureVector.FIELD_NAMES)
+
 
 def extract_cohort(
     sessions, params: FeatureParams | None = None
@@ -494,7 +503,8 @@ def write_matrix(rows) -> bytes:
     """Serialize feature rows as the documented CSV, floats via `format_float`."""
     lines = [MATRIX_HEADER]
     for row in rows:
-        fv = row.features
+        # the two counts as digits, then the five reals
+        values = _feature_values(row.features)
         lines.append(
             ",".join(
                 (
@@ -503,13 +513,9 @@ def write_matrix(rows) -> bytes:
                     row.task.value,
                     row.segment.value,
                     row.placement.value,
-                    str(fv.nmcp_a),
-                    str(fv.np_a),
-                    format_float(fv.sparc),
-                    format_float(fv.ldlj_a),
-                    format_float(fv.rav),
-                    format_float(fv.pi),
-                    format_float(fv.duration_s),
+                    str(values[0]),
+                    str(values[1]),
+                    *map(format_float, values[2:]),
                 )
             )
         )

@@ -8,6 +8,7 @@ a labelled window is a pair of views of a stream's arrays (`slice_segment`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -112,7 +113,7 @@ class SegmentLabel:
     The three subtask windows are half-open, contiguous, and non-empty:
     [s1,e1) [s2,e2) [s3,e3) with e1 = s2 and e2 = s3. The complete-task
     window is their union [s1,e3). Bounds against a concrete stream length
-    are checked where a stream is at hand (slicing, session assembly).
+    are checked where a stream is at hand (session assembly).
     """
 
     task: TaskKind
@@ -191,9 +192,9 @@ class Session:
 class FeatureVector:
     """The seven per-segment features.
 
-    Construction requires integer counts and every field finite; degenerate
-    signals must be rejected with an error before this point, never smuggled
-    through as NaN.
+    Construction requires integer counts, none larger than the largest
+    double, and every field finite; degenerate signals must be rejected
+    with an error before this point, never smuggled through as NaN.
     """
 
     nmcp_a: int
@@ -208,8 +209,12 @@ class FeatureVector:
         counts = (self.nmcp_a, self.np_a)
         if not all(map(_is_integer, counts)):
             raise ValidationError(f"counts must be integers, got {counts}")
-        if self.nmcp_a < 0 or self.np_a < 0:
-            raise ValidationError("counts must be non-negative")
+        for name, count in zip(self.FIELD_NAMES, counts):
+            if count < 0:
+                raise ValidationError(f"{name} must be non-negative, got {count}")
+            # the statistics take each count as a double
+            if count > sys.float_info.max:
+                raise ValidationError(f"{name} is larger than the largest double")
         if not self.duration_s > 0:
             raise ValidationError(f"duration_s must be positive, got {self.duration_s}")
         for name in ("sparc", "ldlj_a", "rav", "pi", "duration_s"):
@@ -224,15 +229,11 @@ def slice_segment(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cut one labelled window out of a stream as ``(accel, gyro)``.
 
-    Both are read-only views of the stream's checked arrays, at its sample
-    rate; nothing is copied or checked again.
+    The label must end within the stream, as `Session` checks for each of
+    its labels and streams. Both are read-only views of the stream's checked
+    arrays, at its sample rate; nothing is copied or checked again.
     """
     start, end = label.window(kind)
-    if end > stream.n_samples:
-        raise BoundaryError(
-            f"{label.task.value}/{kind.value}: window [{start},{end}) exceeds "
-            f"stream length {stream.n_samples}"
-        )
     return stream.accel[start:end], stream.gyro[start:end]
 
 

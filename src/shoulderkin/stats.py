@@ -40,27 +40,20 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _BETA_MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even step, then the odd step
+        for aa in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + aa * d
+            if abs(d) < _BETA_FPMIN:
+                d = _BETA_FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _BETA_FPMIN:
+                c = _BETA_FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")

@@ -109,8 +109,10 @@ class GroupProfile:
                 )
         if not 0.0 <= self.pause_probability <= 1.0:
             raise ValidationError(f"pause_probability must be in [0,1], got {self.pause_probability}")
-        if self.accel_noise_sigma < 0 or self.gyro_noise_sigma < 0:
-            raise ValidationError("noise sigmas must be non-negative")
+        for name in ("accel_noise_sigma", "gyro_noise_sigma"):
+            sigma = getattr(self, name)
+            if not 0.0 <= sigma < math.inf:
+                raise ValidationError(f"{name} must be finite and non-negative, got {sigma}")
 
 
 @dataclass(frozen=True)

@@ -251,6 +251,20 @@ class TestExitCodes:
         assert old.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("key", ["accel_noise_sigma", "gyro_noise_sigma"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_simulate_unusable_noise_sigma(self, tmp_path, capsys, key, value):
+        ini = tmp_path / "profile.ini"
+        write_small_profile(ini, n_per_group=2)
+        text = ini.read_text()
+        old = f"{key} = {'0.02' if key.startswith('accel') else '0.6'}\n"
+        assert old in text
+        ini.write_text(text.replace(old, f"{key} = {value}\n", 1))
+        code = main(["simulate", "--out", str(tmp_path / "c"), "--params", str(ini)])
+        assert code == EXIT_INVALID
+        assert f"error: {key} must be finite and non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
     def test_simulate_seed_out_of_range(self, tmp_path):
         ini = tmp_path / "profile.ini"
         write_small_profile(ini, n_per_group=2)
@@ -471,6 +485,22 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         message = f"error: {matrix}:{len(rows) + 1}: subject 'P00' is in both the patient"
         assert message in capsys.readouterr().err
+
+    def test_compare_count_too_large_for_a_double(self, tmp_path, capsys):
+        # a count is an integer of any length, but the statistics take it as a double
+        rows = constant_matrix_rows()
+        matrix = tmp_path / "matrix.csv"
+        header, first, rest = write_matrix(rows).split(b"\n", 2)
+        cells = first.split(b",")
+        cells[5] = b"9" * 400
+        matrix.write_bytes(b"\n".join([header, b",".join(cells), rest]))
+        out_dir = tmp_path / "o"
+        code = main(["compare", str(matrix), "--out", str(out_dir)])
+        assert code == EXIT_INVALID
+        assert f"error: {matrix}:2: nmcp_a is larger than the largest double" in (
+            capsys.readouterr().err
+        )
+        assert not out_dir.exists()
 
     def test_compare_missing_matrix(self, tmp_path):
         code = main(["compare", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
@@ -697,9 +727,16 @@ class TestUnreadableInputs:
 class TestConsoleScript:
     def test_help_runs(self):
         exe = shutil.which("shoulderkin")
-        if exe is None:
-            pytest.skip("console script not installed")
-        proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+        if exe is not None:
+            proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
+        else:
+            # not installed: run the target pyproject.toml names for the script
+            tomllib = pytest.importorskip("tomllib")
+            pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+            target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["shoulderkin"]
+            module, func = target.split(":")
+            code = f"import sys; from {module} import {func}; sys.exit({func}())"
+            proc = run_python("-c", code, "--help")
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
         assert "report" in proc.stdout

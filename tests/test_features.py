@@ -34,6 +34,7 @@ from shoulderkin.features import (
     spectral_arc_length,
 )
 from shoulderkin.model import (
+    GRAVITY_MS2,
     FeatureVector,
     Group,
     Placement,
@@ -43,6 +44,7 @@ from shoulderkin.model import (
     TaskKind,
     assemble_session,
 )
+from shoulderkin.synth import SubmovementSpec, min_jerk_speed
 
 RATE = 128.0
 
@@ -385,6 +387,52 @@ class TestLogDimensionlessJerk:
         with pytest.raises(TooShortError):
             log_dimensionless_jerk(series([1.0, 2.0]), RATE)
 
+    def test_minimum_jerk_speed_approaches_the_closed_form(self):
+        # the min-jerk speed polynomial p(tau) has integral of p'^2 = 120/7
+        # over [0, 1] and peak 1.875, so the continuous value is
+        # -ln(120 / (7 * 1.875^2)) for any duration and amplitude
+        closed_form = -math.log(120.0 / (7.0 * 1.875**2))
+        spec = SubmovementSpec(
+            onset_s=0.0, duration_s=1.0, amplitude_dps=90.0, axis_weights=(1, 0, 0)
+        )
+        measured = {64: -1.5968, 128: -1.5913, 256: -1.5881, 1024: -1.5853}
+        gaps = []
+        for rate, want in measured.items():
+            got = log_dimensionless_jerk(min_jerk_speed(np.arange(rate + 1) / rate, spec), rate)
+            assert got == pytest.approx(want, abs=5e-5)
+            gaps.append(closed_form - got)
+        assert all(0 < b < a for a, b in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-3
+
+    def test_differentiates_the_norm_not_the_vector(self):
+        # |a| is exactly g in every sample while a turns from axis to axis:
+        # d|a|/dt is 0, so the cell is degenerate, though |da/dt| is not 0
+        n = 640
+        accel = GRAVITY_MS2 * np.eye(3)[np.arange(n) % 3]
+        assert np.linalg.norm(np.diff(accel, axis=0), axis=1).min() > 0
+        gyro = np.random.default_rng(97).normal(0.0, 30.0, (n, 3))
+        stream = SensorStream(accel=accel, gyro=gyro, sample_rate_hz=RATE)
+        label = SegmentLabel(TaskKind.WH, s1=0, e1=160, s2=160, e2=320, s3=320, e3=n)
+        session = assemble_session("G01", Group.HEALTHY, "left", {Placement.WRIST: stream}, [label])
+        windows = session_windows(session)
+        with pytest.raises(FeatureError, match="dimensionless jerk is undefined: constant signal"):
+            extract_all(windows, TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST)
+
+    def test_peak_includes_gravity(self):
+        # at 1 Hz the jerk of [12, 16, 12, 12] is [4, 0, -2, 0], so the
+        # squared-jerk integral is 20; the peak is 16, not the 4 left after
+        # taking a 12 m/s^2 baseline out
+        got = log_dimensionless_jerk(series([12.0, 16.0, 12.0, 12.0]), 1.0)
+        assert got == -math.log(4.0 / 16.0**2 * 20.0)
+        assert got != -math.log(4.0 / 4.0**2 * 20.0)
+
+    def test_duration_is_sample_count_over_rate(self):
+        # at 2 Hz the jerk of [12, 16, 12, 12, 12] is [8, 0, -4, 0, 0] and the
+        # integral 80 * 0.5 = 40; T is n / rate = 2.5 s, not (n - 1) / rate
+        got = log_dimensionless_jerk(series([12.0, 16.0, 12.0, 12.0, 12.0]), 2.0)
+        assert got == -math.log(2.5 / 16.0**2 * 40.0)
+        assert got != -math.log(2.0 / 16.0**2 * 40.0)
+
 
 class TestRangesAndDuration:
     def test_angular_velocity_range(self):
@@ -504,7 +552,7 @@ class TestExtractAll:
             session.streams,
             [session.labels[TaskKind.WH]],
         )
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no label or stream for POH/sub1/wrist"):
             extract_all(session_windows(stripped), TaskKind.POH, SegmentKind.SUB1, Placement.WRIST)
 
 

@@ -1,5 +1,7 @@
 """Core data model: streams, labels, sessions, slicing."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -127,18 +129,6 @@ class TestSliceSegment:
             assert np.shares_memory(window, whole)
             assert not window.flags.writeable
 
-    def test_out_of_range_label_raises_boundary(self):
-        stream = make_stream(20)
-        label = make_label(e3=30)
-        with pytest.raises(BoundaryError):
-            slice_segment(stream, label, SegmentKind.COMPLETE)
-
-    def test_boundary_error_names_task_and_kind(self):
-        stream = make_stream(20)
-        label = make_label(task=TaskKind.POH, e3=30)
-        with pytest.raises(BoundaryError, match="POH"):
-            slice_segment(stream, label, SegmentKind.SUB3)
-
 
 class TestSession:
     def build(self, n=60):
@@ -209,6 +199,12 @@ class TestFeatureVector:
         # True is an int, but write_matrix would print `True`, which read_matrix rejects
         with pytest.raises(ValidationError, match="counts must be integers"):
             FeatureVector(*counts, sparc=-1.0, ldlj_a=-5.0, rav=1.0, pi=1.0, duration_s=1.0)
+
+    def test_counts_end_at_the_largest_double(self):
+        largest = int(sys.float_info.max)
+        FeatureVector(largest, 0, sparc=-1.0, ldlj_a=-5.0, rav=1.0, pi=1.0, duration_s=1.0)
+        with pytest.raises(ValidationError, match="np_a is larger than the largest double"):
+            FeatureVector(0, largest + 1, sparc=-1.0, ldlj_a=-5.0, rav=1.0, pi=1.0, duration_s=1.0)
 
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValidationError):

@@ -502,16 +502,18 @@ def ranges(values):
     return st.tuples(values, values).map(sorted).map(tuple)
 
 
-# every group profile the bounds allow, floats from the least subnormal to inf
+# every group profile the bounds allow: durations from the least subnormal to
+# the bound, sigmas from 0 to the largest double
 durations = st.floats(min_value=0.0, max_value=MAX_PHASE_DURATION_S, exclude_min=True)
+sigmas = st.floats(min_value=0.0, allow_infinity=False)
 group_profiles = st.builds(
     GroupProfile,
     submovements=ranges(st.integers(1, MAX_SUBMOVEMENTS)),
     subtask_duration_s=ranges(durations),
     hold_duration_s=ranges(durations),
     pause_probability=st.floats(0.0, 1.0),
-    accel_noise_sigma=st.floats(min_value=0.0),
-    gyro_noise_sigma=st.floats(min_value=0.0),
+    accel_noise_sigma=sigmas,
+    gyro_noise_sigma=sigmas,
 )
 
 
