@@ -15,7 +15,7 @@ produce identical movement draws subject for subject.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +52,9 @@ _PAUSE_RANGE_S = (0.25, 0.7)
 # Upper bounds on the profile values that size what `simulate` allocates
 # and writes. One session is built and written at a time, so its length
 # bounds memory: at the limits below a session lasts at most about 29 min
-# (220k samples per placement), and building and writing one took under
-# 200 MB peak RSS. `n_per_group` bounds only the cohort's disk size and run
-# time; the default profile writes about 1.2 MB of CSV per session.
+# (220k samples per placement); building one peaked at 78 MB RSS, and
+# writing it at 103 MB. `n_per_group` bounds only the cohort's disk size
+# and run time; the default profile writes about 1.2 MB of CSV per session.
 MAX_N_PER_GROUP = 1000
 MAX_SUBMOVEMENTS = 50
 MAX_PHASE_DURATION_S = 60.0
@@ -245,33 +245,63 @@ def parse_profile(path) -> CohortProfile:
     )
 
 
+def _min_jerk_shape(t, onset_s, duration_s):
+    """The minimum-jerk speed polynomial 30 tau^2 - 60 tau^3 + 30 tau^4 of
+    tau = (t - onset) / duration and its derivative in tau, both zero
+    outside [0, 1]. The onsets and durations may be arrays matching t."""
+    tau = (t - onset_s) / duration_s
+    tau = np.where((tau >= 0.0) & (tau <= 1.0), tau, 0.0)
+    poly = 30.0 * tau**2 - 60.0 * tau**3 + 30.0 * tau**4
+    dpoly = 60.0 * tau - 180.0 * tau**2 + 120.0 * tau**3
+    return poly, dpoly
+
+
 def min_jerk_speed(t, spec: SubmovementSpec):
     """Angular speed of one pulse at time(s) t, deg/s.
 
     Zero outside [onset, onset + duration]; inside, the quartic
     minimum-jerk speed profile scaled so its peak equals the amplitude.
     """
-    t_arr = np.asarray(t, dtype=float)
-    tau = (t_arr - spec.onset_s) / spec.duration_s
-    inside = (tau >= 0.0) & (tau <= 1.0)
-    tau = np.where(inside, tau, 0.0)
-    poly = 30.0 * tau**2 - 60.0 * tau**3 + 30.0 * tau**4
-    out = np.where(inside, spec.amplitude_dps * poly / _MIN_JERK_PEAK, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    poly, _ = _min_jerk_shape(np.asarray(t, dtype=float), spec.onset_s, spec.duration_s)
+    out = spec.amplitude_dps * poly / _MIN_JERK_PEAK
+    return float(out) if out.ndim == 0 else out
 
 
-def _min_jerk_accel(t, spec: SubmovementSpec):
-    """Analytic time derivative of `min_jerk_speed`, deg/s^2."""
-    t_arr = np.asarray(t, dtype=float)
-    tau = (t_arr - spec.onset_s) / spec.duration_s
-    inside = (tau >= 0.0) & (tau <= 1.0)
-    tau = np.where(inside, tau, 0.0)
-    dpoly = 60.0 * tau - 180.0 * tau**2 + 120.0 * tau**3
-    return np.where(
-        inside, spec.amplitude_dps * dpoly / (_MIN_JERK_PEAK * spec.duration_s), 0.0
-    )
+def _render_pulses(pulses, n: int, rate: float, placements, noise, rng) -> list[SensorStream]:
+    """Render (onset_s, duration_s, amplitude_dps, unit axis) pulse rows
+    into one n-sample stream per (amplitude scale, lever arm) placement.
+
+    A pulse covers the samples floor(onset * rate) to ceil(end * rate)
+    inclusive. Its shape is evaluated once, over all windows joined end to
+    end; each placement adds its scaled copy into gyro and accel in pulse
+    order, so a sample two windows share sums them in that order, then
+    draws noise of the (accel, gyro) sigmas in `noise`, accel first.
+    """
+    onsets, durations, amplitudes = np.array([p[:3] for p in pulses], float).reshape(-1, 3).T
+    lo = np.maximum(np.floor(onsets * rate), 0).astype(np.intp)
+    hi = np.minimum(np.ceil((onsets + durations) * rate) + 1, n).astype(np.intp)
+    lengths = np.maximum(hi - lo, 0)
+    pulse = np.repeat(np.arange(len(lengths)), lengths)
+    sample = np.arange(len(pulse)) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+    poly, dpoly = _min_jerk_shape(sample / rate, onsets[pulse], durations[pulse])
+    peak_s = _MIN_JERK_PEAK * durations[pulse]
+    along = np.array([p[3] for p in pulses], float).reshape(-1, 3)[pulse]
+    # flat indices take numpy's fast one-dimensional np.add.at
+    flat = (3 * sample[:, None] + np.arange(3)).ravel()
+    streams = []
+    for scale, lever_arm_m in placements:
+        amplitude = (amplitudes * scale)[pulse]
+        speed = amplitude * poly / _MIN_JERK_PEAK
+        linear = lever_arm_m * np.deg2rad(amplitude * dpoly / peak_s)
+        gyro = np.zeros((n, 3))
+        accel = np.zeros((n, 3))
+        accel[:, 2] = GRAVITY_MS2
+        np.add.at(gyro.reshape(-1), flat, (speed[:, None] * along).ravel())
+        np.add.at(accel.reshape(-1), flat, (linear[:, None] * along).ravel())
+        accel += rng.normal(0.0, noise[0], (n, 3))
+        gyro += rng.normal(0.0, noise[1], (n, 3))
+        streams.append(SensorStream(accel=accel, gyro=gyro, sample_rate_hz=rate))
+    return streams
 
 
 def synth_segment(
@@ -290,30 +320,20 @@ def synth_segment(
     Both get independent Gaussian noise of the given sigmas (a sigma of 0
     still consumes draws, keeping the rng stream layout fixed).
     """
-    if not total_s > 0:
-        raise ValidationError(f"total_s must be positive, got {total_s}")
-    n = int(round(total_s * sample_rate_hz))
+    # each check is written so that NaN fails it
+    if not (total_s > 0 and 0 < total_s * sample_rate_hz < math.inf):
+        message = "must be positive, with a finite sample count"
+        raise ValidationError(f"total_s {total_s} and sample_rate_hz {sample_rate_hz} {message}")
     for spec in specs:
-        if spec.onset_s < -1e-9 or spec.onset_s + spec.duration_s > total_s + 1e-9:
+        end_s = spec.onset_s + spec.duration_s
+        if not (spec.onset_s >= -1e-9 and end_s <= total_s + 1e-9):
             raise ValidationError(
-                f"submovement [{spec.onset_s:.3f}, {spec.onset_s + spec.duration_s:.3f}] s "
-                f"does not fit in {total_s:.3f} s"
+                f"submovement [{spec.onset_s:.3f}, {end_s:.3f}] s does not fit in {total_s:.3f} s"
             )
-    t = np.arange(n) / sample_rate_hz
-    gyro = np.zeros((n, 3))
-    accel = np.zeros((n, 3))
-    accel[:, 2] = GRAVITY_MS2
-    for spec in specs:
-        lo = max(0, int(math.floor(spec.onset_s * sample_rate_hz)))
-        hi = min(n, int(math.ceil((spec.onset_s + spec.duration_s) * sample_rate_hz)) + 1)
-        window = t[lo:hi]
-        speed = min_jerk_speed(window, spec)
-        accel_scalar = lever_arm_m * np.deg2rad(_min_jerk_accel(window, spec))
-        gyro[lo:hi] += np.outer(speed, spec.axis_weights)
-        accel[lo:hi] += np.outer(accel_scalar, spec.axis_weights)
-    accel += rng.normal(0.0, accel_noise_sigma, (n, 3))
-    gyro += rng.normal(0.0, gyro_noise_sigma, (n, 3))
-    return SensorStream(accel=accel, gyro=gyro, sample_rate_hz=sample_rate_hz)
+    pulses = [(s.onset_s, s.duration_s, s.amplitude_dps, s.axis_weights) for s in specs]
+    n = round(total_s * sample_rate_hz)
+    noise = (accel_noise_sigma, gyro_noise_sigma)
+    return _render_pulses(pulses, n, sample_rate_hz, [(1.0, lever_arm_m)], noise, rng)[0]
 
 
 def _random_axis(rng: np.random.Generator) -> np.ndarray:
@@ -322,7 +342,8 @@ def _random_axis(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(0.0, 1.0, 3)
         v[2] *= 0.8
-        norm = float(np.sqrt(np.sum(v * v)))
+        x, y, z = v.tolist()
+        norm = math.sqrt(x * x + y * y + z * z)
         if norm > 1e-6:
             return v / norm
 
@@ -335,22 +356,21 @@ def _jittered_axis(base: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     count, washing out the speed contrast between the groups.
     """
     v = base + 0.25 * rng.normal(0.0, 1.0, 3)
-    norm = float(np.sqrt(np.sum(v * v)))
-    if norm < 1e-6:
-        return np.array(base)
-    return v / norm
+    x, y, z = v.tolist()
+    norm = math.sqrt(x * x + y * y + z * z)
+    return np.array(base) if norm < 1e-6 else v / norm
 
 
 def _layout_task(
-    profile: GroupProfile, rng: np.random.Generator, rate: float, start: int
-) -> tuple[list[SubmovementSpec], tuple[int, int, int, int]]:
+    profile: GroupProfile, rng: np.random.Generator, rate: float, start: int, pulses: list
+) -> tuple[int, int, int, int]:
     """Lay one task's three subtasks onto the sample grid.
 
-    Returns the specs and the boundary samples (s1, e1=s2, e2=s3, e3).
+    Appends each pulse's (onset_s, duration_s, amplitude_dps, unit axis)
+    to `pulses` and returns the boundary samples (s1, e1=s2, e2=s3, e3).
     The hold of subtask 2 is inserted between its submovements; pauses
     appear between submovements with the profile's probability.
     """
-    specs: list[SubmovementSpec] = []
     cursor = start
     edges = [start]
     for sub_idx in range(3):
@@ -370,15 +390,8 @@ def _layout_task(
         for i in range(k):
             n_i = max(8, int(round(movement_s * duration_w[i] * rate)))
             pulse_s = n_i / rate
-            excursion_i = excursion_deg * excursion_w[i]
-            specs.append(
-                SubmovementSpec(
-                    onset_s=cursor / rate,
-                    duration_s=pulse_s,
-                    amplitude_dps=_MIN_JERK_PEAK * excursion_i / pulse_s,
-                    axis_weights=_jittered_axis(base_axis, rng),
-                )
-            )
+            amplitude = _MIN_JERK_PEAK * (excursion_deg * excursion_w[i]) / pulse_s
+            pulses.append((cursor / rate, pulse_s, amplitude, _jittered_axis(base_axis, rng)))
             cursor += n_i
             pause_draw = rng.random()
             if i + 1 < k and pause_draw < profile.pause_probability:
@@ -386,7 +399,7 @@ def _layout_task(
             if hold_after and i + 1 == hold_after:
                 cursor += hold_n
         edges.append(cursor)
-    return specs, (edges[0], edges[1], edges[2], edges[3])
+    return edges[0], edges[1], edges[2], edges[3]
 
 
 def generate_session(profile: CohortProfile, group: Group, index: int) -> Session:
@@ -407,36 +420,23 @@ def generate_session(profile: CohortProfile, group: Group, index: int) -> Sessio
     session_rng = np.random.default_rng(children[0])
     side = "left" if session_rng.random() < 0.5 else "right"
 
-    specs: list[SubmovementSpec] = []
+    pulses: list = []
     labels: list[SegmentLabel] = []
     cursor = 0
     for task_idx, task in enumerate(TaskKind):
         task_rng = np.random.default_rng(children[1 + task_idx])
         cursor += int(round(task_rng.uniform(*_REST_RANGE_S) * rate))
-        task_specs, (s1, e1, e2, e3) = _layout_task(group_profile, task_rng, rate, cursor)
-        specs.extend(task_specs)
+        s1, e1, e2, e3 = _layout_task(group_profile, task_rng, rate, cursor, pulses)
         labels.append(SegmentLabel(task, s1, e1, e1, e2, e2, e3))
         cursor = e3
     cursor += int(round(session_rng.uniform(*_REST_RANGE_S) * rate))
-    total_s = cursor / rate
 
-    streams = {}
-    for placement in Placement:
-        scale = PLACEMENT_AMPLITUDE_SCALE[placement]
-        placed = [replace(s, amplitude_dps=s.amplitude_dps * scale) for s in specs]
-        streams[placement] = synth_segment(
-            placed,
-            total_s,
-            rate,
-            group_profile.accel_noise_sigma,
-            group_profile.gyro_noise_sigma,
-            session_rng,
-            lever_arm_m=PLACEMENT_LEVER_M[placement],
-        )
-
+    placements = [(PLACEMENT_AMPLITUDE_SCALE[p], PLACEMENT_LEVER_M[p]) for p in Placement]
+    noise = (group_profile.accel_noise_sigma, group_profile.gyro_noise_sigma)
+    rendered = _render_pulses(pulses, cursor, rate, placements, noise, session_rng)
     prefix = "P" if group is Group.PATIENT else "H"
     subject_id = f"{prefix}{index + 1:02d}"
-    return assemble_session(subject_id, group, side, streams, labels)
+    return assemble_session(subject_id, group, side, dict(zip(Placement, rendered)), labels)
 
 
 def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:

@@ -12,7 +12,9 @@ features into cells that are finite or untestable. The norm, derivative,
 mean-crossing and SPARC kernels are pinned bit for bit against the
 plainer formulas they replaced, which are kept here as references, and
 `extract_cohort`, which cuts and counts a whole session at once, against
-the seven kernels applied to each window alone.
+the seven kernels applied to each window alone. The simulator's pulse
+renderer, which evaluates a session's pulses once for both placements, is
+pinned against the pulse-by-pulse renderer it replaced.
 """
 
 import contextlib
@@ -45,6 +47,7 @@ from shoulderkin import (  # noqa: E402
     write_matrix,
     write_profile,
 )
+from shoulderkin import synth  # noqa: E402
 from shoulderkin.cli import _load_feature_params  # noqa: E402
 from shoulderkin.dsp import derivative, euclidean_norm, magnitude_spectrum  # noqa: E402
 from shoulderkin.features import (  # noqa: E402
@@ -69,6 +72,7 @@ from shoulderkin.ingest import (  # noqa: E402
     write_session_manifest,
 )
 from shoulderkin.model import (  # noqa: E402
+    GRAVITY_MS2,
     FeatureVector,
     Group,
     Placement,
@@ -82,9 +86,13 @@ from shoulderkin.synth import (  # noqa: E402
     MAX_N_PER_GROUP,
     MAX_PHASE_DURATION_S,
     MAX_SUBMOVEMENTS,
+    PLACEMENT_AMPLITUDE_SCALE,
+    PLACEMENT_LEVER_M,
     CohortProfile,
     GroupProfile,
+    SubmovementSpec,
     parse_profile,
+    synth_segment,
 )
 
 N_SAMPLES = 64
@@ -796,3 +804,102 @@ def test_extract_cohort_matches_each_window_alone_bit_for_bit(session, params):
         for row in rows
     ]
     assert (got, [str(err) for err in failures]) == reference_extract(session, params)
+
+
+def reference_min_jerk_speed(t, spec):
+    tau = (t - spec.onset_s) / spec.duration_s
+    inside = (tau >= 0.0) & (tau <= 1.0)
+    tau = np.where(inside, tau, 0.0)
+    poly = 30.0 * tau**2 - 60.0 * tau**3 + 30.0 * tau**4
+    return np.where(inside, spec.amplitude_dps * poly / 1.875, 0.0)
+
+
+def reference_min_jerk_accel(t, spec):
+    tau = (t - spec.onset_s) / spec.duration_s
+    inside = (tau >= 0.0) & (tau <= 1.0)
+    tau = np.where(inside, tau, 0.0)
+    dpoly = 60.0 * tau - 180.0 * tau**2 + 120.0 * tau**3
+    return np.where(inside, spec.amplitude_dps * dpoly / (1.875 * spec.duration_s), 0.0)
+
+
+def reference_render(specs, n, rate, lever_arm_m, noise, rng):
+    """One placement's (accel, gyro), pulse by pulse: each pulse's speed
+    and acceleration on its own window, spread over its axis by np.outer."""
+    t = np.arange(n) / rate
+    gyro = np.zeros((n, 3))
+    accel = np.zeros((n, 3))
+    accel[:, 2] = GRAVITY_MS2
+    for spec in specs:
+        lo = max(0, int(math.floor(spec.onset_s * rate)))
+        hi = min(n, int(math.ceil((spec.onset_s + spec.duration_s) * rate)) + 1)
+        window = t[lo:hi]
+        linear = lever_arm_m * np.deg2rad(reference_min_jerk_accel(window, spec))
+        gyro[lo:hi] += np.outer(reference_min_jerk_speed(window, spec), spec.axis_weights)
+        accel[lo:hi] += np.outer(linear, spec.axis_weights)
+    accel += rng.normal(0.0, noise[0], (n, 3))
+    gyro += rng.normal(0.0, noise[1], (n, 3))
+    return accel, gyro
+
+
+def reference_render_pulses(pulses, n, rate, placements, noise, rng):
+    """`synth._render_pulses` pulse by pulse: a spec per pulse and
+    placement, with the amplitude scaled, rendered by `reference_render`."""
+    streams = []
+    for scale, lever_arm_m in placements:
+        specs = [SubmovementSpec(on, span, amp * scale, axis) for on, span, amp, axis in pulses]
+        accel, gyro = reference_render(specs, n, rate, lever_arm_m, noise, rng)
+        streams.append(SensorStream(accel=accel, gyro=gyro, sample_rate_hz=rate))
+    return streams
+
+
+PLACEMENTS = [(PLACEMENT_AMPLITUDE_SCALE[p], PLACEMENT_LEVER_M[p]) for p in Placement]
+
+
+@st.composite
+def pulse_tables(draw):
+    """Pulse rows on a sample grid and its length: 8-sample and longer
+    pulses, back to back, so that neighbouring windows share a sample, or
+    after a pause, with onsets on a sample or between two."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = draw(st.sampled_from((128.0, 100.0 / 3.0)))
+    rows, cursor = [], draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(0, 12))):
+        n_i = draw(st.one_of(st.just(8), st.integers(9, 200)))
+        shift = draw(st.sampled_from((0.0, 0.0, 0.25, 0.999)))
+        amplitude = draw(st.floats(-1e4, 1e4, allow_subnormal=False))
+        axis = rng.normal(0.0, 1.0, 3)
+        axis /= float(np.sqrt(np.sum(axis * axis)))
+        rows.append(((cursor + shift) / rate, n_i / rate, amplitude, axis))
+        cursor += n_i + draw(st.one_of(st.just(0), st.integers(1, 90)))
+    return rows, cursor + 1 + draw(st.integers(0, 3)), rate
+
+
+def stream_bits(stream) -> tuple[bytes, bytes]:
+    return stream.accel.tobytes(), stream.gyro.tobytes()
+
+
+@given(pulse_tables(), st.integers(0, 2**32 - 1))
+def test_pulse_renderer_matches_pulse_by_pulse_reference_bit_for_bit(table, seed):
+    rows, n, rate = table
+    noise = (0.02, 0.6)
+    got = synth._render_pulses(rows, n, rate, PLACEMENTS, noise, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    want = reference_render_pulses(rows, n, rate, PLACEMENTS, noise, rng)
+    assert list(map(stream_bits, got)) == list(map(stream_bits, want))
+    # synth_segment renders its specs through the same renderer
+    specs = [SubmovementSpec(*row) for row in rows]
+    stream = synth_segment(specs, n / rate, rate, *noise, np.random.default_rng(seed), 0.55)
+    want = reference_render(specs, n, rate, 0.55, noise, np.random.default_rng(seed))
+    assert stream_bits(stream) == (want[0].tobytes(), want[1].tobytes())
+
+
+def test_generate_session_at_most_submovements_matches_pulse_by_pulse_reference(monkeypatch):
+    base = default_profile(n_per_group=2, seed=42)
+    most = (MAX_SUBMOVEMENTS, MAX_SUBMOVEMENTS)
+    busy = replace(base, patient=replace(base.patient, submovements=most))
+    got = synth.generate_session(busy, Group.PATIENT, 0)
+    monkeypatch.setattr(synth, "_render_pulses", reference_render_pulses)
+    want = synth.generate_session(busy, Group.PATIENT, 0)
+    assert got.labels == want.labels
+    for placement in Placement:
+        assert stream_bits(got.streams[placement]) == stream_bits(want.streams[placement])

@@ -1,6 +1,7 @@
 """Simulator: minimum-jerk identities, determinism, and cohort layout."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +122,21 @@ class TestSynthSegment:
         spec = planar_spec(onset=0.8, duration=0.5)
         with pytest.raises(ValidationError, match="does not fit"):
             synth_segment([spec], 1.0, RATE, 0.0, 0.0, self.rng())
+
+    @pytest.mark.parametrize("onset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_onset_rejected(self, onset):
+        with pytest.raises(ValidationError, match="does not fit"):
+            synth_segment([planar_spec(onset=onset)], 1.0, RATE, 0.0, 0.0, self.rng())
+
+    # a sample count that is not a finite number was an OverflowError or a
+    # ValueError from int(); the last case overflows only in the product
+    @pytest.mark.parametrize(
+        "total_s, rate",
+        [(math.inf, RATE), (math.nan, RATE), (1.0, math.inf), (1.0, math.nan), (1e300, 1e300)],
+    )
+    def test_non_finite_sample_count_rejected(self, total_s, rate):
+        with pytest.raises(ValidationError, match="finite sample count"):
+            synth_segment([], total_s, rate, 0.0, 0.0, self.rng())
 
 
 class TestProfileFile:
