@@ -8,6 +8,7 @@ degenerate (failed or untestable) cells, 1 for anything unexpected.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,7 +16,6 @@ from pathlib import Path
 from . import ingest, report, synth
 from .errors import CohortError, ParseError, ShoulderKinError, ValidationError
 from .features import FeatureParams, extract_cohort, read_matrix, write_matrix
-from .model import TaskKind
 from .stats import SignificanceRule, compare_cohort
 
 EXIT_OK = 0
@@ -52,7 +52,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_extract(args) -> int:
     params = _load_feature_params(args.params) if args.params is not None else FeatureParams()
-    rows, failures = extract_cohort(ingest.iter_cohort(args.cohort), params)
+    # closed here, so the walker's helper process ends before the command does
+    with contextlib.closing(ingest.iter_cohort(args.cohort)) as sessions:
+        rows, failures = extract_cohort(sessions, params)
     Path(args.out).write_bytes(write_matrix(rows))
     print(f"wrote {len(rows)} feature rows to {args.out}")
     if failures:
@@ -68,12 +70,7 @@ def cmd_compare(args) -> int:
     table = compare_cohort(rows, SignificanceRule(args.rule))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.format in ("dump", "both"):
-        (out_dir / DUMP_FILENAME).write_bytes(report.write_dump(table))
-    if args.format in ("table", "both"):
-        for task in TaskKind:
-            text = report.render_task_table(table, task)
-            (out_dir / f"{task.value.lower()}.txt").write_text(text, encoding="utf-8")
+    (out_dir / DUMP_FILENAME).write_bytes(report.write_dump(table))
     print(f"wrote comparison for {table.n1} patient vs {table.n2} healthy subjects to {out_dir}")
     untestable = table.untestable_count()
     if untestable:
@@ -114,18 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="two-group statistics over a feature matrix")
     p_cmp.add_argument("matrix", help="feature matrix CSV")
-    p_cmp.add_argument("--out", required=True, help="directory for tables and dump")
+    p_cmp.add_argument("--out", required=True, help="directory for the comparison dump")
     p_cmp.add_argument(
         "--rule",
         choices=[rule.value for rule in SignificanceRule],
         default=SignificanceRule.STRICT.value,
         help="effect-size boundary handling for the star rule",
-    )
-    p_cmp.add_argument(
-        "--format",
-        choices=["table", "dump", "both"],
-        default="both",
-        help="which outputs to write",
     )
     p_cmp.set_defaults(func=cmd_compare)
 

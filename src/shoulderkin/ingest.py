@@ -11,8 +11,10 @@ sections of a cohort profile), `split_rows` splits every comma-separated
 row, and `parse_number` is the one grammar for a number cell (through
 `parse_cell`, which names the bad cell); every reader, here and in the
 other modules, goes through them. `iter_cohort` is the one cohort
-walker: `load_cohort` is its list. `write_recording` prints every value
-as "%.9g" does, with numpy, a block of rows at a time.
+walker: `load_cohort` is its list. A helper process parses its
+recordings one session ahead, and the walker builds every object from
+the rows it sends. `write_recording` prints every value as "%.9g" does,
+with numpy, a block of rows at a time.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import os
 import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple, NoReturn
+from typing import Iterator, Mapping, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -167,14 +169,26 @@ def format_float(value) -> str:
     return repr(float(value))
 
 
-def parse_recording(path, sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> SensorStream:
+def parse_recording(
+    path, sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ, rows: np.ndarray | None = None
+) -> SensorStream:
     """Parse one placement's CSV recording into a SensorStream.
 
     Every row must carry exactly 7 numeric cells (time, 3 accel, 3 gyro),
     each under the `parse_number` grammar. Non-numeric cells are parse
     errors with a line number and column; numeric but non-finite cells
-    (NaN, inf) are validation errors naming the channel.
+    (NaN, inf) are validation errors naming the channel. `rows` is the
+    file's rows as `_recording_rows` returns them, when they have
+    already been read (by `iter_cohort`'s helper); the file is then not
+    read again.
     """
+    if rows is None:
+        rows = _recording_rows(path)
+    return SensorStream(accel=rows[:, 1:4], gyro=rows[:, 4:7], sample_rate_hz=sample_rate_hz)
+
+
+def _recording_rows(path) -> np.ndarray:
+    """A recording's sample rows as one N x 7 array, checked as `parse_recording` says."""
     lines = read_lines(path, RECORDING_HEADER, _referenced(path))
     body = lines[1:]
     if not body:
@@ -189,9 +203,7 @@ def parse_recording(path, sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> Sen
         raise ValidationError(
             f"{path}:{i + 2}: column {RECORDING_COLUMNS[j]!r} is not finite: {cell!r}"
         )
-    return SensorStream(
-        accel=values[:, 1:4], gyro=values[:, 4:7], sample_rate_hz=sample_rate_hz
-    )
+    return values
 
 
 def _parse_rows(body: list[str]) -> np.ndarray | None:
@@ -470,13 +482,18 @@ def write_session_manifest(manifest: SessionManifest) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def load_session(manifest_path) -> Session:
-    """Load and cross-validate one session from its manifest."""
+def load_session(manifest_path, rows: Mapping[Placement, np.ndarray] | None = None) -> Session:
+    """Load and cross-validate one session from its manifest.
+
+    `rows` maps a placement to its recording's rows when they have already
+    been read (see `parse_recording`); every other recording is read here.
+    """
     manifest_path = Path(manifest_path)
     manifest = parse_session_manifest(manifest_path)
     base = manifest_path.parent
+    rows = rows or {}
     streams = {
-        placement: parse_recording(base / rel, manifest.sample_rate_hz)
+        placement: parse_recording(base / rel, manifest.sample_rate_hz, rows.get(placement))
         for placement, rel in manifest.recordings.items()
     }
     labels = parse_labels(base / manifest.labels_path)
@@ -485,15 +502,113 @@ def load_session(manifest_path) -> Session:
     )
 
 
+def _parsed_rows(manifest_path: Path) -> list[np.ndarray | None]:
+    """Each placement's recording rows, None for one that could not be read."""
+    try:
+        manifest = parse_session_manifest(manifest_path)
+    except Exception:
+        return [None] * len(Placement)
+    rows: list[np.ndarray | None] = []
+    for placement in Placement:
+        try:
+            rows.append(_recording_rows(manifest_path.parent / manifest.recordings[placement]))
+        except Exception:
+            rows.append(None)
+    return rows
+
+
+class _ReadAhead:
+    """A helper process that parses the recordings one session ahead.
+
+    The parent extracts a session while the helper parses the next, so
+    the two CPUs share the work. The parent still builds and checks every
+    object: it passes the helper's rows to `load_session`, and reads any
+    recording the helper could not read, or every recording once the
+    helper has gone, itself, so errors are the ones a read in process
+    raises. Forked after numpy is loaded, the helper calls no BLAS
+    routine, whose threads do not survive a fork.
+
+    One message per session, in manifest order: each placement's row
+    count as int64 (-1 for a recording the helper could not read), then
+    the rows as raw float64.
+    """
+
+    def __init__(self, cohort_dir: Path, entries: list[str]):
+        import multiprocessing  # here, so commands that read no cohort do not load it
+
+        self.reader = self.helper = None
+        context = multiprocessing.get_context("fork")
+        if context.current_process().daemon:  # a daemonic process may not have children
+            return
+        reader, writer = context.Pipe(duplex=False)
+        helper = context.Process(
+            target=self._send_rows, args=(cohort_dir, entries, reader, writer), daemon=True
+        )
+        try:
+            helper.start()
+        except OSError:  # no process to spare: every recording is read in process
+            reader.close()
+            return
+        finally:
+            writer.close()
+        self.reader, self.helper = reader, helper
+
+    @staticmethod
+    def _send_rows(cohort_dir: Path, entries: list[str], reader, writer) -> NoReturn:
+        """The helper's body. A closed pipe or any other exception ends it
+        quietly; it never returns into the frames it was forked from, whose
+        `finally` blocks and buffered output belong to the parent."""
+        try:
+            reader.close()
+            for entry in entries:
+                rows = _parsed_rows(cohort_dir / entry)
+                counts = np.array([-1 if r is None else len(r) for r in rows], np.int64)
+                parts = [counts.tobytes()] + [r.tobytes() for r in rows if r is not None]
+                writer.send_bytes(b"".join(parts))
+        finally:
+            os._exit(0)
+
+    def next_rows(self) -> dict[Placement, np.ndarray]:
+        """The next session's rows by placement; none once the helper has gone."""
+        if self.reader is None:
+            return {}
+        try:
+            message = self.reader.recv_bytes()
+        except (EOFError, OSError):
+            self.close()
+            return {}
+        counts = np.frombuffer(message, np.int64, len(Placement))
+        offset, width = counts.nbytes, len(RECORDING_COLUMNS)
+        rows = {}
+        for placement, n in zip(Placement, counts.tolist()):
+            if n >= 0:
+                values = np.frombuffer(message, np.float64, n * width, offset)
+                rows[placement] = values.reshape(n, width)
+                offset += values.nbytes
+        return rows
+
+    def close(self) -> None:
+        """Close the pipe and end the helper, which a closed pipe ends anyway."""
+        if self.reader is None:
+            return
+        self.reader.close()
+        self.reader = None
+        if self.helper.is_alive():
+            self.helper.terminate()
+        self.helper.join()
+
+
 def iter_cohort(cohort_dir) -> Iterator[Session]:
     """Yield the sessions listed in the directory's cohort manifest, one at a time.
 
-    Order follows the manifest, and each session is read only when the
-    previous one has been consumed, so a caller that keeps no session
-    holds one at a time. The manifest itself is read and checked at the
-    first ``next``. A failing session raises `CohortError` with its entry
-    (the manifest line) and the underlying cause chained, after the
-    sessions before it have been yielded. A session whose subject an
+    Order follows the manifest. The manifest itself is read and checked at
+    the first ``next``; then one helper process starts, which parses each
+    session's recordings one session ahead and ends when the walk does.
+    So a caller that keeps no session holds one at a time, plus the next
+    session's rows in the helper. Close the generator (or exhaust it) to
+    end the helper at once. A failing session raises `CohortError` with
+    its entry (the manifest line) and the underlying cause chained, after
+    the sessions before it have been yielded. A session whose subject an
     earlier entry already had raises `CohortError` too.
     """
     cohort_dir = Path(cohort_dir)
@@ -502,24 +617,29 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
     entries = [line.strip() for line in lines if line.strip()]
     if not entries:
         raise CohortError(f"{manifest}: cohort manifest lists no sessions")
+    read_ahead = _ReadAhead(cohort_dir, entries)
     entry_of: dict[str, str] = {}
-    for entry in entries:
-        try:
-            session = load_session(cohort_dir / entry)
-        except (ParseError, ValidationError) as err:
-            raise CohortError(f"session {entry}: {err}") from err
-        subject = session.subject_id
-        if subject in entry_of:
-            first = entry_of[subject]
-            raise CohortError(f"session {entry}: subject {subject!r} is already in {first}")
-        entry_of[subject] = entry
-        yield session
+    try:
+        for entry in entries:
+            try:
+                session = load_session(cohort_dir / entry, read_ahead.next_rows())
+            except (ParseError, ValidationError) as err:
+                raise CohortError(f"session {entry}: {err}") from err
+            subject = session.subject_id
+            if subject in entry_of:
+                first = entry_of[subject]
+                raise CohortError(f"session {entry}: subject {subject!r} is already in {first}")
+            entry_of[subject] = entry
+            yield session
+    finally:
+        read_ahead.close()
 
 
 def load_cohort(cohort_dir) -> list[Session]:
     """Load every session listed in the directory's cohort manifest at once.
 
-    The whole cohort is in memory; `iter_cohort` is the walker, and the
-    first failing session aborts the load with its `CohortError`.
+    The whole cohort is in memory; `iter_cohort` is the walker (its helper
+    process parses one session ahead), and the first failing session
+    aborts the load with its `CohortError`.
     """
     return list(iter_cohort(cohort_dir))

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +16,18 @@ import numpy as np
 import pytest
 
 import shoulderkin
-from shoulderkin import default_profile, main, read_matrix, write_matrix, write_profile
+from shoulderkin import (
+    CohortError,
+    ParseError,
+    ValidationError,
+    default_profile,
+    extract_cohort,
+    ingest,
+    main,
+    read_matrix,
+    write_matrix,
+    write_profile,
+)
 from shoulderkin.cli import (
     DUMP_FILENAME,
     EXIT_DEGENERATE,
@@ -22,6 +35,8 @@ from shoulderkin.cli import (
     EXIT_INVALID,
     EXIT_OK,
     _load_feature_params,
+    build_parser,
+    cmd_extract,
 )
 from shoulderkin.features import FeatureRow, log_dimensionless_jerk
 from shoulderkin.ingest import (
@@ -35,8 +50,10 @@ from shoulderkin.ingest import (
     write_session_manifest,
 )
 from shoulderkin.model import FeatureVector, Group, Placement, SegmentKind, SensorStream, TaskKind
+from shoulderkin.report import TASK_TITLES
 
-TABLE_NAMES = ("wh.txt", "wub.txt", "wlb.txt", "poh.txt", "rop.txt")
+# the first line of each task table in `report`'s output
+TASK_HEADINGS = tuple(f"{task.value}: {title}" for task, title in TASK_TITLES.items())
 
 
 def write_small_profile(path, n_per_group=3, seed=9):
@@ -97,15 +114,12 @@ class TestPipeline:
         assert (cohort / COHORT_MANIFEST_NAME).exists()
         assert len(list(cohort.glob("*_session.txt"))) == 6
         assert len(read_matrix(matrix)) == 6 * 5 * 4 * 2
-        assert (out_dir / DUMP_FILENAME).exists()
-        for name in TABLE_NAMES:
-            assert (out_dir / name).exists()
+        assert [path.name for path in out_dir.iterdir()] == [DUMP_FILENAME]
 
         report_path = tmp_path / "report.txt"
         assert main(["report", str(out_dir / DUMP_FILENAME), "--out", str(report_path)]) == EXIT_OK
         text = report_path.read_text(encoding="utf-8")
-        assert "WH: Washing hair" in text
-        assert "ROP: Removing an object from back pocket" in text
+        assert [line for line in text.splitlines() if line in TASK_HEADINGS] == list(TASK_HEADINGS)
         assert "*: p < 0.05 and Cohen's d > 0.8" in text
 
         out = capsys.readouterr().out
@@ -182,7 +196,7 @@ class TestPipeline:
         # the comparison dump of the seed-42, 2v2 cohort under each rule
         matrix, out_dir = tmp_path / "matrix.csv", tmp_path / "out"
         assert main(["extract", "--cohort", str(seed42_cohort), "--out", str(matrix)]) == EXIT_OK
-        argv = ["compare", str(matrix), "--out", str(out_dir), "--rule", rule, "--format", "dump"]
+        argv = ["compare", str(matrix), "--out", str(out_dir), "--rule", rule]
         assert main(argv) == EXIT_OK
         assert hashlib.sha256((out_dir / DUMP_FILENAME).read_bytes()).hexdigest() == sha256
 
@@ -196,22 +210,16 @@ class TestPipeline:
         )
         assert (a / "P01_wrist.csv").read_bytes() != (b / "P01_wrist.csv").read_bytes()
 
-    def test_compare_table_only_format(self, tmp_path):
-        # 2-per-group cohorts can tie the integer count features in both
-        # groups, which makes a handful of cells untestable; 3 per group
-        # keeps this a clean exit-0 path
-        ini = tmp_path / "profile.ini"
-        write_small_profile(ini)
-        cohort, matrix = tmp_path / "cohort", tmp_path / "matrix.csv"
-        main(["simulate", "--out", str(cohort), "--params", str(ini)])
-        main(["extract", "--cohort", str(cohort), "--out", str(matrix)])
-        out_dir = tmp_path / "tables"
-        assert (
-            main(["compare", str(matrix), "--out", str(out_dir), "--format", "table"]) == EXIT_OK
-        )
-        assert not (out_dir / DUMP_FILENAME).exists()
-        for name in TABLE_NAMES:
-            assert (out_dir / name).exists()
+    def test_compare_writes_only_the_dump(self, tmp_path):
+        # `report` is the one renderer: `compare` writes no table and takes
+        # no option choosing one
+        matrix, out_dir = tmp_path / "matrix.csv", tmp_path / "tables"
+        matrix.write_bytes(write_matrix(varied_matrix_rows()))
+        assert main(["compare", str(matrix), "--out", str(out_dir)]) == EXIT_OK
+        assert [path.name for path in out_dir.iterdir()] == [DUMP_FILENAME]
+        with pytest.raises(SystemExit) as info:
+            main(["compare", str(matrix), "--out", str(out_dir), "--format", "table"])
+        assert info.value.code == 2
 
 
 class TestExitCodes:
@@ -526,8 +534,9 @@ class TestExitCodes:
         code = main(["compare", str(matrix), "--out", str(out_dir)])
         assert code == EXIT_DEGENERATE
         assert "260 cells were untestable" in capsys.readouterr().err
-        assert (out_dir / DUMP_FILENAME).exists()
-        assert (out_dir / "wh.txt").exists()
+        assert main(["report", str(out_dir / DUMP_FILENAME)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line in TASK_HEADINGS] == list(TASK_HEADINGS)
 
     @pytest.mark.parametrize(
         "patients, healthy",
@@ -649,6 +658,164 @@ class TestExtractMemory:
         small_peak = self.extract_peak(small_cohort, tmp_path / "small.csv")
         large_peak = self.extract_peak(large, tmp_path / "large.csv")
         assert large_peak < 1.25 * small_peak, (small_peak, large_peak)
+
+
+def in_process_sessions(cohort):
+    """The oracle walker: `load_session` on each entry in manifest order,
+    with `iter_cohort`'s error wrapping and repeated-subject check, and no
+    helper process."""
+    cohort = Path(cohort)
+    entry_of = {}
+    for entry in manifest_entries(cohort):
+        try:
+            session = ingest.load_session(cohort / entry)
+        except (ParseError, ValidationError) as err:
+            raise CohortError(f"session {entry}: {err}") from err
+        subject = session.subject_id
+        if subject in entry_of:
+            first = entry_of[subject]
+            raise CohortError(f"session {entry}: subject {subject!r} is already in {first}")
+        entry_of[subject] = entry
+        yield session
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def second_recording(cohort, placement=Placement.WRIST):
+    manifest = parse_session_manifest(cohort / manifest_entries(cohort)[1])
+    return cohort / manifest.recordings[placement]
+
+
+def non_numeric_cell(cohort):
+    corrupt_cell(second_recording(cohort), 5, "gy", "abc")
+
+
+def missing_recording(cohort):
+    second_recording(cohort, Placement.ARM).unlink()
+
+
+def fifo_recording(cohort):
+    recording = second_recording(cohort)
+    recording.unlink()
+    os.mkfifo(recording)
+
+
+def non_utf8_recording(cohort):
+    recording = second_recording(cohort, Placement.ARM)
+    recording.write_bytes(recording.read_bytes().replace(b"\n", b"\xff\n", 7))
+
+
+def crlf_recording(cohort):
+    recording = second_recording(cohort)
+    recording.write_bytes(recording.read_bytes().replace(b"\n", b"\r\n"))
+
+
+def silent_recording(cohort):
+    recording = second_recording(cohort)
+    stream = parse_recording(recording)
+    recording.write_bytes(
+        write_recording(dataclasses.replace(stream, accel=0 * stream.accel, gyro=0 * stream.gyro))
+    )
+
+
+def duplicate_subject(cohort):
+    entries = manifest_entries(cohort)
+    (cohort / COHORT_MANIFEST_NAME).write_text("\n".join(entries + entries[:1]) + "\n")
+
+
+def sample_before_a_broken_session(text):
+    def corrupt(cohort):
+        entries = manifest_entries(cohort)
+        first = parse_session_manifest(cohort / entries[0])
+        start = parse_labels(cohort / first.labels_path)[TaskKind.WH].s1
+        corrupt_cell(cohort / first.recordings[Placement.WRIST], start + 1, "ax", text)
+        corrupt_cell(cohort / recording_of(cohort / entries[-1]), 2, "ax", "abc")
+
+    return corrupt
+
+
+class TestReadAhead:
+    """`extract` parses through `iter_cohort`'s helper process exactly as the
+    walker without it does, and leaves no process behind."""
+
+    @pytest.fixture
+    def cohort(self, small_cohort, tmp_path):
+        # three sessions
+        cohort = tmp_path / "cohort"
+        shutil.copytree(small_cohort, cohort)
+        entries = manifest_entries(cohort)
+        (cohort / COHORT_MANIFEST_NAME).write_text("\n".join(entries[:3]) + "\n")
+        return cohort
+
+    def extract(self, capsys, cohort, out):
+        code = main(["extract", "--cohort", str(cohort), "--out", str(out)])
+        matrix = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, capsys.readouterr().err, matrix
+
+    @pytest.mark.parametrize(
+        "corrupt, code",
+        [
+            (non_numeric_cell, EXIT_FORMAT),
+            (missing_recording, EXIT_INVALID),
+            (fifo_recording, EXIT_FORMAT),
+            (non_utf8_recording, EXIT_FORMAT),
+            (crlf_recording, EXIT_OK),
+            (silent_recording, EXIT_DEGENERATE),
+            (duplicate_subject, EXIT_INVALID),
+            pytest.param(sample_before_a_broken_session("1e200"), EXIT_INVALID, id="overflowing"),
+            pytest.param(sample_before_a_broken_session("1e309"), EXIT_INVALID, id="infinite"),
+        ],
+    )
+    def test_extract_matches_the_in_process_walker(
+        self, cohort, tmp_path, capsys, monkeypatch, corrupt, code
+    ):
+        corrupt(cohort)
+        out = tmp_path / "m.csv"
+        result = self.extract(capsys, cohort, out)
+        assert_no_child_process()
+        assert result[0] == code, result[1]
+        monkeypatch.setattr(ingest, "iter_cohort", in_process_sessions)
+        assert result == self.extract(capsys, cohort, out)
+
+    def test_extract_ends_the_helper_before_its_error_leaves(self, cohort, tmp_path):
+        # the traceback holds the suspended walker, so only closing it ends the helper
+        sample_before_a_broken_session("1e200")(cohort)
+        args = build_parser().parse_args(
+            ["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")]
+        )
+        with pytest.raises(ValidationError, match="WH/complete/wrist") as info:
+            cmd_extract(args)
+        assert_no_child_process()
+        assert info.traceback
+
+    def test_closing_the_walker_ends_the_helper(self, cohort):
+        sessions = ingest.iter_cohort(cohort)
+        next(sessions)
+        assert len(multiprocessing.active_children()) == 1
+        sessions.close()
+        assert_no_child_process()
+
+    def test_parent_reads_the_rest_once_the_helper_dies(self, small_cohort, monkeypatch):
+        reads = []
+        read_rows = ingest._recording_rows
+        monkeypatch.setattr(
+            ingest, "_recording_rows", lambda path: reads.append(path) or read_rows(path)
+        )
+        sessions = ingest.iter_cohort(small_cohort)
+        first = next(sessions)
+        (helper,) = multiprocessing.active_children()
+        os.kill(helper.pid, signal.SIGKILL)
+        rest = list(sessions)
+        assert_no_child_process()
+        # a session's rows fill more than a pipe buffer, so the helper could
+        # not have sent the second session before it was killed
+        assert len(reads) == 2 * len(rest)
+        got = extract_cohort([first, *rest])
+        assert got == extract_cohort(in_process_sessions(small_cohort))
 
 
 class TestFeatureParamsFile:

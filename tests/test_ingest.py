@@ -1,5 +1,8 @@
 """On-disk format round-trips and strict-parser diagnostics."""
 
+import errno
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -446,3 +449,40 @@ class TestLoadCohort:
         assert [next(sessions).subject_id for _ in range(2)] == ["P01", "P02"]
         with pytest.raises(CohortError, match="H01_session.txt"):
             next(sessions)
+
+    def assert_sessions_equal(self, got, want):
+        assert [s.subject_id for s in got] == [s.subject_id for s in want]
+        for a, b in zip(got, want):
+            assert (a.group, a.side, a.labels) == (b.group, b.side, b.labels)
+            for placement in Placement:
+                x, y = a.streams[placement], b.streams[placement]
+                assert x.sample_rate_hz == y.sample_rate_hz
+                assert x.accel.tobytes() == y.accel.tobytes()
+                assert x.gyro.tobytes() == y.gyro.tobytes()
+
+    def test_helper_rows_build_the_streams_read_in_process(self, tmp_path):
+        self.build_cohort(tmp_path)
+        entries = (tmp_path / "cohort.txt").read_text().split()
+        want = [load_session(tmp_path / entry) for entry in entries]
+        self.assert_sessions_equal(load_cohort(tmp_path), want)
+
+    @pytest.mark.parametrize("cause", ["fork fails", "daemonic process"])
+    def test_without_a_helper_every_recording_is_read_in_process(
+        self, tmp_path, monkeypatch, cause
+    ):
+        self.build_cohort(tmp_path)
+        want = load_cohort(tmp_path)
+        if cause == "fork fails":
+
+            def fork():
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+            monkeypatch.setattr(os, "fork", fork)
+        else:  # such as a pool worker, which may not start a process
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        sessions = iter_cohort(tmp_path)
+        got = [next(sessions)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        got.extend(sessions)
+        self.assert_sessions_equal(got, want)
