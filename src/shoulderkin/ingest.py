@@ -29,6 +29,7 @@ from typing import Iterator, Mapping, NamedTuple, NoReturn
 import numpy as np
 
 from .errors import BoundaryError, CohortError, ParseError, ValidationError
+from .helper import Helper
 from .model import (
     DEFAULT_SAMPLE_RATE_HZ,
     Group,
@@ -517,85 +518,30 @@ def _parsed_rows(manifest_path: Path) -> list[np.ndarray | None]:
     return rows
 
 
-class _ReadAhead:
-    """A helper process that parses the recordings one session ahead.
+def _send_rows(cohort_dir: Path, entries: list[str], send) -> None:
+    """`iter_cohort`'s helper: parse each session's recordings in manifest
+    order and send them as one message, each placement's row count as
+    int64 (-1 for a recording it could not read), then the rows as raw
+    float64. It calls no BLAS routine."""
+    for entry in entries:
+        rows = _parsed_rows(cohort_dir / entry)
+        counts = np.array([-1 if r is None else len(r) for r in rows], np.int64)
+        send(b"".join([counts.tobytes()] + [r.tobytes() for r in rows if r is not None]))
 
-    The parent extracts a session while the helper parses the next, so
-    the two CPUs share the work. The parent still builds and checks every
-    object: it passes the helper's rows to `load_session`, and reads any
-    recording the helper could not read, or every recording once the
-    helper has gone, itself, so errors are the ones a read in process
-    raises. Forked after numpy is loaded, the helper calls no BLAS
-    routine, whose threads do not survive a fork.
 
-    One message per session, in manifest order: each placement's row
-    count as int64 (-1 for a recording the helper could not read), then
-    the rows as raw float64.
-    """
-
-    def __init__(self, cohort_dir: Path, entries: list[str]):
-        import multiprocessing  # here, so commands that read no cohort do not load it
-
-        self.reader = self.helper = None
-        context = multiprocessing.get_context("fork")
-        if context.current_process().daemon:  # a daemonic process may not have children
-            return
-        reader, writer = context.Pipe(duplex=False)
-        helper = context.Process(
-            target=self._send_rows, args=(cohort_dir, entries, reader, writer), daemon=True
-        )
-        try:
-            helper.start()
-        except OSError:  # no process to spare: every recording is read in process
-            reader.close()
-            return
-        finally:
-            writer.close()
-        self.reader, self.helper = reader, helper
-
-    @staticmethod
-    def _send_rows(cohort_dir: Path, entries: list[str], reader, writer) -> NoReturn:
-        """The helper's body. A closed pipe or any other exception ends it
-        quietly; it never returns into the frames it was forked from, whose
-        `finally` blocks and buffered output belong to the parent."""
-        try:
-            reader.close()
-            for entry in entries:
-                rows = _parsed_rows(cohort_dir / entry)
-                counts = np.array([-1 if r is None else len(r) for r in rows], np.int64)
-                parts = [counts.tobytes()] + [r.tobytes() for r in rows if r is not None]
-                writer.send_bytes(b"".join(parts))
-        finally:
-            os._exit(0)
-
-    def next_rows(self) -> dict[Placement, np.ndarray]:
-        """The next session's rows by placement; none once the helper has gone."""
-        if self.reader is None:
-            return {}
-        try:
-            message = self.reader.recv_bytes()
-        except (EOFError, OSError):
-            self.close()
-            return {}
-        counts = np.frombuffer(message, np.int64, len(Placement))
-        offset, width = counts.nbytes, len(RECORDING_COLUMNS)
-        rows = {}
-        for placement, n in zip(Placement, counts.tolist()):
-            if n >= 0:
-                values = np.frombuffer(message, np.float64, n * width, offset)
-                rows[placement] = values.reshape(n, width)
-                offset += values.nbytes
-        return rows
-
-    def close(self) -> None:
-        """Close the pipe and end the helper, which a closed pipe ends anyway."""
-        if self.reader is None:
-            return
-        self.reader.close()
-        self.reader = None
-        if self.helper.is_alive():
-            self.helper.terminate()
-        self.helper.join()
+def _unpack_rows(message: bytes | None) -> dict[Placement, np.ndarray]:
+    """The rows by placement of one `_send_rows` message; none for None."""
+    if message is None:
+        return {}
+    counts = np.frombuffer(message, np.int64, len(Placement))
+    offset, width = counts.nbytes, len(RECORDING_COLUMNS)
+    rows = {}
+    for placement, n in zip(Placement, counts.tolist()):
+        if n >= 0:
+            values = np.frombuffer(message, np.float64, n * width, offset)
+            rows[placement] = values.reshape(n, width)
+            offset += values.nbytes
+    return rows
 
 
 def iter_cohort(cohort_dir) -> Iterator[Session]:
@@ -617,12 +563,14 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
     entries = [line.strip() for line in lines if line.strip()]
     if not entries:
         raise CohortError(f"{manifest}: cohort manifest lists no sessions")
-    read_ahead = _ReadAhead(cohort_dir, entries)
     entry_of: dict[str, str] = {}
-    try:
+    # the parent builds every object: it reads any recording the helper
+    # could not, or every one once the helper has gone, itself, so errors
+    # are the ones a read in process raises
+    with Helper(functools.partial(_send_rows, cohort_dir, entries)) as read_ahead:
         for entry in entries:
             try:
-                session = load_session(cohort_dir / entry, read_ahead.next_rows())
+                session = load_session(cohort_dir / entry, _unpack_rows(read_ahead.receive()))
             except (ParseError, ValidationError) as err:
                 raise CohortError(f"session {entry}: {err}") from err
             subject = session.subject_id
@@ -631,8 +579,6 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
                 raise CohortError(f"session {entry}: subject {subject!r} is already in {first}")
             entry_of[subject] = entry
             yield session
-    finally:
-        read_ahead.close()
 
 
 def load_cohort(cohort_dir) -> list[Session]:

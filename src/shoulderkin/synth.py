@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from . import ingest
+from .helper import Helper
 from .model import (
     GRAVITY_MS2,
     DEFAULT_SAMPLE_RATE_HZ,
@@ -50,11 +51,13 @@ _REST_RANGE_S = (0.4, 1.0)
 _PAUSE_RANGE_S = (0.25, 0.7)
 
 # Upper bounds on the profile values that size what `simulate` allocates
-# and writes. One session is built and written at a time, so its length
-# bounds memory: at the limits below a session lasts at most about 29 min
-# (220k samples per placement); building one peaked at 78 MB RSS, and
-# writing it at 103 MB. `n_per_group` bounds only the cohort's disk size
-# and run time; the default profile writes about 1.2 MB of CSV per session.
+# and writes. Each of its two processes (see `generate_cohort`) builds and
+# writes one session at a time, so a session's length bounds memory: at
+# the limits below a session lasts at most about 29 min (220k samples per
+# placement), and writing four such sessions peaked at 107 MB RSS in the
+# parent and 98 MB in its helper. `n_per_group` bounds only the cohort's
+# disk size and run time; the default profile writes about 1.2 MB of CSV
+# per session.
 MAX_N_PER_GROUP = 1000
 MAX_SUBMOVEMENTS = 50
 MAX_PHASE_DURATION_S = 60.0
@@ -439,42 +442,79 @@ def generate_session(profile: CohortProfile, group: Group, index: int) -> Sessio
     return assemble_session(subject_id, group, side, dict(zip(Placement, rendered)), labels)
 
 
+def _write_session(profile: CohortProfile, group: Group, index: int, out_dir: Path) -> str:
+    """Generate one session and write its recordings, labels and session
+    manifest into `out_dir`; returns the manifest's file name."""
+    session = generate_session(profile, group, index)
+    sid = session.subject_id
+    files = {
+        Placement.WRIST: f"{sid}_wrist.csv",
+        Placement.ARM: f"{sid}_arm.csv",
+    }
+    for placement, name in files.items():
+        (out_dir / name).write_bytes(ingest.write_recording(session.streams[placement]))
+    labels_name = f"{sid}_labels.csv"
+    (out_dir / labels_name).write_bytes(ingest.write_labels(session.labels))
+    manifest = ingest.SessionManifest(
+        subject_id=sid,
+        group=session.group,
+        side=session.side,
+        recordings=files,
+        labels_path=labels_name,
+        sample_rate_hz=session.sample_rate_hz,
+    )
+    manifest_name = f"{sid}_session.txt"
+    (out_dir / manifest_name).write_bytes(ingest.write_session_manifest(manifest))
+    return manifest_name
+
+
 def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:
     """Write a full cohort directory: recordings, labels, manifests.
 
     Patients come first, then healthy subjects, both in index order; the
     cohort manifest lists the session manifests in that order. Returns
     the session manifest paths.
+
+    Once `out_dir` exists, one helper process (`helper.Helper`) writes
+    every other session in that order, from the second on, and reports
+    each when its files are on disk; this process writes the rest at the
+    same time. A session depends only on (seed, index), so the files are
+    the same bytes a single process writes. Before an error leaves, every
+    helper session ahead of the failing one is accounted for: reported,
+    or written here once the helper has been killed and reaped, so the
+    error raised is the first failing session's in manifest order. The
+    cohort manifest is written last, only when every session is on disk.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    manifest_names: list[str] = []
-    manifest_paths: list[Path] = []
-    for group in (Group.PATIENT, Group.HEALTHY):
-        for index in range(profile.n_per_group):
-            session = generate_session(profile, group, index)
-            sid = session.subject_id
-            files = {
-                Placement.WRIST: f"{sid}_wrist.csv",
-                Placement.ARM: f"{sid}_arm.csv",
-            }
-            for placement, name in files.items():
-                (out_dir / name).write_bytes(ingest.write_recording(session.streams[placement]))
-            labels_name = f"{sid}_labels.csv"
-            (out_dir / labels_name).write_bytes(ingest.write_labels(session.labels))
-            manifest = ingest.SessionManifest(
-                subject_id=sid,
-                group=session.group,
-                side=session.side,
-                recordings=files,
-                labels_path=labels_name,
-                sample_rate_hz=session.sample_rate_hz,
-            )
-            manifest_name = f"{sid}_session.txt"
-            (out_dir / manifest_name).write_bytes(ingest.write_session_manifest(manifest))
-            manifest_names.append(manifest_name)
-            manifest_paths.append(out_dir / manifest_name)
+    groups = (Group.PATIENT, Group.HEALTHY)
+    keys = [(group, index) for group in groups for index in range(profile.n_per_group)]
+    names: list[str] = [""] * len(keys)
+
+    def write(position: int) -> str:
+        return _write_session(profile, *keys[position], out_dir)
+
+    def write_every_other(send) -> None:
+        for position in range(1, len(keys), 2):
+            send(write(position).encode())
+
+    with Helper(write_every_other) as helper:
+        end, error = len(keys), None
+        for position in range(0, len(keys), 2):
+            try:
+                names[position] = write(position)
+            except Exception as err:
+                end, error = position, err
+                break
+        # every helper session before `end` is on disk before an error
+        # leaves; outside the handler, so an earlier one's error has no context
+        for position in range(1, end, 2):
+            message = helper.receive()
+            # None: the helper has ended, and been reaped, without it
+            names[position] = write(position) if message is None else message.decode()
+        if error is not None:
+            raise error
     (out_dir / ingest.COHORT_MANIFEST_NAME).write_bytes(
-        ("\n".join(manifest_names) + "\n").encode("utf-8")
+        ("\n".join(names) + "\n").encode("utf-8")
     )
-    return manifest_paths
+    return [out_dir / name for name in names]

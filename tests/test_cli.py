@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import multiprocessing
 import os
 import shutil
 import signal
@@ -25,6 +24,7 @@ from shoulderkin import (
     ingest,
     main,
     read_matrix,
+    synth,
     write_matrix,
     write_profile,
 )
@@ -684,6 +684,21 @@ def assert_no_child_process():
         os.waitpid(-1, os.WNOHANG)
 
 
+def record_forks(monkeypatch):
+    """The pids of the processes `os.fork` starts in this process from now on."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
 def second_recording(cohort, placement=Placement.WRIST):
     manifest = parse_session_manifest(cohort / manifest_entries(cohort)[1])
     return cohort / manifest.recordings[placement]
@@ -795,7 +810,7 @@ class TestReadAhead:
     def test_closing_the_walker_ends_the_helper(self, cohort):
         sessions = ingest.iter_cohort(cohort)
         next(sessions)
-        assert len(multiprocessing.active_children()) == 1
+        assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # the helper is running
         sessions.close()
         assert_no_child_process()
 
@@ -805,10 +820,11 @@ class TestReadAhead:
         monkeypatch.setattr(
             ingest, "_recording_rows", lambda path: reads.append(path) or read_rows(path)
         )
+        forked = record_forks(monkeypatch)
         sessions = ingest.iter_cohort(small_cohort)
         first = next(sessions)
-        (helper,) = multiprocessing.active_children()
-        os.kill(helper.pid, signal.SIGKILL)
+        (helper,) = forked
+        os.kill(helper, signal.SIGKILL)
         rest = list(sessions)
         assert_no_child_process()
         # a session's rows fill more than a pipe buffer, so the helper could
@@ -816,6 +832,47 @@ class TestReadAhead:
         assert len(reads) == 2 * len(rest)
         got = extract_cohort([first, *rest])
         assert got == extract_cohort(in_process_sessions(small_cohort))
+
+
+def in_process_cohort(profile, out_dir):
+    """The oracle writer: every session written by this process, in
+    manifest order, then the cohort manifest."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    names = [
+        synth._write_session(profile, group, index, out_dir)
+        for group in (Group.PATIENT, Group.HEALTHY)
+        for index in range(profile.n_per_group)
+    ]
+    (out_dir / COHORT_MANIFEST_NAME).write_text("\n".join(names) + "\n")
+
+
+class TestSimulateWriter:
+    """`simulate` fails as one process writing the sessions in order does,
+    though its helper process writes every other one (P02 and H02 here)."""
+
+    @pytest.mark.parametrize(
+        "blocked", [("P02", "H01"), ("P02",), ("H01",), ("P01", "P02"), ("H02",)]
+    )
+    def test_simulate_matches_the_in_process_writer(self, tmp_path, capsys, monkeypatch, blocked):
+        profile = tmp_path / "profile.ini"
+        write_small_profile(profile, n_per_group=2)
+        out = tmp_path / "cohort"
+
+        def simulate():
+            shutil.rmtree(out, ignore_errors=True)
+            for sid in blocked:  # a directory where a recording goes
+                (out / f"{sid}_wrist.csv").mkdir(parents=True)
+            code = main(["simulate", "--out", str(out), "--params", str(profile)])
+            return code, capsys.readouterr().err, (out / COHORT_MANIFEST_NAME).exists()
+
+        result = simulate()
+        assert_no_child_process()
+        assert result[0] != EXIT_OK
+        assert f"{blocked[0]}_wrist.csv" in result[1]
+        assert not result[2]
+        monkeypatch.setattr(synth, "generate_cohort", in_process_cohort)
+        assert result == simulate()
 
 
 class TestFeatureParamsFile:
@@ -923,13 +980,14 @@ def run_python(*args, cwd=None, timeout=None):
 
 
 class TestFreshProcess:
-    # runs one subcommand, then lists which of scipy and configparser it
-    # loaded: the package needs neither
+    # runs one subcommand, then lists which of scipy, configparser and
+    # multiprocessing it loaded: the package needs none of them
     PROBE = (
         "import sys\n"
         "import shoulderkin\n"
         "code = shoulderkin.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'configparser'}))\n"
+        "unused = {'scipy', 'configparser', 'multiprocessing'}\n"
+        "print(sorted({m.partition('.')[0] for m in sys.modules} & unused))\n"
         "sys.exit(code)\n"
     )
 

@@ -466,23 +466,39 @@ class TestLoadCohort:
         want = [load_session(tmp_path / entry) for entry in entries]
         self.assert_sessions_equal(load_cohort(tmp_path), want)
 
-    @pytest.mark.parametrize("cause", ["fork fails", "daemonic process"])
+    @pytest.mark.parametrize("cause", ["fork fails"])
     def test_without_a_helper_every_recording_is_read_in_process(
         self, tmp_path, monkeypatch, cause
     ):
         self.build_cohort(tmp_path)
         want = load_cohort(tmp_path)
-        if cause == "fork fails":
 
-            def fork():
-                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-            monkeypatch.setattr(os, "fork", fork)
-        else:  # such as a pool worker, which may not start a process
-            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        monkeypatch.setattr(os, "fork", fork)
         sessions = iter_cohort(tmp_path)
         got = [next(sessions)]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         got.extend(sessions)
+        self.assert_sessions_equal(got, want)
+
+    def test_a_daemonic_process_still_forks_the_helper(self, tmp_path, monkeypatch):
+        # such as a pool worker: a bare fork has no daemon rule
+        self.build_cohort(tmp_path)
+        want = load_cohort(tmp_path)
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        got = load_cohort(tmp_path)
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
         self.assert_sessions_equal(got, want)

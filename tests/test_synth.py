@@ -1,7 +1,11 @@
 """Simulator: minimum-jerk identities, determinism, and cohort layout."""
 
 import dataclasses
+import errno
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -15,8 +19,10 @@ from shoulderkin import (
     load_cohort,
     write_profile,
 )
+from shoulderkin import synth
 from shoulderkin.dsp import euclidean_norm
 from shoulderkin.features import peak_count, spectral_arc_length
+from shoulderkin.helper import Helper
 from shoulderkin.model import GRAVITY_MS2, Group, Placement, SegmentKind, TaskKind, slice_segment
 from shoulderkin.synth import (
     MAX_N_PER_GROUP,
@@ -321,6 +327,130 @@ class TestGenerateCohort:
             assert not window.flags.writeable
         a_norm = euclidean_norm(accel)
         assert peak_count(a_norm, FeatureParams()) >= 1
+
+
+def cohort_profile(n_per_group, seed=11):
+    """A default profile of `n_per_group`; 1 is below the profile's own
+    bound, so it is set past the check, to give each process one session."""
+    profile = default_profile(n_per_group=max(n_per_group, 2), seed=seed)
+    object.__setattr__(profile, "n_per_group", n_per_group)
+    return profile
+
+
+def write_in_process(profile, out_dir):
+    """The oracle: every session written by this process, in manifest order,
+    then the cohort manifest."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    names = [
+        synth._write_session(profile, group, index, out_dir)
+        for group in (Group.PATIENT, Group.HEALTHY)
+        for index in range(profile.n_per_group)
+    ]
+    (out_dir / "cohort.txt").write_text("\n".join(names) + "\n")
+
+
+def files_of(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestCohortWriter:
+    """`generate_cohort` writes every other session in a helper process and
+    the same bytes as one process writing them in order."""
+
+    @pytest.mark.parametrize("n_per_group", [1, 2, 3])
+    def test_same_bytes_as_one_process(self, tmp_path, n_per_group):
+        profile = cohort_profile(n_per_group)
+        paths = generate_cohort(profile, tmp_path / "cohort")
+        assert_no_child_process()
+        write_in_process(profile, tmp_path / "oracle")
+        want = files_of(tmp_path / "oracle")
+        assert files_of(tmp_path / "cohort") == want
+        assert [path.name for path in paths] == want["cohort.txt"].decode().split()
+
+    def test_the_helper_writes_every_other_session(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        write_session = synth._write_session
+        in_parent = []
+
+        def write(profile, group, index, out_dir):
+            name = write_session(profile, group, index, out_dir)
+            if os.getpid() == parent:
+                in_parent.append(name)
+            return name
+
+        monkeypatch.setattr(synth, "_write_session", write)
+        generate_cohort(cohort_profile(3), tmp_path)
+        assert_no_child_process()
+        assert in_parent == ["P01_session.txt", "P03_session.txt", "H02_session.txt"]
+
+    def test_parent_finishes_the_cohort_once_the_helper_is_killed(self, tmp_path, monkeypatch):
+        # the helper reports P02, then leaves half of H01_wrist.csv and
+        # stalls; the parent kills it at that first report
+        parent = os.getpid()
+        write_session = synth._write_session
+        in_parent = []
+
+        def write(profile, group, index, out_dir):
+            if os.getpid() != parent and (group, index) == (Group.HEALTHY, 0):
+                (out_dir / "H01_wrist.csv").write_bytes(b"time_s,ax")
+                time.sleep(600)
+            if os.getpid() == parent and group is Group.HEALTHY and index != 1:
+                assert_no_child_process()  # the helper's session: it is dead and reaped
+            name = write_session(profile, group, index, out_dir)
+            if os.getpid() == parent:
+                in_parent.append(name[:3])
+            return name
+
+        receive = Helper.receive
+
+        def receive_then_kill(helper):
+            message = receive(helper)
+            if message is not None:
+                os.kill(helper.pid, signal.SIGKILL)
+            return message
+
+        monkeypatch.setattr(synth, "_write_session", write)
+        monkeypatch.setattr(Helper, "receive", receive_then_kill)
+        profile = cohort_profile(3)
+        generate_cohort(profile, tmp_path / "cohort")
+        assert_no_child_process()
+        assert in_parent == ["P01", "P03", "H02", "H01", "H03"]
+        write_in_process(profile, tmp_path / "oracle")
+        assert files_of(tmp_path / "cohort") == files_of(tmp_path / "oracle")
+
+    def test_without_a_helper_every_session_is_written_in_process(self, tmp_path, monkeypatch):
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        profile = cohort_profile(2)
+        generate_cohort(profile, tmp_path / "cohort")
+        write_in_process(profile, tmp_path / "oracle")
+        assert files_of(tmp_path / "cohort") == files_of(tmp_path / "oracle")
+
+    def test_an_interrupt_kills_a_stalled_helper(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        write_session = synth._write_session
+
+        def write(profile, group, index, out_dir):
+            if os.getpid() != parent:
+                time.sleep(30)
+            elif index == 1:
+                raise KeyboardInterrupt
+            return write_session(profile, group, index, out_dir)
+
+        monkeypatch.setattr(synth, "_write_session", write)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            generate_cohort(cohort_profile(3), tmp_path)
+        assert time.monotonic() - start < 10
+        assert_no_child_process()
+        assert not (tmp_path / "cohort.txt").exists()
 
 
 class TestProfileValidation:
