@@ -6,30 +6,33 @@ parses recordings one session ahead in one. Both use `Helper`: a bare
 process that loads it), one pipe of length-framed messages from the
 helper to the parent, and a `close` that kills and reaps the helper.
 
-The helper starts with the parent's state as it was at the fork. Its
-body must call no BLAS routine, whose threads do not survive a fork, and
-it ends with `os._exit`: it never returns into the frames it was forked
-from, whose `finally` blocks and buffered output belong to the parent.
+The helper starts with the parent's state as it was at the fork. Making
+its messages must call no BLAS routine, whose threads do not survive a
+fork, and it ends with `os._exit`: it never returns into the frames it
+was forked from, whose `finally` blocks and buffered output belong to
+the parent.
 """
 from __future__ import annotations
 
 import os
-from typing import Callable, NoReturn
+from typing import Iterable, NoReturn
 
 # each message is its length as 8 little-endian bytes, then its bytes
 _LENGTH_BYTES = 8
 
 
 class Helper:
-    """Fork a helper that runs ``body(send)``; ``send(message)`` reports bytes.
+    """Fork a helper that drains `messages`; `receive` takes them in order.
 
-    If no process can be forked, there is no helper, and `receive`
-    returns None at once: the caller then does the work in process. Use
-    it as a context manager, or call `close`, so the helper is killed and
-    reaped on every path.
+    Only the helper iterates `messages`, so a generator's work is done
+    there, and an exception it raises ends the helper. If no process can
+    be forked, there is no helper, and `receive` returns None at once:
+    the caller then does the work in process. Use it as a context
+    manager, or call `close`, so the helper is killed and reaped on
+    every path.
     """
 
-    def __init__(self, body: Callable[[Callable[[bytes], None]], None]):
+    def __init__(self, messages: Iterable[bytes]):
         self.pid = None
         try:
             reader, writer = os.pipe()
@@ -42,7 +45,7 @@ class Helper:
             os.close(writer)
             return
         if pid == 0:
-            _serve(body, reader, writer)
+            _serve(messages, reader, writer)
         os.close(writer)
         self.pid = pid
         self._reader = open(reader, "rb")
@@ -85,17 +88,15 @@ class Helper:
         self.close()
 
 
-def _serve(body, reader: int, writer: int) -> NoReturn:
+def _serve(messages: Iterable[bytes], reader: int, writer: int) -> NoReturn:
     """The helper's side. Any exception, a closed pipe included, ends it quietly."""
     try:
         os.close(reader)
         with open(writer, "wb") as out:
-
-            def send(message: bytes) -> None:
+            for message in messages:
                 out.write(len(message).to_bytes(_LENGTH_BYTES, "little"))
                 out.write(message)
                 out.flush()
-
-            body(send)
+                del message  # not held while the next one is made
     finally:
         os._exit(0)

@@ -518,19 +518,19 @@ def _parsed_rows(manifest_path: Path) -> list[np.ndarray | None]:
     return rows
 
 
-def _send_rows(cohort_dir: Path, entries: list[str], send) -> None:
+def _read_ahead(cohort_dir: Path, entries: list[str]) -> Iterator[bytes]:
     """`iter_cohort`'s helper: parse each session's recordings in manifest
-    order and send them as one message, each placement's row count as
+    order and yield them as one message, each placement's row count as
     int64 (-1 for a recording it could not read), then the rows as raw
     float64. It calls no BLAS routine."""
     for entry in entries:
         rows = _parsed_rows(cohort_dir / entry)
         counts = np.array([-1 if r is None else len(r) for r in rows], np.int64)
-        send(b"".join([counts.tobytes()] + [r.tobytes() for r in rows if r is not None]))
+        yield b"".join([counts.tobytes()] + [r.tobytes() for r in rows if r is not None])
 
 
 def _unpack_rows(message: bytes | None) -> dict[Placement, np.ndarray]:
-    """The rows by placement of one `_send_rows` message; none for None."""
+    """The rows by placement of one `_read_ahead` message; none for None."""
     if message is None:
         return {}
     counts = np.frombuffer(message, np.int64, len(Placement))
@@ -567,7 +567,7 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
     # the parent builds every object: it reads any recording the helper
     # could not, or every one once the helper has gone, itself, so errors
     # are the ones a read in process raises
-    with Helper(functools.partial(_send_rows, cohort_dir, entries)) as read_ahead:
+    with Helper(_read_ahead(cohort_dir, entries)) as read_ahead:
         for entry in entries:
             try:
                 session = load_session(cohort_dir / entry, _unpack_rows(read_ahead.receive()))

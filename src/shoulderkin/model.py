@@ -51,8 +51,8 @@ class Group(Enum):
     HEALTHY = "healthy"
 
 
-def _frozen_array(data, name: str, dtype=float) -> np.ndarray:
-    arr = np.array(data, dtype=dtype)
+def _frozen_array(data, name: str) -> np.ndarray:
+    arr = np.array(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError(f"{name} must be an N x 3 array, got shape {arr.shape}")
     arr.setflags(write=False)
@@ -254,4 +254,4 @@ def assemble_session(
         if label.task in by_task:
             raise ValidationError(f"{subject_id}: duplicate label for task {label.task.value}")
         by_task[label.task] = label
-    return Session(subject_id=subject_id, group=group, side=side, streams=dict(streams), labels=by_task)
+    return Session(subject_id=subject_id, group=group, side=side, streams=streams, labels=by_task)

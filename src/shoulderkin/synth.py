@@ -54,7 +54,7 @@ _PAUSE_RANGE_S = (0.25, 0.7)
 # and writes. Each of its two processes (see `generate_cohort`) builds and
 # writes one session at a time, so a session's length bounds memory: at
 # the limits below a session lasts at most about 29 min (220k samples per
-# placement), and writing four such sessions peaked at 107 MB RSS in the
+# placement), and writing four such sessions peaked at 103 MB RSS in the
 # parent and 98 MB in its helper. `n_per_group` bounds only the cohort's
 # disk size and run time; the default profile writes about 1.2 MB of CSV
 # per session.
@@ -479,9 +479,10 @@ def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:
     every other session in that order, from the second on, and reports
     each when its files are on disk; this process writes the rest at the
     same time. A session depends only on (seed, index), so the files are
-    the same bytes a single process writes. Before an error leaves, every
-    helper session ahead of the failing one is accounted for: reported,
-    or written here once the helper has been killed and reaped, so the
+    the same bytes a single process writes. This process takes the
+    sessions in manifest order: it waits for the helper's report of each
+    of the helper's sessions, and writes that session itself once the
+    helper has ended without it (and been killed and reaped), so the
     error raised is the first failing session's in manifest order. The
     cohort manifest is written last, only when every session is on disk.
     """
@@ -489,31 +490,16 @@ def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     groups = (Group.PATIENT, Group.HEALTHY)
     keys = [(group, index) for group in groups for index in range(profile.n_per_group)]
-    names: list[str] = [""] * len(keys)
 
     def write(position: int) -> str:
         return _write_session(profile, *keys[position], out_dir)
 
-    def write_every_other(send) -> None:
-        for position in range(1, len(keys), 2):
-            send(write(position).encode())
-
-    with Helper(write_every_other) as helper:
-        end, error = len(keys), None
-        for position in range(0, len(keys), 2):
-            try:
-                names[position] = write(position)
-            except Exception as err:
-                end, error = position, err
-                break
-        # every helper session before `end` is on disk before an error
-        # leaves; outside the handler, so an earlier one's error has no context
-        for position in range(1, end, 2):
-            message = helper.receive()
-            # None: the helper has ended, and been reaped, without it
-            names[position] = write(position) if message is None else message.decode()
-        if error is not None:
-            raise error
+    names = []
+    with Helper(write(position).encode() for position in range(1, len(keys), 2)) as helper:
+        for position in range(len(keys)):
+            # None: the helper has ended, and been reaped, without this session
+            message = helper.receive() if position % 2 else None
+            names.append(write(position) if message is None else message.decode())
     (out_dir / ingest.COHORT_MANIFEST_NAME).write_bytes(
         ("\n".join(names) + "\n").encode("utf-8")
     )

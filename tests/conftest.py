@@ -1,8 +1,13 @@
 """Suite-wide test settings.
 
 The hypothesis profile is loaded here, not in one test file, so that any
-file run on its own is derandomized and has no deadline as well.
+file run on its own is derandomized and has no deadline as well. Every
+test must end with no child process of this one left, running or
+unreaped: `simulate` and `extract` each fork a helper.
 """
+import os
+
+import pytest
 
 try:
     from hypothesis import settings
@@ -15,3 +20,10 @@ else:
         "tier1", derandomize=True, max_examples=40, deadline=None, database=None
     )
     settings.load_profile("tier1")
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # returns: a child is still running, or was unreaped

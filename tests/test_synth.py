@@ -353,20 +353,15 @@ def files_of(directory):
     return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
 
 
-def assert_no_child_process():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestCohortWriter:
     """`generate_cohort` writes every other session in a helper process and
-    the same bytes as one process writing them in order."""
+    the same bytes as one process writing them in order. The suite-wide
+    fixture in conftest.py checks that no process is left after each."""
 
     @pytest.mark.parametrize("n_per_group", [1, 2, 3])
     def test_same_bytes_as_one_process(self, tmp_path, n_per_group):
         profile = cohort_profile(n_per_group)
         paths = generate_cohort(profile, tmp_path / "cohort")
-        assert_no_child_process()
         write_in_process(profile, tmp_path / "oracle")
         want = files_of(tmp_path / "oracle")
         assert files_of(tmp_path / "cohort") == want
@@ -385,7 +380,6 @@ class TestCohortWriter:
 
         monkeypatch.setattr(synth, "_write_session", write)
         generate_cohort(cohort_profile(3), tmp_path)
-        assert_no_child_process()
         assert in_parent == ["P01_session.txt", "P03_session.txt", "H02_session.txt"]
 
     def test_parent_finishes_the_cohort_once_the_helper_is_killed(self, tmp_path, monkeypatch):
@@ -399,8 +393,10 @@ class TestCohortWriter:
             if os.getpid() != parent and (group, index) == (Group.HEALTHY, 0):
                 (out_dir / "H01_wrist.csv").write_bytes(b"time_s,ax")
                 time.sleep(600)
-            if os.getpid() == parent and group is Group.HEALTHY and index != 1:
-                assert_no_child_process()  # the helper's session: it is dead and reaped
+            if os.getpid() == parent and group is Group.HEALTHY:
+                # after the helper's report of P02: it is dead and reaped
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
             name = write_session(profile, group, index, out_dir)
             if os.getpid() == parent:
                 in_parent.append(name[:3])
@@ -418,8 +414,7 @@ class TestCohortWriter:
         monkeypatch.setattr(Helper, "receive", receive_then_kill)
         profile = cohort_profile(3)
         generate_cohort(profile, tmp_path / "cohort")
-        assert_no_child_process()
-        assert in_parent == ["P01", "P03", "H02", "H01", "H03"]
+        assert in_parent == ["P01", "P03", "H01", "H02", "H03"]
         write_in_process(profile, tmp_path / "oracle")
         assert files_of(tmp_path / "cohort") == files_of(tmp_path / "oracle")
 
@@ -440,7 +435,7 @@ class TestCohortWriter:
         def write(profile, group, index, out_dir):
             if os.getpid() != parent:
                 time.sleep(30)
-            elif index == 1:
+            elif index == 0:
                 raise KeyboardInterrupt
             return write_session(profile, group, index, out_dir)
 
@@ -449,7 +444,33 @@ class TestCohortWriter:
         with pytest.raises(KeyboardInterrupt):
             generate_cohort(cohort_profile(3), tmp_path)
         assert time.monotonic() - start < 10
-        assert_no_child_process()
+        assert not (tmp_path / "cohort.txt").exists()
+
+    def test_an_interrupt_while_waiting_kills_the_helper(self, tmp_path, monkeypatch):
+        # the parent writes P01, then waits on the stalled helper's P02
+        parent = os.getpid()
+        write_session = synth._write_session
+
+        def write(profile, group, index, out_dir):
+            if os.getpid() != parent:
+                time.sleep(30)
+            return write_session(profile, group, index, out_dir)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(synth, "_write_session", write)
+        start = time.monotonic()
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            with pytest.raises(KeyboardInterrupt) as info:
+                generate_cohort(cohort_profile(3), tmp_path)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 10
+        assert "receive" in [entry.name for entry in info.traceback]
         assert not (tmp_path / "cohort.txt").exists()
 
 
