@@ -12,7 +12,7 @@ Run:  python3 demos/04_group_statistics.py
 
 import numpy as np
 
-from shoulderkin.stats import compare_samples
+from shoulderkin.stats import compare_samples, significance_flag
 
 CLEAR_X = [4.1, 5.3, 3.8, 4.9, 5.6, 4.4, 5.1, 3.9]
 CLEAR_Y = [3.6, 4.2, 3.1, 3.9, 4.4, 3.3, 4.0, 3.5]
@@ -23,7 +23,7 @@ def describe(label, x, y):
     print(f"{label} (n = {len(x)} vs {len(y)})")
     print(f"  Welch t = {cell.t_stat:7.3f}  dof = {cell.dof:7.2f}  p = {cell.p_value:.4f}")
     print(f"  Cohen's d = {cell.d:6.3f}  95% CI [{cell.d_ci_low:.3f}, {cell.d_ci_high:.3f}]")
-    print(f"  verdict: {'starred' if cell.significant else 'no star'}")
+    print(f"  verdict: {'starred' if significance_flag(cell.p_value, cell.d) else 'no star'}")
     print()
 
 

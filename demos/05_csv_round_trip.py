@@ -27,9 +27,7 @@ def main():
         sample_rate_hz=128.0,
     )
     labels = {
-        TaskKind.WH: SegmentLabel(
-            task=TaskKind.WH, s1=0, e1=64, s2=64, e2=192, s3=192, e3=256
-        )
+        TaskKind.WH: SegmentLabel(task=TaskKind.WH, s1=0, e1=64, e2=192, e3=256)
     }
 
     with tempfile.TemporaryDirectory() as work:

@@ -34,6 +34,7 @@ from .model import (
     SegmentKind,
     Session,
     TaskKind,
+    check_subject_id,
     slice_segment,
 )
 
@@ -530,8 +531,8 @@ def read_matrix(path) -> list[FeatureRow]:
     """Parse a feature-matrix CSV written by `write_matrix`.
 
     Each subject is in one group and each of its cells on one row; a
-    repeated cell or a subject in both groups is a validation error
-    naming the line.
+    repeated cell, a subject in both groups or a bad subject id
+    (`model.check_subject_id`) is a validation error naming the line.
     """
     lines = read_lines(path, MATRIX_HEADER)
     rows: list[FeatureRow] = []
@@ -544,6 +545,7 @@ def read_matrix(path) -> list[FeatureRow]:
             for convert, cell, column in zip(_MATRIX_CONVERTERS, cells[1:], MATRIX_COLUMNS[1:])
         ]
         try:
+            check_subject_id(subject)
             vector = FeatureVector(*values)
         except ValidationError as err:
             raise ValidationError(f"{path}:{line_no}: {err}") from None

@@ -39,6 +39,7 @@ from .model import (
     Session,
     TaskKind,
     assemble_session,
+    check_subject_id,
 )
 
 RECORDING_HEADER = "time_s,ax,ay,az,gx,gy,gz"
@@ -366,20 +367,25 @@ def write_recording(stream: SensorStream) -> bytes:
 
 
 def parse_labels(path) -> dict[TaskKind, SegmentLabel]:
-    """Parse the per-task boundary file into a task-keyed label map."""
+    """Parse the per-task boundary file into a task-keyed label map; a row
+    must repeat each subtask's start (s2, s3) as the previous end (e1, e2)."""
     lines = read_lines(path, LABELS_HEADER, _referenced(path))
     columns = LABELS_HEADER.split(",")
     labels: dict[TaskKind, SegmentLabel] = {}
     for line_no, cells in split_rows(lines[1:], len(columns), path):
         task = parse_cell(TaskKind, cells[0], columns[0], path, line_no)
-        bounds = [
+        bounds = tuple(
             parse_cell(int, cell, column, path, line_no)
             for cell, column in zip(cells[1:], columns[1:])
-        ]
+        )
         if task in labels:
             raise ValidationError(f"{path}:{line_no}: duplicate label for task {task.value}")
+        s1, e1, s2, e2, s3, e3 = bounds
+        if (s2, s3) != (e1, e2):
+            message = f"{task.value}: subtasks must be contiguous (e1=s2, e2=s3), got {bounds}"
+            raise BoundaryError(f"{path}:{line_no}: {message}")
         try:
-            labels[task] = SegmentLabel(task, *bounds)
+            labels[task] = SegmentLabel(task, s1, e1, e2, e3)
         except BoundaryError as err:
             raise BoundaryError(f"{path}:{line_no}: {err}") from None
     return labels
@@ -389,12 +395,9 @@ def write_labels(labels: dict[TaskKind, SegmentLabel]) -> bytes:
     """Render labels in task order; an empty map yields just the header."""
     lines = [LABELS_HEADER]
     for task in TaskKind:
-        if task not in labels:
-            continue
-        lb = labels[task]
-        lines.append(
-            f"{task.value},{lb.s1},{lb.e1},{lb.s2},{lb.e2},{lb.s3},{lb.e3}"
-        )
+        if task in labels:
+            lb = labels[task]
+            lines.append(f"{task.value},{lb.s1},{lb.e1},{lb.e1},{lb.e2},{lb.e2},{lb.e3}")
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -417,13 +420,7 @@ class SessionManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "recordings", dict(self.recordings))
-        if not self.subject_id:
-            raise ValidationError("subject_id must be non-empty")
-        # the subject id is the first cell of every feature-matrix row
-        if any(c in self.subject_id for c in ",\r\n"):
-            raise ValidationError(
-                f"subject_id must not contain a comma or line break, got {self.subject_id!r}"
-            )
+        check_subject_id(self.subject_id)
         if not self.side:
             raise ValidationError("side must be non-empty")
         if set(self.recordings) != set(Placement):

@@ -101,6 +101,16 @@ class SensorStream:
         return np.arange(self.n_samples) / self.sample_rate_hz
 
 
+def check_subject_id(sid: str) -> None:
+    """The one subject-id rule, so that a matrix row or a manifest line reads the id back."""
+    if not sid:
+        raise ValidationError("subject_id must be non-empty")
+    if any(c in sid for c in ",\r\n"):
+        raise ValidationError(f"subject_id must not contain a comma or line break, got {sid!r}")
+    if sid != sid.strip():
+        raise ValidationError(f"subject_id must not start or end with whitespace, got {sid!r}")
+
+
 def _is_integer(value) -> bool:
     """An int or numpy integer, but not a bool: writers would print `True`."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -110,32 +120,26 @@ def _is_integer(value) -> bool:
 class SegmentLabel:
     """Manually labelled subtask boundaries for one task.
 
-    The three subtask windows are half-open, contiguous, and non-empty:
-    [s1,e1) [s2,e2) [s3,e3) with e1 = s2 and e2 = s3. The complete-task
-    window is their union [s1,e3). Bounds against a concrete stream length
-    are checked where a stream is at hand (session assembly).
+    Each subtask starts where the one before it ends: the half-open windows
+    [s1,e1) [e1,e2) [e2,e3) are non-empty, and the complete task is [s1,e3).
+    Bounds against a concrete stream length are checked where a stream is
+    at hand (session assembly).
     """
 
     task: TaskKind
     s1: int
     e1: int
-    s2: int
     e2: int
-    s3: int
     e3: int
 
     def __post_init__(self):
-        bounds = (self.s1, self.e1, self.s2, self.e2, self.s3, self.e3)
+        bounds = (self.s1, self.e1, self.e2, self.e3)
         if not all(map(_is_integer, bounds)):
             raise ValidationError(f"{self.task.value}: boundaries must be integers, got {bounds}")
         if self.s1 < 0:
             raise BoundaryError(f"{self.task.value}: s1 must be >= 0, got {self.s1}")
-        if not (self.s1 < self.e1 and self.s2 < self.e2 and self.s3 < self.e3):
+        if not self.s1 < self.e1 < self.e2 < self.e3:
             raise BoundaryError(f"{self.task.value}: each subtask window must be non-empty: {bounds}")
-        if self.e1 != self.s2 or self.e2 != self.s3:
-            raise BoundaryError(
-                f"{self.task.value}: subtasks must be contiguous (e1=s2, e2=s3), got {bounds}"
-            )
 
     def window(self, kind: SegmentKind) -> tuple[int, int]:
         """Half-open [start, end) sample window for one segment kind."""
@@ -144,8 +148,8 @@ class SegmentLabel:
         if kind is SegmentKind.SUB1:
             return self.s1, self.e1
         if kind is SegmentKind.SUB2:
-            return self.s2, self.e2
-        return self.s3, self.e3
+            return self.e1, self.e2
+        return self.e2, self.e3
 
 
 @dataclass(frozen=True)
@@ -162,8 +166,7 @@ class Session:
     def __post_init__(self):
         object.__setattr__(self, "streams", dict(self.streams))
         object.__setattr__(self, "labels", dict(self.labels))
-        if not self.subject_id:
-            raise ValidationError("subject_id must be non-empty")
+        check_subject_id(self.subject_id)
         if not self.side:
             raise ValidationError(f"{self.subject_id}: side must be non-empty")
         rates = {s.sample_rate_hz for s in self.streams.values()}

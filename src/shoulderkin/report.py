@@ -4,6 +4,8 @@ Two outputs share one grid: per-task text tables, with p-values to three
 decimals, a "<0.001" floor, a star suffix on significant cells and the
 star-rule footnote; and a machine-readable CSV dump carrying the full
 statistics, which round-trips losslessly back into a ComparisonTable.
+Both take a cell's star from `significance_flag(p, d, table.rule)`; the
+dump's `significant` column repeats it, and `read_dump` checks it.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from .stats import (
     ComparisonTable,
     SignificanceRule,
     cell_keys,
+    significance_flag,
 )
 
 TASK_TITLES = {
@@ -65,13 +68,10 @@ def footnote(rule: SignificanceRule) -> str:
     return "*: p < 0.05 and Cohen's d >= 0.8"
 
 
-def _cell_text(cell: ComparisonCell | None) -> str:
+def _cell_text(cell: ComparisonCell | None, rule: SignificanceRule) -> str:
     if cell is None:
         return UNTESTABLE_MARK
-    text = format_p(cell.p_value)
-    if cell.significant:
-        text += "*"
-    return text
+    return format_p(cell.p_value) + ("*" if significance_flag(cell.p_value, cell.d, rule) else "")
 
 
 def render_task_table(table: ComparisonTable, task: TaskKind) -> str:
@@ -87,7 +87,8 @@ def render_task_table(table: ComparisonTable, task: TaskKind) -> str:
             placement_label = "N/A" if placement is None else placement.value.capitalize()
             row = name.ljust(_PARAM_W) + placement_label.ljust(_PLACEMENT_W)
             for kind, _ in _SEGMENT_HEADERS:
-                row += _cell_text(table.cell(task, feature, placement, kind)).ljust(_CELL_W)
+                cell = table.cell(task, feature, placement, kind)
+                row += _cell_text(cell, table.rule).ljust(_CELL_W)
             lines.append(row.rstrip())
     lines.append("")
     lines.append(footnote(table.rule))
@@ -99,33 +100,32 @@ def render_report(table: ComparisonTable) -> str:
     return "\n".join(render_task_table(table, task) for task in TaskKind)
 
 
+def _dump_keys() -> dict:
+    """Every cell key by its dump row's first four cells, in canonical order."""
+    return {(k[0].value, k[1], getattr(k[2], "value", "NA"), k[3].value): k for k in cell_keys()}
+
+
 def write_dump(table: ComparisonTable) -> bytes:
     """Full-statistics CSV: three preamble lines, then one row per cell."""
-    lines = [
-        f"rule,{table.rule.value}",
-        f"n1,{table.n1}",
-        f"n2,{table.n2}",
-        DUMP_HEADER,
-    ]
-    for task, feature, placement, kind in cell_keys():
-        cell = table.cells[(task, feature, placement, kind)]
-        place = "NA" if placement is None else placement.value
+    lines = [f"rule,{table.rule.value}", f"n1,{table.n1}", f"n2,{table.n2}", DUMP_HEADER]
+    for key_cells, key in _dump_keys().items():
+        cell = table.cells[key]
         if cell is None:
             stats = ["untestable", "", "", "", "", "", "", ""]
         else:
             numbers = (cell.t_stat, cell.dof, cell.p_value, cell.d, cell.d_ci_low, cell.d_ci_high)
-            stats = ["ok", *map(format_float, numbers), "true" if cell.significant else "false"]
-        lines.append(",".join([task.value, feature, place, kind.value] + stats))
+            star = significance_flag(cell.p_value, cell.d, table.rule)
+            stats = ["ok", *map(format_float, numbers), "true" if star else "false"]
+        lines.append(",".join([*key_cells, *stats]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 _DUMP_COLUMNS = DUMP_HEADER.split(",")
 _PREAMBLE = (("rule", SignificanceRule), ("n1", int), ("n2", int))
-_VALID_FEATURES = {feature for feature, _ in FEATURE_GRID}
 
 
 def read_dump(path) -> ComparisonTable:
-    """Parse a dump written by `write_dump` back into a ComparisonTable."""
+    """Parse a dump written by `write_dump`, each star checked against p, d and the rule."""
     lines = read_lines(path)
     if len(lines) < 4:
         raise ParseError("truncated dump: missing preamble or header", path=path)
@@ -140,19 +140,14 @@ def read_dump(path) -> ComparisonTable:
         raise ParseError(
             f"bad header: expected {DUMP_HEADER!r}, got {lines[3]!r}", path=path, line=4
         )
-    cells = {}
+    cells, keys = {}, _dump_keys()
     for line_no, parts in split_rows(lines[4:], len(_DUMP_COLUMNS), path, first_line=5):
-        task_s, feature, place_s, kind_s, status = parts[:5]
-        task = parse_cell(TaskKind, task_s, "task", path, line_no)
-        kind = parse_cell(SegmentKind, kind_s, "segment", path, line_no)
-        if feature not in _VALID_FEATURES:
-            raise ParseError(f"unknown feature {feature!r}", path=path, line=line_no)
-        placement = (
-            None if place_s == "NA" else parse_cell(Placement, place_s, "placement", path, line_no)
-        )
-        key = (task, feature, placement, kind)
+        key = keys.get(tuple(parts[:4]))
+        if key is None:
+            raise ParseError(f"not a grid cell: {','.join(parts[:4])!r}", path=path, line=line_no)
         if key in cells:
-            raise ParseError(f"duplicate cell {task_s}/{feature}/{place_s}/{kind_s}", path=path, line=line_no)
+            raise ParseError(f"duplicate cell {'/'.join(parts[:4])}", path=path, line=line_no)
+        status, significant = parts[4], parts[11]
         if status == "untestable":
             if any(parts[5:]):
                 raise ParseError("untestable cell carries statistics", path=path, line=line_no)
@@ -160,14 +155,18 @@ def read_dump(path) -> ComparisonTable:
             continue
         if status != "ok":
             raise ParseError(f"unknown status {status!r}", path=path, line=line_no)
-        if parts[11] not in ("true", "false"):
-            raise ParseError(f"significant must be true/false, got {parts[11]!r}", path=path, line=line_no)
+        if significant not in ("true", "false"):
+            raise ParseError(f"significant must be true/false, got {significant!r}", path=path, line=line_no)
         numbers = [
             parse_cell(float, cell, column, path, line_no)
             for cell, column in zip(parts[5:11], _DUMP_COLUMNS[5:11])
         ]
         try:
-            cells[key] = ComparisonCell(*numbers, significant=parts[11] == "true")
+            cell = cells[key] = ComparisonCell(*numbers)
+            star = "true" if significance_flag(cell.p_value, cell.d, rule) else "false"
+            if significant != star:
+                given = f"p = {parts[7]} and d = {parts[8]} under the {rule.value} rule give {star}"
+                raise ValidationError(f"significant is {significant}, but {given}")
         except ValidationError as err:
             raise ValidationError(f"{path}:{line_no}: {err}") from None
     try:

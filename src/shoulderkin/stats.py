@@ -3,8 +3,11 @@
 `compare_samples` computes one cell (t, dof, p, d and its interval) from
 two samples; `compare_cohort` runs it over every cell of a feature matrix.
 The p-value path is self-contained: a Lentz-style continued fraction for
-the regularized incomplete beta function, good to better than 1e-12 over
-the parameter range a t-test can produce. Nothing here depends on the
+the regularized incomplete beta function. At dof 1 to 1998 (the largest
+Welch dof of a simulated cohort), its absolute error against the tests'
+reference was under 1e-10 for |t| >= 1e-3. Nearer 0, where x = dof /
+(dof + t^2) rounds next to 1, it grows as about 1e-16 * dof / |t| (2.6e-7
+at dof 1998, |t| = 3.3e-7), and p > 0.9999. Nothing here depends on the
 signal modules; inputs are plain samples or feature rows.
 """
 from __future__ import annotations
@@ -104,7 +107,7 @@ def significance_flag(p: float, d: float, rule: SignificanceRule = SignificanceR
 
 @dataclass(frozen=True)
 class ComparisonCell:
-    """Full statistics for one grid cell: patient sample vs healthy sample."""
+    """Full statistics for one grid cell, patient vs healthy; no star (see `significance_flag`)."""
 
     t_stat: float
     dof: float
@@ -112,7 +115,6 @@ class ComparisonCell:
     d: float
     d_ci_low: float
     d_ci_high: float
-    significant: bool
 
     def __post_init__(self):
         for name in ("t_stat", "dof", "p_value", "d", "d_ci_low", "d_ci_high"):
@@ -124,15 +126,16 @@ class ComparisonCell:
             raise ValidationError("confidence interval must bracket d")
 
 
-def compare_samples(x, y, rule: SignificanceRule = SignificanceRule.STRICT) -> ComparisonCell:
+def compare_samples(x, y) -> ComparisonCell:
     """Welch's t-test and Cohen's d for sample x against sample y.
 
     Each sample needs at least 2 finite observations. t has Welch-Satterthwaite
     degrees of freedom and a two-sided p-value. d divides the mean difference
     by the pooled standard deviation, with a normal-approximation 95% interval
-    d +/- 1.96 * SE. Raises DegenerateStatisticsError when t, dof, d or either
-    interval bound is not a finite double, for example when both samples are
-    constant or a variance overflows.
+    d +/- 1.96 * SE. No rule is applied: `significance_flag` gives the star.
+    Raises DegenerateStatisticsError when t, dof, d or either interval bound
+    is not a finite double, for example when both samples are constant or a
+    variance overflows.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -153,10 +156,7 @@ def compare_samples(x, y, rule: SignificanceRule = SignificanceRule.STRICT) -> C
     if not all(map(math.isfinite, (t, dof, d, ci_low, ci_high))):
         raise DegenerateStatisticsError("t, dof, d or an interval bound is not finite")
     p = t_survival_two_sided(t, dof)
-    return ComparisonCell(
-        t_stat=t, dof=dof, p_value=p, d=d, d_ci_low=ci_low, d_ci_high=ci_high,
-        significant=significance_flag(p, d, rule),
-    )
+    return ComparisonCell(t_stat=t, dof=dof, p_value=p, d=d, d_ci_low=ci_low, d_ci_high=ci_high)
 
 
 # grid row order used everywhere a table is walked: the six per-placement
@@ -190,7 +190,7 @@ class ComparisonTable:
 
     `cells` maps every canonical cell key to a ComparisonCell, or to None
     where the statistics were degenerate (untestable cell). n1 counts
-    patient subjects, n2 healthy subjects.
+    patient subjects, n2 healthy subjects; `rule` decides the stars.
     """
 
     n1: int
@@ -258,7 +258,7 @@ def compare_cohort(rows, rule: SignificanceRule = SignificanceRule.STRICT) -> Co
             cells[key] = None
             continue
         try:
-            cells[key] = compare_samples(xs, ys, rule)
+            cells[key] = compare_samples(xs, ys)
         except DegenerateStatisticsError:
             cells[key] = None
     return ComparisonTable(

@@ -370,7 +370,7 @@ def _layout_task(
     """Lay one task's three subtasks onto the sample grid.
 
     Appends each pulse's (onset_s, duration_s, amplitude_dps, unit axis)
-    to `pulses` and returns the boundary samples (s1, e1=s2, e2=s3, e3).
+    to `pulses` and returns the boundary samples (s1, e1, e2, e3).
     The hold of subtask 2 is inserted between its submovements; pauses
     appear between submovements with the profile's probability.
     """
@@ -430,7 +430,7 @@ def generate_session(profile: CohortProfile, group: Group, index: int) -> Sessio
         task_rng = np.random.default_rng(children[1 + task_idx])
         cursor += int(round(task_rng.uniform(*_REST_RANGE_S) * rate))
         s1, e1, e2, e3 = _layout_task(group_profile, task_rng, rate, cursor, pulses)
-        labels.append(SegmentLabel(task, s1, e1, e1, e2, e2, e3))
+        labels.append(SegmentLabel(task, s1, e1, e2, e3))
         cursor = e3
     cursor += int(round(session_rng.uniform(*_REST_RANGE_S) * rate))
 
@@ -447,10 +447,7 @@ def _write_session(profile: CohortProfile, group: Group, index: int, out_dir: Pa
     manifest into `out_dir`; returns the manifest's file name."""
     session = generate_session(profile, group, index)
     sid = session.subject_id
-    files = {
-        Placement.WRIST: f"{sid}_wrist.csv",
-        Placement.ARM: f"{sid}_arm.csv",
-    }
+    files = {placement: f"{sid}_{placement.value}.csv" for placement in Placement}
     for placement, name in files.items():
         (out_dir / name).write_bytes(ingest.write_recording(session.streams[placement]))
     labels_name = f"{sid}_labels.csv"

@@ -12,7 +12,6 @@ from shoulderkin.stats import (
     ComparisonTable,
     SignificanceRule,
     cell_keys,
-    significance_flag,
 )
 
 # (p, d); None marks an untestable cell
@@ -47,6 +46,5 @@ def build_reference_table(rule=SignificanceRule.STRICT) -> ComparisonTable:
             d=d,
             d_ci_low=d - 0.6,
             d_ci_high=d + 0.6,
-            significant=significance_flag(p, d, rule),
         )
     return ComparisonTable(n1=20, n2=20, rule=rule, cells=cells)

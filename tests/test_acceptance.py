@@ -35,7 +35,7 @@ from shoulderkin.features import (
 )
 from shoulderkin.ingest import parse_labels, parse_recording, write_labels, write_recording
 from shoulderkin.model import Placement, SegmentKind, SegmentLabel, SensorStream, TaskKind
-from shoulderkin.stats import cell_keys, compare_samples
+from shoulderkin.stats import cell_keys, compare_samples, significance_flag
 from shoulderkin.synth import SubmovementSpec, synth_segment
 
 RATE = 128.0
@@ -241,13 +241,14 @@ def test_clinical_pattern(default_run, tmp_path_factory):
             for feature in SMOOTHNESS
             if (cell := table.cell(task, feature, Placement.WRIST, SegmentKind.SUB1))
             is not None
-            and cell.significant
+            and significance_flag(cell.p_value, cell.d, table.rule)
         )
         assert starred >= 3, (task, starred)
         for feature in ("rav", "pi"):
             for placement in Placement:
                 cell = table.cell(task, feature, placement, SegmentKind.COMPLETE)
-                assert cell is not None and cell.significant, (task, feature, placement)
+                assert cell is not None, (task, feature, placement)
+                assert significance_flag(cell.p_value, cell.d, table.rule), (task, feature, placement)
     text = render_report(table)
     assert text.startswith("WH: Washing hair")
 
@@ -261,7 +262,8 @@ def test_clinical_pattern(default_run, tmp_path_factory):
     stars = sum(
         1
         for key in cell_keys()
-        if null_table.cells[key] is not None and null_table.cells[key].significant
+        if (cell := null_table.cells[key]) is not None
+        and significance_flag(cell.p_value, cell.d, null_table.rule)
     )
     assert stars == 0
     total = default_run.simulate_extract_s + (time.perf_counter() - t0)
@@ -297,9 +299,7 @@ def test_round_trip_identity(tmp_path):
             task = tasks[idx]
             s1 = int(rng.integers(0, 500))
             e1, e2, e3 = (s1 + np.cumsum(rng.integers(32, 200, size=3))).tolist()
-            labels[task] = SegmentLabel(
-                task=task, s1=s1, e1=e1, s2=e1, e2=e2, s3=e2, e3=e3
-            )
+            labels[task] = SegmentLabel(task=task, s1=s1, e1=e1, e2=e2, e3=e3)
         labels_path.write_bytes(write_labels(labels))
         assert parse_labels(labels_path) == labels
 

@@ -14,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cohort_oracle import write_in_process
+from reference_table import build_reference_table
 import shoulderkin
 from shoulderkin import (
     CohortError,
@@ -25,6 +27,7 @@ from shoulderkin import (
     main,
     read_matrix,
     synth,
+    write_dump,
     write_matrix,
     write_profile,
 )
@@ -510,6 +513,26 @@ class TestExitCodes:
         )
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "subject, message",
+        [
+            ("", "subject_id must be non-empty"),
+            (" P00 ", "subject_id must not start or end with whitespace, got ' P00 '"),
+            ("P0\r0", "subject_id must not contain a comma or line break, got 'P0\\r0'"),
+        ],
+    )
+    def test_compare_bad_subject_id(self, tmp_path, capsys, subject, message):
+        # the rule a session manifest's subject_id follows
+        matrix = tmp_path / "matrix.csv"
+        header, first, rest = write_matrix(constant_matrix_rows()).decode().split("\n", 2)
+        first = subject + first[len("P00"):]
+        matrix.write_bytes("\n".join([header, first, rest]).encode())
+        out_dir = tmp_path / "o"
+        code = main(["compare", str(matrix), "--out", str(out_dir)])
+        assert code == EXIT_INVALID
+        assert f"error: {matrix}:2: {message}\n" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_compare_missing_matrix(self, tmp_path):
         code = main(["compare", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")])
         assert code == EXIT_FORMAT
@@ -571,6 +594,31 @@ class TestExitCodes:
         dump = tmp_path / "comparison.csv"
         dump.write_text("rule,strict\nn1,3\n")
         assert main(["report", str(dump)]) == EXIT_FORMAT
+
+    def test_report_star_that_disagrees_with_p_and_d(self, tmp_path, capsys):
+        # line 5 is the first cell: p = 0.0001234 and d = 1.52, starred
+        lines = write_dump(build_reference_table()).decode().splitlines()
+        assert lines[4] == "WH,nmcp_a,wrist,complete,ok,3.192,30.0,0.0001234,1.52,0.92,2.12,true"
+        lines[4] = lines[4].replace(",true", ",false")
+        dump = tmp_path / "comparison.csv"
+        dump.write_text("\n".join(lines) + "\n")
+        assert main(["report", str(dump)]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {dump}:5: significant is false, but p = 0.0001234 and d = 1.52 "
+            "under the strict rule give true\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("cell", ["WH,duration_s,wrist,complete", "WH,nmcp_a,NA,complete"])
+    def test_report_misplaced_dump_row(self, tmp_path, capsys, cell):
+        lines = write_dump(build_reference_table()).decode().splitlines()
+        fields = lines[9].split(",")
+        lines[9] = ",".join([cell, *fields[4:]])
+        dump = tmp_path / "comparison.csv"
+        dump.write_text("\n".join(lines) + "\n")
+        assert main(["report", str(dump)]) == EXIT_FORMAT
+        assert capsys.readouterr().err == f"error: {dump}:10: not a grid cell: {cell!r}\n"
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as info:
@@ -791,7 +839,6 @@ class TestReadAhead:
         corrupt(cohort)
         out = tmp_path / "m.csv"
         result = self.extract(capsys, cohort, out)
-        assert_no_child_process()
         assert result[0] == code, result[1]
         monkeypatch.setattr(ingest, "iter_cohort", in_process_sessions)
         assert result == self.extract(capsys, cohort, out)
@@ -826,25 +873,11 @@ class TestReadAhead:
         (helper,) = forked
         os.kill(helper, signal.SIGKILL)
         rest = list(sessions)
-        assert_no_child_process()
         # a session's rows fill more than a pipe buffer, so the helper could
         # not have sent the second session before it was killed
         assert len(reads) == 2 * len(rest)
         got = extract_cohort([first, *rest])
         assert got == extract_cohort(in_process_sessions(small_cohort))
-
-
-def in_process_cohort(profile, out_dir):
-    """The oracle writer: every session written by this process, in
-    manifest order, then the cohort manifest."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = [
-        synth._write_session(profile, group, index, out_dir)
-        for group in (Group.PATIENT, Group.HEALTHY)
-        for index in range(profile.n_per_group)
-    ]
-    (out_dir / COHORT_MANIFEST_NAME).write_text("\n".join(names) + "\n")
 
 
 class TestSimulateWriter:
@@ -867,11 +900,10 @@ class TestSimulateWriter:
             return code, capsys.readouterr().err, (out / COHORT_MANIFEST_NAME).exists()
 
         result = simulate()
-        assert_no_child_process()
         assert result[0] != EXIT_OK
         assert f"{blocked[0]}_wrist.csv" in result[1]
         assert not result[2]
-        monkeypatch.setattr(synth, "generate_cohort", in_process_cohort)
+        monkeypatch.setattr(synth, "generate_cohort", write_in_process)
         assert result == simulate()
 
 

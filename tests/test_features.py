@@ -412,7 +412,7 @@ class TestLogDimensionlessJerk:
         assert np.linalg.norm(np.diff(accel, axis=0), axis=1).min() > 0
         gyro = np.random.default_rng(97).normal(0.0, 30.0, (n, 3))
         stream = SensorStream(accel=accel, gyro=gyro, sample_rate_hz=RATE)
-        label = SegmentLabel(TaskKind.WH, s1=0, e1=160, s2=160, e2=320, s3=320, e3=n)
+        label = SegmentLabel(TaskKind.WH, s1=0, e1=160, e2=320, e3=n)
         session = assemble_session("G01", Group.HEALTHY, "left", {Placement.WRIST: stream}, [label])
         windows = session_windows(session)
         with pytest.raises(FeatureError, match="dimensionless jerk is undefined: constant signal"):
@@ -461,7 +461,7 @@ def build_session(rng, n=640, subject_id="S01", group=Group.PATIENT, rate=RATE):
         ),
     }
     labels = [
-        SegmentLabel(task=task, s1=0, e1=n // 4, s2=n // 4, e2=n // 2, s3=n // 2, e3=n)
+        SegmentLabel(task=task, s1=0, e1=n // 4, e2=n // 2, e3=n)
         for task in TaskKind
     ]
     return assemble_session(subject_id, group, "left", streams, labels)
@@ -533,7 +533,7 @@ class TestExtractAll:
                 accel=np.zeros((640, 3)), gyro=np.zeros((640, 3)), sample_rate_hz=RATE
             ),
         }
-        labels = [SegmentLabel(task=TaskKind.WH, s1=0, e1=160, s2=160, e2=320, s3=320, e3=640)]
+        labels = [SegmentLabel(task=TaskKind.WH, s1=0, e1=160, e2=320, e3=640)]
         session = assemble_session("Z01", Group.HEALTHY, "right", streams, labels)
         with pytest.raises(FeatureError) as exc_info:
             extract_all(session_windows(session), TaskKind.WH, SegmentKind.SUB1, Placement.WRIST)
@@ -597,7 +597,7 @@ class TestCohortMatrix:
         whole = build_session(rng)
         # WH's sub1 and sub2 windows hold 2 samples, too few for any feature
         labels = dict(whole.labels)
-        labels[TaskKind.WH] = SegmentLabel(TaskKind.WH, s1=0, e1=2, s2=2, e2=4, s3=4, e3=640)
+        labels[TaskKind.WH] = SegmentLabel(TaskKind.WH, s1=0, e1=2, e2=4, e3=640)
         short = assemble_session("S02", Group.HEALTHY, "left", whole.streams, labels.values())
         rows, failures = extract_cohort([whole, short])
         assert len(failures) == 2 * len(Placement)

@@ -8,7 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from shoulderkin import CohortError, ParseError, ValidationError, load_cohort
+from shoulderkin import (
+    BoundaryError,
+    CohortError,
+    ParseError,
+    ValidationError,
+    load_cohort,
+    read_matrix,
+)
+from shoulderkin.features import MATRIX_HEADER
 from shoulderkin.ingest import (
     LABELS_HEADER,
     RECORDING_HEADER,
@@ -172,8 +180,8 @@ class TestRecordingDiagnostics:
 
 def sample_labels():
     return {
-        TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 100, 100, 250, 250, 400),
-        TaskKind.POH: SegmentLabel(TaskKind.POH, 10, 90, 90, 180, 180, 300),
+        TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 100, 250, 400),
+        TaskKind.POH: SegmentLabel(TaskKind.POH, 10, 90, 180, 300),
     }
 
 
@@ -184,7 +192,7 @@ class TestLabels:
         back = parse_labels(path)
         assert set(back) == {TaskKind.WH, TaskKind.POH}
         lb = back[TaskKind.POH]
-        assert (lb.s1, lb.e1, lb.s2, lb.e2, lb.s3, lb.e3) == (10, 90, 90, 180, 180, 300)
+        assert (lb.s1, lb.e1, lb.e2, lb.e3) == (10, 90, 180, 300)
 
     def test_random_round_trips_exact(self, tmp_path):
         rng = np.random.default_rng(127)
@@ -197,16 +205,12 @@ class TestLabels:
                 while len(set(edges.tolist())) < 4:
                     edges = np.sort(rng.integers(0, 5000, size=4))
                 s1, e1, e2, e3 = (int(v) for v in edges)
-                labels[task] = SegmentLabel(task, s1, e1, e1, e2, e2, e3)
+                labels[task] = SegmentLabel(task, s1, e1, e2, e3)
             path = tmp_path / f"labels_{i}.csv"
             path.write_bytes(write_labels(labels))
             back = parse_labels(path)
             assert set(back) == set(labels)
-            for task, lb in labels.items():
-                got = back[task]
-                assert (got.s1, got.e1, got.s2, got.e2, got.s3, got.e3) == (
-                    lb.s1, lb.e1, lb.s2, lb.e2, lb.s3, lb.e3
-                )
+            assert back == labels
 
     def test_written_in_task_order(self):
         text = write_labels(sample_labels()).decode("utf-8")
@@ -238,7 +242,16 @@ class TestLabels:
     def test_gap_between_windows_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text(LABELS_HEADER + "\nWH,0,10,11,20,20,30\n")
-        with pytest.raises(ValidationError):
+        message = r"labels\.csv:2: WH: subtasks must be contiguous \(e1=s2, e2=s3\), got \(0, 10, 11, 20, 20, 30\)$"
+        with pytest.raises(BoundaryError, match=message):
+            parse_labels(path)
+
+    @pytest.mark.parametrize("row", ["WH,0,10,10,20,21,30", "WH,0,10,5,8,8,30"])
+    def test_a_start_that_is_not_the_previous_end_is_rejected(self, tmp_path, row):
+        # a gap before subtask 3; subtask 2 starting inside subtask 1
+        path = tmp_path / "labels.csv"
+        path.write_text(LABELS_HEADER + f"\n{row}\n")
+        with pytest.raises(BoundaryError, match=r"labels\.csv:2: WH: subtasks must be contiguous"):
             parse_labels(path)
 
 
@@ -264,6 +277,17 @@ class TestSessionManifest:
         # an infinite rate would be written as `inf`, which load_session refuses
         with pytest.raises(ValidationError, match="sample_rate_hz must be positive and finite"):
             replace(self.manifest(), sample_rate_hz=rate)
+
+    @pytest.mark.parametrize("subject", ["", " P01", "P01\t", "P\r01", "\x0bP01"])
+    def test_feature_matrix_subject_ids_follow_the_same_rule(self, tmp_path, subject):
+        with pytest.raises(ValidationError) as manifest_error:
+            replace(self.manifest(), subject_id=subject)
+        matrix = tmp_path / "matrix.csv"
+        row = f"{subject},patient,WH,complete,wrist,3,4,-1.5,-4.0,2.0,1.0,2.0"
+        matrix.write_text(f"{MATRIX_HEADER}\n{row}\n", newline="")
+        with pytest.raises(ValidationError) as matrix_error:
+            read_matrix(matrix)
+        assert str(matrix_error.value) == f"{matrix}:2: {manifest_error.value}"
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "session.txt"
@@ -369,7 +393,7 @@ def write_full_session(dirpath, sid="S01", n=400, group=Group.PATIENT, rate=RATE
         stream = quantized_stream(rng, n, rate)
         (dirpath / f"{sid}_{suffix}.csv").write_bytes(write_recording(stream))
     labels = {
-        TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 100, 100, 250, 250, n),
+        TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 100, 250, n),
     }
     (dirpath / f"{sid}_labels.csv").write_bytes(write_labels(labels))
     manifest = SessionManifest(
@@ -399,7 +423,7 @@ class TestLoadSession:
 
     def test_label_past_recording_end_rejected(self, tmp_path):
         path = write_full_session(tmp_path, n=300)
-        labels = {TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 100, 100, 250, 250, 301)}
+        labels = {TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 100, 250, 301)}
         (tmp_path / "S01_labels.csv").write_bytes(write_labels(labels))
         with pytest.raises(ValidationError):
             load_session(path)

@@ -31,7 +31,7 @@ def make_stream(n, rate=128.0, rng=None):
 
 
 def make_label(task=TaskKind.WH, s1=0, e1=10, e2=20, e3=30):
-    return SegmentLabel(task=task, s1=s1, e1=e1, s2=e1, e2=e2, s3=e2, e3=e3)
+    return SegmentLabel(task=task, s1=s1, e1=e1, e2=e2, e3=e3)
 
 
 class TestSensorStream:
@@ -91,13 +91,9 @@ class TestSegmentLabel:
         assert label.window(SegmentKind.SUB2) == (10, 25)
         assert label.window(SegmentKind.SUB3) == (25, 40)
 
-    def test_rejects_gap_between_windows(self):
-        with pytest.raises(ValidationError):
-            SegmentLabel(task=TaskKind.WH, s1=0, e1=10, s2=11, e2=20, s3=20, e3=30)
-
     def test_rejects_empty_window(self):
         with pytest.raises(ValidationError):
-            SegmentLabel(task=TaskKind.WH, s1=0, e1=0, s2=0, e2=20, s3=20, e3=30)
+            SegmentLabel(task=TaskKind.WH, s1=0, e1=0, e2=20, e3=30)
 
     def test_rejects_negative_start(self):
         with pytest.raises(ValidationError):
@@ -105,7 +101,7 @@ class TestSegmentLabel:
 
     def test_rejects_float_indices(self):
         with pytest.raises(ValidationError):
-            SegmentLabel(task=TaskKind.WH, s1=0.0, e1=10, s2=10, e2=20, s3=20, e3=30)
+            SegmentLabel(task=TaskKind.WH, s1=0.0, e1=10, e2=20, e3=30)
 
     @pytest.mark.parametrize(
         "bounds", [dict(s1=False), dict(s1=0, e1=True), dict(e3=np.bool_(True))]

@@ -131,7 +131,7 @@ def session_files(sid="S01", group=Group.PATIENT) -> dict[str, bytes]:
         )
         for placement in Placement
     }
-    labels = {TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 20, 20, 40, 40, N_SAMPLES)}
+    labels = {TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 20, 40, N_SAMPLES)}
     files[f"{sid}_labels.csv"] = write_labels(labels)
     manifest = SessionManifest(
         subject_id=sid,
@@ -730,7 +730,7 @@ def window_sessions(draw):
         e1 = s1 + draw(lengths)
         e2 = e1 + draw(lengths)
         end = e2 + draw(lengths)
-        labels.append(SegmentLabel(task, s1, e1, e1, e2, e2, end))
+        labels.append(SegmentLabel(task, s1, e1, e2, end))
         if draw(st.booleans()):
             constant.append((e1, e2))
     n = end + draw(st.integers(0, 3))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reference_table import build_reference_table
-from shoulderkin import ParseError, read_dump, render_report, write_dump
+from shoulderkin import ParseError, ValidationError, read_dump, render_report, write_dump
 from shoulderkin.model import TaskKind
 from shoulderkin.report import (
     DUMP_HEADER,
@@ -115,8 +115,7 @@ class TestDumpRoundTrip:
         table = build_reference_table()
         cells = {
             key: None if cell is None else ComparisonCell(
-                *(np.float64(getattr(cell, name)) for name in NUMBER_FIELDS),
-                significant=cell.significant,
+                *(np.float64(getattr(cell, name)) for name in NUMBER_FIELDS)
             )
             for key, cell in table.cells.items()
         }
@@ -214,3 +213,32 @@ class TestDumpDiagnostics:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="file not found"):
             read_dump(tmp_path / "absent.csv")
+
+    def test_the_rule_line_decides_the_star(self, tmp_path):
+        # the p = 0.02, d = 0.8 rows are unstarred under the strict rule only
+        path = self.write(tmp_path, lambda ls: ["rule,inclusive"] + ls[1:])
+        line = next(
+            i for i, l in enumerate(path.read_text().splitlines(), 1) if ",0.02,0.8," in l
+        )
+        message = (
+            rf"comparison\.csv:{line}: significant is false, but p = 0\.02 and d = 0\.8 "
+            "under the inclusive rule give true$"
+        )
+        with pytest.raises(ValidationError, match=message):
+            read_dump(path)
+
+    @pytest.mark.parametrize("rule", list(SignificanceRule))
+    def test_each_rule_reads_back_its_own_stars(self, tmp_path, rule):
+        path = tmp_path / "comparison.csv"
+        path.write_bytes(write_dump(build_reference_table(rule)))
+        assert read_dump(path) == build_reference_table(rule)
+
+    @pytest.mark.parametrize("significant", ["True", "1", ""])
+    def test_significant_must_be_true_or_false(self, tmp_path, significant):
+        def mutate(ls):
+            ls[4] = ls[4].removesuffix(",true") + "," + significant
+            return ls
+
+        path = self.write(tmp_path, mutate)
+        with pytest.raises(ParseError, match=r"comparison\.csv:5: significant must be true/false"):
+            read_dump(path)

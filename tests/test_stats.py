@@ -124,6 +124,27 @@ class TestTSurvival:
             want = math.erfc(t / math.sqrt(2.0))
             assert t_survival_two_sided(t, 1e7) == pytest.approx(want, abs=1e-6)
 
+    # 1998 is the largest Welch dof of a simulated cohort (1000 per group)
+    SCIPY_DOFS = (1, 2, 5, 10, 38, 198, 1998)
+
+    @staticmethod
+    def scipy_errors(ts, dof):
+        from scipy.stats import t as student_t
+
+        got = np.array([t_survival_two_sided(float(t), float(dof)) for t in ts])
+        return np.abs(got - 2.0 * student_t.sf(ts, dof))
+
+    def test_matches_scipy_to_1e_10_for_t_from_1e_3(self):
+        ts = np.concatenate([np.linspace(1e-3, 40.0, 400), np.linspace(1e-3, 0.1, 100)])
+        for dof in self.SCIPY_DOFS:
+            assert self.scipy_errors(ts, dof).max() <= 1e-10, dof
+
+    def test_error_near_zero_t_stays_within_the_stated_bound(self):
+        # x = dof / (dof + t^2) rounds next to 1, so the complement loses digits
+        ts = np.logspace(-9.0, -3.0, 61)
+        for dof in self.SCIPY_DOFS:
+            assert (self.scipy_errors(ts, dof) <= 2e-16 * dof / ts).all(), dof
+
 
 class TestWelchOracle:
     def test_t_dof_p_match_pinned_values(self):
@@ -388,8 +409,6 @@ class TestComparisonTable:
 
     def test_cell_validation(self):
         with pytest.raises(ValidationError):
-            ComparisonCell(t_stat=1.0, dof=5.0, p_value=1.5, d=0.1,
-                           d_ci_low=-1.0, d_ci_high=1.0, significant=False)
+            ComparisonCell(t_stat=1.0, dof=5.0, p_value=1.5, d=0.1, d_ci_low=-1.0, d_ci_high=1.0)
         with pytest.raises(ValidationError):
-            ComparisonCell(t_stat=1.0, dof=5.0, p_value=0.5, d=2.0,
-                           d_ci_low=-1.0, d_ci_high=1.0, significant=False)
+            ComparisonCell(t_stat=1.0, dof=5.0, p_value=0.5, d=2.0, d_ci_low=-1.0, d_ci_high=1.0)

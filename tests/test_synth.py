@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from cohort_oracle import write_in_process
 from shoulderkin import (
     FeatureParams,
     ParseError,
@@ -335,18 +336,6 @@ def cohort_profile(n_per_group, seed=11):
     profile = default_profile(n_per_group=max(n_per_group, 2), seed=seed)
     object.__setattr__(profile, "n_per_group", n_per_group)
     return profile
-
-
-def write_in_process(profile, out_dir):
-    """The oracle: every session written by this process, in manifest order,
-    then the cohort manifest."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    names = [
-        synth._write_session(profile, group, index, out_dir)
-        for group in (Group.PATIENT, Group.HEALTHY)
-        for index in range(profile.n_per_group)
-    ]
-    (out_dir / "cohort.txt").write_text("\n".join(names) + "\n")
 
 
 def files_of(directory):
