@@ -26,9 +26,7 @@ def main():
         gyro=np.round(rng.normal(0.0, 80.0, size=(256, 3)), 6),
         sample_rate_hz=128.0,
     )
-    labels = {
-        TaskKind.WH: SegmentLabel(task=TaskKind.WH, s1=0, e1=64, e2=192, e3=256)
-    }
+    labels = {TaskKind.WH: SegmentLabel(s1=0, e1=64, e2=192, e3=256)}
 
     with tempfile.TemporaryDirectory() as work:
         rec_path = Path(work) / "demo_wrist.csv"

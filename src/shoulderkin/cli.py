@@ -55,7 +55,7 @@ def cmd_extract(args) -> int:
     # closed here, so the walker's helper process ends before the command does
     with contextlib.closing(ingest.iter_cohort(args.cohort)) as sessions:
         rows, failures = extract_cohort(sessions, params)
-    Path(args.out).write_bytes(write_matrix(rows))
+    ingest.write_atomically(args.out, write_matrix(rows))
     print(f"wrote {len(rows)} feature rows to {args.out}")
     if failures:
         for failure in failures:
@@ -70,7 +70,7 @@ def cmd_compare(args) -> int:
     table = compare_cohort(rows, SignificanceRule(args.rule))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / DUMP_FILENAME).write_bytes(report.write_dump(table))
+    ingest.write_atomically(out_dir / DUMP_FILENAME, report.write_dump(table))
     print(f"wrote comparison for {table.n1} patient vs {table.n2} healthy subjects to {out_dir}")
     untestable = table.untestable_count()
     if untestable:
@@ -83,7 +83,7 @@ def cmd_report(args) -> int:
     table = report.read_dump(args.dump)
     text = report.render_report(table)
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        ingest.write_atomically(args.out, text.encode("utf-8"))
         print(f"wrote report to {args.out}")
     else:
         print(text, end="")

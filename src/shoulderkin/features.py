@@ -266,10 +266,14 @@ def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
     T * rate + 1 points scores just below its continuous value
     -ln(120 / (7 * 1.875^2)), about -1.5844, and closer as the rate rises.
 
-    The value depends on neither the signal's amplitude nor the rate.
-    Where they push peak^2, sum(j^2) or the ratio out of the normal,
-    finite, positive doubles (a peak below about 1.5e-154 or a jerk near
-    1e154, or a rate such as 1e-160, 1e300 or 7.5e15 Hz), it is computed
+    For given samples the value depends on neither their amplitude nor
+    the rate they are read at. The same movement sampled at another rate
+    gives other samples, and another value: for the acceleration norm of
+    a minimum-jerk pulse, which has a kink at each end, the value
+    converges only as 1 / rate. Where amplitude or rate push peak^2,
+    sum(j^2) or the ratio out of the normal, finite, positive doubles (a
+    peak below about 1.5e-154 or a jerk near 1e154, or a rate such as
+    1e-160, 1e300 or 7.5e15 Hz), it is computed
     from signal / peak at 1 Hz instead, where the ratio is a normal double
     for any signal that is not constant. That peak is rounded down to a
     power of two, so the scaling is exact. Constant signals and signals

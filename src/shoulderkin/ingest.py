@@ -10,8 +10,10 @@ parses every `key = value` line (session manifests, params files and the
 sections of a cohort profile), `split_rows` splits every comma-separated
 row, and `parse_number` is the one grammar for a number cell (through
 `parse_cell`, which names the bad cell); every reader, here and in the
-other modules, goes through them. `iter_cohort` is the one cohort
-walker: `load_cohort` is its list. A helper process parses its
+other modules, goes through them. `write_atomically` writes each output
+that a later stage takes as complete: the cohort manifest, the feature
+matrix, the comparison dump and the report. `iter_cohort` is the one
+cohort walker: `load_cohort` is its list. A helper process parses its
 recordings one session ahead, and the walker builds every object from
 the rows it sends. `write_recording` prints every value as "%.9g" does,
 with numpy, a block of rows at a time.
@@ -86,6 +88,40 @@ def read_lines(path, header: str | None = None, missing: Exception | None = None
                 f"bad header: expected {header!r}, got {lines[0]!r}", path=path, line=1
             )
     return lines
+
+
+def write_atomically(path, data: bytes) -> None:
+    """Write `data` to `path` whole or not at all.
+
+    The bytes go to a temporary name beside the file that `path` names,
+    after symbolic links, which then replaces that file in one rename and
+    keeps its permission bits. On any error or interrupt the temporary
+    file is removed, so the file keeps its old bytes, or stays absent, and
+    an `OSError` names `path`. Nothing is synced to disk: this survives a
+    failed or killed run, not a power loss, and a SIGKILL can leave the
+    temporary file behind. A path to anything but a regular file, such as
+    ``/dev/null`` or a FIFO, is written in place, because a rename would
+    replace the device itself.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:  # absent, or not reachable: the write below says which
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        Path(path).write_bytes(data)
+        return
+    target = Path(os.path.realpath(path))
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_bytes(data)
+        if mode is not None:
+            os.chmod(temporary, stat.S_IMODE(mode))
+        os.replace(temporary, target)
+    except BaseException as err:
+        temporary.unlink(missing_ok=True)
+        if isinstance(err, OSError):  # of the class the errno gives
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from err
+        raise
 
 
 def parse_key_values(
@@ -381,13 +417,12 @@ def parse_labels(path) -> dict[TaskKind, SegmentLabel]:
         if task in labels:
             raise ValidationError(f"{path}:{line_no}: duplicate label for task {task.value}")
         s1, e1, s2, e2, s3, e3 = bounds
-        if (s2, s3) != (e1, e2):
-            message = f"{task.value}: subtasks must be contiguous (e1=s2, e2=s3), got {bounds}"
-            raise BoundaryError(f"{path}:{line_no}: {message}")
         try:
-            labels[task] = SegmentLabel(task, s1, e1, e2, e3)
-        except BoundaryError as err:
-            raise BoundaryError(f"{path}:{line_no}: {err}") from None
+            if (s2, s3) != (e1, e2):
+                raise BoundaryError(f"subtasks must be contiguous (e1=s2, e2=s3), got {bounds}")
+            labels[task] = SegmentLabel(s1, e1, e2, e3)
+        except ValidationError as err:
+            raise type(err)(f"{path}:{line_no}: {task.value}: {err}") from None
     return labels
 
 
@@ -495,9 +530,7 @@ def load_session(manifest_path, rows: Mapping[Placement, np.ndarray] | None = No
         for placement, rel in manifest.recordings.items()
     }
     labels = parse_labels(base / manifest.labels_path)
-    return assemble_session(
-        manifest.subject_id, manifest.group, manifest.side, streams, labels.values()
-    )
+    return assemble_session(manifest.subject_id, manifest.group, manifest.side, streams, labels)
 
 
 def _parsed_rows(manifest_path: Path) -> list[np.ndarray | None]:

@@ -52,10 +52,22 @@ class Group(Enum):
 
 
 def _frozen_array(data, name: str) -> np.ndarray:
-    arr = np.array(data, dtype=float)
+    """`data` as a read-only N x 3 float64 array. A read-only float64
+    ndarray that owns its data is handed over and kept as it is; anything
+    else is copied, so that no caller can write to a stream's samples and
+    a strided view does not keep the rest of its base alive."""
+    if (
+        type(data) is np.ndarray
+        and data.dtype == np.float64
+        and data.flags.owndata
+        and not data.flags.writeable
+    ):
+        arr = data
+    else:
+        arr = np.array(data, dtype=float)
+        arr.setflags(write=False)
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError(f"{name} must be an N x 3 array, got shape {arr.shape}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -118,7 +130,8 @@ def _is_integer(value) -> bool:
 
 @dataclass(frozen=True)
 class SegmentLabel:
-    """Manually labelled subtask boundaries for one task.
+    """Manually labelled subtask boundaries for one task; `Session.labels`
+    maps each task to its label.
 
     Each subtask starts where the one before it ends: the half-open windows
     [s1,e1) [e1,e2) [e2,e3) are non-empty, and the complete task is [s1,e3).
@@ -126,7 +139,6 @@ class SegmentLabel:
     at hand (session assembly).
     """
 
-    task: TaskKind
     s1: int
     e1: int
     e2: int
@@ -135,11 +147,11 @@ class SegmentLabel:
     def __post_init__(self):
         bounds = (self.s1, self.e1, self.e2, self.e3)
         if not all(map(_is_integer, bounds)):
-            raise ValidationError(f"{self.task.value}: boundaries must be integers, got {bounds}")
+            raise ValidationError(f"boundaries must be integers, got {bounds}")
         if self.s1 < 0:
-            raise BoundaryError(f"{self.task.value}: s1 must be >= 0, got {self.s1}")
+            raise BoundaryError(f"s1 must be >= 0, got {self.s1}")
         if not self.s1 < self.e1 < self.e2 < self.e3:
-            raise BoundaryError(f"{self.task.value}: each subtask window must be non-empty: {bounds}")
+            raise BoundaryError(f"each subtask window must be non-empty: {bounds}")
 
     def window(self, kind: SegmentKind) -> tuple[int, int]:
         """Half-open [start, end) sample window for one segment kind."""
@@ -175,10 +187,6 @@ class Session:
                 f"{self.subject_id}: streams disagree on sample rate: {sorted(rates)}"
             )
         for task, label in self.labels.items():
-            if label.task is not task:
-                raise ValidationError(
-                    f"{self.subject_id}: label keyed {task.value} describes {label.task.value}"
-                )
             for placement, stream in self.streams.items():
                 if label.e3 > stream.n_samples:
                     raise BoundaryError(
@@ -245,16 +253,7 @@ def assemble_session(
     group: Group,
     side: str,
     streams: dict[Placement, SensorStream],
-    labels,
+    labels: dict[TaskKind, SegmentLabel],
 ) -> Session:
-    """Build a cross-validated Session from parts.
-
-    ``labels`` is any iterable of SegmentLabel; a task appearing twice is
-    rejected rather than silently last-one-wins.
-    """
-    by_task: dict[TaskKind, SegmentLabel] = {}
-    for label in labels:
-        if label.task in by_task:
-            raise ValidationError(f"{subject_id}: duplicate label for task {label.task.value}")
-        by_task[label.task] = label
-    return Session(subject_id=subject_id, group=group, side=side, streams=streams, labels=by_task)
+    """Build a cross-validated Session from parts; `labels` maps each task to its label."""
+    return Session(subject_id=subject_id, group=group, side=side, streams=streams, labels=labels)

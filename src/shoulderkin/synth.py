@@ -54,10 +54,11 @@ _PAUSE_RANGE_S = (0.25, 0.7)
 # and writes. Each of its two processes (see `generate_cohort`) builds and
 # writes one session at a time, so a session's length bounds memory: at
 # the limits below a session lasts at most about 29 min (220k samples per
-# placement), and writing four such sessions peaked at 103 MB RSS in the
-# parent and 98 MB in its helper. `n_per_group` bounds only the cohort's
-# disk size and run time; the default profile writes about 1.2 MB of CSV
-# per session.
+# placement), and writing four such sessions peaked at 102 MB RSS in the
+# parent and 98 MB in its helper. The recording writer sets that peak:
+# building one such session alone peaks at 74 MB. `n_per_group` bounds
+# only the cohort's disk size and run time; the default profile writes
+# about 1.2 MB of CSV per session.
 MAX_N_PER_GROUP = 1000
 MAX_SUBMOVEMENTS = 50
 MAX_PHASE_DURATION_S = 60.0
@@ -303,6 +304,9 @@ def _render_pulses(pulses, n: int, rate: float, placements, noise, rng) -> list[
         np.add.at(accel.reshape(-1), flat, (linear[:, None] * along).ravel())
         accel += rng.normal(0.0, noise[0], (n, 3))
         gyro += rng.normal(0.0, noise[1], (n, 3))
+        # read-only, so the stream takes both arrays over without a copy
+        accel.setflags(write=False)
+        gyro.setflags(write=False)
         streams.append(SensorStream(accel=accel, gyro=gyro, sample_rate_hz=rate))
     return streams
 
@@ -424,14 +428,14 @@ def generate_session(profile: CohortProfile, group: Group, index: int) -> Sessio
     side = "left" if session_rng.random() < 0.5 else "right"
 
     pulses: list = []
-    labels: list[SegmentLabel] = []
+    labels: dict[TaskKind, SegmentLabel] = {}
     cursor = 0
     for task_idx, task in enumerate(TaskKind):
         task_rng = np.random.default_rng(children[1 + task_idx])
         cursor += int(round(task_rng.uniform(*_REST_RANGE_S) * rate))
-        s1, e1, e2, e3 = _layout_task(group_profile, task_rng, rate, cursor, pulses)
-        labels.append(SegmentLabel(task, s1, e1, e2, e3))
-        cursor = e3
+        label = SegmentLabel(*_layout_task(group_profile, task_rng, rate, cursor, pulses))
+        labels[task] = label
+        cursor = label.e3
     cursor += int(round(session_rng.uniform(*_REST_RANGE_S) * rate))
 
     placements = [(PLACEMENT_AMPLITUDE_SCALE[p], PLACEMENT_LEVER_M[p]) for p in Placement]
@@ -480,11 +484,14 @@ def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:
     sessions in manifest order: it waits for the helper's report of each
     of the helper's sessions, and writes that session itself once the
     helper has ended without it (and been killed and reaped), so the
-    error raised is the first failing session's in manifest order. The
-    cohort manifest is written last, only when every session is on disk.
+    error raised is the first failing session's in manifest order. An
+    existing cohort manifest is removed before the first session, and the
+    new one is written last, whole, only when every session is on disk.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a manifest left by an earlier run would list a mix of its sessions and these
+    (out_dir / ingest.COHORT_MANIFEST_NAME).unlink(missing_ok=True)
     groups = (Group.PATIENT, Group.HEALTHY)
     keys = [(group, index) for group in groups for index in range(profile.n_per_group)]
 
@@ -497,7 +504,7 @@ def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:
             # None: the helper has ended, and been reaped, without this session
             message = helper.receive() if position % 2 else None
             names.append(write(position) if message is None else message.decode())
-    (out_dir / ingest.COHORT_MANIFEST_NAME).write_bytes(
-        ("\n".join(names) + "\n").encode("utf-8")
+    ingest.write_atomically(
+        out_dir / ingest.COHORT_MANIFEST_NAME, ("\n".join(names) + "\n").encode("utf-8")
     )
     return [out_dir / name for name in names]

@@ -299,7 +299,7 @@ def test_round_trip_identity(tmp_path):
             task = tasks[idx]
             s1 = int(rng.integers(0, 500))
             e1, e2, e3 = (s1 + np.cumsum(rng.integers(32, 200, size=3))).tolist()
-            labels[task] = SegmentLabel(task=task, s1=s1, e1=e1, e2=e2, e3=e3)
+            labels[task] = SegmentLabel(s1=s1, e1=e1, e2=e2, e3=e3)
         labels_path.write_bytes(write_labels(labels))
         assert parse_labels(labels_path) == labels
 

@@ -906,6 +906,71 @@ class TestSimulateWriter:
         monkeypatch.setattr(synth, "generate_cohort", write_in_process)
         assert result == simulate()
 
+    def test_a_failed_simulate_leaves_no_earlier_manifest(self, tmp_path, capsys):
+        # the earlier manifest would list the old sessions the run did not
+        # rewrite beside the new ones, and `extract` would read the mix
+        profile = tmp_path / "profile.ini"
+        write_small_profile(profile, n_per_group=2)
+        out = tmp_path / "cohort"
+        argv = ["simulate", "--out", str(out), "--params", str(profile)]
+        assert main(argv + ["--seed", "42"]) == EXIT_OK
+        (out / "H01_wrist.csv").unlink()
+        (out / "H01_wrist.csv").mkdir()  # a directory where a recording goes
+        assert main(argv) != EXIT_OK
+        assert "H01_wrist.csv" in capsys.readouterr().err
+        assert not (out / COHORT_MANIFEST_NAME).exists()
+        extract = ["extract", "--cohort", str(out), "--out", str(tmp_path / "m.csv")]
+        assert main(extract) == EXIT_FORMAT  # no cohort manifest
+
+
+class TestAllOrNothingOutputs:
+    """An interrupt while an output is written leaves the old file, or
+    none, and no temporary file beside it."""
+
+    @staticmethod
+    def interrupt_writes(monkeypatch):
+        write_bytes = Path.write_bytes
+
+        def write_half(path, data):
+            if path.name.endswith(".tmp"):
+                write_bytes(path, data[: len(data) // 2])
+                raise KeyboardInterrupt
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_half)
+
+    @pytest.mark.parametrize("old", [b"old\n", None])
+    @pytest.mark.parametrize("command", ["extract", "compare", "report"])
+    def test_an_interrupted_output(self, seed42_cohort, tmp_path, monkeypatch, command, old):
+        matrix, out_dir, text = tmp_path / "matrix.csv", tmp_path / "out", tmp_path / "report.txt"
+        assert main(["extract", "--cohort", str(seed42_cohort), "--out", str(matrix)]) == EXIT_OK
+        assert main(["compare", str(matrix), "--out", str(out_dir)]) == EXIT_OK
+        dump = out_dir / DUMP_FILENAME
+        argv, target = {
+            "extract": (["extract", "--cohort", str(seed42_cohort), "--out", str(matrix)], matrix),
+            "compare": (["compare", str(matrix), "--out", str(out_dir)], dump),
+            "report": (["report", str(dump), "--out", str(text)], text),
+        }[command]
+        target.unlink(missing_ok=True)
+        if old is not None:
+            target.write_bytes(old)
+        self.interrupt_writes(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert (target.read_bytes() if target.exists() else None) == old
+        assert not list(target.parent.glob(".*"))
+
+    def test_an_interrupted_simulate_leaves_no_manifest(self, tmp_path, monkeypatch):
+        profile = tmp_path / "profile.ini"
+        write_small_profile(profile, n_per_group=2)
+        argv = ["simulate", "--out", str(tmp_path / "cohort"), "--params", str(profile)]
+        assert main(argv) == EXIT_OK
+        self.interrupt_writes(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+        assert not (tmp_path / "cohort" / COHORT_MANIFEST_NAME).exists()
+        assert not list((tmp_path / "cohort").glob(".*"))
+
 
 class TestFeatureParamsFile:
     def extract(self, cohort, out, params=None):

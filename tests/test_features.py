@@ -117,6 +117,42 @@ def min_jerk_pulse(n, amp=1.0):
     return amp * (30 * tau**2 - 60 * tau**3 + 30 * tau**4) / 1.875
 
 
+def min_jerk_samples(duration_s, rate):
+    """The pulse 30 tau^2 - 60 tau^3 + 30 tau^4 on duration * rate + 1 samples, both ends included."""
+    tau = np.linspace(0.0, 1.0, round(duration_s * rate) + 1)
+    return 30 * tau**2 - 60 * tau**3 + 30 * tau**4
+
+
+def continuous_min_jerk_sparc(params):
+    """SPARC of the same pulse as a continuous 1 s signal, by Gauss-Legendre quadrature.
+
+    Its spectrum P(f) is the integral of p(tau) exp(-2 pi i f tau) over
+    [0, 1], and P(0) = 1. The cutoff fc is the highest frequency up to the
+    ceiling where |P| reaches the threshold, and the value is minus the arc
+    length of |P| over [0, fc], with the frequency axis divided by fc, as
+    Balasubramanian et al. (JNER 2015) define it.
+    """
+    x, w = np.polynomial.legendre.leggauss(128)
+    tau, weights = (x + 1) / 2, w / 2
+    p = 30 * tau**2 - 60 * tau**3 + 30 * tau**4
+
+    def spectrum(f):
+        """|P| and its derivative in f."""
+        waves = np.exp(-2j * np.pi * np.outer(np.atleast_1d(f), tau))
+        value, slope = waves @ (weights * p), waves @ (weights * p * -2j * np.pi * tau)
+        return np.abs(value), (np.conj(value) * slope).real / np.abs(value)
+
+    grid = np.linspace(0.0, params.sparc_max_cutoff_hz, 10_001)
+    last = np.flatnonzero(spectrum(grid)[0] >= params.sparc_amp_threshold)[-1]
+    lo, hi = grid[last], grid[last + 1]
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if spectrum(mid)[0][0] >= params.sparc_amp_threshold else (lo, mid)
+    x, w = np.polynomial.legendre.leggauss(200)
+    slope = spectrum((x + 1) / 2 * lo)[1]
+    return -float(np.sum(w / 2 * lo * np.sqrt(1 / lo**2 + slope**2)))
+
+
 class TestFeatureParams:
     @pytest.mark.parametrize(
         "field, value",
@@ -239,6 +275,34 @@ class TestSpectralArcLength:
         s_one = spectral_arc_length(series(one), RATE)
         s_two = spectral_arc_length(series(two), RATE)
         assert s_two < s_one < 0.0
+
+    @pytest.mark.parametrize("rate", [64.0, 128.0, 256.0])
+    @pytest.mark.parametrize("duration_s", [0.5, 1.0, 2.0])
+    def test_minimum_jerk_pulse_at_pad_4(self, duration_s, rate):
+        # duration * rate is a power of two, so the padded bins lie 1/32 of
+        # a cycle per pulse apart; the cutoff, about 1.67 cycles per pulse,
+        # is under the 10 Hz ceiling, and the arc length divides the
+        # frequency axis by it: the value depends on neither rate nor duration
+        got = spectral_arc_length(min_jerk_samples(duration_s, rate), rate)
+        assert -1.404841 < got < -1.404836
+
+    def test_padding_never_raises_the_value(self):
+        # finer bins trace more of the same spectrum's arc
+        pulse = min_jerk_samples(1.0, RATE)
+        values = [
+            spectral_arc_length(pulse, RATE, FeatureParams(sparc_pad_level=level))
+            for level in range(SPARC_MAX_PAD_LEVEL + 1)
+        ]
+        assert all(finer <= coarser for coarser, finer in zip(values, values[1:]))
+        assert values[0] == pytest.approx(-1.34703, abs=1e-5)
+        assert values[-1] == pytest.approx(-1.40805, abs=1e-5)
+
+    def test_pad_8_is_near_the_continuous_pulse(self):
+        params = FeatureParams(sparc_pad_level=8)
+        want = continuous_min_jerk_sparc(params)
+        assert want == pytest.approx(-1.4081776, abs=1e-6)
+        got = spectral_arc_length(min_jerk_samples(1.0, RATE), RATE, params)
+        assert abs(got - want) < 2e-4
 
     def test_selection_spans_across_an_interior_dip(self):
         # DC lobe plus a 6 Hz tone at 25% relative magnitude: between the
@@ -412,8 +476,8 @@ class TestLogDimensionlessJerk:
         assert np.linalg.norm(np.diff(accel, axis=0), axis=1).min() > 0
         gyro = np.random.default_rng(97).normal(0.0, 30.0, (n, 3))
         stream = SensorStream(accel=accel, gyro=gyro, sample_rate_hz=RATE)
-        label = SegmentLabel(TaskKind.WH, s1=0, e1=160, e2=320, e3=n)
-        session = assemble_session("G01", Group.HEALTHY, "left", {Placement.WRIST: stream}, [label])
+        labels = {TaskKind.WH: SegmentLabel(s1=0, e1=160, e2=320, e3=n)}
+        session = assemble_session("G01", Group.HEALTHY, "left", {Placement.WRIST: stream}, labels)
         windows = session_windows(session)
         with pytest.raises(FeatureError, match="dimensionless jerk is undefined: constant signal"):
             extract_all(windows, TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST)
@@ -460,10 +524,7 @@ def build_session(rng, n=640, subject_id="S01", group=Group.PATIENT, rate=RATE):
             accel=0.5 * accel, gyro=0.5 * gyro, sample_rate_hz=rate
         ),
     }
-    labels = [
-        SegmentLabel(task=task, s1=0, e1=n // 4, e2=n // 2, e3=n)
-        for task in TaskKind
-    ]
+    labels = {task: SegmentLabel(s1=0, e1=n // 4, e2=n // 2, e3=n) for task in TaskKind}
     return assemble_session(subject_id, group, "left", streams, labels)
 
 
@@ -477,7 +538,7 @@ def rotate_session(session, rot):
         for placement, stream in session.streams.items()
     }
     return assemble_session(
-        session.subject_id, session.group, session.side, streams, session.labels.values()
+        session.subject_id, session.group, session.side, streams, session.labels
     )
 
 
@@ -533,7 +594,7 @@ class TestExtractAll:
                 accel=np.zeros((640, 3)), gyro=np.zeros((640, 3)), sample_rate_hz=RATE
             ),
         }
-        labels = [SegmentLabel(task=TaskKind.WH, s1=0, e1=160, e2=320, e3=640)]
+        labels = {TaskKind.WH: SegmentLabel(s1=0, e1=160, e2=320, e3=640)}
         session = assemble_session("Z01", Group.HEALTHY, "right", streams, labels)
         with pytest.raises(FeatureError) as exc_info:
             extract_all(session_windows(session), TaskKind.WH, SegmentKind.SUB1, Placement.WRIST)
@@ -550,7 +611,7 @@ class TestExtractAll:
             session.group,
             session.side,
             session.streams,
-            [session.labels[TaskKind.WH]],
+            {TaskKind.WH: session.labels[TaskKind.WH]},
         )
         with pytest.raises(ValidationError, match="no label or stream for POH/sub1/wrist"):
             extract_all(session_windows(stripped), TaskKind.POH, SegmentKind.SUB1, Placement.WRIST)
@@ -597,8 +658,8 @@ class TestCohortMatrix:
         whole = build_session(rng)
         # WH's sub1 and sub2 windows hold 2 samples, too few for any feature
         labels = dict(whole.labels)
-        labels[TaskKind.WH] = SegmentLabel(TaskKind.WH, s1=0, e1=2, e2=4, e3=640)
-        short = assemble_session("S02", Group.HEALTHY, "left", whole.streams, labels.values())
+        labels[TaskKind.WH] = SegmentLabel(s1=0, e1=2, e2=4, e3=640)
+        short = assemble_session("S02", Group.HEALTHY, "left", whole.streams, labels)
         rows, failures = extract_cohort([whole, short])
         assert len(failures) == 2 * len(Placement)
         assert calls["slice_segment"] == calls["extract_all"] == len(rows) + len(failures)
@@ -613,7 +674,7 @@ class TestCohortMatrix:
             accel = np.vstack((stream.accel, np.full((4, 3), 1e200)))
             gyro = np.vstack((stream.gyro, np.zeros((4, 3))))
             streams[placement] = SensorStream(accel=accel, gyro=gyro, sample_rate_hz=RATE)
-        padded = assemble_session("S01", Group.PATIENT, "left", streams, clean.labels.values())
+        padded = assemble_session("S01", Group.PATIENT, "left", streams, clean.labels)
         rows, failures = extract_cohort([padded])
         assert failures == []
         assert rows == extract_cohort([clean])[0]

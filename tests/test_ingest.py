@@ -3,6 +3,7 @@
 import errno
 import multiprocessing
 import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from shoulderkin.ingest import (
     parse_recording,
     parse_session_manifest,
     read_lines,
+    write_atomically,
     write_labels,
     write_recording,
     write_session_manifest,
@@ -180,8 +182,8 @@ class TestRecordingDiagnostics:
 
 def sample_labels():
     return {
-        TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 100, 250, 400),
-        TaskKind.POH: SegmentLabel(TaskKind.POH, 10, 90, 180, 300),
+        TaskKind.WH: SegmentLabel(0, 100, 250, 400),
+        TaskKind.POH: SegmentLabel(10, 90, 180, 300),
     }
 
 
@@ -205,7 +207,7 @@ class TestLabels:
                 while len(set(edges.tolist())) < 4:
                     edges = np.sort(rng.integers(0, 5000, size=4))
                 s1, e1, e2, e3 = (int(v) for v in edges)
-                labels[task] = SegmentLabel(task, s1, e1, e2, e3)
+                labels[task] = SegmentLabel(s1, e1, e2, e3)
             path = tmp_path / f"labels_{i}.csv"
             path.write_bytes(write_labels(labels))
             back = parse_labels(path)
@@ -244,6 +246,20 @@ class TestLabels:
         path.write_text(LABELS_HEADER + "\nWH,0,10,11,20,20,30\n")
         message = r"labels\.csv:2: WH: subtasks must be contiguous \(e1=s2, e2=s3\), got \(0, 10, 11, 20, 20, 30\)$"
         with pytest.raises(BoundaryError, match=message):
+            parse_labels(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("WH,-1,10,10,20,20,30", "WH: s1 must be >= 0, got -1"),
+            ("POH,0,10,10,10,10,30", r"POH: each subtask window must be non-empty: \(0, 10, 10, 30\)"),
+        ],
+    )
+    def test_a_bad_label_names_its_line_and_task(self, tmp_path, row, message):
+        # the label holds no task: the reader names it, as the labels file does
+        path = tmp_path / "labels.csv"
+        path.write_text(LABELS_HEADER + f"\n{row}\n")
+        with pytest.raises(BoundaryError, match=rf"labels\.csv:2: {message}$"):
             parse_labels(path)
 
     @pytest.mark.parametrize("row", ["WH,0,10,10,20,21,30", "WH,0,10,5,8,8,30"])
@@ -368,6 +384,67 @@ class TestReadLines:
             read_lines(str(tmp_path / "a\x00b"))
 
 
+class TestWriteAtomically:
+    def test_replaces_the_file_and_leaves_nothing_else(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+        write_atomically(path, b"new\n")
+        assert path.read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_a_replaced_file_keeps_its_permission_bits(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"old\n")
+        path.chmod(0o640)
+        write_atomically(path, b"new\n")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_a_failed_rename_removes_the_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(source, target):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), source, None, target)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        path = tmp_path / "out.csv"
+        with pytest.raises(PermissionError) as info:
+            write_atomically(path, b"new\n")
+        # the error names the path asked for, not the temporary file
+        assert str(info.value) == f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: '{path}'"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_missing_directory_is_named_as_given(self, tmp_path):
+        path = tmp_path / "missing" / "out.csv"
+        with pytest.raises(FileNotFoundError) as info:
+            write_atomically(path, b"new\n")
+        assert info.value.filename == str(path) and info.value.filename2 is None
+
+    def test_a_symbolic_link_keeps_pointing_at_the_new_bytes(self, tmp_path):
+        (tmp_path / "real.csv").write_bytes(b"old\n")
+        (tmp_path / "link.csv").symlink_to("real.csv")
+        write_atomically(tmp_path / "link.csv", b"new\n")
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "real.csv").read_bytes() == b"new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        # a rename would put a regular file where the FIFO (or a device) was
+        path = tmp_path / "fifo"
+        os.mkfifo(path)
+        reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            write_atomically(path, b"new\n")
+            assert os.read(reader, 100) == b"new\n"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(path).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    def test_a_directory_is_refused(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_atomically(tmp_path / "out", b"new\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
 class TestParseKeyValues:
     def test_values_carry_line_numbers(self):
         lines = ["# c", "", "a = 1", "  b=two words  "]
@@ -393,7 +470,7 @@ def write_full_session(dirpath, sid="S01", n=400, group=Group.PATIENT, rate=RATE
         stream = quantized_stream(rng, n, rate)
         (dirpath / f"{sid}_{suffix}.csv").write_bytes(write_recording(stream))
     labels = {
-        TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 100, 250, n),
+        TaskKind.WH: SegmentLabel(0, 100, 250, n),
     }
     (dirpath / f"{sid}_labels.csv").write_bytes(write_labels(labels))
     manifest = SessionManifest(
@@ -423,7 +500,7 @@ class TestLoadSession:
 
     def test_label_past_recording_end_rejected(self, tmp_path):
         path = write_full_session(tmp_path, n=300)
-        labels = {TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 100, 250, 301)}
+        labels = {TaskKind.WH: SegmentLabel(0, 100, 250, 301)}
         (tmp_path / "S01_labels.csv").write_bytes(write_labels(labels))
         with pytest.raises(ValidationError):
             load_session(path)

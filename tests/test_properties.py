@@ -14,7 +14,9 @@ plainer formulas they replaced, which are kept here as references, and
 `extract_cohort`, which cuts and counts a whole session at once, against
 the seven kernels applied to each window alone. The simulator's pulse
 renderer, which evaluates a session's pulses once for both placements, is
-pinned against the pulse-by-pulse renderer it replaced.
+pinned against the pulse-by-pulse renderer it replaced. One movement
+rendered at 64, 128 and 256 Hz pins how SPARC, LDLJ-A and the two counts
+depend on the rate.
 """
 
 import contextlib
@@ -131,7 +133,7 @@ def session_files(sid="S01", group=Group.PATIENT) -> dict[str, bytes]:
         )
         for placement in Placement
     }
-    labels = {TaskKind.WH: SegmentLabel(TaskKind.WH, 0, 20, 40, N_SAMPLES)}
+    labels = {TaskKind.WH: SegmentLabel(0, 20, 40, N_SAMPLES)}
     files[f"{sid}_labels.csv"] = write_labels(labels)
     manifest = SessionManifest(
         subject_id=sid,
@@ -716,6 +718,57 @@ def test_sparc_dc_normalisation_agrees_with_max_normalisation(case):
     assert spectral_arc_length(values, rate, params) == pytest.approx(by_max, rel=1e-12, abs=0.0)
 
 
+@given(
+    st.integers(32, 256),  # the pulse, in samples at 64 Hz: 0.5 to 4 s
+    st.integers(2, 64),  # rest before it, likewise
+    st.integers(2, 64),  # rest after it
+    st.floats(10.0, 500.0),  # peak speed, deg/s
+    st.floats(0.1, 0.8),  # lever arm, m
+    st.integers(0, 2**32 - 1),  # seeds the axis
+)
+def test_one_movement_at_three_rates(pulse, before, after, amplitude, lever_arm_m, seed):
+    """One noise-free minimum-jerk pulse on the 1/64 s grid, with rest on
+    both sides, rendered by `synth_segment` at 64, 128 and 256 Hz. Measured over 1500
+    random draws of these inputs:
+
+    - SPARC (gyro norm) is flat in the rate to 1e-5; the largest spread
+      was 4.1e-6. The sample count doubles with the rate, so the padded
+      bins keep their spacing in Hz.
+    - NMCP-A and NP-A (acceleration norm) are the same at all three rates.
+    - LDLJ-A (acceleration norm) falls as the rate rises, by 0.001 to 0.13
+      from 64 to 256 Hz, and each doubling moves it 0.25 to 0.50 times as
+      far as the one before: it converges as 1/rate. The minimum-jerk
+      acceleration leaves zero with a nonzero slope, so the norm has a
+      kink where the pulse starts and ends.
+    - LDLJ of the pulse's own gyro norm, on duration * rate + 1 samples,
+      rises towards -ln(120 / (7 * 1.875^2)) and stays below it, as the
+      `log_dimensionless_jerk` docstring says.
+    """
+    axis = np.random.default_rng(seed).normal(size=3)
+    total_s, onset_s, duration_s = (before + pulse + after) / 64, before / 64, pulse / 64
+    spec = SubmovementSpec(onset_s, duration_s, amplitude, axis / np.linalg.norm(axis))
+    alone = replace(spec, onset_s=0.0)
+    values = []
+    for rate in (64.0, 128.0, 256.0):
+        stream = synth_segment([spec], total_s, rate, 0.0, 0.0, np.random.default_rng(0), lever_arm_m)
+        a_norm, w_norm = euclidean_norm(stream.accel), euclidean_norm(stream.gyro)
+        bare = synth_segment([alone], duration_s + 1 / rate, rate, 0.0, 0.0, np.random.default_rng(0))
+        values.append((
+            spectral_arc_length(w_norm, rate),
+            mean_crossing_count(a_norm),
+            peak_count(a_norm),
+            log_dimensionless_jerk(a_norm, rate),
+            log_dimensionless_jerk(euclidean_norm(bare.gyro), rate),
+        ))
+    sparc, nmcp_a, np_a, ldlj_a, ldlj_pulse = zip(*values)
+    assert max(sparc) - min(sparc) < 1e-5
+    assert len(set(nmcp_a)) == len(set(np_a)) == 1
+    first, second = ldlj_a[1] - ldlj_a[0], ldlj_a[2] - ldlj_a[1]
+    assert first < 0 and second < 0
+    assert second > 0.55 * first
+    assert ldlj_pulse[0] < ldlj_pulse[1] < ldlj_pulse[2] < -math.log(120 / (7 * 1.875**2))
+
+
 @st.composite
 def window_sessions(draw):
     """One session on one or both placements whose subtask windows are
@@ -724,13 +777,13 @@ def window_sessions(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     tasks = draw(st.lists(st.sampled_from(list(TaskKind)), min_size=1, max_size=5, unique=True))
     lengths = st.one_of(st.integers(1, 3), st.integers(4, 40))
-    labels, constant, end = [], [], 0
+    labels, constant, end = {}, [], 0
     for task in tasks:
         s1 = end + draw(st.integers(0, 3))
         e1 = s1 + draw(lengths)
         e2 = e1 + draw(lengths)
         end = e2 + draw(lengths)
-        labels.append(SegmentLabel(task, s1, e1, e2, end))
+        labels[task] = SegmentLabel(s1, e1, e2, end)
         if draw(st.booleans()):
             constant.append((e1, e2))
     n = end + draw(st.integers(0, 3))

@@ -255,6 +255,22 @@ class TestGenerateSession:
             assert lb.e3 <= n
             previous_end = lb.e3
 
+    def test_streams_take_over_the_rendered_arrays(self, monkeypatch):
+        # each placement's accel and gyro are held once, by its stream
+        rendered = []
+
+        def record(accel, gyro, sample_rate_hz):
+            rendered.append((accel, gyro))
+            return stream_type(accel=accel, gyro=gyro, sample_rate_hz=sample_rate_hz)
+
+        stream_type = synth.SensorStream
+        monkeypatch.setattr(synth, "SensorStream", record)
+        session = generate_session(default_profile(n_per_group=2, seed=7), Group.PATIENT, 0)
+        assert len(rendered) == len(Placement)
+        for placement, (accel, gyro) in zip(Placement, rendered):
+            stream = session.streams[placement]
+            assert np.shares_memory(stream.accel, accel) and np.shares_memory(stream.gyro, gyro)
+
     def test_wrist_moves_more_than_arm(self):
         profile = default_profile(n_per_group=2, seed=17)
         session = generate_session(profile, Group.HEALTHY, 0)
