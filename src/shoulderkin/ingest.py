@@ -520,6 +520,9 @@ def load_session(manifest_path, rows: Mapping[Placement, np.ndarray] | None = No
 
     `rows` maps a placement to its recording's rows when they have already
     been read (see `parse_recording`); every other recording is read here.
+    `iter_cohort` passes both placements' rows from its helper, or none:
+    the helper ends at the first session it cannot parse, and the parent
+    reads that session and every later one itself.
     """
     manifest_path = Path(manifest_path)
     manifest = parse_session_manifest(manifest_path)
@@ -533,30 +536,18 @@ def load_session(manifest_path, rows: Mapping[Placement, np.ndarray] | None = No
     return assemble_session(manifest.subject_id, manifest.group, manifest.side, streams, labels)
 
 
-def _parsed_rows(manifest_path: Path) -> list[np.ndarray | None]:
-    """Each placement's recording rows, None for one that could not be read."""
-    try:
-        manifest = parse_session_manifest(manifest_path)
-    except Exception:
-        return [None] * len(Placement)
-    rows: list[np.ndarray | None] = []
-    for placement in Placement:
-        try:
-            rows.append(_recording_rows(manifest_path.parent / manifest.recordings[placement]))
-        except Exception:
-            rows.append(None)
-    return rows
-
-
 def _read_ahead(cohort_dir: Path, entries: list[str]) -> Iterator[bytes]:
     """`iter_cohort`'s helper: parse each session's recordings in manifest
     order and yield them as one message, each placement's row count as
-    int64 (-1 for a recording it could not read), then the rows as raw
-    float64. It calls no BLAS routine."""
+    int64, then the rows as raw float64. The first session it cannot
+    parse raises, which ends the helper, and the parent reads that session
+    and every later one itself. It calls no BLAS routine."""
     for entry in entries:
-        rows = _parsed_rows(cohort_dir / entry)
-        counts = np.array([-1 if r is None else len(r) for r in rows], np.int64)
-        yield b"".join([counts.tobytes()] + [r.tobytes() for r in rows if r is not None])
+        manifest_path = cohort_dir / entry
+        manifest = parse_session_manifest(manifest_path)
+        rows = [_recording_rows(manifest_path.parent / manifest.recordings[p]) for p in Placement]
+        counts = np.array([len(r) for r in rows], np.int64)
+        yield b"".join([counts.tobytes()] + [r.tobytes() for r in rows])
 
 
 def _unpack_rows(message: bytes | None) -> dict[Placement, np.ndarray]:
@@ -567,10 +558,9 @@ def _unpack_rows(message: bytes | None) -> dict[Placement, np.ndarray]:
     offset, width = counts.nbytes, len(RECORDING_COLUMNS)
     rows = {}
     for placement, n in zip(Placement, counts.tolist()):
-        if n >= 0:
-            values = np.frombuffer(message, np.float64, n * width, offset)
-            rows[placement] = values.reshape(n, width)
-            offset += values.nbytes
+        values = np.frombuffer(message, np.float64, n * width, offset)
+        rows[placement] = values.reshape(n, width)
+        offset += values.nbytes
     return rows
 
 
@@ -580,6 +570,8 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
     Order follows the manifest. The manifest itself is read and checked at
     the first ``next``; then one helper process starts, which parses each
     session's recordings one session ahead and ends when the walk does.
+    It ends at the first session it cannot parse, and the walk reads that
+    session and every later one itself.
     So a caller that keeps no session holds one at a time, plus the next
     session's rows in the helper. Close the generator (or exhaust it) to
     end the helper at once. A failing session raises `CohortError` with
@@ -594,9 +586,8 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
     if not entries:
         raise CohortError(f"{manifest}: cohort manifest lists no sessions")
     entry_of: dict[str, str] = {}
-    # the parent builds every object: it reads any recording the helper
-    # could not, or every one once the helper has gone, itself, so errors
-    # are the ones a read in process raises
+    # the parent builds every object, and reads each session itself once
+    # the helper has ended, so errors are the ones a read in process raises
     with Helper(_read_ahead(cohort_dir, entries)) as read_ahead:
         for entry in entries:
             try:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import os
 import shutil
 import signal
@@ -54,6 +55,8 @@ from shoulderkin.ingest import (
 )
 from shoulderkin.model import FeatureVector, Group, Placement, SegmentKind, SensorStream, TaskKind
 from shoulderkin.report import TASK_TITLES
+
+BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 # the first line of each task table in `report`'s output
 TASK_HEADINGS = tuple(f"{task.value}: {title}" for task, title in TASK_TITLES.items())
@@ -159,6 +162,18 @@ class TestPipeline:
         assert digest.hexdigest() == (
             "e93c73a00b4be3be787dd822b1d53ccddf5bcaf83cfe17e1e9b4bd49b3b9b011"
         )
+
+    def test_simulate_without_params_writes_the_default_cohort(self, tmp_path):
+        # the stock 20v20 profile, pinned by the benchmark's digest of its
+        # pipeline cohort: each file name, then the sha256 of its bytes
+        cohort = tmp_path / "cohort"
+        assert main(["simulate", "--out", str(cohort), "--seed", "42"]) == EXIT_OK
+        digest = hashlib.sha256()
+        for path in sorted(cohort.iterdir()):
+            digest.update(path.name.encode() + b"\0")
+            digest.update(hashlib.sha256(path.read_bytes()).digest())
+        reference = json.loads(BENCHMARK_REFERENCE.read_text(encoding="utf-8"))
+        assert digest.hexdigest() == reference["pipeline-20v20"]["cohort"]
 
     @pytest.mark.parametrize(
         "pad_level, sha256",
@@ -589,6 +604,34 @@ class TestExitCodes:
         assert "1 cells were untestable" in err
         table = shoulderkin.read_dump(out_dir / DUMP_FILENAME)
         assert table.cell(TaskKind.WH, "rav", Placement.WRIST, SegmentKind.COMPLETE) is None
+
+    def test_compare_a_group_with_one_observation_is_untestable(
+        self, seed42_cohort, tmp_path, capsys
+    ):
+        # without P01's WH/sub1/wrist row, one patient is left in the six
+        # wrist cells of WH/sub1 and in its duration cell, which is read
+        # from the wrist rows
+        matrix, out_dir = tmp_path / "matrix.csv", tmp_path / "o"
+        assert main(["extract", "--cohort", str(seed42_cohort), "--out", str(matrix)]) == EXIT_OK
+        lines = matrix.read_bytes().splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(b"P01,patient,WH,sub1,wrist,")]
+        assert len(kept) == len(lines) - 1
+        matrix.write_bytes(b"".join(kept))
+        capsys.readouterr()
+        code = main(["compare", str(matrix), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == EXIT_DEGENERATE, err
+        assert "7 cells were untestable" in err
+        table = shoulderkin.read_dump(out_dir / DUMP_FILENAME)
+        untestable = {key for key, cell in table.cells.items() if cell is None}
+        features = ("nmcp_a", "np_a", "sparc", "ldlj_a", "rav", "pi")
+        assert untestable == {
+            (TaskKind.WH, feature, Placement.WRIST, SegmentKind.SUB1) for feature in features
+        } | {(TaskKind.WH, "duration_s", None, SegmentKind.SUB1)}
+        assert main(["report", str(out_dir / DUMP_FILENAME)]) == EXIT_OK
+        out = capsys.readouterr().out
+        wh_table = out[: out.index(TASK_HEADINGS[1])]
+        assert out.count("n/a") == wh_table.count("n/a") == 7
 
     def test_report_truncated_dump(self, tmp_path):
         dump = tmp_path / "comparison.csv"

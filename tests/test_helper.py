@@ -3,6 +3,7 @@
 import errno
 import itertools
 import os
+import signal
 
 import pytest
 
@@ -85,6 +86,16 @@ def test_close_kills_a_running_helper_and_may_be_called_again():
     assert helper.receive() == b"x"
     helper.close()
     helper.close()
+    assert helper.receive() is None
+
+
+def test_close_after_the_helper_was_reaped_elsewhere():
+    helper = Helper(itertools.repeat(b"x"))
+    assert helper.receive() == b"x"
+    os.kill(helper.pid, signal.SIGKILL)
+    os.waitpid(helper.pid, 0)
+    helper.close()
+    assert helper.pid is None
     assert helper.receive() is None
 
 

@@ -14,6 +14,7 @@ from shoulderkin import (
     CohortError,
     ParseError,
     ValidationError,
+    ingest,
     load_cohort,
     read_matrix,
 )
@@ -566,6 +567,26 @@ class TestLoadCohort:
         entries = (tmp_path / "cohort.txt").read_text().split()
         want = [load_session(tmp_path / entry) for entry in entries]
         self.assert_sessions_equal(load_cohort(tmp_path), want)
+
+    def test_the_helper_ends_at_the_first_session_it_cannot_parse(self, tmp_path, monkeypatch):
+        # the parent reads that session and every later one itself
+        self.build_cohort(tmp_path)
+        want = load_cohort(tmp_path)
+        parent = os.getpid()
+        read_rows = ingest._recording_rows
+
+        def fail_in_the_helper(path):
+            if os.getpid() != parent and path.name == "P02_arm.csv":
+                raise MemoryError
+            return read_rows(path)
+
+        monkeypatch.setattr(ingest, "_recording_rows", fail_in_the_helper)
+        sessions = iter_cohort(tmp_path)
+        got = [next(sessions), next(sessions)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        got.extend(sessions)
+        self.assert_sessions_equal(got, want)
 
     @pytest.mark.parametrize("cause", ["fork fails"])
     def test_without_a_helper_every_recording_is_read_in_process(

@@ -78,7 +78,7 @@ class TestSensorStream:
         assert np.isclose(times[1], 1.0 / 128.0)
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="accel and gyro sample counts differ: 4 vs 5"):
             SensorStream(accel=np.zeros((4, 3)), gyro=np.zeros((5, 3)), sample_rate_hz=128.0)
 
     def test_rejects_empty(self):
@@ -88,7 +88,7 @@ class TestSensorStream:
     def test_rejects_nonfinite(self):
         accel = np.zeros((4, 3))
         accel[2, 1] = np.nan
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="accel contains non-finite values"):
             SensorStream(accel=accel, gyro=np.zeros((4, 3)), sample_rate_hz=128.0)
 
     def test_rejects_bad_rate(self):
