@@ -1,7 +1,8 @@
 """One forked helper process and the pipe it reports to its parent on.
 
-`simulate` writes every other session in a helper, and `iter_cohort`
-parses recordings one session ahead in one. Both use `Helper`: a bare
+`simulate` writes every other session in a helper, `extract_cohort`
+extracts every other session of a list in one, and `iter_cohort` parses
+recordings one session ahead in one. All three use `Helper`: a bare
 `os.fork` (`multiprocessing` would cost its import and memory in every
 process that loads it), one pipe of length-framed messages from the
 helper to the parent, and a `close` that kills and reaps the helper.
@@ -76,9 +77,12 @@ class Helper:
         pid, self.pid = self.pid, None
         self._reader.close()
         try:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):  # already reaped elsewhere
+            # once reaped, the pid may be another process's: signal only a
+            # helper that is still running
+            if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:  # already reaped elsewhere
             pass
 
     def __enter__(self) -> Helper:

@@ -518,18 +518,19 @@ def write_session_manifest(manifest: SessionManifest) -> bytes:
 def load_session(manifest_path, rows: Mapping[Placement, np.ndarray] | None = None) -> Session:
     """Load and cross-validate one session from its manifest.
 
-    `rows` maps a placement to its recording's rows when they have already
-    been read (see `parse_recording`); every other recording is read here.
-    `iter_cohort` passes both placements' rows from its helper, or none:
-    the helper ends at the first session it cannot parse, and the parent
-    reads that session and every later one itself.
+    `rows` maps every placement to its recording's rows when they have
+    already been read (see `parse_recording`); with None, both recordings
+    are read here. `iter_cohort` passes both from its helper, or none: the
+    helper ends at the first session it cannot parse, and the parent reads
+    that session and every later one itself.
     """
     manifest_path = Path(manifest_path)
     manifest = parse_session_manifest(manifest_path)
     base = manifest_path.parent
-    rows = rows or {}
     streams = {
-        placement: parse_recording(base / rel, manifest.sample_rate_hz, rows.get(placement))
+        placement: parse_recording(
+            base / rel, manifest.sample_rate_hz, None if rows is None else rows[placement]
+        )
         for placement, rel in manifest.recordings.items()
     }
     labels = parse_labels(base / manifest.labels_path)
@@ -550,10 +551,10 @@ def _read_ahead(cohort_dir: Path, entries: list[str]) -> Iterator[bytes]:
         yield b"".join([counts.tobytes()] + [r.tobytes() for r in rows])
 
 
-def _unpack_rows(message: bytes | None) -> dict[Placement, np.ndarray]:
-    """The rows by placement of one `_read_ahead` message; none for None."""
+def _unpack_rows(message: bytes | None) -> dict[Placement, np.ndarray] | None:
+    """The rows by placement of one `_read_ahead` message; None for None."""
     if message is None:
-        return {}
+        return None
     counts = np.frombuffer(message, np.int64, len(Placement))
     offset, width = counts.nbytes, len(RECORDING_COLUMNS)
     rows = {}

@@ -1,6 +1,8 @@
 """Command-line pipeline: simulate -> extract -> compare -> report."""
 
+import contextlib
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -8,6 +10,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -20,10 +23,12 @@ from reference_table import build_reference_table
 import shoulderkin
 from shoulderkin import (
     CohortError,
+    FeatureParams,
     ParseError,
     ValidationError,
     default_profile,
     extract_cohort,
+    features,
     ingest,
     main,
     read_matrix,
@@ -53,7 +58,15 @@ from shoulderkin.ingest import (
     write_recording,
     write_session_manifest,
 )
-from shoulderkin.model import FeatureVector, Group, Placement, SegmentKind, SensorStream, TaskKind
+from shoulderkin.model import (
+    FeatureVector,
+    Group,
+    Placement,
+    SegmentKind,
+    SegmentLabel,
+    SensorStream,
+    TaskKind,
+)
 from shoulderkin.report import TASK_TITLES
 
 BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -921,6 +934,134 @@ class TestReadAhead:
         assert len(reads) == 2 * len(rest)
         got = extract_cohort([first, *rest])
         assert got == extract_cohort(in_process_sessions(small_cohort))
+
+
+@pytest.fixture(scope="module", params=[42, 1234])
+def six_sessions(request, tmp_path_factory):
+    work = tmp_path_factory.mktemp(f"split{request.param}")
+    write_small_profile(work / "profile.ini", n_per_group=3, seed=request.param)
+    cohort = work / "cohort"
+    argv = ["simulate", "--out", str(cohort), "--params", str(work / "profile.ini")]
+    assert main(argv) == EXIT_OK
+    return ingest.load_cohort(cohort)
+
+
+def extracted(sessions, params=None):
+    """`extract_cohort`'s rows, and each failure's class and message."""
+    rows, failures = extract_cohort(sessions, params)
+    return rows, [(type(err), str(err)) for err in failures]
+
+
+def raised(sessions):
+    """The class and message of the `ValidationError` that `extract_cohort` raises."""
+    with pytest.raises(ValidationError) as info:
+        extract_cohort(sessions)
+    return type(info.value), str(info.value)
+
+
+def short_subtasks(session):
+    """`session` with WH's first two subtasks cut to 2 samples, too few for most features."""
+    label = session.labels[TaskKind.WH]
+    short = SegmentLabel(label.s1, label.s1 + 2, label.s1 + 4, label.e3)
+    return dataclasses.replace(session, labels={**session.labels, TaskKind.WH: short})
+
+
+def overflowing(session):
+    """`session` with a wrist sample inside WH whose square overflows."""
+    stream = session.streams[Placement.WRIST]
+    accel = stream.accel.copy()
+    accel[session.labels[TaskKind.WH].s1 + 1, 0] = 1e200
+    streams = {**session.streams, Placement.WRIST: dataclasses.replace(stream, accel=accel)}
+    return dataclasses.replace(session, streams=streams)
+
+
+class TestListSplit:
+    """`extract_cohort` on a list hands the sessions at odd positions to one
+    helper process, and gives what the in-process walk of an iterator gives:
+    the same rows, failures and error, in the same order."""
+
+    @pytest.mark.parametrize("pad", [0, 4])
+    def test_a_list_matches_the_in_process_walk(self, six_sessions, monkeypatch, pad):
+        params = FeatureParams(sparc_pad_level=pad)
+        forked = record_forks(monkeypatch)
+        got = extracted(six_sessions, params)
+        assert len(forked) == 1
+        assert got == extracted(iter(six_sessions), params)
+        assert len(got[0]) == 6 * len(TaskKind) * len(SegmentKind) * len(Placement)
+
+    @pytest.mark.parametrize("positions", [(3,), (1, 2), (1, 5)])
+    def test_failing_cells_in_helper_sessions(self, six_sessions, positions):
+        sessions = [short_subtasks(s) if i in positions else s for i, s in enumerate(six_sessions)]
+        got = extracted(sessions)
+        # WH sub1 and sub2 fail on each placement
+        assert len(got[1]) == 2 * len(Placement) * len(positions)
+        assert got == extracted(iter(sessions))
+
+    def test_an_invalid_value_in_a_helper_session(self, six_sessions):
+        sessions = [overflowing(s) if i == 3 else s for i, s in enumerate(six_sessions)]
+        got = raised(sessions)
+        assert got == raised(iter(sessions))
+        assert got[1].startswith(f"{sessions[3].subject_id} WH/")
+
+    def test_the_first_invalid_session_in_order_raises(self, six_sessions):
+        sessions = [overflowing(s) if i in (2, 3) else s for i, s in enumerate(six_sessions)]
+        got = raised(sessions)
+        assert got == raised(iter(sessions))
+        assert got[1].startswith(f"{sessions[2].subject_id} WH/")
+
+    def test_without_a_fork_the_list_is_extracted_in_process(self, six_sessions, monkeypatch):
+        want = extracted(iter(six_sessions))
+        calls = []
+        extract_session = features._extract_session
+        monkeypatch.setattr(
+            features,
+            "_extract_session",
+            lambda session, *args: calls.append(session) or extract_session(session, *args),
+        )
+
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert extracted(six_sessions) == want
+        assert calls == six_sessions
+
+    def test_parent_extracts_the_rest_once_the_helper_dies(self, six_sessions, monkeypatch):
+        want = extracted(iter(six_sessions))
+        forked = record_forks(monkeypatch)
+        parent = os.getpid()
+        calls = []
+        extract_session = features._extract_session
+
+        def extract(session, *args):
+            if os.getpid() == parent:
+                calls.append(session)
+                if len(calls) == 2:  # session 2: the helper has sent session 1
+                    os.kill(forked[0], signal.SIGKILL)
+            elif session is six_sessions[3]:
+                time.sleep(60)  # the helper is killed here
+            extract_session(session, *args)
+
+        monkeypatch.setattr(features, "_extract_session", extract)
+        assert extracted(six_sessions) == want
+        assert calls == [six_sessions[i] for i in (0, 2, 3, 4, 5)]
+
+    def test_one_fork_for_a_list_and_none_for_one_session_or_an_iterator(
+        self, seed42_cohort, monkeypatch
+    ):
+        # a worker count or a fork per session would show here
+        sessions = ingest.load_cohort(seed42_cohort)
+        forked = record_forks(monkeypatch)
+        extract_cohort(sessions)
+        assert len(forked) == 1
+        extract_cohort(sessions[:2])
+        assert len(forked) == 2
+        extract_cohort(sessions[:1])
+        extract_cohort(session for session in sessions)
+        assert len(forked) == 2
+        with contextlib.closing(ingest.iter_cohort(seed42_cohort)) as walk:
+            extract_cohort(walk)
+        assert len(forked) == 3  # iter_cohort's own read-ahead helper
 
 
 class TestSimulateWriter:

@@ -89,12 +89,16 @@ def test_close_kills_a_running_helper_and_may_be_called_again():
     assert helper.receive() is None
 
 
-def test_close_after_the_helper_was_reaped_elsewhere():
+def test_close_after_the_helper_was_reaped_elsewhere(monkeypatch):
     helper = Helper(itertools.repeat(b"x"))
     assert helper.receive() == b"x"
     os.kill(helper.pid, signal.SIGKILL)
     os.waitpid(helper.pid, 0)
+    # the reaped pid may already be another process's: close must not signal it
+    kills = []
+    monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
     helper.close()
+    assert kills == []
     assert helper.pid is None
     assert helper.receive() is None
 

@@ -512,6 +512,27 @@ class TestLoadSession:
         with pytest.raises(ValidationError, match="does not exist"):
             load_session(path)
 
+    def test_rows_come_for_both_placements_or_none(self, tmp_path, monkeypatch):
+        path = write_full_session(tmp_path)
+        rows = {p: ingest._recording_rows(tmp_path / f"S01_{p.value}.csv") for p in Placement}
+        want = load_session(path)
+        read = []
+        read_rows = ingest._recording_rows
+        monkeypatch.setattr(
+            ingest, "_recording_rows", lambda path: read.append(path.name) or read_rows(path)
+        )
+        got = load_session(path, rows)
+        assert read == []
+        for placement in Placement:
+            assert np.array_equal(got.streams[placement].accel, want.streams[placement].accel)
+            assert np.array_equal(got.streams[placement].gyro, want.streams[placement].gyro)
+        # a partial mapping is refused, not completed by reading the rest
+        with pytest.raises(KeyError):
+            load_session(path, {Placement.WRIST: rows[Placement.WRIST]})
+        assert read == []
+        load_session(path)
+        assert sorted(read) == ["S01_arm.csv", "S01_wrist.csv"]
+
 
 class TestLoadCohort:
     def build_cohort(self, dirpath, sids=("P01", "P02", "H01", "H02")):
