@@ -8,7 +8,6 @@ degenerate (failed or untestable) cells, 1 for anything unexpected.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -52,9 +51,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_extract(args) -> int:
     params = _load_feature_params(args.params) if args.params is not None else FeatureParams()
-    # closed here, so the walker's helper process ends before the command does
-    with contextlib.closing(ingest.iter_cohort(args.cohort)) as sessions:
-        rows, failures = extract_cohort(sessions, params)
+    rows, failures = extract_cohort(args.cohort, params)
     ingest.write_atomically(args.out, write_matrix(rows))
     print(f"wrote {len(rows)} feature rows to {args.out}")
     if failures:

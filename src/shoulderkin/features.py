@@ -15,21 +15,22 @@ only the lengths and durations that a short label window can break.
 """
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
 import operator
+import os
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .dsp import euclidean_norm, fft_length, magnitude_spectrum
 from .dsp import derivative as _derivative
 from .errors import DegenerateSignalError, FeatureError, TooShortError, ValidationError
-from .helper import Helper
-from .ingest import format_float, parse_cell, read_lines, split_rows
+from .helper import in_order
+from .ingest import format_float, parse_cell, read_lines, split_rows, walk_cohort
 from .model import (
     FeatureVector,
     Group,
@@ -37,6 +38,7 @@ from .model import (
     SegmentKind,
     Session,
     TaskKind,
+    _is_integer,
     check_subject_id,
     slice_segment,
 )
@@ -83,10 +85,10 @@ class FeatureParams:
             raise ValidationError(
                 f"sparc_max_cutoff_hz must be positive, got {self.sparc_max_cutoff_hz}"
             )
-        if self.sparc_pad_level not in range(SPARC_MAX_PAD_LEVEL + 1):
+        pad = self.sparc_pad_level
+        if not (_is_integer(pad) and 0 <= pad <= SPARC_MAX_PAD_LEVEL):
             raise ValidationError(
-                f"sparc_pad_level must be an integer in [0, {SPARC_MAX_PAD_LEVEL}], "
-                f"got {self.sparc_pad_level}"
+                f"sparc_pad_level must be an integer in [0, {SPARC_MAX_PAD_LEVEL}], got {pad}"
             )
         if not self.min_segment_s > 0:
             raise ValidationError(f"min_segment_s must be positive, got {self.min_segment_s}")
@@ -355,19 +357,6 @@ class SessionWindows:
     cells: dict[tuple[TaskKind, SegmentKind, Placement], _Window]
 
 
-def _present_cells(session: Session) -> list[tuple[TaskKind, SegmentKind, Placement]]:
-    """The (task, segment, placement) of every cell `session` has a label and
-    a stream for, in grid order."""
-    return [
-        (task, kind, placement)
-        for task in TaskKind
-        if task in session.labels
-        for kind in SegmentKind
-        for placement in Placement
-        if placement in session.streams
-    ]
-
-
 def session_windows(session: Session, params: FeatureParams | None = None) -> SessionWindows:
     """Cut every present cell of `session` and count its prominent peaks.
 
@@ -388,15 +377,21 @@ def session_windows(session: Session, params: FeatureParams | None = None) -> Se
             finite = bool(np.isfinite(a_norm).all() and np.isfinite(w_norm).all())
             norms[placement] = a_norm, w_norm, finite
     cells = {}
-    for task, kind, placement in _present_cells(session):
-        label = session.labels[task]
-        start, end = label.window(kind)
-        accel, gyro = slice_segment(session.streams[placement], label, kind)
-        a_norm, w_norm, finite = norms[placement]
-        a_norm, w_norm = a_norm[start:end], w_norm[start:end]
-        # a non-finite norm outside this window does not fail it
-        finite = finite or bool(np.isfinite(a_norm).all() and np.isfinite(w_norm).all())
-        cells[task, kind, placement] = _Window(accel, gyro, a_norm, w_norm, finite, None)
+    for task in TaskKind:
+        label = session.labels.get(task)
+        if label is None:
+            continue
+        for kind in SegmentKind:
+            start, end = label.window(kind)
+            for placement in Placement:
+                if placement not in session.streams:
+                    continue
+                accel, gyro = slice_segment(session.streams[placement], label, kind)
+                a_norm, w_norm, finite = norms[placement]
+                a_norm, w_norm = a_norm[start:end], w_norm[start:end]
+                # a non-finite norm outside this window does not fail it
+                finite = finite or bool(np.isfinite(a_norm).all() and np.isfinite(w_norm).all())
+                cells[task, kind, placement] = _Window(accel, gyro, a_norm, w_norm, finite, None)
     # One walk per placement, not per session: the walk's working memory,
     # about 50 bytes a sample, is the largest transient of an extraction.
     for placement in session.streams:
@@ -494,40 +489,50 @@ def extract_cohort(
     are sorted stably by subject_id, so each session's rows stay in grid
     order (task, segment, placement).
 
-    A sequence of two or more sessions, such as `ingest.load_cohort`
-    returns, is extracted on two CPUs: one helper process extracts the
-    sessions at positions 1, 3, 5, ... and this process the others. The
-    helper ends at the first session with a failing cell, or one that
-    raises, and this process extracts that session and every later one
-    itself. So the rows, the failures and the error raised are the ones
-    one process gives. Any other iterable is consumed once, in this
-    process, so a generator such as `ingest.iter_cohort` (whose own helper
-    reads ahead) is walked one session at a time, and an error it raises
-    ends the extraction.
+    `sessions` is a cohort directory (a path, as `extract` passes it), a
+    sequence of sessions such as `ingest.load_cohort` returns, or any
+    other iterable of sessions. A directory or a sequence of two or more
+    sessions is split by position (`helper.in_order`): one helper process
+    extracts the sessions at positions 1, 3, 5, ..., reading each from
+    the directory first, and this process the others. The helper ends at
+    the first session with a failing cell, or one that raises, and this
+    process extracts that session and every later one itself. A directory
+    is walked by `ingest.walk_cohort`, with `iter_cohort`'s checks and
+    errors, and each process holds one session at a time. Any other
+    iterable is consumed once, in this process. Either way the rows, the
+    failures and the error raised are the ones one process gives.
     """
     params = params or FeatureParams()
+
+    def work(session: Session) -> tuple[list[FeatureRow], list[FeatureError]]:
+        return _extract_session(session, params)
+
+    def keep(result: tuple[list[FeatureRow], list[FeatureError]]) -> bool:
+        return not result[1]
+
+    # a str is a Sequence too
+    if isinstance(sessions, (str, os.PathLike)):
+        results = walk_cohort(sessions, work, keep)
+    elif isinstance(sessions, Sequence):
+        results = in_order(sessions, work, keep)
+    else:
+        results = (work(session) for session in sessions)
     rows: list[FeatureRow] = []
     failures: list[FeatureError] = []
-    if isinstance(sessions, Sequence) and len(sessions) > 1:
-        with Helper(_extract_every_other(sessions, params)) as helper:
-            for index, session in enumerate(sessions):
-                message = helper.receive() if index % 2 else None
-                if message is None:
-                    _extract_session(session, params, rows, failures)
-                else:
-                    rows += _unpack_features(session, message)
-    else:
-        for session in sessions:
-            _extract_session(session, params, rows, failures)
+    with contextlib.closing(results):
+        for session_rows, session_failures in results:
+            rows += session_rows
+            failures += session_failures
     rows.sort(key=lambda row: row.subject_id)
     return rows, failures
 
 
 def _extract_session(
-    session: Session, params: FeatureParams, rows: list[FeatureRow], failures: list[FeatureError]
-) -> None:
-    """Append each present cell of `session` to `rows`, or its error to `failures`."""
+    session: Session, params: FeatureParams
+) -> tuple[list[FeatureRow], list[FeatureError]]:
+    """The rows of each present cell of `session`, and the errors of those that fail."""
     windows = session_windows(session, params)
+    rows, failures = [], []
     for task, kind, placement in windows.cells:
         try:
             vector = extract_all(windows, task, kind, placement)
@@ -535,34 +540,7 @@ def _extract_session(
             failures.append(err)
             continue
         rows.append(FeatureRow(session.subject_id, session.group, task, kind, placement, vector))
-
-
-def _extract_every_other(sessions: Sequence[Session], params: FeatureParams) -> Iterator[bytes]:
-    """`extract_cohort`'s helper: each session at positions 1, 3, 5, ... as one
-    message, its cells' two counts as int64, then their five reals as
-    float64, in grid order. A session with a failing cell, or one that
-    raises, ends it. It calls no BLAS routine."""
-    for session in itertools.islice(sessions, 1, None, 2):
-        rows, failures = [], []
-        _extract_session(session, params, rows, failures)
-        if failures:
-            return
-        values = [_feature_values(row.features) for row in rows]
-        counts = np.array([v[:2] for v in values], np.int64)
-        reals = np.array([v[2:] for v in values], np.float64)
-        yield counts.tobytes() + reals.tobytes()
-
-
-def _unpack_features(session: Session, message: bytes) -> list[FeatureRow]:
-    """The rows of `session` from its `_extract_every_other` message."""
-    keys = _present_cells(session)
-    n = len(keys)
-    counts = np.frombuffer(message, np.int64, 2 * n).reshape(n, 2).tolist()
-    reals = np.frombuffer(message, np.float64, 5 * n, 16 * n).reshape(n, 5).tolist()
-    return [
-        FeatureRow(session.subject_id, session.group, task, kind, placement, FeatureVector(*c, *r))
-        for (task, kind, placement), c, r in zip(keys, counts, reals)
-    ]
+    return rows, failures
 
 
 def write_matrix(rows) -> bytes:

@@ -1,8 +1,10 @@
-"""One forked helper process and the pipe it reports to its parent on.
+"""One forked helper process, and the one way the package uses it.
 
-`simulate` writes every other session in a helper, `extract_cohort`
-extracts every other session of a list in one, and `iter_cohort` parses
-recordings one session ahead in one. All three use `Helper`: a bare
+`in_order` hands every other item of a sequence to a helper and yields
+every result in order. Three callers split their sessions this way:
+`simulate` writes every other session in the helper, and `extract_cohort`
+extracts every other session of a list, or reads and extracts every
+other entry of a cohort directory. `Helper` is the process: a bare
 `os.fork` (`multiprocessing` would cost its import and memory in every
 process that loads it), one pipe of length-framed messages from the
 helper to the parent, and a `close` that kills and reaps the helper.
@@ -15,8 +17,13 @@ the parent.
 """
 from __future__ import annotations
 
+import itertools
 import os
-from typing import Iterable, NoReturn
+import pickle  # numpy has already imported it
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 # each message is its length as 8 little-endian bytes, then its bytes
 _LENGTH_BYTES = 8
@@ -104,3 +111,36 @@ def _serve(messages: Iterable[bytes], reader: int, writer: int) -> NoReturn:
                 del message  # not held while the next one is made
     finally:
         os._exit(0)
+
+
+def in_order(
+    items: Sequence[T], work: Callable[[T], R], keep: Callable[[R], bool] = lambda result: True
+) -> Iterator[R]:
+    """Yield ``work(item)`` for each of `items`, in order, on two CPUs.
+
+    Given two or more items, one helper runs `work` on the items at
+    positions 1, 3, 5, ... and sends each result pickled, while this
+    process runs it on the others. The helper ends at the first result
+    that fails `keep`, or at the first item that raises, and this process
+    runs `work` on that item and on every later one itself. So what is
+    yielded or raised is what ``map(work, items)`` gives, and no result
+    that fails `keep`, and no exception, crosses the pipe. If no process
+    can be forked, every item is worked in this process. Close the
+    generator, or exhaust it, to end the helper.
+    """
+    if len(items) < 2:
+        yield from map(work, items)
+        return
+
+    def results() -> Iterator[bytes]:
+        for item in itertools.islice(items, 1, None, 2):
+            result = work(item)
+            if not keep(result):
+                return
+            yield pickle.dumps(result)
+
+    with Helper(results()) as helper:
+        for position, item in enumerate(items):
+            # None: the helper has ended, and been reaped, without this item
+            message = helper.receive() if position % 2 else None
+            yield work(item) if message is None else pickle.loads(message)

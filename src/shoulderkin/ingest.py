@@ -12,26 +12,28 @@ row, and `parse_number` is the one grammar for a number cell (through
 `parse_cell`, which names the bad cell); every reader, here and in the
 other modules, goes through them. `write_atomically` writes each output
 that a later stage takes as complete: the cohort manifest, the feature
-matrix, the comparison dump and the report. `iter_cohort` is the one
-cohort walker: `load_cohort` is its list. A helper process parses its
-recordings one session ahead, and the walker builds every object from
-the rows it sends. `write_recording` prints every value as "%.9g" does,
-with numpy, a block of rows at a time.
+matrix, the comparison dump and the report. `walk_cohort` is the one
+cohort walker, which checks the cohort manifest and each session's
+subject: `iter_cohort` and `load_cohort` walk in this process, and
+`features.extract_cohort` hands every other entry to a helper process
+(`helper.in_order`). `write_recording` prints every value as "%.9g"
+does, with numpy, a block of rows at a time.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
 import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, NoReturn
+from typing import Callable, Iterator, NamedTuple, NoReturn, TypeVar
 
 import numpy as np
 
 from .errors import BoundaryError, CohortError, ParseError, ValidationError
-from .helper import Helper
+from .helper import in_order
 from .model import (
     DEFAULT_SAMPLE_RATE_HZ,
     Group,
@@ -48,6 +50,8 @@ RECORDING_HEADER = "time_s,ax,ay,az,gx,gy,gz"
 RECORDING_COLUMNS = RECORDING_HEADER.split(",")
 LABELS_HEADER = "TASK,s1,e1,s2,e2,s3,e3"
 COHORT_MANIFEST_NAME = "cohort.txt"
+
+R = TypeVar("R")
 
 
 def _open_nonblocking(path, flags: int) -> int:
@@ -207,26 +211,14 @@ def format_float(value) -> str:
     return repr(float(value))
 
 
-def parse_recording(
-    path, sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ, rows: np.ndarray | None = None
-) -> SensorStream:
+def parse_recording(path, sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> SensorStream:
     """Parse one placement's CSV recording into a SensorStream.
 
     Every row must carry exactly 7 numeric cells (time, 3 accel, 3 gyro),
     each under the `parse_number` grammar. Non-numeric cells are parse
     errors with a line number and column; numeric but non-finite cells
-    (NaN, inf) are validation errors naming the channel. `rows` is the
-    file's rows as `_recording_rows` returns them, when they have
-    already been read (by `iter_cohort`'s helper); the file is then not
-    read again.
+    (NaN, inf) are validation errors naming the channel.
     """
-    if rows is None:
-        rows = _recording_rows(path)
-    return SensorStream(accel=rows[:, 1:4], gyro=rows[:, 4:7], sample_rate_hz=sample_rate_hz)
-
-
-def _recording_rows(path) -> np.ndarray:
-    """A recording's sample rows as one N x 7 array, checked as `parse_recording` says."""
     lines = read_lines(path, RECORDING_HEADER, _referenced(path))
     body = lines[1:]
     if not body:
@@ -241,7 +233,7 @@ def _recording_rows(path) -> np.ndarray:
         raise ValidationError(
             f"{path}:{i + 2}: column {RECORDING_COLUMNS[j]!r} is not finite: {cell!r}"
         )
-    return values
+    return SensorStream(accel=values[:, 1:4], gyro=values[:, 4:7], sample_rate_hz=sample_rate_hz)
 
 
 def _parse_rows(body: list[str]) -> np.ndarray | None:
@@ -515,70 +507,36 @@ def write_session_manifest(manifest: SessionManifest) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def load_session(manifest_path, rows: Mapping[Placement, np.ndarray] | None = None) -> Session:
-    """Load and cross-validate one session from its manifest.
-
-    `rows` maps every placement to its recording's rows when they have
-    already been read (see `parse_recording`); with None, both recordings
-    are read here. `iter_cohort` passes both from its helper, or none: the
-    helper ends at the first session it cannot parse, and the parent reads
-    that session and every later one itself.
-    """
+def load_session(manifest_path) -> Session:
+    """Load and cross-validate one session from its manifest."""
     manifest_path = Path(manifest_path)
     manifest = parse_session_manifest(manifest_path)
     base = manifest_path.parent
     streams = {
-        placement: parse_recording(
-            base / rel, manifest.sample_rate_hz, None if rows is None else rows[placement]
-        )
+        placement: parse_recording(base / rel, manifest.sample_rate_hz)
         for placement, rel in manifest.recordings.items()
     }
     labels = parse_labels(base / manifest.labels_path)
     return assemble_session(manifest.subject_id, manifest.group, manifest.side, streams, labels)
 
 
-def _read_ahead(cohort_dir: Path, entries: list[str]) -> Iterator[bytes]:
-    """`iter_cohort`'s helper: parse each session's recordings in manifest
-    order and yield them as one message, each placement's row count as
-    int64, then the rows as raw float64. The first session it cannot
-    parse raises, which ends the helper, and the parent reads that session
-    and every later one itself. It calls no BLAS routine."""
-    for entry in entries:
-        manifest_path = cohort_dir / entry
-        manifest = parse_session_manifest(manifest_path)
-        rows = [_recording_rows(manifest_path.parent / manifest.recordings[p]) for p in Placement]
-        counts = np.array([len(r) for r in rows], np.int64)
-        yield b"".join([counts.tobytes()] + [r.tobytes() for r in rows])
+def walk_cohort(
+    cohort_dir, work: Callable[[Session], R], keep: Callable[[R], bool] | None = None
+) -> Iterator[R]:
+    """Yield ``work(session)`` for each session the directory's cohort
+    manifest lists, in manifest order.
 
-
-def _unpack_rows(message: bytes | None) -> dict[Placement, np.ndarray] | None:
-    """The rows by placement of one `_read_ahead` message; None for None."""
-    if message is None:
-        return None
-    counts = np.frombuffer(message, np.int64, len(Placement))
-    offset, width = counts.nbytes, len(RECORDING_COLUMNS)
-    rows = {}
-    for placement, n in zip(Placement, counts.tolist()):
-        values = np.frombuffer(message, np.float64, n * width, offset)
-        rows[placement] = values.reshape(n, width)
-        offset += values.nbytes
-    return rows
-
-
-def iter_cohort(cohort_dir) -> Iterator[Session]:
-    """Yield the sessions listed in the directory's cohort manifest, one at a time.
-
-    Order follows the manifest. The manifest itself is read and checked at
-    the first ``next``; then one helper process starts, which parses each
-    session's recordings one session ahead and ends when the walk does.
-    It ends at the first session it cannot parse, and the walk reads that
-    session and every later one itself.
-    So a caller that keeps no session holds one at a time, plus the next
-    session's rows in the helper. Close the generator (or exhaust it) to
-    end the helper at once. A failing session raises `CohortError` with
-    its entry (the manifest line) and the underlying cause chained, after
-    the sessions before it have been yielded. A session whose subject an
-    earlier entry already had raises `CohortError` too.
+    The manifest itself is read and checked at the first ``next``. A
+    session that cannot be loaded raises `CohortError` with its entry (the
+    manifest line) and the underlying cause chained, and so does a session
+    whose subject an earlier entry already had, checked after the load and
+    before `work`. Without `keep`, every session is loaded and worked in
+    this process. With it, `helper.in_order` loads and works the entries
+    at positions 1, 3, 5, ... in a helper process, which ends at the first
+    result that fails `keep`; this process checks the subject of each
+    result the helper sends as it takes it. Either way the results and
+    the error raised are those of the walk without a helper. Close the
+    generator, or exhaust it, to end the helper.
     """
     cohort_dir = Path(cohort_dir)
     manifest = cohort_dir / COHORT_MANIFEST_NAME
@@ -586,28 +544,50 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
     entries = [line.strip() for line in lines if line.strip()]
     if not entries:
         raise CohortError(f"{manifest}: cohort manifest lists no sessions")
-    entry_of: dict[str, str] = {}
-    # the parent builds every object, and reads each session itself once
-    # the helper has ended, so errors are the ones a read in process raises
-    with Helper(_read_ahead(cohort_dir, entries)) as read_ahead:
-        for entry in entries:
-            try:
-                session = load_session(cohort_dir / entry, _unpack_rows(read_ahead.receive()))
-            except (ParseError, ValidationError) as err:
-                raise CohortError(f"session {entry}: {err}") from err
-            subject = session.subject_id
-            if subject in entry_of:
-                first = entry_of[subject]
-                raise CohortError(f"session {entry}: subject {subject!r} is already in {first}")
-            entry_of[subject] = entry
-            yield session
+    first_of: dict[str, int] = {}
+
+    def check(position: int, subject: str) -> None:
+        # by position: called twice for a session this process loads, and
+        # one entry may be listed twice
+        first = first_of.setdefault(subject, position)
+        if first != position:
+            message = f"subject {subject!r} is already in {entries[first]}"
+            raise CohortError(f"session {entries[position]}: {message}")
+
+    def load(position: int) -> tuple[str, R]:
+        entry = entries[position]
+        try:
+            session = load_session(cohort_dir / entry)
+        except (ParseError, ValidationError) as err:
+            raise CohortError(f"session {entry}: {err}") from err
+        check(position, session.subject_id)
+        return session.subject_id, work(session)
+
+    positions = range(len(entries))
+    if keep is None:
+        results = (load(position) for position in positions)
+    else:
+        results = in_order(positions, load, lambda result: keep(result[1]))
+    with contextlib.closing(results):
+        for position, (subject, result) in enumerate(results):
+            check(position, subject)
+            yield result
+
+
+def iter_cohort(cohort_dir) -> Iterator[Session]:
+    """Yield the sessions listed in the directory's cohort manifest, one at
+    a time, in this process (`walk_cohort`, with its checks and errors).
+
+    A caller that keeps no session holds one at a time. A failing session
+    raises after the sessions before it have been yielded.
+    """
+    return walk_cohort(cohort_dir, lambda session: session)
 
 
 def load_cohort(cohort_dir) -> list[Session]:
     """Load every session listed in the directory's cohort manifest at once.
 
-    The whole cohort is in memory; `iter_cohort` is the walker (its helper
-    process parses one session ahead), and the first failing session
-    aborts the load with its `CohortError`.
+    The whole cohort is in memory; `iter_cohort` is the walker, and the
+    first failing session aborts the load with its `CohortError`.
     """
     return list(iter_cohort(cohort_dir))

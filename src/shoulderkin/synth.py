@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from . import ingest
-from .helper import Helper
+from .helper import in_order
 from .model import (
     GRAVITY_MS2,
     DEFAULT_SAMPLE_RATE_HZ,
@@ -32,6 +32,7 @@ from .model import (
     SensorStream,
     Session,
     TaskKind,
+    _is_integer,
     assemble_session,
 )
 
@@ -99,9 +100,9 @@ class GroupProfile:
 
     def __post_init__(self):
         lo, hi = self.submovements
-        if not (1 <= lo <= hi <= MAX_SUBMOVEMENTS):
+        if not (_is_integer(lo) and _is_integer(hi) and 1 <= lo <= hi <= MAX_SUBMOVEMENTS):
             raise ValidationError(
-                f"submovements range must satisfy 1 <= lo <= hi <= {MAX_SUBMOVEMENTS}, "
+                f"submovements range must be integers with 1 <= lo <= hi <= {MAX_SUBMOVEMENTS}, "
                 f"got {self.submovements}"
             )
         for name in ("subtask_duration_s", "hold_duration_s"):
@@ -129,12 +130,12 @@ class CohortProfile:
     seed: int
 
     def __post_init__(self):
-        if not 2 <= self.n_per_group <= MAX_N_PER_GROUP:
+        if not (_is_integer(self.n_per_group) and 2 <= self.n_per_group <= MAX_N_PER_GROUP):
             raise ValidationError(
-                f"n_per_group must be in [2, {MAX_N_PER_GROUP}], got {self.n_per_group}"
+                f"n_per_group must be an integer in [2, {MAX_N_PER_GROUP}], got {self.n_per_group}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must fit in u64, got {self.seed}")
+        if not (_is_integer(self.seed) and 0 <= self.seed < 2**64):
+            raise ValidationError(f"seed must be an integer that fits in u64, got {self.seed}")
 
     def for_group(self, group: Group) -> GroupProfile:
         return self.patient if group is Group.PATIENT else self.healthy
@@ -476,7 +477,7 @@ def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:
     cohort manifest lists the session manifests in that order. Returns
     the session manifest paths.
 
-    Once `out_dir` exists, one helper process (`helper.Helper`) writes
+    Once `out_dir` exists, one helper process (`helper.in_order`) writes
     every other session in that order, from the second on, and reports
     each when its files are on disk; this process writes the rest at the
     same time. A session depends only on (seed, index), so the files are
@@ -494,16 +495,7 @@ def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:
     (out_dir / ingest.COHORT_MANIFEST_NAME).unlink(missing_ok=True)
     groups = (Group.PATIENT, Group.HEALTHY)
     keys = [(group, index) for group in groups for index in range(profile.n_per_group)]
-
-    def write(position: int) -> str:
-        return _write_session(profile, *keys[position], out_dir)
-
-    names = []
-    with Helper(write(position).encode() for position in range(1, len(keys), 2)) as helper:
-        for position in range(len(keys)):
-            # None: the helper has ended, and been reaped, without this session
-            message = helper.receive() if position % 2 else None
-            names.append(write(position) if message is None else message.decode())
+    names = list(in_order(keys, lambda key: _write_session(profile, *key, out_dir)))
     ingest.write_atomically(
         out_dir / ingest.COHORT_MANIFEST_NAME, ("\n".join(names) + "\n").encode("utf-8")
     )

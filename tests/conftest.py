@@ -3,8 +3,9 @@
 The hypothesis profile is loaded here, not in one test file, so that any
 file run on its own is derandomized and has no deadline as well. Every
 test must end with no child process of this one left, running or
-unreaped: `simulate` and `extract` each fork a helper, and so does
-`extract_cohort` given a list of two or more sessions.
+unreaped: `simulate`, `extract`, and `extract_cohort` given a cohort
+directory or a list of two or more sessions, each fork one helper
+(`helper.in_order`).
 """
 import os
 

@@ -13,7 +13,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 PUBLIC = {
-    # the README's library example
+    # the pipeline, as the README's library section lists it
     "default_profile",
     "generate_cohort",
     "load_cohort",

@@ -37,6 +37,7 @@ from shoulderkin import (
     write_matrix,
     write_profile,
 )
+from shoulderkin import cli
 from shoulderkin.cli import (
     DUMP_FILENAME,
     EXIT_DEGENERATE,
@@ -766,7 +767,7 @@ class TestExtractMemory:
 
 def in_process_sessions(cohort):
     """The oracle walker: `load_session` on each entry in manifest order,
-    with `iter_cohort`'s error wrapping and repeated-subject check, and no
+    with `walk_cohort`'s error wrapping and repeated-subject check, and no
     helper process."""
     cohort = Path(cohort)
     entry_of = {}
@@ -804,6 +805,7 @@ def record_forks(monkeypatch):
 
 
 def second_recording(cohort, placement=Placement.WRIST):
+    """A recording of entry 1, which the helper of `extract` reads."""
     manifest = parse_session_manifest(cohort / manifest_entries(cohort)[1])
     return cohort / manifest.recordings[placement]
 
@@ -845,20 +847,48 @@ def duplicate_subject(cohort):
     (cohort / COHORT_MANIFEST_NAME).write_text("\n".join(entries + entries[:1]) + "\n")
 
 
+def corrupt_sample(session_path, text):
+    """Put `text` in a sample of the session's WH task on the wrist."""
+    manifest = parse_session_manifest(session_path)
+    start = parse_labels(session_path.parent / manifest.labels_path)[TaskKind.WH].s1
+    corrupt_cell(session_path.parent / manifest.recordings[Placement.WRIST], start + 1, "ax", text)
+
+
 def sample_before_a_broken_session(text):
     def corrupt(cohort):
         entries = manifest_entries(cohort)
-        first = parse_session_manifest(cohort / entries[0])
-        start = parse_labels(cohort / first.labels_path)[TaskKind.WH].s1
-        corrupt_cell(cohort / first.recordings[Placement.WRIST], start + 1, "ax", text)
+        corrupt_sample(cohort / entries[0], text)
         corrupt_cell(cohort / recording_of(cohort / entries[-1]), 2, "ax", "abc")
 
     return corrupt
 
 
+def broken_entries_1_and_2(cohort):
+    # entry 1, the helper's, overflows when extracted; entry 2 cannot be parsed
+    entries = manifest_entries(cohort)
+    corrupt_sample(cohort / entries[1], "1e200")
+    corrupt_cell(cohort / recording_of(cohort / entries[2]), 2, "ax", "abc")
+
+
+def repeated_subject_that_overflows(cohort):
+    # entry 1, the helper's, is a second session of entry 0's subject, and
+    # its extraction raises: the repeated subject is the error
+    entries = manifest_entries(cohort)
+    manifest = parse_session_manifest(cohort / entries[0])
+    wrist = "again_wrist.csv"
+    shutil.copy(cohort / manifest.recordings[Placement.WRIST], cohort / wrist)
+    recordings = {**manifest.recordings, Placement.WRIST: wrist}
+    again = dataclasses.replace(manifest, recordings=recordings)
+    (cohort / "again_session.txt").write_bytes(write_session_manifest(again))
+    corrupt_sample(cohort / "again_session.txt", "1e200")
+    lines = [entries[0], "again_session.txt", entries[2]]
+    (cohort / COHORT_MANIFEST_NAME).write_text("\n".join(lines) + "\n")
+
+
 class TestReadAhead:
-    """`extract` parses through `iter_cohort`'s helper process exactly as the
-    walker without it does, and leaves no process behind."""
+    """`extract` splits the cohort directory by position: one helper process
+    reads and extracts the entries at odd positions, entry 1 among them.
+    It gives what the in-process walk gives, and leaves no process behind."""
 
     @pytest.fixture
     def cohort(self, small_cohort, tmp_path):
@@ -887,6 +917,8 @@ class TestReadAhead:
             (duplicate_subject, EXIT_INVALID),
             pytest.param(sample_before_a_broken_session("1e200"), EXIT_INVALID, id="overflowing"),
             pytest.param(sample_before_a_broken_session("1e309"), EXIT_INVALID, id="infinite"),
+            (broken_entries_1_and_2, EXIT_INVALID),
+            (repeated_subject_that_overflows, EXIT_INVALID),
         ],
     )
     def test_extract_matches_the_in_process_walker(
@@ -896,44 +928,66 @@ class TestReadAhead:
         out = tmp_path / "m.csv"
         result = self.extract(capsys, cohort, out)
         assert result[0] == code, result[1]
-        monkeypatch.setattr(ingest, "iter_cohort", in_process_sessions)
+        if corrupt is repeated_subject_that_overflows:
+            assert "is already in" in result[1]
+        monkeypatch.setattr(
+            cli,
+            "extract_cohort",
+            lambda cohort, params: extract_cohort(in_process_sessions(cohort), params),
+        )
         assert result == self.extract(capsys, cohort, out)
 
     def test_extract_ends_the_helper_before_its_error_leaves(self, cohort, tmp_path):
-        # the traceback holds the suspended walker, so only closing it ends the helper
-        sample_before_a_broken_session("1e200")(cohort)
+        # the traceback holds the suspended walkers, so only closing them ends the helper
         args = build_parser().parse_args(
             ["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")]
         )
+        # raised in this process's own session
+        sample_before_a_broken_session("1e200")(cohort)
         with pytest.raises(ValidationError, match="WH/complete/wrist") as info:
             cmd_extract(args)
         assert_no_child_process()
         assert info.traceback
-
-    def test_closing_the_walker_ends_the_helper(self, cohort):
-        sessions = ingest.iter_cohort(cohort)
-        next(sessions)
-        assert os.waitpid(-1, os.WNOHANG) == (0, 0)  # the helper is running
-        sessions.close()
+        # raised on taking a session the helper sent: entry 3 repeats entry 0
+        entries = manifest_entries(cohort)
+        entries[0] = entries[1]
+        (cohort / COHORT_MANIFEST_NAME).write_text("\n".join(entries + entries[:1]) + "\n")
+        with pytest.raises(CohortError, match="is already in") as info:
+            cmd_extract(args)
         assert_no_child_process()
+        assert info.traceback
+
+    def test_iter_cohort_and_load_cohort_fork_nothing(self, cohort, monkeypatch):
+        forked = record_forks(monkeypatch)
+        sessions = ingest.iter_cohort(cohort)
+        first = next(sessions)
+        assert_no_child_process()
+        loaded = ingest.load_cohort(cohort)
+        assert [s.subject_id for s in [first, *sessions]] == [s.subject_id for s in loaded]
+        assert forked == []
 
     def test_parent_reads_the_rest_once_the_helper_dies(self, small_cohort, monkeypatch):
-        reads = []
-        read_rows = ingest._recording_rows
-        monkeypatch.setattr(
-            ingest, "_recording_rows", lambda path: reads.append(path) or read_rows(path)
-        )
+        # the helper sends P02 and stalls in H02; the parent kills it once it
+        # reads H01, and then reads H02 itself
+        want = extract_cohort(in_process_sessions(small_cohort))
+        parent = os.getpid()
         forked = record_forks(monkeypatch)
-        sessions = ingest.iter_cohort(small_cohort)
-        first = next(sessions)
-        (helper,) = forked
-        os.kill(helper, signal.SIGKILL)
-        rest = list(sessions)
-        # a session's rows fill more than a pipe buffer, so the helper could
-        # not have sent the second session before it was killed
-        assert len(reads) == 2 * len(rest)
-        got = extract_cohort([first, *rest])
-        assert got == extract_cohort(in_process_sessions(small_cohort))
+        reads = []
+        parse = ingest.parse_recording
+
+        def read(path, *args):
+            if os.getpid() != parent:
+                if path.name.startswith("H02"):
+                    time.sleep(60)  # the helper is killed here
+            else:
+                reads.append(path.name[:3])
+                if path.name == "H01_wrist.csv":
+                    os.kill(forked[0], signal.SIGKILL)
+            return parse(path, *args)
+
+        monkeypatch.setattr(ingest, "parse_recording", read)
+        assert extract_cohort(small_cohort) == want
+        assert reads == ["P01", "P01", "H01", "H01", "H02", "H02"]
 
 
 @pytest.fixture(scope="module", params=[42, 1234])
@@ -1040,28 +1094,38 @@ class TestListSplit:
                     os.kill(forked[0], signal.SIGKILL)
             elif session is six_sessions[3]:
                 time.sleep(60)  # the helper is killed here
-            extract_session(session, *args)
+            return extract_session(session, *args)
 
         monkeypatch.setattr(features, "_extract_session", extract)
         assert extracted(six_sessions) == want
         assert calls == [six_sessions[i] for i in (0, 2, 3, 4, 5)]
 
     def test_one_fork_for_a_list_and_none_for_one_session_or_an_iterator(
-        self, seed42_cohort, monkeypatch
+        self, seed42_cohort, tmp_path, monkeypatch
     ):
         # a worker count or a fork per session would show here
-        sessions = ingest.load_cohort(seed42_cohort)
         forked = record_forks(monkeypatch)
-        extract_cohort(sessions)
+        synth.generate_cohort(default_profile(n_per_group=2), tmp_path / "cohort")
         assert len(forked) == 1
-        extract_cohort(sessions[:2])
+        sessions = ingest.load_cohort(seed42_cohort)
+        list(ingest.iter_cohort(seed42_cohort))
+        assert len(forked) == 1
+        extract_cohort(sessions)
         assert len(forked) == 2
+        extract_cohort(sessions[:2])
+        assert len(forked) == 3
+        extract_cohort(seed42_cohort)
+        assert len(forked) == 4
+        extract_cohort(str(seed42_cohort))
+        assert len(forked) == 5
+        one = tmp_path / "one"
+        shutil.copytree(seed42_cohort, one)
+        (one / COHORT_MANIFEST_NAME).write_text(manifest_entries(one)[0] + "\n")
+        extract_cohort(one)
         extract_cohort(sessions[:1])
         extract_cohort(session for session in sessions)
-        assert len(forked) == 2
-        with contextlib.closing(ingest.iter_cohort(seed42_cohort)) as walk:
-            extract_cohort(walk)
-        assert len(forked) == 3  # iter_cohort's own read-ahead helper
+        extract_cohort(ingest.iter_cohort(seed42_cohort))
+        assert len(forked) == 5
 
 
 class TestSimulateWriter:

@@ -171,6 +171,13 @@ class TestFeatureParams:
         with pytest.raises(ValidationError, match=field):
             FeatureParams(**{field: value})
 
+    @pytest.mark.parametrize("pad", [4.0, np.float64(2.0), True, False, "4"])
+    def test_pad_level_must_be_an_integer(self, pad):
+        # a float, bool or text pad level would fail later, in the FFT length
+        with pytest.raises(ValidationError, match="sparc_pad_level must be an integer"):
+            FeatureParams(sparc_pad_level=pad)
+        assert FeatureParams(sparc_pad_level=np.int64(4)).sparc_pad_level == 4
+
     def test_pad_level_bounds_accepted(self):
         # constructing the params runs no FFT, so the top level is cheap here
         assert FeatureParams(sparc_pad_level=0).sparc_pad_level == 0

@@ -25,6 +25,7 @@ from shoulderkin.ingest import (
     SessionManifest,
     iter_cohort,
     load_session,
+    walk_cohort,
     parse_key_values,
     parse_labels,
     parse_recording,
@@ -512,28 +513,6 @@ class TestLoadSession:
         with pytest.raises(ValidationError, match="does not exist"):
             load_session(path)
 
-    def test_rows_come_for_both_placements_or_none(self, tmp_path, monkeypatch):
-        path = write_full_session(tmp_path)
-        rows = {p: ingest._recording_rows(tmp_path / f"S01_{p.value}.csv") for p in Placement}
-        want = load_session(path)
-        read = []
-        read_rows = ingest._recording_rows
-        monkeypatch.setattr(
-            ingest, "_recording_rows", lambda path: read.append(path.name) or read_rows(path)
-        )
-        got = load_session(path, rows)
-        assert read == []
-        for placement in Placement:
-            assert np.array_equal(got.streams[placement].accel, want.streams[placement].accel)
-            assert np.array_equal(got.streams[placement].gyro, want.streams[placement].gyro)
-        # a partial mapping is refused, not completed by reading the rest
-        with pytest.raises(KeyError):
-            load_session(path, {Placement.WRIST: rows[Placement.WRIST]})
-        assert read == []
-        load_session(path)
-        assert sorted(read) == ["S01_arm.csv", "S01_wrist.csv"]
-
-
 class TestLoadCohort:
     def build_cohort(self, dirpath, sids=("P01", "P02", "H01", "H02")):
         entries = []
@@ -583,31 +562,36 @@ class TestLoadCohort:
                 assert x.accel.tobytes() == y.accel.tobytes()
                 assert x.gyro.tobytes() == y.gyro.tobytes()
 
-    def test_helper_rows_build_the_streams_read_in_process(self, tmp_path):
-        self.build_cohort(tmp_path)
-        entries = (tmp_path / "cohort.txt").read_text().split()
-        want = [load_session(tmp_path / entry) for entry in entries]
-        self.assert_sessions_equal(load_cohort(tmp_path), want)
+    def split_walk(self, cohort):
+        """`walk_cohort` with a helper that loads the entries at odd positions
+        and sends each session back."""
+        return walk_cohort(cohort, lambda session: session, lambda session: True)
 
     def test_the_helper_ends_at_the_first_session_it_cannot_parse(self, tmp_path, monkeypatch):
         # the parent reads that session and every later one itself
         self.build_cohort(tmp_path)
         want = load_cohort(tmp_path)
         parent = os.getpid()
-        read_rows = ingest._recording_rows
+        parse = ingest.parse_recording
+        read_here = []
 
-        def fail_in_the_helper(path):
-            if os.getpid() != parent and path.name == "P02_arm.csv":
+        def fail_in_the_helper(path, *args):
+            if os.getpid() == parent:
+                read_here.append(path.name)
+            elif path.name == "P02_arm.csv":
                 raise MemoryError
-            return read_rows(path)
+            return parse(path, *args)
 
-        monkeypatch.setattr(ingest, "_recording_rows", fail_in_the_helper)
-        sessions = iter_cohort(tmp_path)
+        monkeypatch.setattr(ingest, "parse_recording", fail_in_the_helper)
+        sessions = self.split_walk(tmp_path)
         got = [next(sessions), next(sessions)]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         got.extend(sessions)
         self.assert_sessions_equal(got, want)
+        # all four sessions: P02 as well, after the helper failed on it
+        sids = ("P01", "P02", "H01", "H02")
+        assert read_here == [f"{sid}_{p.value}.csv" for sid in sids for p in Placement]
 
     @pytest.mark.parametrize("cause", ["fork fails"])
     def test_without_a_helper_every_recording_is_read_in_process(
@@ -620,7 +604,7 @@ class TestLoadCohort:
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
         monkeypatch.setattr(os, "fork", fork)
-        sessions = iter_cohort(tmp_path)
+        sessions = self.split_walk(tmp_path)
         got = [next(sessions)]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -640,7 +624,7 @@ class TestLoadCohort:
             return fork()
 
         monkeypatch.setattr(os, "fork", counting_fork)
-        got = load_cohort(tmp_path)
+        got = list(self.split_walk(tmp_path))
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

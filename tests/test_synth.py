@@ -479,6 +479,10 @@ class TestCohortWriter:
         assert not (tmp_path / "cohort.txt").exists()
 
 
+def patient_with(**changes):
+    return dataclasses.replace(default_profile().patient, **changes)
+
+
 class TestProfileValidation:
     def test_submovement_range_ordering(self):
         with pytest.raises(ValidationError):
@@ -524,6 +528,24 @@ class TestProfileValidation:
         assert getattr(dataclasses.replace(gp, **{field: at_limit}), field) == at_limit
         with pytest.raises(ValidationError, match=field):
             dataclasses.replace(gp, **{field: above})
+
+    @pytest.mark.parametrize(
+        "make, changes",
+        [
+            (default_profile, {"n_per_group": 3.0}),
+            (default_profile, {"n_per_group": np.float64(3.0)}),
+            (default_profile, {"seed": 1.5}),
+            (default_profile, {"seed": True}),
+            (patient_with, {"submovements": (1.5, 2)}),
+            (patient_with, {"submovements": (1, 2.0)}),
+            (patient_with, {"submovements": (True, 2)}),
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, make, changes):
+        # each would fail later, in the generator, with a TypeError
+        (field,) = changes
+        with pytest.raises(ValidationError, match=f"{field} .*integer"):
+            make(**changes)
 
     def test_cohort_size_bound(self):
         gp = default_profile().healthy
