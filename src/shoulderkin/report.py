@@ -18,6 +18,7 @@ from .stats import (
     ComparisonTable,
     SignificanceRule,
     cell_keys,
+    check_group_size,
     significance_flag,
 )
 
@@ -135,6 +136,11 @@ def read_dump(path) -> ComparisonTable:
         if len(cells) != 2 or cells[0] != key:
             raise ParseError(f"expected '{key},<value>', got {line!r}", path=path, line=line_no)
         preamble.append(parse_cell(convert, cells[1], key, path, line_no))
+        if convert is int:
+            try:
+                check_group_size(key, preamble[-1])
+            except ValidationError as err:
+                raise ValidationError(f"{path}:{line_no}: {err}") from None
     rule, n1, n2 = preamble
     if lines[3] != DUMP_HEADER:
         raise ParseError(

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CohortError, DegenerateStatisticsError, ValidationError
-from .model import Group, Placement, SegmentKind, TaskKind
+from .model import Group, Placement, SegmentKind, TaskKind, _is_integer
 
 _BETA_EPS = 3.0e-16
 _BETA_FPMIN = 1.0e-300
@@ -184,6 +184,12 @@ def cell_keys():
                     yield (task, feature, placement, kind)
 
 
+def check_group_size(name: str, size) -> None:
+    """Refuse a group size no comparison can have: not an integer, or under 2."""
+    if not _is_integer(size) or size < 2:
+        raise ValidationError(f"{name} must be an integer of at least 2, got {size!r}")
+
+
 @dataclass(frozen=True)
 class ComparisonTable:
     """The complete per-task comparison grid.
@@ -199,6 +205,8 @@ class ComparisonTable:
     cells: dict
 
     def __post_init__(self):
+        check_group_size("n1", self.n1)
+        check_group_size("n2", self.n2)
         object.__setattr__(self, "cells", dict(self.cells))
         expected = set(cell_keys())
         got = set(self.cells)

@@ -5,7 +5,9 @@ file run on its own is derandomized and has no deadline as well. Every
 test must end with no child process of this one left, running or
 unreaped: `simulate`, `extract`, and `extract_cohort` given a cohort
 directory or a list of two or more sessions, each fork one helper
-(`helper.in_order`).
+(`helper.in_order`), which is killed and reaped once it has ended without
+an item or its generator is exhausted or closed. Tests that kill a helper
+take its pid from `forks.record_forks`.
 """
 import os
 

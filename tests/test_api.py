@@ -70,6 +70,20 @@ def test_package_source_never_mentions_scipy():
     assert mentions == []
 
 
+def test_only_the_helper_module_forks_or_pickles():
+    # `helper.in_order` is the one way the package uses a second CPU
+    sources = sorted(Path(shoulderkin.__file__).parent.glob("*.py"))
+    assert "helper.py" in [p.name for p in sources]
+    pattern = re.compile(r"os\.fork|os\.pipe|os\._exit|pickle")
+    mentions = [
+        f"{p.name}: {match}"
+        for p in sources
+        if p.name != "helper.py"
+        for match in pattern.findall(p.read_text(encoding="utf-8"))
+    ]
+    assert mentions == []
+
+
 def test_every_traced_function_exists():
     # the benchmark's tracer wraps these by name; a rename or deletion here
     # would otherwise surface only in its own, much slower, self-tests

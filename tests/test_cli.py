@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from cohort_oracle import write_in_process
+from forks import record_forks
 from reference_table import build_reference_table
 import shoulderkin
 from shoulderkin import (
@@ -787,21 +788,6 @@ def in_process_sessions(cohort):
 def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def record_forks(monkeypatch):
-    """The pids of the processes `os.fork` starts in this process from now on."""
-    pids = []
-    fork = os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
 
 
 def second_recording(cohort, placement=Placement.WRIST):

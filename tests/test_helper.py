@@ -1,122 +1,27 @@
-"""The fork helper: messages in order, its end, and no helper at all; and
-`in_order`, which splits a sequence by position between it and this process."""
+"""`in_order`, which splits a sequence by position between one forked
+helper and this process: results in order, the helper's end on each path,
+and no helper at all."""
 
 import errno
-import itertools
 import os
+import pickle
 import signal
+import time
+from pathlib import Path
 
 import pytest
 
-from shoulderkin.helper import Helper, in_order
+from forks import record_forks
+from shoulderkin.helper import in_order
 
 
-def receive_all(helper):
-    messages = []
-    while (message := helper.receive()) is not None:
-        messages.append(message)
-    return messages
+class Dropped(str):
+    """A result that counts, in the process that drops it, each drop."""
 
+    drops = []
 
-def test_messages_arrive_in_order():
-    # 1 MiB is more than a pipe buffer holds
-    sent = [b"first", b"", b"\x00" * 8, bytes(range(256)) * 4096, b"last"]
-    with Helper(sent) as helper:
-        assert receive_all(helper) == sent
-        assert helper.pid is None
-
-
-def test_only_the_helper_iterates_the_messages():
-    started = []
-
-    def messages():
-        started.append(os.getpid())
-        yield b"x"
-
-    with Helper(messages()) as helper:
-        assert receive_all(helper) == [b"x"]
-    assert started == []
-
-
-def test_an_error_in_the_messages_ends_the_helper_after_those_before_it():
-    def messages():
-        yield b"one"
-        yield b"two"
-        raise RuntimeError("stop")
-
-    helper = Helper(messages())
-    pid = helper.pid
-    assert [helper.receive() for _ in range(3)] == [b"one", b"two", None]
-    with pytest.raises(ChildProcessError):  # reaped by the receive that gave None
-        os.waitpid(pid, os.WNOHANG)
-
-
-def test_without_a_pipe_there_is_no_helper(monkeypatch):
-    def pipe():
-        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
-
-    monkeypatch.setattr(os, "pipe", pipe)
-    helper = Helper([b"x"])
-    assert helper.pid is None
-    assert helper.receive() is None
-
-
-def test_without_a_fork_there_is_no_helper_and_the_pipe_is_closed(monkeypatch):
-    fds = []
-    pipe = os.pipe
-
-    def recording_pipe():
-        fds.extend(pipe())
-        return fds
-
-    def fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "pipe", recording_pipe)
-    monkeypatch.setattr(os, "fork", fork)
-    helper = Helper([b"x"])
-    assert helper.pid is None
-    assert helper.receive() is None
-    for fd in fds:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-
-
-def test_close_kills_a_running_helper_and_may_be_called_again():
-    helper = Helper(itertools.repeat(b"x"))
-    assert helper.receive() == b"x"
-    helper.close()
-    helper.close()
-    assert helper.receive() is None
-
-
-def test_close_after_the_helper_was_reaped_elsewhere(monkeypatch):
-    helper = Helper(itertools.repeat(b"x"))
-    assert helper.receive() == b"x"
-    os.kill(helper.pid, signal.SIGKILL)
-    os.waitpid(helper.pid, 0)
-    # the reaped pid may already be another process's: close must not signal it
-    kills = []
-    monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
-    helper.close()
-    assert kills == []
-    assert helper.pid is None
-    assert helper.receive() is None
-
-
-def test_the_helper_holds_no_message_while_it_makes_the_next():
-    freed = []
-
-    class Message(bytes):
-        def __del__(self):
-            freed.append(True)
-
-    def messages():
-        yield Message(b"first")
-        yield b"freed" if freed else b"held"
-
-    with Helper(messages()) as helper:
-        assert receive_all(helper) == [b"first", b"freed"]
+    def __del__(self):
+        self.drops.append(str(self))
 
 
 def where(item):
@@ -124,11 +29,29 @@ def where(item):
     return item, item / 7, "x" * (item * 50_000), os.getpid()
 
 
+def worked_here(items, work):
+    """``list(in_order(items, work))``, and the items `work` ran on in this process."""
+    parent = os.getpid()
+    worked = []
+
+    def recording_work(item):
+        if os.getpid() == parent:
+            worked.append(item)
+        return work(item)
+
+    return list(in_order(items, recording_work)), worked
+
+
 def test_in_order_yields_every_result_in_order():
+    # items 5 and 6 are more than a pipe buffer holds
     got = list(in_order(range(7), where))
     parent = os.getpid()
     assert [result[:3] for result in got] == [where(item)[:3] for item in range(7)]
     assert [pid == parent for *_, pid in got] == [item % 2 == 0 for item in range(7)]
+
+
+def test_only_the_helper_works_its_items():
+    assert worked_here(range(7), lambda item: item) == (list(range(7)), [0, 2, 4, 6])
 
 
 def test_a_result_that_fails_keep_ends_the_helper():
@@ -146,6 +69,9 @@ def test_an_item_that_raises_in_the_helper_is_redone_here():
     def work(item):
         if os.getpid() == parent:
             worked.append(item)
+            if item == 3:  # the helper has ended at item 3, and been reaped
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(-1, os.WNOHANG)
         if item == 3:
             raise ValueError(f"bad item {item}")
         return item
@@ -157,13 +83,80 @@ def test_an_item_that_raises_in_the_helper_is_redone_here():
     assert worked == [0, 2, 3]
 
 
+def test_a_result_the_helper_cannot_pickle_is_worked_here_and_every_later_item():
+    parent = os.getpid()
+
+    def work(item):
+        if item == 3 and os.getpid() != parent:
+            # pickle.dump writes the 1 MB before it fails on the lambda, so
+            # this process reads a cut pickle
+            return item, b"x" * 1_000_000, lambda: item
+        return item
+
+    assert worked_here(range(8), work) == (list(range(8)), [0, 2, 3, 4, 5, 6, 7])
+
+
+def test_a_helper_killed_partway_through_a_result_leaves_it_here(monkeypatch):
+    # item 1's result is more than the pipe holds; the helper is killed while
+    # it waits to write the rest, so the pickle is cut inside its bytes
+    forked = record_forks(monkeypatch)
+    load = pickle.load
+    raised = []
+
+    def recording_load(file):
+        try:
+            return load(file)
+        except Exception as err:
+            raised.append(type(err))
+            raise
+
+    def work(item):
+        if item == 0:  # in this process: wait until the helper sleeps in its write
+            stat = Path(f"/proc/{forked[0]}/stat")
+            deadline = time.monotonic() + 10
+            while stat.read_text().split()[2] != "S" and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.kill(forked[0], signal.SIGKILL)
+        return item, b"x" * 1_000_000
+
+    monkeypatch.setattr(pickle, "load", recording_load)
+    got, worked = worked_here(range(4), work)
+    assert got == [(item, b"x" * 1_000_000) for item in range(4)]
+    assert worked == [0, 1, 2, 3]
+    assert raised == [pickle.UnpicklingError]
+
+
+def test_without_a_pipe_there_is_no_helper(monkeypatch):
+    def pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    assert worked_here(range(5), where)[1] == list(range(5))
+
+
 def test_without_a_fork_every_item_is_worked_here(monkeypatch):
+    fds = []
+    pipe = os.pipe
+
+    def recording_pipe():
+        fds.extend(pipe())
+        return fds
+
     def fork():
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
+    monkeypatch.setattr(os, "pipe", recording_pipe)
     monkeypatch.setattr(os, "fork", fork)
     got = list(in_order(range(5), where))
     assert got == [where(item) for item in range(5)]
+    assert len(fds) == 2
+    for fd in fds:  # both ends of the pipe are closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_one_item_forks_nothing(monkeypatch):
@@ -182,3 +175,30 @@ def test_closing_in_order_ends_the_helper():
     results.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    results.close()
+    with pytest.raises(StopIteration):
+        next(results)
+
+
+def test_close_after_the_helper_was_reaped_elsewhere(monkeypatch):
+    forked = record_forks(monkeypatch)
+    results = in_order(range(10**9), lambda item: item)
+    assert [next(results), next(results)] == [0, 1]
+    os.kill(forked[0], signal.SIGKILL)
+    os.waitpid(forked[0], 0)
+    # the reaped pid may already be another process's: it must not be signalled
+    kills = []
+    monkeypatch.setattr(os, "kill", lambda *args: kills.append(args))
+    results.close()
+    assert kills == []
+
+
+def test_the_helper_holds_no_result_while_it_makes_the_next():
+    # every item but 1 is the number of Dropped results its process has
+    # dropped so far; the helper must have dropped item 1's before item 3
+    def work(item):
+        return Dropped("first") if item == 1 else len(Dropped.drops)
+
+    got = list(in_order(range(4), work))
+    assert got[1:3] == ["first", got[0]]
+    assert got[3] == got[0] + 1

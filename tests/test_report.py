@@ -7,6 +7,7 @@ import pytest
 
 from reference_table import build_reference_table
 from shoulderkin import ParseError, ValidationError, read_dump, render_report, write_dump
+from shoulderkin.cli import EXIT_INVALID, main
 from shoulderkin.model import TaskKind
 from shoulderkin.report import (
     DUMP_HEADER,
@@ -164,6 +165,19 @@ class TestDumpDiagnostics:
         path = self.write(tmp_path, lambda ls: ["rule=strict"] + ls[1:])
         with pytest.raises(ParseError, match="rule"):
             read_dump(path)
+
+    @pytest.mark.parametrize("line_no, line", [(2, "n1,1"), (2, "n1,0"), (3, "n2,-7")])
+    def test_a_group_size_under_two_is_invalid(self, tmp_path, line_no, line):
+        def mutate(ls):
+            ls[line_no - 1] = line
+            return ls
+
+        path = self.write(tmp_path, mutate)
+        name, size = line.split(",")
+        message = rf"comparison\.csv:{line_no}: {name} must be an integer of at least 2, got {size}$"
+        with pytest.raises(ValidationError, match=message):
+            read_dump(path)
+        assert main(["report", str(path)]) == EXIT_INVALID
 
     def test_unknown_rule(self, tmp_path):
         path = self.write(tmp_path, lambda ls: ["rule,fuzzy"] + ls[1:])

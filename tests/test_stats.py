@@ -407,6 +407,20 @@ class TestComparisonTable:
         with pytest.raises(ValidationError, match="incomplete"):
             ComparisonTable(n1=2, n2=2, rule=SignificanceRule.STRICT, cells=cells)
 
+    @pytest.mark.parametrize(
+        "n1, n2", [(True, 20), (20, False), (1, 20), (20, 0), (-7, 20), (2.0, 20), (20, "20")]
+    )
+    def test_a_group_size_no_comparison_can_have_is_rejected(self, n1, n2):
+        cells = dict.fromkeys(cell_keys())
+        with pytest.raises(ValidationError, match="must be an integer of at least 2"):
+            ComparisonTable(n1=n1, n2=n2, rule=SignificanceRule.STRICT, cells=cells)
+
+    @pytest.mark.parametrize("size", [2, 40, np.int64(2), np.int32(20)])
+    def test_integer_group_sizes_from_two_are_accepted(self, size):
+        cells = dict.fromkeys(cell_keys())
+        table = ComparisonTable(n1=size, n2=size, rule=SignificanceRule.STRICT, cells=cells)
+        assert (table.n1, table.n2) == (size, size)
+
     def test_cell_validation(self):
         with pytest.raises(ValidationError):
             ComparisonCell(t_stat=1.0, dof=5.0, p_value=1.5, d=0.1, d_ci_low=-1.0, d_ci_high=1.0)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cohort_oracle import write_in_process
+from forks import record_forks
 from shoulderkin import (
     FeatureParams,
     ParseError,
@@ -23,7 +24,6 @@ from shoulderkin import (
 from shoulderkin import synth
 from shoulderkin.dsp import euclidean_norm
 from shoulderkin.features import peak_count, spectral_arc_length
-from shoulderkin.helper import Helper
 from shoulderkin.model import GRAVITY_MS2, Group, Placement, SegmentKind, TaskKind, slice_segment
 from shoulderkin.synth import (
     MAX_N_PER_GROUP,
@@ -389,8 +389,9 @@ class TestCohortWriter:
 
     def test_parent_finishes_the_cohort_once_the_helper_is_killed(self, tmp_path, monkeypatch):
         # the helper reports P02, then leaves half of H01_wrist.csv and
-        # stalls; the parent kills it at that first report
+        # stalls; the parent kills it once P03 is written, after that report
         parent = os.getpid()
+        forked = record_forks(monkeypatch)
         write_session = synth._write_session
         in_parent = []
 
@@ -405,18 +406,11 @@ class TestCohortWriter:
             name = write_session(profile, group, index, out_dir)
             if os.getpid() == parent:
                 in_parent.append(name[:3])
+                if name.startswith("P03") and forked:  # not again for the oracle
+                    os.kill(forked.pop(), signal.SIGKILL)
             return name
 
-        receive = Helper.receive
-
-        def receive_then_kill(helper):
-            message = receive(helper)
-            if message is not None:
-                os.kill(helper.pid, signal.SIGKILL)
-            return message
-
         monkeypatch.setattr(synth, "_write_session", write)
-        monkeypatch.setattr(Helper, "receive", receive_then_kill)
         profile = cohort_profile(3)
         generate_cohort(profile, tmp_path / "cohort")
         assert in_parent == ["P01", "P03", "H01", "H02", "H03"]
@@ -475,7 +469,7 @@ class TestCohortWriter:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 10
-        assert "receive" in [entry.name for entry in info.traceback]
+        assert "in_order" in [entry.name for entry in info.traceback]
         assert not (tmp_path / "cohort.txt").exists()
 
 
