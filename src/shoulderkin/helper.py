@@ -37,8 +37,8 @@ def in_order(
     that fails `keep`, or at the first item that raises, and this process
     runs `work` on that item and on every later one itself. So what is
     yielded or raised is what ``map(work, items)`` gives, and no result
-    that fails `keep`, and no exception, crosses the pipe. If no process
-    can be forked, every item is worked in this process. Close the
+    that fails `keep`, and no exception, crosses the pipe. If no pipe or
+    process can be made, every item is worked in this process. Close the
     generator, or exhaust it, to end the helper.
     """
     pid, reader = _start(items, work, keep) if len(items) > 1 else (None, None)
