@@ -42,6 +42,12 @@ def worked_here(items, work):
     return list(in_order(items, recording_work)), worked
 
 
+def test_messages_arrive_in_order():
+    # 1 MiB is more than a pipe buffer holds
+    sent = [b"first", b"", b"\x00" * 8, bytes(range(256)) * 4096, b"last"]
+    assert worked_here(range(5), sent.__getitem__) == (sent, [0, 2, 4])
+
+
 def test_in_order_yields_every_result_in_order():
     # items 5 and 6 are more than a pipe buffer holds
     got = list(in_order(range(7), where))
@@ -69,9 +75,6 @@ def test_an_item_that_raises_in_the_helper_is_redone_here():
     def work(item):
         if os.getpid() == parent:
             worked.append(item)
-            if item == 3:  # the helper has ended at item 3, and been reaped
-                with pytest.raises(ChildProcessError):
-                    os.waitpid(-1, os.WNOHANG)
         if item == 3:
             raise ValueError(f"bad item {item}")
         return item
@@ -81,6 +84,28 @@ def test_an_item_that_raises_in_the_helper_is_redone_here():
     with pytest.raises(ValueError, match="bad item 3"):
         next(results)
     assert worked == [0, 2, 3]
+
+
+def test_an_error_in_the_messages_ends_the_helper_after_those_before_it(monkeypatch):
+    # the helper sends items 1 and 3 and raises at item 5, which this process
+    # works once the helper has been reaped
+    forked = record_forks(monkeypatch)
+    parent = os.getpid()
+    reaped = []
+
+    def work(item):
+        if os.getpid() != parent and item == 5:
+            raise RuntimeError("stop")
+        if item == 5:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(forked[0], os.WNOHANG)
+            reaped.append(item)
+        return item, os.getpid()
+
+    got = list(in_order(range(7), work))
+    assert [item for item, _ in got] == list(range(7))
+    assert [pid == parent for _, pid in got] == [True, False, True, False, True, True, True]
+    assert reaped == [5]
 
 
 def test_a_result_the_helper_cannot_pickle_is_worked_here_and_every_later_item():
@@ -139,6 +164,15 @@ def test_without_a_pipe_there_is_no_helper(monkeypatch):
 
 
 def test_without_a_fork_every_item_is_worked_here(monkeypatch):
+    def fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    got = list(in_order(range(5), where))
+    assert got == [where(item) for item in range(5)]
+
+
+def test_without_a_fork_there_is_no_helper_and_the_pipe_is_closed(monkeypatch):
     fds = []
     pipe = os.pipe
 
@@ -151,8 +185,7 @@ def test_without_a_fork_every_item_is_worked_here(monkeypatch):
 
     monkeypatch.setattr(os, "pipe", recording_pipe)
     monkeypatch.setattr(os, "fork", fork)
-    got = list(in_order(range(5), where))
-    assert got == [where(item) for item in range(5)]
+    assert worked_here(range(5), where)[1] == list(range(5))
     assert len(fds) == 2
     for fd in fds:  # both ends of the pipe are closed
         with pytest.raises(OSError):
@@ -175,6 +208,15 @@ def test_closing_in_order_ends_the_helper():
     results.close()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_close_kills_a_running_helper_and_may_be_called_again(monkeypatch):
+    forked = record_forks(monkeypatch)
+    results = in_order(range(10**9), lambda item: item)
+    assert [next(results), next(results)] == [0, 1]
+    results.close()
+    with pytest.raises(ChildProcessError):  # killed and reaped
+        os.waitpid(forked[0], os.WNOHANG)
     results.close()
     with pytest.raises(StopIteration):
         next(results)
