@@ -19,7 +19,7 @@ from shoulderkin.features import (
     peak_count,
     spectral_arc_length,
 )
-from shoulderkin.synth import SubmovementSpec, min_jerk_speed, synth_segment
+from shoulderkin.synth import synth_segment
 
 RATE = 128.0
 
@@ -28,15 +28,12 @@ def main():
     params = FeatureParams()
     rng = np.random.default_rng(7)
 
-    # one pulse on its own: the speed profile is the classic symmetric bell
-    t = np.arange(0.0, 1.0, 1.0 / RATE)
-    bell = min_jerk_speed(
-        t,
-        SubmovementSpec(
-            onset_s=0.0, duration_s=1.0, amplitude_dps=90.0,
-            axis_weights=np.array([1.0, 0.0, 0.0]),
-        ),
-    )
+    # one pulse on its own, an (onset_s, duration_s, amplitude_dps, unit
+    # axis) row: with no noise, the gyro along the axis is the classic
+    # symmetric bell
+    pulse = (0.0, 1.0, 90.0, (1.0, 0.0, 0.0))
+    alone = synth_segment([pulse], 1.0, RATE, 0.0, 0.0, np.random.default_rng(0))
+    t, bell = alone.times_s(), alone.gyro[:, 0]
     peak_at = t[np.argmax(bell)]
     print(f"single 90 dps pulse: peak speed {bell.max():.1f} dps at t = {peak_at:.3f} s")
     print(f"displacement {np.trapezoid(bell, t):.1f} deg (amplitude * duration / 1.875)")
@@ -46,17 +43,9 @@ def main():
     print(" k   NMCP-A   NP-A    SPARC     LDLJ-A")
     for k in range(1, 6):
         pulse, gap = 0.9, 0.45
-        specs = [
-            SubmovementSpec(
-                onset_s=0.3 + i * (pulse + gap),
-                duration_s=pulse,
-                amplitude_dps=150.0 / k,
-                axis_weights=np.array([1.0, 0.0, 0.0]),
-            )
-            for i in range(k)
-        ]
+        pulses = [(0.3 + i * (pulse + gap), pulse, 150.0 / k, (1.0, 0.0, 0.0)) for i in range(k)]
         total = 0.6 + k * pulse + (k - 1) * gap + 0.3
-        stream = synth_segment(specs, total, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
+        stream = synth_segment(pulses, total, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
         a_norm = euclidean_norm(stream.accel)
         w_norm = euclidean_norm(stream.gyro)
         print(

@@ -22,7 +22,7 @@ from shoulderkin.features import (
     spectral_arc_length,
 )
 from shoulderkin.model import SensorStream
-from shoulderkin.synth import SubmovementSpec, synth_segment
+from shoulderkin.synth import synth_segment
 
 RATE = 128.0
 
@@ -44,14 +44,9 @@ def main():
     rng = np.random.default_rng(11)
     axis = np.array([0.6, 0.64, -0.48])
     axis /= np.linalg.norm(axis)
-    specs = [
-        SubmovementSpec(onset_s=0.3, duration_s=0.9, amplitude_dps=120.0, axis_weights=axis),
-        SubmovementSpec(
-            onset_s=1.6, duration_s=0.7, amplitude_dps=80.0,
-            axis_weights=np.array([0.0, 0.8, 0.6]),
-        ),
-    ]
-    stream = synth_segment(specs, 3.0, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
+    # (onset_s, duration_s, amplitude_dps, unit axis) pulse rows
+    pulses = [(0.3, 0.9, 120.0, axis), (1.6, 0.7, 80.0, (0.0, 0.8, 0.6))]
+    stream = synth_segment(pulses, 3.0, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
 
     # a random proper rotation, the crooked-mounting model
     q, r = np.linalg.qr(rng.normal(size=(3, 3)))

@@ -474,6 +474,9 @@ MATRIX_COLUMNS = (
 ) + FeatureVector.FIELD_NAMES
 MATRIX_HEADER = ",".join(MATRIX_COLUMNS)
 _feature_values = operator.attrgetter(*FeatureVector.FIELD_NAMES)
+# each feature's type in column order: a count is written as digits, a
+# float by `format_float`
+_TYPES = tuple(int if n in FeatureVector.COUNT_NAMES else float for n in FeatureVector.FIELD_NAMES)
 
 
 def extract_cohort(
@@ -547,7 +550,6 @@ def write_matrix(rows) -> bytes:
     """Serialize feature rows as the documented CSV, floats via `format_float`."""
     lines = [MATRIX_HEADER]
     for row in rows:
-        # the two counts as digits, then the five reals
         values = _feature_values(row.features)
         lines.append(
             ",".join(
@@ -557,9 +559,7 @@ def write_matrix(rows) -> bytes:
                     row.task.value,
                     row.segment.value,
                     row.placement.value,
-                    str(values[0]),
-                    str(values[1]),
-                    *map(format_float, values[2:]),
+                    *(str(v) if t is int else format_float(v) for t, v in zip(_TYPES, values)),
                 )
             )
         )
@@ -567,7 +567,7 @@ def write_matrix(rows) -> bytes:
 
 
 # how read_matrix converts each cell after the subject id
-_MATRIX_CONVERTERS = (Group, TaskKind, SegmentKind, Placement, int, int) + (float,) * 5
+_MATRIX_CONVERTERS = (Group, TaskKind, SegmentKind, Placement) + _TYPES
 
 
 def read_matrix(path) -> list[FeatureRow]:

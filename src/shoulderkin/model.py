@@ -217,10 +217,10 @@ class FeatureVector:
     duration_s: float
 
     def __post_init__(self):
-        counts = (self.nmcp_a, self.np_a)
+        counts = [getattr(self, name) for name in self.COUNT_NAMES]
         if not all(map(_is_integer, counts)):
-            raise ValidationError(f"counts must be integers, got {counts}")
-        for name, count in zip(self.FIELD_NAMES, counts):
+            raise ValidationError(f"counts must be integers, got {tuple(counts)}")
+        for name, count in zip(self.COUNT_NAMES, counts):
             if count < 0:
                 raise ValidationError(f"{name} must be non-negative, got {count}")
             # the statistics take each count as a double
@@ -228,11 +228,28 @@ class FeatureVector:
                 raise ValidationError(f"{name} is larger than the largest double")
         if not self.duration_s > 0:
             raise ValidationError(f"duration_s must be positive, got {self.duration_s}")
-        for name in ("sparc", "ldlj_a", "rav", "pi", "duration_s"):
-            if not np.isfinite(getattr(self, name)):
+        for name in self.FIELD_NAMES:
+            if name not in self.COUNT_NAMES and not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} is not finite")
 
+    # the feature-matrix column order, and the fields that are integer
+    # counts; every other field is a float
     FIELD_NAMES = ("nmcp_a", "np_a", "sparc", "ldlj_a", "rav", "pi", "duration_s")
+    COUNT_NAMES = ("nmcp_a", "np_a")
+
+
+# The feature grid in dump and report row order: each feature, its report
+# label, and the placements it is scored at. Duration is counted once per
+# subject, so its one placement is None.
+FEATURE_GRID = (
+    ("nmcp_a", "NMCP-A", tuple(Placement)),
+    ("np_a", "NP-A", tuple(Placement)),
+    ("ldlj_a", "LDLJ-A", tuple(Placement)),
+    ("sparc", "SPARC", tuple(Placement)),
+    ("rav", "RAV", tuple(Placement)),
+    ("pi", "PI", tuple(Placement)),
+    ("duration_s", "Duration", (None,)),
+)
 
 
 def slice_segment(

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from .errors import ParseError, ValidationError
 from .ingest import format_float, parse_cell, read_lines, split_rows
-from .model import Placement, SegmentKind, TaskKind
+from .model import FEATURE_GRID, SegmentKind, TaskKind
 from .stats import (
-    FEATURE_GRID,
     ComparisonCell,
     ComparisonTable,
     SignificanceRule,
@@ -28,16 +27,6 @@ TASK_TITLES = {
     TaskKind.WLB: "Washing lower back",
     TaskKind.POH: "Placing an object on a high shelf",
     TaskKind.ROP: "Removing an object from back pocket",
-}
-
-PARAMETER_LABELS = {
-    "nmcp_a": "NMCP-A",
-    "np_a": "NP-A",
-    "ldlj_a": "LDLJ-A",
-    "sparc": "SPARC",
-    "rav": "RAV",
-    "pi": "PI",
-    "duration_s": "Duration",
 }
 
 _SEGMENT_HEADERS = (
@@ -81,10 +70,9 @@ def render_task_table(table: ComparisonTable, task: TaskKind) -> str:
     header = "Parameter".ljust(_PARAM_W) + "Placement".ljust(_PLACEMENT_W)
     header += "".join(title.ljust(_CELL_W) for _, title in _SEGMENT_HEADERS)
     lines.append(header.rstrip())
-    for feature, per_placement in FEATURE_GRID:
-        placements = (Placement.WRIST, Placement.ARM) if per_placement else (None,)
+    for feature, label, placements in FEATURE_GRID:
         for row_idx, placement in enumerate(placements):
-            name = PARAMETER_LABELS[feature] if row_idx == 0 else ""
+            name = label if row_idx == 0 else ""
             placement_label = "N/A" if placement is None else placement.value.capitalize()
             row = name.ljust(_PARAM_W) + placement_label.ljust(_PLACEMENT_W)
             for kind, _ in _SEGMENT_HEADERS:

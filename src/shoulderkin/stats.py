@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CohortError, DegenerateStatisticsError, ValidationError
-from .model import Group, Placement, SegmentKind, TaskKind, _is_integer
+from .model import FEATURE_GRID, Group, Placement, SegmentKind, TaskKind, _is_integer
 
 _BETA_EPS = 3.0e-16
 _BETA_FPMIN = 1.0e-300
@@ -133,13 +133,15 @@ def compare_samples(x, y) -> ComparisonCell:
     degrees of freedom and a two-sided p-value. d divides the mean difference
     by the pooled standard deviation, with a normal-approximation 95% interval
     d +/- 1.96 * SE. No rule is applied: `significance_flag` gives the star.
-    Raises DegenerateStatisticsError when t, dof, d or either interval bound
-    is not a finite double, for example when both samples are constant or a
-    variance overflows.
+    Raises DegenerateStatisticsError when a sample has fewer than 2 values,
+    or when t, dof, d or either interval bound is not a finite double, for
+    example when both samples are constant or a variance overflows.
     """
+    n1, n2 = len(x), len(y)
+    if n1 < 2 or n2 < 2:
+        raise DegenerateStatisticsError(f"each sample needs at least 2 values, got {n1} and {n2}")
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
-    n1, n2 = xa.size, ya.size
     with np.errstate(over="ignore", invalid="ignore"):
         diff = float(np.mean(xa)) - float(np.mean(ya))
         v1 = float(np.var(xa, ddof=1))
@@ -159,26 +161,13 @@ def compare_samples(x, y) -> ComparisonCell:
     return ComparisonCell(t_stat=t, dof=dof, p_value=p, d=d, d_ci_low=ci_low, d_ci_high=ci_high)
 
 
-# grid row order used everywhere a table is walked: the six per-placement
-# features, then the placement-free duration
-FEATURE_GRID: tuple[tuple[str, bool], ...] = (
-    ("nmcp_a", True),
-    ("np_a", True),
-    ("ldlj_a", True),
-    ("sparc", True),
-    ("rav", True),
-    ("pi", True),
-    ("duration_s", False),
-)
-
 CellKey = tuple[TaskKind, str, "Placement | None", SegmentKind]
 
 
 def cell_keys():
     """Canonical cell order: task, feature, placement, segment kind."""
     for task in TaskKind:
-        for feature, per_placement in FEATURE_GRID:
-            placements = tuple(Placement) if per_placement else (None,)
+        for feature, _, placements in FEATURE_GRID:
             for placement in placements:
                 for kind in SegmentKind:
                     yield (task, feature, placement, kind)
@@ -227,9 +216,9 @@ class ComparisonTable:
 def compare_cohort(rows, rule: SignificanceRule = SignificanceRule.STRICT) -> ComparisonTable:
     """Run the full grid of two-group tests over a feature matrix.
 
-    Observations are grouped per (task, feature, placement, segment);
-    duration observations are taken once per subject from the wrist rows
-    since the value is placement-independent. Cells whose statistics are
+    Observations are grouped per (task, feature, placement, segment); a
+    feature that `FEATURE_GRID` scores at no placement (duration) is taken
+    once per subject, from the wrist rows. Cells whose statistics are
     degenerate (or that lack 2 observations in a group) come back as None
     rather than failing the table; an entirely missing or single-subject
     group is a cohort-level error.
@@ -249,10 +238,10 @@ def compare_cohort(rows, rule: SignificanceRule = SignificanceRule.STRICT) -> Co
         key: {Group.PATIENT: [], Group.HEALTHY: []} for key in cell_keys()
     }
     for row in rows:
-        for feature, per_placement in FEATURE_GRID:
-            if per_placement:
+        for feature, _, placements in FEATURE_GRID:
+            if row.placement in placements:
                 key = (row.task, feature, row.placement, row.segment)
-            elif row.placement is Placement.WRIST:
+            elif row.placement is Placement.WRIST:  # a placement-free feature
                 key = (row.task, feature, None, row.segment)
             else:
                 continue
@@ -262,9 +251,6 @@ def compare_cohort(rows, rule: SignificanceRule = SignificanceRule.STRICT) -> Co
     for key in cell_keys():
         xs = observations[key][Group.PATIENT]
         ys = observations[key][Group.HEALTHY]
-        if len(xs) < 2 or len(ys) < 2:
-            cells[key] = None
-            continue
         try:
             cells[key] = compare_samples(xs, ys)
         except DegenerateStatisticsError:

@@ -8,6 +8,10 @@ fixed lever arm), plus white noise. That is enough to exercise every
 feature's code path and to give the two groups opposite orderings on
 smoothness, intensity, and duration.
 
+Every pulse is an (onset_s, duration_s, amplitude_dps, unit axis) row:
+`generate_session` renders a session's rows for both placements, and
+`synth_segment` renders rows of the caller's choosing into one stream.
+
 All randomness flows from (cohort seed, within-group subject index), so
 regeneration is byte-identical and two groups built from the same profile
 produce identical movement draws subject for subject.
@@ -63,28 +67,6 @@ _PAUSE_RANGE_S = (0.25, 0.7)
 MAX_N_PER_GROUP = 1000
 MAX_SUBMOVEMENTS = 50
 MAX_PHASE_DURATION_S = 60.0
-
-
-@dataclass(frozen=True)
-class SubmovementSpec:
-    """One minimum-jerk angular-speed pulse."""
-
-    onset_s: float
-    duration_s: float
-    amplitude_dps: float
-    axis_weights: np.ndarray
-
-    def __post_init__(self):
-        if not self.duration_s > 0:
-            raise ValidationError(f"duration_s must be positive, got {self.duration_s}")
-        w = np.array(self.axis_weights, dtype=float)
-        if w.shape != (3,):
-            raise ValidationError(f"axis_weights must be a 3-vector, got shape {w.shape}")
-        norm = float(np.sqrt(np.sum(w * w)))
-        if abs(norm - 1.0) > 1e-9:
-            raise ValidationError(f"axis_weights must have unit norm, got {norm}")
-        w.setflags(write=False)
-        object.__setattr__(self, "axis_weights", w)
 
 
 @dataclass(frozen=True)
@@ -250,28 +232,6 @@ def parse_profile(path) -> CohortProfile:
     )
 
 
-def _min_jerk_shape(t, onset_s, duration_s):
-    """The minimum-jerk speed polynomial 30 tau^2 - 60 tau^3 + 30 tau^4 of
-    tau = (t - onset) / duration and its derivative in tau, both zero
-    outside [0, 1]. The onsets and durations may be arrays matching t."""
-    tau = (t - onset_s) / duration_s
-    tau = np.where((tau >= 0.0) & (tau <= 1.0), tau, 0.0)
-    poly = 30.0 * tau**2 - 60.0 * tau**3 + 30.0 * tau**4
-    dpoly = 60.0 * tau - 180.0 * tau**2 + 120.0 * tau**3
-    return poly, dpoly
-
-
-def min_jerk_speed(t, spec: SubmovementSpec):
-    """Angular speed of one pulse at time(s) t, deg/s.
-
-    Zero outside [onset, onset + duration]; inside, the quartic
-    minimum-jerk speed profile scaled so its peak equals the amplitude.
-    """
-    poly, _ = _min_jerk_shape(np.asarray(t, dtype=float), spec.onset_s, spec.duration_s)
-    out = spec.amplitude_dps * poly / _MIN_JERK_PEAK
-    return float(out) if out.ndim == 0 else out
-
-
 def _render_pulses(pulses, n: int, rate: float, placements, noise, rng) -> list[SensorStream]:
     """Render (onset_s, duration_s, amplitude_dps, unit axis) pulse rows
     into one n-sample stream per (amplitude scale, lever arm) placement.
@@ -288,7 +248,11 @@ def _render_pulses(pulses, n: int, rate: float, placements, noise, rng) -> list[
     lengths = np.maximum(hi - lo, 0)
     pulse = np.repeat(np.arange(len(lengths)), lengths)
     sample = np.arange(len(pulse)) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
-    poly, dpoly = _min_jerk_shape(sample / rate, onsets[pulse], durations[pulse])
+    # the speed polynomial and its derivative in tau, zero outside [0, 1]
+    tau = (sample / rate - onsets[pulse]) / durations[pulse]
+    tau = np.where((tau >= 0.0) & (tau <= 1.0), tau, 0.0)
+    poly = 30.0 * tau**2 - 60.0 * tau**3 + 30.0 * tau**4
+    dpoly = 60.0 * tau - 180.0 * tau**2 + 120.0 * tau**3
     peak_s = _MIN_JERK_PEAK * durations[pulse]
     along = np.array([p[3] for p in pulses], float).reshape(-1, 3)[pulse]
     # flat indices take numpy's fast one-dimensional np.add.at
@@ -313,7 +277,7 @@ def _render_pulses(pulses, n: int, rate: float, placements, noise, rng) -> list[
 
 
 def synth_segment(
-    specs,
+    pulses,
     total_s: float,
     sample_rate_hz: float,
     accel_noise_sigma: float,
@@ -321,24 +285,34 @@ def synth_segment(
     rng: np.random.Generator,
     lever_arm_m: float = 0.4,
 ) -> SensorStream:
-    """Render submovement specs into a sensor stream.
+    """Render (onset_s, duration_s, amplitude_dps, unit axis) pulse rows
+    into one stream, as `generate_session` renders each placement.
 
-    gyro: sum of pulse speeds spread over axes by each spec's weights.
-    accel: (0, 0, g) plus lever_arm * d(speed)/dt along the same weights.
-    Both get independent Gaussian noise of the given sigmas (a sigma of 0
-    still consumes draws, keeping the rng stream layout fixed).
+    gyro: the pulses' minimum-jerk speeds, each peaking at its amplitude,
+    along their axes. accel: (0, 0, g) plus lever_arm_m * d(speed)/dt
+    along the same axes. Both get Gaussian noise of the given sigmas (a
+    sigma of 0 still draws, keeping the rng stream layout fixed). Each
+    pulse needs a positive duration and a unit axis, and must fit in
+    [0, total_s].
     """
     # each check is written so that NaN fails it
     if not (total_s > 0 and 0 < total_s * sample_rate_hz < math.inf):
         message = "must be positive, with a finite sample count"
         raise ValidationError(f"total_s {total_s} and sample_rate_hz {sample_rate_hz} {message}")
-    for spec in specs:
-        end_s = spec.onset_s + spec.duration_s
-        if not (spec.onset_s >= -1e-9 and end_s <= total_s + 1e-9):
+    for onset_s, duration_s, _, axis in pulses:
+        if not duration_s > 0:
+            raise ValidationError(f"duration_s must be positive, got {duration_s}")
+        axis = np.asarray(axis, dtype=float)
+        if axis.shape != (3,):
+            raise ValidationError(f"the axis must be a 3-vector, got shape {axis.shape}")
+        norm = float(np.sqrt(np.sum(axis * axis)))
+        if not abs(norm - 1.0) <= 1e-9:
+            raise ValidationError(f"the axis must have unit norm, got {norm}")
+        end_s = onset_s + duration_s
+        if not (onset_s >= -1e-9 and end_s <= total_s + 1e-9):
             raise ValidationError(
-                f"submovement [{spec.onset_s:.3f}, {end_s:.3f}] s does not fit in {total_s:.3f} s"
+                f"submovement [{onset_s:.3f}, {end_s:.3f}] s does not fit in {total_s:.3f} s"
             )
-    pulses = [(s.onset_s, s.duration_s, s.amplitude_dps, s.axis_weights) for s in specs]
     n = round(total_s * sample_rate_hz)
     noise = (accel_noise_sigma, gyro_noise_sigma)
     return _render_pulses(pulses, n, sample_rate_hz, [(1.0, lever_arm_m)], noise, rng)[0]

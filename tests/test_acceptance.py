@@ -36,7 +36,7 @@ from shoulderkin.features import (
 from shoulderkin.ingest import parse_labels, parse_recording, write_labels, write_recording
 from shoulderkin.model import Placement, SegmentKind, SegmentLabel, SensorStream, TaskKind
 from shoulderkin.stats import cell_keys, compare_samples, significance_flag
-from shoulderkin.synth import SubmovementSpec, synth_segment
+from shoulderkin.synth import synth_segment
 
 RATE = 128.0
 PARAMS = FeatureParams()
@@ -78,19 +78,13 @@ def default_run(tmp_path_factory):
 
 def random_segment(rng):
     """A three-second recording with one or two submovements plus noise."""
-    specs = []
+    pulses = []
     for i in range(int(rng.integers(1, 3))):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        specs.append(
-            SubmovementSpec(
-                onset_s=0.2 + i * 1.3,
-                duration_s=float(rng.uniform(0.5, 1.0)),
-                amplitude_dps=float(rng.uniform(60.0, 180.0)),
-                axis_weights=axis,
-            )
-        )
-    return synth_segment(specs, 3.0, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
+        duration_s = float(rng.uniform(0.5, 1.0))
+        pulses.append((0.2 + i * 1.3, duration_s, float(rng.uniform(60.0, 180.0)), axis))
+    return synth_segment(pulses, 3.0, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
 
 
 def random_rotation(rng):
@@ -184,17 +178,10 @@ def test_smoothness_monotonicity():
         peaks = []
         for k in range(1, 6):
             pulse, gap = 0.9, 0.45
-            specs = [
-                SubmovementSpec(
-                    onset_s=0.3 + i * (pulse + gap),
-                    duration_s=pulse,
-                    amplitude_dps=150.0 / k,
-                    axis_weights=np.array([1.0, 0.0, 0.0]),
-                )
-                for i in range(k)
-            ]
+            x_axis = (1.0, 0.0, 0.0)
+            pulses = [(0.3 + i * (pulse + gap), pulse, 150.0 / k, x_axis) for i in range(k)]
             total = 0.6 + k * pulse + (k - 1) * gap + 0.3
-            stream = synth_segment(specs, total, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
+            stream = synth_segment(pulses, total, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
             sparcs.append(spectral_arc_length(euclidean_norm(stream.gyro), RATE, PARAMS))
             peaks.append(peak_count(euclidean_norm(stream.accel), PARAMS))
         assert all(b < a for a, b in zip(sparcs, sparcs[1:])), (seed, sparcs)

@@ -2,12 +2,14 @@
 
 import importlib
 import importlib.util
+import inspect
 import re
 import sys
 from inspect import ismodule
 from pathlib import Path
 
 import shoulderkin
+from shoulderkin import cli, default_profile, extract_cohort, load_cohort, write_profile
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -101,3 +103,69 @@ def test_every_traced_function_exists():
     imported = {value.__name__.split(".")[0] for value in vars(spans).values() if ismodule(value)}
     assert imported and imported <= sys.stdlib_module_names
     assert set(spans.COUNTERS) <= {name for _module, name, _span in spans.WRAPPED}
+
+
+# public names that the census below never calls, each with why it stays
+NOT_ON_THE_TRACED_PATHS = {
+    # perfbench/spans.py wraps it as `features.np_a`; extraction calls it
+    # only for a window under 3 samples, to raise
+    "features.peak_count",
+    # renders one segment from pulse rows: the demos and the release gate
+    # render pulses of their own choosing with it
+    "synth.synth_segment",
+}
+
+
+def public_functions():
+    """Every public function and method defined in the package, by qualified name."""
+    found = {}
+    for path in sorted(Path(shoulderkin.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"shoulderkin.{path.stem}")
+        for name, value in vars(module).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).items() if inspect.isclass(value) else [(None, value)]
+            for attr, member in members:
+                if attr is not None and attr.startswith("_"):
+                    continue
+                member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    found[".".join(filter(None, (path.stem, name, attr)))] = member.__code__
+    return found
+
+
+def test_every_public_function_is_called_by_the_pipeline_or_the_library_api(tmp_path, capsys):
+    """A census of the code no documented path reaches: on a 2v2 cohort,
+    the four CLI stages and the library's loading and extraction, under
+    `sys.setprofile`. A helper process's calls are not seen, but this
+    process makes each kind of call the helper makes."""
+    profile, params = tmp_path / "profile.ini", tmp_path / "features.ini"
+    params.write_text("sparc_pad_level = 2\n")
+    cohort, matrix, out = (str(tmp_path / name) for name in ("cohort", "m.csv", "cmp"))
+    dump = str(tmp_path / "cmp" / "comparison.csv")
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(record)
+    try:
+        profile.write_bytes(write_profile(default_profile(n_per_group=2)))
+        codes = [
+            cli.main(["simulate", "--params", str(profile), "--out", cohort]),
+            cli.main(["extract", "--cohort", cohort, "--out", matrix, "--params", str(params)]),
+            cli.main(["compare", matrix, "--out", out]),
+            cli.main(["report", dump, "--out", str(tmp_path / "report.txt")]),
+        ]
+        sessions = load_cohort(cohort)
+        from_list = extract_cohort(sessions)
+        from_generator = extract_cohort(session for session in sessions)
+    finally:
+        sys.setprofile(None)
+    assert codes == [0, 0, 0, 0], capsys.readouterr().err
+    assert from_list == from_generator and from_list[0]
+    functions = public_functions()
+    assert NOT_ON_THE_TRACED_PATHS <= set(functions)
+    uncalled = {name for name, code in functions.items() if code not in called}
+    assert uncalled == NOT_ON_THE_TRACED_PATHS

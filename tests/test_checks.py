@@ -18,7 +18,7 @@ from shoulderkin.model import (
     TaskKind,
 )
 from shoulderkin.stats import ComparisonCell
-from shoulderkin.synth import SubmovementSpec, generate_session
+from shoulderkin.synth import generate_session, synth_segment
 
 RECORDINGS = {Placement.WRIST: "S01_wrist.csv", Placement.ARM: "S01_arm.csv"}
 
@@ -83,8 +83,10 @@ def session_without_side():
             id="comparison-cell-infinite-t",
         ),
         pytest.param(
-            lambda: SubmovementSpec(0.0, 1.0, 100.0, np.array([0.6, 0.8])),
-            "axis_weights must be a 3-vector, got shape (2,)",
+            lambda: synth_segment(
+                [(0.0, 1.0, 100.0, np.array([0.6, 0.8]))], 1.0, 128.0, 0.0, 0.0, None
+            ),
+            "the axis must be a 3-vector, got shape (2,)",
             id="submovement-two-axis-weights",
         ),
         pytest.param(

@@ -1300,11 +1300,16 @@ class TestConsoleScript:
 SRC_DIR = str(Path(shoulderkin.__file__).resolve().parents[1])
 
 
-def run_python(*args, cwd=None, timeout=None):
-    """Run a fresh interpreter that imports this checkout's package."""
+def python_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
     path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     # one BLAS thread keeps numpy's own address-space reservations small
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+
+
+def run_python(*args, cwd=None, timeout=None):
+    """Run a fresh interpreter that imports this checkout's package."""
+    env = python_env()
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout
     )
@@ -1368,6 +1373,73 @@ class TestFreshProcess:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert "simulate" in proc.stdout
+
+
+def has_exited(pid):
+    """Whether process `pid` is gone or a zombie, from its /proc stat line."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    # the state follows the command name, which is in parentheses
+    return stat.rpartition(")")[2].split()[0] in ("Z", "X")
+
+
+class TestKilledSimulate:
+    """A `simulate` process killed with SIGKILL leaves no helper running.
+
+    The helper writes the session it is on, finds the pipe to its dead
+    parent broken when it sends that session, and exits. Nothing else
+    reaps it here: once its parent is gone it belongs to PID 1, which in a
+    container may leave it a zombie."""
+
+    # `simulate`, with the helper's pid written to the file named first
+    CHILD = (
+        "import os, sys\n"
+        "fork = os.fork\n"
+        "def recording_fork():\n"
+        "    pid = fork()\n"
+        "    if pid:\n"
+        "        with open(sys.argv[1] + '.part', 'w') as out:\n"
+        "            out.write(str(pid))\n"
+        "        os.replace(sys.argv[1] + '.part', sys.argv[1])\n"
+        "    return pid\n"
+        "os.fork = recording_fork\n"
+        "from shoulderkin.cli import main\n"
+        "sys.exit(main(sys.argv[2:]))\n"
+    )
+
+    def test_a_killed_simulate_leaves_no_helper(self, tmp_path):
+        # 200v200 sessions take several seconds to write; the kill comes
+        # once the first recording is on disk
+        write_small_profile(tmp_path / "profile.ini", n_per_group=200)
+        cohort, pid_file = tmp_path / "cohort", tmp_path / "helper.pid"
+        argv = ["simulate", "--params", str(tmp_path / "profile.ini"), "--out", str(cohort)]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", self.CHILD, str(pid_file), *argv],
+            env=python_env(),
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not (pid_file.exists() and any(cohort.glob("*.csv"))):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGKILL
+        helper = int(pid_file.read_text())
+        at_kill = set(os.listdir(cohort))
+        deadline = time.monotonic() + 10
+        while not has_exited(helper):
+            assert time.monotonic() < deadline, "the helper outlived its parent by 10 s"
+            time.sleep(0.01)
+        written = set(os.listdir(cohort))
+        assert "cohort.txt" not in written
+        # at most the rest of one session: two recordings, labels and manifest
+        assert len(written - at_kill) <= 4, sorted(written - at_kill)
 
 
 class TestSpecialFiles:

@@ -44,7 +44,7 @@ from shoulderkin.model import (
     TaskKind,
     assemble_session,
 )
-from shoulderkin.synth import SubmovementSpec, min_jerk_speed
+from shoulderkin.synth import synth_segment
 
 RATE = 128.0
 
@@ -463,13 +463,15 @@ class TestLogDimensionlessJerk:
         # over [0, 1] and peak 1.875, so the continuous value is
         # -ln(120 / (7 * 1.875^2)) for any duration and amplitude
         closed_form = -math.log(120.0 / (7.0 * 1.875**2))
-        spec = SubmovementSpec(
-            onset_s=0.0, duration_s=1.0, amplitude_dps=90.0, axis_weights=(1, 0, 0)
-        )
+        pulse = (0.0, 1.0, 90.0, (1, 0, 0))
         measured = {64: -1.5968, 128: -1.5913, 256: -1.5881, 1024: -1.5853}
         gaps = []
         for rate, want in measured.items():
-            got = log_dimensionless_jerk(min_jerk_speed(np.arange(rate + 1) / rate, spec), rate)
+            # the noise-free x gyro of one pulse on rate + 1 samples
+            rng = np.random.default_rng(0)
+            speed = synth_segment([pulse], (rate + 1) / rate, rate, 0.0, 0.0, rng).gyro[:, 0]
+            assert len(speed) == rate + 1
+            got = log_dimensionless_jerk(speed, rate)
             assert got == pytest.approx(want, abs=5e-5)
             gaps.append(closed_form - got)
         assert all(0 < b < a for a, b in zip(gaps, gaps[1:]))

@@ -7,6 +7,7 @@ import pytest
 
 from shoulderkin import BoundaryError, ValidationError
 from shoulderkin.model import (
+    FEATURE_GRID,
     FeatureVector,
     Group,
     Placement,
@@ -193,6 +194,12 @@ class TestFeatureVector:
         assert FeatureVector.FIELD_NAMES == (
             "nmcp_a", "np_a", "sparc", "ldlj_a", "rav", "pi", "duration_s",
         )
+
+    def test_the_grid_has_each_field_once_and_duration_at_no_placement(self):
+        assert sorted(feature for feature, _, _ in FEATURE_GRID) == sorted(FeatureVector.FIELD_NAMES)
+        unplaced = {feature: where for feature, _, where in FEATURE_GRID if where != tuple(Placement)}
+        assert unplaced == {"duration_s": (None,)}
+        assert FeatureVector.COUNT_NAMES == ("nmcp_a", "np_a")
 
     def test_rejects_negative_counts(self):
         with pytest.raises(ValidationError):

@@ -92,7 +92,6 @@ from shoulderkin.synth import (  # noqa: E402
     PLACEMENT_LEVER_M,
     CohortProfile,
     GroupProfile,
-    SubmovementSpec,
     parse_profile,
     synth_segment,
 )
@@ -746,11 +745,11 @@ def test_one_movement_at_three_rates(pulse, before, after, amplitude, lever_arm_
     """
     axis = np.random.default_rng(seed).normal(size=3)
     total_s, onset_s, duration_s = (before + pulse + after) / 64, before / 64, pulse / 64
-    spec = SubmovementSpec(onset_s, duration_s, amplitude, axis / np.linalg.norm(axis))
-    alone = replace(spec, onset_s=0.0)
+    unit = axis / np.linalg.norm(axis)
+    row, alone = (onset_s, duration_s, amplitude, unit), (0.0, duration_s, amplitude, unit)
     values = []
     for rate in (64.0, 128.0, 256.0):
-        stream = synth_segment([spec], total_s, rate, 0.0, 0.0, np.random.default_rng(0), lever_arm_m)
+        stream = synth_segment([row], total_s, rate, 0.0, 0.0, np.random.default_rng(0), lever_arm_m)
         a_norm, w_norm = euclidean_norm(stream.accel), euclidean_norm(stream.gyro)
         bare = synth_segment([alone], duration_s + 1 / rate, rate, 0.0, 0.0, np.random.default_rng(0))
         values.append((
@@ -859,48 +858,52 @@ def test_extract_cohort_matches_each_window_alone_bit_for_bit(session, params):
     assert (got, [str(err) for err in failures]) == reference_extract(session, params)
 
 
-def reference_min_jerk_speed(t, spec):
-    tau = (t - spec.onset_s) / spec.duration_s
+def reference_pulse_speed(t, pulse):
+    onset_s, duration_s, amplitude_dps, _ = pulse
+    tau = (t - onset_s) / duration_s
     inside = (tau >= 0.0) & (tau <= 1.0)
     tau = np.where(inside, tau, 0.0)
     poly = 30.0 * tau**2 - 60.0 * tau**3 + 30.0 * tau**4
-    return np.where(inside, spec.amplitude_dps * poly / 1.875, 0.0)
+    return np.where(inside, amplitude_dps * poly / 1.875, 0.0)
 
 
-def reference_min_jerk_accel(t, spec):
-    tau = (t - spec.onset_s) / spec.duration_s
+def reference_pulse_accel(t, pulse):
+    onset_s, duration_s, amplitude_dps, _ = pulse
+    tau = (t - onset_s) / duration_s
     inside = (tau >= 0.0) & (tau <= 1.0)
     tau = np.where(inside, tau, 0.0)
     dpoly = 60.0 * tau - 180.0 * tau**2 + 120.0 * tau**3
-    return np.where(inside, spec.amplitude_dps * dpoly / (1.875 * spec.duration_s), 0.0)
+    return np.where(inside, amplitude_dps * dpoly / (1.875 * duration_s), 0.0)
 
 
-def reference_render(specs, n, rate, lever_arm_m, noise, rng):
-    """One placement's (accel, gyro), pulse by pulse: each pulse's speed
-    and acceleration on its own window, spread over its axis by np.outer."""
+def reference_render(pulses, n, rate, lever_arm_m, noise, rng):
+    """One placement's (accel, gyro) from (onset_s, duration_s,
+    amplitude_dps, unit axis) rows, pulse by pulse: each pulse's speed and
+    acceleration on its own window, spread over its axis by np.outer."""
     t = np.arange(n) / rate
     gyro = np.zeros((n, 3))
     accel = np.zeros((n, 3))
     accel[:, 2] = GRAVITY_MS2
-    for spec in specs:
-        lo = max(0, int(math.floor(spec.onset_s * rate)))
-        hi = min(n, int(math.ceil((spec.onset_s + spec.duration_s) * rate)) + 1)
+    for pulse in pulses:
+        onset_s, duration_s, _, axis = pulse
+        lo = max(0, int(math.floor(onset_s * rate)))
+        hi = min(n, int(math.ceil((onset_s + duration_s) * rate)) + 1)
         window = t[lo:hi]
-        linear = lever_arm_m * np.deg2rad(reference_min_jerk_accel(window, spec))
-        gyro[lo:hi] += np.outer(reference_min_jerk_speed(window, spec), spec.axis_weights)
-        accel[lo:hi] += np.outer(linear, spec.axis_weights)
+        linear = lever_arm_m * np.deg2rad(reference_pulse_accel(window, pulse))
+        gyro[lo:hi] += np.outer(reference_pulse_speed(window, pulse), axis)
+        accel[lo:hi] += np.outer(linear, axis)
     accel += rng.normal(0.0, noise[0], (n, 3))
     gyro += rng.normal(0.0, noise[1], (n, 3))
     return accel, gyro
 
 
 def reference_render_pulses(pulses, n, rate, placements, noise, rng):
-    """`synth._render_pulses` pulse by pulse: a spec per pulse and
-    placement, with the amplitude scaled, rendered by `reference_render`."""
+    """`synth._render_pulses` pulse by pulse: each placement's rows, with
+    the amplitude scaled, rendered by `reference_render`."""
     streams = []
     for scale, lever_arm_m in placements:
-        specs = [SubmovementSpec(on, span, amp * scale, axis) for on, span, amp, axis in pulses]
-        accel, gyro = reference_render(specs, n, rate, lever_arm_m, noise, rng)
+        scaled = [(on, span, amp * scale, axis) for on, span, amp, axis in pulses]
+        accel, gyro = reference_render(scaled, n, rate, lever_arm_m, noise, rng)
         streams.append(SensorStream(accel=accel, gyro=gyro, sample_rate_hz=rate))
     return streams
 
@@ -939,10 +942,9 @@ def test_pulse_renderer_matches_pulse_by_pulse_reference_bit_for_bit(table, seed
     rng = np.random.default_rng(seed)
     want = reference_render_pulses(rows, n, rate, PLACEMENTS, noise, rng)
     assert list(map(stream_bits, got)) == list(map(stream_bits, want))
-    # synth_segment renders its specs through the same renderer
-    specs = [SubmovementSpec(*row) for row in rows]
-    stream = synth_segment(specs, n / rate, rate, *noise, np.random.default_rng(seed), 0.55)
-    want = reference_render(specs, n, rate, 0.55, noise, np.random.default_rng(seed))
+    # synth_segment renders its rows through the same renderer
+    stream = synth_segment(rows, n / rate, rate, *noise, np.random.default_rng(seed), 0.55)
+    want = reference_render(rows, n, rate, 0.55, noise, np.random.default_rng(seed))
     assert stream_bits(stream) == (want[0].tobytes(), want[1].tobytes())
 
 

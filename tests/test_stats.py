@@ -293,6 +293,23 @@ class TestWelchProperties:
         with pytest.raises(DegenerateStatisticsError):
             compare_samples([1.0, 1.0], [1.0, 1.0])
 
+    # numpy warns on the mean of no values and on a ddof=1 variance of one,
+    # and the suite turns warnings into errors; no values also divided by 0
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([], [1.0, 2.0]),
+            ([1.0], [1.0, 2.0]),
+            ([1.0, 2.0], []),
+            ([1.0, 2.0], np.array([3.0])),
+            ([], []),
+        ],
+        ids=["no-x", "one-x", "no-y", "one-y", "neither"],
+    )
+    def test_a_sample_of_fewer_than_2_values_is_degenerate(self, x, y):
+        with pytest.raises(DegenerateStatisticsError, match="at least 2 values"):
+            compare_samples(x, y)
+
 
 class TestSignificanceRule:
     def test_strict_excludes_boundary_effect(self):
@@ -394,6 +411,18 @@ class TestCompareCohort:
         table = compare_cohort(rows)
         assert table.untestable_count() == 260
         assert table.cell(TaskKind.WH, "nmcp_a", Placement.WRIST, SegmentKind.SUB1) is None
+
+    def test_a_cell_with_one_observation_in_a_group_is_untestable(self):
+        key = (TaskKind.WLB, SegmentKind.SUB3, Placement.ARM)
+        rows = [
+            r for r in full_matrix()
+            if r.subject_id not in ("P01", "P02") or (r.task, r.segment, r.placement) != key
+        ]
+        table = compare_cohort(rows)
+        assert table.untestable_count() == 6
+        assert table.cell(TaskKind.WLB, "rav", Placement.ARM, SegmentKind.SUB3) is None
+        # duration is taken from the wrist rows, which are all there
+        assert table.cell(TaskKind.WLB, "duration_s", None, SegmentKind.SUB3) is not None
 
     def test_inclusive_rule_is_recorded(self):
         table = compare_cohort(full_matrix(), rule=SignificanceRule.INCLUSIVE)

@@ -31,9 +31,7 @@ from shoulderkin.synth import (
     MAX_SUBMOVEMENTS,
     CohortProfile,
     GroupProfile,
-    SubmovementSpec,
     generate_session,
-    min_jerk_speed,
     parse_profile,
     synth_segment,
 )
@@ -41,51 +39,49 @@ from shoulderkin.synth import (
 RATE = 128.0
 
 
-def planar_spec(onset=0.5, duration=1.0, amplitude=120.0):
-    return SubmovementSpec(
-        onset_s=onset,
-        duration_s=duration,
-        amplitude_dps=amplitude,
-        axis_weights=np.array([1.0, 0.0, 0.0]),
-    )
+def planar_pulse(onset=0.5, duration=1.0, amplitude=120.0):
+    """One pulse row for `synth_segment`, along x."""
+    return (onset, duration, amplitude, np.array([1.0, 0.0, 0.0]))
+
+
+def speed_along_x(pulse, total_s, rate=RATE):
+    """The sample times and x gyro of one pulse rendered without noise."""
+    stream = synth_segment([pulse], total_s, rate, 0.0, 0.0, np.random.default_rng(0))
+    return stream.times_s(), stream.gyro[:, 0]
+
+
+def bell(t, onset, duration, amplitude):
+    """The minimum-jerk speed in closed form: peak `amplitude` at mid-pulse."""
+    tau = np.clip((t - onset) / duration, 0.0, 1.0)
+    return amplitude * (30 * tau**2 - 60 * tau**3 + 30 * tau**4) / 1.875
 
 
 class TestMinJerkSpeed:
+    """The pulse shape, read from the x gyro of a noise-free `synth_segment`."""
+
     def test_peak_is_amplitude_at_midpoint(self):
-        spec = planar_spec(onset=0.0, duration=2.0, amplitude=90.0)
-        assert min_jerk_speed(1.0, spec) == pytest.approx(90.0)
-        t = np.linspace(0.0, 2.0, 2001)
-        assert np.max(min_jerk_speed(t, spec)) == pytest.approx(90.0, rel=1e-9)
+        pulse = planar_pulse(onset=0.0, duration=2.0, amplitude=90.0)
+        t, speed = speed_along_x(pulse, 2.001, 1000.0)
+        assert t[1000] == 1.0
+        assert speed[1000] == pytest.approx(90.0)
+        assert np.max(speed) == pytest.approx(90.0, rel=1e-9)
 
     def test_zero_outside_support(self):
-        spec = planar_spec(onset=1.0, duration=0.5)
-        assert min_jerk_speed(0.99, spec) == 0.0
-        assert min_jerk_speed(1.51, spec) == 0.0
+        t, speed = speed_along_x(planar_pulse(onset=1.0, duration=0.5), 2.0)
+        inside = (t > 1.0) & (t < 1.5)
+        assert np.all(speed[~inside] == 0.0)
+        assert np.all(speed[inside] > 0.0)
 
     def test_displacement_identity(self):
         # integral of the pulse equals amplitude * duration / 1.875, the
         # identity the generator inverts to set amplitudes from excursions
-        spec = planar_spec(onset=0.0, duration=1.7, amplitude=64.0)
-        t = np.linspace(0.0, 1.7, 200001)
-        integral = np.trapezoid(min_jerk_speed(t, spec), t)
-        assert integral == pytest.approx(64.0 * 1.7 / 1.875, rel=1e-3)
+        t, speed = speed_along_x(planar_pulse(onset=0.0, duration=1.7, amplitude=64.0), 1.8, 1e4)
+        assert np.trapezoid(speed, t) == pytest.approx(64.0 * 1.7 / 1.875, rel=1e-3)
 
     def test_symmetric_about_midpoint(self):
-        spec = planar_spec(onset=0.0, duration=1.0)
-        tau = np.linspace(0.0, 0.5, 100)
-        left = min_jerk_speed(tau, spec)
-        right = min_jerk_speed(1.0 - tau, spec)
-        assert np.allclose(left, right, atol=1e-12)
-
-
-class TestSubmovementSpec:
-    def test_rejects_non_unit_axis(self):
-        with pytest.raises(ValidationError, match="unit norm"):
-            SubmovementSpec(0.0, 1.0, 10.0, np.array([1.0, 1.0, 0.0]))
-
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ValidationError):
-            SubmovementSpec(0.0, 0.0, 10.0, np.array([1.0, 0.0, 0.0]))
+        _, speed = speed_along_x(planar_pulse(onset=0.0, duration=1.0), 1.0 + 1 / RATE)
+        assert len(speed) == RATE + 1
+        assert np.allclose(speed, speed[::-1], atol=1e-12)
 
 
 class TestSynthSegment:
@@ -110,30 +106,51 @@ class TestSynthSegment:
         assert rng_a.integers(1 << 30) == rng_b.integers(1 << 30)
 
     def test_gyro_is_pulse_along_axis(self):
-        spec = planar_spec(onset=0.25, duration=0.5, amplitude=100.0)
-        stream = synth_segment([spec], 1.0, RATE, 0.0, 0.0, self.rng())
-        t = np.arange(128) / RATE
-        want = min_jerk_speed(t, spec)
+        pulse = planar_pulse(onset=0.25, duration=0.5, amplitude=100.0)
+        stream = synth_segment([pulse], 1.0, RATE, 0.0, 0.0, self.rng())
+        want = bell(np.arange(128) / RATE, 0.25, 0.5, 100.0)
         assert np.allclose(stream.gyro[:, 0], want, atol=1e-9)
         assert np.allclose(stream.gyro[:, 1:], 0.0, atol=1e-12)
 
     def test_planar_pulse_gives_two_acceleration_peaks(self):
         # a pulse in the horizontal plane adds a symmetric accelerate and
         # decelerate bump pair to the gravity-dominated norm
-        spec = planar_spec(onset=0.4, duration=1.2, amplitude=150.0)
-        stream = synth_segment([spec], 2.0, RATE, 0.0, 0.0, self.rng(), lever_arm_m=0.55)
+        pulse = planar_pulse(onset=0.4, duration=1.2, amplitude=150.0)
+        stream = synth_segment([pulse], 2.0, RATE, 0.0, 0.0, self.rng(), lever_arm_m=0.55)
         a_norm = euclidean_norm(stream.accel)
         assert peak_count(a_norm, FeatureParams()) == 2
 
     def test_spec_outside_window_rejected(self):
-        spec = planar_spec(onset=0.8, duration=0.5)
         with pytest.raises(ValidationError, match="does not fit"):
-            synth_segment([spec], 1.0, RATE, 0.0, 0.0, self.rng())
+            synth_segment([planar_pulse(onset=0.8, duration=0.5)], 1.0, RATE, 0.0, 0.0, self.rng())
 
     @pytest.mark.parametrize("onset", [math.nan, math.inf, -math.inf])
     def test_non_finite_onset_rejected(self, onset):
         with pytest.raises(ValidationError, match="does not fit"):
-            synth_segment([planar_spec(onset=onset)], 1.0, RATE, 0.0, 0.0, self.rng())
+            synth_segment([planar_pulse(onset=onset)], 1.0, RATE, 0.0, 0.0, self.rng())
+
+    def test_rejects_non_unit_axis(self):
+        pulse = (0.0, 1.0, 10.0, np.array([1.0, 1.0, 0.0]))
+        with pytest.raises(ValidationError, match="unit norm"):
+            synth_segment([pulse], 1.0, RATE, 0.0, 0.0, self.rng())
+
+    def test_rejects_nonpositive_duration(self):
+        with pytest.raises(ValidationError, match="duration_s must be positive"):
+            synth_segment([planar_pulse(onset=0.0, duration=0.0)], 1.0, RATE, 0.0, 0.0, self.rng())
+
+    # NaN compares false with everything, so a check written as `x > bound`
+    # for the fault would let it through
+    @pytest.mark.parametrize(
+        "pulse, message",
+        [
+            ((0.0, 0.5, 10.0, [math.nan, 0.0, 0.0]), "unit norm, got nan"),
+            ((0.0, 0.5, 10.0, [math.inf, 0.0, 0.0]), "unit norm, got inf"),
+            ((0.0, math.nan, 10.0, [1.0, 0.0, 0.0]), "duration_s must be positive, got nan"),
+        ],
+    )
+    def test_a_nan_or_infinite_pulse_is_rejected(self, pulse, message):
+        with pytest.raises(ValidationError, match=message):
+            synth_segment([pulse], 1.0, RATE, 0.0, 0.0, self.rng())
 
     # a sample count that is not a finite number was an OverflowError or a
     # ValueError from int(); the last case overflows only in the product
@@ -291,20 +308,13 @@ class TestSmoothnessTrends:
             sparcs = []
             peaks = []
             for k in range(1, 6):
-                specs = []
                 pulse = 0.9
                 gap = 0.45
-                for i in range(k):
-                    specs.append(
-                        SubmovementSpec(
-                            onset_s=0.3 + i * (pulse + gap),
-                            duration_s=pulse,
-                            amplitude_dps=150.0 / k,
-                            axis_weights=np.array([1.0, 0.0, 0.0]),
-                        )
-                    )
+                pulses = [
+                    planar_pulse(0.3 + i * (pulse + gap), pulse, 150.0 / k) for i in range(k)
+                ]
                 total = 0.6 + k * pulse + (k - 1) * gap + 0.3
-                stream = synth_segment(specs, total, RATE, 0.0, 0.0, rng, lever_arm_m=0.55)
+                stream = synth_segment(pulses, total, RATE, 0.0, 0.0, rng, lever_arm_m=0.55)
                 w_norm = euclidean_norm(stream.gyro)
                 a_norm = euclidean_norm(stream.accel)
                 sparcs.append(spectral_arc_length(w_norm, RATE, FeatureParams()))
