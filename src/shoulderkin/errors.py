@@ -48,8 +48,9 @@ class DegenerateSignalError(ShoulderKinError):
 class FeatureError(ShoulderKinError):
     """Feature extraction failed for one (task, segment, placement) cell.
 
-    Wraps the underlying cause and records which cell failed so a batch run
-    can report precisely and keep going.
+    Wraps the underlying cause (also as `__cause__`) and records which cell
+    failed so a batch run can report precisely and keep going. Pickles by
+    its five fields, so a failure sent by a helper process reads back whole.
     """
 
     def __init__(self, subject_id, task, segment, placement, cause):
@@ -57,10 +58,13 @@ class FeatureError(ShoulderKinError):
         self.task = task
         self.segment = segment
         self.placement = placement
-        self.cause = cause
+        self.cause = self.__cause__ = cause
         super().__init__(
             f"{subject_id} {task.value}/{segment.value}/{placement.value}: {cause}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.subject_id, self.task, self.segment, self.placement, self.cause)
 
 
 class DegenerateStatisticsError(ShoulderKinError):

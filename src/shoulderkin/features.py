@@ -498,26 +498,23 @@ def extract_cohort(
     sessions is split by position (`helper.in_order`): one helper process
     extracts the sessions at positions 1, 3, 5, ..., reading each from
     the directory first, and this process the others. The helper ends at
-    the first session with a failing cell, or one that raises, and this
-    process extracts that session and every later one itself. A directory
-    is walked by `ingest.walk_cohort`, with `iter_cohort`'s checks and
-    errors, and each process holds one session at a time. Any other
-    iterable is consumed once, in this process. Either way the rows, the
-    failures and the error raised are the ones one process gives.
+    the first session that raises, and this process extracts that session
+    and every later one itself. A directory is walked by
+    `ingest.walk_cohort`, with `iter_cohort`'s checks and errors, and each
+    process holds one session at a time. Any other iterable is consumed
+    once, in this process. Either way the rows, the failures and the
+    error raised are the ones one process gives.
     """
     params = params or FeatureParams()
 
     def work(session: Session) -> tuple[list[FeatureRow], list[FeatureError]]:
         return _extract_session(session, params)
 
-    def keep(result: tuple[list[FeatureRow], list[FeatureError]]) -> bool:
-        return not result[1]
-
     # a str is a Sequence too
     if isinstance(sessions, (str, os.PathLike)):
-        results = walk_cohort(sessions, work, keep)
+        results = walk_cohort(sessions, work)
     elif isinstance(sessions, Sequence):
-        results = in_order(sessions, work, keep)
+        results = in_order(sessions, work)
     else:
         results = (work(session) for session in sessions)
     rows: list[FeatureRow] = []

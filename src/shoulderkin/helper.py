@@ -1,10 +1,11 @@
 """One forked helper process, and the one way the package uses it.
 
 `in_order` hands every other item of a sequence to a helper and yields
-every result in order. Three callers split their sessions this way:
-`simulate` writes every other session in the helper, and `extract_cohort`
-extracts every other session of a list, or reads and extracts every
-other entry of a cohort directory. The helper is a bare `os.fork`
+every result in order, and is the one way the package splits sessions:
+`simulate` writes every other session in the helper, `walk_cohort` (so
+`iter_cohort`, `load_cohort` and `extract`) reads every other entry of a
+cohort directory there, and `extract_cohort` extracts every other
+session it reads or is given in a list. The helper is a bare `os.fork`
 (`multiprocessing` would cost its import and memory in every process
 that loads it) that sends its results as a pickle stream on one pipe;
 pickle data marks its own end, so no message carries a length.
@@ -26,22 +27,19 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def in_order(
-    items: Sequence[T], work: Callable[[T], R], keep: Callable[[R], bool] = lambda result: True
-) -> Iterator[R]:
+def in_order(items: Sequence[T], work: Callable[[T], R]) -> Iterator[R]:
     """Yield ``work(item)`` for each of `items`, in order, on two CPUs.
 
     Given two or more items, one helper runs `work` on the items at
     positions 1, 3, 5, ... and sends each result pickled, while this
-    process runs it on the others. The helper ends at the first result
-    that fails `keep`, or at the first item that raises, and this process
-    runs `work` on that item and on every later one itself. So what is
-    yielded or raised is what ``map(work, items)`` gives, and no result
-    that fails `keep`, and no exception, crosses the pipe. If no pipe or
-    process can be made, every item is worked in this process. Close the
+    process runs it on the others. The helper ends only at an item that
+    raises, or whose result it cannot pickle, and this process runs
+    `work` on that item and on every later one itself. So what is yielded
+    or raised is what ``map(work, items)`` gives. If no pipe or process
+    can be made, every item is worked in this process. Close the
     generator, or exhaust it, to end the helper.
     """
-    pid, reader = _start(items, work, keep) if len(items) > 1 else (None, None)
+    pid, reader = _start(items, work) if len(items) > 1 else (None, None)
     try:
         for position, item in enumerate(items):
             if position % 2 and pid is not None:
@@ -60,7 +58,7 @@ def in_order(
             _end(pid, reader)
 
 
-def _start(items: Sequence[T], work: Callable[[T], R], keep: Callable[[R], bool]) -> tuple:
+def _start(items: Sequence[T], work: Callable[[T], R]) -> tuple:
     """Fork the helper: its pid and its pipe's read end, or two Nones if that fails."""
     try:
         reader, writer = os.pipe()
@@ -79,8 +77,6 @@ def _start(items: Sequence[T], work: Callable[[T], R], keep: Callable[[R], bool]
             with open(writer, "wb") as out:
                 for item in itertools.islice(items, 1, None, 2):
                     result = work(item)
-                    if not keep(result):
-                        break
                     pickle.dump(result, out)
                     out.flush()
                     del result  # not held while the next one is made

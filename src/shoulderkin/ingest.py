@@ -14,10 +14,10 @@ other modules, goes through them. `write_atomically` writes each output
 that a later stage takes as complete: the cohort manifest, the feature
 matrix, the comparison dump and the report. `walk_cohort` is the one
 cohort walker, which checks the cohort manifest and each session's
-subject: `iter_cohort` and `load_cohort` walk in this process, and
-`features.extract_cohort` hands every other entry to a helper process
-(`helper.in_order`). `write_recording` prints every value as "%.9g"
-does, with numpy, a block of rows at a time.
+subject and hands every other entry to a helper process
+(`helper.in_order`); `iter_cohort`, `load_cohort` and
+`features.extract_cohort` walk through it. `write_recording` prints
+every value as "%.9g" does, with numpy, a block of rows at a time.
 """
 from __future__ import annotations
 
@@ -520,9 +520,7 @@ def load_session(manifest_path) -> Session:
     return assemble_session(manifest.subject_id, manifest.group, manifest.side, streams, labels)
 
 
-def walk_cohort(
-    cohort_dir, work: Callable[[Session], R], keep: Callable[[R], bool] | None = None
-) -> Iterator[R]:
+def walk_cohort(cohort_dir, work: Callable[[Session], R]) -> Iterator[R]:
     """Yield ``work(session)`` for each session the directory's cohort
     manifest lists, in manifest order.
 
@@ -530,13 +528,12 @@ def walk_cohort(
     session that cannot be loaded raises `CohortError` with its entry (the
     manifest line) and the underlying cause chained, and so does a session
     whose subject an earlier entry already had, checked after the load and
-    before `work`. Without `keep`, every session is loaded and worked in
-    this process. With it, `helper.in_order` loads and works the entries
-    at positions 1, 3, 5, ... in a helper process, which ends at the first
-    result that fails `keep`; this process checks the subject of each
-    result the helper sends as it takes it. Either way the results and
-    the error raised are those of the walk without a helper. Close the
-    generator, or exhaust it, to end the helper.
+    before `work`. `helper.in_order` loads and works the entries at
+    positions 1, 3, 5, ... in a helper process, which ends at the first
+    entry that raises, and this process checks the subject of each result
+    the helper sends as it takes it. So the results and the error raised
+    are those of a walk in one process. Close the generator, or exhaust
+    it, to end the helper.
     """
     cohort_dir = Path(cohort_dir)
     manifest = cohort_dir / COHORT_MANIFEST_NAME
@@ -563,11 +560,7 @@ def walk_cohort(
         check(position, session.subject_id)
         return session.subject_id, work(session)
 
-    positions = range(len(entries))
-    if keep is None:
-        results = (load(position) for position in positions)
-    else:
-        results = in_order(positions, load, lambda result: keep(result[1]))
+    results = in_order(range(len(entries)), load)
     with contextlib.closing(results):
         for position, (subject, result) in enumerate(results):
             check(position, subject)
@@ -576,10 +569,11 @@ def walk_cohort(
 
 def iter_cohort(cohort_dir) -> Iterator[Session]:
     """Yield the sessions listed in the directory's cohort manifest, one at
-    a time, in this process (`walk_cohort`, with its checks and errors).
+    a time (`walk_cohort`, with its checks, errors and helper process).
 
-    A caller that keeps no session holds one at a time. A failing session
-    raises after the sessions before it have been yielded.
+    A caller that keeps no session holds one at a time, and so does the
+    helper. A failing session raises after the sessions before it have
+    been yielded. Close the generator, or exhaust it, to end the helper.
     """
     return walk_cohort(cohort_dir, lambda session: session)
 
@@ -587,7 +581,7 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
 def load_cohort(cohort_dir) -> list[Session]:
     """Load every session listed in the directory's cohort manifest at once.
 
-    The whole cohort is in memory; `iter_cohort` is the walker, and the
-    first failing session aborts the load with its `CohortError`.
+    The whole cohort is in memory; `iter_cohort`, helper and all, is the
+    walker, and the first failing session aborts the load with its `CohortError`.
     """
     return list(iter_cohort(cohort_dir))

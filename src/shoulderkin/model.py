@@ -112,6 +112,10 @@ class SensorStream:
     def times_s(self) -> np.ndarray:
         return np.arange(self.n_samples) / self.sample_rate_hz
 
+    def __reduce__(self):
+        # through the constructor: a stream read back is checked and read-only
+        return type(self), (self.accel, self.gyro, self.sample_rate_hz)
+
 
 def check_subject_id(sid: str) -> None:
     """The one subject-id rule, so that a matrix row or a manifest line reads the id back."""

@@ -292,16 +292,18 @@ def synth_segment(
     along their axes. accel: (0, 0, g) plus lever_arm_m * d(speed)/dt
     along the same axes. Both get Gaussian noise of the given sigmas (a
     sigma of 0 still draws, keeping the rng stream layout fixed). Each
-    pulse needs a positive duration and a unit axis, and must fit in
-    [0, total_s].
+    pulse needs a positive duration, a finite amplitude and a unit axis,
+    and must fit in [0, total_s]; a render that overflows is refused.
     """
     # each check is written so that NaN fails it
     if not (total_s > 0 and 0 < total_s * sample_rate_hz < math.inf):
         message = "must be positive, with a finite sample count"
         raise ValidationError(f"total_s {total_s} and sample_rate_hz {sample_rate_hz} {message}")
-    for onset_s, duration_s, _, axis in pulses:
+    for index, (onset_s, duration_s, amplitude, axis) in enumerate(pulses):
         if not duration_s > 0:
             raise ValidationError(f"duration_s must be positive, got {duration_s}")
+        if not -math.inf < amplitude < math.inf:
+            raise ValidationError(f"pulse {index}: amplitude_dps must be finite, got {amplitude}")
         axis = np.asarray(axis, dtype=float)
         if axis.shape != (3,):
             raise ValidationError(f"the axis must be a 3-vector, got shape {axis.shape}")
@@ -315,7 +317,8 @@ def synth_segment(
             )
     n = round(total_s * sample_rate_hz)
     noise = (accel_noise_sigma, gyro_noise_sigma)
-    return _render_pulses(pulses, n, sample_rate_hz, [(1.0, lever_arm_m)], noise, rng)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _render_pulses(pulses, n, sample_rate_hz, [(1.0, lever_arm_m)], noise, rng)[0]
 
 
 def _random_axis(rng: np.random.Generator) -> np.ndarray:

@@ -3,13 +3,20 @@
 import importlib
 import importlib.util
 import inspect
+import pickle
 import re
 import sys
 from inspect import ismodule
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import shoulderkin
-from shoulderkin import cli, default_profile, extract_cohort, load_cohort, write_profile
+from shoulderkin import cli, default_profile, errors, extract_cohort, load_cohort, write_profile
+from shoulderkin.helper import in_order
+from shoulderkin.model import Group, Placement, SegmentKind, SensorStream, TaskKind
+from shoulderkin.synth import generate_session
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -84,6 +91,62 @@ def test_only_the_helper_module_forks_or_pickles():
         for match in pattern.findall(p.read_text(encoding="utf-8"))
     ]
     assert mentions == []
+
+
+def fingerprint(value):
+    """An exception as its class, message, attributes and cause; any other value as it is."""
+    if not isinstance(value, BaseException):
+        return value
+    attributes = {name: fingerprint(item) for name, item in vars(value).items()}
+    return type(value), str(value), attributes, fingerprint(value.__cause__)
+
+
+def error_examples():
+    """One instance of each exception class in `errors`, made as the package makes it."""
+    made = {
+        errors.ParseError: errors.ParseError("bad header", path="S01_wrist.csv", line=1),
+        errors.FeatureError: errors.FeatureError(
+            "P01", TaskKind.WH, SegmentKind.SUB2, Placement.ARM, errors.TooShortError("2 samples")
+        ),
+    }
+    classes = [
+        value
+        for value in vars(errors).values()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == errors.__name__
+    ]
+    assert set(made) <= set(classes)
+    return [made[cls] if cls in made else cls("a message") for cls in classes]
+
+
+@pytest.mark.parametrize("err", error_examples(), ids=lambda err: type(err).__name__)
+def test_every_error_survives_pickle(err):
+    # what a helper process sends, failures included, must read back whole
+    assert fingerprint(pickle.loads(pickle.dumps(err))) == fingerprint(err)
+
+
+def test_a_session_read_back_from_the_pipe_holds_read_only_arrays():
+    session = generate_session(default_profile(n_per_group=2), Group.PATIENT, 0)
+    _, sent = in_order(range(2), lambda item: session)  # item 1 is the helper's
+    assert sent is not session
+    fields = ("subject_id", "group", "side", "labels")
+    assert [getattr(sent, name) for name in fields] == [getattr(session, name) for name in fields]
+    for placement, stream in session.streams.items():
+        got = sent.streams[placement]
+        assert got.sample_rate_hz == stream.sample_rate_hz
+        for got_array, array in [(got.accel, stream.accel), (got.gyro, stream.gyro)]:
+            assert got_array.dtype == np.float64 and not got_array.flags.writeable
+            assert got_array.tobytes() == array.tobytes()
+
+
+def test_a_pickled_stream_edited_to_hold_nan_is_refused_on_load():
+    data = pickle.dumps(SensorStream(accel=np.full((4, 3), 1.5), gyro=np.zeros((4, 3))))
+    sample = np.float64(1.5).tobytes()
+    assert data.count(sample) == 12
+    edited = data.replace(sample, np.float64(np.nan).tobytes(), 1)
+    with pytest.raises(errors.ValidationError, match="accel contains non-finite values"):
+        pickle.loads(edited)
 
 
 def test_every_traced_function_exists():

@@ -18,14 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohort_oracle import write_in_process
+from cohort_oracle import in_process_sessions, manifest_entries, write_in_process
 from forks import record_forks
 from reference_table import build_reference_table
 import shoulderkin
 from shoulderkin import (
     CohortError,
     FeatureParams,
-    ParseError,
     ValidationError,
     default_profile,
     extract_cohort,
@@ -709,10 +708,6 @@ def seed42_cohort(tmp_path_factory):
     return cohort
 
 
-def manifest_entries(cohort):
-    return (cohort / COHORT_MANIFEST_NAME).read_text().split()
-
-
 def recording_of(session_path):
     return parse_session_manifest(session_path).recordings[Placement.WRIST]
 
@@ -764,25 +759,6 @@ class TestExtractMemory:
         small_peak = self.extract_peak(small_cohort, tmp_path / "small.csv")
         large_peak = self.extract_peak(large, tmp_path / "large.csv")
         assert large_peak < 1.25 * small_peak, (small_peak, large_peak)
-
-
-def in_process_sessions(cohort):
-    """The oracle walker: `load_session` on each entry in manifest order,
-    with `walk_cohort`'s error wrapping and repeated-subject check, and no
-    helper process."""
-    cohort = Path(cohort)
-    entry_of = {}
-    for entry in manifest_entries(cohort):
-        try:
-            session = ingest.load_session(cohort / entry)
-        except (ParseError, ValidationError) as err:
-            raise CohortError(f"session {entry}: {err}") from err
-        subject = session.subject_id
-        if subject in entry_of:
-            first = entry_of[subject]
-            raise CohortError(f"session {entry}: subject {subject!r} is already in {first}")
-        entry_of[subject] = entry
-        yield session
 
 
 def assert_no_child_process():
@@ -872,9 +848,10 @@ def repeated_subject_that_overflows(cohort):
 
 
 class TestReadAhead:
-    """`extract` splits the cohort directory by position: one helper process
-    reads and extracts the entries at odd positions, entry 1 among them.
-    It gives what the in-process walk gives, and leaves no process behind."""
+    """`extract` splits the cohort directory by position, as `iter_cohort`
+    and `load_cohort` do: one helper process reads (and extracts) the
+    entries at odd positions, entry 1 among them. It gives what the
+    in-process walk gives, and leaves no process behind."""
 
     @pytest.fixture
     def cohort(self, small_cohort, tmp_path):
@@ -943,14 +920,23 @@ class TestReadAhead:
         assert_no_child_process()
         assert info.traceback
 
-    def test_iter_cohort_and_load_cohort_fork_nothing(self, cohort, monkeypatch):
+    def test_iter_cohort_and_load_cohort_each_fork_one_helper(self, cohort, monkeypatch):
+        # which ends once the walk is exhausted or closed
+        want = [s.subject_id for s in in_process_sessions(cohort)]
         forked = record_forks(monkeypatch)
         sessions = ingest.iter_cohort(cohort)
         first = next(sessions)
+        assert len(forked) == 1
+        sessions.close()
         assert_no_child_process()
         loaded = ingest.load_cohort(cohort)
-        assert [s.subject_id for s in [first, *sessions]] == [s.subject_id for s in loaded]
-        assert forked == []
+        assert len(forked) == 2
+        assert_no_child_process()
+        walked = [s.subject_id for s in ingest.iter_cohort(cohort)]
+        assert len(forked) == 3
+        assert_no_child_process()
+        assert first.subject_id == want[0]
+        assert [s.subject_id for s in loaded] == walked == want
 
     def test_parent_reads_the_rest_once_the_helper_dies(self, small_cohort, monkeypatch):
         # the helper sends P02 and stalls in H02; the parent kills it once it
@@ -1030,12 +1016,25 @@ class TestListSplit:
         assert len(got[0]) == 6 * len(TaskKind) * len(SegmentKind) * len(Placement)
 
     @pytest.mark.parametrize("positions", [(3,), (1, 2), (1, 5)])
-    def test_failing_cells_in_helper_sessions(self, six_sessions, positions):
+    def test_failing_cells_in_helper_sessions(self, six_sessions, positions, monkeypatch):
         sessions = [short_subtasks(s) if i in positions else s for i, s in enumerate(six_sessions)]
+        want = extracted(iter(sessions))
+        parent = os.getpid()
+        calls = []
+        extract_session = features._extract_session
+
+        def extract(session, *args):
+            if os.getpid() == parent:
+                calls.append(session)
+            return extract_session(session, *args)
+
+        monkeypatch.setattr(features, "_extract_session", extract)
         got = extracted(sessions)
         # WH sub1 and sub2 fail on each placement
         assert len(got[1]) == 2 * len(Placement) * len(positions)
-        assert got == extracted(iter(sessions))
+        assert got == want
+        # the helper sends its sessions' failures, so this process extracts only its own
+        assert calls == sessions[::2]
 
     def test_an_invalid_value_in_a_helper_session(self, six_sessions):
         sessions = [overflowing(s) if i == 3 else s for i, s in enumerate(six_sessions)]
@@ -1094,24 +1093,28 @@ class TestListSplit:
         synth.generate_cohort(default_profile(n_per_group=2), tmp_path / "cohort")
         assert len(forked) == 1
         sessions = ingest.load_cohort(seed42_cohort)
-        list(ingest.iter_cohort(seed42_cohort))
-        assert len(forked) == 1
-        extract_cohort(sessions)
         assert len(forked) == 2
-        extract_cohort(sessions[:2])
+        list(ingest.iter_cohort(seed42_cohort))
         assert len(forked) == 3
-        extract_cohort(seed42_cohort)
+        extract_cohort(sessions)
         assert len(forked) == 4
-        extract_cohort(str(seed42_cohort))
+        extract_cohort(sessions[:2])
         assert len(forked) == 5
+        extract_cohort(seed42_cohort)
+        assert len(forked) == 6
+        extract_cohort(str(seed42_cohort))
+        assert len(forked) == 7
         one = tmp_path / "one"
         shutil.copytree(seed42_cohort, one)
         (one / COHORT_MANIFEST_NAME).write_text(manifest_entries(one)[0] + "\n")
         extract_cohort(one)
+        ingest.load_cohort(one)
         extract_cohort(sessions[:1])
         extract_cohort(session for session in sessions)
+        assert len(forked) == 7
+        # the one fork is the walk's own: `extract_cohort` forks none for an iterator
         extract_cohort(ingest.iter_cohort(seed42_cohort))
-        assert len(forked) == 5
+        assert len(forked) == 8
 
 
 class TestSimulateWriter:

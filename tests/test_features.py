@@ -649,7 +649,8 @@ class TestCohortMatrix:
         assert rows[0].subject_id == "A01"
 
     def test_each_cell_is_sliced_and_extracted_once(self, monkeypatch):
-        # the benchmark counts both calls per cell, failed cells included
+        # the benchmark counts both calls per cell, failed cells included; an
+        # iterator is extracted in this process, so every call is counted here
         calls = {"slice_segment": 0, "extract_all": 0}
 
         def counting(name):
@@ -669,7 +670,7 @@ class TestCohortMatrix:
         labels = dict(whole.labels)
         labels[TaskKind.WH] = SegmentLabel(s1=0, e1=2, e2=4, e3=640)
         short = assemble_session("S02", Group.HEALTHY, "left", whole.streams, labels)
-        rows, failures = extract_cohort([whole, short])
+        rows, failures = extract_cohort(iter([whole, short]))
         assert len(failures) == 2 * len(Placement)
         assert calls["slice_segment"] == calls["extract_all"] == len(rows) + len(failures)
 

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from forks import record_forks
+from shoulderkin.errors import FeatureError, TooShortError
 from shoulderkin.helper import in_order
+from shoulderkin.model import Placement, SegmentKind, TaskKind
 
 
 class Dropped(str):
@@ -60,12 +62,22 @@ def test_only_the_helper_works_its_items():
     assert worked_here(range(7), lambda item: item) == (list(range(7)), [0, 2, 4, 6])
 
 
-def test_a_result_that_fails_keep_ends_the_helper():
-    # the helper sends item 1 and ends at item 3: this process works the rest
-    got = list(in_order(range(8), where, lambda result: result[0] != 3))
-    parent = os.getpid()
-    assert [result[0] for result in got] == list(range(8))
-    assert [pid == parent for *_, pid in got] == [True, False] + [True] * 6
+def test_a_result_that_holds_a_failure_crosses_the_pipe():
+    # as a session with a failing cell does: the helper sends it and goes on
+    def work(item):
+        cause = TooShortError(f"item {item} is short")
+        return item, FeatureError(f"S{item}", TaskKind.WH, SegmentKind.SUB1, Placement.ARM, cause)
+
+    got, worked = worked_here(range(6), work)
+    assert worked == [0, 2, 4]
+    assert [item for item, _ in got] == list(range(6))
+    for item, failure in got:
+        assert type(failure) is FeatureError
+        assert str(failure) == f"S{item} WH/sub1/arm: item {item} is short"
+        cell = (failure.subject_id, failure.task, failure.segment, failure.placement)
+        assert cell == (f"S{item}", TaskKind.WH, SegmentKind.SUB1, Placement.ARM)
+        assert type(failure.cause) is TooShortError
+        assert failure.__cause__ is failure.cause
 
 
 def test_an_item_that_raises_in_the_helper_is_redone_here():

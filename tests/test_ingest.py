@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cohort_oracle import in_process_sessions
 from shoulderkin import (
     BoundaryError,
     CohortError,
@@ -563,14 +564,14 @@ class TestLoadCohort:
                 assert x.gyro.tobytes() == y.gyro.tobytes()
 
     def split_walk(self, cohort):
-        """`walk_cohort` with a helper that loads the entries at odd positions
-        and sends each session back."""
-        return walk_cohort(cohort, lambda session: session, lambda session: True)
+        """`walk_cohort`, whose helper loads the entries at odd positions and
+        sends each session back."""
+        return walk_cohort(cohort, lambda session: session)
 
     def test_the_helper_ends_at_the_first_session_it_cannot_parse(self, tmp_path, monkeypatch):
         # the parent reads that session and every later one itself
         self.build_cohort(tmp_path)
-        want = load_cohort(tmp_path)
+        want = list(in_process_sessions(tmp_path))
         parent = os.getpid()
         parse = ingest.parse_recording
         read_here = []
@@ -598,7 +599,7 @@ class TestLoadCohort:
         self, tmp_path, monkeypatch, cause
     ):
         self.build_cohort(tmp_path)
-        want = load_cohort(tmp_path)
+        want = list(in_process_sessions(tmp_path))
 
         def fork():
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
@@ -614,7 +615,7 @@ class TestLoadCohort:
     def test_a_daemonic_process_still_forks_the_helper(self, tmp_path, monkeypatch):
         # such as a pool worker: a bare fork has no daemon rule
         self.build_cohort(tmp_path)
-        want = load_cohort(tmp_path)
+        want = list(in_process_sessions(tmp_path))
         monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
         forks = []
         fork = os.fork

@@ -146,6 +146,12 @@ class TestSynthSegment:
             ((0.0, 0.5, 10.0, [math.nan, 0.0, 0.0]), "unit norm, got nan"),
             ((0.0, 0.5, 10.0, [math.inf, 0.0, 0.0]), "unit norm, got inf"),
             ((0.0, math.nan, 10.0, [1.0, 0.0, 0.0]), "duration_s must be positive, got nan"),
+            ((0.0, 0.5, math.nan, [1.0, 0.0, 0.0]), "pulse 0: amplitude_dps must be finite, got nan"),
+            ((0.0, 0.5, math.inf, [1.0, 0.0, 0.0]), "pulse 0: amplitude_dps must be finite, got inf"),
+            ((0.0, 0.5, -math.inf, [1.0, 0.0, 0.0]), "amplitude_dps must be finite, got -inf"),
+            # finite, but the render overflows: refused with no numpy warning
+            ((0.0, 0.5, 1e308, [1.0, 0.0, 0.0]), "accel contains non-finite values"),
+            ((0.0, 0.5, -1e308, [0.6, 0.0, 0.8]), "contains non-finite values"),
         ],
     )
     def test_a_nan_or_infinite_pulse_is_rejected(self, pulse, message):
