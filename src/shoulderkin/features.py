@@ -20,7 +20,6 @@ import math
 import operator
 import os
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -492,31 +491,20 @@ def extract_cohort(
     are sorted stably by subject_id, so each session's rows stay in grid
     order (task, segment, placement).
 
-    `sessions` is a cohort directory (a path, as `extract` passes it), a
-    sequence of sessions such as `ingest.load_cohort` returns, or any
-    other iterable of sessions. A directory or a sequence of two or more
-    sessions is split by position (`helper.in_order`): one helper process
-    extracts the sessions at positions 1, 3, 5, ..., reading each from
-    the directory first, and this process the others. The helper ends at
-    the first session that raises, and this process extracts that session
-    and every later one itself. A directory is walked by
-    `ingest.walk_cohort`, with `iter_cohort`'s checks and errors, and each
-    process holds one session at a time. Any other iterable is consumed
-    once, in this process. Either way the rows, the failures and the
-    error raised are the ones one process gives.
+    `sessions` is a cohort directory (a path, as `extract` passes it),
+    walked by `ingest.walk_cohort` with `iter_cohort`'s checks and
+    errors, or any iterable of sessions, such as `ingest.load_cohort`
+    returns; `helper.in_order` decides which process extracts each.
     """
     params = params or FeatureParams()
 
     def work(session: Session) -> tuple[list[FeatureRow], list[FeatureError]]:
         return _extract_session(session, params)
 
-    # a str is a Sequence too
     if isinstance(sessions, (str, os.PathLike)):
         results = walk_cohort(sessions, work)
-    elif isinstance(sessions, Sequence):
-        results = in_order(sessions, work)
     else:
-        results = (work(session) for session in sessions)
+        results = in_order(sessions, work)
     rows: list[FeatureRow] = []
     failures: list[FeatureError] = []
     with contextlib.closing(results):

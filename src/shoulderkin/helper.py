@@ -1,14 +1,19 @@
-"""One forked helper process, and the one way the package uses it.
+"""One forked helper process, and the one rule for where session work runs.
 
-`in_order` hands every other item of a sequence to a helper and yields
-every result in order, and is the one way the package splits sessions:
-`simulate` writes every other session in the helper, `walk_cohort` (so
-`iter_cohort`, `load_cohort` and `extract`) reads every other entry of a
-cohort directory there, and `extract_cohort` extracts every other
-session it reads or is given in a list. The helper is a bare `os.fork`
-(`multiprocessing` would cost its import and memory in every process
-that loads it) that sends its results as a pickle stream on one pipe;
-pickle data marks its own end, so no message carries a length.
+`in_order(items, work)` alone decides: a sequence of two or more items
+is split by position, one helper working the items at positions 1, 3,
+5, ... and this process the others, and any other iterable (a
+generator, a view, a one-item list) is worked in this process. Every
+stage that works a cohort goes through it: `simulate` writing sessions,
+`ingest.walk_cohort` reading a cohort directory's entries (for
+`iter_cohort`, `load_cohort` and `extract`), and
+`features.extract_cohort` extracting sessions it reads or is given. An
+item the helper does not finish is redone in this process, so the
+results and the error raised are those of ``map(work, items)``. The
+helper is a bare `os.fork` (`multiprocessing` would cost its import and
+memory in every process that loads it) that sends its results as a
+pickle stream on one pipe; pickle data marks its own end, so no message
+carries a length.
 
 The helper starts with the parent's state as it was at the fork. Making
 its results must call no BLAS routine, whose threads do not survive a
@@ -21,25 +26,27 @@ from __future__ import annotations
 import itertools
 import os
 import pickle  # numpy has already imported it
-from typing import BinaryIO, Callable, Iterator, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def in_order(items: Sequence[T], work: Callable[[T], R]) -> Iterator[R]:
-    """Yield ``work(item)`` for each of `items`, in order, on two CPUs.
+def in_order(items: Iterable[T], work: Callable[[T], R]) -> Iterator[R]:
+    """Yield ``work(item)`` for each of `items`, in order.
 
-    Given two or more items, one helper runs `work` on the items at
-    positions 1, 3, 5, ... and sends each result pickled, while this
-    process runs it on the others. The helper ends only at an item that
-    raises, or whose result it cannot pickle, and this process runs
-    `work` on that item and on every later one itself. So what is yielded
-    or raised is what ``map(work, items)`` gives. If no pipe or process
-    can be made, every item is worked in this process. Close the
-    generator, or exhaust it, to end the helper.
+    Given a sequence of two or more items, one helper runs `work` on the
+    items at positions 1, 3, 5, ... and sends each result pickled, while
+    this process runs it on the others. The helper ends only at an item
+    that raises, or whose result it cannot pickle, and this process runs
+    `work` on that item and on every later one itself. Any other
+    iterable is worked in this process, each item pulled once. So what
+    is yielded or raised is what ``map(work, items)`` gives. If no pipe
+    or process can be made, every item is worked in this process. Close
+    the generator, or exhaust it, to end the helper.
     """
-    pid, reader = _start(items, work) if len(items) > 1 else (None, None)
+    split = isinstance(items, Sequence) and len(items) > 1
+    pid, reader = _start(items, work) if split else (None, None)
     try:
         for position, item in enumerate(items):
             if position % 2 and pid is not None:

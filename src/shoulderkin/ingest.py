@@ -14,8 +14,7 @@ other modules, goes through them. `write_atomically` writes each output
 that a later stage takes as complete: the cohort manifest, the feature
 matrix, the comparison dump and the report. `walk_cohort` is the one
 cohort walker, which checks the cohort manifest and each session's
-subject and hands every other entry to a helper process
-(`helper.in_order`); `iter_cohort`, `load_cohort` and
+subject around `helper.in_order`; `iter_cohort`, `load_cohort` and
 `features.extract_cohort` walk through it. `write_recording` prints
 every value as "%.9g" does, with numpy, a block of rows at a time.
 """
@@ -527,13 +526,10 @@ def walk_cohort(cohort_dir, work: Callable[[Session], R]) -> Iterator[R]:
     The manifest itself is read and checked at the first ``next``. A
     session that cannot be loaded raises `CohortError` with its entry (the
     manifest line) and the underlying cause chained, and so does a session
-    whose subject an earlier entry already had, checked after the load and
-    before `work`. `helper.in_order` loads and works the entries at
-    positions 1, 3, 5, ... in a helper process, which ends at the first
-    entry that raises, and this process checks the subject of each result
-    the helper sends as it takes it. So the results and the error raised
-    are those of a walk in one process. Close the generator, or exhaust
-    it, to end the helper.
+    whose subject an earlier entry already had: checked after the load,
+    before `work`, and again here as each result is taken.
+    `helper.in_order` decides which process loads and works each entry;
+    close the generator, or exhaust it, to end the helper.
     """
     cohort_dir = Path(cohort_dir)
     manifest = cohort_dir / COHORT_MANIFEST_NAME
@@ -569,11 +565,11 @@ def walk_cohort(cohort_dir, work: Callable[[Session], R]) -> Iterator[R]:
 
 def iter_cohort(cohort_dir) -> Iterator[Session]:
     """Yield the sessions listed in the directory's cohort manifest, one at
-    a time (`walk_cohort`, with its checks, errors and helper process).
+    a time (`walk_cohort`, with its checks and errors, through `helper.in_order`).
 
-    A caller that keeps no session holds one at a time, and so does the
-    helper. A failing session raises after the sessions before it have
-    been yielded. Close the generator, or exhaust it, to end the helper.
+    A caller that keeps no session holds one at a time. A failing session
+    raises after the sessions before it have been yielded. Close the
+    generator, or exhaust it, to end the helper.
     """
     return walk_cohort(cohort_dir, lambda session: session)
 
@@ -581,7 +577,7 @@ def iter_cohort(cohort_dir) -> Iterator[Session]:
 def load_cohort(cohort_dir) -> list[Session]:
     """Load every session listed in the directory's cohort manifest at once.
 
-    The whole cohort is in memory; `iter_cohort`, helper and all, is the
-    walker, and the first failing session aborts the load with its `CohortError`.
+    The whole cohort is in memory; `iter_cohort` (through `helper.in_order`)
+    is the walker, and the first failing session aborts the load with its `CohortError`.
     """
     return list(iter_cohort(cohort_dir))

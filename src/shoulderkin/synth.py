@@ -454,17 +454,11 @@ def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:
     cohort manifest lists the session manifests in that order. Returns
     the session manifest paths.
 
-    Once `out_dir` exists, one helper process (`helper.in_order`) writes
-    every other session in that order, from the second on, and reports
-    each when its files are on disk; this process writes the rest at the
-    same time. A session depends only on (seed, index), so the files are
-    the same bytes a single process writes. This process takes the
-    sessions in manifest order: it waits for the helper's report of each
-    of the helper's sessions, and writes that session itself once the
-    helper has ended without it (and been killed and reaped), so the
-    error raised is the first failing session's in manifest order. An
-    existing cohort manifest is removed before the first session, and the
-    new one is written last, whole, only when every session is on disk.
+    `helper.in_order` decides which process writes each session. A
+    session depends only on (seed, index), so the files are the same
+    bytes a single process writes. An existing cohort manifest is removed
+    before the first session, and the new one is written last, whole,
+    only when every session is on disk.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,5 +1,6 @@
 """The package's top-level names are exactly the documented API."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -91,6 +92,25 @@ def test_only_the_helper_module_forks_or_pickles():
         for match in pattern.findall(p.read_text(encoding="utf-8"))
     ]
     assert mentions == []
+
+
+def test_only_the_helper_module_imports_concurrency():
+    # the helper is a bare fork; threads gave nothing (ROADMAP, "Decisions that stand")
+    sources = sorted(Path(shoulderkin.__file__).parent.glob("*.py"))
+    banned = {"multiprocessing", "threading", "concurrent", "subprocess", "signal"}
+    imports = []
+    for path in sources:
+        if path.name == "helper.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            imports += [f"{path.name}: {name}" for name in names if name.split(".")[0] in banned]
+    assert imports == []
 
 
 def fingerprint(value):

@@ -1,6 +1,6 @@
 """`in_order`, which splits a sequence by position between one forked
 helper and this process: results in order, the helper's end on each path,
-and no helper at all."""
+and no helper at all, as for one item or an iterable that is no sequence."""
 
 import errno
 import os
@@ -211,6 +211,64 @@ def test_one_item_forks_nothing(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     assert list(in_order([3], where)) == [where(3)]
     assert list(in_order([], where)) == []
+
+
+def pulling(items, events):
+    """A generator of `items` that logs each pull in `events`."""
+    for item in items:
+        events.append(("pull", item))
+        yield item
+
+
+# iterables that are not sequences; only the generator logs its pulls
+ITERABLES = {
+    "generator": pulling,
+    "view": lambda items, events: dict(enumerate(items)).values(),
+}
+
+
+def worked_in_turn(kind, items):
+    """The events of working `items` in turn, each pulled just before its work."""
+    events = []
+    for item in items:
+        if kind == "generator":
+            events.append(("pull", item))
+        events.append(("work", item))
+    return events
+
+
+@pytest.mark.parametrize("kind", sorted(ITERABLES))
+def test_any_other_iterable_is_worked_here_pulling_each_item_once(monkeypatch, kind):
+    forked = record_forks(monkeypatch)
+    events = []
+
+    def work(item):
+        events.append(("work", item))
+        return where(item)
+
+    got = list(in_order(ITERABLES[kind](range(5), events), work))
+    assert forked == []
+    assert got == list(map(where, range(5)))
+    assert events == worked_in_turn(kind, range(5))
+
+
+@pytest.mark.parametrize("kind", sorted(ITERABLES))
+def test_any_other_iterable_raises_after_every_earlier_result(monkeypatch, kind):
+    forked = record_forks(monkeypatch)
+    events = []
+
+    def work(item):
+        events.append(("work", item))
+        if item == 3:
+            raise ValueError(f"bad item {item}")
+        return item
+
+    results = in_order(ITERABLES[kind](range(6), events), work)
+    assert [next(results) for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(ValueError, match="bad item 3"):
+        next(results)
+    assert forked == []
+    assert events == worked_in_turn(kind, range(4))
 
 
 def test_closing_in_order_ends_the_helper():
