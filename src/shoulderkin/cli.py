@@ -4,6 +4,9 @@ Each stage reads and writes only the documented file formats, so every
 intermediate is inspectable and diffable. Exit codes: 0 on success, 3 for
 input format errors, 4 for validation errors, 5 when results contain
 degenerate (failed or untestable) cells, 1 for anything unexpected.
+
+Each command imports the stages it runs when it runs, so `compare` and
+`report`, which read and write only text, load no numpy.
 """
 from __future__ import annotations
 
@@ -12,10 +15,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from . import ingest, report, synth
 from .errors import CohortError, ParseError, ShoulderKinError, ValidationError
-from .features import FeatureParams, extract_cohort, read_matrix, write_matrix
-from .stats import SignificanceRule, compare_cohort
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -26,18 +26,23 @@ EXIT_DEGENERATE = 5
 DUMP_FILENAME = "comparison.csv"
 
 
-def _load_feature_params(path) -> FeatureParams:
-    """Read key = value overrides on top of the defaults."""
+def _load_feature_params(path):
+    """Read key = value overrides on top of the default `FeatureParams`."""
+    from .features import FeatureParams
+    from .formats import parse_cell, parse_key_values, read_lines
+
     casts = {f.name: type(f.default) for f in fields(FeatureParams)}
-    pairs = ingest.parse_key_values(ingest.read_lines(path), casts, path)
+    pairs = parse_key_values(read_lines(path), casts, path)
     overrides = {
-        key: ingest.parse_cell(casts[key], value, key, path, line_no)
+        key: parse_cell(casts[key], value, key, path, line_no)
         for key, (value, line_no) in pairs.items()
     }
     return replace(FeatureParams(), **overrides)
 
 
 def cmd_simulate(args) -> int:
+    from . import synth
+
     if args.params is not None:
         profile = synth.parse_profile(args.params)
     else:
@@ -50,9 +55,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from .features import FeatureParams, extract_cohort
+    from .formats import write_atomically, write_matrix
+
     params = _load_feature_params(args.params) if args.params is not None else FeatureParams()
     rows, failures = extract_cohort(args.cohort, params)
-    ingest.write_atomically(args.out, write_matrix(rows))
+    write_atomically(args.out, write_matrix(rows))
     print(f"wrote {len(rows)} feature rows to {args.out}")
     if failures:
         for failure in failures:
@@ -63,11 +71,15 @@ def cmd_extract(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from .formats import read_matrix, write_atomically
+    from .report import write_dump
+    from .stats import SignificanceRule, compare_cohort
+
     rows = read_matrix(args.matrix)
     table = compare_cohort(rows, SignificanceRule(args.rule))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ingest.write_atomically(out_dir / DUMP_FILENAME, report.write_dump(table))
+    write_atomically(out_dir / DUMP_FILENAME, write_dump(table))
     print(f"wrote comparison for {table.n1} patient vs {table.n2} healthy subjects to {out_dir}")
     untestable = table.untestable_count()
     if untestable:
@@ -77,10 +89,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    table = report.read_dump(args.dump)
-    text = report.render_report(table)
+    from .formats import write_atomically
+    from .report import read_dump, render_report
+
+    table = read_dump(args.dump)
+    text = render_report(table)
     if args.out is not None:
-        ingest.write_atomically(args.out, text.encode("utf-8"))
+        write_atomically(args.out, text.encode("utf-8"))
         print(f"wrote report to {args.out}")
     else:
         print(text, end="")
@@ -88,6 +103,8 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .stats import SignificanceRule  # for the --rule choices; stats loads no numpy
+
     parser = argparse.ArgumentParser(
         prog="shoulderkin",
         description="Shoulder-task IMU feature extraction and group comparison.",

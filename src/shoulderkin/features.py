@@ -12,12 +12,13 @@ counts the prominent peaks of each placement's windows in one walk, and
 The four smoothness kernels take a plain 1-D float array (a norm from
 `dsp.euclidean_norm`) that the caller has checked to be finite; they check
 only the lengths and durations that a short label window can break.
+`extract_cohort` builds the matrix rows; their text format (`FeatureRow`,
+`write_matrix`, `read_matrix`) is in `formats`, which loads no numpy.
 """
 from __future__ import annotations
 
 import contextlib
 import math
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -28,17 +29,23 @@ import numpy as np
 from .dsp import euclidean_norm, fft_length, magnitude_spectrum
 from .dsp import derivative as _derivative
 from .errors import DegenerateSignalError, FeatureError, TooShortError, ValidationError
+# the feature-matrix format, which loads no numpy, re-exported under its old names
+from .formats import (  # noqa: F401
+    MATRIX_COLUMNS,
+    MATRIX_HEADER,
+    FeatureRow,
+    read_matrix,
+    write_matrix,
+)
 from .helper import in_order
-from .ingest import format_float, parse_cell, read_lines, split_rows, walk_cohort
+from .ingest import walk_cohort
 from .model import (
     FeatureVector,
-    Group,
     Placement,
     SegmentKind,
     Session,
     TaskKind,
     _is_integer,
-    check_subject_id,
     slice_segment,
 )
 
@@ -452,32 +459,6 @@ def extract_all(
         raise ValidationError(f"{session.subject_id} {cell}: {err}") from err
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """One feature-matrix row: a cell's coordinates plus its values."""
-
-    subject_id: str
-    group: Group
-    task: TaskKind
-    segment: SegmentKind
-    placement: Placement
-    features: FeatureVector
-
-
-MATRIX_COLUMNS = (
-    "subject_id",
-    "group",
-    "task",
-    "segment",
-    "placement",
-) + FeatureVector.FIELD_NAMES
-MATRIX_HEADER = ",".join(MATRIX_COLUMNS)
-_feature_values = operator.attrgetter(*FeatureVector.FIELD_NAMES)
-# each feature's type in column order: a count is written as digits, a
-# float by `format_float`
-_TYPES = tuple(int if n in FeatureVector.COUNT_NAMES else float for n in FeatureVector.FIELD_NAMES)
-
-
 def extract_cohort(
     sessions, params: FeatureParams | None = None
 ) -> tuple[list[FeatureRow], list[FeatureError]]:
@@ -529,65 +510,3 @@ def _extract_session(
             continue
         rows.append(FeatureRow(session.subject_id, session.group, task, kind, placement, vector))
     return rows, failures
-
-
-def write_matrix(rows) -> bytes:
-    """Serialize feature rows as the documented CSV, floats via `format_float`."""
-    lines = [MATRIX_HEADER]
-    for row in rows:
-        values = _feature_values(row.features)
-        lines.append(
-            ",".join(
-                (
-                    row.subject_id,
-                    row.group.value,
-                    row.task.value,
-                    row.segment.value,
-                    row.placement.value,
-                    *(str(v) if t is int else format_float(v) for t, v in zip(_TYPES, values)),
-                )
-            )
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
-
-
-# how read_matrix converts each cell after the subject id
-_MATRIX_CONVERTERS = (Group, TaskKind, SegmentKind, Placement) + _TYPES
-
-
-def read_matrix(path) -> list[FeatureRow]:
-    """Parse a feature-matrix CSV written by `write_matrix`.
-
-    Each subject is in one group and each of its cells on one row; a
-    repeated cell, a subject in both groups or a bad subject id
-    (`model.check_subject_id`) is a validation error naming the line.
-    """
-    lines = read_lines(path, MATRIX_HEADER)
-    rows: list[FeatureRow] = []
-    group_of: dict[str, Group] = {}
-    rows_seen: set[tuple] = set()
-    for line_no, cells in split_rows(lines[1:], len(MATRIX_COLUMNS), path):
-        subject = cells[0]
-        group, task, segment, placement, *values = [
-            parse_cell(convert, cell, column, path, line_no)
-            for convert, cell, column in zip(_MATRIX_CONVERTERS, cells[1:], MATRIX_COLUMNS[1:])
-        ]
-        try:
-            check_subject_id(subject)
-            vector = FeatureVector(*values)
-        except ValidationError as err:
-            raise ValidationError(f"{path}:{line_no}: {err}") from None
-        if group_of.setdefault(subject, group) is not group:
-            raise ValidationError(
-                f"{path}:{line_no}: subject {subject!r} is in both the "
-                f"{group_of[subject].value} and the {group.value} group"
-            )
-        key = (subject, task, segment, placement)
-        if key in rows_seen:
-            raise ValidationError(
-                f"{path}:{line_no}: repeated row for {subject} "
-                f"{task.value}/{segment.value}/{placement.value}"
-            )
-        rows_seen.add(key)
-        rows.append(FeatureRow(subject, group, task, segment, placement, vector))
-    return rows

@@ -5,14 +5,10 @@ number rather than coerced. Writers emit LF line endings; parsers accept
 CRLF as well. The recording time column is informative only; sample
 positions are defined by row index and the manifest's sample rate.
 
-`read_lines` opens and decodes every input file, `parse_key_values`
-parses every `key = value` line (session manifests, params files and the
-sections of a cohort profile), `split_rows` splits every comma-separated
-row, and `parse_number` is the one grammar for a number cell (through
-`parse_cell`, which names the bad cell); every reader, here and in the
-other modules, goes through them. `write_atomically` writes each output
-that a later stage takes as complete: the cohort manifest, the feature
-matrix, the comparison dump and the report. `walk_cohort` is the one
+Every reader here goes through the text primitives of `formats`
+(`read_lines`, `parse_key_values`, `split_rows`, `parse_cell`), which
+this module re-exports with `parse_number`, `format_float` and
+`write_atomically` under their old names. `walk_cohort` is the one
 cohort walker, which checks the cohort manifest and each session's
 subject around `helper.in_order`; `iter_cohort`, `load_cohort` and
 `features.extract_cohort` walk through it. `write_recording` prints
@@ -23,8 +19,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import os
-import stat
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, NoReturn, TypeVar
@@ -32,6 +26,15 @@ from typing import Callable, Iterator, NamedTuple, NoReturn, TypeVar
 import numpy as np
 
 from .errors import BoundaryError, CohortError, ParseError, ValidationError
+from .formats import (  # noqa: F401
+    format_float,
+    parse_cell,
+    parse_key_values,
+    parse_number,
+    read_lines,
+    split_rows,
+    write_atomically,
+)
 from .helper import in_order
 from .model import (
     DEFAULT_SAMPLE_RATE_HZ,
@@ -53,161 +56,8 @@ COHORT_MANIFEST_NAME = "cohort.txt"
 R = TypeVar("R")
 
 
-def _open_nonblocking(path, flags: int) -> int:
-    # without O_NONBLOCK, opening a FIFO waits for a writer
-    return os.open(path, flags | os.O_NONBLOCK)
-
-
-def read_lines(path, header: str | None = None, missing: Exception | None = None) -> list[str]:
-    """Read a UTF-8 text file as lines, accepting LF or CRLF endings.
-
-    The final newline does not yield an empty last line. When `header` is
-    given, the first line must equal it. A missing file raises `missing`,
-    by default a "file not found" parse error; any other unreadable,
-    undecodable or non-file path is a parse error. Only a regular file is
-    read: a directory, FIFO or device (``/dev/zero``) is refused before
-    any read, so none can block or fill memory.
-    """
-    try:
-        with open(path, "rb", opener=_open_nonblocking) as fh:
-            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                raise ParseError("not a regular file", path=path)
-            text = fh.read().decode("utf-8")
-    except (FileNotFoundError, NotADirectoryError):
-        raise missing or ParseError("file not found", path=path) from None
-    except UnicodeDecodeError as err:
-        raise ParseError(f"not valid UTF-8: {err}", path=path) from None
-    except (OSError, ValueError) as err:
-        reason = getattr(err, "strerror", None) or err
-        raise ParseError(f"cannot read: {reason}", path=path) from None
-    lines = text.replace("\r\n", "\n").split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if header is not None:
-        if not lines:
-            raise ParseError("empty file", path=path)
-        if lines[0] != header:
-            raise ParseError(
-                f"bad header: expected {header!r}, got {lines[0]!r}", path=path, line=1
-            )
-    return lines
-
-
-def write_atomically(path, data: bytes) -> None:
-    """Write `data` to `path` whole or not at all.
-
-    The bytes go to a temporary name beside the file that `path` names,
-    after symbolic links, which then replaces that file in one rename and
-    keeps its permission bits. On any error or interrupt the temporary
-    file is removed, so the file keeps its old bytes, or stays absent, and
-    an `OSError` names `path`. Nothing is synced to disk: this survives a
-    failed or killed run, not a power loss, and a SIGKILL can leave the
-    temporary file behind. A path to anything but a regular file, such as
-    ``/dev/null`` or a FIFO, is written in place, because a rename would
-    replace the device itself.
-    """
-    try:
-        mode = os.stat(path).st_mode
-    except OSError:  # absent, or not reachable: the write below says which
-        mode = None
-    if mode is not None and not stat.S_ISREG(mode):
-        Path(path).write_bytes(data)
-        return
-    target = Path(os.path.realpath(path))
-    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        temporary.write_bytes(data)
-        if mode is not None:
-            os.chmod(temporary, stat.S_IMODE(mode))
-        os.replace(temporary, target)
-    except BaseException as err:
-        temporary.unlink(missing_ok=True)
-        if isinstance(err, OSError):  # of the class the errno gives
-            raise OSError(err.errno, err.strerror, os.fspath(path)) from err
-        raise
-
-
-def parse_key_values(
-    lines: list[str], keys, path, first_line: int = 1
-) -> dict[str, tuple[str, int]]:
-    """Map each `key = value` line to ``{key: (value, line_no)}``.
-
-    Blank lines and lines whose first non-blank character is ``#`` are
-    skipped. Keys outside `keys`, repeated keys and lines without ``=``
-    are parse errors naming the line; which keys are required is up to
-    the caller. `first_line` is the line number of ``lines[0]``.
-    """
-    pairs: dict[str, tuple[str, int]] = {}
-    for line_no, line in enumerate(lines, start=first_line):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value', got {line!r}", path=path, line=line_no)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in keys:
-            raise ParseError(f"unknown key {key!r}", path=path, line=line_no)
-        if key in pairs:
-            raise ParseError(f"duplicate key {key!r}", path=path, line=line_no)
-        pairs[key] = (value.strip(), line_no)
-    return pairs
-
-
 def _referenced(path) -> ValidationError:
     return ValidationError(f"referenced file does not exist: {path}")
-
-
-def parse_number(cell: str, kind=float):
-    """One number cell of any input file, as `kind` (float or int).
-
-    The grammar is the one `np.loadtxt` applies to recordings: a C-style
-    decimal (sign, digits, point, exponent, or nan/inf/infinity for
-    floats) in ASCII, with surrounding whitespace other than a carriage
-    return. Python's `float` and `int` alone would also take digit
-    separators (``1_0``) and non-ASCII digits (``١``, ``２``).
-    """
-    text = cell.strip()
-    if not text.isascii() or "_" in text or "\r" in cell:
-        raise ValueError(cell)
-    return kind(text)
-
-
-_NUMBER_KINDS = {float: "a number", int: "an integer"}
-
-
-def parse_cell(convert, cell: str, column: str, path, line_no: int | None):
-    """`cell` converted by `convert`, or a parse error naming path, line and column.
-
-    `convert` is `float` or `int`, both read by `parse_number`, or an
-    Enum class, whose values must match the cell exactly.
-    """
-    try:
-        if convert in _NUMBER_KINDS:
-            return parse_number(cell, convert)
-        return convert(cell)
-    except ValueError:
-        expected = _NUMBER_KINDS.get(convert) or "one of " + ", ".join(m.value for m in convert)
-        message = f"cannot parse value for {column!r}: {cell!r} is not {expected}"
-        raise ParseError(message, path=path, line=line_no) from None
-
-
-def split_rows(lines: list[str], n_columns: int, path, first_line: int = 2):
-    """Yield ``(line_no, cells)`` for comma-separated `lines`.
-
-    A row with other than `n_columns` cells is a parse error naming its
-    line; `first_line` is the line number of ``lines[0]``.
-    """
-    for line_no, line in enumerate(lines, start=first_line):
-        cells = line.split(",")
-        if len(cells) != n_columns:
-            message = f"expected {n_columns} columns, got {len(cells)}"
-            raise ParseError(message, path=path, line=line_no)
-        yield line_no, cells
-
-
-def format_float(value) -> str:
-    """Shortest text that reads back as the same double, numpy scalars included."""
-    return repr(float(value))
 
 
 def parse_recording(path, sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ) -> SensorStream:

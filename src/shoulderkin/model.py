@@ -8,47 +8,27 @@ a labelled window is a pair of views of a stream's arrays (`slice_segment`).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import BoundaryError, ValidationError
 
+# the grid types and the subject-id rule live with the text formats, which
+# load no numpy; they are re-exported here under their old names
+from .formats import (  # noqa: F401
+    FEATURE_GRID,
+    FeatureVector,
+    Group,
+    Placement,
+    SegmentKind,
+    TaskKind,
+    _is_integer,
+    check_subject_id,
+)
+
 DEFAULT_SAMPLE_RATE_HZ = 128.0
 GRAVITY_MS2 = 9.81
-
-
-class TaskKind(Enum):
-    """The five shoulder tasks, in protocol order."""
-
-    WH = "WH"
-    WUB = "WUB"
-    WLB = "WLB"
-    POH = "POH"
-    ROP = "ROP"
-
-
-class SegmentKind(Enum):
-    """A scoring window within one task: the whole task or one subtask."""
-
-    COMPLETE = "complete"
-    SUB1 = "sub1"
-    SUB2 = "sub2"
-    SUB3 = "sub3"
-
-
-class Placement(Enum):
-    """Which limb segment the sensor was strapped to."""
-
-    WRIST = "wrist"
-    ARM = "arm"
-
-
-class Group(Enum):
-    PATIENT = "patient"
-    HEALTHY = "healthy"
 
 
 def _frozen_array(data, name: str) -> np.ndarray:
@@ -115,21 +95,6 @@ class SensorStream:
     def __reduce__(self):
         # through the constructor: a stream read back is checked and read-only
         return type(self), (self.accel, self.gyro, self.sample_rate_hz)
-
-
-def check_subject_id(sid: str) -> None:
-    """The one subject-id rule, so that a matrix row or a manifest line reads the id back."""
-    if not sid:
-        raise ValidationError("subject_id must be non-empty")
-    if any(c in sid for c in ",\r\n"):
-        raise ValidationError(f"subject_id must not contain a comma or line break, got {sid!r}")
-    if sid != sid.strip():
-        raise ValidationError(f"subject_id must not start or end with whitespace, got {sid!r}")
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer, but not a bool: writers would print `True`."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -201,59 +166,6 @@ class Session:
     @property
     def sample_rate_hz(self) -> float:
         return next(iter(self.streams.values())).sample_rate_hz
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """The seven per-segment features.
-
-    Construction requires integer counts, none larger than the largest
-    double, and every field finite; degenerate signals must be rejected
-    with an error before this point, never smuggled through as NaN.
-    """
-
-    nmcp_a: int
-    np_a: int
-    sparc: float
-    ldlj_a: float
-    rav: float
-    pi: float
-    duration_s: float
-
-    def __post_init__(self):
-        counts = [getattr(self, name) for name in self.COUNT_NAMES]
-        if not all(map(_is_integer, counts)):
-            raise ValidationError(f"counts must be integers, got {tuple(counts)}")
-        for name, count in zip(self.COUNT_NAMES, counts):
-            if count < 0:
-                raise ValidationError(f"{name} must be non-negative, got {count}")
-            # the statistics take each count as a double
-            if count > sys.float_info.max:
-                raise ValidationError(f"{name} is larger than the largest double")
-        if not self.duration_s > 0:
-            raise ValidationError(f"duration_s must be positive, got {self.duration_s}")
-        for name in self.FIELD_NAMES:
-            if name not in self.COUNT_NAMES and not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} is not finite")
-
-    # the feature-matrix column order, and the fields that are integer
-    # counts; every other field is a float
-    FIELD_NAMES = ("nmcp_a", "np_a", "sparc", "ldlj_a", "rav", "pi", "duration_s")
-    COUNT_NAMES = ("nmcp_a", "np_a")
-
-
-# The feature grid in dump and report row order: each feature, its report
-# label, and the placements it is scored at. Duration is counted once per
-# subject, so its one placement is None.
-FEATURE_GRID = (
-    ("nmcp_a", "NMCP-A", tuple(Placement)),
-    ("np_a", "NP-A", tuple(Placement)),
-    ("ldlj_a", "LDLJ-A", tuple(Placement)),
-    ("sparc", "SPARC", tuple(Placement)),
-    ("rav", "RAV", tuple(Placement)),
-    ("pi", "PI", tuple(Placement)),
-    ("duration_s", "Duration", (None,)),
-)
 
 
 def slice_segment(

@@ -10,8 +10,15 @@ dump's `significant` column repeats it, and `read_dump` checks it.
 from __future__ import annotations
 
 from .errors import ParseError, ValidationError
-from .ingest import format_float, parse_cell, read_lines, split_rows
-from .model import FEATURE_GRID, SegmentKind, TaskKind
+from .formats import (
+    FEATURE_GRID,
+    SegmentKind,
+    TaskKind,
+    format_float,
+    parse_cell,
+    read_lines,
+    split_rows,
+)
 from .stats import (
     ComparisonCell,
     ComparisonTable,

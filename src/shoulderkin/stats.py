@@ -8,7 +8,9 @@ Welch dof of a simulated cohort), its absolute error against the tests'
 reference was under 1e-10 for |t| >= 1e-3. Nearer 0, where x = dof /
 (dof + t^2) rounds next to 1, it grows as about 1e-16 * dof / |t| (2.6e-7
 at dof 1998, |t| = 3.3e-7), and p > 0.9999. Nothing here depends on the
-signal modules; inputs are plain samples or feature rows.
+signal modules; inputs are plain samples or feature rows, and no numpy
+is loaded: the means and variances are summed in numpy's pairwise order
+(`_sum`), so each equals numpy's to the bit.
 """
 from __future__ import annotations
 
@@ -16,10 +18,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import CohortError, DegenerateStatisticsError, ValidationError
-from .model import FEATURE_GRID, Group, Placement, SegmentKind, TaskKind, _is_integer
+from .formats import FEATURE_GRID, Group, Placement, SegmentKind, TaskKind, _is_integer
 
 _BETA_EPS = 3.0e-16
 _BETA_FPMIN = 1.0e-300
@@ -126,6 +126,51 @@ class ComparisonCell:
             raise ValidationError("confidence interval must bracket d")
 
 
+# numpy sums a contiguous float64 array pairwise: a plain loop under
+# `_UNROLL` values, `_UNROLL` running sums up to `_BLOCK`, and above that
+# the two halves, split at a multiple of `_UNROLL`
+_UNROLL = 8
+_BLOCK = 128
+
+
+def _pairwise_sum(values: list[float], start: int, n: int) -> float:
+    """``values[start:start + n]`` summed in numpy's pairwise order."""
+    if n < _UNROLL:
+        total = 0.0
+        for value in values[start : start + n]:
+            total += value
+        return total
+    if n <= _BLOCK:
+        r = values[start : start + _UNROLL]
+        end = start + n - n % _UNROLL
+        for i in range(start + _UNROLL, end, _UNROLL):
+            for j in range(_UNROLL):
+                r[j] += values[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for value in values[end : start + n]:
+            total += value
+        return total
+    half = n // 2
+    half -= half % _UNROLL
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+def _sum(values: list[float]) -> float:
+    """`np.sum` of the values as a float64 array: the pairwise sum added to 0.0."""
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def _mean_and_variance(sample) -> tuple[float, float]:
+    """``float(np.mean(x))`` and ``float(np.var(x, ddof=1))`` of the sample as
+    float64, bit for bit: the mean is the sum over n, and the variance the
+    sum of squared deviations from it over n - 1. An overflow gives inf or
+    nan, as numpy's does, and raises nothing."""
+    values = [float(v) for v in sample]
+    n = len(values)
+    mean = _sum(values) / n
+    return mean, _sum([(v - mean) * (v - mean) for v in values]) / (n - 1)
+
+
 def compare_samples(x, y) -> ComparisonCell:
     """Welch's t-test and Cohen's d for sample x against sample y.
 
@@ -140,12 +185,9 @@ def compare_samples(x, y) -> ComparisonCell:
     n1, n2 = len(x), len(y)
     if n1 < 2 or n2 < 2:
         raise DegenerateStatisticsError(f"each sample needs at least 2 values, got {n1} and {n2}")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diff = float(np.mean(xa)) - float(np.mean(ya))
-        v1 = float(np.var(xa, ddof=1))
-        v2 = float(np.var(ya, ddof=1))
+    m1, v1 = _mean_and_variance(x)
+    m2, v2 = _mean_and_variance(y)
+    diff = m1 - m2
     se1, se2 = v1 / n1, v2 / n2
     try:
         t = diff / math.sqrt(se1 + se2)

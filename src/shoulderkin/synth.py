@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from . import ingest
+from . import formats, ingest
 from .helper import in_order
 from .model import (
     GRAVITY_MS2,
@@ -67,6 +67,11 @@ _PAUSE_RANGE_S = (0.25, 0.7)
 MAX_N_PER_GROUP = 1000
 MAX_SUBMOVEMENTS = 50
 MAX_PHASE_DURATION_S = 60.0
+# Largest noise sigma, in m/s^2 (accel) or deg/s (gyro): orders of
+# magnitude past any sensor's range, and small enough that every sample
+# stays finite. A sigma near the largest double passes as finite but makes
+# the rendered noise overflow.
+MAX_NOISE_SIGMA = 1e6
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,11 @@ class GroupProfile:
             raise ValidationError(f"pause_probability must be in [0,1], got {self.pause_probability}")
         for name in ("accel_noise_sigma", "gyro_noise_sigma"):
             sigma = getattr(self, name)
-            if not 0.0 <= sigma < math.inf:
-                raise ValidationError(f"{name} must be finite and non-negative, got {sigma}")
+            if not 0.0 <= sigma <= MAX_NOISE_SIGMA:
+                raise ValidationError(
+                    f"{name} must be finite and non-negative, at most {MAX_NOISE_SIGMA:g}, "
+                    f"got {sigma}"
+                )
 
 
 @dataclass(frozen=True)
@@ -167,9 +175,9 @@ _PROFILE_KEYS = {
 
 
 def _format_number(kind, value) -> str:
-    """An int as digits; a float as `ingest.format_float` text, which reads
+    """An int as digits; a float as `formats.format_float` text, which reads
     back as the same double, with an integral value's ".0" dropped."""
-    return str(value) if kind is int else ingest.format_float(value).removesuffix(".0")
+    return str(value) if kind is int else formats.format_float(value).removesuffix(".0")
 
 
 def write_profile(profile: CohortProfile) -> bytes:
@@ -196,7 +204,7 @@ def _section_values(section: str, pairs, path, header_line: int) -> dict:
             message = f"{key} must be two values 'lo hi', got {text!r}"
             raise ParseError(message, path=path, line=line_no)
         column = f"[{section}] {key}"
-        numbers = tuple(ingest.parse_cell(kind, cell, column, path, line_no) for cell in cells)
+        numbers = tuple(formats.parse_cell(kind, cell, column, path, line_no) for cell in cells)
         values[key] = numbers if count == 2 else numbers[0]
     return values
 
@@ -204,12 +212,12 @@ def _section_values(section: str, pairs, path, header_line: int) -> dict:
 def parse_profile(path) -> CohortProfile:
     """Parse a cohort profile: the headers ``[cohort]``, ``[patient]`` and
     ``[healthy]``, once each in any order, each followed by that section's
-    keys in the `ingest.parse_key_values` format. A parse error names the
+    keys in the `formats.parse_key_values` format. A parse error names the
     line at fault; a missing section, the last line."""
-    lines = ingest.read_lines(path)
+    lines = formats.read_lines(path)
     starts = [i for i, line in enumerate(lines) if line.lstrip().startswith("[")]
     # before the first header, only blank lines and comments
-    ingest.parse_key_values(lines[: starts[0] if starts else len(lines)], (), path)
+    formats.parse_key_values(lines[: starts[0] if starts else len(lines)], (), path)
     values: dict[str, dict] = {}
     for start, end in zip(starts, [*starts[1:], len(lines)]):
         header = lines[start].strip()
@@ -219,7 +227,7 @@ def parse_profile(path) -> CohortProfile:
             message = f"unknown or repeated section {header!r}; the sections are {names}, once each"
             raise ParseError(message, path=path, line=start + 1)
         body = lines[start + 1 : end]
-        pairs = ingest.parse_key_values(body, _PROFILE_KEYS[section], path, first_line=start + 2)
+        pairs = formats.parse_key_values(body, _PROFILE_KEYS[section], path, first_line=start + 2)
         values[section] = _section_values(section, pairs, path, start + 1)
     missing = ", ".join(f"[{name}]" for name in _PROFILE_KEYS if name not in values)
     if missing:
@@ -467,7 +475,7 @@ def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:
     groups = (Group.PATIENT, Group.HEALTHY)
     keys = [(group, index) for group in groups for index in range(profile.n_per_group)]
     names = list(in_order(keys, lambda key: _write_session(profile, *key, out_dir)))
-    ingest.write_atomically(
+    formats.write_atomically(
         out_dir / ingest.COHORT_MANIFEST_NAME, ("\n".join(names) + "\n").encode("utf-8")
     )
     return [out_dir / name for name in names]

@@ -53,13 +53,21 @@ PUBLIC = {
 
 
 def test_exports_exactly_the_documented_names():
+    # the package serves its names on first lookup, so they are listed by
+    # `__all__` and `dir()`, not held in its namespace
     exported = {
         name
-        for name, value in vars(shoulderkin).items()
-        if not name.startswith("_") and not ismodule(value)
+        for name in dir(shoulderkin)
+        if not name.startswith("_") and not ismodule(getattr(shoulderkin, name))
     }
     assert len(PUBLIC) == 22
-    assert exported == PUBLIC
+    assert len(shoulderkin.__all__) == 22
+    assert set(shoulderkin.__all__) == exported == PUBLIC
+    for name in PUBLIC:
+        value = getattr(shoulderkin, name)
+        assert value.__module__.startswith("shoulderkin.") and value.__name__ == name
+    with pytest.raises(AttributeError, match="no attribute 'spectral_arc_length'"):
+        shoulderkin.spectral_arc_length
     assert isinstance(shoulderkin.__version__, str)
 
 
@@ -111,6 +119,29 @@ def test_only_the_helper_module_imports_concurrency():
                 continue
             imports += [f"{path.name}: {name}" for name in names if name.split(".")[0] in banned]
     assert imports == []
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Every module a source file imports, package modules by their bare name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("stem", ["errors", "formats", "stats", "report"])
+def test_the_text_stages_import_no_numpy_stage(stem):
+    # `compare` and `report` run on these alone, so neither loads numpy
+    package = Path(shoulderkin.__file__).parent
+    imported = imported_modules(package / f"{stem}.py")
+    own = {path.stem for path in package.glob("*.py")}
+    assert imported & own <= {"errors", "formats", "stats"}
+    assert imported - own <= sys.stdlib_module_names
 
 
 def fingerprint(value):

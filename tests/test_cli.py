@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import errno
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -292,7 +293,7 @@ class TestExitCodes:
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("key", ["accel_noise_sigma", "gyro_noise_sigma"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1e308"])
     def test_simulate_unusable_noise_sigma(self, tmp_path, capsys, key, value):
         ini = tmp_path / "profile.ini"
         write_small_profile(ini, n_per_group=2)
@@ -893,8 +894,9 @@ class TestReadAhead:
         assert result[0] == code, result[1]
         if corrupt is repeated_subject_that_overflows:
             assert "is already in" in result[1]
+        # `extract` looks the function up in `features` when it runs
         monkeypatch.setattr(
-            cli,
+            features,
             "extract_cohort",
             lambda cohort, params: extract_cohort(in_process_sessions(cohort), params),
         )
@@ -1370,6 +1372,73 @@ class TestFreshProcess:
         proc = run_python("-c", self.PROBE, *[arg.format(**inputs) for arg in argv])
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    # runs one subcommand through the documented entry point, then says
+    # whether numpy was loaded
+    NUMPY_PROBE = (
+        "import sys\n"
+        "from shoulderkin.cli import main\n"
+        "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["compare", "{matrix}", "--out", "{out}/cmp-numpy"],
+            ["compare", "{matrix}", "--out", "{out}/cmp-numpy-inclusive", "--rule", "inclusive"],
+            ["report", "{dump}"],
+            ["report", "{dump}", "--out", "{out}/report-numpy.txt"],
+        ],
+        ids=["import", "compare", "compare-inclusive", "report-stdout", "report"],
+    )
+    def test_compare_and_report_load_no_numpy(self, inputs, argv):
+        # both read and write only text; numpy would double their run time
+        proc = run_python("-c", self.NUMPY_PROBE, *[arg.format(**inputs) for arg in argv])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
+    def test_extract_loads_numpy(self, inputs):
+        # the probe itself can see numpy
+        argv = ["extract", "--cohort", inputs["cohort"], "--out", inputs["out"] + "/m-numpy.csv"]
+        proc = run_python("-c", self.NUMPY_PROBE, *argv)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "True"
+
+    # imports the package, then lists the package modules in sys.modules and
+    # whether each function the benchmark's tracer wraps is found there by name
+    REGISTRY_PROBE = (
+        "import importlib.util, json, sys\n"
+        "import shoulderkin\n"
+        "modules = sorted(name for name in sys.modules if name.startswith('shoulderkin.'))\n"
+        "numpy = 'numpy' in sys.modules\n"
+        "spec = importlib.util.spec_from_file_location('perfbench_spans', sys.argv[1])\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "found = [\n"
+        "    f'{module}.{name}' for module, name, _ in spans.WRAPPED\n"
+        "    if callable(getattr(sys.modules[f'shoulderkin.{module}'], name, None))\n"
+        "]\n"
+        "print(json.dumps({'modules': modules, 'numpy': numpy, 'found': found}))\n"
+    )
+
+    def test_import_registers_every_module_where_the_tracer_finds_it(self):
+        # perfbench/spans.py looks each wrapped function up as
+        # sys.modules["shoulderkin.<module>"].<name> right after the import
+        spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        proc = run_python("-c", self.REGISTRY_PROBE, str(spans))
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        package = Path(shoulderkin.__file__).parent
+        stems = {path.stem for path in package.glob("*.py")} - {"__init__", "__main__"}
+        assert got["modules"] == sorted(f"shoulderkin.{stem}" for stem in stems)
+        assert not got["numpy"]
+        spec = importlib.util.spec_from_file_location("perfbench_spans", spans)
+        wrapped = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(wrapped)
+        assert got["found"] == [f"{module}.{name}" for module, name, _ in wrapped.WRAPPED]
 
     def test_python_m_runs_the_cli_without_warnings(self, tmp_path):
         proc = run_python("-m", "shoulderkin", "--help", cwd=tmp_path)

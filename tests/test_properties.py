@@ -8,9 +8,10 @@ fast and diagnostic paths are held to one cell grammar, and every reader
 is held to the same number grammar. A session manifest reads back as
 written or is rejected when built, and any cohort profile within the
 bounds reads back as written. `compare_cohort` turns any finite
-features into cells that are finite or untestable. The norm, derivative,
-mean-crossing and SPARC kernels are pinned bit for bit against the
-plainer formulas they replaced, which are kept here as references, and
+features into cells that are finite or untestable, and its means and
+variances, summed without numpy, equal numpy's bit for bit. The norm,
+derivative, mean-crossing and SPARC kernels are pinned bit for bit
+against the plainer formulas they replaced, which are kept here as references, and
 `extract_cohort`, which cuts and counts a whole session at once, against
 the seven kernels applied to each window alone. The simulator's pulse
 renderer, which evaluates a session's pulses once for both placements, is
@@ -84,8 +85,10 @@ from shoulderkin.model import (  # noqa: E402
     TaskKind,
     assemble_session,
 )
+from shoulderkin.stats import _mean_and_variance  # noqa: E402
 from shoulderkin.synth import (  # noqa: E402
     MAX_N_PER_GROUP,
+    MAX_NOISE_SIGMA,
     MAX_PHASE_DURATION_S,
     MAX_SUBMOVEMENTS,
     PLACEMENT_AMPLITUDE_SCALE,
@@ -512,9 +515,9 @@ def ranges(values):
 
 
 # every group profile the bounds allow: durations from the least subnormal to
-# the bound, sigmas from 0 to the largest double
+# the bound, sigmas from 0 to theirs
 durations = st.floats(min_value=0.0, max_value=MAX_PHASE_DURATION_S, exclude_min=True)
-sigmas = st.floats(min_value=0.0, allow_infinity=False)
+sigmas = st.floats(min_value=0.0, max_value=MAX_NOISE_SIGMA)
 group_profiles = st.builds(
     GroupProfile,
     submovements=ranges(st.integers(1, MAX_SUBMOVEMENTS)),
@@ -581,6 +584,45 @@ def test_compare_cohort_cells_are_finite_or_untestable(data):
 
 def bits(x) -> bytes:
     return np.float64(x).tobytes()
+
+
+# sizes on each side of numpy's pairwise-sum boundaries: the plain loop
+# under 8, the eight running sums up to 128, and the split above it (whose
+# halves are multiples of 8)
+SAMPLE_SIZES = st.one_of(
+    st.sampled_from([2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 255, 256, 257, 1031]),
+    st.integers(2, 600),
+)
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1.7976931348623157e308)
+SAMPLE_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),  # subnormals to overflow
+    st.floats(-1e3, 1e3),
+    st.sampled_from(EDGE_VALUES),
+    st.integers(-(2**80), 2**80),  # a count is summed as the double it rounds to
+)
+
+
+@given(st.data())
+def test_mean_and_variance_match_numpy_bit_for_bit(data):
+    """The statistics load no numpy: their means and ``ddof=1`` variances
+    are summed in numpy's pairwise order, and numpy is the oracle here."""
+    n = data.draw(SAMPLE_SIZES)
+    sample = data.draw(
+        st.one_of(
+            st.lists(SAMPLE_VALUES, min_size=n, max_size=n),
+            st.lists(st.sampled_from(EDGE_VALUES), min_size=n, max_size=n),  # signed zeros
+            SAMPLE_VALUES.map(lambda v: [v] * n),
+        )
+    )
+    array = np.asarray(sample, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (float(np.mean(array)), float(np.var(array, ddof=1)))
+    got = _mean_and_variance(sample)
+    for value, expected in zip(got, want):
+        assert type(value) is float
+        assert math.isnan(value) == math.isnan(expected)
+        if not math.isnan(value):
+            assert bits(value) == bits(expected), (n, got, want)
 
 
 def reference_norm(triax: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ from shoulderkin.stats import (
     ComparisonCell,
     ComparisonTable,
     SignificanceRule,
+    _mean_and_variance,
     cell_keys,
     compare_samples,
     regularized_incomplete_beta,
@@ -231,6 +232,34 @@ class TestCompareSamplesMatchesReference:
             assert [v.hex() for v in got] == [v.hex() for v in want], (x, y)
         # both outcomes are exercised, mostly the finite one
         assert 100 < untestable < 1000
+
+
+class TestPairwiseSums:
+    """The plain-Python means and variances at each of numpy's pairwise-sum
+    boundaries: a plain loop under 8 values, eight running sums up to 128,
+    and halves split at a multiple of 8 above it."""
+
+    SIZES = [2, 7, 8, 9, 15, 16, 17, 127, 128, 129, 135, 136, 137, 255, 256, 257, 1031]
+
+    @staticmethod
+    def sample(kind, n):
+        rng = np.random.default_rng(n)
+        if kind == "similar":  # every summation order rounds differently
+            return (rng.standard_normal(n) * 1e3).tolist()
+        if kind == "negative-zeros":  # numpy's sum starts from +0.0
+            return [-0.0] * n
+        if kind == "subnormal":
+            return (rng.integers(-1000, 1000, n) * 5e-324).tolist()
+        return (rng.uniform(0.5, 1.0, n) * 1.7e308).tolist()  # "overflow"
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kind", ["similar", "negative-zeros", "subnormal", "overflow"])
+    def test_mean_and_variance_equal_numpys(self, kind, n):
+        sample = self.sample(kind, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = [float(np.mean(sample)), float(np.var(sample, ddof=1))]
+        got = list(_mean_and_variance(sample))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 class TestWelchProperties:

@@ -27,6 +27,7 @@ from shoulderkin.features import peak_count, spectral_arc_length
 from shoulderkin.model import GRAVITY_MS2, Group, Placement, SegmentKind, TaskKind, slice_segment
 from shoulderkin.synth import (
     MAX_N_PER_GROUP,
+    MAX_NOISE_SIGMA,
     MAX_PHASE_DURATION_S,
     MAX_SUBMOVEMENTS,
     CohortProfile,
@@ -531,6 +532,8 @@ class TestProfileValidation:
                 (1.0, MAX_PHASE_DURATION_S),
                 (1.0, np.nextafter(MAX_PHASE_DURATION_S, np.inf)),
             ),
+            ("accel_noise_sigma", MAX_NOISE_SIGMA, np.nextafter(MAX_NOISE_SIGMA, np.inf)),
+            ("gyro_noise_sigma", MAX_NOISE_SIGMA, np.nextafter(MAX_NOISE_SIGMA, np.inf)),
         ],
     )
     def test_group_bounds(self, field, at_limit, above):
@@ -556,6 +559,16 @@ class TestProfileValidation:
         (field,) = changes
         with pytest.raises(ValidationError, match=f"{field} .*integer"):
             make(**changes)
+
+    def test_the_largest_noise_sigmas_give_finite_samples(self):
+        # 1e308 passed the old finiteness check and made the noise overflow
+        loud = patient_with(accel_noise_sigma=MAX_NOISE_SIGMA, gyro_noise_sigma=MAX_NOISE_SIGMA)
+        session = generate_session(
+            dataclasses.replace(default_profile(n_per_group=2), patient=loud), Group.PATIENT, 0
+        )
+        for stream in session.streams.values():
+            assert np.isfinite(stream.accel).all() and np.isfinite(stream.gyro).all()
+            assert np.isfinite(euclidean_norm(stream.accel)).all()
 
     def test_cohort_size_bound(self):
         gp = default_profile().healthy
