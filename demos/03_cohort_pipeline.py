@@ -20,7 +20,7 @@ from shoulderkin import (
     generate_cohort,
     load_cohort,
 )
-from shoulderkin.model import TaskKind
+from shoulderkin.formats import TaskKind
 from shoulderkin.report import render_task_table
 
 

@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from shoulderkin import ParseError
+from shoulderkin.formats import TaskKind
 from shoulderkin.ingest import parse_labels, parse_recording, write_labels, write_recording
-from shoulderkin.model import SegmentLabel, SensorStream, TaskKind
+from shoulderkin.model import SegmentLabel, SensorStream
 
 
 def main():

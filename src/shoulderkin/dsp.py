@@ -69,7 +69,7 @@ def fft_length(n_samples: int, pad_level: int) -> int:
     return 2 ** (int(math.ceil(math.log2(n_samples))) + pad_level)
 
 
-def magnitude_spectrum(x: np.ndarray, sample_rate_hz: float, pad_level: int = 4) -> Spectrum:
+def magnitude_spectrum(x: np.ndarray, sample_rate_hz: float, pad_level: int) -> Spectrum:
     """One-sided DFT magnitude of the raw (unwindowed) 1-D array `x`.
 
     The signal is zero-padded to ``fft_length(N, pad_level)`` points before

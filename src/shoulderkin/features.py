@@ -14,6 +14,7 @@ The four smoothness kernels take a plain 1-D float array (a norm from
 only the lengths and durations that a short label window can break.
 `extract_cohort` builds the matrix rows; their text format (`FeatureRow`,
 `write_matrix`, `read_matrix`) is in `formats`, which loads no numpy.
+Import each name from the module that defines it.
 """
 from __future__ import annotations
 
@@ -29,25 +30,12 @@ import numpy as np
 from .dsp import euclidean_norm, fft_length, magnitude_spectrum
 from .dsp import derivative as _derivative
 from .errors import DegenerateSignalError, FeatureError, TooShortError, ValidationError
-# the feature-matrix format, which loads no numpy, re-exported under its old names
-from .formats import (  # noqa: F401
-    MATRIX_COLUMNS,
-    MATRIX_HEADER,
-    FeatureRow,
-    read_matrix,
-    write_matrix,
-)
+from .formats import FeatureRow, FeatureVector, Placement, SegmentKind, TaskKind, _is_integer
+# perfbench/spans.py looks these two up in this module to trace them
+from .formats import read_matrix, write_matrix  # noqa: F401
 from .helper import in_order
 from .ingest import walk_cohort
-from .model import (
-    FeatureVector,
-    Placement,
-    SegmentKind,
-    Session,
-    TaskKind,
-    _is_integer,
-    slice_segment,
-)
+from .model import Session, slice_segment
 
 
 # Highest SPARC zero-padding level: an FFT 2**8 = 256 times the shortest
@@ -96,8 +84,11 @@ class FeatureParams:
             raise ValidationError(
                 f"sparc_pad_level must be an integer in [0, {SPARC_MAX_PAD_LEVEL}], got {pad}"
             )
-        if not self.min_segment_s > 0:
-            raise ValidationError(f"min_segment_s must be positive, got {self.min_segment_s}")
+        # an infinite minimum would refuse every segment's SPARC
+        if not 0 < self.min_segment_s < math.inf:
+            raise ValidationError(
+                f"min_segment_s must be positive and finite, got {self.min_segment_s}"
+            )
 
 
 def mean_crossing_count(v: np.ndarray) -> int:

@@ -13,8 +13,9 @@ complete: the cohort manifest, the feature matrix, the comparison dump
 and the report.
 
 Nothing here imports numpy, so `compare` and `report`, which read and
-write only text, load none. `model`, `ingest` and `features` re-export
-these names; the signal arrays and the recording format stay there.
+write only text, load none. Import each name from here, the module that
+defines it; the signal arrays and the recording format stay in `model`
+and `ingest`.
 """
 from __future__ import annotations
 

@@ -6,9 +6,8 @@ CRLF as well. The recording time column is informative only; sample
 positions are defined by row index and the manifest's sample rate.
 
 Every reader here goes through the text primitives of `formats`
-(`read_lines`, `parse_key_values`, `split_rows`, `parse_cell`), which
-this module re-exports with `parse_number`, `format_float` and
-`write_atomically` under their old names. `walk_cohort` is the one
+(`read_lines`, `parse_key_values`, `split_rows`, `parse_cell`); import
+each name from the module that defines it. `walk_cohort` is the one
 cohort walker, which checks the cohort manifest and each session's
 subject around `helper.in_order`; `iter_cohort`, `load_cohort` and
 `features.extract_cohort` walk through it. `write_recording` prints
@@ -26,27 +25,18 @@ from typing import Callable, Iterator, NamedTuple, NoReturn, TypeVar
 import numpy as np
 
 from .errors import BoundaryError, CohortError, ParseError, ValidationError
-from .formats import (  # noqa: F401
-    format_float,
-    parse_cell,
-    parse_key_values,
-    parse_number,
-    read_lines,
-    split_rows,
-    write_atomically,
-)
-from .helper import in_order
-from .model import (
-    DEFAULT_SAMPLE_RATE_HZ,
+from .formats import (
     Group,
     Placement,
-    SegmentLabel,
-    SensorStream,
-    Session,
     TaskKind,
-    assemble_session,
     check_subject_id,
+    parse_cell,
+    parse_key_values,
+    read_lines,
+    split_rows,
 )
+from .helper import in_order
+from .model import DEFAULT_SAMPLE_RATE_HZ, SegmentLabel, SensorStream, Session, assemble_session
 
 RECORDING_HEADER = "time_s,ax,ay,az,gx,gy,gz"
 RECORDING_COLUMNS = RECORDING_HEADER.split(",")

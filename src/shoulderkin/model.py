@@ -1,4 +1,8 @@
-"""Domain types shared by every stage of the pipeline.
+"""The signal types shared by every numpy stage of the pipeline.
+
+Streams, labels, sessions and their windows live here; the grid enums,
+the subject-id rule and `FeatureVector` are in `formats`, which loads no
+numpy. Import each name from the module that defines it.
 
 Sample positions are always integer indices into a stream; seconds only
 appear as derived quantities (index / sample_rate_hz). All containers are
@@ -13,19 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundaryError, ValidationError
-
-# the grid types and the subject-id rule live with the text formats, which
-# load no numpy; they are re-exported here under their old names
-from .formats import (  # noqa: F401
-    FEATURE_GRID,
-    FeatureVector,
-    Group,
-    Placement,
-    SegmentKind,
-    TaskKind,
-    _is_integer,
-    check_subject_id,
-)
+from .formats import Group, Placement, SegmentKind, TaskKind, _is_integer, check_subject_id
 
 DEFAULT_SAMPLE_RATE_HZ = 128.0
 GRAVITY_MS2 = 9.81

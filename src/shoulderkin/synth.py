@@ -26,17 +26,14 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from . import formats, ingest
+from .formats import Group, Placement, TaskKind, _is_integer
 from .helper import in_order
 from .model import (
     GRAVITY_MS2,
     DEFAULT_SAMPLE_RATE_HZ,
-    Group,
-    Placement,
     SegmentLabel,
     SensorStream,
     Session,
-    TaskKind,
-    _is_integer,
     assemble_session,
 )
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 from shoulderkin import synth
 from shoulderkin.errors import CohortError, ParseError, ValidationError
+from shoulderkin.formats import Group
 from shoulderkin.ingest import COHORT_MANIFEST_NAME, load_session
-from shoulderkin.model import Group
 
 
 def write_in_process(profile, out_dir):

@@ -33,8 +33,9 @@ from shoulderkin.features import (
     peak_count,
     spectral_arc_length,
 )
+from shoulderkin.formats import Placement, SegmentKind, TaskKind
 from shoulderkin.ingest import parse_labels, parse_recording, write_labels, write_recording
-from shoulderkin.model import Placement, SegmentKind, SegmentLabel, SensorStream, TaskKind
+from shoulderkin.model import SegmentLabel, SensorStream
 from shoulderkin.stats import cell_keys, compare_samples, significance_flag
 from shoulderkin.synth import synth_segment
 
@@ -203,13 +204,14 @@ def test_statistics_oracle():
 def test_spectrum_oracle():
     rng = np.random.default_rng(99)
     covered = set()
+    pad = PARAMS.sparc_pad_level
     for pow2 in (2, 4, 8, 16, 32, 64, 128, 256):
-        n_fft = fft_length(pow2, 4)
+        n_fft = fft_length(pow2, pad)
         bins = np.arange(n_fft // 2 + 1)
         basis = np.exp(-2j * np.pi * np.outer(bins, np.arange(pow2)) / n_fft)
         for n in range(max(2, pow2 // 2 + 1), pow2 + 1):
             x = rng.normal(size=n)
-            spec = magnitude_spectrum(x, RATE)
+            spec = magnitude_spectrum(x, RATE, pad)
             direct = np.abs(basis[:, :n] @ x)
             assert spec.magnitudes.shape == direct.shape
             assert np.max(np.abs(spec.magnitudes - direct)) <= 1e-7 * np.max(direct)

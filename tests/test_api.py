@@ -15,12 +15,14 @@ import pytest
 
 import shoulderkin
 from shoulderkin import cli, default_profile, errors, extract_cohort, load_cohort, write_profile
+from shoulderkin.formats import Group, Placement, SegmentKind, TaskKind
 from shoulderkin.helper import in_order
-from shoulderkin.model import Group, Placement, SegmentKind, SensorStream, TaskKind
+from shoulderkin.model import SensorStream
 from shoulderkin.synth import generate_session
 
-README = Path(__file__).resolve().parents[1] / "README.md"
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 PUBLIC = {
     # the pipeline, as the README's library section lists it
@@ -144,6 +146,67 @@ def test_the_text_stages_import_no_numpy_stage(stem):
     assert imported - own <= sys.stdlib_module_names
 
 
+def load_spans():
+    """The benchmark's tracer, loaded by path: it imports only the standard library."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The names a module's own top-level statements bind, imports aside."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    # one name per object: no module hands out another's names, so each
+    # import names the defining module, and a `src` import is there to be
+    # used; the tracer's lookups by module and name are the one exception
+    package = Path(shoulderkin.__file__).parent
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in package.glob("*.py")}
+    defined = {stem: defined_names(tree) for stem, tree in trees.items()}
+    traced = {(module, name) for module, name, _span in load_spans().WRAPPED}
+    sources = [package / f"{stem}.py" for stem in sorted(trees)]
+    sources += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    misplaced, unused = [], []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = path.relative_to(ROOT)
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound |= {a.asname or a.name.partition(".")[0]: a.name for a in node.names}
+            if not isinstance(node, ast.ImportFrom) or node.module == "__future__":
+                continue
+            bound |= {a.asname or a.name: a.name for a in node.names}
+            top, dot, module = (node.module or "").partition(".")
+            if node.level == 1 and node.module:
+                module = node.module
+            elif node.level or top != "shoulderkin" or not dot:
+                continue  # the package's exports and submodules, or another package
+            misplaced += [
+                f"{where}:{node.lineno}: {alias.name} from {module}"
+                for alias in node.names
+                if alias.name not in defined[module]
+            ]
+        if path.parent == package:
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [
+                f"{path.stem}.{name} is imported but unused"
+                for name, original in bound.items()
+                if name not in used and (path.stem, original) not in traced
+            ]
+    assert misplaced + unused == [], "\n".join(misplaced + unused)
+
+
 def fingerprint(value):
     """An exception as its class, message, attributes and cause; any other value as it is."""
     if not isinstance(value, BaseException):
@@ -203,9 +266,7 @@ def test_a_pickled_stream_edited_to_hold_nan_is_refused_on_load():
 def test_every_traced_function_exists():
     # the benchmark's tracer wraps these by name; a rename or deletion here
     # would otherwise surface only in its own, much slower, self-tests
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_spans()
     missing = [
         f"{module}.{name}"
         for module, name, _span in spans.WRAPPED
@@ -213,7 +274,6 @@ def test_every_traced_function_exists():
     ]
     assert spans.WRAPPED
     assert missing == []
-    # it loads by path here because it imports only the standard library
     imported = {value.__name__.split(".")[0] for value in vars(spans).values() if ismodule(value)}
     assert imported and imported <= sys.stdlib_module_names
     assert set(spans.COUNTERS) <= {name for _module, name, _span in spans.WRAPPED}

@@ -7,16 +7,9 @@ import numpy as np
 import pytest
 
 from shoulderkin import ValidationError, default_profile
+from shoulderkin.formats import FeatureVector, Group, Placement, TaskKind
 from shoulderkin.ingest import SessionManifest
-from shoulderkin.model import (
-    FeatureVector,
-    Group,
-    Placement,
-    SegmentLabel,
-    SensorStream,
-    Session,
-    TaskKind,
-)
+from shoulderkin.model import SegmentLabel, SensorStream, Session
 from shoulderkin.stats import ComparisonCell
 from shoulderkin.synth import generate_session, synth_segment
 

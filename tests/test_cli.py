@@ -49,7 +49,8 @@ from shoulderkin.cli import (
     build_parser,
     cmd_extract,
 )
-from shoulderkin.features import FeatureRow, log_dimensionless_jerk
+from shoulderkin.features import log_dimensionless_jerk
+from shoulderkin.formats import FeatureRow, FeatureVector, Group, Placement, SegmentKind, TaskKind
 from shoulderkin.ingest import (
     COHORT_MANIFEST_NAME,
     LABELS_HEADER,
@@ -60,15 +61,7 @@ from shoulderkin.ingest import (
     write_recording,
     write_session_manifest,
 )
-from shoulderkin.model import (
-    FeatureVector,
-    Group,
-    Placement,
-    SegmentKind,
-    SegmentLabel,
-    SensorStream,
-    TaskKind,
-)
+from shoulderkin.model import SegmentLabel, SensorStream
 from shoulderkin.report import TASK_TITLES
 
 BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -1235,6 +1228,8 @@ class TestFeatureParamsFile:
             ("sparc_pad_level = 2.0\n", EXIT_FORMAT, ":1: cannot parse value"),
             ("sparc_pad_level = 60\n", EXIT_INVALID, "sparc_pad_level must be an integer in"),
             ("peak_prominence_frac = 1.5\n", EXIT_INVALID, "peak_prominence_frac must be in (0,1)"),
+            ("min_segment_s = inf\n", EXIT_INVALID, "min_segment_s must be positive and finite"),
+            ("min_segment_s = nan\n", EXIT_INVALID, "min_segment_s must be positive and finite"),
         ],
     )
     def test_bad_file_exit_codes(self, tmp_path, capsys, text, code, message):

@@ -20,10 +20,8 @@ from shoulderkin import (
 from shoulderkin import features
 from shoulderkin.dsp import fft_length
 from shoulderkin.features import (
-    MATRIX_HEADER,
     SPARC_MAX_FFT_POINTS,
     SPARC_MAX_PAD_LEVEL,
-    FeatureRow,
     angular_velocity_range,
     extract_all,
     log_dimensionless_jerk,
@@ -33,17 +31,16 @@ from shoulderkin.features import (
     session_windows,
     spectral_arc_length,
 )
-from shoulderkin.model import (
-    GRAVITY_MS2,
+from shoulderkin.formats import (
+    MATRIX_HEADER,
+    FeatureRow,
     FeatureVector,
     Group,
     Placement,
     SegmentKind,
-    SegmentLabel,
-    SensorStream,
     TaskKind,
-    assemble_session,
 )
+from shoulderkin.model import GRAVITY_MS2, SegmentLabel, SensorStream, assemble_session
 from shoulderkin.synth import synth_segment
 
 RATE = 128.0
@@ -165,6 +162,8 @@ class TestFeatureParams:
             ("sparc_pad_level", 2.5),
             ("sparc_pad_level", SPARC_MAX_PAD_LEVEL + 1),
             ("min_segment_s", 0.0),
+            ("min_segment_s", math.inf),
+            ("min_segment_s", math.nan),
         ],
     )
     def test_out_of_range_rejected(self, field, value):
@@ -275,6 +274,15 @@ class TestSpectralArcLength:
         for c in (0.1, 2.0, 100.0):
             scaled = spectral_arc_length(series(c * values), RATE)
             assert scaled == pytest.approx(base, rel=1e-9)
+
+    def test_infinite_cutoff_is_no_ceiling(self):
+        # the bins then run up to the Nyquist frequency, and SPARC stays finite
+        values = np.abs(np.random.default_rng(43).normal(2.0, 1.0, size=200))
+        unbounded, nyquist = (
+            spectral_arc_length(series(values), RATE, FeatureParams(sparc_max_cutoff_hz=cutoff))
+            for cutoff in (math.inf, RATE / 2)
+        )
+        assert math.isfinite(unbounded) and unbounded == nyquist
 
     def test_two_submovements_rougher_than_one(self):
         one = min_jerk_pulse(256)

@@ -15,23 +15,20 @@ import numpy as np
 import pytest
 
 from shoulderkin import ParseError, ShoulderKinError, ValidationError, compare_cohort
-from shoulderkin.features import FeatureRow, read_matrix, write_matrix
-from shoulderkin.ingest import (
-    RECORDING_HEADER,
-    parse_labels,
-    parse_recording,
-    read_lines,
-    write_labels,
-)
-from shoulderkin.model import (
+from shoulderkin.formats import (
+    FeatureRow,
     FeatureVector,
     Group,
     Placement,
     SegmentKind,
-    SegmentLabel,
     TaskKind,
     _is_integer,
+    read_lines,
+    read_matrix,
+    write_matrix,
 )
+from shoulderkin.ingest import RECORDING_HEADER, parse_labels, parse_recording, write_labels
+from shoulderkin.model import SegmentLabel
 from shoulderkin.report import read_dump, write_dump
 
 

@@ -13,8 +13,8 @@ import pytest
 
 from forks import record_forks
 from shoulderkin.errors import FeatureError, TooShortError
+from shoulderkin.formats import Placement, SegmentKind, TaskKind
 from shoulderkin.helper import in_order
-from shoulderkin.model import Placement, SegmentKind, TaskKind
 
 
 class Dropped(str):

@@ -19,7 +19,15 @@ from shoulderkin import (
     load_cohort,
     read_matrix,
 )
-from shoulderkin.features import MATRIX_HEADER
+from shoulderkin.formats import (
+    MATRIX_HEADER,
+    Group,
+    Placement,
+    TaskKind,
+    parse_key_values,
+    read_lines,
+    write_atomically,
+)
 from shoulderkin.ingest import (
     LABELS_HEADER,
     RECORDING_HEADER,
@@ -27,17 +35,14 @@ from shoulderkin.ingest import (
     iter_cohort,
     load_session,
     walk_cohort,
-    parse_key_values,
     parse_labels,
     parse_recording,
     parse_session_manifest,
-    read_lines,
-    write_atomically,
     write_labels,
     write_recording,
     write_session_manifest,
 )
-from shoulderkin.model import Group, Placement, SegmentLabel, SensorStream, TaskKind
+from shoulderkin.model import SegmentLabel, SensorStream
 
 RATE = 128.0
 

@@ -6,19 +6,8 @@ import numpy as np
 import pytest
 
 from shoulderkin import BoundaryError, ValidationError
-from shoulderkin.model import (
-    FEATURE_GRID,
-    FeatureVector,
-    Group,
-    Placement,
-    SegmentKind,
-    SegmentLabel,
-    SensorStream,
-    Session,
-    TaskKind,
-    assemble_session,
-    slice_segment,
-)
+from shoulderkin.formats import FEATURE_GRID, FeatureVector, Group, Placement, SegmentKind, TaskKind
+from shoulderkin.model import SegmentLabel, SensorStream, Session, assemble_session, slice_segment
 
 
 def make_stream(n, rate=128.0, rng=None):

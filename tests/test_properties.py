@@ -55,13 +55,20 @@ from shoulderkin.cli import _load_feature_params  # noqa: E402
 from shoulderkin.dsp import derivative, euclidean_norm, magnitude_spectrum  # noqa: E402
 from shoulderkin.features import (  # noqa: E402
     FeatureParams,
-    FeatureRow,
     angular_velocity_range,
     log_dimensionless_jerk,
     mean_crossing_count,
     peak_count,
     power_index,
     spectral_arc_length,
+)
+from shoulderkin.formats import (  # noqa: E402
+    FeatureRow,
+    FeatureVector,
+    Group,
+    Placement,
+    SegmentKind,
+    TaskKind,
 )
 from shoulderkin.ingest import (  # noqa: E402
     _BLOCK_ROWS,
@@ -76,13 +83,8 @@ from shoulderkin.ingest import (  # noqa: E402
 )
 from shoulderkin.model import (  # noqa: E402
     GRAVITY_MS2,
-    FeatureVector,
-    Group,
-    Placement,
-    SegmentKind,
     SegmentLabel,
     SensorStream,
-    TaskKind,
     assemble_session,
 )
 from shoulderkin.stats import _mean_and_variance  # noqa: E402

@@ -8,7 +8,7 @@ import pytest
 from reference_table import build_reference_table
 from shoulderkin import ParseError, ValidationError, read_dump, render_report, write_dump
 from shoulderkin.cli import EXIT_INVALID, main
-from shoulderkin.model import TaskKind
+from shoulderkin.formats import TaskKind
 from shoulderkin.report import (
     DUMP_HEADER,
     TASK_TITLES,

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from shoulderkin import CohortError, DegenerateStatisticsError, ValidationError, compare_cohort
-from shoulderkin.features import FeatureRow
-from shoulderkin.model import FeatureVector, Group, Placement, SegmentKind, TaskKind
+from shoulderkin.formats import FeatureRow, FeatureVector, Group, Placement, SegmentKind, TaskKind
 from shoulderkin.stats import (
     ComparisonCell,
     ComparisonTable,

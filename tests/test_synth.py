@@ -24,7 +24,8 @@ from shoulderkin import (
 from shoulderkin import synth
 from shoulderkin.dsp import euclidean_norm
 from shoulderkin.features import peak_count, spectral_arc_length
-from shoulderkin.model import GRAVITY_MS2, Group, Placement, SegmentKind, TaskKind, slice_segment
+from shoulderkin.formats import Group, Placement, SegmentKind, TaskKind
+from shoulderkin.model import GRAVITY_MS2, slice_segment
 from shoulderkin.synth import (
     MAX_N_PER_GROUP,
     MAX_NOISE_SIGMA,
