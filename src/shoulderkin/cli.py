@@ -1,9 +1,9 @@
 """Command-line pipeline: simulate -> extract -> compare -> report.
 
 Each stage reads and writes only the documented file formats, so every
-intermediate is inspectable and diffable. Exit codes: 0 on success, 3 for
-input format errors, 4 for validation errors, 5 when results contain
-degenerate (failed or untestable) cells, 1 for anything unexpected.
+intermediate is inspectable and diffable. Exit codes: 0 on success, 2 for
+usage errors, 3 for input format errors, 4 for validation errors, 5 when
+results hold degenerate (failed or untestable) cells, 1 otherwise.
 
 Each command imports the stages it runs when it runs, so `compare` and
 `report`, which read and write only text, load no numpy.
@@ -29,26 +29,22 @@ DUMP_FILENAME = "comparison.csv"
 def _load_feature_params(path):
     """Read key = value overrides on top of the default `FeatureParams`."""
     from .features import FeatureParams
-    from .formats import parse_cell, parse_key_values, read_lines
+    from .formats import parse_key_values, read_lines
 
-    casts = {f.name: type(f.default) for f in fields(FeatureParams)}
-    pairs = parse_key_values(read_lines(path), casts, path)
-    overrides = {
-        key: parse_cell(casts[key], value, key, path, line_no)
-        for key, (value, line_no) in pairs.items()
-    }
+    kinds = {f.name: type(f.default) for f in fields(FeatureParams)}
+    overrides = parse_key_values(read_lines(path), kinds, path, required=False)
     return replace(FeatureParams(), **overrides)
 
 
 def cmd_simulate(args) -> int:
-    from . import synth
+    from . import formats, synth
 
     if args.params is not None:
         profile = synth.parse_profile(args.params)
     else:
         profile = synth.default_profile()
     if args.seed is not None:
-        profile = replace(profile, seed=args.seed)
+        profile = replace(profile, seed=formats.parse_cell(int, args.seed, "--seed", None, None))
     synth.generate_cohort(profile, args.out)
     print(f"wrote {2 * profile.n_per_group} sessions to {args.out}")
     return EXIT_OK
@@ -114,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate a synthetic cohort directory")
     p_sim.add_argument("--out", required=True, help="cohort directory to create")
     p_sim.add_argument("--params", default=None, help="cohort profile file")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the profile seed")
+    p_sim.add_argument("--seed", default=None, help="override the profile seed")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ext = sub.add_parser("extract", help="compute the feature matrix for a cohort")

@@ -4,13 +4,13 @@ The grid enums (`TaskKind`, `SegmentKind`, `Placement`, `Group`), the
 subject-id rule, `FeatureVector` with the feature grid, and `FeatureRow`
 live here, beside the text primitives every reader and writer goes
 through and the feature-matrix format. `read_lines` opens and decodes
-every input file, `parse_key_values` parses every `key = value` line
-(session manifests, params files and the sections of a cohort profile),
-`split_rows` splits every comma-separated row, and `parse_number` is the
-one grammar for a number cell (through `parse_cell`, which names the bad
-cell). `write_atomically` writes each output that a later stage takes as
-complete: the cohort manifest, the feature matrix, the comparison dump
-and the report.
+every input file, `parse_key_values` reads and converts every
+`key = value` line (session manifests, params files, cohort profiles)
+by one table of kinds, `split_rows` splits every comma-separated row, and
+`parse_number` is the one grammar for a number cell (through
+`parse_cell`, which names the bad cell). `write_atomically` writes each
+output that a later stage takes as complete: the cohort manifest, the
+feature matrix, the comparison dump and the report.
 
 Nothing here imports numpy, so `compare` and `report`, which read and
 write only text, load none. Import each name from here, the module that
@@ -228,30 +228,44 @@ def write_atomically(path, data: bytes) -> None:
         raise
 
 
-def parse_key_values(
-    lines: list[str], keys, path, first_line: int = 1
-) -> dict[str, tuple[str, int]]:
-    """Map each `key = value` line to ``{key: (value, line_no)}``.
+def parse_key_values(lines: list[str], kinds, path, first_line: int = 1, required: bool = True):
+    """Map each `key = value` line to ``{key: value}``, converted by `kinds`.
 
-    Blank lines and lines whose first non-blank character is ``#`` are
-    skipped. Keys outside `keys`, repeated keys and lines without ``=``
-    are parse errors naming the line; which keys are required is up to
-    the caller. `first_line` is the line number of ``lines[0]``.
+    A kind is `str`, `int`, `float`, an Enum, or a pair of them for a
+    ``lo hi`` value; each cell goes through `parse_cell`. Blank lines and
+    lines whose first non-blank character is ``#`` are skipped. Keys
+    outside `kinds`, repeated keys and lines without ``=`` are parse
+    errors naming the line. `first_line` is the number of ``lines[0]``.
+    With `required`, absent keys are an error at the line before it (a
+    section header), or at no line when that is 0.
     """
-    pairs: dict[str, tuple[str, int]] = {}
+    values = {}
     for line_no, line in enumerate(lines, start=first_line):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if "=" not in line:
             raise ParseError(f"expected 'key = value', got {line!r}", path=path, line=line_no)
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in keys:
+        key, text = map(str.strip, line.split("=", 1))
+        if key not in kinds:
             raise ParseError(f"unknown key {key!r}", path=path, line=line_no)
-        if key in pairs:
+        if key in values:
             raise ParseError(f"duplicate key {key!r}", path=path, line=line_no)
-        pairs[key] = (value.strip(), line_no)
-    return pairs
+        kind = kinds[key]
+        if isinstance(kind, tuple):
+            cells = text.split()
+            if len(cells) != len(kind):
+                message = f"{key} must be two values 'lo hi', got {text!r}"
+                raise ParseError(message, path=path, line=line_no)
+            values[key] = tuple(
+                parse_cell(each, cell, key, path, line_no) for each, cell in zip(kind, cells)
+            )
+        else:
+            values[key] = parse_cell(kind, text, key, path, line_no)
+    missing = [key for key in kinds if key not in values]
+    if required and missing:
+        message = f"missing keys: {', '.join(missing)}"
+        raise ParseError(message, path=path, line=first_line - 1 or None)
+    return values
 
 
 def parse_number(cell: str, kind=float):
@@ -275,8 +289,8 @@ _NUMBER_KINDS = {float: "a number", int: "an integer"}
 def parse_cell(convert, cell: str, column: str, path, line_no: int | None):
     """`cell` converted by `convert`, or a parse error naming path, line and column.
 
-    `convert` is `float` or `int`, both read by `parse_number`, or an
-    Enum class, whose values must match the cell exactly.
+    `convert` is `float` or `int`, both read by `parse_number`, an Enum
+    class, whose values must match the cell exactly, or `str`.
     """
     try:
         if convert in _NUMBER_KINDS:

@@ -310,25 +310,22 @@ class SessionManifest:
             )
 
 
-_MANIFEST_KEYS = ("subject_id", "group", "side", "sample_rate_hz", "wrist", "arm", "labels")
+# every session-manifest key, with its kind
+_MANIFEST_KINDS = dict(
+    subject_id=str, group=Group, side=str, sample_rate_hz=float, wrist=str, arm=str, labels=str
+)
 
 
 def parse_session_manifest(path) -> SessionManifest:
     """Parse the key = value session manifest."""
-    pairs = parse_key_values(read_lines(path, missing=_referenced(path)), _MANIFEST_KEYS, path)
-    missing = [k for k in _MANIFEST_KEYS if k not in pairs]
-    if missing:
-        raise ParseError(f"missing keys: {', '.join(missing)}", path=path)
-    values = {key: value for key, (value, _) in pairs.items()}
-    group_s, group_line = pairs["group"]
-    rate_s, rate_line = pairs["sample_rate_hz"]
+    values = parse_key_values(read_lines(path, missing=_referenced(path)), _MANIFEST_KINDS, path)
     return SessionManifest(
         subject_id=values["subject_id"],
-        group=parse_cell(Group, group_s, "group", path, group_line),
+        group=values["group"],
         side=values["side"],
         recordings={Placement.WRIST: values["wrist"], Placement.ARM: values["arm"]},
         labels_path=values["labels"],
-        sample_rate_hz=parse_cell(float, rate_s, "sample_rate_hz", path, rate_line),
+        sample_rate_hz=values["sample_rate_hz"],
     )
 
 

@@ -153,68 +153,52 @@ def default_profile(n_per_group: int = 20, seed: int = 42) -> CohortProfile:
     )
 
 
-# Every profile key, by section, with the kind of its numbers and how many
-# it takes: one, or two for a `lo hi` range. `write_profile` writes the keys
-# in this order and `parse_profile` reads them back.
+# Every profile key, by section, with its kind: a number, or a pair of
+# them for a `lo hi` range. `write_profile` writes the keys in this order
+# and `parse_profile` reads them back.
 _GROUP_KEYS = {
-    "submovements": (int, 2),
-    "subtask_duration_s": (float, 2),
-    "hold_duration_s": (float, 2),
-    "pause_probability": (float, 1),
-    "accel_noise_sigma": (float, 1),
-    "gyro_noise_sigma": (float, 1),
+    "submovements": (int, int),
+    "subtask_duration_s": (float, float),
+    "hold_duration_s": (float, float),
+    "pause_probability": float,
+    "accel_noise_sigma": float,
+    "gyro_noise_sigma": float,
 }
 _PROFILE_KEYS = {
-    "cohort": {"n_per_group": (int, 1), "seed": (int, 1)},
+    "cohort": {"n_per_group": int, "seed": int},
     "patient": _GROUP_KEYS,
     "healthy": _GROUP_KEYS,
 }
 
 
-def _format_number(kind, value) -> str:
-    """An int as digits; a float as `formats.format_float` text, which reads
-    back as the same double, with an integral value's ".0" dropped."""
-    return str(value) if kind is int else formats.format_float(value).removesuffix(".0")
+def _format_number(value) -> str:
+    """An integer as digits; a float as `formats.format_float` text, which
+    reads back as the same double, with an integral value's ".0" dropped."""
+    return str(value) if _is_integer(value) else formats.format_float(value).removesuffix(".0")
 
 
 def write_profile(profile: CohortProfile) -> bytes:
     """Render a profile as the text `parse_profile` reads back as `profile`."""
     lines = []
-    for section, keys in _PROFILE_KEYS.items():
+    for section, kinds in _PROFILE_KEYS.items():
         owner = profile if section == "cohort" else getattr(profile, section)
         lines += ["", f"[{section}]"]
-        for key, (kind, count) in keys.items():
-            values = getattr(owner, key) if count == 2 else [getattr(owner, key)]
-            lines.append(f"{key} = " + " ".join(_format_number(kind, v) for v in values))
+        for key, kind in kinds.items():
+            value = getattr(owner, key)
+            values = value if isinstance(kind, tuple) else [value]
+            lines.append(f"{key} = " + " ".join(map(_format_number, values)))
     return ("\n".join(lines[1:]) + "\n").encode("utf-8")
-
-
-def _section_values(section: str, pairs, path, header_line: int) -> dict:
-    """The numbers of one section's `{key: (text, line_no)}` pairs, by key."""
-    values = {}
-    for key, (kind, count) in _PROFILE_KEYS[section].items():
-        if key not in pairs:
-            raise ParseError(f"[{section}] is missing key {key!r}", path=path, line=header_line)
-        text, line_no = pairs[key]
-        cells = text.split() if count == 2 else [text]
-        if len(cells) != count:
-            message = f"{key} must be two values 'lo hi', got {text!r}"
-            raise ParseError(message, path=path, line=line_no)
-        column = f"[{section}] {key}"
-        numbers = tuple(formats.parse_cell(kind, cell, column, path, line_no) for cell in cells)
-        values[key] = numbers if count == 2 else numbers[0]
-    return values
 
 
 def parse_profile(path) -> CohortProfile:
     """Parse a cohort profile: the headers ``[cohort]``, ``[patient]`` and
     ``[healthy]``, once each in any order, each followed by that section's
     keys in the `formats.parse_key_values` format. A parse error names the
-    line at fault; a missing section, the last line."""
+    line at fault, a missing key its header, a missing section the last."""
     lines = formats.read_lines(path)
     starts = [i for i, line in enumerate(lines) if line.lstrip().startswith("[")]
     # before the first header, only blank lines and comments
-    formats.parse_key_values(lines[: starts[0] if starts else len(lines)], (), path)
+    formats.parse_key_values(lines[: starts[0] if starts else len(lines)], {}, path)
     values: dict[str, dict] = {}
     for start, end in zip(starts, [*starts[1:], len(lines)]):
         header = lines[start].strip()
@@ -223,9 +207,8 @@ def parse_profile(path) -> CohortProfile:
             names = ", ".join(f"[{name}]" for name in _PROFILE_KEYS)
             message = f"unknown or repeated section {header!r}; the sections are {names}, once each"
             raise ParseError(message, path=path, line=start + 1)
-        body = lines[start + 1 : end]
-        pairs = formats.parse_key_values(body, _PROFILE_KEYS[section], path, first_line=start + 2)
-        values[section] = _section_values(section, pairs, path, start + 1)
+        kinds, body = _PROFILE_KEYS[section], lines[start + 1 : end]
+        values[section] = formats.parse_key_values(body, kinds, path, first_line=start + 2)
     missing = ", ".join(f"[{name}]" for name in _PROFILE_KEYS if name not in values)
     if missing:
         # named at the last line, where the file ends without them

@@ -123,6 +123,68 @@ def test_only_the_helper_module_imports_concurrency():
     assert imports == []
 
 
+# `@` and numpy's routines that reach BLAS, by name; anything under
+# `linalg` does too
+BLAS_NAMES = {"@", "dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def blas_uses(source: str) -> list[str]:
+    """Each `@` and each BLAS name that `source` uses or imports, with its line."""
+    uses = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            names = ["@"]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".")
+        else:
+            continue
+        uses += [f"{node.lineno}: {name}" for name in names if name in BLAS_NAMES]
+    return uses
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "a @ b",
+        "a @= b",
+        "np.dot(a, b)",
+        "a.dot(b)",
+        "np.einsum('i,i', a, b)",
+        "np.linalg.norm(a)",
+        "from numpy.linalg import norm",
+        "from numpy import linalg",
+        "import numpy.linalg",
+        "from numpy import inner as product",
+    ],
+)
+def test_the_blas_guard_sees_each_way_in(source):
+    assert blas_uses(source) != []
+
+
+def test_no_module_calls_a_blas_routine():
+    # the helper's forked child runs the stages, and BLAS threads do not
+    # survive a fork (see `helper`), so no module calls a BLAS routine
+    sources = sorted(Path(shoulderkin.__file__).parent.glob("*.py"))
+    uses = [f"{p.name}:{use}" for p in sources for use in blas_uses(p.read_text(encoding="utf-8"))]
+    assert uses == []
+
+
+def test_the_version_is_the_one_in_pyproject():
+    # tomllib is 3.11 and later, so the [project] table is read by pattern
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[)", text, re.M | re.S)
+    assert project is not None
+    version = re.search(r'^version = "([^"]+)"$', project.group(1), re.M)
+    assert version is not None
+    assert shoulderkin.__version__ == version.group(1)
+
+
 def imported_modules(path: Path) -> set[str]:
     """Every module a source file imports, package modules by their bare name."""
     names = set()

@@ -236,6 +236,19 @@ class TestPipeline:
         )
         assert (a / "P01_wrist.csv").read_bytes() != (b / "P01_wrist.csv").read_bytes()
 
+    @pytest.mark.parametrize("seed", ["42", " 42 "])
+    def test_seed_override_writes_the_cohort_of_the_profile_seed(self, tmp_path, seed):
+        ini = tmp_path / "profile.ini"
+        write_small_profile(ini, n_per_group=2, seed=42)
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["simulate", "--out", str(a), "--params", str(ini)]) == EXIT_OK
+        write_small_profile(ini, n_per_group=2, seed=31)
+        assert main(["simulate", "--out", str(b), "--params", str(ini), "--seed", seed]) == EXIT_OK
+        names = sorted(path.name for path in a.iterdir())
+        assert names == sorted(path.name for path in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
     def test_compare_writes_only_the_dump(self, tmp_path):
         # `report` is the one renderer: `compare` writes no table and takes
         # no option choosing one
@@ -306,6 +319,16 @@ class TestExitCodes:
             ["simulate", "--out", str(tmp_path / "c"), "--params", str(ini), "--seed", str(2**64)]
         )
         assert code == EXIT_INVALID
+
+    # argparse's `int` would take the first two as 10 and 12, and the third
+    # would be a usage error (exit 2); a profile's `seed` takes none of them
+    @pytest.mark.parametrize("seed", ["1_0", "\u0661\u0662", "0x10"])
+    def test_simulate_seed_follows_the_number_grammar(self, tmp_path, capsys, seed):
+        code = main(["simulate", "--out", str(tmp_path / "c"), "--seed", seed])
+        assert code == EXIT_FORMAT
+        err = capsys.readouterr().err
+        assert f"error: cannot parse value for '--seed': {seed!r} is not an integer" in err
+        assert not (tmp_path / "c").exists()
 
     def test_extract_missing_cohort(self, tmp_path, capsys):
         code = main(

@@ -454,10 +454,32 @@ class TestWriteAtomically:
 
 
 class TestParseKeyValues:
-    def test_values_carry_line_numbers(self):
-        lines = ["# c", "", "a = 1", "  b=two words  "]
-        pairs = parse_key_values(lines, ("a", "b", "c"), "f")
-        assert pairs == {"a": ("1", 3), "b": ("two words", 4)}
+    KINDS = {"a": int, "b": str, "c": float}
+
+    def test_values_come_back_converted_by_kind(self):
+        lines = ["# c", "", "a = 1", "  b=two words  ", "c = -2.5e1", "g = healthy"]
+        values = parse_key_values(lines, {**self.KINDS, "g": Group}, "f")
+        assert values == {"a": 1, "b": "two words", "c": -25.0, "g": Group.HEALTHY}
+        assert type(values["a"]) is int and type(values["c"]) is float
+
+    def test_a_lo_hi_pair(self):
+        values = parse_key_values(["r = 2  3.5"], {"r": (int, float)}, "f")
+        assert values == {"r": (2, 3.5)}
+
+    @pytest.mark.parametrize("text", ["4", "", "1 2 3"])
+    def test_a_pair_needs_two_cells(self, text):
+        with pytest.raises(ParseError, match=f"f:3: r must be two values 'lo hi', got '{text}'"):
+            parse_key_values(["", "# c", f"r = {text}"], {"r": (int, int)}, "f")
+
+    # a section's missing keys are named at its header; a whole file's at no line
+    @pytest.mark.parametrize("first_line, where", [(5, "f:4"), (1, "f")])
+    def test_missing_keys_are_named_at_the_header_line(self, first_line, where):
+        with pytest.raises(ParseError, match=f"^{where}: missing keys: b, c$"):
+            parse_key_values(["a = 1"], self.KINDS, "f", first_line=first_line)
+
+    def test_absent_keys_are_left_out_unless_required(self):
+        assert parse_key_values(["c = 2"], self.KINDS, "f", required=False) == {"c": 2.0}
+        assert parse_key_values([], self.KINDS, "f", required=False) == {}
 
     @pytest.mark.parametrize(
         "line, message",
@@ -469,7 +491,7 @@ class TestParseKeyValues:
     )
     def test_bad_line_names_its_number(self, line, message):
         with pytest.raises(ParseError, match=f"f:2: {message}"):
-            parse_key_values(["a = 1", line], ("a",), "f")
+            parse_key_values(["a = 1", line], {"a": int}, "f")
 
 
 def write_full_session(dirpath, sid="S01", n=400, group=Group.PATIENT, rate=RATE):

@@ -311,7 +311,7 @@ NUMBER_CELLS = {
     "session": ("sample_rate_hz", "sample_rate_hz", lambda manifest: manifest.sample_rate_hz),
     "matrix": ((1, 9), "rav", lambda rows: rows[0].features.rav),
     "dump": ((4, 5), "t", lambda table: next(iter(table.cells.values())).t_stat),
-    "profile": ("seed", "[cohort] seed", lambda profile: profile.seed),
+    "profile": ("seed", "seed", lambda profile: profile.seed),
     "params": ("sparc_pad_level", "sparc_pad_level", lambda params: params.sparc_pad_level),
 }
 COHORT_FILES = {"recording": "P01_wrist.csv", "labels": "P01_labels.csv", "session": "P01_session.txt"}
