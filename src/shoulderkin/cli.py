@@ -5,8 +5,9 @@ intermediate is inspectable and diffable. Exit codes: 0 on success, 2 for
 usage errors, 3 for input format errors, 4 for validation errors, 5 when
 results hold degenerate (failed or untestable) cells, 1 otherwise.
 
-Each command imports the stages it runs when it runs, so `compare` and
-`report`, which read and write only text, load no numpy.
+Each command imports the stages it runs when it runs, and the parser
+imports none, so `compare` and `report`, which read and write only text,
+load no numpy, and `simulate` and `extract` load no statistics.
 """
 from __future__ import annotations
 
@@ -69,10 +70,10 @@ def cmd_extract(args) -> int:
 def cmd_compare(args) -> int:
     from .formats import read_matrix, write_atomically
     from .report import write_dump
-    from .stats import SignificanceRule, compare_cohort
+    from .stats import compare_cohort
 
     rows = read_matrix(args.matrix)
-    table = compare_cohort(rows, SignificanceRule(args.rule))
+    table = compare_cohort(rows)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_atomically(out_dir / DUMP_FILENAME, write_dump(table))
@@ -99,8 +100,6 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .stats import SignificanceRule  # for the --rule choices; stats loads no numpy
-
     parser = argparse.ArgumentParser(
         prog="shoulderkin",
         description="Shoulder-task IMU feature extraction and group comparison.",
@@ -122,12 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="two-group statistics over a feature matrix")
     p_cmp.add_argument("matrix", help="feature matrix CSV")
     p_cmp.add_argument("--out", required=True, help="directory for the comparison dump")
-    p_cmp.add_argument(
-        "--rule",
-        choices=[rule.value for rule in SignificanceRule],
-        default=SignificanceRule.STRICT.value,
-        help="effect-size boundary handling for the star rule",
-    )
     p_cmp.set_defaults(func=cmd_compare)
 
     p_rep = sub.add_parser("report", help="render a comparison dump as text tables")

@@ -19,6 +19,7 @@ and `ingest`.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import os
@@ -205,7 +206,8 @@ def write_atomically(path, data: bytes) -> None:
     failed or killed run, not a power loss, and a SIGKILL can leave the
     temporary file behind. A path to anything but a regular file, such as
     ``/dev/null`` or a FIFO, is written in place, because a rename would
-    replace the device itself.
+    replace the device itself. The temporary name is ``.<name>.<pid>.tmp``,
+    ``<name>`` cut short where the directory's name limit needs it.
     """
     try:
         mode = os.stat(path).st_mode
@@ -215,14 +217,20 @@ def write_atomically(path, data: bytes) -> None:
         Path(path).write_bytes(data)
         return
     target = Path(os.path.realpath(path))
-    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    suffix = f".{os.getpid()}.tmp".encode()
+    try:  # the bytes of the name that fit the directory's limit beside the dot and suffix
+        room = os.pathconf(target.parent, "PC_NAME_MAX") - 1 - len(suffix)
+    except OSError:  # no such directory: the write below says so
+        room = None
+    temporary = target.with_name(os.fsdecode(b"." + os.fsencode(target.name)[:room] + suffix))
     try:
         temporary.write_bytes(data)
         if mode is not None:
             os.chmod(temporary, stat.S_IMODE(mode))
         os.replace(temporary, target)
     except BaseException as err:
-        temporary.unlink(missing_ok=True)
+        with contextlib.suppress(OSError):  # the first error is the one to report
+            temporary.unlink(missing_ok=True)
         if isinstance(err, OSError):  # of the class the errno gives
             raise OSError(err.errno, err.strerror, os.fspath(path)) from err
         raise

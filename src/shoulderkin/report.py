@@ -4,8 +4,8 @@ Two outputs share one grid: per-task text tables, with p-values to three
 decimals, a "<0.001" floor, a star suffix on significant cells and the
 star-rule footnote; and a machine-readable CSV dump carrying the full
 statistics, which round-trips losslessly back into a ComparisonTable.
-Both take a cell's star from `significance_flag(p, d, table.rule)`; the
-dump's `significant` column repeats it, and `read_dump` checks it.
+Both take a cell's star from `significance_flag(p, d)`; the dump's
+`significant` column repeats it, and `read_dump` checks it.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .formats import (
 from .stats import (
     ComparisonCell,
     ComparisonTable,
-    SignificanceRule,
     cell_keys,
     check_group_size,
     significance_flag,
@@ -48,7 +47,10 @@ _PLACEMENT_W = 11
 _CELL_W = 16
 
 UNTESTABLE_MARK = "n/a"
+FOOTNOTE = "*: p < 0.05 and Cohen's d > 0.8"
 
+# a dump's first line: the one star rule, named as in every dump written so far
+DUMP_RULE_LINE = "rule,strict"
 DUMP_HEADER = "task,feature,placement,segment,status,t,dof,p,d,d_ci_low,d_ci_high,significant"
 
 
@@ -59,16 +61,10 @@ def format_p(p: float) -> str:
     return f"{p:.3f}"
 
 
-def footnote(rule: SignificanceRule) -> str:
-    if rule is SignificanceRule.STRICT:
-        return "*: p < 0.05 and Cohen's d > 0.8"
-    return "*: p < 0.05 and Cohen's d >= 0.8"
-
-
-def _cell_text(cell: ComparisonCell | None, rule: SignificanceRule) -> str:
+def _cell_text(cell: ComparisonCell | None) -> str:
     if cell is None:
         return UNTESTABLE_MARK
-    return format_p(cell.p_value) + ("*" if significance_flag(cell.p_value, cell.d, rule) else "")
+    return format_p(cell.p_value) + ("*" if significance_flag(cell.p_value, cell.d) else "")
 
 
 def render_task_table(table: ComparisonTable, task: TaskKind) -> str:
@@ -84,10 +80,10 @@ def render_task_table(table: ComparisonTable, task: TaskKind) -> str:
             row = name.ljust(_PARAM_W) + placement_label.ljust(_PLACEMENT_W)
             for kind, _ in _SEGMENT_HEADERS:
                 cell = table.cell(task, feature, placement, kind)
-                row += _cell_text(cell, table.rule).ljust(_CELL_W)
+                row += _cell_text(cell).ljust(_CELL_W)
             lines.append(row.rstrip())
     lines.append("")
-    lines.append(footnote(table.rule))
+    lines.append(FOOTNOTE)
     return "\n".join(lines) + "\n"
 
 
@@ -103,40 +99,40 @@ def _dump_keys() -> dict:
 
 def write_dump(table: ComparisonTable) -> bytes:
     """Full-statistics CSV: three preamble lines, then one row per cell."""
-    lines = [f"rule,{table.rule.value}", f"n1,{table.n1}", f"n2,{table.n2}", DUMP_HEADER]
+    lines = [DUMP_RULE_LINE, f"n1,{table.n1}", f"n2,{table.n2}", DUMP_HEADER]
     for key_cells, key in _dump_keys().items():
         cell = table.cells[key]
         if cell is None:
             stats = ["untestable", "", "", "", "", "", "", ""]
         else:
             numbers = (cell.t_stat, cell.dof, cell.p_value, cell.d, cell.d_ci_low, cell.d_ci_high)
-            star = significance_flag(cell.p_value, cell.d, table.rule)
+            star = significance_flag(cell.p_value, cell.d)
             stats = ["ok", *map(format_float, numbers), "true" if star else "false"]
         lines.append(",".join([*key_cells, *stats]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 _DUMP_COLUMNS = DUMP_HEADER.split(",")
-_PREAMBLE = (("rule", SignificanceRule), ("n1", int), ("n2", int))
 
 
 def read_dump(path) -> ComparisonTable:
-    """Parse a dump written by `write_dump`, each star checked against p, d and the rule."""
+    """Parse a dump written by `write_dump`, each star checked against p and d."""
     lines = read_lines(path)
     if len(lines) < 4:
         raise ParseError("truncated dump: missing preamble or header", path=path)
-    preamble = []
-    for line_no, (line, (key, convert)) in enumerate(zip(lines, _PREAMBLE), start=1):
+    if lines[0] != DUMP_RULE_LINE:
+        raise ParseError(f"expected {DUMP_RULE_LINE!r}, got {lines[0]!r}", path=path, line=1)
+    sizes = []
+    for line_no, (line, key) in enumerate(zip(lines[1:3], ("n1", "n2")), start=2):
         cells = line.split(",")
         if len(cells) != 2 or cells[0] != key:
             raise ParseError(f"expected '{key},<value>', got {line!r}", path=path, line=line_no)
-        preamble.append(parse_cell(convert, cells[1], key, path, line_no))
-        if convert is int:
-            try:
-                check_group_size(key, preamble[-1])
-            except ValidationError as err:
-                raise ValidationError(f"{path}:{line_no}: {err}") from None
-    rule, n1, n2 = preamble
+        sizes.append(parse_cell(int, cells[1], key, path, line_no))
+        try:
+            check_group_size(key, sizes[-1])
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{line_no}: {err}") from None
+    n1, n2 = sizes
     if lines[3] != DUMP_HEADER:
         raise ParseError(
             f"bad header: expected {DUMP_HEADER!r}, got {lines[3]!r}", path=path, line=4
@@ -164,13 +160,13 @@ def read_dump(path) -> ComparisonTable:
         ]
         try:
             cell = cells[key] = ComparisonCell(*numbers)
-            star = "true" if significance_flag(cell.p_value, cell.d, rule) else "false"
+            star = "true" if significance_flag(cell.p_value, cell.d) else "false"
             if significant != star:
-                given = f"p = {parts[7]} and d = {parts[8]} under the {rule.value} rule give {star}"
+                given = f"p = {parts[7]} and d = {parts[8]} under the strict rule give {star}"
                 raise ValidationError(f"significant is {significant}, but {given}")
         except ValidationError as err:
             raise ValidationError(f"{path}:{line_no}: {err}") from None
     try:
-        return ComparisonTable(n1=n1, n2=n2, rule=rule, cells=cells)
+        return ComparisonTable(n1=n1, n2=n2, cells=cells)
     except ValidationError as err:
         raise ParseError(str(err), path=path) from None

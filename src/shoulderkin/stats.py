@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import CohortError, DegenerateStatisticsError, ValidationError
 from .formats import FEATURE_GRID, Group, Placement, SegmentKind, TaskKind, _is_integer
@@ -88,21 +87,9 @@ def t_survival_two_sided(t: float, dof: float) -> float:
     return regularized_incomplete_beta(dof / 2.0, 0.5, x)
 
 
-class SignificanceRule(Enum):
-    """Boundary handling for the effect-size half of the star rule."""
-
-    STRICT = "strict"
-    INCLUSIVE = "inclusive"
-
-
-def significance_flag(p: float, d: float, rule: SignificanceRule = SignificanceRule.STRICT) -> bool:
-    """Combined flag: p < 0.05 and a large effect size.
-
-    The strict rule requires |d| > 0.8; the inclusive rule admits |d| = 0.8.
-    """
-    if rule is SignificanceRule.STRICT:
-        return p < 0.05 and abs(d) > 0.8
-    return p < 0.05 and abs(d) >= 0.8
+def significance_flag(p: float, d: float) -> bool:
+    """The paper's star: p < 0.05 and a large effect, |d| > 0.8 (Cohen's "large")."""
+    return p < 0.05 and abs(d) > 0.8
 
 
 @dataclass(frozen=True)
@@ -177,7 +164,7 @@ def compare_samples(x, y) -> ComparisonCell:
     Each sample needs at least 2 finite observations. t has Welch-Satterthwaite
     degrees of freedom and a two-sided p-value. d divides the mean difference
     by the pooled standard deviation, with a normal-approximation 95% interval
-    d +/- 1.96 * SE. No rule is applied: `significance_flag` gives the star.
+    d +/- 1.96 * SE. The star is `significance_flag`'s.
     Raises DegenerateStatisticsError when a sample has fewer than 2 values,
     or when t, dof, d or either interval bound is not a finite double, for
     example when both samples are constant or a variance overflows.
@@ -227,12 +214,11 @@ class ComparisonTable:
 
     `cells` maps every canonical cell key to a ComparisonCell, or to None
     where the statistics were degenerate (untestable cell). n1 counts
-    patient subjects, n2 healthy subjects; `rule` decides the stars.
+    patient subjects, n2 healthy subjects.
     """
 
     n1: int
     n2: int
-    rule: SignificanceRule
     cells: dict
 
     def __post_init__(self):
@@ -255,7 +241,7 @@ class ComparisonTable:
         return sum(1 for v in self.cells.values() if v is None)
 
 
-def compare_cohort(rows, rule: SignificanceRule = SignificanceRule.STRICT) -> ComparisonTable:
+def compare_cohort(rows) -> ComparisonTable:
     """Run the full grid of two-group tests over a feature matrix.
 
     Observations are grouped per (task, feature, placement, segment); a
@@ -297,6 +283,4 @@ def compare_cohort(rows, rule: SignificanceRule = SignificanceRule.STRICT) -> Co
             cells[key] = compare_samples(xs, ys)
         except DegenerateStatisticsError:
             cells[key] = None
-    return ComparisonTable(
-        n1=len(subjects[Group.PATIENT]), n2=len(subjects[Group.HEALTHY]), rule=rule, cells=cells
-    )
+    return ComparisonTable(n1=len(subjects[Group.PATIENT]), n2=len(subjects[Group.HEALTHY]), cells=cells)

@@ -7,12 +7,7 @@ sub-0.0005 p-values, starred and unstarred cells, negative effects,
 and untestable cells.
 """
 
-from shoulderkin.stats import (
-    ComparisonCell,
-    ComparisonTable,
-    SignificanceRule,
-    cell_keys,
-)
+from shoulderkin.stats import ComparisonCell, ComparisonTable, cell_keys
 
 # (p, d); None marks an untestable cell
 _TEMPLATES = (
@@ -31,7 +26,7 @@ _TEMPLATES = (
 )
 
 
-def build_reference_table(rule=SignificanceRule.STRICT) -> ComparisonTable:
+def build_reference_table() -> ComparisonTable:
     cells = {}
     for i, key in enumerate(cell_keys()):
         template = _TEMPLATES[i % len(_TEMPLATES)]
@@ -47,4 +42,4 @@ def build_reference_table(rule=SignificanceRule.STRICT) -> ComparisonTable:
             d_ci_low=d - 0.6,
             d_ci_high=d + 0.6,
         )
-    return ComparisonTable(n1=20, n2=20, rule=rule, cells=cells)
+    return ComparisonTable(n1=20, n2=20, cells=cells)

@@ -230,14 +230,14 @@ def test_clinical_pattern(default_run, tmp_path_factory):
             for feature in SMOOTHNESS
             if (cell := table.cell(task, feature, Placement.WRIST, SegmentKind.SUB1))
             is not None
-            and significance_flag(cell.p_value, cell.d, table.rule)
+            and significance_flag(cell.p_value, cell.d)
         )
         assert starred >= 3, (task, starred)
         for feature in ("rav", "pi"):
             for placement in Placement:
                 cell = table.cell(task, feature, placement, SegmentKind.COMPLETE)
                 assert cell is not None, (task, feature, placement)
-                assert significance_flag(cell.p_value, cell.d, table.rule), (task, feature, placement)
+                assert significance_flag(cell.p_value, cell.d), (task, feature, placement)
     text = render_report(table)
     assert text.startswith("WH: Washing hair")
 
@@ -252,7 +252,7 @@ def test_clinical_pattern(default_run, tmp_path_factory):
         1
         for key in cell_keys()
         if (cell := null_table.cells[key]) is not None
-        and significance_flag(cell.p_value, cell.d, null_table.rule)
+        and significance_flag(cell.p_value, cell.d)
     )
     assert stars == 0
     total = default_run.simulate_extract_s + (time.perf_counter() - t0)

@@ -67,7 +67,7 @@ READERS = {
     "dump": (
         read_dump,
         lambda: write_dump(compare_cohort(varied_rows())),
-        lambda table: (table.n1, table.n2, table.rule, table.cells),
+        lambda table: (table.n1, table.n2, table.cells),
     ),
 }
 

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import stat
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,6 +452,27 @@ class TestWriteAtomically:
         with pytest.raises(IsADirectoryError):
             write_atomically(tmp_path / "out", b"new\n")
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    # the temporary name adds `.`, `.<pid>.tmp` and so up to 13 bytes; it is
+    # cut short, inside a character too, to fit the directory's limit
+    @pytest.mark.parametrize("name", ["r" * 251 + ".txt", "r" + "\u00e9" * 127], ids=["ascii", "utf-8"])
+    def test_a_255_byte_name_is_written_whole(self, tmp_path, name):
+        assert len(os.fsencode(name)) == 255 <= os.pathconf(tmp_path, "PC_NAME_MAX")
+        write_atomically(tmp_path / name, b"new\n")
+        assert (tmp_path / name).read_bytes() == b"new\n"
+        assert [p.name for p in tmp_path.iterdir()] == [name]
+
+    def test_a_failed_cleanup_leaves_the_first_error(self, tmp_path, monkeypatch):
+        def refuse(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.setattr(Path, "unlink", refuse)
+        path = tmp_path / "out.csv"
+        with pytest.raises(OSError) as info:
+            write_atomically(path, b"new\n")
+        assert info.value.errno == errno.EACCES
+        assert info.value.filename == str(path) and info.value.filename2 is None
 
 
 class TestParseKeyValues:

@@ -7,17 +7,17 @@ import pytest
 
 from reference_table import build_reference_table
 from shoulderkin import ParseError, ValidationError, read_dump, render_report, write_dump
-from shoulderkin.cli import EXIT_INVALID, main
+from shoulderkin.cli import EXIT_FORMAT, EXIT_INVALID, main
 from shoulderkin.formats import TaskKind
 from shoulderkin.report import (
     DUMP_HEADER,
+    FOOTNOTE,
     TASK_TITLES,
     UNTESTABLE_MARK,
-    footnote,
     format_p,
     render_task_table,
 )
-from shoulderkin.stats import ComparisonCell, ComparisonTable, SignificanceRule, cell_keys
+from shoulderkin.stats import ComparisonCell, ComparisonTable, cell_keys
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.txt"
 NUMBER_FIELDS = ("t_stat", "dof", "p_value", "d", "d_ci_low", "d_ci_high")
@@ -37,10 +37,7 @@ class TestFormatP:
 
 class TestFootnote:
     def test_strict(self):
-        assert footnote(SignificanceRule.STRICT) == "*: p < 0.05 and Cohen's d > 0.8"
-
-    def test_inclusive(self):
-        assert footnote(SignificanceRule.INCLUSIVE) == "*: p < 0.05 and Cohen's d >= 0.8"
+        assert FOOTNOTE == "*: p < 0.05 and Cohen's d > 0.8"
 
 
 class TestRenderTaskTable:
@@ -81,7 +78,7 @@ class TestRenderTaskTable:
         assert "0.017*" in text
         assert "0.650" in text
         assert UNTESTABLE_MARK in text
-        assert text.count(footnote(SignificanceRule.STRICT)) == len(TaskKind)
+        assert text.count(FOOTNOTE) == len(TaskKind)
 
     def test_boundary_effect_not_starred_under_strict(self):
         # the template with p = 0.02, d = 0.8 sits exactly on the strict
@@ -89,11 +86,6 @@ class TestRenderTaskTable:
         text = render_report(build_reference_table())
         assert "0.020*" not in text
         assert "0.020" in text
-
-    def test_inclusive_rule_stars_boundary_and_changes_footnote(self):
-        text = render_report(build_reference_table(SignificanceRule.INCLUSIVE))
-        assert "0.020*" in text
-        assert footnote(SignificanceRule.INCLUSIVE) in text
 
 
 class TestDumpRoundTrip:
@@ -104,7 +96,6 @@ class TestDumpRoundTrip:
         back = read_dump(path)
         assert back.n1 == table.n1
         assert back.n2 == table.n2
-        assert back.rule is table.rule
         for key in cell_keys():
             a, b = table.cells[key], back.cells[key]
             if a is None:
@@ -120,7 +111,7 @@ class TestDumpRoundTrip:
             )
             for key, cell in table.cells.items()
         }
-        numpy_table = ComparisonTable(n1=np.int64(20), n2=np.int64(20), rule=table.rule, cells=cells)
+        numpy_table = ComparisonTable(n1=np.int64(20), n2=np.int64(20), cells=cells)
         path = tmp_path / "comparison.csv"
         path.write_bytes(write_dump(numpy_table))
         assert write_dump(numpy_table) == write_dump(table)
@@ -180,9 +171,12 @@ class TestDumpDiagnostics:
         assert main(["report", str(path)]) == EXIT_INVALID
 
     def test_unknown_rule(self, tmp_path):
-        path = self.write(tmp_path, lambda ls: ["rule,fuzzy"] + ls[1:])
-        with pytest.raises(ParseError, match=r"comparison\.csv:1: cannot parse value for 'rule': 'fuzzy' is not one of"):
-            read_dump(path)
+        # a dump from a run under another star rule is refused, not misread
+        for line in ("rule,fuzzy", "rule,inclusive"):
+            path = self.write(tmp_path, lambda ls: [line] + ls[1:])
+            with pytest.raises(ParseError, match=rf"comparison\.csv:1: expected 'rule,strict', got '{line}'$"):
+                read_dump(path)
+            assert main(["report", str(path)]) == EXIT_FORMAT
 
     def test_missing_cell_rejected(self, tmp_path):
         path = self.write(tmp_path, lambda ls: ls[:-1])
@@ -228,24 +222,10 @@ class TestDumpDiagnostics:
         with pytest.raises(ParseError, match="file not found"):
             read_dump(tmp_path / "absent.csv")
 
-    def test_the_rule_line_decides_the_star(self, tmp_path):
-        # the p = 0.02, d = 0.8 rows are unstarred under the strict rule only
-        path = self.write(tmp_path, lambda ls: ["rule,inclusive"] + ls[1:])
-        line = next(
-            i for i, l in enumerate(path.read_text().splitlines(), 1) if ",0.02,0.8," in l
-        )
-        message = (
-            rf"comparison\.csv:{line}: significant is false, but p = 0\.02 and d = 0\.8 "
-            "under the inclusive rule give true$"
-        )
-        with pytest.raises(ValidationError, match=message):
-            read_dump(path)
-
-    @pytest.mark.parametrize("rule", list(SignificanceRule))
-    def test_each_rule_reads_back_its_own_stars(self, tmp_path, rule):
+    def test_each_rule_reads_back_its_own_stars(self, tmp_path):
         path = tmp_path / "comparison.csv"
-        path.write_bytes(write_dump(build_reference_table(rule)))
-        assert read_dump(path) == build_reference_table(rule)
+        path.write_bytes(write_dump(build_reference_table()))
+        assert read_dump(path) == build_reference_table()
 
     @pytest.mark.parametrize("significant", ["True", "1", ""])
     def test_significant_must_be_true_or_false(self, tmp_path, significant):

@@ -18,7 +18,6 @@ from shoulderkin.formats import FeatureRow, FeatureVector, Group, Placement, Seg
 from shoulderkin.stats import (
     ComparisonCell,
     ComparisonTable,
-    SignificanceRule,
     _mean_and_variance,
     cell_keys,
     compare_samples,
@@ -346,16 +345,6 @@ class TestSignificanceRule:
         assert significance_flag(0.01, -0.81) is True
         assert significance_flag(0.06, 2.0) is False
 
-    def test_inclusive_admits_boundary_effect(self):
-        rule = SignificanceRule.INCLUSIVE
-        assert significance_flag(0.01, 0.8, rule) is True
-        assert significance_flag(0.01, 0.79, rule) is False
-        assert significance_flag(0.06, 0.9, rule) is False
-
-    def test_rule_wire_values(self):
-        assert SignificanceRule.STRICT.value == "strict"
-        assert SignificanceRule.INCLUSIVE.value == "inclusive"
-
 
 def feature_row(sid, group, task, segment, placement, value):
     fv = FeatureVector(
@@ -452,17 +441,13 @@ class TestCompareCohort:
         # duration is taken from the wrist rows, which are all there
         assert table.cell(TaskKind.WLB, "duration_s", None, SegmentKind.SUB3) is not None
 
-    def test_inclusive_rule_is_recorded(self):
-        table = compare_cohort(full_matrix(), rule=SignificanceRule.INCLUSIVE)
-        assert table.rule is SignificanceRule.INCLUSIVE
-
 
 class TestComparisonTable:
     def test_incomplete_grid_rejected(self):
         keys = list(cell_keys())
         cells = {k: None for k in keys[:-1]}
         with pytest.raises(ValidationError, match="incomplete"):
-            ComparisonTable(n1=2, n2=2, rule=SignificanceRule.STRICT, cells=cells)
+            ComparisonTable(n1=2, n2=2, cells=cells)
 
     @pytest.mark.parametrize(
         "n1, n2", [(True, 20), (20, False), (1, 20), (20, 0), (-7, 20), (2.0, 20), (20, "20")]
@@ -470,7 +455,7 @@ class TestComparisonTable:
     def test_a_group_size_no_comparison_can_have_is_rejected(self, n1, n2):
         cells = dict.fromkeys(cell_keys())
         with pytest.raises(ValidationError, match="must be an integer of at least 2"):
-            ComparisonTable(n1=n1, n2=n2, rule=SignificanceRule.STRICT, cells=cells)
+            ComparisonTable(n1=n1, n2=n2, cells=cells)
 
     def test_cell_validation(self):
         with pytest.raises(ValidationError):
