@@ -8,10 +8,16 @@ results hold degenerate (failed or untestable) cells, 1 otherwise.
 Each command imports the stages it runs when it runs, and the parser
 imports none, so `compare` and `report`, which read and write only text,
 load no numpy, and `simulate` and `extract` load no statistics.
+
+No stage calls a BLAS routine, so a command runs with
+``OPENBLAS_NUM_THREADS=1`` unless the caller has set that variable: numpy
+then loads OpenBLAS without the pool of threads it would start, and spin,
+on every other CPU. `main` puts `os.environ` back as it found it.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -133,6 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    one_blas_thread = "OPENBLAS_NUM_THREADS" not in os.environ
+    if one_blas_thread:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         return args.func(args)
     except (ShoulderKinError, OSError) as err:
@@ -144,3 +153,6 @@ def main(argv=None) -> int:
         if isinstance(err, ValidationError):
             return EXIT_INVALID
         return EXIT_ERROR
+    finally:
+        if one_blas_thread:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)

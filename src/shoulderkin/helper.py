@@ -17,8 +17,11 @@ carries a length.
 
 The helper starts with the parent's state as it was at the fork. Making
 its results must call no BLAS routine, whose threads do not survive a
-fork, and it ends with `os._exit`: it never returns into the frames it
-was forked from, whose `finally` blocks and buffered output belong to
+fork: OpenBLAS stops its thread pool before each fork. The CLI loads
+numpy with one BLAS thread (see `cli`), so a command forks from a
+process that has no other thread; a library caller's process may have a
+pool. The helper ends with `os._exit`: it never returns into the frames
+it was forked from, whose `finally` blocks and buffered output belong to
 the parent.
 """
 from __future__ import annotations

@@ -1333,8 +1333,7 @@ SRC_DIR = str(Path(shoulderkin.__file__).resolve().parents[1])
 def python_env():
     """The environment of a fresh interpreter that imports this checkout's package."""
     path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
-    # one BLAS thread keeps numpy's own address-space reservations small
-    return {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def run_python(*args, cwd=None, timeout=None):
@@ -1454,6 +1453,46 @@ class TestFreshProcess:
         proc = run_python("-c", self.NUMPY_PROBE, *argv)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "True"
+
+    # runs one subcommand through the documented entry point, then prints
+    # how many OS threads the process has, whether `os.environ` is what it
+    # was before `main`, and the BLAS thread setting it holds
+    THREADS_PROBE = (
+        "import os, sys\n"
+        "from shoulderkin.cli import main\n"
+        "before = dict(os.environ)\n"
+        "code = main(sys.argv[1:])\n"
+        "threads = len(os.listdir('/proc/self/task'))\n"
+        "print(threads, dict(os.environ) == before, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/task") or len(os.sched_getaffinity(0)) < 2,
+        reason="counts threads in /proc; OpenBLAS starts no pool on one CPU",
+    )
+    def test_extract_starts_no_blas_thread_pool(self, inputs, tmp_path):
+        # a one-session cohort forks no helper, and so a pool that loading
+        # numpy started is still running when the command returns: OpenBLAS
+        # stops its pool only at a fork
+        cohort = tmp_path / "cohort"
+        shutil.copytree(inputs["cohort"], cohort)
+        (cohort / COHORT_MANIFEST_NAME).write_text(manifest_entries(cohort)[0] + "\n")
+        argv = ["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")]
+        env = python_env()
+        seen = {}
+        for preset in (None, "2"):
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if preset is not None:
+                env["OPENBLAS_NUM_THREADS"] = preset
+            proc = subprocess.run(
+                [sys.executable, "-c", self.THREADS_PROBE, *argv],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            seen[preset] = proc.stdout.splitlines()[-1]
+        # the caller's own setting still applies
+        assert seen == {None: "1 True None", "2": "2 True 2"}
 
     # imports the package, then lists the package modules in sys.modules and
     # whether each function the benchmark's tracer wraps is found there by name
