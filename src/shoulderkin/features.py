@@ -5,9 +5,10 @@ spectral arc length, log dimensionless jerk), two intensity measures
 (angular-velocity range and its product with the acceleration range), and
 the segment duration. Each is a deterministic map from one labelled window
 to a scalar. A session is extracted at a time: `session_windows` computes
-each stream's norms once, cuts every cell's window as views of them and
-counts the prominent peaks of each placement's windows in one walk, and
-`extract_all` evaluates the whole set for one grid cell from that batch.
+each stream's norms once, cuts every present cell's window as views of
+them, counts the prominent peaks of each placement's windows in one walk,
+and returns a plain map from each cell to its window; `extract_all`
+evaluates the whole set for one cell from its window.
 
 The four smoothness kernels take a plain 1-D float array (a norm from
 `dsp.euclidean_norm`) that the caller has checked to be finite; they check
@@ -340,22 +341,14 @@ class _Window(NamedTuple):
     np_a: int | None  # its peak count, or None if not finite or under 3 samples
 
 
-@dataclass(frozen=True)
-class SessionWindows:
-    """Every present cell of one session, cut and counted by `session_windows`.
-
-    `cells` maps (task, segment, placement) to the cell's window, in grid
-    order. It holds views, not copies, and lives while one session is
-    extracted.
-    """
-
-    session: Session
-    params: FeatureParams
-    cells: dict[tuple[TaskKind, SegmentKind, Placement], _Window]
-
-
-def session_windows(session: Session, params: FeatureParams | None = None) -> SessionWindows:
+def session_windows(
+    session: Session, params: FeatureParams | None = None
+) -> dict[tuple[TaskKind, SegmentKind, Placement], _Window]:
     """Cut every present cell of `session` and count its prominent peaks.
+
+    Returns a map from (task, segment, placement) to the cell's window, in
+    grid order, holding views, not copies. A cell is present when the
+    session has a label for its task and a stream for its placement.
 
     Each placement's two norms are computed once over the whole stream, and
     their finiteness checked once there; each window takes views of them.
@@ -401,34 +394,30 @@ def session_windows(session: Session, params: FeatureParams | None = None) -> Se
         h = np.array([params.peak_prominence_frac * float(v.max() - v.min()) for v in windows])
         for key, count in zip(counted, _prominent_peak_counts(windows, h).tolist()):
             cells[key] = cells[key]._replace(np_a=count)
-    return SessionWindows(session, params, cells)
+    return cells
 
 
 def extract_all(
-    windows: SessionWindows, task: TaskKind, kind: SegmentKind, placement: Placement
+    session: Session,
+    params: FeatureParams,
+    cell: tuple[TaskKind, SegmentKind, Placement],
+    window: _Window,
 ) -> FeatureVector:
     """Evaluate all seven features for one (task, segment, placement) cell.
 
-    `windows` is the session's batch from `session_windows`, which also
-    carries the `FeatureParams`; for example
-    ``extract_all(session_windows(session, params), task, kind, placement)``.
-    The peak count comes from the batch; a window too short for it goes to
-    `peak_count`, which raises. The other features are computed here from
-    the window's views. Feature failures (too short, degenerate) come back
-    wrapped with the cell coordinates so batch callers can report
-    precisely. Duration is the window's sample count over the stream's rate.
+    `window` is ``session_windows(session, params)[cell]``. Its peak count
+    comes with it; a window too short for one goes to `peak_count`, which
+    raises. The other features are computed here from the window's views.
+    Feature failures (too short, degenerate) come back wrapped with the
+    cell coordinates so batch callers can report precisely. Duration is
+    the window's sample count over the session's rate.
 
     Finite samples can still overflow: one above about 1e154 squares to
     inf. numpy's overflow warning is silenced, and an inf norm in the
     window, or a feature that `FeatureVector` finds not finite, is a
     validation error naming the cell.
     """
-    session, params = windows.session, windows.params
-    cell = f"{task.value}/{kind.value}/{placement.value}"
-    try:
-        accel, gyro, a_norm, w_norm, finite, np_a = windows.cells[task, kind, placement]
-    except KeyError:
-        raise ValidationError(f"{session.subject_id} has no label or stream for {cell}") from None
+    accel, gyro, a_norm, w_norm, finite, np_a = window
     rate = session.sample_rate_hz
     try:
         if not finite:
@@ -445,9 +434,10 @@ def extract_all(
                 duration_s=len(accel) / rate,
             )
     except (TooShortError, DegenerateSignalError) as err:
-        raise FeatureError(session.subject_id, task, kind, placement, err) from err
+        raise FeatureError(session.subject_id, *cell, err) from err
     except ValidationError as err:
-        raise ValidationError(f"{session.subject_id} {cell}: {err}") from err
+        where = "/".join(key.value for key in cell)
+        raise ValidationError(f"{session.subject_id} {where}: {err}") from err
 
 
 def extract_cohort(
@@ -491,13 +481,12 @@ def _extract_session(
     session: Session, params: FeatureParams
 ) -> tuple[list[FeatureRow], list[FeatureError]]:
     """The rows of each present cell of `session`, and the errors of those that fail."""
-    windows = session_windows(session, params)
     rows, failures = [], []
-    for task, kind, placement in windows.cells:
+    for cell, window in session_windows(session, params).items():
         try:
-            vector = extract_all(windows, task, kind, placement)
+            vector = extract_all(session, params, cell, window)
         except FeatureError as err:
             failures.append(err)
             continue
-        rows.append(FeatureRow(session.subject_id, session.group, task, kind, placement, vector))
+        rows.append(FeatureRow(session.subject_id, session.group, *cell, vector))
     return rows, failures

@@ -71,6 +71,10 @@ def check_subject_id(sid: str) -> None:
         raise ValidationError(f"subject_id must not contain a comma or line break, got {sid!r}")
     if sid != sid.strip():
         raise ValidationError(f"subject_id must not start or end with whitespace, got {sid!r}")
+    try:
+        sid.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"subject_id is not encodable as UTF-8, got {sid!r}") from None
 
 
 def _is_integer(value) -> bool:

@@ -296,7 +296,7 @@ class SessionManifest:
         if set(self.recordings) != set(Placement):
             raise ValidationError("manifest must reference one recording per placement")
         # each value is one `key = value` line, read back stripped
-        texts = {"subject_id": self.subject_id, "side": self.side, "labels_path": self.labels_path}
+        texts = {"side": self.side, "labels_path": self.labels_path}
         for placement, path in self.recordings.items():
             texts[f"{placement.value} recording path"] = path
         for key, text in texts.items():

@@ -142,6 +142,8 @@ class Session:
         check_subject_id(self.subject_id)
         if not self.side:
             raise ValidationError(f"{self.subject_id}: side must be non-empty")
+        if not self.streams:
+            raise ValidationError(f"{self.subject_id}: session must hold at least one stream")
         rates = {s.sample_rate_hz for s in self.streams.values()}
         if len(rates) > 1:
             raise ValidationError(

@@ -47,6 +47,11 @@ def session_without_side():
             id="manifest-missing-placement",
         ),
         pytest.param(
+            lambda: SessionManifest("P\udc80", Group.PATIENT, "left", RECORDINGS, "S01_labels.csv"),
+            "subject_id is not encodable as UTF-8, got 'P\\udc80'",
+            id="manifest-subject-not-utf8",
+        ),
+        pytest.param(
             lambda: stream(accel=np.zeros((4, 2))),
             "accel must be an N x 3 array, got shape (4, 2)",
             id="stream-two-columns",
@@ -60,6 +65,16 @@ def session_without_side():
             session_without_side,
             "S01: side must be non-empty",
             id="session-empty-side",
+        ),
+        pytest.param(
+            lambda: Session("S01", Group.PATIENT, "left", {}, {}),
+            "S01: session must hold at least one stream",
+            id="session-no-streams",
+        ),
+        pytest.param(
+            lambda: Session("P\udc80", Group.PATIENT, "left", {Placement.WRIST: stream()}, {}),
+            "subject_id is not encodable as UTF-8, got 'P\\udc80'",
+            id="session-subject-not-utf8",
         ),
         pytest.param(
             lambda: FeatureVector(

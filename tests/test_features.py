@@ -393,9 +393,7 @@ class TestSpectralArcLength:
         rng = np.random.default_rng(73)
         session = build_session(rng, n=65537)
         with pytest.raises(FeatureError, match="S01 WH/complete/arm") as exc_info:
-            extract_all(
-                session_windows(session), TaskKind.WH, SegmentKind.COMPLETE, Placement.ARM
-            )
+            extract_cell(session, TaskKind.WH, SegmentKind.COMPLETE, Placement.ARM)
         assert "exceeds the cap" in str(exc_info.value.__cause__)
 
 
@@ -495,9 +493,8 @@ class TestLogDimensionlessJerk:
         stream = SensorStream(accel=accel, gyro=gyro, sample_rate_hz=RATE)
         labels = {TaskKind.WH: SegmentLabel(s1=0, e1=160, e2=320, e3=n)}
         session = assemble_session("G01", Group.HEALTHY, "left", {Placement.WRIST: stream}, labels)
-        windows = session_windows(session)
         with pytest.raises(FeatureError, match="dimensionless jerk is undefined: constant signal"):
-            extract_all(windows, TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST)
+            extract_cell(session, TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST)
 
     def test_peak_includes_gravity(self):
         # at 1 Hz the jerk of [12, 16, 12, 12] is [4, 0, -2, 0], so the
@@ -545,6 +542,12 @@ def build_session(rng, n=640, subject_id="S01", group=Group.PATIENT, rate=RATE):
     return assemble_session(subject_id, group, "left", streams, labels)
 
 
+def extract_cell(session, task, kind, placement, params=FeatureParams()):
+    """`extract_all` of one cell of `session`, from its own `session_windows`."""
+    cell = (task, kind, placement)
+    return extract_all(session, params, cell, session_windows(session, params)[cell])
+
+
 def rotate_session(session, rot):
     streams = {
         placement: SensorStream(
@@ -562,10 +565,10 @@ def rotate_session(session, rot):
 class TestExtractAll:
     def test_duration_is_placement_independent(self):
         rng = np.random.default_rng(47)
-        windows = session_windows(build_session(rng))
+        session = build_session(rng)
         for kind in SegmentKind:
-            wrist = extract_all(windows, TaskKind.WH, kind, Placement.WRIST)
-            arm = extract_all(windows, TaskKind.WH, kind, Placement.ARM)
+            wrist = extract_cell(session, TaskKind.WH, kind, Placement.WRIST)
+            arm = extract_cell(session, TaskKind.WH, kind, Placement.ARM)
             assert wrist.duration_s == arm.duration_s
 
     def test_duration_is_window_length_over_rate(self):
@@ -573,9 +576,8 @@ class TestExtractAll:
         rng = np.random.default_rng(47)
         session = build_session(rng, rate=100.0)
         label = session.labels[TaskKind.WH]
-        windows = session_windows(session)
         got = {
-            kind: extract_all(windows, TaskKind.WH, kind, Placement.WRIST).duration_s
+            kind: extract_cell(session, TaskKind.WH, kind, Placement.WRIST).duration_s
             for kind in SegmentKind
         }
         assert got[SegmentKind.COMPLETE] == 6.4
@@ -593,8 +595,8 @@ class TestExtractAll:
             q[:, 0] = -q[:, 0]
         turned = rotate_session(session, q)
         cell = (TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST)
-        base = extract_all(session_windows(session), *cell)
-        moved = extract_all(session_windows(turned), *cell)
+        base = extract_cell(session, *cell)
+        moved = extract_cell(turned, *cell)
         assert moved.nmcp_a == base.nmcp_a
         assert moved.np_a == base.np_a
         assert moved.sparc == pytest.approx(base.sparc, rel=1e-9)
@@ -614,13 +616,13 @@ class TestExtractAll:
         labels = {TaskKind.WH: SegmentLabel(s1=0, e1=160, e2=320, e3=640)}
         session = assemble_session("Z01", Group.HEALTHY, "right", streams, labels)
         with pytest.raises(FeatureError) as exc_info:
-            extract_all(session_windows(session), TaskKind.WH, SegmentKind.SUB1, Placement.WRIST)
+            extract_cell(session, TaskKind.WH, SegmentKind.SUB1, Placement.WRIST)
         err = exc_info.value
         assert "Z01" in str(err) and "WH" in str(err) and "sub1" in str(err)
         assert isinstance(err.__cause__, DegenerateSignalError)
         assert "sparc" in str(err.__cause__)
 
-    def test_missing_label_rejected(self):
+    def test_missing_label_has_no_cell(self):
         rng = np.random.default_rng(59)
         session = build_session(rng)
         stripped = assemble_session(
@@ -630,8 +632,11 @@ class TestExtractAll:
             session.streams,
             {TaskKind.WH: session.labels[TaskKind.WH]},
         )
-        with pytest.raises(ValidationError, match="no label or stream for POH/sub1/wrist"):
-            extract_all(session_windows(stripped), TaskKind.POH, SegmentKind.SUB1, Placement.WRIST)
+        # a cell is extracted only if the session has its label and stream
+        cells = session_windows(stripped)
+        assert list(cells) == [
+            (TaskKind.WH, kind, placement) for kind in SegmentKind for placement in Placement
+        ]
 
 
 class TestCohortMatrix:
