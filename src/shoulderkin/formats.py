@@ -6,8 +6,9 @@ live here, beside the text primitives every reader and writer goes
 through and the feature-matrix format. `read_lines` opens and decodes
 every input file, `parse_key_values` reads and converts every
 `key = value` line (session manifests, params files, cohort profiles)
-by one table of kinds, `split_rows` splits every comma-separated row, and
-`parse_number` is the one grammar for a number cell (through
+by one table of kinds, and its twin `format_key_values` writes every
+such line by the same table. `split_rows` splits every comma-separated
+row, and `parse_number` is the one grammar for a number cell (through
 `parse_cell`, which names the bad cell). `write_atomically` writes each
 output that a later stage takes as complete: the cohort manifest, the
 feature matrix, the comparison dump and the report.
@@ -278,6 +279,32 @@ def parse_key_values(lines: list[str], kinds, path, first_line: int = 1, require
         message = f"missing keys: {', '.join(missing)}"
         raise ParseError(message, path=path, line=first_line - 1 or None)
     return values
+
+
+def format_key_values(owner, kinds) -> str:
+    """The `key = value` lines that `parse_key_values` reads back by `kinds`.
+
+    Each key of `kinds`, in its order, takes the attribute of that name on
+    `owner`, written by its kind: an Enum by its value, a str as is, an
+    integer as digits, a float as `format_float` text with an integral
+    value's ".0" dropped (128.0 is ``128``), and a pair as its two values
+    separated by a space.
+    """
+    lines = []
+    for key, kind in kinds.items():
+        value = getattr(owner, key)
+        if not isinstance(kind, tuple):
+            kind, value = (kind,), (value,)
+        lines.append(f"{key} = {' '.join(map(_format_value, kind, value))}\n")
+    return "".join(lines)
+
+
+def _format_value(kind, value) -> str:
+    if kind is float:
+        return format_float(value).removesuffix(".0")
+    if kind is int:
+        return str(value)
+    return value if kind is str else value.value
 
 
 def parse_number(cell: str, kind=float):

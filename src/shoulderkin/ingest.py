@@ -6,12 +6,14 @@ CRLF as well. The recording time column is informative only; sample
 positions are defined by row index and the manifest's sample rate.
 
 Every reader here goes through the text primitives of `formats`
-(`read_lines`, `parse_key_values`, `split_rows`, `parse_cell`); import
-each name from the module that defines it. `walk_cohort` is the one
-cohort walker, which checks the cohort manifest and each session's
-subject around `helper.in_order`; `iter_cohort`, `load_cohort` and
-`features.extract_cohort` walk through it. `write_recording` prints
-every value as "%.9g" does, with numpy, a block of rows at a time.
+(`read_lines`, `parse_key_values`, `split_rows`, `parse_cell`), and the
+session manifest, whose fields are its keys, is written by their twin
+`format_key_values`; import each name from the module that defines it.
+`walk_cohort` is the one cohort walker, which checks the cohort manifest
+and each session's subject around `helper.in_order`; `iter_cohort`,
+`load_cohort` and `features.extract_cohort` walk through it.
+`write_recording` prints every value as "%.9g" does, with numpy, a block
+of rows at a time.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .formats import (
     Placement,
     TaskKind,
     check_subject_id,
+    format_key_values,
     parse_cell,
     parse_key_values,
     read_lines,
@@ -273,33 +276,30 @@ def write_labels(labels: dict[TaskKind, SegmentLabel]) -> bytes:
 
 @dataclass(frozen=True)
 class SessionManifest:
-    """Pointers and metadata for one session's files.
+    """One session's manifest: its fields are the file's keys, in file order.
 
-    Recording and label paths are stored as written in the manifest,
-    relative to the manifest's own directory. No text value holds a line
-    break, starts or ends with whitespace, or fails to encode as UTF-8, so
-    `write_session_manifest` output parses back to an equal manifest.
+    `wrist`, `arm` and `labels` are the recording and label paths as
+    written, relative to the manifest's own directory. No text value is
+    empty, holds a line break, starts or ends with whitespace, or fails to
+    encode as UTF-8, so `write_session_manifest` output parses back to an
+    equal manifest.
     """
 
     subject_id: str
     group: Group
     side: str
-    recordings: dict[Placement, str]
-    labels_path: str
-    sample_rate_hz: float = DEFAULT_SAMPLE_RATE_HZ
+    sample_rate_hz: float
+    wrist: str
+    arm: str
+    labels: str
 
     def __post_init__(self):
-        object.__setattr__(self, "recordings", dict(self.recordings))
         check_subject_id(self.subject_id)
-        if not self.side:
-            raise ValidationError("side must be non-empty")
-        if set(self.recordings) != set(Placement):
-            raise ValidationError("manifest must reference one recording per placement")
         # each value is one `key = value` line, read back stripped
-        texts = {"side": self.side, "labels_path": self.labels_path}
-        for placement, path in self.recordings.items():
-            texts[f"{placement.value} recording path"] = path
-        for key, text in texts.items():
+        for key in ("side", "wrist", "arm", "labels"):
+            text = getattr(self, key)
+            if not text:
+                raise ValidationError(f"{key} must be non-empty")
             if "\r" in text or "\n" in text:
                 raise ValidationError(f"{key} must not contain a line break, got {text!r}")
             if text != text.strip():
@@ -314,7 +314,7 @@ class SessionManifest:
             )
 
 
-# every session-manifest key, with its kind
+# every session-manifest key, with its kind, in file order
 _MANIFEST_KINDS = dict(
     subject_id=str, group=Group, side=str, sample_rate_hz=float, wrist=str, arm=str, labels=str
 )
@@ -322,41 +322,22 @@ _MANIFEST_KINDS = dict(
 
 def parse_session_manifest(path) -> SessionManifest:
     """Parse the key = value session manifest."""
-    values = parse_key_values(read_lines(path, missing=_referenced(path)), _MANIFEST_KINDS, path)
-    return SessionManifest(
-        subject_id=values["subject_id"],
-        group=values["group"],
-        side=values["side"],
-        recordings={Placement.WRIST: values["wrist"], Placement.ARM: values["arm"]},
-        labels_path=values["labels"],
-        sample_rate_hz=values["sample_rate_hz"],
-    )
+    lines = read_lines(path, missing=_referenced(path))
+    return SessionManifest(**parse_key_values(lines, _MANIFEST_KINDS, path))
 
 
 def write_session_manifest(manifest: SessionManifest) -> bytes:
-    lines = [
-        f"subject_id = {manifest.subject_id}",
-        f"group = {manifest.group.value}",
-        f"side = {manifest.side}",
-        # 17 significant digits read back as the same double; 128.0 is "128"
-        f"sample_rate_hz = {manifest.sample_rate_hz:.17g}",
-        f"wrist = {manifest.recordings[Placement.WRIST]}",
-        f"arm = {manifest.recordings[Placement.ARM]}",
-        f"labels = {manifest.labels_path}",
-    ]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return format_key_values(manifest, _MANIFEST_KINDS).encode("utf-8")
 
 
 def load_session(manifest_path) -> Session:
     """Load and cross-validate one session from its manifest."""
     manifest_path = Path(manifest_path)
     manifest = parse_session_manifest(manifest_path)
-    base = manifest_path.parent
-    streams = {
-        placement: parse_recording(base / rel, manifest.sample_rate_hz)
-        for placement, rel in manifest.recordings.items()
-    }
-    labels = parse_labels(base / manifest.labels_path)
+    base, rate = manifest_path.parent, manifest.sample_rate_hz
+    # each placement's recording path is the manifest field of its name
+    streams = {p: parse_recording(base / getattr(manifest, p.value), rate) for p in Placement}
+    labels = parse_labels(base / manifest.labels)
     return assemble_session(manifest.subject_id, manifest.group, manifest.side, streams, labels)
 
 

@@ -171,23 +171,13 @@ _PROFILE_KEYS = {
 }
 
 
-def _format_number(value) -> str:
-    """An integer as digits; a float as `formats.format_float` text, which
-    reads back as the same double, with an integral value's ".0" dropped."""
-    return str(value) if _is_integer(value) else formats.format_float(value).removesuffix(".0")
-
-
 def write_profile(profile: CohortProfile) -> bytes:
     """Render a profile as the text `parse_profile` reads back as `profile`."""
-    lines = []
+    sections = []
     for section, kinds in _PROFILE_KEYS.items():
         owner = profile if section == "cohort" else getattr(profile, section)
-        lines += ["", f"[{section}]"]
-        for key, kind in kinds.items():
-            value = getattr(owner, key)
-            values = value if isinstance(kind, tuple) else [value]
-            lines.append(f"{key} = " + " ".join(map(_format_number, values)))
-    return ("\n".join(lines[1:]) + "\n").encode("utf-8")
+        sections.append(f"[{section}]\n" + formats.format_key_values(owner, kinds))
+    return "\n".join(sections).encode("utf-8")
 
 
 def parse_profile(path) -> CohortProfile:
@@ -417,19 +407,20 @@ def _write_session(profile: CohortProfile, group: Group, index: int, out_dir: Pa
     manifest into `out_dir`; returns the manifest's file name."""
     session = generate_session(profile, group, index)
     sid = session.subject_id
-    files = {placement: f"{sid}_{placement.value}.csv" for placement in Placement}
-    for placement, name in files.items():
-        (out_dir / name).write_bytes(ingest.write_recording(session.streams[placement]))
-    labels_name = f"{sid}_labels.csv"
-    (out_dir / labels_name).write_bytes(ingest.write_labels(session.labels))
     manifest = ingest.SessionManifest(
         subject_id=sid,
         group=session.group,
         side=session.side,
-        recordings=files,
-        labels_path=labels_name,
         sample_rate_hz=session.sample_rate_hz,
+        wrist=f"{sid}_wrist.csv",
+        arm=f"{sid}_arm.csv",
+        labels=f"{sid}_labels.csv",
     )
+    for placement in Placement:
+        # written inline: no name holds a recording's bytes while the next is rendered
+        path = out_dir / getattr(manifest, placement.value)
+        path.write_bytes(ingest.write_recording(session.streams[placement]))
+    (out_dir / manifest.labels).write_bytes(ingest.write_labels(session.labels))
     manifest_name = f"{sid}_session.txt"
     (out_dir / manifest_name).write_bytes(ingest.write_session_manifest(manifest))
     return manifest_name

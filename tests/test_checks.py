@@ -13,7 +13,19 @@ from shoulderkin.model import SegmentLabel, SensorStream, Session
 from shoulderkin.stats import ComparisonCell
 from shoulderkin.synth import generate_session, synth_segment
 
-RECORDINGS = {Placement.WRIST: "S01_wrist.csv", Placement.ARM: "S01_arm.csv"}
+
+def manifest(**fields):
+    """A valid session manifest with `fields` replaced."""
+    valid = dict(
+        subject_id="S01",
+        group=Group.PATIENT,
+        side="left",
+        sample_rate_hz=128.0,
+        wrist="S01_wrist.csv",
+        arm="S01_arm.csv",
+        labels="S01_labels.csv",
+    )
+    return SessionManifest(**{**valid, **fields})
 
 
 def stream(accel=None, gyro=None):
@@ -35,19 +47,22 @@ def session_without_side():
     "build, message",
     [
         pytest.param(
-            lambda: SessionManifest("S01", Group.PATIENT, "", RECORDINGS, "S01_labels.csv"),
+            lambda: manifest(side=""),
             "side must be non-empty",
             id="manifest-empty-side",
         ),
         pytest.param(
-            lambda: SessionManifest(
-                "S01", Group.PATIENT, "left", {Placement.WRIST: "S01_wrist.csv"}, "S01_labels.csv"
-            ),
-            "manifest must reference one recording per placement",
-            id="manifest-missing-placement",
+            lambda: manifest(labels=""),
+            "labels must be non-empty",
+            id="manifest-empty-labels",
         ),
         pytest.param(
-            lambda: SessionManifest("P\udc80", Group.PATIENT, "left", RECORDINGS, "S01_labels.csv"),
+            lambda: manifest(wrist=""),
+            "wrist must be non-empty",
+            id="manifest-empty-wrist",
+        ),
+        pytest.param(
+            lambda: manifest(subject_id="P\udc80"),
             "subject_id is not encodable as UTF-8, got 'P\\udc80'",
             id="manifest-subject-not-utf8",
         ),

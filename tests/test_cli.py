@@ -65,6 +65,7 @@ from shoulderkin.ingest import (
 )
 from shoulderkin.model import SegmentLabel, SensorStream
 from shoulderkin.report import TASK_TITLES
+from shoulderkin.synth import parse_profile
 
 BENCHMARK_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -172,6 +173,17 @@ class TestPipeline:
         assert digest.hexdigest() == (
             "e93c73a00b4be3be787dd822b1d53ccddf5bcaf83cfe17e1e9b4bd49b3b9b011"
         )
+
+    def test_manifests_and_profile_write_back_byte_for_byte(self, seed42_cohort, tmp_path):
+        # parsed and written again, each session manifest `simulate` wrote,
+        # and the stock profile, are the same bytes
+        sessions = sorted(seed42_cohort.glob("*_session.txt"))
+        assert len(sessions) == 4
+        for path in sessions:
+            assert write_session_manifest(parse_session_manifest(path)) == path.read_bytes()
+        profile = tmp_path / "profile.ini"
+        profile.write_bytes(write_profile(default_profile()))
+        assert write_profile(parse_profile(profile)) == profile.read_bytes()
 
     def test_simulate_without_params_writes_the_default_cohort(self, tmp_path):
         # the stock 20v20 profile, pinned by the benchmark's digest of its
@@ -461,8 +473,8 @@ class TestExitCodes:
         shutil.copytree(small_cohort, cohort)
         entries = manifest_entries(cohort)
         first = parse_session_manifest(cohort / entries[0])
-        start = parse_labels(cohort / first.labels_path)[TaskKind.WH].s1
-        corrupt_cell(cohort / first.recordings[Placement.WRIST], start + 1, "ax", "1e200")
+        start = parse_labels(cohort / first.labels)[TaskKind.WH].s1
+        corrupt_cell(cohort / first.wrist, start + 1, "ax", "1e200")
         corrupt_cell(cohort / recording_of(cohort / entries[-1]), 2, "ax", "abc")
         out = tmp_path / "m.csv"
         code = main(["extract", "--cohort", str(cohort), "--out", str(out)])
@@ -719,7 +731,7 @@ def seed42_cohort(tmp_path_factory):
 
 
 def recording_of(session_path):
-    return parse_session_manifest(session_path).recordings[Placement.WRIST]
+    return parse_session_manifest(session_path).wrist
 
 
 def replace_first_session(cohort, rate, accel, gyro):
@@ -731,9 +743,9 @@ def replace_first_session(cohort, rate, accel, gyro):
     manifest = parse_session_manifest(manifest_path)
     body = np.column_stack((np.arange(len(accel)) / rate, accel, gyro)).tolist()
     text = RECORDING_HEADER + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in body)
-    for rel in manifest.recordings.values():
+    for rel in (manifest.wrist, manifest.arm):
         (cohort / rel).write_text(text)
-    (cohort / manifest.labels_path).write_text(LABELS_HEADER + "\nWH,0,3,3,6,6,9\n")
+    (cohort / manifest.labels).write_text(LABELS_HEADER + "\nWH,0,3,3,6,6,9\n")
     rated = dataclasses.replace(manifest, sample_rate_hz=rate)
     manifest_path.write_bytes(write_session_manifest(rated))
     return manifest.subject_id
@@ -779,7 +791,7 @@ def assert_no_child_process():
 def second_recording(cohort, placement=Placement.WRIST):
     """A recording of entry 1, which the helper of `extract` reads."""
     manifest = parse_session_manifest(cohort / manifest_entries(cohort)[1])
-    return cohort / manifest.recordings[placement]
+    return cohort / getattr(manifest, placement.value)
 
 
 def non_numeric_cell(cohort):
@@ -822,8 +834,8 @@ def duplicate_subject(cohort):
 def corrupt_sample(session_path, text):
     """Put `text` in a sample of the session's WH task on the wrist."""
     manifest = parse_session_manifest(session_path)
-    start = parse_labels(session_path.parent / manifest.labels_path)[TaskKind.WH].s1
-    corrupt_cell(session_path.parent / manifest.recordings[Placement.WRIST], start + 1, "ax", text)
+    start = parse_labels(session_path.parent / manifest.labels)[TaskKind.WH].s1
+    corrupt_cell(session_path.parent / manifest.wrist, start + 1, "ax", text)
 
 
 def sample_before_a_broken_session(text):
@@ -848,9 +860,8 @@ def repeated_subject_that_overflows(cohort):
     entries = manifest_entries(cohort)
     manifest = parse_session_manifest(cohort / entries[0])
     wrist = "again_wrist.csv"
-    shutil.copy(cohort / manifest.recordings[Placement.WRIST], cohort / wrist)
-    recordings = {**manifest.recordings, Placement.WRIST: wrist}
-    again = dataclasses.replace(manifest, recordings=recordings)
+    shutil.copy(cohort / manifest.wrist, cohort / wrist)
+    again = dataclasses.replace(manifest, wrist=wrist)
     (cohort / "again_session.txt").write_bytes(write_session_manifest(again))
     corrupt_sample(cohort / "again_session.txt", "1e200")
     lines = [entries[0], "again_session.txt", entries[2]]
@@ -1629,9 +1640,8 @@ class TestSpecialFiles:
         shutil.copytree(small_cohort, cohort)
         session = cohort / manifest_entries(cohort)[0]
         manifest = parse_session_manifest(session)
-        recordings = {**manifest.recordings, Placement.WRIST: str(special)}
         session.write_bytes(
-            write_session_manifest(dataclasses.replace(manifest, recordings=recordings))
+            write_session_manifest(dataclasses.replace(manifest, wrist=str(special)))
         )
         argv = ["extract", "--cohort", str(cohort), "--out", str(tmp_path / "m.csv")]
         proc = run_python("-c", self.PROBE, *argv, timeout=60)

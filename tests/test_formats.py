@@ -1,4 +1,5 @@
-"""Line endings in every line-based reader, and the integer rule without numpy.
+"""Line endings in every line-based reader, the integer rule without numpy,
+and the `key = value` writer that the reader reads back.
 
 `read_lines` replaces CRLF only in a text that holds a carriage return.
 A property holds it to the plain replace-and-split on random text that
@@ -6,10 +7,12 @@ mixes LF, CRLF and lone carriage returns, and the examples pin that a
 CRLF or mixed file reads as its LF twin and that a lone carriage return
 inside a row or at the end of the last one keeps its message and line
 number in each reader. `_is_integer`, which no longer imports numpy, is
-held to the numpy check it replaced.
+held to the numpy check it replaced. `format_key_values` writes every kind
+that `parse_key_values` reads back, each float as the same double.
 """
 
 import fractions
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from shoulderkin.formats import (
     SegmentKind,
     TaskKind,
     _is_integer,
+    format_key_values,
+    parse_key_values,
     read_lines,
     read_matrix,
     write_matrix,
@@ -196,3 +201,45 @@ def test_feature_vector_takes_numpy_integer_counts(count):
 def test_feature_vector_refuses_other_counts(count):
     with pytest.raises(ValidationError, match="counts must be integers"):
         FeatureVector(count, 1, -1.0, -2.0, 1.0, 1.0, 1.0)
+
+
+def test_format_key_values_writes_each_kind_as_parse_key_values_reads_it():
+    values = dict(
+        path="P01 wrist.csv",
+        group=Group.HEALTHY,
+        count=7,
+        numpy_count=np.int64(-3),
+        counts=(1, np.int32(4)),
+        span=(0.5, 2.0),
+    )
+    kinds = dict(
+        path=str, group=Group, count=int, numpy_count=int, counts=(int, int), span=(float, float)
+    )
+    text = format_key_values(SimpleNamespace(**values), kinds)
+    assert text == (
+        "path = P01 wrist.csv\ngroup = healthy\ncount = 7\nnumpy_count = -3\n"
+        "counts = 1 4\nspan = 0.5 2\n"
+    )
+    assert parse_key_values(text.splitlines(), kinds, "values.txt") == values
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (0.1, "0.1"),
+        (128.0, "128"),
+        (1e16, "1e+16"),
+        (1e22, "1e+22"),
+        (5e-324, "5e-324"),
+        (-0.0, "-0"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"),
+        (np.float64(100.1), "100.1"),
+    ],
+    ids=repr,
+)
+def test_format_key_values_writes_a_float_that_reads_back_as_the_same_double(value, text):
+    # the shortest text that reads back, with an integral value's ".0" dropped
+    line = format_key_values(SimpleNamespace(x=value), {"x": float})
+    assert line == f"x = {text}\n"
+    back = parse_key_values([line], {"x": float}, "values.txt")["x"]
+    assert repr(back) == repr(float(value))

@@ -17,9 +17,11 @@ from shoulderkin import (
     CohortError,
     ParseError,
     ValidationError,
+    default_profile,
     ingest,
     load_cohort,
     read_matrix,
+    write_profile,
 )
 from shoulderkin.formats import (
     MATRIX_HEADER,
@@ -308,9 +310,10 @@ class TestSessionManifest:
             subject_id="P01",
             group=Group.PATIENT,
             side="left",
-            recordings={Placement.WRIST: "P01_wrist.csv", Placement.ARM: "P01_arm.csv"},
-            labels_path="P01_labels.csv",
             sample_rate_hz=RATE,
+            wrist="P01_wrist.csv",
+            arm="P01_arm.csv",
+            labels="P01_labels.csv",
         )
 
     def test_round_trip(self, tmp_path):
@@ -318,6 +321,14 @@ class TestSessionManifest:
         path.write_bytes(write_session_manifest(self.manifest()))
         back = parse_session_manifest(path)
         assert back == self.manifest()
+
+    def test_rate_is_written_as_a_profile_writes_a_float(self):
+        # one float rule for every `key = value` writer: 100.1, not 100.09999999999999
+        manifest = replace(self.manifest(), sample_rate_hz=100.1)
+        assert "\nsample_rate_hz = 100.1\n" in write_session_manifest(manifest).decode()
+        profile = default_profile()
+        profile = replace(profile, patient=replace(profile.patient, accel_noise_sigma=100.1))
+        assert "\naccel_noise_sigma = 100.1\n" in write_profile(profile).decode()
 
     @pytest.mark.parametrize("rate", [0.0, float("inf"), float("nan")])
     def test_rate_must_be_positive_and_finite(self, rate):
@@ -551,12 +562,10 @@ def write_full_session(dirpath, sid="S01", n=400, group=Group.PATIENT, rate=RATE
         subject_id=sid,
         group=group,
         side="left",
-        recordings={
-            Placement.WRIST: f"{sid}_wrist.csv",
-            Placement.ARM: f"{sid}_arm.csv",
-        },
-        labels_path=f"{sid}_labels.csv",
         sample_rate_hz=rate,
+        wrist=f"{sid}_wrist.csv",
+        arm=f"{sid}_arm.csv",
+        labels=f"{sid}_labels.csv",
     )
     path = dirpath / f"{sid}_session.txt"
     path.write_bytes(write_session_manifest(manifest))

@@ -143,9 +143,10 @@ def session_files(sid="S01", group=Group.PATIENT) -> dict[str, bytes]:
         subject_id=sid,
         group=group,
         side="left",
-        recordings={p: f"{sid}_{p.value}.csv" for p in Placement},
-        labels_path=f"{sid}_labels.csv",
         sample_rate_hz=32.0,
+        wrist=f"{sid}_wrist.csv",
+        arm=f"{sid}_arm.csv",
+        labels=f"{sid}_labels.csv",
     )
     files[f"{sid}_session.txt"] = write_session_manifest(manifest)
     return files
@@ -499,9 +500,10 @@ def test_session_manifest_reads_back_as_written_or_is_rejected(work, data):
             subject_id=subject_id,
             group=Group.HEALTHY,
             side=side,
-            recordings={Placement.WRIST: wrist, Placement.ARM: arm},
-            labels_path=labels,
             sample_rate_hz=128.0,
+            wrist=wrist,
+            arm=arm,
+            labels=labels,
         )
     except ValidationError:
         assert not (fits_one_line and encodable) or "," in subject_id
