@@ -5,14 +5,19 @@ spectral arc length, log dimensionless jerk), two intensity measures
 (angular-velocity range and its product with the acceleration range), and
 the segment duration. Each is a deterministic map from one labelled window
 to a scalar. A session is extracted at a time: `session_windows` computes
-each stream's norms once, cuts every present cell's window as views of
-them, counts the prominent peaks of each placement's windows in one walk,
-and returns a plain map from each cell to its window; `extract_all`
-evaluates the whole set for one cell from its window.
+each stream's norms once and every feature of each placement's windows in
+array passes over all of them, with one FFT per SPARC window, and returns
+a plain map from each cell to its values or its error; `extract_all`
+builds one cell's `FeatureVector`, or raises its error.
 
-The four smoothness kernels take a plain 1-D float array (a norm from
-`dsp.euclidean_norm`) that the caller has checked to be finite; they check
-only the lengths and durations that a short label window can break.
+Each feature has one implementation, a kernel over many windows at once,
+bit for bit what the feature gives a window alone. The one-window
+functions (`mean_crossing_count`, `peak_count`, `spectral_arc_length`,
+`log_dimensionless_jerk`, `angular_velocity_range`, `power_index`) are its
+one-window case. The four smoothness functions take a plain 1-D float
+array (a norm from `dsp.euclidean_norm`) that the caller has checked to be
+finite; they check only the lengths and durations that a short label
+window can break.
 `extract_cohort` builds the matrix rows; their text format (`FeatureRow`,
 `write_matrix`, `read_matrix`) is in `formats`, which loads no numpy.
 Import each name from the module that defines it.
@@ -28,15 +33,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dsp import euclidean_norm, fft_length, magnitude_spectrum
-from .dsp import derivative as _derivative
-from .errors import DegenerateSignalError, FeatureError, TooShortError, ValidationError
+from .dsp import derivative, euclidean_norm, fft_length, magnitude_spectrum
+from .errors import (
+    DegenerateSignalError,
+    FeatureError,
+    ShoulderKinError,
+    TooShortError,
+    ValidationError,
+)
 from .formats import FeatureRow, FeatureVector, Placement, SegmentKind, TaskKind, _is_integer
 # perfbench/spans.py looks these two up in this module to trace them
 from .formats import read_matrix, write_matrix  # noqa: F401
 from .helper import in_order
 from .ingest import walk_cohort
-from .model import Session, slice_segment
+from .model import SensorStream, Session, slice_segment
 
 
 # Highest SPARC zero-padding level: an FFT 2**8 = 256 times the shortest
@@ -103,12 +113,7 @@ def mean_crossing_count(v: np.ndarray) -> int:
     n = len(v)
     if n < 2:
         raise TooShortError(f"mean crossings need >= 2 samples, got {n}")
-    mean = v.sum() / n
-    # A crossing is a nonzero sign of v - mean that differs from the last
-    # nonzero one. fl(v - mean) is zero exactly when v == mean and otherwise
-    # has the sign of v - mean, so comparing with the mean gives the same signs.
-    above = v[v != mean] > mean
-    return int(np.count_nonzero(above[1:] != above[:-1]))
+    return _mean_crossing_counts(_join([v]))[0]
 
 
 def peak_count(v: np.ndarray, params: FeatureParams | None = None) -> int:
@@ -126,36 +131,199 @@ def peak_count(v: np.ndarray, params: FeatureParams | None = None) -> int:
     - The peak counts if ``peak - max(left_base, right_base) >= h``, in
       floating point as written.
 
-    Needs at least 3 samples. This is the one-window case of the walk that
-    `session_windows` runs over all of a placement's windows at once.
+    Needs at least 3 samples.
     """
     params = params or FeatureParams()
     n = len(v)
     if n < 3:
         raise TooShortError(f"peak count needs >= 3 samples, got {n}")
-    h = params.peak_prominence_frac * float(v.max() - v.min())
-    return int(_prominent_peak_counts([v], np.array([h]))[0])
+    peak, low = _window_extrema(v, [0], [n])
+    return _peak_counts(_join([v]), peak, low, params)[0]
 
 
-def _prominent_peak_counts(windows: list[np.ndarray], h: np.ndarray) -> np.ndarray:
-    """`peak_count` of each window after its checks, with window i's threshold h[i].
+def spectral_arc_length(
+    w_norm: np.ndarray, sample_rate_hz: float, params: FeatureParams | None = None
+) -> float:
+    """Negative arc length of the normalized magnitude spectrum (SPARC).
+
+    The spectrum is normalized by its DC value, restricted to frequencies
+    up to sparc_max_cutoff_hz, then trimmed to the span between the first
+    and last bins whose normalized magnitude reaches sparc_amp_threshold
+    (the adaptive cutoff of the published metric). The arc length of that
+    curve, with the frequency axis rescaled to unit length, is returned
+    negated: smoother movement gives a value closer to 0.
+
+    `w_norm` is a 1-D signal sampled at `sample_rate_hz`, with at least 2
+    samples and at least min_segment_s seconds (N / rate) of signal. Raises
+    a degenerate-signal error when the DC component is zero, since the
+    normalization is then undefined, when the selected bins span no
+    frequency, since the frequency axis cannot then be rescaled, and when
+    the padded transform would exceed SPARC_MAX_FFT_POINTS.
+    """
+    params = params or FeatureParams()
+    n = len(w_norm)
+    if n < 2:
+        raise TooShortError(f"sparc needs >= 2 samples, got {n}")
+    return _value(_spectral_arc_lengths([w_norm], sample_rate_hz, params)[0])
+
+
+def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
+    """Negated natural log of the dimensionless squared-jerk integral.
+
+    `a_norm` is a 1-D signal sampled at `sample_rate_hz`, with at least 3
+    samples. With T the segment duration, j the numerical derivative of the
+    signal and dt the sample period:
+
+        -ln( T / max(signal)^2 * sum(j^2) * dt )
+
+    Larger (less negative) means smoother. Three conventions follow from
+    taking the signal to be the acceleration norm ||a||: the jerk is
+    d||a||/dt, not ||da/dt||, so an acceleration that turns at a constant
+    magnitude has no jerk; the peak is max ||a||, gravity included; and T
+    is n / rate, not (n - 1) / rate. A minimum-jerk speed pulse sampled on
+    T * rate + 1 points scores just below its continuous value
+    -ln(120 / (7 * 1.875^2)), about -1.5844, and closer as the rate rises.
+
+    For given samples the value depends on neither their amplitude nor
+    the rate they are read at. The same movement sampled at another rate
+    gives other samples, and another value: for the acceleration norm of
+    a minimum-jerk pulse, which has a kink at each end, the value
+    converges only as 1 / rate. Where amplitude or rate push peak^2,
+    sum(j^2) or the ratio out of the normal, finite, positive doubles (a
+    peak below about 1.5e-154 or a jerk near 1e154, or a rate such as
+    1e-160, 1e300 or 7.5e15 Hz), it is computed
+    from signal / peak at 1 Hz instead, where the ratio is a normal double
+    for any signal that is not constant. That peak is rounded down to a
+    power of two, so the scaling is exact. Constant signals and signals
+    with zero peak are degenerate: the log has no value.
+    """
+    n = len(a_norm)
+    if n < 3:
+        raise TooShortError(f"dimensionless jerk needs >= 3 samples, got {n}")
+    peak, low = _window_extrema(a_norm, [0], [n])
+    return _value(_log_dimensionless_jerks(_join([a_norm]), peak, low, sample_rate_hz)[0])
+
+
+def angular_velocity_range(gyro: np.ndarray) -> float:
+    """Mean over the three axes of each axis's max-minus-min, in deg/s."""
+    return float(_mean_axis_ranges(*_window_extrema(gyro.T, [0], [len(gyro)]))[0])
+
+
+def power_index(accel: np.ndarray, rav: float) -> float:
+    """Mean per-axis acceleration range times the angular-velocity range `rav`."""
+    return float(_mean_axis_ranges(*_window_extrema(accel.T, [0], [len(accel)]))[0]) * rav
+
+
+def _value(outcome):
+    """A one-window kernel's outcome: its value, or its error raised."""
+    if isinstance(outcome, ShoulderKinError):
+        raise outcome
+    return outcome
+
+
+def _is_normal(x: float) -> bool:
+    """True for a normal, finite, positive double; False for nan too."""
+    return sys.float_info.min <= x < math.inf
+
+
+# The kernels below take many windows at once. Each is exact in any order,
+# or keeps one call per window where its bits depend on the call: a
+# pairwise `.sum()` over a window's contiguous samples, and one FFT per
+# SPARC window. The one-window functions above are their one-window case.
+
+
+class _Joined(NamedTuple):
+    """1-D windows end to end, with an +inf sample before, between and
+    after them, so that one pass over `v` sees each window as if alone."""
+
+    v: np.ndarray
+    starts: np.ndarray  # each window's first index in v
+    ends: np.ndarray  # the index of the +inf after it
+
+
+def _join(windows: list[np.ndarray]) -> _Joined:
+    """Join one or more non-empty finite windows."""
+    sep = np.array([np.inf])
+    v = np.concatenate([sep, *(part for window in windows for part in (window, sep))])
+    lengths = np.array([len(window) for window in windows], dtype=np.intp)
+    ends = np.cumsum(lengths + 1)
+    starts = ends - lengths
+    return _Joined(v, starts, ends)
+
+
+def _window_extrema(a: np.ndarray, starts, ends) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and the smallest value of each window ``a[..., start:end]``.
+
+    Every window but the last must end before `a` does along its last
+    axis: `reduceat` takes each window's end as the next bound, and only
+    the last bound runs to the end.
+    """
+    bounds = np.column_stack((starts, ends)).ravel()
+    if bounds[-1] == a.shape[-1]:
+        bounds = bounds[:-1]
+    return (
+        np.maximum.reduceat(a, bounds, axis=-1)[..., ::2],
+        np.minimum.reduceat(a, bounds, axis=-1)[..., ::2],
+    )
+
+
+def _mean_axis_ranges(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """Each window's mean over the axes of its max-minus-min, from the
+    axes-by-windows extremes that `_window_extrema` gives."""
+    return (top - bottom).sum(axis=0) / len(top)
+
+
+def _mean_crossing_counts(joined: _Joined) -> list[int]:
+    """`mean_crossing_count` of each window, each of at least 2 samples."""
+    v, starts, ends = joined.v, joined.starts, joined.ends
+    lengths = ends - starts
+    level = np.full(2 * len(starts) + 1, np.inf)
+    # each window's mean, from its own pairwise sum
+    level[1::2] = [
+        v[s:e].sum() / n for s, e, n in zip(starts.tolist(), ends.tolist(), lengths.tolist())
+    ]
+    counts = np.ones(len(level), dtype=np.intp)
+    counts[1::2] = lengths
+    # each sample's window mean; a separator's is +inf, so it is never off it
+    level = np.repeat(level, counts)
+    off = v != level
+    above = (v > level)[off]
+    del level
+    # window i's samples off its mean are above[first[i]:first[i] + kept[i]]
+    kept = np.add.reduceat(off, np.column_stack((starts, ends)).ravel(), dtype=np.intp)[::2]
+    first = np.cumsum(kept) - kept
+    # flips[j] is the number of changes of side in above[:j + 1]
+    flips = np.zeros(len(above) + 1, dtype=np.intp)
+    np.cumsum(above[1:] != above[:-1], out=flips[1 : len(above)])
+    return (flips[first + np.maximum(kept - 1, 0)] - flips[first]).tolist()
+
+
+def _peak_counts(
+    joined: _Joined, peak: np.ndarray, low: np.ndarray, params: FeatureParams
+) -> list[int]:
+    """`peak_count` of each window, each of at least 3 samples, given each
+    window's largest and smallest sample."""
+    h = params.peak_prominence_frac * (peak - low)
+    return _prominent_peak_counts(joined.v, h).tolist()
+
+
+def _prominent_peak_counts(v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The prominent peaks of each window of a `_Joined.v`, with window i's threshold h[i].
 
     Every window holds at least 3 finite samples. All are counted in one
     walk, in O(total length) memory and no Python loop per peak or window.
     """
-    # Join the windows with an +inf sample before, between and after them. A
-    # run next to +inf is never a peak, and an +inf run is higher than any
-    # peak, so every walk stops at the separator and each window is counted
-    # as if alone. The separators between windows are themselves peaks, and
-    # stay in the peak list as those stoppers; they are never counted.
-    sep = np.array([np.inf])
-    v = np.concatenate([sep, *(part for window in windows for part in (window, sep))])
+    # A run next to a +inf separator is never a peak, and an +inf run is
+    # higher than any peak, so every walk stops at the separator and each
+    # window is counted as if alone. The separators between windows are
+    # themselves peaks, and stay in the peak list as those stoppers; they
+    # are never counted.
     runs = v[np.concatenate(([True], v[1:] != v[:-1]))]
     rising = runs[1:] > runs[:-1]
     peaks = np.flatnonzero(rising[:-1] > rising[1:]) + 1
     k = len(peaks)
     if k == 0:
-        return np.zeros(len(windows), dtype=np.intp)
+        return np.zeros(len(h), dtype=np.intp)
     # separator j opens window j, so a peak's window is the number of
     # separators before it, less one
     window_of = np.searchsorted(np.flatnonzero(runs == np.inf), peaks) - 1
@@ -192,247 +360,294 @@ def _prominent_peak_counts(windows: list[np.ndarray], h: np.ndarray) -> np.ndarr
     deep = top[:-1] - low >= limit
     # the right walk of peak i is slot 2k-1-i; separators never count
     counted = deep[:k] & deep[: k - 1 : -1] & (heights < np.inf)
-    return np.bincount(window_of[counted], minlength=len(windows))
+    return np.bincount(window_of[counted], minlength=len(h))
 
 
-def spectral_arc_length(
-    w_norm: np.ndarray, sample_rate_hz: float, params: FeatureParams | None = None
+def _squared_jerks(joined: _Joined, sample_rate_hz: float) -> np.ndarray:
+    """The square of each window's jerk, in place of its samples in `v`.
+
+    `derivative` takes every central difference at once; each window's two
+    one-sided ends are then patched in, with `derivative`'s stencil.
+    """
+    v, starts, ends = joined.v, joined.starts, joined.ends
+    dx = 1.0 / sample_rate_hz
+    jerk = derivative(v, sample_rate_hz)
+    jerk[starts] = (v[starts + 1] - v[starts]) / dx
+    jerk[ends - 1] = (v[ends - 1] - v[ends - 2]) / dx
+    return np.square(jerk, out=jerk)
+
+
+def _log_dimensionless_jerks(
+    joined: _Joined, peak: np.ndarray, low: np.ndarray, sample_rate_hz: float
+) -> list[float | DegenerateSignalError]:
+    """`log_dimensionless_jerk` of each window, each of at least 3 samples,
+    given its largest and smallest sample, or the error it raises."""
+    bounds = list(zip(joined.starts.tolist(), joined.ends.tolist()))
+    with np.errstate(over="ignore"):
+        squares = _squared_jerks(joined, sample_rate_hz)
+        sums = [float(squares[s:e].sum()) for s, e in bounds]
+    del squares
+    outcomes = []
+    for (s, e), top, bottom, total in zip(bounds, peak.tolist(), low.tolist(), sums):
+        try:
+            value = _log_dimensionless_jerk(joined.v[s:e], top, bottom, total, sample_rate_hz)
+        except DegenerateSignalError as err:
+            value = err
+        outcomes.append(value)
+    return outcomes
+
+
+def _log_dimensionless_jerk(
+    a_norm: np.ndarray, peak: float, low: float, squares: float, sample_rate_hz: float
 ) -> float:
-    """Negative arc length of the normalized magnitude spectrum (SPARC).
-
-    The spectrum is normalized by its DC value, restricted to frequencies
-    up to sparc_max_cutoff_hz, then trimmed to the span between the first
-    and last bins whose normalized magnitude reaches sparc_amp_threshold
-    (the adaptive cutoff of the published metric). The arc length of that
-    curve, with the frequency axis rescaled to unit length, is returned
-    negated: smoother movement gives a value closer to 0.
-
-    `w_norm` is a 1-D signal sampled at `sample_rate_hz`, with at least 2
-    samples and at least min_segment_s seconds (N / rate) of signal. Raises
-    a degenerate-signal error when the DC component is zero, since the
-    normalization is then undefined, when the selected bins span no
-    frequency, since the frequency axis cannot then be rescaled, and when
-    the padded transform would exceed SPARC_MAX_FFT_POINTS.
-    """
-    params = params or FeatureParams()
-    n = len(w_norm)
-    if n < 2:
-        raise TooShortError(f"sparc needs >= 2 samples, got {n}")
-    duration_s = n / sample_rate_hz
-    if duration_s < params.min_segment_s:
-        raise TooShortError(
-            f"sparc needs >= {params.min_segment_s} s of signal, got {duration_s:.4f} s"
-        )
-    n_fft = fft_length(n, params.sparc_pad_level)
-    if n_fft > SPARC_MAX_FFT_POINTS:
-        raise DegenerateSignalError(
-            f"sparc transform of {n_fft} points at pad level {params.sparc_pad_level} "
-            f"exceeds the cap of {SPARC_MAX_FFT_POINTS} points"
-        )
-    spectrum = magnitude_spectrum(w_norm, sample_rate_hz, params.sparc_pad_level)
-    dc = spectrum.magnitudes[0]
-    if dc == 0.0:
-        raise DegenerateSignalError("sparc is undefined: zero DC component (all-zero signal)")
-    # the frequencies ascend, so the bins up to the cutoff are a prefix
-    n_below = np.searchsorted(spectrum.freqs_hz, params.sparc_max_cutoff_hz, side="right")
-    vhat = spectrum.magnitudes[:n_below] / dc
-    above = np.flatnonzero(vhat >= params.sparc_amp_threshold)
-    # vhat[0] is 1.0 by construction, so the selection is never empty
-    first, last = above[0], above[-1] + 1
-    if last - first < 2:
-        return 0.0
-    f_sel = spectrum.freqs_hz[first:last]
-    v_sel = vhat[first:last]
-    span = f_sel[-1] - f_sel[0]
-    if not span > 0:
-        # below about 1e-303 Hz the bin spacing underflows to 0
-        raise DegenerateSignalError("sparc is undefined: the spectrum spans no frequency")
-    df = (f_sel[1:] - f_sel[:-1]) / span
-    dv = v_sel[1:] - v_sel[:-1]
-    return -float(np.sqrt(df * df + dv * dv).sum())
-
-
-def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
-    """Negated natural log of the dimensionless squared-jerk integral.
-
-    `a_norm` is a 1-D signal sampled at `sample_rate_hz`, with at least 3
-    samples. With T the segment duration, j the numerical derivative of the
-    signal and dt the sample period:
-
-        -ln( T / max(signal)^2 * sum(j^2) * dt )
-
-    Larger (less negative) means smoother. Three conventions follow from
-    taking the signal to be the acceleration norm ||a||: the jerk is
-    d||a||/dt, not ||da/dt||, so an acceleration that turns at a constant
-    magnitude has no jerk; the peak is max ||a||, gravity included; and T
-    is n / rate, not (n - 1) / rate. A minimum-jerk speed pulse sampled on
-    T * rate + 1 points scores just below its continuous value
-    -ln(120 / (7 * 1.875^2)), about -1.5844, and closer as the rate rises.
-
-    For given samples the value depends on neither their amplitude nor
-    the rate they are read at. The same movement sampled at another rate
-    gives other samples, and another value: for the acceleration norm of
-    a minimum-jerk pulse, which has a kink at each end, the value
-    converges only as 1 / rate. Where amplitude or rate push peak^2,
-    sum(j^2) or the ratio out of the normal, finite, positive doubles (a
-    peak below about 1.5e-154 or a jerk near 1e154, or a rate such as
-    1e-160, 1e300 or 7.5e15 Hz), it is computed
-    from signal / peak at 1 Hz instead, where the ratio is a normal double
-    for any signal that is not constant. That peak is rounded down to a
-    power of two, so the scaling is exact. Constant signals and signals
-    with zero peak are degenerate: the log has no value.
-    """
-    n = len(a_norm)
-    if n < 3:
-        raise TooShortError(f"dimensionless jerk needs >= 3 samples, got {n}")
-    peak = float(np.max(a_norm))
+    """LDLJ-A of one window from its peak, lowest sample and sum of squared jerk."""
     if peak == 0.0:
         raise DegenerateSignalError("dimensionless jerk is undefined: zero peak value")
     scale = peak * peak
-    with np.errstate(over="ignore"):
-        squares = float(np.sum(np.square(_derivative(a_norm, sample_rate_hz))))
     if _is_normal(scale) and _is_normal(squares):
         dt = 1.0 / sample_rate_hz
-        ratio = n * dt / scale * (squares * dt)
+        ratio = len(a_norm) * dt / scale * (squares * dt)
         if _is_normal(ratio):
             return -math.log(ratio)
-    if a_norm.min() == peak:
+    if low == peak:
         raise DegenerateSignalError("dimensionless jerk is undefined: constant signal")
     # Scale by 2**-e, which is exact, so differences of an ulp of the peak
     # survive. The scaled peak m is in [0.5, 1), and a signal that is not
     # constant has a jerk of at least about 5e-17 at 1 Hz, so the ratio is
     # a normal double.
     m, e = math.frexp(peak)
-    squares = float(np.sum(np.square(_derivative(np.ldexp(a_norm, -e), 1.0))))
-    return -math.log(n / (m * m) * squares)
+    squares = float(_squared_jerks(_join([np.ldexp(a_norm, -e)]), 1.0)[1:-1].sum())
+    return -math.log(len(a_norm) / (m * m) * squares)
 
 
-def _is_normal(x: float) -> bool:
-    """True for a normal, finite, positive double; False for nan too."""
-    return sys.float_info.min <= x < math.inf
+def _spectral_arc_lengths(
+    windows: list[np.ndarray], sample_rate_hz: float, params: FeatureParams
+) -> list[float | ShoulderKinError]:
+    """`spectral_arc_length` of each window, each of at least 2 samples, or
+    the error it raises.
+
+    Each window has its own FFT, and its bins from 0 Hz to its adaptive
+    cutoff wait for `_arc_lengths` to take them with other windows' at
+    once. Before an FFT, the waiting windows are taken if they and that
+    spectrum would hold more bins than the largest spectrum and the
+    windows' samples together: so the bins waiting raise the memory of the
+    largest transform by at most the size of the windows.
+    """
+    outcomes: dict[int, float | ShoulderKinError] = {}
+    bins = {}
+    for i, w_norm in enumerate(windows):
+        duration_s = len(w_norm) / sample_rate_hz
+        if duration_s < params.min_segment_s:
+            outcomes[i] = TooShortError(
+                f"sparc needs >= {params.min_segment_s} s of signal, got {duration_s:.4f} s"
+            )
+            continue
+        n_fft = fft_length(len(w_norm), params.sparc_pad_level)
+        if n_fft > SPARC_MAX_FFT_POINTS:
+            outcomes[i] = DegenerateSignalError(
+                f"sparc transform of {n_fft} points at pad level {params.sparc_pad_level} "
+                f"exceeds the cap of {SPARC_MAX_FFT_POINTS} points"
+            )
+            continue
+        bins[i] = n_fft // 2 + 1
+    room = max(bins.values(), default=0) + sum(map(len, windows))
+    waiting: dict[int, tuple[np.ndarray, float]] = {}
+    held = 0
+    for i, n_bins in bins.items():
+        if held + n_bins > room:
+            outcomes.update(_arc_lengths(waiting))
+            waiting, held = {}, 0
+        try:
+            waiting[i] = _selected_bins(windows[i], sample_rate_hz, params)
+        except DegenerateSignalError as err:
+            outcomes[i] = err
+            continue
+        held += len(waiting[i][0])
+    if waiting:
+        outcomes.update(_arc_lengths(waiting))
+    return [outcomes[i] for i in range(len(windows))]
 
 
-def _mean_axis_range(samples: np.ndarray) -> float:
-    """Mean over the columns of each column's max-minus-min."""
-    # Reducing along the rows of the transposed copy is about ten times
-    # faster than reducing down the strided columns of an N x 3 window.
-    axes = samples.T.copy()
-    return float((axes.max(axis=1) - axes.min(axis=1)).sum()) / len(axes)
+def _selected_bins(
+    w_norm: np.ndarray, sample_rate_hz: float, params: FeatureParams
+) -> tuple[np.ndarray, float]:
+    """The window's magnitudes over DC from 0 Hz to its adaptive cutoff, and
+    their spacing in Hz."""
+    spectrum = magnitude_spectrum(w_norm, sample_rate_hz, params.sparc_pad_level)
+    magnitudes, freqs = spectrum.magnitudes, spectrum.freqs_hz
+    del spectrum
+    dc = magnitudes[0]
+    if dc == 0.0:
+        raise DegenerateSignalError("sparc is undefined: zero DC component (all-zero signal)")
+    # the frequencies ascend, so the bins up to the cutoff are a prefix
+    n_below = freqs.searchsorted(params.sparc_max_cutoff_hz, side="right")
+    step = float(freqs[1])
+    del freqs
+    vhat = magnitudes[:n_below] / dc
+    del magnitudes
+    # vhat[0] is 1.0, so the selection starts at the first bin and is never empty
+    last = np.flatnonzero(vhat >= params.sparc_amp_threshold)[-1]
+    return vhat[: last + 1].copy(), step
 
 
-def angular_velocity_range(gyro: np.ndarray) -> float:
-    """Mean over the three axes of each axis's max-minus-min, in deg/s."""
-    return _mean_axis_range(gyro)
-
-
-def power_index(accel: np.ndarray, rav: float) -> float:
-    """Mean per-axis acceleration range times the angular-velocity range `rav`."""
-    return _mean_axis_range(accel) * rav
-
-
-class _Window(NamedTuple):
-    """One cell's window: views of the stream's samples and norms."""
-
-    accel: np.ndarray
-    gyro: np.ndarray
-    a_norm: np.ndarray
-    w_norm: np.ndarray
-    finite: bool  # both norms are finite over the window
-    np_a: int | None  # its peak count, or None if not finite or under 3 samples
+def _arc_lengths(
+    waiting: dict[int, tuple[np.ndarray, float]]
+) -> dict[int, float | DegenerateSignalError]:
+    """SPARC of each window waiting, from its selected bins and their spacing."""
+    parts, steps = zip(*waiting.values())
+    kept = np.array([len(part) for part in parts])
+    steps = np.array(steps)
+    # the selection spans kept - 1 spacings from 0 Hz
+    span = (kept - 1) * steps
+    outcomes = {}
+    arcs = []
+    for j, (i, n, width) in enumerate(zip(waiting, kept.tolist(), span.tolist())):
+        if n < 2:
+            outcomes[i] = 0.0
+        elif not width > 0:
+            # below about 1e-303 Hz the bin spacing underflows to 0
+            outcomes[i] = DegenerateSignalError(
+                "sparc is undefined: the spectrum spans no frequency"
+            )
+        else:
+            arcs.append(j)
+    if not arcs:
+        return outcomes
+    v = np.concatenate([parts[j] for j in arcs])
+    kept = kept[arcs]
+    firsts = np.cumsum(kept) - kept
+    # each bin's frequency as rfftfreq computes it, its index times the spacing
+    freqs = (np.arange(len(v)) - np.repeat(firsts, kept)) * np.repeat(steps[arcs], kept)
+    df = (freqs[1:] - freqs[:-1]) / np.repeat(span[arcs], kept)[:-1]
+    dv = v[1:] - v[:-1]
+    terms = np.sqrt(df * df + dv * dv)
+    keys = list(waiting)
+    for j, first, n in zip(arcs, firsts.tolist(), kept.tolist()):
+        outcomes[keys[j]] = -float(terms[first : first + n - 1].sum())
+    return outcomes
 
 
 def session_windows(
     session: Session, params: FeatureParams | None = None
-) -> dict[tuple[TaskKind, SegmentKind, Placement], _Window]:
-    """Cut every present cell of `session` and count its prominent peaks.
+) -> dict[tuple[TaskKind, SegmentKind, Placement], tuple | ShoulderKinError]:
+    """Cut every present cell of `session` and compute its features.
 
-    Returns a map from (task, segment, placement) to the cell's window, in
-    grid order, holding views, not copies. A cell is present when the
-    session has a label for its task and a stream for its placement.
+    Returns a map from (task, segment, placement) to the cell's
+    `FeatureVector` field values in order, or to the error the cell fails
+    with, in grid order. A cell is present when the session has a label
+    for its task and a stream for its placement; `slice_segment` is called
+    once per present cell, in grid order.
 
-    Each placement's two norms are computed once over the whole stream, and
-    their finiteness checked once there; each window takes views of them.
-    `slice_segment` is called once per present cell, in grid order. The peak
-    count (`peak_count`) of every window whose acceleration norm is finite
-    and has at least 3 samples comes from one walk over all such windows
-    of its placement. Nothing is raised here for a cell: `extract_all`
-    reports its faults.
+    Each placement's norms are computed once over the whole stream, and
+    their finiteness checked once there. Its windows with at least 3
+    samples and finite norms are then computed together, each feature in
+    array passes over all of them (see the kernels above). A window with a
+    non-finite norm fails with a validation error, and a shorter window is
+    evaluated alone by `mean_crossing_count` and `peak_count`, which raise
+    its error. Otherwise a cell's error is SPARC's, or else LDLJ-A's, as
+    the features are listed in `FeatureVector`. Nothing is raised here:
+    `extract_all` raises a cell's error.
     """
     params = params or FeatureParams()
-    norms = {}
-    # a finite sample above about 1e154 squares to inf; extract_all reports it
-    with np.errstate(over="ignore"):
-        for placement, stream in session.streams.items():
-            a_norm, w_norm = euclidean_norm(stream.accel), euclidean_norm(stream.gyro)
-            finite = bool(np.isfinite(a_norm).all() and np.isfinite(w_norm).all())
-            norms[placement] = a_norm, w_norm, finite
-    cells = {}
+    present = [
+        (placement, session.streams[placement], [])
+        for placement in Placement
+        if placement in session.streams
+    ]
     for task in TaskKind:
         label = session.labels.get(task)
         if label is None:
             continue
         for kind in SegmentKind:
             start, end = label.window(kind)
-            for placement in Placement:
-                if placement not in session.streams:
-                    continue
-                accel, gyro = slice_segment(session.streams[placement], label, kind)
-                a_norm, w_norm, finite = norms[placement]
-                a_norm, w_norm = a_norm[start:end], w_norm[start:end]
-                # a non-finite norm outside this window does not fail it
-                finite = finite or bool(np.isfinite(a_norm).all() and np.isfinite(w_norm).all())
-                cells[task, kind, placement] = _Window(accel, gyro, a_norm, w_norm, finite, None)
-    # One walk per placement, not per session: the walk's working memory,
-    # about 50 bytes a sample, is the largest transient of an extraction.
-    for placement in session.streams:
-        counted = [
-            key
-            for key, cell in cells.items()
-            if key[2] is placement and cell.finite and len(cell.a_norm) >= 3
-        ]
-        windows = [cells[key].a_norm for key in counted]
-        h = np.array([params.peak_prominence_frac * float(v.max() - v.min()) for v in windows])
-        for key, count in zip(counted, _prominent_peak_counts(windows, h).tolist()):
-            cells[key] = cells[key]._replace(np_a=count)
-    return cells
+            for placement, stream, windows in present:
+                slice_segment(stream, label, kind)
+                windows.append(((task, kind, placement), start, end))
+    placed = [_placement_cells(stream, windows, params) for _, stream, windows in present]
+    # every placement has the same tasks and segments, in grid order
+    return dict(cell for same_window in zip(*placed) for cell in same_window)
+
+
+def _placement_cells(
+    stream: SensorStream, windows: list[tuple[tuple, int, int]], params: FeatureParams
+) -> list[tuple[tuple, tuple | ShoulderKinError]]:
+    """Each of one stream's (cell, start, end) windows, as a cell of `session_windows`."""
+    rate = stream.sample_rate_hz
+    # a finite sample above about 1e154 squares to inf; extract_all reports it
+    with np.errstate(over="ignore"):
+        a_norm, w_norm = euclidean_norm(stream.accel), euclidean_norm(stream.gyro)
+    finite = bool(np.isfinite(a_norm).all() and np.isfinite(w_norm).all())
+    outcomes: list = [None] * len(windows)
+    batch = []
+    for i, (_, start, end) in enumerate(windows):
+        a = a_norm[start:end]
+        # a non-finite norm outside this window does not fail it
+        if not (finite or (np.isfinite(a).all() and np.isfinite(w_norm[start:end]).all())):
+            outcomes[i] = ValidationError("series contains non-finite values")
+        elif end - start < 3:
+            try:
+                mean_crossing_count(a)
+                peak_count(a, params)
+            except TooShortError as err:
+                outcomes[i] = err
+        else:
+            batch.append(i)
+    if batch:
+        starts = np.array([windows[i][1] for i in batch])
+        ends = np.array([windows[i][2] for i in batch])
+        # One pass at a time, each pass's arrays freed before the next. First
+        # the extremes of the acceleration norm and of each gyro and accel
+        # axis, as rows with a column more, so that every window ends before
+        # them (filled row by row: np.vstack copies the strided axes slowly).
+        signals = np.zeros((7, len(a_norm) + 1))
+        signals[0, :-1], signals[1:4, :-1], signals[4:, :-1] = a_norm, stream.gyro.T, stream.accel.T
+        top, bottom = _window_extrema(signals, starts, ends)
+        del signals
+        joined = _join([a_norm[start:end] for start, end in zip(starts.tolist(), ends.tolist())])
+        nmcp_a = _mean_crossing_counts(joined)
+        np_a = _peak_counts(joined, top[0], bottom[0], params)
+        ldlj_a = _log_dimensionless_jerks(joined, top[0], bottom[0], rate)
+        del joined
+        sparc = _spectral_arc_lengths(
+            [w_norm[start:end] for start, end in zip(starts.tolist(), ends.tolist())], rate, params
+        )
+        rav = _mean_axis_ranges(top[1:4], bottom[1:4])
+        # an overflowing product is not finite, which FeatureVector refuses
+        with np.errstate(over="ignore"):
+            pi = _mean_axis_ranges(top[4:], bottom[4:]) * rav
+        for i, *values in zip(batch, nmcp_a, np_a, sparc, ldlj_a, rav.tolist(), pi.tolist()):
+            _, start, end = windows[i]
+            sparc_i, ldlj_i = values[2], values[3]
+            if isinstance(sparc_i, ShoulderKinError):
+                outcomes[i] = sparc_i
+            elif isinstance(ldlj_i, ShoulderKinError):
+                outcomes[i] = ldlj_i
+            else:
+                outcomes[i] = (*values, (end - start) / rate)
+    return [(cell, outcome) for (cell, _, _), outcome in zip(windows, outcomes)]
 
 
 def extract_all(
     session: Session,
-    params: FeatureParams,
     cell: tuple[TaskKind, SegmentKind, Placement],
-    window: _Window,
+    window: tuple | ShoulderKinError,
 ) -> FeatureVector:
-    """Evaluate all seven features for one (task, segment, placement) cell.
+    """The seven features of one (task, segment, placement) cell.
 
-    `window` is ``session_windows(session, params)[cell]``. Its peak count
-    comes with it; a window too short for one goes to `peak_count`, which
-    raises. The other features are computed here from the window's views.
-    Feature failures (too short, degenerate) come back wrapped with the
-    cell coordinates so batch callers can report precisely. Duration is
-    the window's sample count over the session's rate.
+    `window` is ``session_windows(session, params)[cell]``: the cell's
+    feature values, or the error it fails with. Feature failures (too
+    short, degenerate) are raised wrapped with the cell coordinates so
+    batch callers can report precisely. Duration is the window's sample
+    count over the session's rate.
 
     Finite samples can still overflow: one above about 1e154 squares to
-    inf. numpy's overflow warning is silenced, and an inf norm in the
-    window, or a feature that `FeatureVector` finds not finite, is a
-    validation error naming the cell.
+    inf. An inf norm in the window, or a feature that `FeatureVector`
+    finds not finite, is a validation error naming the cell.
     """
-    accel, gyro, a_norm, w_norm, finite, np_a = window
-    rate = session.sample_rate_hz
     try:
-        if not finite:
-            raise ValidationError("series contains non-finite values")
-        with np.errstate(over="ignore"):
-            rav = angular_velocity_range(gyro)
-            return FeatureVector(
-                nmcp_a=mean_crossing_count(a_norm),
-                np_a=peak_count(a_norm, params) if np_a is None else np_a,
-                sparc=spectral_arc_length(w_norm, rate, params),
-                ldlj_a=log_dimensionless_jerk(a_norm, rate),
-                rav=rav,
-                pi=power_index(accel, rav),
-                duration_s=len(accel) / rate,
-            )
+        if isinstance(window, ShoulderKinError):
+            raise window
+        return FeatureVector(*window)
     except (TooShortError, DegenerateSignalError) as err:
         raise FeatureError(session.subject_id, *cell, err) from err
     except ValidationError as err:
@@ -445,8 +660,9 @@ def extract_cohort(
 ) -> tuple[list[FeatureRow], list[FeatureError]]:
     """Evaluate the full (session x task x segment x placement) grid.
 
-    Each session is cut and peak-counted once by `session_windows`, then
-    each of its present cells evaluated by `extract_all`, in grid order.
+    Each session's cells are computed together by `session_windows`, then
+    each present cell's vector is built, or its error raised, by
+    `extract_all`, in grid order.
     Failing cells are collected, not fatal: the returned failures list
     carries one FeatureError per cell that could not be computed, in that
     order; an invalid value (exit 4) ends the extraction at its cell. Rows
@@ -484,7 +700,7 @@ def _extract_session(
     rows, failures = [], []
     for cell, window in session_windows(session, params).items():
         try:
-            vector = extract_all(session, params, cell, window)
+            vector = extract_all(session, cell, window)
         except FeatureError as err:
             failures.append(err)
             continue

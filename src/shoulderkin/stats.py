@@ -265,15 +265,17 @@ def compare_cohort(rows) -> ComparisonTable:
     observations: dict[CellKey, dict[Group, list[float]]] = {
         key: {Group.PATIENT: [], Group.HEALTHY: []} for key in cell_keys()
     }
+    # The cells a row feeds, by its (task, placement, segment, group), so
+    # that each row is looked up once: each feature at its placement, and
+    # the placement-free ones from a wrist row.
+    feeds: dict[tuple, list[tuple[str, list[float]]]] = {}
+    for (task, feature, placement, kind), groups in observations.items():
+        for group, values in groups.items():
+            key = (task, Placement.WRIST if placement is None else placement, kind, group)
+            feeds.setdefault(key, []).append((feature, values))
     for row in rows:
-        for feature, _, placements in FEATURE_GRID:
-            if row.placement in placements:
-                key = (row.task, feature, row.placement, row.segment)
-            elif row.placement is Placement.WRIST:  # a placement-free feature
-                key = (row.task, feature, None, row.segment)
-            else:
-                continue
-            observations[key][row.group].append(getattr(row.features, feature))
+        for feature, values in feeds[row.task, row.placement, row.segment, row.group]:
+            values.append(getattr(row.features, feature))
 
     cells: dict[CellKey, ComparisonCell | None] = {}
     for key in cell_keys():

@@ -343,9 +343,17 @@ def test_every_traced_function_exists():
 
 # public names that the census below never calls, each with why it stays
 NOT_ON_THE_TRACED_PATHS = {
-    # perfbench/spans.py wraps it as `features.np_a`; extraction calls it
-    # only for a window under 3 samples, to raise
+    # perfbench/spans.py wraps these two as `features.np_a` and
+    # `features.nmcp_a`; extraction calls them only for a window under 3
+    # samples, to raise
     "features.peak_count",
+    "features.mean_crossing_count",
+    # the one-window case of the kernels that extraction runs over all of a
+    # placement's windows at once; perfbench/spans.py wraps each of them
+    "features.spectral_arc_length",
+    "features.log_dimensionless_jerk",
+    "features.angular_velocity_range",
+    "features.power_index",
     # renders one segment from pulse rows: the demos and the release gate
     # render pulses of their own choosing with it
     "synth.synth_segment",

@@ -18,10 +18,11 @@ from shoulderkin import (
     write_matrix,
 )
 from shoulderkin import features
-from shoulderkin.dsp import fft_length
+from shoulderkin.dsp import fft_length, magnitude_spectrum
 from shoulderkin.features import (
     SPARC_MAX_FFT_POINTS,
     SPARC_MAX_PAD_LEVEL,
+    _extract_session,
     angular_velocity_range,
     extract_all,
     log_dimensionless_jerk,
@@ -41,7 +42,7 @@ from shoulderkin.formats import (
     TaskKind,
 )
 from shoulderkin.model import GRAVITY_MS2, SegmentLabel, SensorStream, assemble_session
-from shoulderkin.synth import synth_segment
+from shoulderkin.synth import default_profile, generate_session, synth_segment
 
 RATE = 128.0
 
@@ -545,7 +546,7 @@ def build_session(rng, n=640, subject_id="S01", group=Group.PATIENT, rate=RATE):
 def extract_cell(session, task, kind, placement, params=FeatureParams()):
     """`extract_all` of one cell of `session`, from its own `session_windows`."""
     cell = (task, kind, placement)
-    return extract_all(session, params, cell, session_windows(session, params)[cell])
+    return extract_all(session, cell, session_windows(session, params)[cell])
 
 
 def rotate_session(session, rot):
@@ -622,6 +623,16 @@ class TestExtractAll:
         assert isinstance(err.__cause__, DegenerateSignalError)
         assert "sparc" in str(err.__cause__)
 
+    def test_overflowing_power_index_is_a_validation_error_naming_the_cell(self):
+        # every norm is finite, but the product of the two ranges is not
+        signs = np.arange(64)[:, None] % 2
+        samples = np.where(signs, [7.2e153, 7.2e153, 7.2e153], [-7.2e153, -7.2e153, -6e153])
+        stream = SensorStream(accel=samples, gyro=samples, sample_rate_hz=RATE)
+        labels = {TaskKind.WH: SegmentLabel(s1=0, e1=16, e2=32, e3=64)}
+        session = assemble_session("Z01", Group.HEALTHY, "right", {Placement.WRIST: stream}, labels)
+        with pytest.raises(ValidationError, match="^Z01 WH/complete/wrist: pi is not finite$"):
+            extract_cohort([session])
+
     def test_missing_label_has_no_cell(self):
         rng = np.random.default_rng(59)
         session = build_session(rng)
@@ -664,7 +675,7 @@ class TestCohortMatrix:
     def test_each_cell_is_sliced_and_extracted_once(self, monkeypatch):
         # the benchmark counts both calls per cell, failed cells included; an
         # iterator is extracted in this process, so every call is counted here
-        calls = {"slice_segment": 0, "extract_all": 0}
+        calls = {"slice_segment": 0, "extract_all": 0, "magnitude_spectrum": 0}
 
         def counting(name):
             original = getattr(features, name)
@@ -677,6 +688,7 @@ class TestCohortMatrix:
 
         counting("slice_segment")
         counting("extract_all")
+        counting("magnitude_spectrum")
         rng = np.random.default_rng(83)
         whole = build_session(rng)
         # WH's sub1 and sub2 windows hold 2 samples, too few for any feature
@@ -686,6 +698,40 @@ class TestCohortMatrix:
         rows, failures = extract_cohort(iter([whole, short]))
         assert len(failures) == 2 * len(Placement)
         assert calls["slice_segment"] == calls["extract_all"] == len(rows) + len(failures)
+        # one transform per cell that reaches SPARC: every row, and no failed
+        # cell, since these fail on their length before it
+        assert calls["magnitude_spectrum"] == len(rows)
+
+    def test_each_sparc_window_is_transformed_once(self, monkeypatch):
+        # a cell that fails SPARC on its duration or its transform's size is
+        # never transformed; one that fails on its zero DC, or fails LDLJ-A
+        # after SPARC, is transformed once
+        transformed = []
+        original = features.magnitude_spectrum
+
+        def counting(x, *args):
+            transformed.append(len(x))
+            return original(x, *args)
+
+        monkeypatch.setattr(features, "magnitude_spectrum", counting)
+        n = 640
+        accel = np.ones((n, 3))  # a constant norm: LDLJ-A fails
+        gyro = np.zeros((n, 3))
+        gyro[320:] = np.random.default_rng(97).normal(0.0, 30.0, (320, 3))
+        stream = SensorStream(accel=accel, gyro=gyro, sample_rate_hz=RATE)
+        # sub1 has 16 samples, under min_segment_s; sub2's gyro is all zero
+        labels = {TaskKind.WH: SegmentLabel(s1=0, e1=16, e2=320, e3=n)}
+        session = assemble_session("S01", Group.PATIENT, "left", {Placement.WRIST: stream}, labels)
+        rows, failures = extract_cohort([session])
+        assert rows == []
+        assert [type(err.cause) for err in failures] == [
+            DegenerateSignalError,
+            TooShortError,
+            DegenerateSignalError,
+            DegenerateSignalError,
+        ]
+        assert "zero DC" in str(failures[2])
+        assert sorted(transformed) == [304, 320, 640]
 
     def test_non_finite_norm_outside_every_window_fails_nothing(self):
         # norms are computed over the whole stream, but only a window's own
@@ -701,6 +747,31 @@ class TestCohortMatrix:
         rows, failures = extract_cohort([padded])
         assert failures == []
         assert rows == extract_cohort([clean])[0]
+
+    @pytest.mark.parametrize("pad, cutoff_hz", [(4, 10.0), (8, 10.0), (8, 1e9)])
+    def test_extraction_holds_one_transform_and_one_pass_at_a_time(self, pad, cutoff_hz):
+        # The longest default session (P05, 11,336 samples a placement):
+        # beside one transform of its longest window, extraction holds its
+        # norms and one array pass over a placement's windows at a time, under
+        # 1 MB. The per-cell extraction this replaced peaked at 1.63, 13.05
+        # and 14.18 MB for these three parameter sets with numpy 2.4, and a
+        # version that held every pass's arrays at once at 4.0 MB at pad 4.
+        session = generate_session(default_profile(), Group.PATIENT, 4)
+        params = FeatureParams(sparc_pad_level=pad, sparc_max_cutoff_hz=cutoff_hz)
+        longest = max(label.e3 - label.s1 for label in session.labels.values())
+
+        def traced_peak(work):
+            tracemalloc.start()
+            try:
+                work()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _extract_session(session, params)  # any first-call allocations
+        transform = traced_peak(lambda: magnitude_spectrum(np.ones(longest), RATE, pad))
+        peak = traced_peak(lambda: _extract_session(session, params))
+        assert peak < transform + 1_000_000, (peak, transform)
 
     def test_matrix_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(67)

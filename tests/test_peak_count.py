@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from shoulderkin import FeatureParams
-from shoulderkin.features import _prominent_peak_counts, peak_count
+from shoulderkin.features import _join, _prominent_peak_counts, peak_count
 
 def count(values, frac):
     return peak_count(np.asarray(values, dtype=float), FeatureParams(peak_prominence_frac=frac))
@@ -72,7 +72,7 @@ def test_batched_walk_counts_each_window_alone(batch):
     windows = [values for values, _ in batch]
     h = np.array([frac * float(values.max() - values.min()) for values, frac in batch])
     expected = [len(find_peaks(w, prominence=t)[0]) for w, t in zip(windows, h)]
-    assert _prominent_peak_counts(windows, h).tolist() == expected
+    assert _prominent_peak_counts(_join(windows).v, h).tolist() == expected
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,9 @@ features into cells that are finite or untestable, and its means and
 variances, summed without numpy, equal numpy's bit for bit. The norm,
 derivative, mean-crossing and SPARC kernels are pinned bit for bit
 against the plainer formulas they replaced, which are kept here as references, and
-`extract_cohort`, which cuts and counts a whole session at once, against
-the seven kernels applied to each window alone. The simulator's pulse
+`extract_cohort`, which computes a whole session's cells in array passes,
+against the seven kernels applied to each window alone and against the
+per-cell arithmetic it replaced (`cell_oracle`). The simulator's pulse
 renderer, which evaluates a session's pulses once for both placements, is
 pinned against the pulse-by-pulse renderer it replaced. One movement
 rendered at 64, 128 and 256 Hz pins how SPARC, LDLJ-A and the two counts
@@ -23,13 +24,14 @@ depend on the rate.
 import contextlib
 import io
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from cell_oracle import extract_per_cell  # noqa: E402
+from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from shoulderkin import (  # noqa: E402
@@ -902,6 +904,91 @@ def test_extract_cohort_matches_each_window_alone_bit_for_bit(session, params):
         for row in rows
     ]
     assert (got, [str(err) for err in failures]) == reference_extract(session, params)
+
+
+# amplitudes from LDLJ-A's scaled path (a peak under about 1.5e-154) to
+# past the one where a squared sample overflows
+AMPLITUDES = st.one_of(
+    st.sampled_from((1.0, 1e-160, 3e-155, 1e150, 1e152, 1e153)),
+    st.integers(-100, 100).map(lambda k: 10.0**k),
+)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A session and parameters for the per-cell oracle: windows of 1 to 3
+    samples and longer ones, some shorter than min_segment_s, constant
+    windows, an all-zero gyro, amplitudes from about 1e-160 to 1e150, and
+    now and then one sample of 1e200, whose norm overflows, at 100/3, 128
+    or 7e5 Hz, with pad levels 0 to 8 and cutoffs of 0.5, 10 and 1e9 Hz."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rate = draw(st.sampled_from((100.0 / 3.0, 128.0, 7e5)))
+    tasks = draw(st.lists(st.sampled_from(list(TaskKind)), min_size=1, max_size=5, unique=True))
+    lengths = st.one_of(st.integers(1, 3), st.integers(4, 40))
+    labels, constant, end = {}, [], 0
+    for task in tasks:
+        s1 = end + draw(st.integers(0, 3))
+        e1 = s1 + draw(lengths)
+        e2 = e1 + draw(lengths)
+        end = e2 + draw(lengths)
+        labels[task] = SegmentLabel(s1, e1, e2, end)
+        if draw(st.booleans()):
+            constant.append((draw(st.sampled_from((s1, e1, e2))), draw(st.sampled_from((e1, e2, end)))))
+    n = end + draw(st.integers(0, 3))
+    streams = {}
+    for placement in draw(st.sampled_from(([Placement.WRIST], list(Placement)))):
+        if draw(st.booleans()):
+            accel = rng.integers(0, 3, (n, 3)).astype(float)
+        else:
+            accel = rng.normal(0.0, 2.0, (n, 3)) + np.array([0.0, 0.0, 9.81])
+        gyro = np.zeros((n, 3)) if draw(st.booleans()) else rng.normal(0.0, 30.0, (n, 3))
+        for start, stop in constant:
+            accel[start:stop] = accel[start]
+            gyro[start:stop] = gyro[start]
+        accel *= draw(AMPLITUDES)
+        gyro *= draw(AMPLITUDES)
+        if draw(st.integers(0, 3)) == 0:
+            draw(st.sampled_from((accel, gyro)))[draw(st.integers(0, n - 1)), draw(st.integers(0, 2))] = 1e200
+        streams[placement] = SensorStream(accel=accel, gyro=gyro, sample_rate_hz=rate)
+    session = assemble_session("S01", Group.PATIENT, "left", streams, labels)
+    params = FeatureParams(
+        peak_prominence_frac=draw(st.sampled_from((0.01, 0.05, 0.3))),
+        sparc_max_cutoff_hz=draw(st.sampled_from((0.5, 10.0, 1e9))),
+        sparc_pad_level=draw(st.integers(0, 8)),
+        # a window shorter than this many samples is too short for SPARC
+        min_segment_s=draw(st.integers(1, 12)) / rate,
+    )
+    return session, params
+
+
+def extraction(run):
+    """The rows `run` returns, bit for bit, and its failures, or the
+    validation error it raises, each by type and text."""
+    try:
+        rows, failures = run()
+    except ValidationError as err:
+        return type(err), str(err)
+    got = [
+        (
+            (row.task, row.segment, row.placement),
+            [(type(value), bits(value)) for value in astuple(row.features)],
+        )
+        for row in rows
+    ]
+    return got, [(type(err), type(err.cause), str(err)) for err in failures]
+
+
+@settings(max_examples=150)
+@given(oracle_cases())
+def test_extract_cohort_matches_the_per_cell_oracle_bit_for_bit(case):
+    """A session's cells, computed in array passes over each placement's
+    windows, against the per-cell arithmetic they replaced: the same rows,
+    bit for bit, the same failures in the same order, and the same first
+    invalid value."""
+    session, params = case
+    assert extraction(lambda: extract_cohort([session], params)) == extraction(
+        lambda: extract_per_cell(session, params)
+    )
 
 
 def reference_pulse_speed(t, pulse):
