@@ -918,7 +918,7 @@ AMPLITUDES = st.one_of(
 def oracle_cases(draw):
     """A session and parameters for the per-cell oracle: windows of 1 to 3
     samples and longer ones, some shorter than min_segment_s, constant
-    windows, an all-zero gyro, amplitudes from about 1e-160 to 1e150, and
+    windows, an all-zero gyro, amplitudes from about 1e-160 to 1e153, and
     now and then one sample of 1e200, whose norm overflows, at 100/3, 128
     or 7e5 Hz, with pad levels 0 to 8 and cutoffs of 0.5, 10 and 1e9 Hz."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -933,7 +933,9 @@ def oracle_cases(draw):
         end = e2 + draw(lengths)
         labels[task] = SegmentLabel(s1, e1, e2, end)
         if draw(st.booleans()):
-            constant.append((draw(st.sampled_from((s1, e1, e2))), draw(st.sampled_from((e1, e2, end)))))
+            # flat from one bound to a later one: a whole task, or subtasks
+            first = draw(st.sampled_from((s1, e1, e2)))
+            constant.append((first, draw(st.sampled_from([b for b in (e1, e2, end) if b > first]))))
     n = end + draw(st.integers(0, 3))
     streams = {}
     for placement in draw(st.sampled_from(([Placement.WRIST], list(Placement)))):
@@ -948,7 +950,8 @@ def oracle_cases(draw):
         accel *= draw(AMPLITUDES)
         gyro *= draw(AMPLITUDES)
         if draw(st.integers(0, 3)) == 0:
-            draw(st.sampled_from((accel, gyro)))[draw(st.integers(0, n - 1)), draw(st.integers(0, 2))] = 1e200
+            spiked = draw(st.sampled_from((accel, gyro)))
+            spiked[draw(st.integers(0, n - 1)), draw(st.integers(0, 2))] = 1e200
         streams[placement] = SensorStream(accel=accel, gyro=gyro, sample_rate_hz=rate)
     session = assemble_session("S01", Group.PATIENT, "left", streams, labels)
     params = FeatureParams(
@@ -978,7 +981,7 @@ def extraction(run):
     return got, [(type(err), type(err.cause), str(err)) for err in failures]
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(oracle_cases())
 def test_extract_cohort_matches_the_per_cell_oracle_bit_for_bit(case):
     """A session's cells, computed in array passes over each placement's
