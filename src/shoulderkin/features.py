@@ -270,7 +270,10 @@ def _window_extrema(a: np.ndarray, starts, ends) -> tuple[np.ndarray, np.ndarray
 def _mean_axis_ranges(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """Each window's mean over the axes of its max-minus-min, from the
     axes-by-windows extremes that `_window_extrema` gives."""
-    return (top - bottom).sum(axis=0) / len(top)
+    # each window's ranges as one contiguous row, summed as a window alone
+    # sums its three ranges
+    ranges = np.ascontiguousarray((top - bottom).T)
+    return ranges.sum(axis=1) / len(top)
 
 
 def _mean_crossing_counts(joined: _Joined) -> list[int]:
@@ -615,15 +618,15 @@ def _placement_cells(
         # an overflowing product is not finite, which FeatureVector refuses
         with np.errstate(over="ignore"):
             pi = _mean_axis_ranges(top[4:], bottom[4:]) * rav
-        for i, *values in zip(batch, nmcp_a, np_a, sparc, ldlj_a, rav.tolist(), pi.tolist()):
+        values = zip(nmcp_a, np_a, sparc, ldlj_a, rav.tolist(), pi.tolist())
+        for i, (crossings, peaks, arc, jerk, r, p) in zip(batch, values):
             _, start, end = windows[i]
-            sparc_i, ldlj_i = values[2], values[3]
-            if isinstance(sparc_i, ShoulderKinError):
-                outcomes[i] = sparc_i
-            elif isinstance(ldlj_i, ShoulderKinError):
-                outcomes[i] = ldlj_i
+            if isinstance(arc, ShoulderKinError):
+                outcomes[i] = arc
+            elif isinstance(jerk, ShoulderKinError):
+                outcomes[i] = jerk
             else:
-                outcomes[i] = (*values, (end - start) / rate)
+                outcomes[i] = (crossings, peaks, arc, jerk, r, p, (end - start) / rate)
     return [(cell, outcome) for (cell, _, _), outcome in zip(windows, outcomes)]
 
 
