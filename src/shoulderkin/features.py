@@ -5,19 +5,21 @@ spectral arc length, log dimensionless jerk), two intensity measures
 (angular-velocity range and its product with the acceleration range), and
 the segment duration. Each is a deterministic map from one labelled window
 to a scalar. A session is extracted at a time: `session_windows` computes
-each stream's norms once and every feature of each placement's windows in
-array passes over all of them, with one FFT per SPARC window, and returns
-a plain map from each cell to its values or its error; `extract_all`
-builds one cell's `FeatureVector`, or raises its error.
+each stream's norms once, every feature but SPARC of each placement's
+windows in array passes over all of them, and SPARC window by window, and
+returns a plain map from each cell to its values or its error;
+`extract_all` builds one cell's `FeatureVector`, or raises its error.
 
-Each feature has one implementation, a kernel over many windows at once,
-bit for bit what the feature gives a window alone. The one-window
-functions (`mean_crossing_count`, `peak_count`, `spectral_arc_length`,
-`log_dimensionless_jerk`, `angular_velocity_range`, `power_index`) are its
-one-window case. The four smoothness functions take a plain 1-D float
-array (a norm from `dsp.euclidean_norm`) that the caller has checked to be
-finite; they check only the lengths and durations that a short label
-window can break.
+Each feature has one implementation. SPARC's is `spectral_arc_length`,
+which extraction calls once per window: the FFT is one per window anyway
+and costs far more than the arithmetic after it. Each other feature's is
+a kernel over many windows at once, bit for bit what the feature gives a
+window alone, and its one-window function (`mean_crossing_count`,
+`peak_count`, `log_dimensionless_jerk`, `angular_velocity_range`,
+`power_index`) is the one-window case. The four smoothness functions
+take a plain 1-D float array (a norm from `dsp.euclidean_norm`) that the
+caller has checked to be finite; they check only the lengths and
+durations that a short label window can break.
 `extract_cohort` builds the matrix rows; their text format (`FeatureRow`,
 `write_matrix`, `read_matrix`) is in `formats`, which loads no numpy.
 Import each name from the module that defines it.
@@ -138,7 +140,8 @@ def peak_count(v: np.ndarray, params: FeatureParams | None = None) -> int:
     if n < 3:
         raise TooShortError(f"peak count needs >= 3 samples, got {n}")
     peak, low = _window_extrema(v, [0], [n])
-    return _peak_counts(_join([v]), peak, low, params)[0]
+    h = params.peak_prominence_frac * (peak - low)
+    return int(_prominent_peak_counts(_join([v]).v, h)[0])
 
 
 def spectral_arc_length(
@@ -164,7 +167,43 @@ def spectral_arc_length(
     n = len(w_norm)
     if n < 2:
         raise TooShortError(f"sparc needs >= 2 samples, got {n}")
-    return _value(_spectral_arc_lengths([w_norm], sample_rate_hz, params)[0])
+    duration_s = n / sample_rate_hz
+    if duration_s < params.min_segment_s:
+        raise TooShortError(
+            f"sparc needs >= {params.min_segment_s} s of signal, got {duration_s:.4f} s"
+        )
+    n_fft = fft_length(n, params.sparc_pad_level)
+    if n_fft > SPARC_MAX_FFT_POINTS:
+        raise DegenerateSignalError(
+            f"sparc transform of {n_fft} points at pad level {params.sparc_pad_level} "
+            f"exceeds the cap of {SPARC_MAX_FFT_POINTS} points"
+        )
+    spectrum = magnitude_spectrum(w_norm, sample_rate_hz, params.sparc_pad_level)
+    magnitudes, freqs = spectrum.magnitudes, spectrum.freqs_hz
+    del spectrum
+    dc = magnitudes[0]
+    if dc == 0.0:
+        raise DegenerateSignalError("sparc is undefined: zero DC component (all-zero signal)")
+    # the frequencies ascend, so the bins up to the cutoff are a prefix
+    n_below = freqs.searchsorted(params.sparc_max_cutoff_hz, side="right")
+    step = float(freqs[1])
+    # only the bins up to the cutoff are held from here on
+    del freqs
+    vhat = magnitudes[:n_below] / dc
+    del magnitudes
+    # vhat[0] is 1.0, so the selection starts at the first bin and is never empty
+    n_sel = int(np.flatnonzero(vhat >= params.sparc_amp_threshold)[-1]) + 1
+    if n_sel < 2:
+        return 0.0
+    span = (n_sel - 1) * step
+    if not span > 0:
+        # below about 1e-303 Hz the bin spacing underflows to 0
+        raise DegenerateSignalError("sparc is undefined: the spectrum spans no frequency")
+    # each bin's frequency as rfftfreq computes it, its index times the spacing
+    freqs = np.arange(n_sel) * step
+    df = (freqs[1:] - freqs[:-1]) / span
+    dv = vhat[1:n_sel] - vhat[: n_sel - 1]
+    return -float(np.sqrt(df * df + dv * dv).sum())
 
 
 def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
@@ -201,7 +240,10 @@ def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
     if n < 3:
         raise TooShortError(f"dimensionless jerk needs >= 3 samples, got {n}")
     peak, low = _window_extrema(a_norm, [0], [n])
-    return _value(_log_dimensionless_jerks(_join([a_norm]), peak, low, sample_rate_hz)[0])
+    outcome = _log_dimensionless_jerks(_join([a_norm]), peak, low, sample_rate_hz)[0]
+    if isinstance(outcome, DegenerateSignalError):
+        raise outcome
+    return outcome
 
 
 def angular_velocity_range(gyro: np.ndarray) -> float:
@@ -214,13 +256,6 @@ def power_index(accel: np.ndarray, rav: float) -> float:
     return float(_mean_axis_ranges(*_window_extrema(accel.T, [0], [len(accel)]))[0]) * rav
 
 
-def _value(outcome):
-    """A one-window kernel's outcome: its value, or its error raised."""
-    if isinstance(outcome, ShoulderKinError):
-        raise outcome
-    return outcome
-
-
 def _is_normal(x: float) -> bool:
     """True for a normal, finite, positive double; False for nan too."""
     return sys.float_info.min <= x < math.inf
@@ -228,8 +263,8 @@ def _is_normal(x: float) -> bool:
 
 # The kernels below take many windows at once. Each is exact in any order,
 # or keeps one call per window where its bits depend on the call: a
-# pairwise `.sum()` over a window's contiguous samples, and one FFT per
-# SPARC window. The one-window functions above are their one-window case.
+# pairwise `.sum()` over a window's contiguous samples. The one-window
+# functions above, but `spectral_arc_length`, are their one-window case.
 
 
 class _Joined(NamedTuple):
@@ -299,15 +334,6 @@ def _mean_crossing_counts(joined: _Joined) -> list[int]:
     flips = np.zeros(len(above) + 1, dtype=np.intp)
     np.cumsum(above[1:] != above[:-1], out=flips[1 : len(above)])
     return (flips[first + np.maximum(kept - 1, 0)] - flips[first]).tolist()
-
-
-def _peak_counts(
-    joined: _Joined, peak: np.ndarray, low: np.ndarray, params: FeatureParams
-) -> list[int]:
-    """`peak_count` of each window, each of at least 3 samples, given each
-    window's largest and smallest sample."""
-    h = params.peak_prominence_frac * (peak - low)
-    return _prominent_peak_counts(joined.v, h).tolist()
 
 
 def _prominent_peak_counts(v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -423,113 +449,6 @@ def _log_dimensionless_jerk(
     return -math.log(len(a_norm) / (m * m) * squares)
 
 
-def _spectral_arc_lengths(
-    windows: list[np.ndarray], sample_rate_hz: float, params: FeatureParams
-) -> list[float | ShoulderKinError]:
-    """`spectral_arc_length` of each window, each of at least 2 samples, or
-    the error it raises.
-
-    Each window has its own FFT, and its bins from 0 Hz to its adaptive
-    cutoff wait for `_arc_lengths` to take them with other windows' at
-    once. Before an FFT, the waiting windows are taken if they and that
-    spectrum would hold more bins than the largest spectrum and the
-    windows' samples together: so the bins waiting raise the memory of the
-    largest transform by at most the size of the windows.
-    """
-    outcomes: dict[int, float | ShoulderKinError] = {}
-    bins = {}
-    for i, w_norm in enumerate(windows):
-        duration_s = len(w_norm) / sample_rate_hz
-        if duration_s < params.min_segment_s:
-            outcomes[i] = TooShortError(
-                f"sparc needs >= {params.min_segment_s} s of signal, got {duration_s:.4f} s"
-            )
-            continue
-        n_fft = fft_length(len(w_norm), params.sparc_pad_level)
-        if n_fft > SPARC_MAX_FFT_POINTS:
-            outcomes[i] = DegenerateSignalError(
-                f"sparc transform of {n_fft} points at pad level {params.sparc_pad_level} "
-                f"exceeds the cap of {SPARC_MAX_FFT_POINTS} points"
-            )
-            continue
-        bins[i] = n_fft // 2 + 1
-    room = max(bins.values(), default=0) + sum(map(len, windows))
-    waiting: dict[int, tuple[np.ndarray, float]] = {}
-    held = 0
-    for i, n_bins in bins.items():
-        if held + n_bins > room:
-            outcomes.update(_arc_lengths(waiting))
-            waiting, held = {}, 0
-        try:
-            waiting[i] = _selected_bins(windows[i], sample_rate_hz, params)
-        except DegenerateSignalError as err:
-            outcomes[i] = err
-            continue
-        held += len(waiting[i][0])
-    if waiting:
-        outcomes.update(_arc_lengths(waiting))
-    return [outcomes[i] for i in range(len(windows))]
-
-
-def _selected_bins(
-    w_norm: np.ndarray, sample_rate_hz: float, params: FeatureParams
-) -> tuple[np.ndarray, float]:
-    """The window's magnitudes over DC from 0 Hz to its adaptive cutoff, and
-    their spacing in Hz."""
-    spectrum = magnitude_spectrum(w_norm, sample_rate_hz, params.sparc_pad_level)
-    magnitudes, freqs = spectrum.magnitudes, spectrum.freqs_hz
-    del spectrum
-    dc = magnitudes[0]
-    if dc == 0.0:
-        raise DegenerateSignalError("sparc is undefined: zero DC component (all-zero signal)")
-    # the frequencies ascend, so the bins up to the cutoff are a prefix
-    n_below = freqs.searchsorted(params.sparc_max_cutoff_hz, side="right")
-    step = float(freqs[1])
-    del freqs
-    vhat = magnitudes[:n_below] / dc
-    del magnitudes
-    # vhat[0] is 1.0, so the selection starts at the first bin and is never empty
-    last = np.flatnonzero(vhat >= params.sparc_amp_threshold)[-1]
-    return vhat[: last + 1].copy(), step
-
-
-def _arc_lengths(
-    waiting: dict[int, tuple[np.ndarray, float]]
-) -> dict[int, float | DegenerateSignalError]:
-    """SPARC of each window waiting, from its selected bins and their spacing."""
-    parts, steps = zip(*waiting.values())
-    kept = np.array([len(part) for part in parts])
-    steps = np.array(steps)
-    # the selection spans kept - 1 spacings from 0 Hz
-    span = (kept - 1) * steps
-    outcomes = {}
-    arcs = []
-    for j, (i, n, width) in enumerate(zip(waiting, kept.tolist(), span.tolist())):
-        if n < 2:
-            outcomes[i] = 0.0
-        elif not width > 0:
-            # below about 1e-303 Hz the bin spacing underflows to 0
-            outcomes[i] = DegenerateSignalError(
-                "sparc is undefined: the spectrum spans no frequency"
-            )
-        else:
-            arcs.append(j)
-    if not arcs:
-        return outcomes
-    v = np.concatenate([parts[j] for j in arcs])
-    kept = kept[arcs]
-    firsts = np.cumsum(kept) - kept
-    # each bin's frequency as rfftfreq computes it, its index times the spacing
-    freqs = (np.arange(len(v)) - np.repeat(firsts, kept)) * np.repeat(steps[arcs], kept)
-    df = (freqs[1:] - freqs[:-1]) / np.repeat(span[arcs], kept)[:-1]
-    dv = v[1:] - v[:-1]
-    terms = np.sqrt(df * df + dv * dv)
-    keys = list(waiting)
-    for j, first, n in zip(arcs, firsts.tolist(), kept.tolist()):
-        outcomes[keys[j]] = -float(terms[first : first + n - 1].sum())
-    return outcomes
-
-
 def session_windows(
     session: Session, params: FeatureParams | None = None
 ) -> dict[tuple[TaskKind, SegmentKind, Placement], tuple | ShoulderKinError]:
@@ -543,8 +462,9 @@ def session_windows(
 
     Each placement's norms are computed once over the whole stream, and
     their finiteness checked once there. Its windows with at least 3
-    samples and finite norms are then computed together, each feature in
-    array passes over all of them (see the kernels above). A window with a
+    samples and finite norms are then computed together, each feature but
+    SPARC in array passes over all of them (see the kernels above), and
+    SPARC by `spectral_arc_length`, one window at a time. A window with a
     non-finite norm fails with a validation error, and a shorter window is
     evaluated alone by `mean_crossing_count` and `peak_count`, which raise
     its error. Otherwise a cell's error is SPARC's, or else LDLJ-A's, as
@@ -608,22 +528,25 @@ def _placement_cells(
         del signals
         joined = _join([a_norm[start:end] for start, end in zip(starts.tolist(), ends.tolist())])
         nmcp_a = _mean_crossing_counts(joined)
-        np_a = _peak_counts(joined, top[0], bottom[0], params)
+        h = params.peak_prominence_frac * (top[0] - bottom[0])
+        np_a = _prominent_peak_counts(joined.v, h).tolist()
         ldlj_a = _log_dimensionless_jerks(joined, top[0], bottom[0], rate)
         del joined
-        sparc = _spectral_arc_lengths(
-            [w_norm[start:end] for start, end in zip(starts.tolist(), ends.tolist())], rate, params
-        )
         rav = _mean_axis_ranges(top[1:4], bottom[1:4])
         # an overflowing product is not finite, which FeatureVector refuses
         with np.errstate(over="ignore"):
             pi = _mean_axis_ranges(top[4:], bottom[4:]) * rav
-        values = zip(nmcp_a, np_a, sparc, ldlj_a, rav.tolist(), pi.tolist())
-        for i, (crossings, peaks, arc, jerk, r, p) in zip(batch, values):
+        values = zip(nmcp_a, np_a, ldlj_a, rav.tolist(), pi.tolist())
+        for i, (crossings, peaks, jerk, r, p) in zip(batch, values):
             _, start, end = windows[i]
-            if isinstance(arc, ShoulderKinError):
-                outcomes[i] = arc
-            elif isinstance(jerk, ShoulderKinError):
+            # SPARC one window at a time, looked up as the module global that
+            # perfbench/spans.py rebinds to time it
+            try:
+                arc = spectral_arc_length(w_norm[start:end], rate, params)
+            except (TooShortError, DegenerateSignalError) as err:
+                outcomes[i] = err
+                continue
+            if isinstance(jerk, ShoulderKinError):
                 outcomes[i] = jerk
             else:
                 outcomes[i] = (crossings, peaks, arc, jerk, r, p, (end - start) / rate)

@@ -348,9 +348,9 @@ NOT_ON_THE_TRACED_PATHS = {
     # samples, to raise
     "features.peak_count",
     "features.mean_crossing_count",
-    # the one-window case of the kernels that extraction runs over all of a
-    # placement's windows at once; perfbench/spans.py wraps each of them
-    "features.spectral_arc_length",
+    # the one-window case of the LDLJ-A, RAV and PI kernels, which extraction
+    # runs over all of a placement's windows at once; perfbench/spans.py
+    # wraps these three as `features.ldlj_a`, `features.rav` and `features.pi`
     "features.log_dimensionless_jerk",
     "features.angular_velocity_range",
     "features.power_index",

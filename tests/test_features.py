@@ -675,7 +675,12 @@ class TestCohortMatrix:
     def test_each_cell_is_sliced_and_extracted_once(self, monkeypatch):
         # the benchmark counts both calls per cell, failed cells included; an
         # iterator is extracted in this process, so every call is counted here
-        calls = {"slice_segment": 0, "extract_all": 0, "magnitude_spectrum": 0}
+        calls = {
+            "slice_segment": 0,
+            "extract_all": 0,
+            "magnitude_spectrum": 0,
+            "spectral_arc_length": 0,
+        }
 
         def counting(name):
             original = getattr(features, name)
@@ -689,6 +694,7 @@ class TestCohortMatrix:
         counting("slice_segment")
         counting("extract_all")
         counting("magnitude_spectrum")
+        counting("spectral_arc_length")
         rng = np.random.default_rng(83)
         whole = build_session(rng)
         # WH's sub1 and sub2 windows hold 2 samples, too few for any feature
@@ -698,9 +704,9 @@ class TestCohortMatrix:
         rows, failures = extract_cohort(iter([whole, short]))
         assert len(failures) == 2 * len(Placement)
         assert calls["slice_segment"] == calls["extract_all"] == len(rows) + len(failures)
-        # one transform per cell that reaches SPARC: every row, and no failed
-        # cell, since these fail on their length before it
-        assert calls["magnitude_spectrum"] == len(rows)
+        # one SPARC call and one transform per cell that reaches SPARC: every
+        # row, and no failed cell, since these fail on their length before it
+        assert calls["spectral_arc_length"] == calls["magnitude_spectrum"] == len(rows)
 
     def test_each_sparc_window_is_transformed_once(self, monkeypatch):
         # a cell that fails SPARC on its duration or its transform's size is
