@@ -5,18 +5,20 @@ spectral arc length, log dimensionless jerk), two intensity measures
 (angular-velocity range and its product with the acceleration range), and
 the segment duration. Each is a deterministic map from one labelled window
 to a scalar. A session is extracted at a time: `session_windows` computes
-each stream's norms once, every feature but SPARC of each placement's
-windows in array passes over all of them, and SPARC window by window, and
+each stream's norms once, the prominent peaks, the window extremes and
+the jerk sums of each placement's windows in array passes over all of
+them, then SPARC, LDLJ-A and the mean crossings window by window, and
 returns a plain map from each cell to its values or its error;
 `extract_all` builds one cell's `FeatureVector`, or raises its error.
 
-Each feature has one implementation. SPARC's is `spectral_arc_length`,
-which extraction calls once per window: the FFT is one per window anyway
-and costs far more than the arithmetic after it. Each other feature's is
-a kernel over many windows at once, bit for bit what the feature gives a
-window alone, and its one-window function (`mean_crossing_count`,
-`peak_count`, `log_dimensionless_jerk`, `angular_velocity_range`,
-`power_index`) is the one-window case. The four smoothness functions
+Each feature has one implementation. SPARC's is `spectral_arc_length`
+and NMCP-A's `mean_crossing_count`, which extraction calls once per
+window: the FFT is one per window anyway, and a window's mean crossings
+cost less counted alone than in a pass. NP-A, LDLJ-A, RAV and PI are
+kernels over many windows at once, bit for bit what the feature gives a
+window alone, and their one-window functions (`peak_count`,
+`log_dimensionless_jerk`, `angular_velocity_range`, `power_index`) are
+the one-window case. The four smoothness functions
 take a plain 1-D float array (a norm from `dsp.euclidean_norm`) that the
 caller has checked to be finite; they check only the lengths and
 durations that a short label window can break.
@@ -115,7 +117,9 @@ def mean_crossing_count(v: np.ndarray) -> int:
     n = len(v)
     if n < 2:
         raise TooShortError(f"mean crossings need >= 2 samples, got {n}")
-    return _mean_crossing_counts(_join([v]))[0]
+    mean = v.sum() / n
+    above = v[v != mean] > mean
+    return int(np.count_nonzero(above[1:] != above[:-1]))
 
 
 def peak_count(v: np.ndarray, params: FeatureParams | None = None) -> int:
@@ -240,19 +244,22 @@ def log_dimensionless_jerk(a_norm: np.ndarray, sample_rate_hz: float) -> float:
     if n < 3:
         raise TooShortError(f"dimensionless jerk needs >= 3 samples, got {n}")
     peak, low = _window_extrema(a_norm, [0], [n])
-    outcome = _log_dimensionless_jerks(_join([a_norm]), peak, low, sample_rate_hz)[0]
-    if isinstance(outcome, DegenerateSignalError):
-        raise outcome
-    return outcome
+    with np.errstate(over="ignore"):
+        squares = float(_squared_jerks(_join([a_norm]), sample_rate_hz)[1:-1].sum())
+    return _log_dimensionless_jerk(a_norm, float(peak[0]), float(low[0]), squares, sample_rate_hz)
 
 
 def angular_velocity_range(gyro: np.ndarray) -> float:
     """Mean over the three axes of each axis's max-minus-min, in deg/s."""
+    if len(gyro) == 0:
+        raise TooShortError("angular-velocity range needs >= 1 sample, got 0")
     return float(_mean_axis_ranges(*_window_extrema(gyro.T, [0], [len(gyro)]))[0])
 
 
 def power_index(accel: np.ndarray, rav: float) -> float:
     """Mean per-axis acceleration range times the angular-velocity range `rav`."""
+    if len(accel) == 0:
+        raise TooShortError("power index needs >= 1 sample, got 0")
     return float(_mean_axis_ranges(*_window_extrema(accel.T, [0], [len(accel)]))[0]) * rav
 
 
@@ -264,7 +271,8 @@ def _is_normal(x: float) -> bool:
 # The kernels below take many windows at once. Each is exact in any order,
 # or keeps one call per window where its bits depend on the call: a
 # pairwise `.sum()` over a window's contiguous samples. The one-window
-# functions above, but `spectral_arc_length`, are their one-window case.
+# functions above, but `spectral_arc_length` and `mean_crossing_count`,
+# are their one-window case.
 
 
 class _Joined(NamedTuple):
@@ -309,31 +317,6 @@ def _mean_axis_ranges(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     # sums its three ranges
     ranges = np.ascontiguousarray((top - bottom).T)
     return ranges.sum(axis=1) / len(top)
-
-
-def _mean_crossing_counts(joined: _Joined) -> list[int]:
-    """`mean_crossing_count` of each window, each of at least 2 samples."""
-    v, starts, ends = joined.v, joined.starts, joined.ends
-    lengths = ends - starts
-    level = np.full(2 * len(starts) + 1, np.inf)
-    # each window's mean, from its own pairwise sum
-    level[1::2] = [
-        v[s:e].sum() / n for s, e, n in zip(starts.tolist(), ends.tolist(), lengths.tolist())
-    ]
-    counts = np.ones(len(level), dtype=np.intp)
-    counts[1::2] = lengths
-    # each sample's window mean; a separator's is +inf, so it is never off it
-    level = np.repeat(level, counts)
-    off = v != level
-    above = (v > level)[off]
-    del level
-    # window i's samples off its mean are above[first[i]:first[i] + kept[i]]
-    kept = np.add.reduceat(off, np.column_stack((starts, ends)).ravel(), dtype=np.intp)[::2]
-    first = np.cumsum(kept) - kept
-    # flips[j] is the number of changes of side in above[:j + 1]
-    flips = np.zeros(len(above) + 1, dtype=np.intp)
-    np.cumsum(above[1:] != above[:-1], out=flips[1 : len(above)])
-    return (flips[first + np.maximum(kept - 1, 0)] - flips[first]).tolist()
 
 
 def _prominent_peak_counts(v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -406,26 +389,6 @@ def _squared_jerks(joined: _Joined, sample_rate_hz: float) -> np.ndarray:
     return np.square(jerk, out=jerk)
 
 
-def _log_dimensionless_jerks(
-    joined: _Joined, peak: np.ndarray, low: np.ndarray, sample_rate_hz: float
-) -> list[float | DegenerateSignalError]:
-    """`log_dimensionless_jerk` of each window, each of at least 3 samples,
-    given its largest and smallest sample, or the error it raises."""
-    bounds = list(zip(joined.starts.tolist(), joined.ends.tolist()))
-    with np.errstate(over="ignore"):
-        squares = _squared_jerks(joined, sample_rate_hz)
-        sums = [float(squares[s:e].sum()) for s, e in bounds]
-    del squares
-    outcomes = []
-    for (s, e), top, bottom, total in zip(bounds, peak.tolist(), low.tolist(), sums):
-        try:
-            value = _log_dimensionless_jerk(joined.v[s:e], top, bottom, total, sample_rate_hz)
-        except DegenerateSignalError as err:
-            value = err
-        outcomes.append(value)
-    return outcomes
-
-
 def _log_dimensionless_jerk(
     a_norm: np.ndarray, peak: float, low: float, squares: float, sample_rate_hz: float
 ) -> float:
@@ -462,9 +425,11 @@ def session_windows(
 
     Each placement's norms are computed once over the whole stream, and
     their finiteness checked once there. Its windows with at least 3
-    samples and finite norms are then computed together, each feature but
-    SPARC in array passes over all of them (see the kernels above), and
-    SPARC by `spectral_arc_length`, one window at a time. A window with a
+    samples and finite norms are then computed together: NP-A, the window
+    extremes and the jerk sums in array passes over all of them (see the
+    kernels above), then, one window at a time, SPARC by
+    `spectral_arc_length`, LDLJ-A from its extremes and jerk sum, and
+    NMCP-A by `mean_crossing_count`. A window with a
     non-finite norm fails with a validation error, and a shorter window is
     evaluated alone by `mean_crossing_count` and `peak_count`, which raise
     its error. Otherwise a cell's error is SPARC's, or else LDLJ-A's, as
@@ -527,29 +492,33 @@ def _placement_cells(
         top, bottom = _window_extrema(signals, starts, ends)
         del signals
         joined = _join([a_norm[start:end] for start, end in zip(starts.tolist(), ends.tolist())])
-        nmcp_a = _mean_crossing_counts(joined)
         h = params.peak_prominence_frac * (top[0] - bottom[0])
         np_a = _prominent_peak_counts(joined.v, h).tolist()
-        ldlj_a = _log_dimensionless_jerks(joined, top[0], bottom[0], rate)
-        del joined
+        # each window's sum of squared jerk, from its own pairwise .sum()
+        bounds = zip(joined.starts.tolist(), joined.ends.tolist())
+        with np.errstate(over="ignore"):
+            squares = _squared_jerks(joined, rate)
+            jerk_sums = [float(squares[s:e].sum()) for s, e in bounds]
+        del joined, squares
         rav = _mean_axis_ranges(top[1:4], bottom[1:4])
         # an overflowing product is not finite, which FeatureVector refuses
         with np.errstate(over="ignore"):
             pi = _mean_axis_ranges(top[4:], bottom[4:]) * rav
-        values = zip(nmcp_a, np_a, ldlj_a, rav.tolist(), pi.tolist())
-        for i, (crossings, peaks, jerk, r, p) in zip(batch, values):
+        values = zip(
+            np_a, top[0].tolist(), bottom[0].tolist(), jerk_sums, rav.tolist(), pi.tolist()
+        )
+        for i, (peaks, peak, low, jerk_sum, r, p) in zip(batch, values):
             _, start, end = windows[i]
-            # SPARC one window at a time, looked up as the module global that
-            # perfbench/spans.py rebinds to time it
+            a = a_norm[start:end]
+            # one window at a time, SPARC's error first; the public functions
+            # are looked up as the module globals perfbench/spans.py rebinds
             try:
                 arc = spectral_arc_length(w_norm[start:end], rate, params)
+                ldlj_a = _log_dimensionless_jerk(a, peak, low, jerk_sum, rate)
             except (TooShortError, DegenerateSignalError) as err:
                 outcomes[i] = err
                 continue
-            if isinstance(jerk, ShoulderKinError):
-                outcomes[i] = jerk
-            else:
-                outcomes[i] = (crossings, peaks, arc, jerk, r, p, (end - start) / rate)
+            outcomes[i] = (mean_crossing_count(a), peaks, arc, ldlj_a, r, p, (end - start) / rate)
     return [(cell, outcome) for (cell, _, _), outcome in zip(windows, outcomes)]
 
 

@@ -343,11 +343,9 @@ def test_every_traced_function_exists():
 
 # public names that the census below never calls, each with why it stays
 NOT_ON_THE_TRACED_PATHS = {
-    # perfbench/spans.py wraps these two as `features.np_a` and
-    # `features.nmcp_a`; extraction calls them only for a window under 3
-    # samples, to raise
+    # perfbench/spans.py wraps this as `features.np_a`; extraction calls it
+    # only for a window under 3 samples, to raise
     "features.peak_count",
-    "features.mean_crossing_count",
     # the one-window case of the LDLJ-A, RAV and PI kernels, which extraction
     # runs over all of a placement's windows at once; perfbench/spans.py
     # wraps these three as `features.ldlj_a`, `features.rav` and `features.pi`

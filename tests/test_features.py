@@ -529,6 +529,13 @@ class TestRangesAndDuration:
         assert angular_velocity_range(one) == 0.0
         assert power_index(one, angular_velocity_range(one)) == 0.0
 
+    def test_empty_window_is_too_short(self):
+        empty = np.empty((0, 3))
+        with pytest.raises(TooShortError, match="angular-velocity range needs >= 1 sample"):
+            angular_velocity_range(empty)
+        with pytest.raises(TooShortError, match="power index needs >= 1 sample"):
+            power_index(empty, 1.0)
+
 
 def build_session(rng, n=640, subject_id="S01", group=Group.PATIENT, rate=RATE):
     accel = rng.normal(0.0, 2.0, (n, 3)) + np.array([0.0, 0.0, 9.81])
@@ -680,6 +687,7 @@ class TestCohortMatrix:
             "extract_all": 0,
             "magnitude_spectrum": 0,
             "spectral_arc_length": 0,
+            "mean_crossing_count": 0,
         }
 
         def counting(name):
@@ -695,6 +703,7 @@ class TestCohortMatrix:
         counting("extract_all")
         counting("magnitude_spectrum")
         counting("spectral_arc_length")
+        counting("mean_crossing_count")
         rng = np.random.default_rng(83)
         whole = build_session(rng)
         # WH's sub1 and sub2 windows hold 2 samples, too few for any feature
@@ -704,6 +713,9 @@ class TestCohortMatrix:
         rows, failures = extract_cohort(iter([whole, short]))
         assert len(failures) == 2 * len(Placement)
         assert calls["slice_segment"] == calls["extract_all"] == len(rows) + len(failures)
+        # one mean-crossing count per row, and one per cell too short for the
+        # peak count, which it counts before that fails
+        assert calls["mean_crossing_count"] == len(rows) + len(failures)
         # one SPARC call and one transform per cell that reaches SPARC: every
         # row, and no failed cell, since these fail on their length before it
         assert calls["spectral_arc_length"] == calls["magnitude_spectrum"] == len(rows)
