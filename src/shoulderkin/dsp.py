@@ -3,9 +3,10 @@
 Everything downstream (the seven features) consumes these three operations,
 so their numerical conventions are pinned here once: second-order central
 differences with first-order one-sided ends, and zero-padded FFT magnitudes
-with power-of-two lengths. The kernels take plain 1-D float arrays and do
-not re-check them: each states its minimum length, and the caller checks
-it (the features in `features` do, before they call in here).
+with power-of-two lengths, taken only for the bins up to a cutoff. The
+kernels take plain 1-D float arrays and do not re-check them: each states
+its minimum length, and the caller checks it (the features in `features`
+do, before they call in here).
 """
 from __future__ import annotations
 
@@ -13,14 +14,35 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# loaded with this module, so a helper forked after the import inherits it
+from numpy.fft import rfft
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """One-sided magnitude spectrum with uniformly spaced bins from 0 Hz."""
+    """One-sided magnitude spectrum, bins uniformly spaced from 0 Hz.
 
-    freqs_hz: np.ndarray
+    magnitudes
+        The magnitudes of the first ``len(magnitudes)`` bins: those at or
+        below the cutoff the spectrum was taken with.
+    n_fft
+        The transform length, so the full spectrum has n_fft // 2 + 1 bins.
+    bin_hz
+        The bin spacing, rate / n_fft as `np.fft.rfftfreq` computes it:
+        bin k is at ``k * bin_hz``.
+    """
+
     magnitudes: np.ndarray
+    n_fft: int
+    bin_hz: float
+
+    @property
+    def freqs_hz(self) -> np.ndarray:
+        """Every bin's frequency, kept or not: ``np.fft.rfftfreq`` bit for bit.
+
+        Built on each call, never by the pipeline itself.
+        """
+        return np.arange(self.n_fft // 2 + 1) * self.bin_hz
 
 
 def euclidean_norm(triax: np.ndarray) -> np.ndarray:
@@ -69,13 +91,36 @@ def fft_length(n_samples: int, pad_level: int) -> int:
     return 2 ** (int(math.ceil(math.log2(n_samples))) + pad_level)
 
 
-def magnitude_spectrum(x: np.ndarray, sample_rate_hz: float, pad_level: int) -> Spectrum:
+def _bins_at_or_below(max_hz: float, bin_hz: float, n_bins: int) -> int:
+    """How many of k = 0 .. n_bins - 1 have ``k * bin_hz <= max_hz``.
+
+    The products rise with k, so these bins are a prefix, and the count is
+    ``np.searchsorted(k * bin_hz, max_hz, side="right")``. It is found from
+    the quotient and then stepped to the exact boundary. Needs
+    ``max_hz >= 0``; the caller checks.
+    """
+    last = n_bins - 1
+    if last * bin_hz <= max_hz:
+        return n_bins  # also where max_hz is inf or the spacing is 0
+    # bin_hz > 0 and max_hz < last * bin_hz here, so the quotient is finite
+    k = int(max_hz / bin_hz)
+    while k * bin_hz > max_hz:
+        k -= 1
+    while (k + 1) * bin_hz <= max_hz:
+        k += 1
+    return k + 1
+
+
+def magnitude_spectrum(
+    x: np.ndarray, sample_rate_hz: float, pad_level: int, max_hz: float = math.inf
+) -> Spectrum:
     """One-sided DFT magnitude of the raw (unwindowed) 1-D array `x`.
 
     The signal is zero-padded to ``fft_length(N, pad_level)`` points before
     the transform; padding buys frequency resolution, which the adaptive
-    spectral-arc-length cutoff depends on. Only bins at non-negative
-    frequencies are returned.
+    spectral-arc-length cutoff depends on. The magnitude is taken only of
+    the bins at non-negative frequencies up to `max_hz`: the same values,
+    bit for bit, as the first bins of ``np.abs`` over the whole transform.
 
     Parameters
     ----------
@@ -86,13 +131,19 @@ def magnitude_spectrum(x: np.ndarray, sample_rate_hz: float, pad_level: int) -> 
     pad_level : int
         Extra powers of two beyond the next power of two >= N. 0 keeps the
         minimal power-of-two length.
+    max_hz : float
+        Highest frequency kept, at least 0; the caller checks. The default
+        keeps every bin.
 
     Returns
     -------
     Spectrum
-        freqs_hz[k] = k * rate / n_fft for k = 0 .. n_fft/2.
+        magnitudes[k] for each k = 0 .. n_fft/2 with freqs_hz[k] =
+        k * rate / n_fft <= max_hz.
     """
     n_fft = fft_length(len(x), pad_level)
-    mags = np.abs(np.fft.rfft(x, n=n_fft))
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate_hz)
-    return Spectrum(freqs_hz=freqs, magnitudes=mags)
+    # rfftfreq's spacing, in its arithmetic
+    bin_hz = 1.0 / (n_fft * (1.0 / sample_rate_hz))
+    n_below = _bins_at_or_below(max_hz, bin_hz, n_fft // 2 + 1)
+    mags = np.abs(rfft(x, n=n_fft)[:n_below])
+    return Spectrum(magnitudes=mags, n_fft=n_fft, bin_hz=bin_hz)

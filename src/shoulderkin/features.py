@@ -160,6 +160,11 @@ def spectral_arc_length(
     curve, with the frequency axis rescaled to unit length, is returned
     negated: smoother movement gives a value closer to 0.
 
+    Spectrum: one transform per call (`dsp.magnitude_spectrum`), zero-padded
+    to ``fft_length(N, sparc_pad_level)`` points. Its magnitude is taken
+    only for the bins up to sparc_max_cutoff_hz, and bin k lies at
+    ``k * rate / n_fft`` in `np.fft.rfftfreq`'s arithmetic.
+
     `w_norm` is a 1-D signal sampled at `sample_rate_hz`, with at least 2
     samples and at least min_segment_s seconds (N / rate) of signal. Raises
     a degenerate-signal error when the DC component is zero, since the
@@ -182,18 +187,16 @@ def spectral_arc_length(
             f"sparc transform of {n_fft} points at pad level {params.sparc_pad_level} "
             f"exceeds the cap of {SPARC_MAX_FFT_POINTS} points"
         )
-    spectrum = magnitude_spectrum(w_norm, sample_rate_hz, params.sparc_pad_level)
-    magnitudes, freqs = spectrum.magnitudes, spectrum.freqs_hz
+    # only the bins up to the cutoff: a prefix, since the frequencies ascend
+    spectrum = magnitude_spectrum(
+        w_norm, sample_rate_hz, params.sparc_pad_level, params.sparc_max_cutoff_hz
+    )
+    magnitudes, step = spectrum.magnitudes, spectrum.bin_hz
     del spectrum
     dc = magnitudes[0]
     if dc == 0.0:
         raise DegenerateSignalError("sparc is undefined: zero DC component (all-zero signal)")
-    # the frequencies ascend, so the bins up to the cutoff are a prefix
-    n_below = freqs.searchsorted(params.sparc_max_cutoff_hz, side="right")
-    step = float(freqs[1])
-    # only the bins up to the cutoff are held from here on
-    del freqs
-    vhat = magnitudes[:n_below] / dc
+    vhat = magnitudes / dc
     del magnitudes
     # vhat[0] is 1.0, so the selection starts at the first bin and is never empty
     n_sel = int(np.flatnonzero(vhat >= params.sparc_amp_threshold)[-1]) + 1

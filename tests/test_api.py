@@ -352,6 +352,10 @@ NOT_ON_THE_TRACED_PATHS = {
     "features.log_dimensionless_jerk",
     "features.angular_velocity_range",
     "features.power_index",
+    # every bin's frequency, built only when read: perfbench/spans.py
+    # `_count_spectrum` reads it to count `dsp.fft_points`, and SPARC reads
+    # the spacing instead
+    "dsp.Spectrum.freqs_hz",
     # renders one segment from pulse rows: the demos and the release gate
     # render pulses of their own choosing with it
     "synth.synth_segment",
