@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from shoulderkin.dsp import derivative, euclidean_norm, fft_length, magnitude_spectrum
+from shoulderkin.dsp import derivative, euclidean_norm, fft_length
 from shoulderkin.errors import DegenerateSignalError, FeatureError, TooShortError, ValidationError
 from shoulderkin.features import SPARC_MAX_FFT_POINTS, peak_count
 from shoulderkin.formats import FeatureRow, FeatureVector, Placement, SegmentKind, TaskKind
@@ -44,17 +44,19 @@ def spectral_arc_length(w_norm, sample_rate_hz, params):
             f"sparc transform of {n_fft} points at pad level {params.sparc_pad_level} "
             f"exceeds the cap of {SPARC_MAX_FFT_POINTS} points"
         )
-    spectrum = magnitude_spectrum(w_norm, sample_rate_hz, params.sparc_pad_level)
-    dc = spectrum.magnitudes[0]
+    # the whole spectrum, taken here rather than by the code under test
+    magnitudes = np.abs(np.fft.rfft(w_norm, n=n_fft))
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate_hz)
+    dc = magnitudes[0]
     if dc == 0.0:
         raise DegenerateSignalError("sparc is undefined: zero DC component (all-zero signal)")
-    n_below = np.searchsorted(spectrum.freqs_hz, params.sparc_max_cutoff_hz, side="right")
-    vhat = spectrum.magnitudes[:n_below] / dc
+    n_below = np.searchsorted(freqs, params.sparc_max_cutoff_hz, side="right")
+    vhat = magnitudes[:n_below] / dc
     above = np.flatnonzero(vhat >= params.sparc_amp_threshold)
     first, last = above[0], above[-1] + 1
     if last - first < 2:
         return 0.0
-    f_sel = spectrum.freqs_hz[first:last]
+    f_sel = freqs[first:last]
     v_sel = vhat[first:last]
     span = f_sel[-1] - f_sel[0]
     if not span > 0:

@@ -1505,6 +1505,24 @@ class TestFreshProcess:
         # the caller's own setting still applies
         assert seen == {None: "1 True None", "2": "2 True 2"}
 
+    def test_extract_writes_the_same_bytes_whatever_the_blas_setting(self, inputs, tmp_path):
+        # `cli.main` sets one BLAS thread only when the caller has not set
+        # it: a preset and an unset environment extract one cohort alike
+        env = python_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        written = {}
+        for preset in (None, "2"):
+            run_env = env if preset is None else {**env, "OPENBLAS_NUM_THREADS": preset}
+            out = f"matrix-{preset}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "shoulderkin", "extract", "--cohort", inputs["cohort"],
+                 "--out", out],
+                capture_output=True, text=True, env=run_env, cwd=tmp_path,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            written[preset] = (tmp_path / out).read_bytes()
+        assert written[None] == written["2"] and written[None].count(b"\n") > 1
+
     # imports the package, then lists the package modules in sys.modules and
     # whether each function the benchmark's tracer wraps is found there by name
     REGISTRY_PROBE = (

@@ -109,3 +109,35 @@ class TestMagnitudeSpectrum:
             want = direct_dft_magnitude(values, fft_length(n, pad))
             scale = np.max(want) + 1e-30
             assert np.max(np.abs(spec.magnitudes - want)) / scale < 1e-10
+
+    @pytest.mark.parametrize("rate", [128.0, 1e-300, 1e300, 7.5e15, 1e-320])
+    @pytest.mark.parametrize("pad", range(9))
+    def test_kept_bins_are_the_full_spectrum_up_to_the_cutoff(self, pad, rate):
+        # the bins kept are those rfftfreq puts at or below max_hz, and their
+        # magnitudes are the full spectrum's, bit for bit; at 1e-320 Hz the
+        # spacing underflows to 0, so every bin is at 0 Hz
+        values = np.random.default_rng(pad).normal(1.0, 1.0, 100)
+        n_fft = fft_length(len(values), pad)
+        freqs = np.fft.rfftfreq(n_fft, d=1.0 / rate)
+        full = np.abs(np.fft.rfft(values, n=n_fft))
+        cutoffs = [np.inf, 2.0 * freqs[-1], np.finfo(float).max, 10.0]
+        for k in (0, 1, 2, n_fft // 6, n_fft // 2 - 1, n_fft // 2):
+            at = freqs[k]
+            cutoffs += [at, np.nextafter(at, np.inf), np.nextafter(at, -np.inf)]
+        for max_hz in filter(lambda hz: hz >= 0.0, cutoffs):
+            spec = magnitude_spectrum(values, rate, pad, max_hz)
+            n_below = np.searchsorted(freqs, max_hz, side="right")
+            assert len(spec.magnitudes) == n_below, max_hz
+            assert spec.magnitudes.tobytes() == full[:n_below].tobytes()
+            assert spec.bin_hz == freqs[1]
+
+    @pytest.mark.parametrize("rate", [128.0, 1e-300, 1e300, 7.5e15, 1e-320])
+    @pytest.mark.parametrize("pad", range(9))
+    def test_freqs_hz_is_every_bin_whatever_the_cutoff(self, pad, rate):
+        # perfbench/spans.py `_count_spectrum` counts dsp.fft_points as
+        # 2 * (len(freqs_hz) - 1): the transform's points, not the bins kept
+        n = 100
+        n_fft = fft_length(n, pad)
+        spec = magnitude_spectrum(np.ones(n), rate, pad, 10.0)
+        assert len(spec.freqs_hz) == n_fft // 2 + 1
+        assert spec.freqs_hz.tobytes() == np.fft.rfftfreq(n_fft, d=1.0 / rate).tobytes()

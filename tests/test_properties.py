@@ -54,7 +54,7 @@ from shoulderkin import (  # noqa: E402
 )
 from shoulderkin import synth  # noqa: E402
 from shoulderkin.cli import _load_feature_params  # noqa: E402
-from shoulderkin.dsp import derivative, euclidean_norm, magnitude_spectrum  # noqa: E402
+from shoulderkin.dsp import derivative, euclidean_norm, fft_length  # noqa: E402
 from shoulderkin.features import (  # noqa: E402
     FeatureParams,
     angular_velocity_range,
@@ -696,10 +696,12 @@ def test_mean_crossing_count_matches_forward_fill_bit_for_bit(data):
 
 def reference_sparc(w_norm: np.ndarray, rate: float, params: FeatureParams, normaliser) -> float:
     """SPARC as first written: boolean masks over the whole spectrum, which
-    is divided by `normaliser(magnitudes)`."""
-    spectrum = magnitude_spectrum(w_norm, rate, params.sparc_pad_level)
-    vhat = spectrum.magnitudes / normaliser(spectrum.magnitudes)
-    freqs = spectrum.freqs_hz
+    is divided by `normaliser(magnitudes)`. The spectrum is taken here, in
+    full, not by the package, which keeps only the bins up to the cutoff."""
+    n_fft = fft_length(len(w_norm), params.sparc_pad_level)
+    magnitudes = np.abs(np.fft.rfft(w_norm, n=n_fft))
+    vhat = magnitudes / normaliser(magnitudes)
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / rate)
     below_cutoff = freqs <= params.sparc_max_cutoff_hz
     vhat = vhat[below_cutoff]
     freqs = freqs[below_cutoff]
