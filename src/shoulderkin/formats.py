@@ -64,18 +64,26 @@ class Group(Enum):
     HEALTHY = "healthy"
 
 
+def check_text_value(key: str, text: str, comma: bool = False) -> None:
+    """The one rule for a text value written on a line of its own and read
+    back stripped: non-empty, no line break (and, with `comma`, no comma),
+    no whitespace at either end, and encodable as UTF-8."""
+    if not text:
+        raise ValidationError(f"{key} must be non-empty")
+    if "\r" in text or "\n" in text or (comma and "," in text):
+        refused = "a comma or line break" if comma else "a line break"
+        raise ValidationError(f"{key} must not contain {refused}, got {text!r}")
+    if text != text.strip():
+        raise ValidationError(f"{key} must not start or end with whitespace, got {text!r}")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"{key} is not encodable as UTF-8, got {text!r}") from None
+
+
 def check_subject_id(sid: str) -> None:
     """The one subject-id rule, so that a matrix row or a manifest line reads the id back."""
-    if not sid:
-        raise ValidationError("subject_id must be non-empty")
-    if any(c in sid for c in ",\r\n"):
-        raise ValidationError(f"subject_id must not contain a comma or line break, got {sid!r}")
-    if sid != sid.strip():
-        raise ValidationError(f"subject_id must not start or end with whitespace, got {sid!r}")
-    try:
-        sid.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ValidationError(f"subject_id is not encodable as UTF-8, got {sid!r}") from None
+    check_text_value("subject_id", sid, comma=True)
 
 
 def _is_integer(value) -> bool:

@@ -32,6 +32,7 @@ from .formats import (
     Placement,
     TaskKind,
     check_subject_id,
+    check_text_value,
     format_key_values,
     parse_cell,
     parse_key_values,
@@ -297,17 +298,7 @@ class SessionManifest:
         check_subject_id(self.subject_id)
         # each value is one `key = value` line, read back stripped
         for key in ("side", "wrist", "arm", "labels"):
-            text = getattr(self, key)
-            if not text:
-                raise ValidationError(f"{key} must be non-empty")
-            if "\r" in text or "\n" in text:
-                raise ValidationError(f"{key} must not contain a line break, got {text!r}")
-            if text != text.strip():
-                raise ValidationError(f"{key} must not start or end with whitespace, got {text!r}")
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValidationError(f"{key} is not encodable as UTF-8, got {text!r}") from None
+            check_text_value(key, getattr(self, key))
         if not 0 < self.sample_rate_hz < math.inf:
             raise ValidationError(
                 f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"

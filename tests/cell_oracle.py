@@ -1,16 +1,23 @@
-"""The oracle cell extractor: each cell alone, one feature call at a time.
+"""The tests' reference implementations, one of each, and the oracle cell extractor.
 
-`extract_per_cell` is the per-cell arithmetic that `features` ran before it
-computed a session's cells in array passes over each placement's windows.
-The kernels below are that code, kept here as `reference_sparc` keeps the
-first SPARC: a window's norms and samples are copied out of the stream,
-its features are evaluated one by one in `FeatureVector` field order, and
-its first error is the cell's. `peak_count` comes from the package, which
-`tests/test_peak_count.py` pins against scipy's `find_peaks`.
+- `forward_fill_crossings`: NMCP-A by a forward fill of the deviation's
+  signs, where the package drops the samples on the mean.
+- `full_spectrum_sparc` and the bins it measures, `sparc_selection`:
+  SPARC (Balasubramanian et al., JNER 2015) on the whole spectrum with
+  boolean masks, divided by its DC bin or an optional normaliser.
+- `direct_dft_magnitude`: the one-sided spectrum by an O(N^2) DFT on the
+  rows of `dft_basis`; `rfft_magnitude` is numpy's, every bin of it.
+- `extract_per_cell`: the per-cell arithmetic that `features` ran before
+  it computed a session's cells in array passes. Each window is copied
+  out of its stream and its features are evaluated one by one, in
+  `FeatureVector` field order, by `ORACLE_KERNELS` or by the kernels
+  given; the first error is the cell's. `peak_count` is the package's,
+  which `tests/test_peak_count.py` pins against scipy's `find_peaks`.
 """
 
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -20,16 +27,42 @@ from shoulderkin.features import SPARC_MAX_FFT_POINTS, peak_count
 from shoulderkin.formats import FeatureRow, FeatureVector, Placement, SegmentKind, TaskKind
 
 
-def mean_crossing_count(v):
-    n = len(v)
+def forward_fill_crossings(values):
+    """Zeros of the deviation from the mean take the last nonzero sign;
+    count the sign flips."""
+    n = len(values)
     if n < 2:
         raise TooShortError(f"mean crossings need >= 2 samples, got {n}")
-    mean = v.sum() / n
-    above = v[v != mean] > mean
-    return int(np.count_nonzero(above[1:] != above[:-1]))
+    signs = np.sign(values - values.sum() / n).astype(np.int64)
+    nz = np.where(signs != 0, np.arange(n), -1)
+    last = np.maximum.accumulate(nz)
+    filled = np.where(last >= 0, signs[np.maximum(last, 0)], 0)
+    return int(np.count_nonzero(filled[:-1] * filled[1:] < 0))
 
 
-def spectral_arc_length(w_norm, sample_rate_hz, params):
+def rfft_magnitude(values, n_fft):
+    """The magnitudes of every bin of numpy's one-sided FFT."""
+    return np.abs(np.fft.rfft(values, n=n_fft))
+
+
+def dft_basis(n_fft, n):
+    """Row k is bin k of the one-sided DFT of n samples zero-padded to n_fft points."""
+    k = np.arange(n_fft // 2 + 1)
+    return np.exp(-2j * np.pi * np.outer(k, np.arange(n)) / n_fft)
+
+
+def direct_dft_magnitude(values, n_fft):
+    """O(N^2) one-sided DFT magnitude, the reference for the fast path."""
+    return np.abs(dft_basis(n_fft, len(values)) @ values)
+
+
+def sparc_selection(w_norm, sample_rate_hz, params, normaliser=None, spectrum=rfft_magnitude):
+    """The frequencies and normalised magnitudes of the bins SPARC measures.
+
+    `spectrum(w_norm, n_fft)` gives every bin's magnitude; they are divided
+    by `normaliser(magnitudes)`, or by the DC bin by default, masked to the
+    cutoff, and trimmed to the first and last bins at the threshold.
+    """
     n = len(w_norm)
     if n < 2:
         raise TooShortError(f"sparc needs >= 2 samples, got {n}")
@@ -44,25 +77,30 @@ def spectral_arc_length(w_norm, sample_rate_hz, params):
             f"sparc transform of {n_fft} points at pad level {params.sparc_pad_level} "
             f"exceeds the cap of {SPARC_MAX_FFT_POINTS} points"
         )
-    # the whole spectrum, taken here rather than by the code under test
-    magnitudes = np.abs(np.fft.rfft(w_norm, n=n_fft))
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate_hz)
+    magnitudes = spectrum(w_norm, n_fft)
     dc = magnitudes[0]
     if dc == 0.0:
         raise DegenerateSignalError("sparc is undefined: zero DC component (all-zero signal)")
-    n_below = np.searchsorted(freqs, params.sparc_max_cutoff_hz, side="right")
-    vhat = magnitudes[:n_below] / dc
+    vhat = magnitudes / (dc if normaliser is None else normaliser(magnitudes))
+    freqs = np.fft.rfftfreq(n_fft, d=1.0 / sample_rate_hz)
+    below_cutoff = freqs <= params.sparc_max_cutoff_hz
+    vhat, freqs = vhat[below_cutoff], freqs[below_cutoff]
     above = np.flatnonzero(vhat >= params.sparc_amp_threshold)
-    first, last = above[0], above[-1] + 1
-    if last - first < 2:
+    selected = slice(above[0], above[-1] + 1)
+    return freqs[selected], vhat[selected]
+
+
+def full_spectrum_sparc(w_norm, sample_rate_hz, params, normaliser=None, spectrum=rfft_magnitude):
+    """Minus the arc length of `sparc_selection`'s curve, its frequency
+    axis rescaled to unit length."""
+    f_sel, v_sel = sparc_selection(w_norm, sample_rate_hz, params, normaliser, spectrum)
+    if len(f_sel) < 2:
         return 0.0
-    f_sel = freqs[first:last]
-    v_sel = vhat[first:last]
     span = f_sel[-1] - f_sel[0]
     if not span > 0:
         raise DegenerateSignalError("sparc is undefined: the spectrum spans no frequency")
-    df = (f_sel[1:] - f_sel[:-1]) / span
-    dv = v_sel[1:] - v_sel[:-1]
+    df = np.diff(f_sel) / span
+    dv = np.diff(v_sel)
     return -float(np.sqrt(df * df + dv * dv).sum())
 
 
@@ -97,7 +135,19 @@ def mean_axis_range(samples):
     return float((axes.max(axis=1) - axes.min(axis=1)).sum()) / len(axes)
 
 
-def extract_cell(session, params, cell):
+# the per-cell arithmetic's kernels, by the names of the package's
+# one-window kernels, which `extract_per_cell` can be given instead
+ORACLE_KERNELS = SimpleNamespace(
+    mean_crossing_count=forward_fill_crossings,
+    peak_count=peak_count,
+    spectral_arc_length=full_spectrum_sparc,
+    log_dimensionless_jerk=log_dimensionless_jerk,
+    angular_velocity_range=mean_axis_range,
+    power_index=lambda accel, rav: mean_axis_range(accel) * rav,
+)
+
+
+def extract_cell(session, params, cell, kernels):
     """One cell's `FeatureVector`, from copies of its own window."""
     task, kind, placement = cell
     start, end = session.labels[task].window(kind)
@@ -109,14 +159,14 @@ def extract_cell(session, params, cell):
             a_norm, w_norm = euclidean_norm(accel), euclidean_norm(gyro)
             if not (np.isfinite(a_norm).all() and np.isfinite(w_norm).all()):
                 raise ValidationError("series contains non-finite values")
-            rav = mean_axis_range(gyro)
+            rav = kernels.angular_velocity_range(gyro)
             return FeatureVector(
-                nmcp_a=mean_crossing_count(a_norm),
-                np_a=peak_count(a_norm, params),
-                sparc=spectral_arc_length(w_norm, rate, params),
-                ldlj_a=log_dimensionless_jerk(a_norm, rate),
+                nmcp_a=kernels.mean_crossing_count(a_norm),
+                np_a=kernels.peak_count(a_norm, params),
+                sparc=kernels.spectral_arc_length(w_norm, rate, params),
+                ldlj_a=kernels.log_dimensionless_jerk(a_norm, rate),
                 rav=rav,
-                pi=mean_axis_range(accel) * rav,
+                pi=kernels.power_index(accel, rav),
                 duration_s=len(accel) / rate,
             )
     except (TooShortError, DegenerateSignalError) as err:
@@ -126,7 +176,7 @@ def extract_cell(session, params, cell):
         raise ValidationError(f"{session.subject_id} {where}: {err}") from err
 
 
-def extract_per_cell(session, params):
+def extract_per_cell(session, params, kernels=ORACLE_KERNELS):
     """The rows and failures of each present cell of `session`, in grid
     order; an invalid value raises at its cell, as `extract_cohort` does."""
     rows, failures = [], []
@@ -139,7 +189,7 @@ def extract_per_cell(session, params):
                     continue
                 cell = (task, kind, placement)
                 try:
-                    vector = extract_cell(session, params, cell)
+                    vector = extract_cell(session, params, cell, kernels)
                 except FeatureError as err:
                     failures.append(err)
                     continue

@@ -14,6 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from builders import random_rotation
+from cell_oracle import dft_basis
 from reference_table import build_reference_table
 from test_stats import EXPECTED, PAIRS
 from shoulderkin import (
@@ -86,14 +88,6 @@ def random_segment(rng):
         duration_s = float(rng.uniform(0.5, 1.0))
         pulses.append((0.2 + i * 1.3, duration_s, float(rng.uniform(60.0, 180.0)), axis))
     return synth_segment(pulses, 3.0, RATE, 0.02, 0.6, rng, lever_arm_m=0.55)
-
-
-def random_rotation(rng):
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
 
 
 def norm_features(stream):
@@ -208,7 +202,8 @@ def test_spectrum_oracle():
     for pow2 in (2, 4, 8, 16, 32, 64, 128, 256):
         n_fft = fft_length(pow2, pad)
         bins = np.arange(n_fft // 2 + 1)
-        basis = np.exp(-2j * np.pi * np.outer(bins, np.arange(pow2)) / n_fft)
+        # one basis for every length up to pow2: each n uses its first n columns
+        basis = dft_basis(n_fft, pow2)
         for n in range(max(2, pow2 // 2 + 1), pow2 + 1):
             x = rng.normal(size=n)
             spec = magnitude_spectrum(x, RATE, pad)

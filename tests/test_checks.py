@@ -6,26 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from builders import session_manifest
 from shoulderkin import ValidationError, default_profile
 from shoulderkin.formats import FeatureVector, Group, Placement, TaskKind
-from shoulderkin.ingest import SessionManifest
 from shoulderkin.model import SegmentLabel, SensorStream, Session
 from shoulderkin.stats import ComparisonCell
 from shoulderkin.synth import generate_session, synth_segment
-
-
-def manifest(**fields):
-    """A valid session manifest with `fields` replaced."""
-    valid = dict(
-        subject_id="S01",
-        group=Group.PATIENT,
-        side="left",
-        sample_rate_hz=128.0,
-        wrist="S01_wrist.csv",
-        arm="S01_arm.csv",
-        labels="S01_labels.csv",
-    )
-    return SessionManifest(**{**valid, **fields})
 
 
 def stream(accel=None, gyro=None):
@@ -47,22 +33,22 @@ def session_without_side():
     "build, message",
     [
         pytest.param(
-            lambda: manifest(side=""),
+            lambda: session_manifest(side=""),
             "side must be non-empty",
             id="manifest-empty-side",
         ),
         pytest.param(
-            lambda: manifest(labels=""),
+            lambda: session_manifest(labels=""),
             "labels must be non-empty",
             id="manifest-empty-labels",
         ),
         pytest.param(
-            lambda: manifest(wrist=""),
+            lambda: session_manifest(wrist=""),
             "wrist must be non-empty",
             id="manifest-empty-wrist",
         ),
         pytest.param(
-            lambda: manifest(subject_id="P\udc80"),
+            lambda: session_manifest(subject_id="P\udc80"),
             "subject_id is not encodable as UTF-8, got 'P\\udc80'",
             id="manifest-subject-not-utf8",
         ),

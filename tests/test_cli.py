@@ -1,7 +1,6 @@
 """Command-line pipeline: simulate -> extract -> compare -> report."""
 
 import argparse
-import contextlib
 import dataclasses
 import errno
 import hashlib
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from builders import grid_rows, varied_vector
 from cohort_oracle import in_process_sessions, manifest_entries, write_in_process
 from forks import record_forks
 from reference_table import build_reference_table
@@ -52,7 +52,7 @@ from shoulderkin.cli import (
     cmd_extract,
 )
 from shoulderkin.features import log_dimensionless_jerk
-from shoulderkin.formats import FeatureRow, FeatureVector, Group, Placement, SegmentKind, TaskKind
+from shoulderkin.formats import FeatureVector, Placement, SegmentKind, TaskKind
 from shoulderkin.ingest import (
     COHORT_MANIFEST_NAME,
     LABELS_HEADER,
@@ -79,6 +79,14 @@ def write_small_profile(path, n_per_group=3, seed=9):
     return profile
 
 
+def simulate_cohort(work, n_per_group=2, seed=9):
+    """`simulate` of a small profile, written to work/profile.ini, into work/cohort."""
+    write_small_profile(work / "profile.ini", n_per_group, seed)
+    cohort = work / "cohort"
+    assert main(["simulate", "--out", str(cohort), "--params", str(work / "profile.ini")]) == EXIT_OK
+    return cohort
+
+
 def run_pipeline(tmp_path):
     """Drive all four subcommands on a 3v3 cohort, returning the key paths."""
     ini = tmp_path / "profile.ini"
@@ -92,37 +100,12 @@ def run_pipeline(tmp_path):
     return cohort, matrix, out_dir
 
 
-def constant_matrix_rows(groups=(Group.PATIENT, Group.HEALTHY)):
-    fv = FeatureVector(
-        nmcp_a=3, np_a=4, sparc=-1.5, ldlj_a=-4.0, rav=2.0, pi=1.0, duration_s=2.0
-    )
-    rows = []
-    for group in groups:
-        prefix = "P" if group is Group.PATIENT else "H"
-        for i in range(3):
-            for task in TaskKind:
-                for segment in SegmentKind:
-                    for placement in Placement:
-                        rows.append(
-                            FeatureRow(f"{prefix}{i:02d}", group, task, segment, placement, fv)
-                        )
-    return rows
+CONSTANT_VECTOR = FeatureVector(3, 4, -1.5, -4.0, 2.0, 1.0, 2.0)
 
 
-def varied_matrix_rows():
-    """2v2 rows where each subject's features differ, so every cell is testable."""
-    rows = []
-    for group, prefix in ((Group.PATIENT, "P"), (Group.HEALTHY, "H")):
-        for i in range(2):
-            fv = FeatureVector(
-                nmcp_a=1 + i, np_a=2 + i, sparc=-1.5 - i, ldlj_a=-4.0 - i, rav=2.0 + i,
-                pi=1.0 + i, duration_s=2.0 + i,
-            )
-            for task in TaskKind:
-                for segment in SegmentKind:
-                    for placement in Placement:
-                        rows.append(FeatureRow(f"{prefix}{i}", group, task, segment, placement, fv))
-    return rows
+def constant_matrix_rows(n_healthy=3):
+    """3 patients P00.. and `n_healthy` healthy H00.., every row the same vector."""
+    return grid_rows(3, n_healthy, lambda group, i: CONSTANT_VECTOR, id_digits=2)
 
 
 class TestPipeline:
@@ -163,10 +146,7 @@ class TestPipeline:
 
     def test_simulate_writes_the_pinned_cohort_bytes(self, tmp_path):
         # seed 42, 2 per group: every file name and byte of the cohort
-        ini = tmp_path / "profile.ini"
-        write_small_profile(ini, n_per_group=2, seed=42)
-        cohort = tmp_path / "cohort"
-        assert main(["simulate", "--out", str(cohort), "--params", str(ini)]) == EXIT_OK
+        cohort = simulate_cohort(tmp_path, seed=42)
         digest = hashlib.sha256()
         for path in sorted(cohort.iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -252,7 +232,7 @@ class TestPipeline:
         # `report` is the one renderer: `compare` writes no table and takes
         # no option choosing one
         matrix, out_dir = tmp_path / "matrix.csv", tmp_path / "tables"
-        matrix.write_bytes(write_matrix(varied_matrix_rows()))
+        matrix.write_bytes(write_matrix(grid_rows(2, 2, varied_vector)))
         assert main(["compare", str(matrix), "--out", str(out_dir)]) == EXIT_OK
         assert [path.name for path in out_dir.iterdir()] == [DUMP_FILENAME]
         with pytest.raises(SystemExit) as info:
@@ -337,10 +317,7 @@ class TestExitCodes:
         assert "cohort manifest not found" in capsys.readouterr().err
 
     def test_extract_degenerate_segment_still_writes_matrix(self, tmp_path, capsys):
-        ini = tmp_path / "profile.ini"
-        write_small_profile(ini, n_per_group=2)
-        cohort = tmp_path / "cohort"
-        main(["simulate", "--out", str(cohort), "--params", str(ini)])
+        cohort = simulate_cohort(tmp_path)
         victim = cohort / "P01_wrist.csv"
         stream = parse_recording(victim)
         silent = SensorStream(
@@ -590,7 +567,7 @@ class TestExitCodes:
 
     def test_compare_single_group_matrix(self, tmp_path, capsys):
         matrix = tmp_path / "matrix.csv"
-        matrix.write_bytes(write_matrix(constant_matrix_rows(groups=(Group.PATIENT,))))
+        matrix.write_bytes(write_matrix(constant_matrix_rows(n_healthy=0)))
         code = main(["compare", str(matrix), "--out", str(tmp_path / "o")])
         assert code == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
@@ -619,7 +596,7 @@ class TestExitCodes:
     ):
         # one rav cell of a 2v2 matrix whose other cells are all testable
         rav = dict(zip(("P0", "P1", "H0", "H1"), patients + healthy))
-        rows = varied_matrix_rows()
+        rows = grid_rows(2, 2, varied_vector)
         for i, row in enumerate(rows):
             if (row.task, row.segment, row.placement) == (
                 TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST
@@ -712,22 +689,12 @@ class TestExitCodes:
 
 @pytest.fixture(scope="module")
 def small_cohort(tmp_path_factory):
-    work = tmp_path_factory.mktemp("cli")
-    write_small_profile(work / "profile.ini", n_per_group=2)
-    cohort = work / "cohort"
-    argv = ["simulate", "--out", str(cohort), "--params", str(work / "profile.ini")]
-    assert main(argv) == EXIT_OK
-    return cohort
+    return simulate_cohort(tmp_path_factory.mktemp("cli"))
 
 
 @pytest.fixture(scope="module")
 def seed42_cohort(tmp_path_factory):
-    work = tmp_path_factory.mktemp("seed42")
-    write_small_profile(work / "profile.ini", n_per_group=2, seed=42)
-    cohort = work / "cohort"
-    argv = ["simulate", "--out", str(cohort), "--params", str(work / "profile.ini")]
-    assert main(argv) == EXIT_OK
-    return cohort
+    return simulate_cohort(tmp_path_factory.mktemp("seed42"), seed=42)
 
 
 def recording_of(session_path):
@@ -771,10 +738,7 @@ class TestExtractMemory:
             tracemalloc.stop()
 
     def test_peak_does_not_grow_with_the_cohort(self, small_cohort, tmp_path):
-        write_small_profile(tmp_path / "profile.ini", n_per_group=6)
-        large = tmp_path / "cohort"
-        argv = ["simulate", "--out", str(large), "--params", str(tmp_path / "profile.ini")]
-        assert main(argv) == EXIT_OK
+        large = simulate_cohort(tmp_path, n_per_group=6)
         # a first run pays the one-time allocations (lazy imports, caches)
         warm_up = ["extract", "--cohort", str(small_cohort), "--out", str(tmp_path / "w.csv")]
         assert main(warm_up) == EXIT_OK
@@ -987,11 +951,7 @@ class TestReadAhead:
 @pytest.fixture(scope="module", params=[42, 1234])
 def six_sessions(request, tmp_path_factory):
     work = tmp_path_factory.mktemp(f"split{request.param}")
-    write_small_profile(work / "profile.ini", n_per_group=3, seed=request.param)
-    cohort = work / "cohort"
-    argv = ["simulate", "--out", str(cohort), "--params", str(work / "profile.ini")]
-    assert main(argv) == EXIT_OK
-    return ingest.load_cohort(cohort)
+    return ingest.load_cohort(simulate_cohort(work, n_per_group=3, seed=request.param))
 
 
 def extracted(sessions, params=None):
@@ -1355,6 +1315,23 @@ def run_python(*args, cwd=None, timeout=None):
     )
 
 
+def test_readme_library_example_runs_as_written(tmp_path):
+    # the first `python` block after `## Library`, run in a fresh interpreter
+    # and a directory of its own, with no BLAS thread setting: the example
+    # sets its own before numpy loads, and forks the helper
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]
+    example = library.split("\n```python\n", 1)[1].split("\n```\n", 1)[0]
+    env = python_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", example], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line in TASK_HEADINGS] == list(TASK_HEADINGS)
+
+
 class TestFreshProcess:
     # runs one subcommand, then lists which of scipy, configparser and
     # multiprocessing it loaded: the package needs none of them
@@ -1375,14 +1352,15 @@ class TestFreshProcess:
         rng = np.random.default_rng(3)
         # one random vector per subject, so every comparison cell is testable
         per_subject = {}
-        rows = []
-        for r in constant_matrix_rows():
-            if r.subject_id not in per_subject:
+
+        def vector(group, i):
+            if (group, i) not in per_subject:
                 counts = rng.integers(0, 9, 2).tolist()
                 reals = (rng.uniform(0.5, 4.0, 5) * (-1, -1, 1, 1, 1)).tolist()
-                per_subject[r.subject_id] = FeatureVector(*counts, *reals)
-            rows.append(dataclasses.replace(r, features=per_subject[r.subject_id]))
-        (work / "m.csv").write_bytes(write_matrix(rows))
+                per_subject[group, i] = FeatureVector(*counts, *reals)
+            return per_subject[group, i]
+
+        (work / "m.csv").write_bytes(write_matrix(grid_rows(3, 3, vector, id_digits=2)))
         assert main(["compare", str(work / "m.csv"), "--out", str(work / "cmp")]) == EXIT_OK
         return {
             "profile": str(work / "profile.ini"),

@@ -3,24 +3,9 @@
 import numpy as np
 import pytest
 
+from builders import random_rotation
+from cell_oracle import direct_dft_magnitude, rfft_magnitude
 from shoulderkin.dsp import derivative, euclidean_norm, fft_length, magnitude_spectrum
-
-
-def random_rotation(rng):
-    """A uniformly random 3x3 rotation matrix (QR of a Gaussian draw)."""
-    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def direct_dft_magnitude(values, n_fft):
-    """O(N^2) one-sided DFT magnitude, the reference for the fast path."""
-    k = np.arange(n_fft // 2 + 1)
-    n = np.arange(len(values))
-    basis = np.exp(-2j * np.pi * np.outer(k, n) / n_fft)
-    return np.abs(basis @ values)
 
 
 class TestEuclideanNorm:
@@ -119,7 +104,7 @@ class TestMagnitudeSpectrum:
         values = np.random.default_rng(pad).normal(1.0, 1.0, 100)
         n_fft = fft_length(len(values), pad)
         freqs = np.fft.rfftfreq(n_fft, d=1.0 / rate)
-        full = np.abs(np.fft.rfft(values, n=n_fft))
+        full = rfft_magnitude(values, n_fft)
         cutoffs = [np.inf, 2.0 * freqs[-1], np.finfo(float).max, 10.0]
         for k in (0, 1, 2, n_fft // 6, n_fft // 2 - 1, n_fft // 2):
             at = freqs[k]

@@ -6,6 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from builders import random_rotation
+from cell_oracle import (
+    direct_dft_magnitude,
+    forward_fill_crossings,
+    full_spectrum_sparc,
+    sparc_selection,
+)
 from shoulderkin import (
     DegenerateSignalError,
     FeatureError,
@@ -51,21 +58,6 @@ def series(values):
     return np.asarray(values, dtype=float)
 
 
-def crossing_oracle(values):
-    """Literal restatement of the crossing rule as a state machine."""
-    dev = np.asarray(values, dtype=float) - np.mean(values)
-    count = 0
-    last = 0
-    for d in dev:
-        s = 0 if d == 0 else (1 if d > 0 else -1)
-        if s == 0:
-            continue
-        if last != 0 and s != last:
-            count += 1
-        last = s
-    return count
-
-
 def prominence_oracle(values, frac):
     """Peak count over strict single-sample maxima, prominence by definition.
 
@@ -92,22 +84,7 @@ def prominence_oracle(values, frac):
 
 def sparc_direct(values, rate, params):
     """Spectral arc length through a direct O(N^2) DFT instead of the FFT."""
-    values = np.asarray(values, dtype=float)
-    n_fft = fft_length(len(values), params.sparc_pad_level)
-    k = np.arange(n_fft // 2 + 1)
-    basis = np.exp(-2j * np.pi * np.outer(k, np.arange(len(values))) / n_fft)
-    mags = np.abs(basis @ values)
-    freqs = k * rate / n_fft
-    vhat = mags / mags[0]
-    keep = freqs <= params.sparc_max_cutoff_hz
-    vhat, freqs = vhat[keep], freqs[keep]
-    above = np.nonzero(vhat >= params.sparc_amp_threshold)[0]
-    f_sel = freqs[above[0] : above[-1] + 1]
-    v_sel = vhat[above[0] : above[-1] + 1]
-    if len(f_sel) < 2:
-        return 0.0
-    span = f_sel[-1] - f_sel[0]
-    return -float(np.sum(np.sqrt((np.diff(f_sel) / span) ** 2 + np.diff(v_sel) ** 2)))
+    return full_spectrum_sparc(series(values), rate, params, spectrum=direct_dft_magnitude)
 
 
 def min_jerk_pulse(n, amp=1.0):
@@ -205,7 +182,7 @@ class TestMeanCrossingCount:
         for _ in range(200):
             n = int(rng.integers(2, 80))
             values = rng.normal(size=n)
-            assert mean_crossing_count(series(values)) == crossing_oracle(values)
+            assert mean_crossing_count(series(values)) == forward_fill_crossings(values)
 
     def test_matches_state_machine_with_exact_ties(self):
         # Integer antisymmetric signals have an exactly-zero mean, so the
@@ -216,7 +193,7 @@ class TestMeanCrossingCount:
             values = np.concatenate([half, -half, np.zeros(int(rng.integers(0, 4)))])
             rng.shuffle(values)
             assert abs(np.mean(values)) < 1e-12
-            assert mean_crossing_count(series(values)) == crossing_oracle(values)
+            assert mean_crossing_count(series(values)) == forward_fill_crossings(values)
 
     def test_too_short(self):
         with pytest.raises(TooShortError):
@@ -327,14 +304,7 @@ class TestSpectralArcLength:
         t = np.arange(256) / RATE
         values = 1.0 + 0.5 * np.cos(2.0 * np.pi * 6.0 * t)
         params = FeatureParams()
-        # the whole spectrum, taken here rather than by the code under test
-        n_fft = fft_length(len(values), params.sparc_pad_level)
-        magnitudes = np.abs(np.fft.rfft(series(values), n=n_fft))
-        vhat = magnitudes / magnitudes[0]
-        keep = np.fft.rfftfreq(n_fft, d=1.0 / RATE) <= params.sparc_max_cutoff_hz
-        vhat = vhat[keep]
-        above = np.nonzero(vhat >= params.sparc_amp_threshold)[0]
-        interior = vhat[above[0] : above[-1] + 1]
+        _, interior = sparc_selection(series(values), RATE, params)
         assert interior.min() < params.sparc_amp_threshold  # a genuine dip
         got = spectral_arc_length(series(values), RATE, params)
         want = sparc_direct(values, RATE, params)
@@ -597,11 +567,7 @@ class TestExtractAll:
     def test_rotation_leaves_norm_features_and_moves_rav(self):
         rng = np.random.default_rng(53)
         session = build_session(rng)
-        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
-        q *= np.sign(np.diag(r))
-        if np.linalg.det(q) < 0:
-            q[:, 0] = -q[:, 0]
-        turned = rotate_session(session, q)
+        turned = rotate_session(session, random_rotation(rng))
         cell = (TaskKind.WH, SegmentKind.COMPLETE, Placement.WRIST)
         base = extract_cell(session, *cell)
         moved = extract_cell(turned, *cell)
@@ -769,14 +735,17 @@ class TestCohortMatrix:
     @pytest.mark.parametrize("pad, cutoff_hz", [(4, 10.0), (8, 10.0), (8, 1e9)])
     def test_extraction_holds_one_transform_and_one_pass_at_a_time(self, pad, cutoff_hz):
         # The longest default session (P05, 11,336 samples a placement):
-        # beside one transform of its longest window, extraction holds its
-        # norms and one array pass over a placement's windows at a time, under
-        # 1 MB. The per-cell extraction this replaced peaked at 1.63, 13.05
-        # and 14.18 MB for these three parameter sets with numpy 2.4, and a
+        # beside one transform of its longest window, whose magnitudes are
+        # taken only up to the run's cutoff, extraction holds its norms and
+        # one array pass over a placement's windows at a time, under 1 MB.
+        # The per-cell extraction this replaced peaked at 1.63, 13.05 and
+        # 14.18 MB for these three parameter sets with numpy 2.4, and a
         # version that held every pass's arrays at once at 4.0 MB at pad 4.
         session = generate_session(default_profile(), Group.PATIENT, 4)
         params = FeatureParams(sparc_pad_level=pad, sparc_max_cutoff_hz=cutoff_hz)
         longest = max(label.e3 - label.s1 for label in session.labels.values())
+        n_fft = fft_length(longest, pad)
+        n_below = np.count_nonzero(np.fft.rfftfreq(n_fft, d=1.0 / RATE) <= cutoff_hz)
 
         def traced_peak(work):
             tracemalloc.start()
@@ -787,7 +756,11 @@ class TestCohortMatrix:
                 tracemalloc.stop()
 
         _extract_session(session, params)  # any first-call allocations
-        transform = traced_peak(lambda: magnitude_spectrum(np.ones(longest), RATE, pad))
+        # that transform holds numpy's whole complex spectrum and the kept
+        # bins' magnitudes, 8 bytes each: not |X| over every bin
+        complex_only = traced_peak(lambda: np.fft.rfft(np.ones(longest), n=n_fft))
+        transform = traced_peak(lambda: magnitude_spectrum(np.ones(longest), RATE, pad, cutoff_hz))
+        assert transform < complex_only + 8 * n_below + 100_000, (transform, complex_only)
         peak = traced_peak(lambda: _extract_session(session, params))
         assert peak < transform + 1_000_000, (peak, transform)
 

@@ -17,13 +17,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from builders import grid_rows, varied_vector
 from shoulderkin import ParseError, ShoulderKinError, ValidationError, compare_cohort
 from shoulderkin.formats import (
-    FeatureRow,
     FeatureVector,
     Group,
-    Placement,
-    SegmentKind,
     TaskKind,
     _is_integer,
     format_key_values,
@@ -35,19 +33,6 @@ from shoulderkin.formats import (
 from shoulderkin.ingest import RECORDING_HEADER, parse_labels, parse_recording, write_labels
 from shoulderkin.model import SegmentLabel
 from shoulderkin.report import read_dump, write_dump
-
-
-def varied_rows():
-    """2v2 matrix rows, a different vector per subject."""
-    rows = []
-    for group, prefix in ((Group.PATIENT, "P"), (Group.HEALTHY, "H")):
-        for i in range(2):
-            vector = FeatureVector(1 + i, 2 + i, -1.5 - i, -4.0 - i, 2.0 + i, 1.0 + i, 2.0 + i)
-            for task in TaskKind:
-                for segment in SegmentKind:
-                    for placement in Placement:
-                        rows.append(FeatureRow(f"{prefix}{i}", group, task, segment, placement, vector))
-    return rows
 
 
 def recording_bytes():
@@ -68,10 +53,10 @@ READERS = {
         lambda stream: (stream.accel.tobytes(), stream.gyro.tobytes()),
     ),
     "labels": (parse_labels, labels_bytes, lambda labels: labels),
-    "matrix": (read_matrix, lambda: write_matrix(varied_rows()), lambda rows: rows),
+    "matrix": (read_matrix, lambda: write_matrix(grid_rows(2, 2, varied_vector)), lambda rows: rows),
     "dump": (
         read_dump,
-        lambda: write_dump(compare_cohort(varied_rows())),
+        lambda: write_dump(compare_cohort(grid_rows(2, 2, varied_vector))),
         lambda table: (table.n1, table.n2, table.cells),
     ),
 }

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from builders import session_manifest
 from cohort_oracle import in_process_sessions
 from shoulderkin import (
     BoundaryError,
@@ -35,7 +36,6 @@ from shoulderkin.formats import (
 from shoulderkin.ingest import (
     LABELS_HEADER,
     RECORDING_HEADER,
-    SessionManifest,
     iter_cohort,
     load_session,
     walk_cohort,
@@ -306,15 +306,7 @@ class TestLabels:
 
 class TestSessionManifest:
     def manifest(self):
-        return SessionManifest(
-            subject_id="P01",
-            group=Group.PATIENT,
-            side="left",
-            sample_rate_hz=RATE,
-            wrist="P01_wrist.csv",
-            arm="P01_arm.csv",
-            labels="P01_labels.csv",
-        )
+        return session_manifest("P01", sample_rate_hz=RATE)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "session.txt"
@@ -558,17 +550,8 @@ def write_full_session(dirpath, sid="S01", n=400, group=Group.PATIENT, rate=RATE
         TaskKind.WH: SegmentLabel(0, 100, 250, n),
     }
     (dirpath / f"{sid}_labels.csv").write_bytes(write_labels(labels))
-    manifest = SessionManifest(
-        subject_id=sid,
-        group=group,
-        side="left",
-        sample_rate_hz=rate,
-        wrist=f"{sid}_wrist.csv",
-        arm=f"{sid}_arm.csv",
-        labels=f"{sid}_labels.csv",
-    )
     path = dirpath / f"{sid}_session.txt"
-    path.write_bytes(write_session_manifest(manifest))
+    path.write_bytes(write_session_manifest(session_manifest(sid, group, rate)))
     return path
 
 

@@ -9,10 +9,11 @@ is held to the same number grammar. A session manifest reads back as
 written or is rejected when built, and any cohort profile within the
 bounds reads back as written. `compare_cohort` turns any finite
 features into cells that are finite or untestable, and its means and
-variances, summed without numpy, equal numpy's bit for bit. The norm,
-derivative, mean-crossing and SPARC kernels are pinned bit for bit
-against the plainer formulas they replaced, which are kept here as references, and
-`extract_cohort`, which computes a whole session's cells in array passes,
+variances, summed without numpy, equal numpy's bit for bit. The norm and
+derivative kernels are pinned bit for bit against the plainer formulas
+they replaced, which are kept here as references, the mean-crossing and
+SPARC kernels against `cell_oracle`'s forward fill and full-spectrum
+SPARC, and `extract_cohort`, which computes a whole session's cells in array passes,
 against the seven kernels applied to each window alone and against the
 per-cell arithmetic it replaced (`cell_oracle`). The simulator's pulse
 renderer, which evaluates a session's pulses once for both placements, is
@@ -30,16 +31,18 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from cell_oracle import extract_per_cell  # noqa: E402
+from builders import grid_rows, session_manifest  # noqa: E402
+from cell_oracle import (  # noqa: E402
+    extract_per_cell,
+    forward_fill_crossings,
+    full_spectrum_sparc,
+)
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from shoulderkin import (  # noqa: E402
-    DegenerateSignalError,
-    FeatureError,
     ParseError,
     ShoulderKinError,
-    TooShortError,
     ValidationError,
     compare_cohort,
     default_profile,
@@ -52,16 +55,14 @@ from shoulderkin import (  # noqa: E402
     write_matrix,
     write_profile,
 )
-from shoulderkin import synth  # noqa: E402
+from shoulderkin import features, synth  # noqa: E402
 from shoulderkin.cli import _load_feature_params  # noqa: E402
-from shoulderkin.dsp import derivative, euclidean_norm, fft_length  # noqa: E402
+from shoulderkin.dsp import derivative, euclidean_norm  # noqa: E402
 from shoulderkin.features import (  # noqa: E402
     FeatureParams,
-    angular_velocity_range,
     log_dimensionless_jerk,
     mean_crossing_count,
     peak_count,
-    power_index,
     spectral_arc_length,
 )
 from shoulderkin.formats import (  # noqa: E402
@@ -141,34 +142,15 @@ def session_files(sid="S01", group=Group.PATIENT) -> dict[str, bytes]:
     }
     labels = {TaskKind.WH: SegmentLabel(0, 20, 40, N_SAMPLES)}
     files[f"{sid}_labels.csv"] = write_labels(labels)
-    manifest = SessionManifest(
-        subject_id=sid,
-        group=group,
-        side="left",
-        sample_rate_hz=32.0,
-        wrist=f"{sid}_wrist.csv",
-        arm=f"{sid}_arm.csv",
-        labels=f"{sid}_labels.csv",
-    )
-    files[f"{sid}_session.txt"] = write_session_manifest(manifest)
+    files[f"{sid}_session.txt"] = write_session_manifest(session_manifest(sid, group, 32.0))
     return files
 
 
 def matrix_rows() -> list[FeatureRow]:
     rng = np.random.default_rng(11)
-    rows = []
-    for group, prefix in ((Group.PATIENT, "P"), (Group.HEALTHY, "H")):
-        for i in range(3):
-            for task in TaskKind:
-                for segment in SegmentKind:
-                    for placement in Placement:
-                        fv = FeatureVector(
-                            int(rng.integers(0, 9)),
-                            int(rng.integers(0, 9)),
-                            *rng.uniform(0.5, 4.0, 5) * (-1, -1, 1, 1, 1),
-                        )
-                        rows.append(FeatureRow(f"{prefix}{i}", group, task, segment, placement, fv))
-    return rows
+    return grid_rows(3, 3, lambda group, i: FeatureVector(
+        int(rng.integers(0, 9)), int(rng.integers(0, 9)), *rng.uniform(0.5, 4.0, 5) * (-1, -1, 1, 1, 1)
+    ))
 
 
 SESSION = session_files()
@@ -569,18 +551,14 @@ def group_column(values, n: int):
 
 @given(st.data())
 def test_compare_cohort_cells_are_finite_or_untestable(data):
-    rows = []
-    for group, prefix in ((Group.PATIENT, "P"), (Group.HEALTHY, "H")):
+    vectors = {}
+    for group in (Group.PATIENT, Group.HEALTHY):
         n = data.draw(st.integers(2, 4))
         columns = [data.draw(group_column(values, n)) for values in FEATURE_DRAWS]
-        for i, features in enumerate(zip(*columns)):
-            fv = FeatureVector(*features)
-            rows += [
-                FeatureRow(f"{prefix}{i}", group, task, segment, placement, fv)
-                for task in TaskKind
-                for segment in SegmentKind
-                for placement in Placement
-            ]
+        vectors[group] = [FeatureVector(*features) for features in zip(*columns)]
+    rows = grid_rows(
+        len(vectors[Group.PATIENT]), len(vectors[Group.HEALTHY]), lambda group, i: vectors[group][i]
+    )
     # both groups have 2 or more subjects, so no cell's values may raise
     for cell in compare_cohort(rows).cells.values():
         if cell is not None:
@@ -674,16 +652,6 @@ def test_derivative_matches_np_gradient_bit_for_bit(n, rate, decades, seed):
     assert got.tobytes() == expected.tobytes()
 
 
-def reference_mean_crossings(values: np.ndarray) -> int:
-    """Zeros of the deviation take the last nonzero sign; count sign flips."""
-    n = len(values)
-    signs = np.sign(values - values.sum() / n).astype(np.int64)
-    nz = np.where(signs != 0, np.arange(n), -1)
-    last = np.maximum.accumulate(nz)
-    filled = np.where(last >= 0, signs[np.maximum(last, 0)], 0)
-    return int(np.count_nonzero(filled[:-1] * filled[1:] < 0))
-
-
 @given(st.data())
 def test_mean_crossing_count_matches_forward_fill_bit_for_bit(data):
     # each value v comes with 4 - v, so the mean is exactly 2.0 and every 2
@@ -691,29 +659,7 @@ def test_mean_crossing_count_matches_forward_fill_bit_for_bit(data):
     half = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=80))
     values = np.array(data.draw(st.permutations(half + [4 - v for v in half])), dtype=float)
     values += data.draw(st.sampled_from((0.0, 1e6, 2.0**40)))
-    assert mean_crossing_count(values) == reference_mean_crossings(values)
-
-
-def reference_sparc(w_norm: np.ndarray, rate: float, params: FeatureParams, normaliser) -> float:
-    """SPARC as first written: boolean masks over the whole spectrum, which
-    is divided by `normaliser(magnitudes)`. The spectrum is taken here, in
-    full, not by the package, which keeps only the bins up to the cutoff."""
-    n_fft = fft_length(len(w_norm), params.sparc_pad_level)
-    magnitudes = np.abs(np.fft.rfft(w_norm, n=n_fft))
-    vhat = magnitudes / normaliser(magnitudes)
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / rate)
-    below_cutoff = freqs <= params.sparc_max_cutoff_hz
-    vhat = vhat[below_cutoff]
-    freqs = freqs[below_cutoff]
-    above = np.nonzero(vhat >= params.sparc_amp_threshold)[0]
-    sel = slice(above[0], above[-1] + 1)
-    f_sel = freqs[sel]
-    v_sel = vhat[sel]
-    if len(f_sel) < 2:
-        return 0.0
-    span = f_sel[-1] - f_sel[0]
-    arc = np.sum(np.sqrt((np.diff(f_sel) / span) ** 2 + np.diff(v_sel) ** 2))
-    return -float(arc)
+    assert mean_crossing_count(values) == forward_fill_crossings(values)
 
 
 def non_negative_series(rng, n: int, shape: str) -> np.ndarray:
@@ -750,7 +696,7 @@ def test_sparc_matches_boolean_mask_version_bit_for_bit(case):
     # rate 128 puts a bin exactly on the 10 and 64 Hz cutoffs, which counts
     n, shape, rate, params, seed = case
     values = non_negative_series(np.random.default_rng(seed), n, shape)
-    expected = reference_sparc(values, rate, params, lambda mags: mags[0])
+    expected = full_spectrum_sparc(values, rate, params)
     assert bits(spectral_arc_length(values, rate, params)) == bits(expected)
 
 
@@ -763,7 +709,7 @@ def test_sparc_dc_normalisation_agrees_with_max_normalisation(case):
     n_fft <= 2**14, the SPARC values then agree to a relative 1e-12."""
     n, shape, rate, params, seed = case
     values = non_negative_series(np.random.default_rng(seed), n, shape)
-    by_max = reference_sparc(values, rate, params, np.max)
+    by_max = full_spectrum_sparc(values, rate, params, np.max)
     assert spectral_arc_length(values, rate, params) == pytest.approx(by_max, rel=1e-12, abs=0.0)
 
 
@@ -819,14 +765,14 @@ def test_one_movement_at_three_rates(pulse, before, after, amplitude, lever_arm_
 
 
 @st.composite
-def window_sessions(draw):
-    """One session on one or both placements whose subtask windows are
-    often 1 to 3 samples long, sometimes constant, and plateau-edged when
-    the samples are small integers."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def task_labels(draw, flat_span):
+    """Labels of one to five tasks, one after another, whose subtask windows
+    are often 1 to 3 samples long; the spans that `flat_span(draw, label)`
+    picks in about half of the tasks, to be held constant; and a stream
+    length 0 to 3 samples past the last label."""
     tasks = draw(st.lists(st.sampled_from(list(TaskKind)), min_size=1, max_size=5, unique=True))
     lengths = st.one_of(st.integers(1, 3), st.integers(4, 40))
-    labels, constant, end = {}, [], 0
+    labels, flat, end = {}, [], 0
     for task in tasks:
         s1 = end + draw(st.integers(0, 3))
         e1 = s1 + draw(lengths)
@@ -834,8 +780,23 @@ def window_sessions(draw):
         end = e2 + draw(lengths)
         labels[task] = SegmentLabel(s1, e1, e2, end)
         if draw(st.booleans()):
-            constant.append((e1, e2))
-    n = end + draw(st.integers(0, 3))
+            flat.append(flat_span(draw, labels[task]))
+    return labels, flat, end + draw(st.integers(0, 3))
+
+
+def bound_to_later_bound(draw, label):
+    """From one bound to a later one: a whole task, or subtasks."""
+    first = draw(st.sampled_from((label.s1, label.e1, label.e2)))
+    return first, draw(st.sampled_from([b for b in (label.e1, label.e2, label.e3) if b > first]))
+
+
+@st.composite
+def window_sessions(draw):
+    """One session on one or both placements whose subtask windows are
+    often 1 to 3 samples long, sometimes constant, and plateau-edged when
+    the samples are small integers."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels, constant, n = draw(task_labels(lambda draw, label: (label.e1, label.e2)))
     scale = 10.0 ** draw(st.integers(-100, 100))
     rate = draw(st.sampled_from((32.0, 100.0 / 3.0, 128.0)))
     streams = {}
@@ -851,40 +812,22 @@ def window_sessions(draw):
     return assemble_session("S01", Group.PATIENT, "left", streams, labels)
 
 
+def cell_bits(rows):
+    """Each row's cell and the bits of its seven values."""
+    return [
+        (
+            (row.task, row.segment, row.placement),
+            [bits(getattr(row.features, name)) for name in FeatureVector.FIELD_NAMES],
+        )
+        for row in rows
+    ]
+
+
 def reference_extract(session, params):
     """Each present cell in grid order, from copies of its own window and
     the seven per-window kernels, the way a cell was extracted alone."""
-    rows, failures = [], []
-    rate = session.sample_rate_hz
-    for task in TaskKind:
-        if task not in session.labels:
-            continue
-        for kind in SegmentKind:
-            start, end = session.labels[task].window(kind)
-            for placement in Placement:
-                if placement not in session.streams:
-                    continue
-                stream = session.streams[placement]
-                accel = stream.accel[start:end].copy()
-                gyro = stream.gyro[start:end].copy()
-                a_norm, w_norm = euclidean_norm(accel), euclidean_norm(gyro)
-                try:
-                    rav = angular_velocity_range(gyro)
-                    values = (
-                        mean_crossing_count(a_norm),
-                        peak_count(a_norm, params),
-                        spectral_arc_length(w_norm, rate, params),
-                        log_dimensionless_jerk(a_norm, rate),
-                        rav,
-                        power_index(accel, rav),
-                        len(accel) / rate,
-                    )
-                except (TooShortError, DegenerateSignalError) as err:
-                    failure = FeatureError(session.subject_id, task, kind, placement, err)
-                    failures.append(str(failure))
-                    continue
-                rows.append(((task, kind, placement), [bits(v) for v in values]))
-    return rows, failures
+    rows, failures = extract_per_cell(session, params, features)
+    return cell_bits(rows), [str(err) for err in failures]
 
 
 @given(
@@ -898,13 +841,7 @@ def reference_extract(session, params):
 )
 def test_extract_cohort_matches_each_window_alone_bit_for_bit(session, params):
     rows, failures = extract_cohort([session], params)
-    got = [
-        (
-            (row.task, row.segment, row.placement),
-            [bits(getattr(row.features, name)) for name in FeatureVector.FIELD_NAMES],
-        )
-        for row in rows
-    ]
+    got = cell_bits(rows)
     assert (got, [str(err) for err in failures]) == reference_extract(session, params)
 
 
@@ -925,20 +862,7 @@ def oracle_cases(draw):
     or 7e5 Hz, with pad levels 0 to 8 and cutoffs of 0.5, 10 and 1e9 Hz."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rate = draw(st.sampled_from((100.0 / 3.0, 128.0, 7e5)))
-    tasks = draw(st.lists(st.sampled_from(list(TaskKind)), min_size=1, max_size=5, unique=True))
-    lengths = st.one_of(st.integers(1, 3), st.integers(4, 40))
-    labels, constant, end = {}, [], 0
-    for task in tasks:
-        s1 = end + draw(st.integers(0, 3))
-        e1 = s1 + draw(lengths)
-        e2 = e1 + draw(lengths)
-        end = e2 + draw(lengths)
-        labels[task] = SegmentLabel(s1, e1, e2, end)
-        if draw(st.booleans()):
-            # flat from one bound to a later one: a whole task, or subtasks
-            first = draw(st.sampled_from((s1, e1, e2)))
-            constant.append((first, draw(st.sampled_from([b for b in (e1, e2, end) if b > first]))))
-    n = end + draw(st.integers(0, 3))
+    labels, constant, n = draw(task_labels(bound_to_later_bound))
     streams = {}
     for placement in draw(st.sampled_from(([Placement.WRIST], list(Placement)))):
         if draw(st.booleans()):

@@ -13,8 +13,9 @@ import math
 import numpy as np
 import pytest
 
+from builders import grid_rows
 from shoulderkin import CohortError, DegenerateStatisticsError, ValidationError, compare_cohort
-from shoulderkin.formats import FeatureRow, FeatureVector, Group, Placement, SegmentKind, TaskKind
+from shoulderkin.formats import FeatureVector, Group, Placement, SegmentKind, TaskKind
 from shoulderkin.stats import (
     ComparisonCell,
     ComparisonTable,
@@ -346,30 +347,21 @@ class TestSignificanceRule:
         assert significance_flag(0.06, 2.0) is False
 
 
-def feature_row(sid, group, task, segment, placement, value):
-    fv = FeatureVector(
+def feature_vector(value):
+    return FeatureVector(
         nmcp_a=int(value), np_a=int(value) + 1, sparc=-value - 1.0, ldlj_a=-value - 2.0,
         rav=value + 3.0, pi=value + 4.0, duration_s=value + 5.0,
     )
-    return FeatureRow(sid, group, task, segment, placement, fv)
 
 
-def full_matrix(n_patients=3, n_healthy=3, offset=5.0):
+def full_matrix():
+    """3v3 rows, each subject's values a random draw above its number, the patients' 5 higher."""
     rng = np.random.default_rng(101)
-    rows = []
-    for group, n, prefix, base in (
-        (Group.PATIENT, n_patients, "P", offset),
-        (Group.HEALTHY, n_healthy, "H", 0.0),
-    ):
-        for i in range(n):
-            for task in TaskKind:
-                for segment in SegmentKind:
-                    for placement in Placement:
-                        value = base + float(rng.uniform(0.0, 2.0)) + i
-                        rows.append(
-                            feature_row(f"{prefix}{i:02d}", group, task, segment, placement, value)
-                        )
-    return rows
+    base = {Group.PATIENT: 5.0, Group.HEALTHY: 0.0}
+    return grid_rows(
+        3, 3, lambda group, i: feature_vector(base[group] + float(rng.uniform(0.0, 2.0)) + i),
+        id_digits=2,
+    )
 
 
 class TestCompareCohort:
@@ -418,14 +410,7 @@ class TestCompareCohort:
     def test_degenerate_cell_becomes_untestable(self):
         # Integer-valued nmcp_a columns can be constant in both groups;
         # force that by using the same value for every subject.
-        rows = []
-        for group, prefix in ((Group.PATIENT, "P"), (Group.HEALTHY, "H")):
-            for i in range(2):
-                for task in TaskKind:
-                    for segment in SegmentKind:
-                        for placement in Placement:
-                            rows.append(feature_row(f"{prefix}{i}", group, task, segment, placement, 1.0))
-        table = compare_cohort(rows)
+        table = compare_cohort(grid_rows(2, 2, lambda group, i: feature_vector(1.0)))
         assert table.untestable_count() == 260
         assert table.cell(TaskKind.WH, "nmcp_a", Placement.WRIST, SegmentKind.SUB1) is None
 
