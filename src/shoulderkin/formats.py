@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import operator
 import os
 import stat
 import sys
@@ -31,6 +30,10 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
+
+
+# Each grid enum hashes by identity, as its members compare: `Enum`'s own
+# `__hash__` is a Python-level call, run on every cell key of the grid.
 
 
 class TaskKind(Enum):
@@ -42,6 +45,8 @@ class TaskKind(Enum):
     POH = "POH"
     ROP = "ROP"
 
+    __hash__ = object.__hash__
+
 
 class SegmentKind(Enum):
     """A scoring window within one task: the whole task or one subtask."""
@@ -51,6 +56,8 @@ class SegmentKind(Enum):
     SUB2 = "sub2"
     SUB3 = "sub3"
 
+    __hash__ = object.__hash__
+
 
 class Placement(Enum):
     """Which limb segment the sensor was strapped to."""
@@ -58,10 +65,14 @@ class Placement(Enum):
     WRIST = "wrist"
     ARM = "arm"
 
+    __hash__ = object.__hash__
+
 
 class Group(Enum):
     PATIENT = "patient"
     HEALTHY = "healthy"
+
+    __hash__ = object.__hash__
 
 
 def check_text_value(key: str, text: str, comma: bool = False) -> None:
@@ -100,13 +111,18 @@ def _is_integer(value) -> bool:
     return numpy is not None and isinstance(value, numpy.integer)
 
 
+_LARGEST_DOUBLE = sys.float_info.max
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     """The seven per-segment features.
 
     Construction requires integer counts, none larger than the largest
     double, and every field finite; degenerate signals must be rejected
-    with an error before this point, never smuggled through as NaN.
+    with an error before this point, never smuggled through as NaN. Each
+    rule is first checked for all its fields at once; when one fails, the
+    error names the first field that breaks it, in field order.
     """
 
     nmcp_a: int
@@ -118,20 +134,29 @@ class FeatureVector:
     duration_s: float
 
     def __post_init__(self):
-        counts = [getattr(self, name) for name in self.COUNT_NAMES]
-        if not all(map(_is_integer, counts)):
-            raise ValidationError(f"counts must be integers, got {tuple(counts)}")
-        for name, count in zip(self.COUNT_NAMES, counts):
-            if count < 0:
-                raise ValidationError(f"{name} must be non-negative, got {count}")
-            # the statistics take each count as a double
-            if count > sys.float_info.max:
-                raise ValidationError(f"{name} is larger than the largest double")
+        counts = (self.nmcp_a, self.np_a)
+        if not (_is_integer(counts[0]) and _is_integer(counts[1])):
+            raise ValidationError(f"counts must be integers, got {counts}")
+        # the statistics take each count as a double
+        if not (0 <= self.nmcp_a <= _LARGEST_DOUBLE and 0 <= self.np_a <= _LARGEST_DOUBLE):
+            for name, count in zip(self.COUNT_NAMES, counts):
+                if count < 0:
+                    raise ValidationError(f"{name} must be non-negative, got {count}")
+                if count > _LARGEST_DOUBLE:
+                    raise ValidationError(f"{name} is larger than the largest double")
         if not self.duration_s > 0:
             raise ValidationError(f"duration_s must be positive, got {self.duration_s}")
-        for name in self.FIELD_NAMES:
-            if name not in self.COUNT_NAMES and not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} is not finite")
+        isfinite = math.isfinite
+        if not (
+            isfinite(self.sparc)
+            and isfinite(self.ldlj_a)
+            and isfinite(self.rav)
+            and isfinite(self.pi)
+            and isfinite(self.duration_s)
+        ):
+            for name in self.FIELD_NAMES:
+                if name not in self.COUNT_NAMES and not isfinite(getattr(self, name)):
+                    raise ValidationError(f"{name} is not finite")
 
     # the feature-matrix column order, and the fields that are integer
     # counts; every other field is a float
@@ -376,34 +401,37 @@ MATRIX_COLUMNS = (
     "placement",
 ) + FeatureVector.FIELD_NAMES
 MATRIX_HEADER = ",".join(MATRIX_COLUMNS)
-_feature_values = operator.attrgetter(*FeatureVector.FIELD_NAMES)
-# each feature's type in column order: a count is written as digits, a
-# float by `format_float`
+# each feature's type in column order: a count is an integer, every other
+# feature a float
 _TYPES = tuple(int if n in FeatureVector.COUNT_NAMES else float for n in FeatureVector.FIELD_NAMES)
+# the grid cells of a row, the four enums in column order
+_GRID_ENUMS = (Group, TaskKind, SegmentKind, Placement)
+_VALUE_OF = {member: member.value for kind in _GRID_ENUMS for member in kind}
 
 
 def write_matrix(rows) -> bytes:
-    """Serialize feature rows as the documented CSV, floats via `format_float`."""
+    """Serialize feature rows as the documented CSV.
+
+    Each row is one f-string: the enums by their values, the counts by
+    `str` and the floats by `format_float`'s ``repr(float(v))``, so numpy
+    scalars print as Python's own numbers do.
+    """
+    value = _VALUE_OF
     lines = [MATRIX_HEADER]
     for row in rows:
-        values = _feature_values(row.features)
+        f = row.features
         lines.append(
-            ",".join(
-                (
-                    row.subject_id,
-                    row.group.value,
-                    row.task.value,
-                    row.segment.value,
-                    row.placement.value,
-                    *(str(v) if t is int else format_float(v) for t, v in zip(_TYPES, values)),
-                )
-            )
+            f"{row.subject_id},{value[row.group]},{value[row.task]},{value[row.segment]},"
+            f"{value[row.placement]},{f.nmcp_a!s},{f.np_a!s},{float(f.sparc)!r},"
+            f"{float(f.ldlj_a)!r},{float(f.rav)!r},{float(f.pi)!r},{float(f.duration_s)!r}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-# how read_matrix converts each cell after the subject id
-_MATRIX_CONVERTERS = (Group, TaskKind, SegmentKind, Placement) + _TYPES
+# how `parse_cell` converts each cell after the subject id
+_MATRIX_CONVERTERS = _GRID_ENUMS + _TYPES
+# each grid enum's members by value, for the rows read in one pass
+_MEMBERS = tuple({member.value: member for member in kind} for kind in _GRID_ENUMS)
 
 
 def read_matrix(path) -> list[FeatureRow]:
@@ -412,17 +440,37 @@ def read_matrix(path) -> list[FeatureRow]:
     Each subject is in one group and each of its cells on one row; a
     repeated cell, a subject in both groups or a bad subject id
     (`check_subject_id`) is a validation error naming the line.
+
+    A line that is ASCII, with no ``_`` and no carriage return (the
+    per-line form of `parse_number`'s checks), has its grid cells looked
+    up by value and its numbers converted by `int` and `float` at once.
+    Any other row, or one whose lookup or conversion fails, is read cell
+    by cell through `parse_cell`, which gives the same values or names
+    the first bad cell.
     """
     lines = read_lines(path, MATRIX_HEADER)
+    groups, tasks, segments, placements = _MEMBERS
     rows: list[FeatureRow] = []
     group_of: dict[str, Group] = {}
     rows_seen: set[tuple] = set()
-    for line_no, cells in split_rows(lines[1:], len(MATRIX_COLUMNS), path):
+    body = lines[1:]
+    for line, (line_no, cells) in zip(body, split_rows(body, len(MATRIX_COLUMNS), path)):
         subject = cells[0]
-        group, task, segment, placement, *values = [
-            parse_cell(convert, cell, column, path, line_no)
-            for convert, cell, column in zip(_MATRIX_CONVERTERS, cells[1:], MATRIX_COLUMNS[1:])
-        ]
+        try:
+            # the per-line form of `parse_number`'s checks
+            if not line.isascii() or "_" in line or "\r" in line:
+                raise ValueError(line)
+            group, task = groups[cells[1]], tasks[cells[2]]
+            segment, placement = segments[cells[3]], placements[cells[4]]
+            values = (
+                int(cells[5]), int(cells[6]), float(cells[7]), float(cells[8]),
+                float(cells[9]), float(cells[10]), float(cells[11]),
+            )
+        except (KeyError, ValueError):
+            group, task, segment, placement, *values = [
+                parse_cell(convert, cell, column, path, line_no)
+                for convert, cell, column in zip(_MATRIX_CONVERTERS, cells[1:], MATRIX_COLUMNS[1:])
+            ]
         try:
             check_subject_id(subject)
             vector = FeatureVector(*values)

@@ -13,6 +13,9 @@
   `FeatureVector` field order, by `ORACLE_KERNELS` or by the kernels
   given; the first error is the cell's. `peak_count` is the package's,
   which `tests/test_peak_count.py` pins against scipy's `find_peaks`.
+- `read_matrix_per_cell`: the feature-matrix reader as it was before it
+  converted a row in one pass: `split_rows`, every cell through
+  `parse_cell`, then the row checks.
 """
 
 import math
@@ -24,7 +27,20 @@ import numpy as np
 from shoulderkin.dsp import derivative, euclidean_norm, fft_length
 from shoulderkin.errors import DegenerateSignalError, FeatureError, TooShortError, ValidationError
 from shoulderkin.features import SPARC_MAX_FFT_POINTS, peak_count
-from shoulderkin.formats import FeatureRow, FeatureVector, Placement, SegmentKind, TaskKind
+from shoulderkin.formats import (
+    MATRIX_COLUMNS,
+    MATRIX_HEADER,
+    FeatureRow,
+    FeatureVector,
+    Group,
+    Placement,
+    SegmentKind,
+    TaskKind,
+    check_subject_id,
+    parse_cell,
+    read_lines,
+    split_rows,
+)
 
 
 def forward_fill_crossings(values):
@@ -195,3 +211,42 @@ def extract_per_cell(session, params, kernels=ORACLE_KERNELS):
                     continue
                 rows.append(FeatureRow(session.subject_id, session.group, *cell, vector))
     return rows, failures
+
+
+# how `read_matrix_per_cell` converts each cell after the subject id
+_MATRIX_CONVERTERS = (Group, TaskKind, SegmentKind, Placement) + tuple(
+    int if name in FeatureVector.COUNT_NAMES else float for name in FeatureVector.FIELD_NAMES
+)
+
+
+def read_matrix_per_cell(path):
+    """The rows of a feature-matrix CSV, each cell read by `parse_cell`;
+    the same checks, in the same order and with the same messages, as
+    `read_matrix`."""
+    lines = read_lines(path, MATRIX_HEADER)
+    rows, group_of, rows_seen = [], {}, set()
+    for line_no, cells in split_rows(lines[1:], len(MATRIX_COLUMNS), path):
+        subject = cells[0]
+        group, task, segment, placement, *values = [
+            parse_cell(convert, cell, column, path, line_no)
+            for convert, cell, column in zip(_MATRIX_CONVERTERS, cells[1:], MATRIX_COLUMNS[1:])
+        ]
+        try:
+            check_subject_id(subject)
+            vector = FeatureVector(*values)
+        except ValidationError as err:
+            raise ValidationError(f"{path}:{line_no}: {err}") from None
+        if group_of.setdefault(subject, group) is not group:
+            raise ValidationError(
+                f"{path}:{line_no}: subject {subject!r} is in both the "
+                f"{group_of[subject].value} and the {group.value} group"
+            )
+        key = (subject, task, segment, placement)
+        if key in rows_seen:
+            raise ValidationError(
+                f"{path}:{line_no}: repeated row for {subject} "
+                f"{task.value}/{segment.value}/{placement.value}"
+            )
+        rows_seen.add(key)
+        rows.append(FeatureRow(subject, group, task, segment, placement, vector))
+    return rows

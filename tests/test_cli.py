@@ -1332,6 +1332,58 @@ def test_readme_library_example_runs_as_written(tmp_path):
     assert [line for line in lines if line in TASK_HEADINGS] == list(TASK_HEADINGS)
 
 
+# runs one subcommand, then prints the file of each package module it ran;
+# a module still lazy was never run
+RAN_FROM_PROBE = (
+    "import importlib.util, json, sys\n"
+    "import shoulderkin\n"
+    "code = shoulderkin.main(sys.argv[1:])\n"
+    "print(json.dumps([m.__file__ for name, m in sorted(sys.modules.items())\n"
+    "                  if name.partition('.')[0] == 'shoulderkin'\n"
+    "                  and type(m) is not importlib.util._LazyModule]))\n"
+    "sys.exit(code)\n"
+)
+
+
+def test_the_chain_runs_from_a_copy_of_the_package_outside_the_checkout(tmp_path, monkeypatch):
+    # the package alone in a directory on the path, as an install puts it:
+    # the lazy loader must find each module there, and the chain must write
+    # what it writes from the checkout
+    site = tmp_path / "site"
+    shutil.copytree(
+        Path(SRC_DIR) / "shoulderkin", site / "shoulderkin",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    env = {**os.environ, "PYTHONPATH": str(site)}
+    chain = [
+        ["simulate", "--out", "cohort", "--params", "profile.ini"],
+        ["extract", "--cohort", "cohort", "--out", "matrix.csv"],
+        ["compare", "matrix.csv", "--out", "results"],
+        ["report", f"results/{DUMP_FILENAME}", "--out", "report.txt"],
+    ]
+    copied, checkout = tmp_path / "copied", tmp_path / "checkout"
+    for work in (copied, checkout):
+        work.mkdir()
+        write_small_profile(work / "profile.ini", n_per_group=2)
+    codes = []
+    for argv in chain:
+        proc = subprocess.run(
+            [sys.executable, "-c", RAN_FROM_PROBE, *argv],
+            capture_output=True, text=True, env=env, cwd=copied,
+        )
+        codes.append(proc.returncode)
+        ran = json.loads(proc.stdout.splitlines()[-1])
+        assert ran and all(Path(f).parent == site / "shoulderkin" for f in ran), proc.stderr
+    monkeypatch.chdir(checkout)
+    # a 2v2 cohort leaves some cells untestable, which `compare` reports by its exit code
+    assert codes == [main(argv) for argv in chain] == [EXIT_OK, EXIT_OK, EXIT_DEGENERATE, EXIT_OK]
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert tree(copied) == tree(checkout)
+
+
 class TestFreshProcess:
     # runs one subcommand, then lists which of scipy, configparser and
     # multiprocessing it loaded: the package needs none of them

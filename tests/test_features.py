@@ -177,7 +177,12 @@ class TestMeanCrossingCount:
     def test_constant_has_no_crossings(self):
         assert mean_crossing_count(series([4.0] * 16)) == 0
 
+    # The next two tests hold the kernel to `cell_oracle.forward_fill_crossings`,
+    # the one NMCP-A reference; the "state machine" in their names is the
+    # reference they were first written against.
+
     def test_matches_state_machine_on_random_signals(self):
+        """Random normal signals count as `forward_fill_crossings` counts them."""
         rng = np.random.default_rng(23)
         for _ in range(200):
             n = int(rng.integers(2, 80))
@@ -185,6 +190,8 @@ class TestMeanCrossingCount:
             assert mean_crossing_count(series(values)) == forward_fill_crossings(values)
 
     def test_matches_state_machine_with_exact_ties(self):
+        """Signals that touch their mean exactly count as `forward_fill_crossings`
+        counts them: a touch takes the last nonzero sign."""
         # Integer antisymmetric signals have an exactly-zero mean, so the
         # injected zeros are exact mean hits exercising the tie rule.
         rng = np.random.default_rng(29)

@@ -7,11 +7,18 @@ mixes LF, CRLF and lone carriage returns, and the examples pin that a
 CRLF or mixed file reads as its LF twin and that a lone carriage return
 inside a row or at the end of the last one keeps its message and line
 number in each reader. `_is_integer`, which no longer imports numpy, is
-held to the numpy check it replaced. `format_key_values` writes every kind
-that `parse_key_values` reads back, each float as the same double.
+held to the numpy check it replaced, and `FeatureVector`'s messages are
+pinned field by field. `format_key_values` writes every kind that
+`parse_key_values` reads back, each float as the same double. A work pin
+holds the matrix and dump round trip to no call of `Enum.__hash__` and
+`read_matrix` to no `parse_cell` call on rows that pass its per-line gate.
 """
 
+import enum
 import fractions
+import math
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -19,6 +26,7 @@ import pytest
 
 from builders import grid_rows, varied_vector
 from shoulderkin import ParseError, ShoulderKinError, ValidationError, compare_cohort
+from shoulderkin import formats
 from shoulderkin.formats import (
     FeatureVector,
     Group,
@@ -186,6 +194,100 @@ def test_feature_vector_takes_numpy_integer_counts(count):
 def test_feature_vector_refuses_other_counts(count):
     with pytest.raises(ValidationError, match="counts must be integers"):
         FeatureVector(count, 1, -1.0, -2.0, 1.0, 1.0, 1.0)
+
+
+LARGEST = int(sys.float_info.max)
+VALID_FIELDS = dict(nmcp_a=1, np_a=2, sparc=-1.0, ldlj_a=-2.0, rav=1.0, pi=1.0, duration_s=1.0)
+
+
+# the fields replaced, and the message of the first check that fails
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(nmcp_a=1.0, np_a=-1), "counts must be integers, got (1.0, -1)"),
+        (dict(np_a=True, sparc=math.nan), "counts must be integers, got (1, True)"),
+        (dict(nmcp_a=-1, np_a=LARGEST + 1), "nmcp_a must be non-negative, got -1"),
+        (dict(nmcp_a=LARGEST + 1, np_a=-1), "nmcp_a is larger than the largest double"),
+        (dict(np_a=-2, duration_s=0.0), "np_a must be non-negative, got -2"),
+        (dict(np_a=np.int64(-2)), "np_a must be non-negative, got -2"),
+        (dict(np_a=LARGEST + 1), "np_a is larger than the largest double"),
+        (dict(duration_s=math.nan, sparc=math.nan), "duration_s must be positive, got nan"),
+        (dict(duration_s=-0.0), "duration_s must be positive, got -0.0"),
+        (dict(sparc=math.inf, ldlj_a=math.nan), "sparc is not finite"),
+        (dict(ldlj_a=-math.inf, pi=math.nan), "ldlj_a is not finite"),
+        (dict(rav=math.nan, pi=math.nan), "rav is not finite"),
+        (dict(pi=math.nan, duration_s=math.inf), "pi is not finite"),
+        (dict(duration_s=math.inf), "duration_s is not finite"),
+    ],
+)
+def test_feature_vector_names_the_first_failing_check(fields, message):
+    with pytest.raises(ValidationError) as err:
+        FeatureVector(**{**VALID_FIELDS, **fields})
+    assert str(err.value) == message
+
+
+def test_feature_vector_checks_finiteness_in_field_order():
+    # a non-finite field before a non-number reports the former; a
+    # non-number first fails `math.isfinite` itself
+    with pytest.raises(ValidationError, match="^sparc is not finite$"):
+        FeatureVector(**{**VALID_FIELDS, "sparc": math.nan, "rav": "x"})
+    with pytest.raises(TypeError):
+        FeatureVector(**{**VALID_FIELDS, "sparc": "x", "rav": math.nan})
+
+
+def calls_while(run, functions):
+    """`run()`'s result, and how many times it called each function, by name."""
+    names = {function.__code__: function.__qualname__ for function in functions}
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+def test_round_trip_hashes_no_enum_and_reads_valid_rows_in_one_pass(tmp_path):
+    # `Enum.__hash__` is a Python call per hash of a cell key; the grid
+    # enums hash by identity instead. `parse_cell` runs only for a row
+    # that fails `read_matrix`'s per-line gate or its one-pass conversion.
+    watched = (enum.Enum.__hash__, formats.parse_cell)
+    rows = grid_rows(2, 2, varied_vector)
+    matrix, dump = tmp_path / "matrix.csv", tmp_path / "dump.csv"
+    matrix.write_bytes(write_matrix(rows))
+    read_back, calls = calls_while(lambda: read_matrix(matrix), watched)
+    assert read_back == rows
+    assert calls == {}
+
+    def compare_and_dump():
+        dump.write_bytes(write_dump(compare_cohort(read_back)))
+        return read_dump(dump)
+
+    table, calls = calls_while(compare_and_dump, watched)
+    assert table.cells == compare_cohort(rows).cells
+    assert calls["Enum.__hash__"] == 0
+
+    # a non-ASCII subject id fails the gate, and float() refuses the
+    # padding that str.strip() removes: both rows are read cell by cell
+    lines = matrix.read_text().split("\n")
+    p1 = lines.index(next(line for line in lines if line.startswith("P1,")))
+    lines[p1] = lines[p1].replace("P1,", "P\u00e91,", 1)
+    cells = lines[p1 + 1].split(",")
+    cells[7] = f"\x1c{cells[7]}\x1f"
+    lines[p1 + 1] = ",".join(cells)
+    matrix.write_text("\n".join(lines), encoding="utf-8")
+    read_back, calls = calls_while(lambda: read_matrix(matrix), watched)
+    assert calls == {"parse_cell": 2 * (len(formats.MATRIX_COLUMNS) - 1)}
+    i = p1 - 1
+    assert read_back[i].subject_id == "P\u00e91"
+    assert read_back[i].features == rows[i].features
+    assert read_back[i + 1] == rows[i + 1]
+    assert read_back[: i] == rows[: i] and read_back[i + 2 :] == rows[i + 2 :]
 
 
 def test_format_key_values_writes_each_kind_as_parse_key_values_reads_it():

@@ -7,7 +7,9 @@ The recording writer is pinned byte for byte, the recording parser's
 fast and diagnostic paths are held to one cell grammar, and every reader
 is held to the same number grammar. A session manifest reads back as
 written or is rejected when built, and any cohort profile within the
-bounds reads back as written. `compare_cohort` turns any finite
+bounds reads back as written. `read_matrix`, which converts a row in
+one pass, reads any mutated matrix as the per-cell reader of `cell_oracle`
+does. `compare_cohort` turns any finite
 features into cells that are finite or untestable, and its means and
 variances, summed without numpy, equal numpy's bit for bit. The norm and
 derivative kernels are pinned bit for bit against the plainer formulas
@@ -31,13 +33,14 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from builders import grid_rows, session_manifest  # noqa: E402
+from builders import grid_rows, session_manifest, varied_vector  # noqa: E402
 from cell_oracle import (  # noqa: E402
     extract_per_cell,
     forward_fill_crossings,
     full_spectrum_sparc,
+    read_matrix_per_cell,
 )
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from shoulderkin import (  # noqa: E402
@@ -66,6 +69,8 @@ from shoulderkin.features import (  # noqa: E402
     spectral_arc_length,
 )
 from shoulderkin.formats import (  # noqa: E402
+    MATRIX_COLUMNS,
+    MATRIX_HEADER,
     FeatureRow,
     FeatureVector,
     Group,
@@ -349,6 +354,82 @@ def test_every_reader_shares_one_number_grammar(work, cohort, name, value):
         if name in COHORT_FILES:
             target.write_bytes(files[target.name])
     assert code == 3, stderr
+
+
+MATRIX_LINES = write_matrix(grid_rows(2, 2, varied_vector)).decode().split("\n")[1:-1]
+# what a mutated matrix cell is padded with, and what it is replaced by:
+# subject ids in the subject column, enum values in the grid columns, and
+# numbers elsewhere
+CELL_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+SUBJECT_CELLS = ("P0", "P1", "H0", "H1", "P\u00e91", "P_1", "P2")
+GRID_CELLS = ("patient", "healthy", "Patient", "WH", "ROP", "complete", "sub3", "wrist", "arm", "")
+NUMBER_CELLS_ANY = (
+    "1_0", "\u0661", "\uff12", "+3", "-3", "-0", "+2.5e+2", "1E-3", "0", "3.0", "0x10", "nan",
+    "-inf", "Infinity", str(2**1024), "1e309", "True", "", "x",
+)
+# the number columns are drawn three times as often as each other column
+MUTATED_COLUMNS = (0, 1, 2, 3, 4) + tuple(range(5, 12)) * 3
+
+
+@st.composite
+def mutated_matrix_line(draw):
+    """A row of a valid 2v2 matrix with up to two cells padded, replaced,
+    or given a carriage return, digit separator, exponent or sign inside."""
+    cells = draw(st.sampled_from(MATRIX_LINES)).split(",")
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2)))):
+        j = draw(st.sampled_from(MUTATED_COLUMNS))
+        op = draw(st.sampled_from(("pad", "replace", "insert")))
+        if op == "pad":
+            padding = st.text(CELL_PADDING, max_size=2)
+            cells[j] = draw(padding) + cells[j] + draw(padding)
+        elif op == "replace":
+            values = SUBJECT_CELLS if j == 0 else GRID_CELLS if j < 5 else NUMBER_CELLS_ANY
+            cells[j] = draw(st.sampled_from(values))
+        else:
+            i = draw(st.integers(0, len(cells[j])))
+            cells[j] = cells[j][:i] + draw(st.sampled_from("\r_e+-")) + cells[j][i:]
+    return ",".join(cells)
+
+
+@st.composite
+def mutated_matrix_lines(draw):
+    lines = draw(st.lists(mutated_matrix_line(), min_size=1, max_size=4))
+    if draw(st.sampled_from((False, False, True))):  # a repeated row
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(lines)))
+    return lines
+
+
+def read_outcome(reader, path):
+    """The rows' repr, so that 3 and 3.0 or 0.0 and -0.0 differ, or the error's class and text."""
+    try:
+        return repr(reader(path))
+    except ShoulderKinError as err:
+        return type(err), str(err)
+
+
+def matrix_line(i, **cells):
+    """Line i of `MATRIX_LINES` with the named cells replaced."""
+    values = dict(zip(MATRIX_COLUMNS, MATRIX_LINES[i].split(",")), **cells)
+    return ",".join(values.values())
+
+
+@settings(max_examples=300)
+@given(mutated_matrix_lines())
+# each kind of mutation at least once, whatever the draws
+@example([matrix_line(0), matrix_line(0)])
+@example([matrix_line(0), matrix_line(80, subject_id="P0")])
+@example([matrix_line(0, nmcp_a=str(2**1024)), matrix_line(1, sparc=str(2**1024))])
+@example([matrix_line(0, np_a="True")])
+@example([matrix_line(0, rav="2.\r5"), matrix_line(1, pi="\r")])
+@example([matrix_line(0, sparc="\x1c\t-1.5\x0b\x1f", ldlj_a=" \x0c-4.0\x1d")])
+@example([matrix_line(0, nmcp_a="1_0"), matrix_line(1, np_a="\u0661")])
+@example([matrix_line(0, sparc="+1.5e+2", nmcp_a="+3", rav="2E-1")])
+@example([matrix_line(0, pi="nan"), matrix_line(1, duration_s="inf")])
+@example([matrix_line(0, subject_id="P\u00e91", sparc="-1.5")])
+def test_read_matrix_reads_any_mutated_matrix_as_the_per_cell_reader(work, lines):
+    path = work / "mutated-matrix.csv"
+    path.write_bytes((MATRIX_HEADER + "\n" + "\n".join(lines) + "\n").encode("utf-8"))
+    assert read_outcome(read_matrix, path) == read_outcome(read_matrix_per_cell, path)
 
 
 # Values that stress "%.9g": signed zeros, subnormals, extremes, integers
