@@ -11,7 +11,8 @@ such line by the same table. `split_rows` splits every comma-separated
 row, and `parse_number` is the one grammar for a number cell (through
 `parse_cell`, which names the bad cell). `write_atomically` writes each
 output that a later stage takes as complete: the cohort manifest, the
-feature matrix, the comparison dump and the report.
+feature matrix, the comparison dump and the report. `write_chunks`
+writes each session file of a cohort, a chunk at a time.
 
 Nothing here imports numpy, so `compare` and `report`, which read and
 write only text, load none. Import each name from here, the module that
@@ -191,8 +192,22 @@ class FeatureRow:
 
 
 def _open_nonblocking(path, flags: int) -> int:
-    # without O_NONBLOCK, opening a FIFO waits for a writer
-    return os.open(path, flags | os.O_NONBLOCK)
+    # without O_NONBLOCK, opening a FIFO to read waits for a writer, and
+    # opening one to write waits for a reader; 0o666 is `open`'s own mode
+    return os.open(path, flags | os.O_NONBLOCK, 0o666)
+
+
+def write_chunks(path, chunks) -> None:
+    """Write each bytes chunk of the iterable `chunks` to `path` in turn,
+    creating or truncating the file, so no more than one chunk is held.
+
+    The file is opened without blocking and then written in blocking mode:
+    a FIFO with no reader fails at once with an `OSError` naming `path`,
+    where a plain open would wait for a reader for ever.
+    """
+    with open(path, "wb", opener=_open_nonblocking) as fh:
+        os.set_blocking(fh.fileno(), True)
+        fh.writelines(chunks)
 
 
 def read_lines(path, header: str | None = None, missing: Exception | None = None) -> list[str]:

@@ -81,8 +81,11 @@ class SensorStream:
     def n_samples(self) -> int:
         return self.accel.shape[0]
 
-    def times_s(self) -> np.ndarray:
-        return np.arange(self.n_samples) / self.sample_rate_hz
+    def times_s(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """The times of samples `start` to `stop` (by default, all), each
+        the same double whatever range it is taken in."""
+        stop = self.n_samples if stop is None else stop
+        return np.arange(start, stop) / self.sample_rate_hz
 
     def __reduce__(self):
         # through the constructor: a stream read back is checked and read-only

@@ -56,11 +56,11 @@ _PAUSE_RANGE_S = (0.25, 0.7)
 # and writes. Each of its two processes (see `generate_cohort`) builds and
 # writes one session at a time, so a session's length bounds memory: at
 # the limits below a session lasts at most about 29 min (220k samples per
-# placement), and writing four such sessions peaked at 102 MB RSS in the
-# parent and 98 MB in its helper. The recording writer sets that peak:
-# building one such session alone peaks at 74 MB. `n_per_group` bounds
-# only the cohort's disk size and run time; the default profile writes
-# about 1.2 MB of CSV per session.
+# placement), and writing four such sessions peaked at 74 MB RSS in the
+# parent and 70 MB in its helper. Building one such session sets that
+# peak (alone, it peaks at 74 MB): each recording is written a block of
+# rows at a time. `n_per_group` bounds only the cohort's disk size and run
+# time; the default profile writes about 1.2 MB of CSV per session.
 MAX_N_PER_GROUP = 1000
 MAX_SUBMOVEMENTS = 50
 MAX_PHASE_DURATION_S = 60.0
@@ -416,13 +416,14 @@ def _write_session(profile: CohortProfile, group: Group, index: int, out_dir: Pa
         arm=f"{sid}_arm.csv",
         labels=f"{sid}_labels.csv",
     )
+    # a block of a recording at a time: beside the session, the writer
+    # holds one block's text and temporaries
     for placement in Placement:
-        # written inline: no name holds a recording's bytes while the next is rendered
         path = out_dir / getattr(manifest, placement.value)
-        path.write_bytes(ingest.write_recording(session.streams[placement]))
-    (out_dir / manifest.labels).write_bytes(ingest.write_labels(session.labels))
+        ingest.save_recording(session.streams[placement], path)
+    formats.write_chunks(out_dir / manifest.labels, [ingest.write_labels(session.labels)])
     manifest_name = f"{sid}_session.txt"
-    (out_dir / manifest_name).write_bytes(ingest.write_session_manifest(manifest))
+    formats.write_chunks(out_dir / manifest_name, [ingest.write_session_manifest(manifest)])
     return manifest_name
 
 

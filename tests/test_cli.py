@@ -44,6 +44,7 @@ from shoulderkin import cli
 from shoulderkin.cli import (
     DUMP_FILENAME,
     EXIT_DEGENERATE,
+    EXIT_ERROR,
     EXIT_FORMAT,
     EXIT_INVALID,
     EXIT_OK,
@@ -1124,6 +1125,24 @@ class TestSimulateWriter:
         assert not result[2]
         monkeypatch.setattr(synth, "generate_cohort", write_in_process)
         assert result == simulate()
+
+    @pytest.mark.parametrize("sid", ["P01", "P02"])  # written by the parent, by the helper
+    @pytest.mark.parametrize("suffix", ["wrist.csv", "labels.csv", "session.txt"])
+    def test_a_fifo_in_a_session_files_place_fails_at_once(self, tmp_path, sid, suffix):
+        # opening a FIFO to write waits for a reader, for ever; so the run
+        # is a child process under a timeout
+        profile = tmp_path / "profile.ini"
+        write_small_profile(profile, n_per_group=2)
+        out = tmp_path / "cohort"
+        out.mkdir()
+        fifo = out / f"{sid}_{suffix}"
+        os.mkfifo(fifo)
+        argv = ["simulate", "--out", str(out), "--params", str(profile)]
+        proc = run_python("-m", "shoulderkin", *argv, timeout=60)
+        assert proc.returncode == EXIT_ERROR, proc.stderr
+        assert f"error: [Errno {errno.ENXIO}]" in proc.stderr and str(fifo) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (out / COHORT_MANIFEST_NAME).exists()
 
     def test_a_failed_simulate_leaves_no_earlier_manifest(self, tmp_path, capsys):
         # the earlier manifest would list the old sessions the run did not

@@ -62,6 +62,16 @@ def quantized_stream(rng, n, rate=RATE):
     return SensorStream(accel=accel, gyro=gyro, sample_rate_hz=rate)
 
 
+def noisy_stream(n):
+    """Full-precision samples, whose cells mostly take all nine digits."""
+    rng = np.random.default_rng(127)
+    return SensorStream(
+        accel=rng.normal(0.0, 20.0, (n, 3)),
+        gyro=rng.normal(0.0, 200.0, (n, 3)),
+        sample_rate_hz=RATE,
+    )
+
+
 class TestRecordingRoundTrip:
     def test_quantized_values_round_trip_exactly(self, tmp_path):
         rng = np.random.default_rng(103)
@@ -108,16 +118,10 @@ class TestRecordingRoundTrip:
         assert np.array_equal(back.accel, stream.accel)
 
     def test_writer_holds_one_small_block_of_temporaries(self):
-        # Beside its copy of the rows, the rendered blocks and their join,
-        # the writer holds one block's temporaries, about 1.8 KB a row:
-        # under 1 MB at 512 rows, where 2048-row blocks took about 3.7 MB.
-        rng = np.random.default_rng(127)
-        n = 20_000
-        stream = SensorStream(
-            accel=rng.normal(0.0, 20.0, (n, 3)),
-            gyro=rng.normal(0.0, 200.0, (n, 3)),
-            sample_rate_hz=RATE,
-        )
+        # Beside the rendered blocks and their join, the writer holds one
+        # block's rows and temporaries, about 1.8 KB a row: under 1 MB at
+        # 512 rows, where 2048-row blocks took about 3.7 MB.
+        stream = noisy_stream(20_000)
         write_recording(stream)  # builds the writer's tables once
         tracemalloc.start()
         try:
@@ -125,8 +129,38 @@ class TestRecordingRoundTrip:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows_bytes = n * len(RECORDING_HEADER.split(",")) * 8
-        assert peak < rows_bytes + 2 * len(data) + 1_000_000, (peak, len(data))
+        assert peak < 2 * len(data) + 1_000_000, (peak, len(data))
+
+    def test_saving_holds_one_block_whatever_the_length(self, tmp_path):
+        # one block's rows and temporaries, about 0.95 MB, and its text; a
+        # render of the whole recording before the write held about 5 MB
+        # at 20,000 rows
+        write_recording(noisy_stream(1))  # builds the writer's tables once
+        peaks = []
+        for n in (20_000, 100_000):
+            stream = noisy_stream(n)
+            path = tmp_path / f"rec_{n}.csv"
+            tracemalloc.start()
+            try:
+                ingest.save_recording(stream, path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert path.read_bytes() == write_recording(stream)
+        assert max(peaks) < ingest._BLOCK_ROWS * 2_000 + 500_000, peaks
+        assert peaks[1] < peaks[0] + 50_000, peaks
+
+    def test_row_ranges_join_to_the_whole_recording(self):
+        stream = noisy_stream(3 * ingest._BLOCK_ROWS + 5)
+        n = stream.n_samples
+        edges = [0, 1, 7, ingest._BLOCK_ROWS, ingest._BLOCK_ROWS + 2, 2 * ingest._BLOCK_ROWS + 3, n]
+        parts = [write_recording(stream, a, b) for a, b in zip(edges, edges[1:])]
+        assert parts[0].startswith(RECORDING_HEADER.encode() + b"\n0,")
+        assert b"".join(parts) == write_recording(stream) == write_recording(stream, 0, n)
+        assert write_recording(stream, 5, 5) == b""
+        for start, stop in ((-1, 3), (4, 3), (0, n + 1)):
+            with pytest.raises(ValueError, match=f"rows {start} to {stop} are not within {n}"):
+                write_recording(stream, start, stop)
 
     def test_time_column_is_informative_only(self, tmp_path):
         path = tmp_path / "rec.csv"

@@ -67,6 +67,14 @@ class TestSensorStream:
         assert times[0] == 0.0
         assert np.isclose(times[1], 1.0 / 128.0)
 
+    @pytest.mark.parametrize("rate", [128.0, 100.1, 3, 1e-300])
+    def test_times_of_a_range_are_the_same_doubles(self, rate):
+        stream = make_stream(1000, rate=rate)
+        whole = stream.times_s()
+        for start, stop in ((0, 1000), (0, 1), (511, 1000), (7, 7), (999, 1000)):
+            assert stream.times_s(start, stop).tobytes() == whole[start:stop].tobytes()
+        assert stream.times_s(300).tobytes() == whole[300:].tobytes()
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValidationError, match="accel and gyro sample counts differ: 4 vs 5"):
             SensorStream(accel=np.zeros((4, 3)), gyro=np.zeros((5, 3)), sample_rate_hz=128.0)
