@@ -132,9 +132,9 @@ class TestRecordingRoundTrip:
         assert peak < 2 * len(data) + 1_000_000, (peak, len(data))
 
     def test_saving_holds_one_block_whatever_the_length(self, tmp_path):
-        # one block's rows and temporaries, about 0.95 MB, and its text; a
-        # render of the whole recording before the write held about 5 MB
-        # at 20,000 rows
+        # one block's rows and temporaries, about 0.95 MB, and the text of
+        # two blocks; rendering the whole recording before the write held
+        # 4.3 MB at 20,000 rows and 21 MB at 100,000
         write_recording(noisy_stream(1))  # builds the writer's tables once
         peaks = []
         for n in (20_000, 100_000):
