@@ -105,14 +105,22 @@ def _raise_first_bad_row(body: list[str], path) -> NoReturn:
 # Recording cells are printed as "%.9g" would print them: 9 significant
 # digits, enough for a 1e-9 relative round-trip, in small files.
 # `_format_rows` renders a block of rows at once. Each cell gets 32 bytes,
-# filled as four little-endian words, and a mask picked by the cell's
-# layout, sign and number of digits kept selects the bytes the text shows:
+# filled as four little-endian words:
 #
 #   bytes  0-7   "-0.000" d0 "."  sign, "0." and the zeros of 1e-4 <= |x| < 0.1
 #   bytes  8-23  d1 "." ... d8 "." the other digits, each followed by a point
-#   bytes 24-31  "e" sign x x x   exponent, then the separator and two spare bytes
+#   bytes 24-31  "e" sign x x x   exponent, then the separator and two NULs
 #
-# Rows per `_format_rows` call. Its temporaries take about 1.8 KB a row;
+# A mask picked by the cell's layout, sign and number of digits kept is
+# 0xFF at each byte the text shows and 0 elsewhere. No shown byte is NUL,
+# so ANDing each cell with its mask and deleting every NUL with one
+# `bytes.translate` leaves the text. An index of the shown bytes, which
+# this replaced, took 8 bytes per byte of text (320 KB a block). Writing
+# the default cohort, `simulate` took 0.56-0.61 s of CPU and 17k-39k page
+# faults with the index over eight heap layouts, and 0.48-0.50 s and
+# 17k-30k without it.
+#
+# Rows per `_format_rows` call. Its temporaries take about 1.3 KB a row;
 # at 2048 rows they came back as fresh pages for every block and set
 # `simulate`'s peak RSS, 2.4 MB above what 512-row blocks take.
 _BLOCK_ROWS = 512
@@ -125,12 +133,16 @@ _EXACT_POWER = 22
 
 
 class _Tables(NamedTuple):
-    groups: np.ndarray  # four digits as a word, each digit followed by a point
-    group_kept: np.ndarray  # digits of a group up to its last nonzero one
     heads: np.ndarray  # the first word, by first digit
-    exponents: np.ndarray  # the last word without its separator, by exponent
-    separators: np.ndarray  # the separator after each cell of a row
-    layout_codes: np.ndarray  # by exponent: 20 * `_layout`
+    groups: np.ndarray  # four digits as a word, each digit followed by a point
+    # digits kept, by four digits: those up to the last nonzero one, plus
+    # 1 for the middle four, or 5 for the last four unless all are zero
+    middle_kept: np.ndarray
+    low_kept: np.ndarray
+    # the next two by one index, 7 * exponent + the column's offset
+    tails: np.ndarray  # the last word, with the column's separator
+    layout_codes: np.ndarray  # 20 * `_layout`
+    column_offsets: np.ndarray  # by column
     masks: np.ndarray  # by 20 * layout + 10 * negative + digits kept
     multipliers: np.ndarray  # by 8 - e + _EXACT_POWER: 10**(8 - e) or 1
     divisors: np.ndarray  # the same: 1 or 10**(e - 8)
@@ -149,24 +161,25 @@ def _layout(exponent: int) -> int:
 
 
 def _cell_masks() -> np.ndarray:
-    """Bytes of a cell that "%.9g" shows, by layout, sign and digits kept."""
-    masks = np.zeros((15, 2, 10, _CELL_BYTES), bool)
-    masks[:, 1, :, 0] = True  # the minus sign
-    masks[..., _SEPARATOR_BYTE] = True
+    """Bytes of a cell that "%.9g" shows, by layout, sign and digits kept:
+    0xFF where shown, else 0."""
+    masks = np.zeros((15, 2, 10, _CELL_BYTES), np.uint8)
+    masks[:, 1, :, 0] = 0xFF  # the minus sign
+    masks[..., _SEPARATOR_BYTE] = 0xFF
     for layout in range(15):
         # digits before the point; 1 in e-notation
         before = layout - 3 if layout < 13 else 1
         for kept in range(1, 10):
             row = masks[layout, :, kept]
             digits = max(kept, before)
-            row[:, 6 : 6 + 2 * digits : 2] = True
+            row[:, 6 : 6 + 2 * digits : 2] = 0xFF
             if before <= 0:
-                row[:, 1 : 3 - before] = True  # "0." and the zeros after it
+                row[:, 1 : 3 - before] = 0xFF  # "0." and the zeros after it
             elif digits > before:
-                row[:, 5 + 2 * before] = True  # the point after the last digit before it
+                row[:, 5 + 2 * before] = 0xFF  # the point after the last digit before it
             if layout >= 13:
-                row[:, 24:_SEPARATOR_BYTE] = True
-                row[:, 26] = layout == 14  # the exponent's hundreds digit
+                row[:, 24:_SEPARATOR_BYTE] = 0xFF
+                row[:, 26] = 0xFF * (layout == 14)  # the exponent's hundreds digit
     return masks.reshape(-1, _CELL_BYTES).view("<u8")
 
 
@@ -174,19 +187,29 @@ def _cell_masks() -> np.ndarray:
 def _tables() -> _Tables:
     """Built by the first recording written: a process that writes none,
     such as every CLI command but `simulate`, does not pay for them."""
+    # One digit at a time, and int64 layout codes: a 2-D broadcast of the
+    # four powers of ten, or a uint16 sum in `_format_rows`, runs numpy
+    # code that nothing else in `simulate` does, and its pages (64-128 KB)
+    # add to the peak RSS.
     group = np.arange(10_000)
     text = np.full((10_000, 8), ord("."), np.uint8)
-    text[:, ::2] = group[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    for i, power in enumerate((1000, 100, 10, 1)):
+        text[:, 2 * i] = group // power % 10 + ord("0")
+    kept = 4 - sum(group % 10**j == 0 for j in range(1, 5))
     exponents = range(_MIN_EXPONENT, _MAX_EXPONENT + 1)
-    separators = b"," * (len(RECORDING_COLUMNS) - 1) + b"\n"
+    columns = len(RECORDING_COLUMNS)
+    tails = np.repeat(_words(b"e%c%03d\0\0\0" % (b"-+"[e >= 0], abs(e)) for e in exponents), columns)
+    separators = np.frombuffer(b"," * (columns - 1) + b"\n", np.uint8)
+    tails.view(np.uint8).reshape(-1, columns, 8)[:, :, _SEPARATOR_BYTE - 24] = separators
     powers = range(-_EXACT_POWER, _EXACT_POWER + 1)
     return _Tables(
-        groups=text.view("<u8").ravel(),
-        group_kept=4 - sum(group % 10**j == 0 for j in range(1, 5)),
         heads=_words(b"-0.000%d." % d for d in range(10)),
-        exponents=_words(b"e%c%03d\0\0\0" % (b"-+"[e >= 0], abs(e)) for e in exponents),
-        separators=_words(b"\0\0\0\0\0%c\0\0" % c for c in separators),
-        layout_codes=np.array([20 * _layout(e) for e in exponents]),
+        groups=text.view("<u8").ravel(),
+        middle_kept=(1 + kept).astype(np.uint8),
+        low_kept=np.where(group > 0, 5 + kept, 0).astype(np.uint8),
+        tails=tails,
+        layout_codes=np.repeat([20 * _layout(e) for e in exponents], columns),
+        column_offsets=np.arange(columns) - columns * _MIN_EXPONENT,
         masks=_cell_masks(),
         multipliers=np.array([float(10 ** max(k, 0)) for k in powers]),
         divisors=np.array([float(10 ** max(-k, 0)) for k in powers]),
@@ -204,7 +227,7 @@ def _format_rows(rows: np.ndarray) -> bytes:
     # |x| * 10**(8 - e) rounds to the mantissa. log10 estimates e, kept
     # where 10**(8 - e) is exact.
     exponents = np.floor(np.log10(magnitudes)).clip(8 - _EXACT_POWER, 8 + _EXACT_POWER)
-    exponents = exponents.astype(np.int64)
+    exponents = exponents.astype(np.intp)
     power = 8 + _EXACT_POWER - exponents
     scaled = magnitudes * t.multipliers[power] / t.divisors[power]
     # Rounding is monotone and every half-integer below 1e9 is a double, so
@@ -214,26 +237,31 @@ def _format_rows(rows: np.ndarray) -> bytes:
     # ten, or where 10**(8 - e) is not exact (|x| < 1e-14 or >= 1e31).
     # Ties and those values ask "%.8e".
     exact = (scaled - np.floor(scaled) != 0.5) & (scaled >= 1e8) & (scaled <= 1e9)
-    mantissas = np.rint(np.where(exact & ~zero, scaled, 0)).astype(np.int64)
-    carry = mantissas == 1_000_000_000
-    mantissas[carry] = 100_000_000
+    mantissas = np.rint(np.where(exact & ~zero, scaled, 0))
+    carry = mantissas == 1e9
+    mantissas[carry] = 1e8
     exponents += carry
     inexact = np.flatnonzero(~exact)
     texts = ["%.8e" % x for x in magnitudes[inexact].tolist()]
     mantissas[inexact] = [int(text[0] + text[2:10]) for text in texts]
     exponents[inexact] = [int(text[11:]) for text in texts]
 
-    high, rest = np.divmod(mantissas, 100_000_000)
-    middle, low = np.divmod(rest, 10_000)
-    kept = np.where(low > 0, 5 + t.group_kept[low], 1 + t.group_kept[middle])
-    exponent_index = exponents - _MIN_EXPONENT
+    # integers below 2**53: each quotient's floor and each remainder is exact
+    high = np.floor(mantissas / 1e8)
+    rest = mantissas - high * 1e8
+    middle = np.floor(rest / 1e4)
+    low = (rest - middle * 1e4).astype(np.intp)
+    middle = middle.astype(np.intp)
+    codes = (exponents.reshape(rows.shape) * len(RECORDING_COLUMNS) + t.column_offsets).ravel()
     cells = np.empty((values.size, 4), "<u8")
-    cells[:, 0] = t.heads[high]
-    cells[:, 1] = t.groups[middle]
-    cells[:, 2] = t.groups[low]
-    cells[:, 3] = (t.exponents[exponent_index].reshape(rows.shape) + t.separators).ravel()
-    shown = t.masks[t.layout_codes[exponent_index] + 10 * negative + kept]
-    return cells.view(np.uint8).ravel().take(np.flatnonzero(shown.view(bool))).tobytes()
+    cells[:, 0] = t.heads.take(high.astype(np.intp))
+    cells[:, 1] = t.groups.take(middle)
+    cells[:, 2] = t.groups.take(low)
+    cells[:, 3] = t.tails.take(codes)
+    shown = t.layout_codes.take(codes) + np.maximum(t.middle_kept.take(middle), t.low_kept.take(low))
+    shown += 10 * negative
+    cells &= t.masks.take(shown, axis=0)
+    return cells.tobytes().translate(None, b"\0")
 
 
 def write_recording(stream: SensorStream, start: int = 0, stop: int | None = None) -> bytes:
@@ -249,9 +277,12 @@ def write_recording(stream: SensorStream, start: int = 0, stop: int | None = Non
     blocks = [RECORDING_HEADER.encode() + b"\n"] if start == 0 else []
     for i in range(start, stop, _BLOCK_ROWS):
         j = min(i + _BLOCK_ROWS, stop)
-        rows = np.column_stack((stream.times_s(i, j), stream.accel[i:j], stream.gyro[i:j]))
+        rows = np.empty((j - i, len(RECORDING_COLUMNS)))
+        rows[:, 0] = stream.times_s(i, j)
+        rows[:, 1:4] = stream.accel[i:j]
+        rows[:, 4:] = stream.gyro[i:j]
         blocks.append(_format_rows(rows))
-    return b"".join(blocks)
+    return blocks[0] if len(blocks) == 1 else b"".join(blocks)
 
 
 def save_recording(stream: SensorStream, path) -> None:

@@ -1507,6 +1507,32 @@ class TestFreshProcess:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.splitlines()[-1] == "['stats', 'report']"
 
+    # runs one subcommand, then prints how many recording-writer tables the
+    # process built (loading `ingest` afterwards builds none)
+    WRITER_TABLES_PROBE = (
+        "import sys\n"
+        "import shoulderkin\n"
+        "code = shoulderkin.main(sys.argv[1:])\n"
+        "from shoulderkin import ingest\n"
+        "print(ingest._tables.cache_info().currsize)\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["simulate", "--out", "{out}/cohort-tables", "--params", "{profile}"], 1),
+            (["extract", "--cohort", "{cohort}", "--out", "{out}/m-tables.csv"], 0),
+            (["compare", "{matrix}", "--out", "{out}/cmp-tables"], 0),
+            (["report", "{dump}", "--out", "{out}/report-tables.txt"], 0),
+        ],
+        ids=["simulate", "extract", "compare", "report"],
+    )
+    def test_only_simulate_builds_the_writer_tables(self, inputs, argv, built):
+        proc = run_python("-c", self.WRITER_TABLES_PROBE, *[arg.format(**inputs) for arg in argv])
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(built)
+
     def test_extract_loads_numpy(self, inputs):
         # the probe itself can see numpy
         argv = ["extract", "--cohort", inputs["cohort"], "--out", inputs["out"] + "/m-numpy.csv"]

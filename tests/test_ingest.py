@@ -131,6 +131,20 @@ class TestRecordingRoundTrip:
             tracemalloc.stop()
         assert peak < 2 * len(data) + 1_000_000, (peak, len(data))
 
+    def test_a_block_renders_without_an_index_of_its_bytes(self):
+        # The kernel's temporaries take about 1.3 KB a row. An index of the
+        # bytes each block shows, 8 bytes per byte of text, took about 1.8.
+        stream = noisy_stream(ingest._BLOCK_ROWS)
+        rows = np.column_stack((stream.times_s(), stream.accel, stream.gyro))
+        ingest._format_rows(rows)  # builds the writer's tables once
+        tracemalloc.start()
+        try:
+            ingest._format_rows(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ingest._BLOCK_ROWS * 1_550, peak
+
     def test_saving_holds_one_block_whatever_the_length(self, tmp_path):
         # one block's rows and temporaries, about 0.95 MB, and the text of
         # two blocks; rendering the whole recording before the write held

@@ -491,6 +491,57 @@ def test_write_recording_matches_reference_across_blocks():
     assert write_recording(stream) == reference_recording(stream)
 
 
+def mask_code(cell: str) -> tuple[int, bool, int]:
+    """The writer's mask for one "%.9g" cell, read from the text: its layout
+    (0-12 for fixed notation at exponent -4 to 8, 13 for two exponent
+    digits, 14 for three), its sign, and its digits up to the last nonzero
+    one (1 for zero)."""
+    mantissa, _, exponent = cell.lstrip("-").partition("e")
+    if exponent:
+        layout = 13 if len(exponent) == 3 else 14
+    else:
+        layout = int(("%.8e" % float(mantissa))[11:]) + 4
+    return layout, cell.startswith("-"), len(mantissa.replace(".", "").strip("0")) or 1
+
+
+def values_for_every_mask_code():
+    """For each layout, exponent of that layout, and count of digits kept,
+    one random 9-digit mantissa ending at that digit, with each sign; then
+    values that carry into a new power of ten, ties, three-digit exponents,
+    subnormals and signed zeros."""
+    rng = np.random.default_rng(45)
+    exponents = [[e] for e in range(-4, 9)]
+    exponents += [[9, 30, 31, 99, -5, -14, -15, -99], [100, 307, -100, -307]]
+    values = []
+    for layout_exponents in exponents:
+        for e in layout_exponents:
+            for kept in range(1, 10):
+                digits = rng.integers(0, 10, kept)
+                digits[[0, -1]] = rng.integers(1, 10, 2)
+                mantissa = "".join(map(str, digits))
+                x = float(f"{mantissa[0]}.{mantissa[1:]}e{e}")
+                values += [x, -x]
+    carries = [999999999.5, 9.9999999995, 99999999.95, 9.9999999995e-5, 9.9999999996e99]
+    carries += [9.99999999951e-100, 9.9999999996e30, 9.9999999996e-15]
+    ties = [1234567885.0, 1234567895.0, 1000000005.0, 9999999995.0, 1234567885e5]
+    extremes = [1e100, 1.5e-100, 1.7976931348623157e308, 2.2250738585072014e-308]
+    subnormals = [5e-324, 2.0**-1074, 1e-320, 4.2e-315, 2.2250738585072009e-308]
+    for x in carries + ties + extremes + subnormals + [0.0]:
+        values += [x, -x]
+    return np.array(values)
+
+
+def test_write_recording_matches_percent_for_every_mask_code():
+    """Every (layout, sign, digits kept) mask, in every value column."""
+    values = values_for_every_mask_code()
+    codes = {mask_code("%.9g" % x) for x in values.tolist()}
+    every = {(layout, sign, kept) for layout in range(15) for sign in (False, True) for kept in range(1, 10)}
+    assert codes == every
+    samples = np.stack([np.roll(values, k) for k in range(6)], axis=1)
+    stream = SensorStream(accel=samples[:, :3], gyro=samples[:, 3:], sample_rate_hz=1000 / 3)
+    assert write_recording(stream) == reference_recording(stream)
+
+
 def test_write_recording_matches_percent_on_a_million_random_doubles():
     """Random bit patterns, finite ones kept. In 19 of 20 the exponent
     field is redrawn from 2**-56 to 2**112, about ten binades either side of the
