@@ -114,11 +114,11 @@ def _raise_first_bad_row(body: list[str], path) -> NoReturn:
 # A mask picked by the cell's layout, sign and number of digits kept is
 # 0xFF at each byte the text shows and 0 elsewhere. No shown byte is NUL,
 # so ANDing each cell with its mask and deleting every NUL with one
-# `bytes.translate` leaves the text. An index of the shown bytes, which
-# this replaced, took 8 bytes per byte of text (320 KB a block). Writing
-# the default cohort, `simulate` took 0.56-0.61 s of CPU and 17k-39k page
-# faults with the index over eight heap layouts, and 0.48-0.50 s and
-# 17k-30k without it.
+# `bytes.translate` leaves the text. An index of the shown bytes takes 8
+# bytes per byte of text, 320 KB a block, above glibc's default mmap and
+# trim thresholds: with one, `simulate` took 0.56-0.61 s of CPU and
+# 17k-39k page faults on the default cohort over eight heap layouts,
+# against 0.48-0.50 s and 17k-30k.
 #
 # Rows per `_format_rows` call. Its temporaries take about 1.3 KB a row;
 # at 2048 rows they came back as fresh pages for every block and set
@@ -282,7 +282,7 @@ def write_recording(stream: SensorStream, start: int = 0, stop: int | None = Non
         rows[:, 1:4] = stream.accel[i:j]
         rows[:, 4:] = stream.gyro[i:j]
         blocks.append(_format_rows(rows))
-    return blocks[0] if len(blocks) == 1 else b"".join(blocks)
+    return b"".join(blocks)  # a lone block is returned as it is, not copied
 
 
 def save_recording(stream: SensorStream, path) -> None:

@@ -119,7 +119,7 @@ class TestRecordingRoundTrip:
 
     def test_writer_holds_one_small_block_of_temporaries(self):
         # Beside the rendered blocks and their join, the writer holds one
-        # block's rows and temporaries, about 1.8 KB a row: under 1 MB at
+        # block's rows and temporaries, about 1.3 KB a row: under 1 MB at
         # 512 rows, where 2048-row blocks took about 3.7 MB.
         stream = noisy_stream(20_000)
         write_recording(stream)  # builds the writer's tables once
@@ -146,7 +146,7 @@ class TestRecordingRoundTrip:
         assert peak < ingest._BLOCK_ROWS * 1_550, peak
 
     def test_saving_holds_one_block_whatever_the_length(self, tmp_path):
-        # one block's rows and temporaries, about 0.95 MB, and the text of
+        # one block's rows and temporaries, about 0.7 MB, and the text of
         # two blocks; rendering the whole recording before the write held
         # 4.3 MB at 20,000 rows and 21 MB at 100,000
         write_recording(noisy_stream(1))  # builds the writer's tables once
