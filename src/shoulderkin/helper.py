@@ -4,9 +4,9 @@
 is split by position, one helper working the items at positions 1, 3,
 5, ... and this process the others, and any other iterable (a
 generator, a view, a one-item list) is worked in this process. Every
-stage that works a cohort goes through it: `simulate` writing sessions,
-`ingest.walk_cohort` reading a cohort directory's entries (for
-`iter_cohort`, `load_cohort` and `extract`), and
+stage that works a cohort goes through it: `ingest.save_cohort` writing
+a cohort directory's sessions (for `simulate`), `ingest.walk_cohort`
+reading its entries (for `iter_cohort`, `load_cohort` and `extract`), and
 `features.extract_cohort` extracting sessions it reads or is given. An
 item the helper does not finish is redone in this process, so the
 results and the error raised are those of ``map(work, items)``. The

@@ -14,7 +14,8 @@ and each session's subject around `helper.in_order`; `iter_cohort`,
 `load_cohort` and `features.extract_cohort` walk through it.
 `write_recording` prints every value as "%.9g" does, with numpy, a block
 of rows at a time, and `save_recording` writes its text to a file one
-block at a time.
+block at a time. `save_session` and `save_cohort` write the files that
+`load_session` and `walk_cohort` read: no other module names them.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, NamedTuple, NoReturn, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn, TypeVar
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .formats import (
     parse_key_values,
     read_lines,
     split_rows,
+    write_atomically,
     write_chunks,
 )
 from .helper import in_order
@@ -49,6 +51,7 @@ RECORDING_COLUMNS = RECORDING_HEADER.split(",")
 LABELS_HEADER = "TASK,s1,e1,s2,e2,s3,e3"
 COHORT_MANIFEST_NAME = "cohort.txt"
 
+T = TypeVar("T")
 R = TypeVar("R")
 
 
@@ -288,26 +291,9 @@ def write_recording(stream: SensorStream, start: int = 0, stop: int | None = Non
 def save_recording(stream: SensorStream, path) -> None:
     """Write `write_recording(stream)` to `path` a block of rows at a time
     (`formats.write_chunks`), so the whole text is never held."""
-    write_chunks(path, _blocks_one_behind(stream))
-
-
-def _blocks_one_behind(stream: SensorStream) -> Iterator[bytes]:
-    """Each block of `write_recording(stream)`, given out once the next
-    block is rendered.
-
-    Held across that render, a block's text keeps glibc's malloc from
-    trimming the heap top that the render's temporaries free. A block
-    freed before the next render let it trim after every block in some
-    heap layouts, and `simulate` then took 2.3 times the page faults
-    (77k against 33k) and about 60 ms more system time.
-    """
     n = stream.n_samples
     blocks = (write_recording(stream, i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS))
-    held = next(blocks)  # a stream has at least one sample
-    for block in blocks:
-        yield held
-        held = block
-    yield held
+    write_chunks(path, blocks)
 
 
 def parse_labels(path) -> dict[TaskKind, SegmentLabel]:
@@ -373,6 +359,10 @@ class SessionManifest:
                 f"sample_rate_hz must be positive and finite, got {self.sample_rate_hz}"
             )
 
+    def recording(self, placement: Placement) -> str:
+        """The recording path of `placement`: the field of its name."""
+        return getattr(self, placement.value)
+
 
 # every session-manifest key, with its kind, in file order
 _MANIFEST_KINDS = dict(
@@ -395,10 +385,30 @@ def load_session(manifest_path) -> Session:
     manifest_path = Path(manifest_path)
     manifest = parse_session_manifest(manifest_path)
     base, rate = manifest_path.parent, manifest.sample_rate_hz
-    # each placement's recording path is the manifest field of its name
-    streams = {p: parse_recording(base / getattr(manifest, p.value), rate) for p in Placement}
+    streams = {p: parse_recording(base / manifest.recording(p), rate) for p in Placement}
     labels = parse_labels(base / manifest.labels)
     return assemble_session(manifest.subject_id, manifest.group, manifest.side, streams, labels)
+
+
+def save_session(session: Session, out_dir) -> str:
+    """Write `session` into `out_dir` as the files `load_session` reads
+    back; returns its manifest's file name. The manifest names a recording
+    of each placement: a session without one is refused before any write."""
+    sid = session.subject_id
+    for placement in Placement:
+        if placement not in session.streams:
+            raise ValidationError(f"{sid}: no {placement.value} stream to write")
+    out_dir = Path(out_dir)
+    manifest = SessionManifest(
+        sid, session.group, session.side, session.sample_rate_hz,
+        wrist=f"{sid}_wrist.csv", arm=f"{sid}_arm.csv", labels=f"{sid}_labels.csv",
+    )
+    for placement in Placement:
+        save_recording(session.streams[placement], out_dir / manifest.recording(placement))
+    write_chunks(out_dir / manifest.labels, [write_labels(session.labels)])
+    name = f"{sid}_session.txt"
+    write_chunks(out_dir / name, [write_session_manifest(manifest)])
+    return name
 
 
 def walk_cohort(cohort_dir, work: Callable[[Session], R]) -> Iterator[R]:
@@ -443,6 +453,22 @@ def walk_cohort(cohort_dir, work: Callable[[Session], R]) -> Iterator[R]:
         for position, (subject, result) in enumerate(results):
             check(position, subject)
             yield result
+
+
+def save_cohort(out_dir, items: Iterable[T], make: Callable[[T], Session]) -> list[Path]:
+    """Write the session ``make(item)`` of each of `items` into `out_dir`,
+    then the cohort manifest listing them in order, for `walk_cohort`;
+    returns the session manifest paths. `helper.in_order` decides which
+    process makes and writes each session. An existing cohort manifest is
+    removed first, and the new one is written last, whole (`write_atomically`)."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    manifest = out_dir / COHORT_MANIFEST_NAME
+    # a manifest left by an earlier run would list a mix of its sessions and these
+    manifest.unlink(missing_ok=True)
+    names = list(in_order(items, lambda item: save_session(make(item), out_dir)))
+    write_atomically(manifest, ("\n".join(names) + "\n").encode("utf-8"))
+    return [out_dir / name for name in names]
 
 
 def iter_cohort(cohort_dir) -> Iterator[Session]:

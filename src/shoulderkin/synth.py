@@ -11,6 +11,8 @@ smoothness, intensity, and duration.
 Every pulse is an (onset_s, duration_s, amplitude_dps, unit axis) row:
 `generate_session` renders a session's rows for both placements, and
 `synth_segment` renders rows of the caller's choosing into one stream.
+`generate_cohort` hands the sessions to `ingest.save_cohort` to write:
+this module generates sessions and reads and writes profiles.
 
 All randomness flows from (cohort seed, within-group subject index), so
 regeneration is byte-identical and two groups built from the same profile
@@ -27,7 +29,6 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from . import formats, ingest
 from .formats import Group, Placement, TaskKind, _is_integer
-from .helper import in_order
 from .model import (
     GRAVITY_MS2,
     DEFAULT_SAMPLE_RATE_HZ,
@@ -53,8 +54,8 @@ _REST_RANGE_S = (0.4, 1.0)
 _PAUSE_RANGE_S = (0.25, 0.7)
 
 # Upper bounds on the profile values that size what `simulate` allocates
-# and writes. Each of its two processes (see `generate_cohort`) builds and
-# writes one session at a time, so a session's length bounds memory: at
+# and writes. Each of its two processes (see `ingest.save_cohort`) builds
+# and writes one session at a time, so a session's length bounds memory: at
 # the limits below a session lasts at most about 29 min (220k samples per
 # placement), and writing four such sessions peaked at 74 MB RSS in the
 # parent and 70 MB in its helper. Building one such session sets that
@@ -402,52 +403,11 @@ def generate_session(profile: CohortProfile, group: Group, index: int) -> Sessio
     return assemble_session(subject_id, group, side, dict(zip(Placement, rendered)), labels)
 
 
-def _write_session(profile: CohortProfile, group: Group, index: int, out_dir: Path) -> str:
-    """Generate one session and write its recordings, labels and session
-    manifest into `out_dir`; returns the manifest's file name."""
-    session = generate_session(profile, group, index)
-    sid = session.subject_id
-    manifest = ingest.SessionManifest(
-        subject_id=sid,
-        group=session.group,
-        side=session.side,
-        sample_rate_hz=session.sample_rate_hz,
-        wrist=f"{sid}_wrist.csv",
-        arm=f"{sid}_arm.csv",
-        labels=f"{sid}_labels.csv",
-    )
-    # a block of a recording at a time: beside the session, the writer
-    # holds one block's text and temporaries
-    for placement in Placement:
-        path = out_dir / getattr(manifest, placement.value)
-        ingest.save_recording(session.streams[placement], path)
-    formats.write_chunks(out_dir / manifest.labels, [ingest.write_labels(session.labels)])
-    manifest_name = f"{sid}_session.txt"
-    formats.write_chunks(out_dir / manifest_name, [ingest.write_session_manifest(manifest)])
-    return manifest_name
-
-
 def generate_cohort(profile: CohortProfile, out_dir) -> list[Path]:
-    """Write a full cohort directory: recordings, labels, manifests.
-
-    Patients come first, then healthy subjects, both in index order; the
-    cohort manifest lists the session manifests in that order. Returns
-    the session manifest paths.
-
-    `helper.in_order` decides which process writes each session. A
-    session depends only on (seed, index), so the files are the same
-    bytes a single process writes. An existing cohort manifest is removed
-    before the first session, and the new one is written last, whole,
-    only when every session is on disk.
-    """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # a manifest left by an earlier run would list a mix of its sessions and these
-    (out_dir / ingest.COHORT_MANIFEST_NAME).unlink(missing_ok=True)
+    """Write a full cohort directory with `ingest.save_cohort`: patients,
+    then healthy subjects, both in index order. Returns the session
+    manifest paths. A session depends only on (seed, index), so the files
+    are the same bytes one process writes."""
     groups = (Group.PATIENT, Group.HEALTHY)
     keys = [(group, index) for group in groups for index in range(profile.n_per_group)]
-    names = list(in_order(keys, lambda key: _write_session(profile, *key, out_dir)))
-    formats.write_atomically(
-        out_dir / ingest.COHORT_MANIFEST_NAME, ("\n".join(names) + "\n").encode("utf-8")
-    )
-    return [out_dir / name for name in names]
+    return ingest.save_cohort(out_dir, keys, lambda key: generate_session(profile, *key))

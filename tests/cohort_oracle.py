@@ -7,19 +7,20 @@ walk (`walk_cohort`, `iter_cohort`, `load_cohort` and `extract`).
 
 from pathlib import Path
 
-from shoulderkin import synth
+from shoulderkin import ingest
 from shoulderkin.errors import CohortError, ParseError, ValidationError
 from shoulderkin.formats import Group
 from shoulderkin.ingest import COHORT_MANIFEST_NAME, load_session
+from shoulderkin.synth import generate_session
 
 
 def write_in_process(profile, out_dir):
-    """Every session written by this process, in manifest order, then the
-    cohort manifest."""
+    """Every session written by this process (`ingest.save_session`), in
+    manifest order, then the cohort manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = [
-        synth._write_session(profile, group, index, out_dir)
+        ingest.save_session(generate_session(profile, group, index), out_dir)
         for group in (Group.PATIENT, Group.HEALTHY)
         for index in range(profile.n_per_group)
     ]

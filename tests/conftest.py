@@ -3,12 +3,13 @@
 The hypothesis profile is loaded here, not in one test file, so that any
 file run on its own is derandomized and has no deadline as well. Every
 test must end with no child process of this one left, running or
-unreaped: `simulate`, `extract`, `iter_cohort`, `load_cohort`, and
-`extract_cohort` given a cohort directory or a sequence, each fork one
-helper (`helper.in_order`) for two or more sessions, and none for one
-session or a generator; the helper is killed and reaped once it has
-ended without an item or its generator is exhausted or closed. Tests
-that kill a helper take its pid from `forks.record_forks`.
+unreaped: `ingest.save_cohort` (which writes `simulate`'s cohort),
+`extract`, `iter_cohort`, `load_cohort`, and `extract_cohort` given a
+cohort directory or a sequence, each fork one helper (`helper.in_order`)
+for two or more sessions, and none for one session or a generator; the
+helper is killed and reaped once it has ended without an item or its
+generator is exhausted or closed. Tests that kill a helper take its pid
+from `forks.record_forks`.
 """
 import os
 

@@ -104,6 +104,21 @@ def test_only_the_helper_module_forks_or_pickles():
     assert mentions == []
 
 
+def test_only_ingest_spells_the_cohort_file_names():
+    # the cohort directory's layout lives beside its reader: `save_session`
+    # and `save_cohort` write what `load_session` and `walk_cohort` read
+    sources = sorted(Path(shoulderkin.__file__).parent.glob("*.py"))
+    assert "ingest.py" in [p.name for p in sources]
+    pattern = re.compile(r"_session\.txt|_labels\.csv|_wrist\.csv|_arm\.csv|COHORT_MANIFEST_NAME")
+    mentions = [
+        f"{p.name}: {match}"
+        for p in sources
+        if p.name != "ingest.py"
+        for match in pattern.findall(p.read_text(encoding="utf-8"))
+    ]
+    assert mentions == []
+
+
 def test_only_the_helper_module_imports_concurrency():
     # the helper is a bare fork; threads gave nothing (ROADMAP, "Decisions that stand")
     sources = sorted(Path(shoulderkin.__file__).parent.glob("*.py"))

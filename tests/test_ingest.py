@@ -32,12 +32,15 @@ from shoulderkin.formats import (
     parse_key_values,
     read_lines,
     write_atomically,
+    write_chunks,
 )
 from shoulderkin.ingest import (
     LABELS_HEADER,
     RECORDING_HEADER,
     iter_cohort,
     load_session,
+    save_cohort,
+    save_session,
     walk_cohort,
     parse_labels,
     parse_recording,
@@ -46,7 +49,7 @@ from shoulderkin.ingest import (
     write_recording,
     write_session_manifest,
 )
-from shoulderkin.model import SegmentLabel, SensorStream
+from shoulderkin.model import SegmentLabel, SensorStream, Session
 
 RATE = 128.0
 
@@ -548,6 +551,23 @@ class TestWriteAtomically:
         assert info.value.filename == str(path) and info.value.filename2 is None
 
 
+def test_write_chunks_writes_each_chunk_once_the_next_is_made(tmp_path):
+    # held across the next render, a recording block keeps glibc's malloc
+    # from trimming the heap top after every block (see `write_chunks`)
+    path = tmp_path / "out"
+    size = 1 << 20  # past the file object's buffer, so each write lands at once
+    on_disk = []
+
+    def chunks():
+        for k in range(4):
+            on_disk.append(path.stat().st_size)
+            yield bytes([ord("a") + k]) * size
+
+    write_chunks(path, chunks())
+    assert on_disk == [0, 0, size, 2 * size]
+    assert path.read_bytes() == b"".join(bytes([ord(c)]) * size for c in "abcd")
+
+
 class TestParseKeyValues:
     KINDS = {"a": int, "b": str, "c": float}
 
@@ -591,16 +611,9 @@ class TestParseKeyValues:
 
 def write_full_session(dirpath, sid="S01", n=400, group=Group.PATIENT, rate=RATE):
     rng = np.random.default_rng(abs(hash(sid)) % 2**32)
-    for suffix in ("wrist", "arm"):
-        stream = quantized_stream(rng, n, rate)
-        (dirpath / f"{sid}_{suffix}.csv").write_bytes(write_recording(stream))
-    labels = {
-        TaskKind.WH: SegmentLabel(0, 100, 250, n),
-    }
-    (dirpath / f"{sid}_labels.csv").write_bytes(write_labels(labels))
-    path = dirpath / f"{sid}_session.txt"
-    path.write_bytes(write_session_manifest(session_manifest(sid, group, rate)))
-    return path
+    streams = {placement: quantized_stream(rng, n, rate) for placement in Placement}
+    labels = {TaskKind.WH: SegmentLabel(0, 100, 250, n)}
+    return dirpath / save_session(Session(sid, group, "left", streams, labels), dirpath)
 
 
 class TestLoadSession:
@@ -741,3 +754,64 @@ class TestLoadCohort:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         self.assert_sessions_equal(got, want)
+
+
+class TestSaveCohort:
+    """`save_session` and `save_cohort` write what `load_session` and
+    `walk_cohort` read back."""
+
+    def hand_session(self, rng, sid, group, side, rate, n, labels):
+        streams = {placement: quantized_stream(rng, n, rate) for placement in Placement}
+        return Session(sid, group, side, streams, labels)
+
+    def hand_sessions(self, count):
+        # each with a different subset of the tasks labelled, none with all
+        rng = np.random.default_rng(2024)
+        specs = [
+            ("P01", Group.PATIENT, "left", RATE, 300, {TaskKind.WH: SegmentLabel(0, 100, 250, 300)}),
+            ("H07", Group.HEALTHY, "right", 51.2, 37, {}),
+            ("P12", Group.PATIENT, "both arms", 100.0, 700, {
+                TaskKind.WUB: SegmentLabel(5, 60, 61, 300),
+                TaskKind.ROP: SegmentLabel(310, 400, 555, 700),
+            }),
+        ]
+        return [self.hand_session(rng, *spec) for spec in specs[:count]]
+
+    @pytest.mark.parametrize("count, forks_wanted", [(1, 0), (3, 2)], ids=["in-process", "helper"])
+    def test_sessions_come_back_as_written(self, tmp_path, monkeypatch, count, forks_wanted):
+        # three sessions fork one helper to write and one to read
+        sessions = self.hand_sessions(count)
+        forks = []
+        fork = os.fork
+
+        def counting_fork():
+            forks.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        paths = save_cohort(tmp_path / "cohort", sessions, lambda session: session)
+        got = load_cohort(tmp_path / "cohort")
+        assert len(forks) == forks_wanted
+        sids = [session.subject_id for session in sessions]
+        assert [path.name for path in paths] == [f"{sid}_session.txt" for sid in sids]
+        assert (tmp_path / "cohort" / "cohort.txt").read_text().split() == [p.name for p in paths]
+        assert len(got) == len(sessions)
+        for a, b in zip(got, sessions):
+            assert (a.subject_id, a.group, a.side, a.labels) == (b.subject_id, b.group, b.side, b.labels)
+            assert a.streams.keys() == b.streams.keys()
+            for placement in Placement:
+                x, y = a.streams[placement], b.streams[placement]
+                assert x.sample_rate_hz == y.sample_rate_hz
+                for got_array, want_array in ((x.accel, y.accel), (x.gyro, y.gyro)):
+                    assert got_array.shape == want_array.shape
+                    assert got_array.tobytes() == want_array.tobytes()
+
+    @pytest.mark.parametrize("missing", list(Placement), ids=lambda placement: placement.value)
+    def test_a_session_without_a_placement_is_refused_before_any_file(self, tmp_path, missing):
+        # the manifest names a recording of each placement
+        session = self.hand_sessions(1)[0]
+        streams = {p: stream for p, stream in session.streams.items() if p is not missing}
+        one_stream = Session("P01", Group.PATIENT, "left", streams, session.labels)
+        with pytest.raises(ValidationError, match=f"^P01: no {missing.value} stream to write$"):
+            save_session(one_stream, tmp_path)
+        assert list(tmp_path.iterdir()) == []

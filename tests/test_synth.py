@@ -21,7 +21,7 @@ from shoulderkin import (
     load_cohort,
     write_profile,
 )
-from shoulderkin import synth
+from shoulderkin import ingest, synth
 from shoulderkin.dsp import euclidean_norm
 from shoulderkin.features import peak_count, spectral_arc_length
 from shoulderkin.formats import Group, Placement, SegmentKind, TaskKind
@@ -377,8 +377,9 @@ def files_of(directory):
 
 
 class TestCohortWriter:
-    """`generate_cohort` writes every other session in a helper process and
-    the same bytes as one process writing them in order. The suite-wide
+    """`generate_cohort` writes every other session in a helper process
+    (`ingest.save_cohort`, patched here at `ingest.save_session`) and the
+    same bytes as one process writing them in order. The suite-wide
     fixture in conftest.py checks that no process is left after each."""
 
     @pytest.mark.parametrize("n_per_group", [1, 2, 3])
@@ -392,16 +393,16 @@ class TestCohortWriter:
 
     def test_the_helper_writes_every_other_session(self, tmp_path, monkeypatch):
         parent = os.getpid()
-        write_session = synth._write_session
+        save_session = ingest.save_session
         in_parent = []
 
-        def write(profile, group, index, out_dir):
-            name = write_session(profile, group, index, out_dir)
+        def write(session, out_dir):
+            name = save_session(session, out_dir)
             if os.getpid() == parent:
                 in_parent.append(name)
             return name
 
-        monkeypatch.setattr(synth, "_write_session", write)
+        monkeypatch.setattr(ingest, "save_session", write)
         generate_cohort(cohort_profile(3), tmp_path)
         assert in_parent == ["P01_session.txt", "P03_session.txt", "H02_session.txt"]
 
@@ -410,25 +411,25 @@ class TestCohortWriter:
         # stalls; the parent kills it once P03 is written, after that report
         parent = os.getpid()
         forked = record_forks(monkeypatch)
-        write_session = synth._write_session
+        save_session = ingest.save_session
         in_parent = []
 
-        def write(profile, group, index, out_dir):
-            if os.getpid() != parent and (group, index) == (Group.HEALTHY, 0):
+        def write(session, out_dir):
+            if os.getpid() != parent and session.subject_id == "H01":
                 (out_dir / "H01_wrist.csv").write_bytes(b"time_s,ax")
                 time.sleep(600)
-            if os.getpid() == parent and group is Group.HEALTHY:
+            if os.getpid() == parent and session.group is Group.HEALTHY:
                 # after the helper's report of P02: it is dead and reaped
                 with pytest.raises(ChildProcessError):
                     os.waitpid(-1, os.WNOHANG)
-            name = write_session(profile, group, index, out_dir)
+            name = save_session(session, out_dir)
             if os.getpid() == parent:
                 in_parent.append(name[:3])
                 if name.startswith("P03") and forked:  # not again for the oracle
                     os.kill(forked.pop(), signal.SIGKILL)
             return name
 
-        monkeypatch.setattr(synth, "_write_session", write)
+        monkeypatch.setattr(ingest, "save_session", write)
         profile = cohort_profile(3)
         generate_cohort(profile, tmp_path / "cohort")
         assert in_parent == ["P01", "P03", "H01", "H02", "H03"]
@@ -447,16 +448,16 @@ class TestCohortWriter:
 
     def test_an_interrupt_kills_a_stalled_helper(self, tmp_path, monkeypatch):
         parent = os.getpid()
-        write_session = synth._write_session
+        save_session = ingest.save_session
 
-        def write(profile, group, index, out_dir):
+        def write(session, out_dir):
             if os.getpid() != parent:
                 time.sleep(30)
-            elif index == 0:
+            elif session.subject_id == "P01":
                 raise KeyboardInterrupt
-            return write_session(profile, group, index, out_dir)
+            return save_session(session, out_dir)
 
-        monkeypatch.setattr(synth, "_write_session", write)
+        monkeypatch.setattr(ingest, "save_session", write)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             generate_cohort(cohort_profile(3), tmp_path)
@@ -466,17 +467,17 @@ class TestCohortWriter:
     def test_an_interrupt_while_waiting_kills_the_helper(self, tmp_path, monkeypatch):
         # the parent writes P01, then waits on the stalled helper's P02
         parent = os.getpid()
-        write_session = synth._write_session
+        save_session = ingest.save_session
 
-        def write(profile, group, index, out_dir):
+        def write(session, out_dir):
             if os.getpid() != parent:
                 time.sleep(30)
-            return write_session(profile, group, index, out_dir)
+            return save_session(session, out_dir)
 
         def interrupt(signum, frame):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(synth, "_write_session", write)
+        monkeypatch.setattr(ingest, "save_session", write)
         start = time.monotonic()
         previous = signal.signal(signal.SIGALRM, interrupt)
         signal.setitimer(signal.ITIMER_REAL, 1.0)
